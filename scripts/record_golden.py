@@ -1,0 +1,56 @@
+#!/usr/bin/env python3
+"""Record the golden ``--json`` reports listed in ``tests/golden/manifest.json``.
+
+Usage:
+    PYTHONPATH=src python scripts/record_golden.py [--check]
+
+Each manifest entry maps a file name under ``tests/golden/`` to the argv of
+one ``nclab`` command (``--json`` is appended).  Without flags the reports of
+the current tree are written; with ``--check`` they are compared instead and
+the names that differ are printed.  ``tests/test_golden.py`` runs the same
+comparison.  Re-record only for an intended change of report bytes.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+
+GOLDEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests", "golden")
+
+
+def report(argv):
+    """Exit code and stdout of one in-process ``nclab`` run with ``--json``."""
+    from nclab.cli import main
+
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv) + ["--json"])
+    return code, buf.getvalue()
+
+
+def main() -> int:
+    check = "--check" in sys.argv[1:]
+    with open(os.path.join(GOLDEN, "manifest.json"), encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    bad = []
+    for name, argv in manifest.items():
+        code, out = report(argv)
+        path = os.path.join(GOLDEN, name)
+        if check:
+            with open(path, encoding="utf-8") as fh:
+                if fh.read() != out:
+                    bad.append(name)
+        else:
+            if code != 0:
+                raise SystemExit(f"{name}: exit {code}")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(out)
+    for name in bad:
+        print(f"differs: {name}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

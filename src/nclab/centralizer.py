@@ -23,7 +23,6 @@ from .genmat import (
     AnnihilatorResult,
     GenericMatrix,
     StabilityReport,
-    annihilator_stability,
     find_annihilator,
     pi_reduce,
 )
@@ -57,35 +56,54 @@ class CentralizerBasis:
         return self.bases[self.d]
 
 
+def _commutator_column(raw_f, w, p: int) -> dict:
+    """[f, w] for a word w as a dict word -> raw value, with raw_f the (word, value) terms of f."""
+    col = {}
+    for u, c in raw_f:
+        col[u + w] = col.get(u + w, 0) + c
+        col[w + u] = col.get(w + u, 0) - c
+    if p:
+        return {k: v % p for k, v in col.items() if v % p}
+    return {k: v for k, v in col.items() if v}
+
+
 def centralizer_basis(f: FreePoly, d: int) -> CentralizerBasis:
-    """K_m = {g of degree <= m : [f, g] = 0} for every m <= d, exactly."""
+    """K_m = {g of degree <= m : [f, g] = 0} for every m <= d, exactly.
+
+    One echelon absorbs the images [f, w] of the words by ascending length,
+    so the kernel vectors of the words of length <= m span K_m.  Over the
+    graded-lex descending word order the reduced echelon basis of K_d lists
+    each element under its leading word, and the elements of degree <= m
+    are then exactly the reduced echelon basis of K_m.
+    """
     if f.is_scalar:
         raise ScalarInput("the centralizer of a scalar is the whole algebra")
     if d < 0:
         raise ValueError("degree bound must be nonnegative")
     field = f.field
-    words = _words_up_to(f.s, d)  # graded-lex descending: echelon pivot order
-    images = {}
-    support = set()
+    raw_f = [(u, c.value) for u, c in f.terms.items()]
+    words = _words_up_to(f.s, d)[::-1]  # ascending length
+    echelon = linalg.Echelon(field)
+    kernel = []
     for w in words:
-        c = commutator(f, FreePoly(f.s, field, {w: field.one}))
-        images[w] = c
-        support |= set(c.terms)
-    rows_index = {w: i for i, w in enumerate(sorted(support, key=word_key))}
-    bases = []
-    for m in range(d + 1):
-        cols = [w for w in words if len(w) <= m]
-        rows = [[field.zero] * len(cols) for _ in rows_index]
-        for cidx, w in enumerate(cols):
-            for rw, c in images[w].terms.items():
-                rows[rows_index[rw]][cidx] = c
-        kernel = linalg.kernel_basis(rows, len(cols), field)
-        echelon = linalg.canonical_span_basis(kernel, field) if kernel else []
-        basis = [
-            FreePoly(f.s, field, {cols[i]: v for i, v in enumerate(vec) if v})
-            for vec in echelon
-        ]
-        bases.append(basis)
+        vec = echelon.absorb(_commutator_column(raw_f, w, field.p))
+        if vec is not None:
+            kernel.append({words[j]: v for j, v in vec.items()})
+    support = sorted({w for vec in kernel for w in vec}, key=word_key)
+    rows = [[field.scalar(vec.get(w, 0)) for w in support] for vec in kernel]
+    top = [
+        FreePoly(f.s, field, {support[i]: v for i, v in enumerate(row) if v})
+        for row in linalg.canonical_span_basis(rows, field)
+    ]
+    bases = [[b for b in top if b.degree() <= m] for m in range(d + 1)]
+    # Re-check by an independent path: every element commutes with f, and
+    # each K_m has one basis element per kernel vector of length <= m.
+    for b in top:
+        if not commutator(f, b).is_zero:
+            raise ArithmeticError(f"centralizer basis element {pretty(b)} does not commute with f")
+    lengths = [max(len(w) for w in vec) for vec in kernel]
+    if [len(b) for b in bases] != [sum(1 for k in lengths if k <= m) for m in range(d + 1)]:
+        raise ArithmeticError("centralizer bases disagree with the kernel dimensions")
     return CentralizerBasis(f, d, bases)
 
 
@@ -110,18 +128,11 @@ class BergmanReport:
 
 def _span_membership(elements, candidates_powers, field):
     """Index of the first element not in the span, or None if all belong."""
-    support = sorted({w for p in candidates_powers + elements for w in p.terms}, key=word_key)
-    index = {w: i for i, w in enumerate(support)}
-
-    def vec(p):
-        v = [field.zero] * len(support)
-        for w, c in p.terms.items():
-            v[index[w]] = c
-        return v
-
-    columns = [vec(p) for p in candidates_powers]
+    echelon = linalg.Echelon(field)
+    for p in candidates_powers:
+        echelon.absorb({w: c.value for w, c in p.terms.items()})
     for k, e in enumerate(elements):
-        if linalg.solve_membership(columns, vec(e), field) is None:
+        if echelon.solve({w: c.value for w, c in e.terms.items()}) is None:
             return k
     return None
 
@@ -233,7 +244,9 @@ def bergman_pipeline(
         report.outcomes.append(
             SizeOutcome(n, images_commute, ann, c0.is_zero, c1.is_zero, c1)
         )
-    report.stability = annihilator_stability(f, g, list(range(1, nmax + 1)), dmax)
+    report.stability = StabilityReport.of(
+        f, g, report.sizes, dmax, [o.annihilator for o in report.outcomes]
+    )
     _conclude(report)
     return report
 

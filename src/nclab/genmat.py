@@ -20,8 +20,8 @@ from .errors import (
     ShapeMismatch,
 )
 from .fields import Field, Scalar
-from .freealg import FreePoly
-from .rings import CommPoly, Variable, mono_cmp, mono_mul
+from .freealg import FreePoly, commutator, pretty
+from .rings import CommPoly, Variable, mono_mul
 
 
 class GenericMatrix:
@@ -404,39 +404,31 @@ def find_annihilator(f: GenericMatrix, g: GenericMatrix, dmax: int) -> Annihilat
             powers[top + 1] = powers[top] * base
         return powers[e]
 
-    layers = _monomial_layers(dmax)
-    monomials = []  # ascending graded order
-    columns = []  # sparse dict (i, j, mono) -> Scalar per monomial
-    for d, layer in enumerate(layers):
+    echelon = linalg.Echelon(field)
+    monomials = []  # ascending graded order: column index -> (a, b)
+    for layer in _monomial_layers(dmax):
+        kernel = []
         for a, b in layer:
             mat = power(powers_f, f, a) * power(powers_g, g, b)
-            col = {}
-            for i in range(mat.n):
-                for j in range(mat.n):
-                    for mono, c in mat.rows[i][j].terms.items():
-                        col[(i, j, mono)] = c
+            col = {
+                (i, j, mono): c.value
+                for i, row in enumerate(mat.rows)
+                for j, entry in enumerate(row)
+                for mono, c in entry.terms.items()
+            }
             monomials.append((a, b))
-            columns.append(col)
-        support = sorted({k for col in columns for k in col}, key=_support_key)
-        index = {k: r for r, k in enumerate(support)}
-        rows = [[field.zero] * len(columns) for _ in support]
-        for cidx, col in enumerate(columns):
-            for k, c in col.items():
-                rows[index[k]][cidx] = c
-        kernel = linalg.kernel_basis(rows, len(columns), field)
+            vec = echelon.absorb(col)
+            if vec is not None:
+                kernel.append(vec)
         if kernel:
-            poly = _canonical_kernel_poly(kernel, monomials, field)
+            # the first dependent layer: its kernel vectors span the whole kernel
+            dense = [[field.scalar(vec.get(k, 0)) for k in range(len(monomials))] for vec in kernel]
+            poly = _canonical_kernel_poly(dense, monomials, field)
             result = AnnihilatorResult(True, poly, poly.total_degree(), f.n, dmax)
-            assert result.verify(f, g), "annihilator failed re-evaluation"
+            if not result.verify(f, g):
+                raise ArithmeticError("annihilator failed re-evaluation")
             return result
     return AnnihilatorResult(False, None, None, f.n, dmax)
-
-
-def _support_key(key):
-    i, j, mono = key
-    from functools import cmp_to_key
-
-    return (i, j, cmp_to_key(mono_cmp)(mono))
 
 
 def _canonical_kernel_poly(kernel, monomials, field: Field) -> BivariatePoly:
@@ -462,6 +454,14 @@ class StabilityReport:
     all_found: bool
     identical: bool
 
+    @staticmethod
+    def of(f: FreePoly, g: FreePoly, sizes, dmax: int, results) -> StabilityReport:
+        """The report of the annihilator results already found at ``sizes``."""
+        found = [r for r in results if r.found]
+        all_found = len(found) == len(results)
+        identical = all_found and all(r.poly == found[0].poly for r in found)
+        return StabilityReport(pretty(f), pretty(g), list(sizes), dmax, list(results), all_found, identical)
+
     @property
     def common_poly(self):
         for r in self.results:
@@ -472,15 +472,8 @@ class StabilityReport:
 
 def annihilator_stability(f: FreePoly, g: FreePoly, sizes, dmax: int) -> StabilityReport:
     """Run the annihilator search on the size-n images for each n in sizes."""
-    from .freealg import commutator, pretty
-
     if not commutator(f, g).is_zero:
         raise NotCommuting("inputs do not commute in the free algebra")
     sizes = sorted(set(sizes))
-    results = []
-    for n in sizes:
-        results.append(find_annihilator(pi_reduce(f, n), pi_reduce(g, n), dmax))
-    found = [r for r in results if r.found]
-    all_found = len(found) == len(results)
-    identical = all_found and all(r.poly == found[0].poly for r in found)
-    return StabilityReport(pretty(f), pretty(g), sizes, dmax, results, all_found, identical)
+    results = [find_annihilator(pi_reduce(f, n), pi_reduce(g, n), dmax) for n in sizes]
+    return StabilityReport.of(f, g, sizes, dmax, results)

@@ -1,13 +1,116 @@
-"""Exact dense linear algebra over a field (RREF, kernels, membership).
+"""Exact linear algebra over a field: an incremental sparse echelon and RREF.
 
-Matrices are lists of lists of Scalar.  Everything is deterministic: pivots
-are chosen as the first nonzero entry scanning top-to-bottom, columns
-left-to-right, so identical inputs give identical echelon forms.
+``Echelon`` is the elimination engine: it absorbs sparse columns one at a
+time and reports each column that depends on the earlier ones as a kernel
+vector.  It works on raw values (``Fraction`` over Q, ints in ``[0, p)`` over
+F_p) with the field held on the echelon, so no ``Scalar`` is built in its
+inner loop.  ``rref`` is the dense reduced row echelon form over ``Scalar``
+used to put small spans into canonical form.  Everything is deterministic:
+identical inputs give identical results.
 """
 
 from __future__ import annotations
 
-from .fields import Field, Scalar
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
+
+from .fields import Field
+
+
+class Echelon:
+    """Column echelon form of the columns absorbed so far.
+
+    A column is a dict mapping a row key to a nonzero raw value.  Each pivot
+    is a reduced column whose pivot entry is 1 and whose entries in the rows
+    of earlier pivots are 0, together with its combination of original
+    columns (a dict column index -> raw value).  A column is reduced only
+    against the pivots whose rows it touches, in the order the pivots were
+    made, which leaves it with no entry in any pivot row.
+    """
+
+    __slots__ = ("ncols", "_p", "_order", "_pivots")
+
+    def __init__(self, field: Field):
+        self.ncols = 0
+        self._p = field.p
+        self._order = {}  # pivot row -> index into _pivots
+        self._pivots = []  # (row, reduced column, combination)
+
+    def _reduce(self, col: dict, comb: dict) -> None:
+        """Subtract pivots from ``col`` in place, mirroring each step on ``comb``."""
+        p, order, pivots = self._p, self._order, self._pivots
+        heap = [order[r] for r in col if r in order]
+        heapify(heap)
+        while heap:
+            k = heappop(heap)
+            row, vec, vcomb = pivots[k]
+            c = col.get(row)
+            if c is None:  # a duplicate entry of a pivot already applied
+                continue
+            for key, v in vec.items():
+                old = col.get(key)
+                if old is None:
+                    col[key] = -c * v % p if p else -c * v
+                    if key in order:
+                        heappush(heap, order[key])
+                    continue
+                new = (old - c * v) % p if p else old - c * v
+                if new:
+                    col[key] = new
+                else:
+                    del col[key]
+            for key, v in vcomb.items():
+                new = (comb.get(key, 0) - c * v) % p if p else comb.get(key, 0) - c * v
+                if new:
+                    comb[key] = new
+                else:
+                    comb.pop(key, None)
+
+    def absorb(self, column: dict):
+        """Add the next column; return its kernel vector if it depends on the others.
+
+        The kernel vector is a dict column index -> raw value with the new
+        column's index (``ncols`` before the call) at coefficient 1.
+        """
+        j = self.ncols
+        self.ncols += 1
+        col = dict(column)
+        comb = {j: 1}
+        self._reduce(col, comb)
+        if not col:
+            return comb
+        row = next(iter(col))
+        inv = pow(col[row], -1, self._p) if self._p else Fraction(1) / col[row]
+        if inv != 1:
+            p = self._p
+            col = {k: v * inv % p if p else v * inv for k, v in col.items()}
+            comb = {k: v * inv % p if p else v * inv for k, v in comb.items()}
+        self._order[row] = len(self._pivots)
+        self._pivots.append((row, col, comb))
+        return None
+
+    def solve(self, target: dict):
+        """Raw coefficients c (column index -> value) with sum c_j col_j == target, or None."""
+        col = dict(target)
+        comb = {}
+        self._reduce(col, comb)
+        if col:
+            return None
+        p = self._p
+        return {k: -v % p if p else -v for k, v in comb.items()}
+
+
+def _sparse(vec) -> dict:
+    """A dense vector of Scalar as a dict index -> raw value of its nonzero entries."""
+    return {i: x.value for i, x in enumerate(vec) if x}
+
+
+def _dense(raw: dict, n: int, field: Field):
+    """A dict index -> raw value as a dense list of Scalar of length n."""
+    vec = [field.zero] * n
+    for k, v in raw.items():
+        vec[k] = field.scalar(v)
+    return vec
 
 
 def rref(rows, field: Field):
@@ -41,26 +144,11 @@ def rref(rows, field: Field):
 
 
 def kernel_basis(rows, ncols: int, field: Field):
-    """Basis of the right kernel of the matrix (one vector per free column)."""
-    if not rows:
-        return [_unit(ncols, j, field) for j in range(ncols)]
-    echelon, pivots = rref(rows, field)
-    pivot_set = set(pivots)
-    free_cols = [j for j in range(ncols) if j not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        vec = [field.zero] * ncols
-        vec[fc] = field.one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -echelon[r][fc]
-        basis.append(vec)
-    return basis
-
-
-def _unit(n: int, j: int, field: Field):
-    vec = [field.zero] * n
-    vec[j] = field.one
-    return vec
+    """Basis of the right kernel of the matrix (one vector per dependent column)."""
+    echelon = Echelon(field)
+    columns = [_sparse(col) for col in zip(*rows)] if rows else [{}] * ncols
+    kernel = (echelon.absorb(col) for col in columns)
+    return [_dense(vec, ncols, field) for vec in kernel if vec is not None]
 
 
 def canonical_span_basis(vectors, field: Field):
@@ -74,19 +162,11 @@ def canonical_span_basis(vectors, field: Field):
 def solve_membership(columns, target, field: Field):
     """Coefficients c with sum_j c_j * columns[j] == target, or None.
 
-    ``columns`` is a list of vectors (all the same length).
+    ``columns`` is a list of vectors (all the same length).  Columns that
+    depend on earlier ones get coefficient 0.
     """
-    if not columns:
-        return [] if all(not x for x in target) else None
-    nrows = len(columns[0])
-    rows = []
-    for i in range(nrows):
-        rows.append([col[i] for col in columns] + [target[i]])
-    echelon, pivots = rref(rows, field)
-    ncols = len(columns)
-    if ncols in pivots:
-        return None  # inconsistent: pivot in the augmented column
-    coeffs = [field.zero] * ncols
-    for r, pc in enumerate(pivots):
-        coeffs[pc] = echelon[r][ncols]
-    return coeffs
+    echelon = Echelon(field)
+    for col in columns:
+        echelon.absorb(_sparse(col))
+    coeffs = echelon.solve(_sparse(target))
+    return None if coeffs is None else _dense(coeffs, len(columns), field)

@@ -96,7 +96,7 @@ class PoissonTensor:
         try:
             variables = [parse_variable_name(t) for t in obj["variables"]]
             entries = {(int(i), int(j)): field.scalar(str(c)) for i, j, c in obj["entries"]}
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise BadTensorFile(f"malformed tensor object: {exc}") from exc
         return PoissonTensor(variables, entries, field)
 

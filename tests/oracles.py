@@ -2,7 +2,7 @@
 
 These deliberately avoid the engine code paths they are used to check:
 plain-dict word arithmetic instead of FreePoly products, explicit Gaussian
-elimination over Fraction instead of nclab.linalg, and a from-scratch Moyal
+elimination over Fraction or mod p instead of nclab.linalg, and a from-scratch Moyal
 term expansion instead of the StarContext machinery.
 """
 
@@ -100,6 +100,52 @@ def fraction_kernel(rows, ncols):
             vec[pc] = -m[r][fc]
         basis.append(vec)
     return basis
+
+
+def modp_kernel(rows, ncols, p):
+    """Kernel basis of an integer matrix mod a prime p by plain Gauss-Jordan elimination."""
+    m = [[x % p for x in r] for r in rows]
+    pivots = []
+    pr = 0
+    for pc in range(ncols):
+        pivot = None
+        for r in range(pr, len(m)):
+            if m[r][pc]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        m[pr], m[pivot] = m[pivot], m[pr]
+        inv = pow(m[pr][pc], p - 2, p)  # Fermat inverse
+        m[pr] = [x * inv % p for x in m[pr]]
+        for r in range(len(m)):
+            if r != pr and m[r][pc]:
+                f = m[r][pc]
+                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == len(m):
+            break
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [0] * ncols
+        vec[fc] = 1
+        for r, pc in enumerate(pivots):
+            vec[pc] = -m[r][fc] % p
+        basis.append(vec)
+    return basis
+
+
+def kernel(rows, ncols, p=0):
+    """Kernel basis over Q (p = 0) or GF(p), by the matching plain elimination."""
+    return modp_kernel(rows, ncols, p) if p else fraction_kernel(rows, ncols)
+
+
+def rank(vectors, ncols, p=0):
+    """Dimension of the span of the given vectors (rows of length ncols)."""
+    transposed = [[v[i] for v in vectors] for i in range(ncols)]
+    return len(vectors) - len(kernel(transposed, len(vectors), p))
 
 
 def iterated_diff(p: CommPoly, variables) -> CommPoly:

@@ -2,7 +2,9 @@
 
 import pytest
 
-from oracles import fraction_kernel, free_commutator
+from oracles import free_commutator
+from oracles import kernel as oracle_kernel
+from oracles import rank as oracle_rank
 from nclab.errors import NotCommuting, ScalarInput
 from nclab.fields import GF, QQ
 from nclab.freealg import FreePoly, commutator, parse_free
@@ -26,12 +28,11 @@ def _all_words(s, d):
     return out
 
 
-def oracle_centralizer_dim(f: FreePoly, m: int) -> int:
-    """Exhaustive kernel dimension over all words of length <= m, by plain Gauss."""
-    words = _all_words(f.s, m)
-    raw_f = {w: c.value for w, c in f.terms.items()}
-    images = []
+def oracle_centralizer_kernel(raw_f: dict, s: int, m: int, p: int = 0):
+    """Words of length <= m and the kernel of the dense [f, -] matrix on them, by plain Gauss."""
+    words = _all_words(s, m)
     support = {}
+    images = []
     for w in words:
         c = free_commutator(raw_f, {w: 1})
         images.append(c)
@@ -40,8 +41,14 @@ def oracle_centralizer_dim(f: FreePoly, m: int) -> int:
     rows = [[0] * len(words) for _ in support]
     for j, c in enumerate(images):
         for rw, v in c.items():
-            rows[support[rw]][j] = v
-    return len(fraction_kernel(rows, len(words)))
+            rows[support[rw]][j] = int(v) if p else v
+    return words, oracle_kernel(rows, len(words), p)
+
+
+def oracle_centralizer_dim(f: FreePoly, m: int) -> int:
+    """Exhaustive kernel dimension over all words of length <= m."""
+    raw_f = {w: c.value for w, c in f.terms.items()}
+    return len(oracle_centralizer_kernel(raw_f, f.s, m)[1])
 
 
 class TestCentralizerBasis:
@@ -130,6 +137,32 @@ class TestCentralizerBasis:
         assert cb.top_basis() == [parse_free("1", 2, QQ)]
 
 
+# The acceptance corpus and the benchmark's six centralizer word templates
+# (with fixed coefficients).
+ORACLE_CORPUS = [
+    "x1", "x1^2", "x1^3 + x1", "x1 + x2", "x1*x2", "x2*x1*x2",
+    "x1*x1*x2", "x1*x2 - 2*x1*x1*x2", "x1*x1 + 2*x1*x2 - 3*x2*x1*x2",
+    "x1*x2*x1", "-2*x1*x2*x1", "3*x2*x1 - x1*x2*x2",
+]
+
+
+class TestCentralizerAgainstOracle:
+    @pytest.mark.parametrize("p", [0, 7, 32003])
+    def test_every_kernel_matches_the_dense_oracle(self, p):
+        field = GF(p) if p else QQ
+        d = 5
+        for text in ORACLE_CORPUS:
+            raw_f = {w: c.value for w, c in parse_free(text, 2, QQ).terms.items()}
+            cb = centralizer_basis(parse_free(text, 2, field), d)
+            for m in range(d + 1):
+                words, expected = oracle_centralizer_kernel(raw_f, 2, m, p)
+                ours = [[b.terms[w].value if w in b.terms else 0 for w in words] for b in cb.bases[m]]
+                assert all(len(b.terms) == sum(1 for w in words if w in b.terms) for b in cb.bases[m])
+                assert len(ours) == len(expected), (text, m)
+                assert oracle_rank(ours, len(words), p) == len(ours)
+                assert oracle_rank(ours + expected, len(words), p) == len(expected), (text, m)
+
+
 class TestBergmanCheck:
     def test_square(self):
         rep = bergman_check(parse_free("x1^2", 2, QQ), 4)
@@ -175,6 +208,25 @@ class TestPipeline:
             assert o.star_c0_zero and o.star_c1_zero
         assert rep.stability.identical
         assert rep.trdeg_verdict == "1"
+
+    def test_each_annihilator_is_computed_once(self, monkeypatch):
+        from nclab import centralizer
+
+        calls = []
+        real = centralizer.find_annihilator
+
+        def counting(fn, gn, dmax):
+            calls.append(fn.n)
+            return real(fn, gn, dmax)
+
+        monkeypatch.setattr(centralizer, "find_annihilator", counting)
+        f = parse_free("x1", 2, QQ)
+        g = parse_free("x1^2 + x1", 2, QQ)
+        rep = bergman_pipeline(f, g, 3, 2, self._ctx(2, 3))
+        assert calls == [1, 2, 3]
+        assert rep.stability.sizes == [1, 2, 3]
+        assert rep.stability.results == [o.annihilator for o in rep.outcomes]
+        assert rep.stability.all_found and rep.stability.identical
 
     def test_noncommuting_pair_stops(self):
         f = parse_free("x1", 2, QQ)

@@ -159,6 +159,16 @@ class TestJson:
         )
         assert code == 1
 
+    def test_zero_denominator_in_tensor_file_is_bad_tensor_file(self, tmp_path, capsys):
+        tensor = {"variables": ["x1[1,1]", "x2[1,1]"], "entries": [[0, 1, "1/0"]]}
+        path = tmp_path / "tensor.json"
+        path.write_text(json.dumps(tensor))
+        for cmd in (["star", "--a", "x1", "--b", "x2"], ["poisson", "--a", "x1", "--b", "x2"]):
+            code, out, err = run(cmd + ["--poisson", str(path)], capsys)
+            assert code == 1
+            assert "bad-tensor-file" in err
+            assert out == ""
+
     def test_json_decodes_to_report(self, capsys):
         from nclab import serialize
 

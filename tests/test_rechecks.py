@@ -1,0 +1,105 @@
+"""Built-in re-checks raise explicitly, so ``python -O`` cannot strip them.
+
+These tests avoid bare ``assert`` so that they keep their meaning when the
+suite itself runs under ``python -O``; the subprocess tests run the CLI under
+``-O`` whatever mode the suite runs in.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import nclab
+from nclab import linalg
+from nclab.centralizer import centralizer_basis
+from nclab.cli import main
+from nclab.fields import QQ
+from nclab.freealg import parse_free
+from nclab.genmat import AnnihilatorResult, find_annihilator, pi_reduce
+
+ANNIHILATOR_ARGV = ["annihilator", "--f", "x1", "--g", "x1^2", "--nmax", "2", "--dmax", "2"]
+CENTRALIZER_ARGV = ["centralizer", "--f", "x1*x2", "--d", "3"]
+
+
+def _expect(condition, message):
+    if not condition:
+        pytest.fail(message)
+
+
+def _never_verifies(self, f, g):
+    return False
+
+
+def _corrupt_absorb(real):
+    """Echelon.absorb that adds the word x2 (column 1) to every later kernel vector."""
+
+    def absorb(self, column):
+        vec = real(self, column)
+        if vec is not None and max(vec) > 1:
+            vec[1] = vec.get(1, 0) + 1
+        return vec
+
+    return absorb
+
+
+def test_annihilator_recheck_raises(monkeypatch):
+    monkeypatch.setattr(AnnihilatorResult, "verify", _never_verifies)
+    f = pi_reduce(parse_free("x1", 1, QQ), 2)
+    g = pi_reduce(parse_free("x1^2", 1, QQ), 2)
+    with pytest.raises(ArithmeticError, match="annihilator failed re-evaluation"):
+        find_annihilator(f, g, 2)
+
+
+def test_annihilator_recheck_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(AnnihilatorResult, "verify", _never_verifies)
+    code = main(ANNIHILATOR_ARGV)
+    err = capsys.readouterr().err
+    _expect(code == 2, f"exit {code}, expected 2")
+    _expect("verification failed" in err, err)
+
+
+def test_centralizer_recheck_raises(monkeypatch):
+    monkeypatch.setattr(linalg.Echelon, "absorb", _corrupt_absorb(linalg.Echelon.absorb))
+    with pytest.raises(ArithmeticError, match="does not commute"):
+        centralizer_basis(parse_free("x1*x2", 2, QQ), 3)
+
+
+def test_centralizer_recheck_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(linalg.Echelon, "absorb", _corrupt_absorb(linalg.Echelon.absorb))
+    code = main(CENTRALIZER_ARGV)
+    err = capsys.readouterr().err
+    _expect(code == 2, f"exit {code}, expected 2")
+    _expect("verification failed" in err, err)
+
+
+_OPTIMIZED_RUN = """
+import sys
+from nclab import linalg
+from nclab.cli import main
+from nclab.genmat import AnnihilatorResult
+if sys.argv[1] == "annihilator":
+    AnnihilatorResult.verify = lambda self, f, g: False
+else:
+    real = linalg.Echelon.absorb
+    def absorb(self, column):
+        vec = real(self, column)
+        if vec is not None and max(vec) > 1:
+            vec[1] = vec.get(1, 0) + 1
+        return vec
+    linalg.Echelon.absorb = absorb
+raise SystemExit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [ANNIHILATOR_ARGV, CENTRALIZER_ARGV], ids=["annihilator", "centralizer"])
+def test_rechecks_survive_python_O(argv):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nclab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_RUN, *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    _expect(proc.returncode == 2, f"exit {proc.returncode}: {proc.stderr}")
+    _expect("verification failed" in proc.stderr, proc.stderr)
+    _expect("Traceback" not in proc.stderr, proc.stderr)
