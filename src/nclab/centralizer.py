@@ -236,14 +236,13 @@ def bergman_pipeline(
         return report
     for n in range(1, nmax + 1):
         fn, gn = pi_reduce(f, n), pi_reduce(g, n)
-        images_commute = (fn * gn - gn * fn).is_zero
+        # find_annihilator raises NotCommuting unless fn*gn = gn*fn, so the
+        # images commute whenever it returns
         ann = find_annihilator(fn, gn, dmax)
         fhat, ghat = quantize_lift(fn, ctx), quantize_lift(gn, ctx)
         comm = matrix_star(fhat, ghat, ctx, op="commutator")
         c0, c1 = comm.coefficient(0), comm.coefficient(1)
-        report.outcomes.append(
-            SizeOutcome(n, images_commute, ann, c0.is_zero, c1.is_zero, c1)
-        )
+        report.outcomes.append(SizeOutcome(n, True, ann, c0.is_zero, c1.is_zero, c1))
     report.stability = StabilityReport.of(
         f, g, report.sizes, dmax, [o.annihilator for o in report.outcomes]
     )
@@ -259,10 +258,11 @@ def commuting_matrix_probe(
     Unlike the pipeline, the inputs need not be images of free-algebra
     elements, so transcendence-degree-2 pairs can be fed in directly.
     """
-    if not (f * g - g * f).is_zero:
-        raise NotCommuting("probe inputs must commute")
+    try:
+        ann = find_annihilator(f, g, dmax)
+    except NotCommuting:
+        raise NotCommuting("probe inputs must commute") from None
     report = PipelineReport(str(f), str(g), True, None)
-    ann = find_annihilator(f, g, dmax)
     fhat, ghat = quantize_lift(f, ctx), quantize_lift(g, ctx)
     comm = matrix_star(fhat, ghat, ctx, op="commutator")
     c0, c1 = comm.coefficient(0), comm.coefficient(1)

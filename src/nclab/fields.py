@@ -14,11 +14,18 @@ from .errors import DivisionByZero, FieldMismatch, InvalidField
 #: Degree of the zero polynomial: a totally-ordered sentinel below every int.
 NEG_INF = float("-inf")
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+#: psi_13, the least odd composite that is a strong pseudoprime to every base
+#: in ``_MR_BASES`` (Sorenson and Webster 2015); ``is_prime`` is proven below it.
+PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for every n < 3.3e24."""
+    """Deterministic Miller-Rabin, proven for every n < PRIMALITY_BOUND (about 3.3e24).
+
+    At or above the bound a composite can pass; ``Field`` refuses such moduli.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -47,6 +54,10 @@ class Field:
     __slots__ = ("p",)
 
     def __init__(self, p: int = 0):
+        if p >= PRIMALITY_BOUND:
+            raise InvalidField(
+                f"modulus {p} is at least {PRIMALITY_BOUND}, where primality is not proven"
+            )
         if p != 0 and not is_prime(p):
             raise InvalidField(f"modulus {p} is not prime")
         object.__setattr__(self, "p", p)

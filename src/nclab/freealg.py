@@ -303,11 +303,17 @@ class _Tokenizer:
         return tok
 
 
+#: Deepest parenthesis nesting the recursive-descent parser accepts; each
+#: level costs five Python frames, so this stays far below the recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str, s: int, field: Field):
         self.toks = _Tokenizer(text)
         self.s = s
         self.field = field
+        self.depth = 0
 
     def parse(self) -> FreePoly:
         value = self._expr()
@@ -379,7 +385,11 @@ class _Parser:
                 return FreePoly.constant(self.field.scalar(Fraction(num, den)), self.s)
             return FreePoly.constant(self.field.scalar(num), self.s)
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.depth += 1
             value = self._expr()
+            self.depth -= 1
             ck, _, cpos = self.toks.next()
             if ck != ")":
                 raise ParseError("expected ')'", cpos)

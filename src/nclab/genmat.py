@@ -27,9 +27,9 @@ from .rings import CommPoly, Variable, mono_mul
 class GenericMatrix:
     """Square matrix over the polynomial ring; dense grid, sparse entries."""
 
-    __slots__ = ("n", "field", "rows", "origin")
+    __slots__ = ("n", "field", "rows")
 
-    def __init__(self, rows, origin=None):
+    def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
@@ -44,7 +44,6 @@ class GenericMatrix:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "origin", origin)
 
     def __setattr__(self, name, value):
         raise AttributeError("GenericMatrix is immutable")
@@ -194,10 +193,6 @@ class GenericMatrix:
         return f"GenericMatrix({self})"
 
 
-def commute(a: GenericMatrix, b: GenericMatrix) -> bool:
-    return (a * b - b * a).is_zero
-
-
 def make_generic(s: int, n: int, field: Field):
     """The s generic matrices of size n; all s*n^2 entry variables distinct."""
     if s < 1:
@@ -210,7 +205,7 @@ def make_generic(s: int, n: int, field: Field):
             [CommPoly.variable(Variable.entry(l, i, j), field) for j in range(1, n + 1)]
             for i in range(1, n + 1)
         ]
-        out.append(GenericMatrix(rows, origin=l))
+        out.append(GenericMatrix(rows))
     return out
 
 
@@ -389,27 +384,30 @@ def find_annihilator(f: GenericMatrix, g: GenericMatrix, dmax: int) -> Annihilat
     The monomials f^a g^b (a+b <= D) are flattened into coefficient vectors
     and D grows from 0 until the span first becomes linearly dependent, which
     gives minimality; the kernel element is canonicalized by reduced echelon
-    form and scaled so its graded-lex leading coefficient is 1.
+    form and scaled so its graded-lex leading coefficient is 1.  Raises
+    ``NotCommuting`` unless f*g = g*f.
     """
     f._check(g)
-    if not commute(f, g):
+    fg = f * g
+    if fg != g * f:
         raise NotCommuting("inputs do not commute; the monomials f^a g^b are ambiguous")
     field = f.field
-    powers_f = {0: f.identity_like()}
-    powers_g = {0: f.identity_like()}
-
-    def power(powers, base, e):
-        while e not in powers:
-            top = max(powers)
-            powers[top + 1] = powers[top] * base
-        return powers[e]
-
+    first = {(0, 0): f.identity_like(), (1, 0): f, (0, 1): g, (1, 1): fg}
     echelon = linalg.Echelon(field)
     monomials = []  # ascending graded order: column index -> (a, b)
+    prev = {}
     for layer in _monomial_layers(dmax):
         kernel = []
+        cur = {}
         for a, b in layer:
-            mat = power(powers_f, f, a) * power(powers_g, g, b)
+            # f and g commute, so f^a g^b is one product away from the previous layer
+            if (a, b) in first:
+                mat = first[(a, b)]
+            elif a:
+                mat = f * prev[(a - 1, b)]
+            else:
+                mat = g * prev[(0, b - 1)]
+            cur[(a, b)] = mat
             col = {
                 (i, j, mono): c.value
                 for i, row in enumerate(mat.rows)
@@ -428,6 +426,7 @@ def find_annihilator(f: GenericMatrix, g: GenericMatrix, dmax: int) -> Annihilat
             if not result.verify(f, g):
                 raise ArithmeticError("annihilator failed re-evaluation")
             return result
+        prev = cur
     return AnnihilatorResult(False, None, None, f.n, dmax)
 
 

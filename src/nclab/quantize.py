@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import product as iter_product
 
 from .errors import (
     BadTensorFile,
@@ -155,7 +154,7 @@ def poisson_bracket(a: CommPoly, b: CommPoly, tensor: PoissonTensor) -> CommPoly
 class StarContext:
     """A Poisson tensor plus a truncation order for the star product."""
 
-    __slots__ = ("tensor", "order", "field", "_weights")
+    __slots__ = ("tensor", "order", "field", "_weights", "_partners")
 
     def __init__(self, tensor: PoissonTensor, order: int):
         if order < 0:
@@ -176,37 +175,97 @@ class StarContext:
                 denom *= k
             weights.append(self.field.scalar(Fraction(1, denom)))
         object.__setattr__(self, "_weights", tuple(weights))
+        partners = {}  # v_i -> [(v_j, raw T(i,j))] over both orientations
+        for vi, vj, w in tensor.ordered_pairs():
+            partners.setdefault(vi, []).append((vj, w.value))
+        object.__setattr__(self, "_partners", partners)
 
     def __setattr__(self, name, value):
         raise AttributeError("StarContext is immutable")
 
     def bilinear_map(self, r: int, a: CommPoly, b: CommPoly) -> CommPoly:
         """B_r(a, b); B_0 is the commutative product."""
-        if r == 0:
-            return a * b
-        pairs = self.tensor.ordered_pairs()
-        acc = CommPoly.zero(self.field)
-        for combo in iter_product(pairs, repeat=r):
-            da, db = a, b
-            weight = self.field.one
-            dead = False
-            for vi, vj, w in combo:
-                weight = weight * w
-                da = da.diff(vi)
-                if da.is_zero:
-                    dead = True
-                    break
-            if dead:
+        return self.bilinear_maps(a, b, r)[r]
+
+    def bilinear_maps(self, a: CommPoly, b: CommPoly, rmax: int) -> list:
+        """[B_0(a, b), ..., B_rmax(a, b)] from one pass of the Poisson operator.
+
+        W_0 = a (x) b is a dict {(m_a, m_b): c_a c_b} on raw values, and
+        W_r = P(W_{r-1}) with P = sum T(i,j) d_i (x) d_j over ordered pairs.
+        Derivatives commute, so P^r is the sum over ordered r-tuples of pairs
+        in the Moyal formula, and B_r = weight_r * (product of the two sides
+        of W_r).  A term of W only meets the pairs with v_i in m_a and v_j in
+        m_b.  Variables are numbered in their sort order, so monomials stay
+        sorted tuples of (index, exponent).
+        """
+        out = [a * b]
+        if rmax == 0:
+            return out
+        zero = CommPoly.zero(self.field)
+        in_a, in_b = a.variables(), b.variables()
+        variables = sorted(in_a | in_b, key=Variable.sort_key)
+        index = {v: k for k, v in enumerate(variables)}
+        live = {}  # index of v_i -> [(index of v_j, raw T(i,j))] with v_j in b
+        for v in in_a:
+            pairs = [(index[vj], w) for vj, w in self._partners.get(v, ()) if vj in in_b]
+            if pairs:
+                live[index[v]] = pairs
+        if not live:
+            return out + [zero] * rmax
+        p = self.field.p
+        side_b = [(tuple((index[v], e) for v, e in m), c.value) for m, c in b.terms.items()]
+        w = {}
+        for m, c in a.terms.items():
+            ka = tuple((index[v], e) for v, e in m)
+            for kb, cb in side_b:
+                w[(ka, kb)] = c.value * cb
+        for r in range(1, rmax + 1):
+            w = _poisson_step(w, live, p)
+            if not w:
+                return out + [zero] * (rmax - r + 1)
+            out.append(self._multiply_sides(w, variables, r))
+        return out
+
+    def _multiply_sides(self, w, variables, r: int) -> CommPoly:
+        """weight_r times the sum of c * m_a * m_b over the terms of W_r."""
+        terms = {}
+        for (ka, kb), c in w.items():
+            exps = dict(ka)
+            for i, e in kb:
+                exps[i] = exps.get(i, 0) + e
+            m = tuple((variables[i], e) for i, e in sorted(exps.items()))
+            s = terms.get(m)
+            terms[m] = c if s is None else s + c
+        weight = self._weights[r].value
+        return CommPoly(self.field, {m: c * weight for m, c in terms.items()})
+
+
+def _lower(mono: tuple, k: int) -> tuple:
+    """The exponent at position k of an (index, exponent) monomial, minus one."""
+    i, e = mono[k]
+    if e == 1:
+        return mono[:k] + mono[k + 1:]
+    return mono[:k] + ((i, e - 1),) + mono[k + 1:]
+
+
+def _poisson_step(w: dict, live: dict, p: int) -> dict:
+    """P(W) for P = sum T(i,j) d_i (x) d_j on raw values; zero terms dropped."""
+    out = {}
+    for (ka, kb), c in w.items():
+        in_b = {j: k for k, (j, _e) in enumerate(kb)}
+        for ka_pos, (i, ei) in enumerate(ka):
+            hits = [(in_b[j], t) for j, t in live.get(i, ()) if j in in_b]
+            if not hits:
                 continue
-            for _, vj, _w in combo:
-                db = db.diff(vj)
-                if db.is_zero:
-                    dead = True
-                    break
-            if dead:
-                continue
-            acc = acc + (da * db).scale(weight)
-        return acc.scale(self._weights[r])
+            da, cai = _lower(ka, ka_pos), c * ei
+            for kb_pos, t in hits:
+                key = (da, _lower(kb, kb_pos))
+                v = cai * kb[kb_pos][1] * t
+                s = out.get(key)
+                out[key] = v if s is None else s + v
+    if p:
+        return {key: v % p for key, v in out.items() if v % p}
+    return {key: v for key, v in out.items() if v}
 
 
 class FormalSeries:
@@ -309,8 +368,7 @@ def star_mul(a: FormalSeries, b: FormalSeries, ctx: StarContext) -> FormalSeries
         for k, bk in enumerate(b.coeffs):
             if bk.is_zero or m + k > ctx.order:
                 continue
-            for j in range(ctx.order - m - k + 1):
-                term = ctx.bilinear_map(j, am, bk)
+            for j, term in enumerate(ctx.bilinear_maps(am, bk, ctx.order - m - k)):
                 if not term.is_zero:
                     out[m + k + j] = out[m + k + j] + term
     return FormalSeries(ctx.order, out)
@@ -442,7 +500,9 @@ def matrix_star(a: SeriesMatrix, b: SeriesMatrix, ctx: StarContext, op: str = "m
         for j in range(n):
             acc = FormalSeries.zero(ctx.field, ctx.order)
             for k in range(n):
-                acc = acc + star_mul(a.entries[i][k], b.entries[k][j], ctx)
+                left, right = a.entries[i][k], b.entries[k][j]
+                if not (left.is_zero or right.is_zero):
+                    acc = acc + star_mul(left, right, ctx)
             row.append(acc)
         out.append(row)
     return SeriesMatrix(out)

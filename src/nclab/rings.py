@@ -38,6 +38,12 @@ class Variable:
         else:
             key = (1, self.name, self.index)
         object.__setattr__(self, "_key", key)
+        # the hash the dataclass would compute on every call, computed once
+        fields = (self.kind, self.gen, self.row, self.col, self.name, self.index)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def entry(gen: int, row: int, col: int) -> Variable:

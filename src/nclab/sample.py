@@ -26,13 +26,6 @@ def random_scalar(rng: random.Random, field: Field, span: int = 6) -> Scalar:
     return field.scalar(Fraction(num, den))
 
 
-def random_nonzero_scalar(rng: random.Random, field: Field, span: int = 6) -> Scalar:
-    while True:
-        c = random_scalar(rng, field, span)
-        if c:
-            return c
-
-
 def random_commpoly(
     rng: random.Random, variables, field: Field, max_degree: int = 3, max_terms: int = 4
 ) -> CommPoly:

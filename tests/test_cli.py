@@ -1,10 +1,15 @@
 """End-to-end CLI behavior: flags, exit statuses, JSON output, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import nclab
 from nclab.cli import build_parser, main
+from nclab.freealg import MAX_NESTING
 
 SUBCOMMANDS = [
     "eval",
@@ -73,6 +78,23 @@ class TestExitStatuses:
         code, _, err = run(["eval", "--f", "x1 +"], capsys)
         assert code == 1
         assert "syntax-error" in err
+
+    @pytest.mark.parametrize("depth, code", [(MAX_NESTING, 0), (3000, 1)])
+    def test_deep_nesting_is_a_syntax_error(self, depth, code):
+        # a separate process, so that an uncaught RecursionError would show as a traceback
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nclab.__file__)))
+        expr = "(" * depth + "x1" + ")" * depth
+        proc = subprocess.run(
+            [sys.executable, "-m", "nclab", "eval", f"--f={expr}", "--json"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        if code:
+            assert "syntax-error" in proc.stderr and "nested deeper" in proc.stderr
+            assert proc.stdout == ""
+        else:
+            assert json.loads(proc.stdout)["report"]  # exactly one document
 
     def test_unknown_generator_is_exit_1(self, capsys):
         code, _, err = run(["eval", "--f", "x3", "--s", "2"], capsys)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nclab.errors import DivisionByZero, FieldMismatch, InvalidField
-from nclab.fields import GF, QQ, is_prime
+from nclab.fields import GF, PRIMALITY_BOUND, QQ, is_prime
 
 
 def test_rational_add():
@@ -44,6 +44,33 @@ def test_is_prime_small():
         assert is_prime(n) == (n in primes)
     assert is_prime(2**31 - 1)
     assert not is_prime(2**31)
+
+
+def test_psi12_is_composite():
+    # the least strong pseudoprime to the bases 2..37; base 41 exposes it
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    assert not is_prime(psi12)
+    with pytest.raises(InvalidField, match="not prime"):
+        GF(psi12)
+
+
+def test_moduli_from_the_unproven_range_are_refused():
+    # psi_13 itself passes every base, which is why the test stops below it
+    assert PRIMALITY_BOUND == 1287836182261 * 2575672364521
+    assert is_prime(PRIMALITY_BOUND)
+    largest_accepted = 3317044064679887385961813  # the largest prime below psi_13
+    assert GF(largest_accepted).p == largest_accepted
+    for p in (PRIMALITY_BOUND, 3317044064679887385962123):  # psi_13 and the next prime
+        with pytest.raises(InvalidField, match="primality is not proven"):
+            GF(p)
+
+
+@given(st.integers(1, PRIMALITY_BOUND // 2 - 1))
+def test_is_prime_matches_sympy_on_odd_numbers(k):
+    sympy = pytest.importorskip("sympy")
+    n = 2 * k + 1
+    assert is_prime(n) == sympy.isprime(n)
 
 
 def test_canonical_forms():

@@ -8,7 +8,7 @@ import pytest
 from oracles import free_commutator, free_mul
 from nclab.errors import FieldMismatch, ParseError, ShapeMismatch, UnknownGenerator
 from nclab.fields import GF, QQ, NEG_INF
-from nclab.freealg import FreePoly, commutator, parse_free, pretty
+from nclab.freealg import MAX_NESTING, FreePoly, commutator, parse_free, pretty
 from nclab.genmat import GenericMatrix
 from nclab.rings import CommPoly
 from nclab.sample import random_freepoly, random_int_matrix
@@ -57,6 +57,15 @@ class TestParse:
             parse_free("x", 2, QQ)
         with pytest.raises(ParseError):
             parse_free("x1 $ x2", 2, QQ)
+
+    def test_nesting_is_bounded(self):
+        deepest = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING
+        assert parse_free(deepest, 2, QQ) == fp({(1,): 1})
+        with pytest.raises(ParseError) as e:
+            parse_free("(" + deepest + ")", 2, QQ)
+        assert e.value.position == MAX_NESTING
+        with pytest.raises(ParseError):
+            parse_free("(" * 3000 + "x1" + ")" * 3000, 2, QQ)
 
     def test_prime_field_literals(self):
         f5 = GF(5)

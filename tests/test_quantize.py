@@ -3,8 +3,10 @@
 import json
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import moyal_term, poisson_oracle
 from nclab.errors import BadTensorFile, CharacteristicTooSmall, UnknownVariable
@@ -24,7 +26,7 @@ from nclab.quantize import (
     verify_correspondence,
 )
 from nclab.genmat import GenericMatrix, make_generic
-from nclab.rings import CommPoly, Variable
+from nclab.rings import CommPoly, Variable, mono_from_dict
 from nclab.sample import random_commpoly
 
 VX = [Variable.aux("x", i) for i in (1, 2)]
@@ -206,6 +208,42 @@ class TestStarProduct:
             left = star_mul(star_mul(sa, sb, ctx), sc, ctx)
             right = star_mul(sa, star_mul(sb, sc, ctx), ctx)
             assert left == right
+
+
+# Three tensor variables carry a random antisymmetric tensor; z1 stays outside it.
+MOYAL_VARS = [Variable.aux("u", i) for i in (1, 2, 3)] + [VZ]
+
+
+@st.composite
+def moyal_cases(draw):
+    """(tensor, a, b) over Q or GF(p), with exponents up to 9 so some exceed p."""
+    field = draw(st.sampled_from([QQ, GF(5), GF(7), GF(32003)]))
+    if field.p:
+        scalars = st.integers(0, field.p - 1).map(field.scalar)
+    else:
+        scalars = st.fractions(-3, 3, max_denominator=4).map(field.scalar)
+    entries = {(i, j): draw(scalars) for i in range(3) for j in range(i + 1, 3)}
+    tensor = PoissonTensor(MOYAL_VARS[:3], entries, field)
+    monos = st.lists(st.integers(0, 9), min_size=4, max_size=4).map(
+        lambda exps: mono_from_dict(dict(zip(MOYAL_VARS, exps)))
+    )
+    polys = st.dictionaries(monos, scalars, min_size=1, max_size=3).map(lambda t: CommPoly(field, t))
+    return tensor, draw(polys), draw(polys)
+
+
+@settings(max_examples=60)
+@given(moyal_cases())
+def test_bilinear_maps_match_oracle_on_random_tensors(case):
+    tensor, a, b = case
+    field = tensor.field
+    ctx = StarContext(tensor, 4)
+    maps = ctx.bilinear_maps(a, b, 4)
+    assert len(maps) == 5
+    pairs = tensor.ordered_pairs()
+    for r, term in enumerate(maps):
+        weight = field.scalar(Fraction(1, 2**r * factorial(r)))
+        assert term == moyal_term(a, b, r, pairs, weight)
+    assert ctx.bilinear_map(2, a, b) == maps[2]
 
 
 class TestCorrespondence:
