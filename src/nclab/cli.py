@@ -38,7 +38,6 @@ from .quantize import (
     StarContext,
     entry_pairing_tensor,
     poisson_bracket,
-    star_commutator,
     star_mul,
     verify_correspondence,
 )
@@ -283,8 +282,8 @@ def _cmd_star(args, field):
     ctx = StarContext(tensor, args.order)
     sa, sb = FormalSeries.from_poly(a, ctx.order), FormalSeries.from_poly(b, ctx.order)
     product = star_mul(sa, sb, ctx)
-    comm = star_commutator(sa, sb, ctx)
-    corr = verify_correspondence(a, b, ctx) if ctx.order >= 2 else None
+    comm = product - star_mul(sb, sa, ctx)
+    corr = verify_correspondence(a, b, ctx, comm) if ctx.order >= 2 else None
     rep = StarReport(product, comm, corr)
     lines = [f"a*b = {product}", f"[a,b]_* = {comm}"]
     code = 0
@@ -324,7 +323,7 @@ def _cmd_diag(args, field):
     zmat = tuple(tuple(zero for _ in range(n)) for _ in range(n))
     series = SeriesFieldMatrix([a0, a1] + [zmat] * (order - 1), zero, one)
     rep = successive_diagonalize(series, order)
-    ok = rep.diagonal.offdiag_is_zero_through(order)
+    ok = rep.verified
     lines = [
         f"perturbation (h-coefficient): {m_int}",
         f"diagonalized to order {rep.achieved_order}; "

@@ -15,7 +15,7 @@ equation is identical either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     NonzeroDiagonalRHS,
@@ -216,13 +216,18 @@ class SeriesFieldMatrix:
 
 @dataclass
 class DiagonalReport:
-    """Conjugator, diagonal form and eigenvalue data of one diagonalization."""
+    """Conjugator, diagonal form and eigenvalue data of one diagonalization.
+
+    ``verified`` is the outcome of the from-scratch re-check (None for a
+    report read back from JSON, which does not carry it).
+    """
 
     conjugator: SeriesFieldMatrix
     diagonal: SeriesFieldMatrix
     achieved_order: int
     eigenvalues: list
     second_eigenvalues: list | None = None
+    verified: bool | None = field(default=None, compare=False)
 
 
 def successive_diagonalize(a: SeriesFieldMatrix, target: int) -> DiagonalReport:
@@ -230,7 +235,9 @@ def successive_diagonalize(a: SeriesFieldMatrix, target: int) -> DiagonalReport:
 
     At each order the diagonal part of the defect is absorbed into the
     diagonal form and the off-diagonal part is cancelled by a Sylvester
-    solve.  The result is re-verified from scratch before returning.
+    solve.  The result is re-checked from scratch: ``verified`` holds when
+    u A u^-1 agrees through ``target`` with the reported diagonal form D,
+    tested as u A = D u on the input A.
     """
     if target > a.order:
         raise ShapeMismatch("target order exceeds the series truncation")
@@ -256,18 +263,16 @@ def successive_diagonalize(a: SeriesFieldMatrix, target: int) -> DiagonalReport:
         b = SeriesFieldMatrix(b_coeffs, zero, one)
         current = b * current * b.inverse_unitriangular()
         u = b * u
-    if not current.offdiag_is_zero_through(target):
-        raise ArithmeticError("diagonalization left an off-diagonal defect")
     diag = SeriesFieldMatrix(
         [mat_diag_part(c, zero) for c in current.coeffs], zero, one
     )
-    conj = u * a * u.inverse_unitriangular()
-    for r in range(target + 1):
-        if not mat_is_zero(mat_sub(mat_diag_part(conj.coeffs[r], zero), diag.coeffs[r])):
-            raise ArithmeticError("diagonal form disagrees with the conjugate")
-        if not mat_is_zero(mat_offdiag_part(conj.coeffs[r], zero)):
-            raise ArithmeticError("conjugate is not diagonal through the target order")
-    return DiagonalReport(u, diag, target, lam)
+    # u A u^-1 = D through h^target exactly when u A = D u there (u_0 = E);
+    # the second form needs no series inverse, the step that built D used one
+    lhs, rhs = u * a, diag * u
+    verified = all(
+        mat_is_zero(mat_sub(lhs.coeffs[r], rhs.coeffs[r])) for r in range(target + 1)
+    )
+    return DiagonalReport(u, diag, target, lam, verified=verified)
 
 
 @dataclass

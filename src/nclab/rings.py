@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cmp_to_key
 
 from .errors import DivisionByZero, FieldMismatch, UnassignedVariable
@@ -483,14 +484,100 @@ def _content(coeffs, field) -> CommPoly:
     return g
 
 
+# Coprimality pre-test: a few deterministic evaluation points per variable,
+# spread over [0, 10007) (reduced mod p) by a multiplicative hash.
+_TRIALS = 3
+
+
+def _trial_value(trial: int, index: int, p: int) -> int:
+    x = (2654435761 * (64 * trial + index + 1)) % 10007
+    return x % p if p else x - 5003
+
+
+def _image(terms, k: int, xs, p: int) -> list:
+    """Dense coefficients in variable ``k`` with every other variable ``i`` set to ``xs[i]``."""
+    acc = {}
+    for c, mono in terms:
+        ek = 0
+        for i, e in mono:
+            if i == k:
+                ek = e
+            elif p:
+                c = c * pow(xs[i], e, p) % p
+            else:
+                c = c * xs[i] ** e
+        acc[ek] = acc.get(ek, 0) + c
+    return [acc.get(e, 0) % p if p else acc.get(e, 0) for e in range(max(acc) + 1)]
+
+
+def _urem(f: list, g: list, p: int) -> list:
+    """Remainder of dense univariate f by g (nonzero leading entry) over Q or F_p."""
+    r = list(f)
+    dg = len(g) - 1
+    inv = pow(g[-1], -1, p) if p else 1 / Fraction(g[-1])
+    while len(r) > dg:
+        q = r[-1] * inv
+        s = len(r) - 1 - dg
+        for i in range(dg):
+            r[s + i] = (r[s + i] - q * g[i]) % p if p else r[s + i] - q * g[i]
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _udeg_gcd(f: list, g: list, p: int) -> int:
+    """Degree of gcd(f, g) for nonzero dense univariate polynomials."""
+    while True:
+        if not g:
+            return len(f) - 1
+        if len(g) == 1:
+            return 0
+        f, g = g, _urem(f, g, p)
+
+
+def _coprime_by_images(a: CommPoly, b: CommPoly) -> bool:
+    """True when univariate images prove gcd(a, b) = 1; False when they do not decide.
+
+    For each variable v, the other variables are set to field values at which
+    the leading coefficients of a and b in v stay nonzero.  The image of
+    G = gcd(a, b) then keeps its degree in v and divides both images, so the
+    degree of the images' gcd bounds deg_v G.  If every bound is 0, G is a
+    constant.  A variable with no admissible point among the trials (possible
+    over a small field) leaves the question open.
+    """
+    p = a.field.p
+    variables = sorted(a.variables() | b.variables(), key=Variable.sort_key)
+    index = {v: i for i, v in enumerate(variables)}
+    ta = [(c.value, tuple((index[v], e) for v, e in m)) for m, c in a.terms.items()]
+    tb = [(c.value, tuple((index[v], e) for v, e in m)) for m, c in b.terms.items()]
+    for k in range(len(variables)):
+        for t in range(_TRIALS):
+            xs = [_trial_value(t, i, p) for i in range(len(variables))]
+            ia, ib = _image(ta, k, xs, p), _image(tb, k, xs, p)
+            if ia[-1] and ib[-1]:
+                break
+        else:
+            return False
+        if _udeg_gcd(ia, ib, p):
+            return False
+    return True
+
+
 def poly_gcd(a: CommPoly, b: CommPoly) -> CommPoly:
-    """gcd over a field, normalized to graded-lex leading coefficient 1."""
+    """gcd over a field, normalized to graded-lex leading coefficient 1.
+
+    ``_coprime_by_images`` settles most coprime pairs without the primitive
+    PRS; every other pair goes through the PRS in the largest variable.
+    """
     if a.is_zero:
         return _monic(b)
     if b.is_zero:
         return _monic(a)
     a._check(b)
     if a.is_constant or b.is_constant:
+        return CommPoly.one(a.field)
+    if _coprime_by_images(a, b):
         return CommPoly.one(a.field)
     common = sorted(a.variables() | b.variables(), key=lambda v: v.sort_key())
     v = common[-1]
@@ -523,13 +610,31 @@ def poly_gcd(a: CommPoly, b: CommPoly) -> CommPoly:
     return _monic(prim * cg)
 
 
+def _cancel(num: CommPoly, den: CommPoly):
+    """num and the monic den with their gcd divided out; den stays monic."""
+    if num.is_zero:
+        return num, CommPoly.one(num.field)
+    if den.is_constant:  # monic, so den = 1
+        return num, den
+    g = poly_gcd(num, den)
+    if g.is_constant:
+        return num, den
+    return poly_divexact(num, g), poly_divexact(den, g)
+
+
 # ---------------------------------------------------------------------------
 # RationalFunction
 # ---------------------------------------------------------------------------
 
 
 class RationalFunction:
-    """Reduced fraction of CommPoly; denominator monic under graded lex."""
+    """Reduced fraction of CommPoly; denominator monic under graded lex.
+
+    The constructor reduces any pair by its full gcd.  Arithmetic reduces
+    only where cancellation can happen (Henrici 1956) and builds its results
+    through ``_reduced``; a reduced fraction with a monic denominator is
+    unique, so both routes give the same value.
+    """
 
     __slots__ = ("num", "den")
 
@@ -552,12 +657,20 @@ class RationalFunction:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
+    @staticmethod
+    def _reduced(num: CommPoly, den: CommPoly) -> RationalFunction:
+        """The fraction num/den of a coprime pair with monic den, as it stands."""
+        out = object.__new__(RationalFunction)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
     @staticmethod
     def from_poly(p: CommPoly) -> RationalFunction:
-        return RationalFunction(p, CommPoly.one(p.field))
+        return RationalFunction._reduced(p, CommPoly.one(p.field))
 
     @staticmethod
     def from_scalar(c: Scalar) -> RationalFunction:
@@ -571,35 +684,65 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
+    @property
+    def is_one(self) -> bool:
+        c = self.num.terms.get(EMPTY_MONO)
+        return len(self.num.terms) == 1 and c is not None and c.value == 1 and self.den.is_constant
+
     def __add__(self, other):
         other = self._coerce(other)
-        return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if d1 == d2:
+            num, den = _cancel(n1 + n2, d1)
+            return RationalFunction._reduced(num, den)
+        # d1 = g d1', d2 = g d2': the sum is (n1 d2' + n2 d1') / (d1' d2' g), and
+        # its numerator is coprime to d1' d2', so only gcd(num, g) can cancel.
+        g = poly_gcd(d1, d2)
+        if g.is_constant:
+            return RationalFunction._reduced(n1 * d2 + n2 * d1, d1 * d2)
+        c1, c2 = poly_divexact(d1, g), poly_divexact(d2, g)
+        num, g = _cancel(n1 * c2 + n2 * c1, g)
+        return RationalFunction._reduced(num, c1 * c2 * g)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return RationalFunction(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self + -self._coerce(other)
 
     def __mul__(self, other):
         other = self._coerce(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        if self.is_zero or other.is_one:
+            return self
+        if other.is_zero or self.is_one:
+            return other
+        # cancel across: n1/d2 and n2/d1; the cofactor product is then reduced
+        n1, d2 = _cancel(self.num, other.den)
+        n2, d1 = _cancel(other.num, self.den)
+        return RationalFunction._reduced(n1 * n2, d1 * d2)
 
     def __truediv__(self, other):
         other = self._coerce(other)
         if other.is_zero:
             raise DivisionByZero("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        _, lc = other.num.leading_term()
+        inv = lc.inverse()
+        return self * RationalFunction._reduced(other.den.scale(inv), other.num.scale(inv))
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._reduced(-self.num, self.den)
 
     def _coerce(self, other) -> RationalFunction:
-        if isinstance(other, RationalFunction):
-            return other
         if isinstance(other, CommPoly):
-            return RationalFunction.from_poly(other)
-        if isinstance(other, Scalar):
-            return RationalFunction.from_scalar(other)
-        raise TypeError(f"cannot combine RationalFunction with {other!r}")
+            other = RationalFunction.from_poly(other)
+        elif isinstance(other, Scalar):
+            other = RationalFunction.from_scalar(other)
+        elif not isinstance(other, RationalFunction):
+            raise TypeError(f"cannot combine RationalFunction with {other!r}")
+        if other.field != self.field:  # the fast paths form no product that would catch it
+            raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
+        return other
 
     def __eq__(self, other):
         return (

@@ -221,3 +221,26 @@ class TestDeterminism:
         for argv, expected in zip(self.BATTERY, first):
             _, out, _ = run(argv, capsys)
             assert out == expected
+
+
+class TestStarProducts:
+    ARGV = ["star", "--a=x1^3*x2^2 + 2*x1*x3 - x4^8*x1", "--b=x2^4*x1 - 3*x3^2*x4 + x2^7",
+            "--s", "4", "--order", "3"]
+
+    def test_each_star_product_formed_once(self, monkeypatch, capsys):
+        from nclab import cli, quantize
+
+        calls = []
+        real = quantize.star_mul
+
+        def counting(a, b, ctx):
+            calls.append((a, b))
+            return real(a, b, ctx)
+
+        monkeypatch.setattr(cli, "star_mul", counting)
+        monkeypatch.setattr(quantize, "star_mul", counting)
+        code, out, _ = run(self.ARGV, capsys)
+        assert code == 0
+        assert "equals {a,b}: PASS" in out
+        assert len(calls) == 2
+        assert calls[0] == calls[1][::-1]

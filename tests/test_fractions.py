@@ -1,0 +1,226 @@
+"""RationalFunction fast paths and the gcd pre-test against slow paths and sympy.
+
+Every operation is compared with two references: the unreduced numerator and
+denominator normalized by the full constructor (the reduction by one gcd of
+the whole pair), and ``sympy.cancel`` (a test-only oracle).  ``poly_gcd`` is
+compared with the primitive PRS alone (the pre-test switched off) and with
+``sympy.gcd``, over fields as small as GF(2), where the pre-test often finds
+no admissible point and must leave the answer to the PRS.
+"""
+
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+import sympy
+from hypothesis import given, strategies as st
+
+from nclab import rings
+from nclab.errors import DivisionByZero, FieldMismatch
+from nclab.fields import GF, QQ
+from nclab.rings import CommPoly, RationalFunction, Variable, mono_from_dict, poly_gcd
+
+VARS = (Variable.aux("t", 1), Variable.aux("t", 2), Variable.aux("t", 3))
+SYMS = sympy.symbols("t1 t2 t3")
+FRACTION_FIELDS = [QQ, GF(7), GF(32003)]
+GCD_FIELDS = [QQ, GF(2), GF(3), GF(7), GF(32003)]
+KINDS = ("zero", "one", "equal_den", "coprime_den", "shared_factor", "cancelling")
+
+
+def _poly(field, exps_to_coeff) -> CommPoly:
+    terms = {}
+    for exps, c in exps_to_coeff.items():
+        m = mono_from_dict(dict(zip(VARS, exps)))
+        terms[m] = terms.get(m, 0) + c
+    return CommPoly(field, {m: field.scalar(c) for m, c in terms.items()})
+
+
+# 1, t1, t2, t3 and the quadratic monomials in t1, t2.  Products of these are
+# like the diag workload's denominators (products of linear forms), and the
+# unreduced pairs of the slow reference stay small enough for the primitive
+# PRS, which is slow on dense cubics in three variables.
+MONOS = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0), (0, 2, 0)]
+
+
+def polys(field, nonzero=False, max_terms=3):
+    mono = st.sampled_from(MONOS)
+    out = st.dictionaries(mono, st.integers(-3, 3), max_size=max_terms).map(
+        lambda d: _poly(field, d)
+    )
+    return out.filter(lambda p: not p.is_zero) if nonzero else out
+
+
+@st.composite
+def operand_pairs(draw, field):
+    p, q = polys(field), polys(field, nonzero=True)
+    kind = draw(st.sampled_from(KINDS))
+    a = RationalFunction(draw(p), draw(q))
+    if kind == "zero":
+        b = RationalFunction.from_scalar(field.zero)
+    elif kind == "one":
+        b = RationalFunction.from_scalar(field.one)
+    elif kind == "equal_den":
+        b = RationalFunction(draw(p), a.den)
+    elif kind == "coprime_den":
+        b = RationalFunction(draw(p), draw(q))
+    elif kind == "shared_factor":
+        c = draw(q)
+        a = RationalFunction(draw(p), c * draw(q))
+        b = RationalFunction(draw(p), c * draw(q))
+    else:  # a + b = k/e: the sum's numerator shares the factor c with gcd(d1, d2)
+        c, e, n1, k = draw(q), draw(q), draw(p), draw(p)
+        a = RationalFunction(n1, c)
+        b = RationalFunction(k * c - n1 * e, c * e)
+    if draw(st.booleans()):
+        a, b = b, a
+    return a, b
+
+
+def _to_sympy(p: CommPoly):
+    sym = dict(zip(VARS, SYMS))
+    total = sympy.Integer(0)
+    for m, c in p.terms.items():
+        v = c.value
+        coeff = sympy.Rational(v.numerator, v.denominator) if p.field.p == 0 else sympy.Integer(v)
+        for var, e in m:
+            coeff = coeff * sym[var] ** e
+        total += coeff
+    return total
+
+
+def _from_sympy(expr, field) -> CommPoly:
+    """Rational coefficients (sympy's results mod p may carry them) mapped into ``field``."""
+    poly = sympy.Poly(expr, *SYMS, domain="QQ")
+    return _poly(field, {exps: Fraction(int(c.p), int(c.q)) for exps, c in poly.terms()})
+
+
+def _sympy_value(r: RationalFunction):
+    return _to_sympy(r.num) / _to_sympy(r.den)
+
+
+def _sympy_reduced(expr, field):
+    """(num, den) of ``sympy.cancel(expr)``, scaled so that den is monic under graded lex."""
+    kw = {"modulus": field.p} if field.p else {}
+    num, den = sympy.fraction(sympy.cancel(sympy.together(expr), **kw))
+    num, den = _from_sympy(num, field), _from_sympy(den, field)
+    inv = den.leading_term()[1].inverse()
+    return num.scale(inv), den.scale(inv)
+
+
+# (fast operation, unreduced (num, den) through the constructor, sympy value)
+OPS = {
+    "add": (lambda a, b: a + b, lambda a, b: (a.num * b.den + b.num * a.den, a.den * b.den),
+            lambda x, y: x + y),
+    "sub": (lambda a, b: a - b, lambda a, b: (a.num * b.den - b.num * a.den, a.den * b.den),
+            lambda x, y: x - y),
+    "mul": (lambda a, b: a * b, lambda a, b: (a.num * b.num, a.den * b.den),
+            lambda x, y: x * y),
+    "div": (lambda a, b: a / b, lambda a, b: (a.num * b.den, a.den * b.num),
+            lambda x, y: x / y),
+}
+
+
+def _check_ops(field, a, b):
+    for name, (fast, unreduced, symbolic) in OPS.items():
+        if name == "div" and b.is_zero:
+            with pytest.raises(DivisionByZero):
+                fast(a, b)
+            continue
+        got = fast(a, b)
+        slow = RationalFunction(*unreduced(a, b))
+        assert (got.num, got.den) == (slow.num, slow.den), (name, a, b, got, slow)
+        oracle = _sympy_reduced(symbolic(_sympy_value(a), _sympy_value(b)), field)
+        assert (got.num, got.den) == oracle, (name, a, b, got, oracle)
+
+
+@pytest.mark.parametrize("field", FRACTION_FIELDS, ids=repr)
+@given(data=st.data())
+def test_fraction_ops_match_constructor_and_sympy(field, data):
+    a, b = data.draw(operand_pairs(field))
+    _check_ops(field, a, b)
+
+
+@pytest.mark.parametrize("field", FRACTION_FIELDS, ids=repr)
+def test_sum_cancelling_into_the_common_factor(field):
+    """1/(t1 t2) + (t1 - 1)/(t1 t2): the sum's numerator t1 cancels against g = t1 t2."""
+    t1 = _poly(field, {(1, 0, 0): 1})
+    t2 = _poly(field, {(0, 1, 0): 1})
+    a = RationalFunction(CommPoly.one(field), t1 * t2)
+    b = RationalFunction(t1 - CommPoly.one(field), t1 * t2)
+    assert a + b == RationalFunction(CommPoly.one(field), t2)
+    # unequal denominators: (t2 + 1)/(t1 t2) - 1/(t1 (t2 + 1))
+    s = t2 + CommPoly.one(field)
+    c = RationalFunction(s, t1 * t2)
+    d = RationalFunction(CommPoly.one(field), t1 * s)
+    _check_ops(field, c, d)
+    _check_ops(field, a, b)
+
+
+def test_fast_paths_return_operands():
+    x = RationalFunction(_poly(QQ, {(1, 0, 0): 1}), _poly(QQ, {(0, 1, 0): 1, (0, 0, 0): 2}))
+    zero, one = RationalFunction.from_scalar(QQ.zero), RationalFunction.from_scalar(QQ.one)
+    with mock.patch.object(rings, "poly_gcd", side_effect=AssertionError("gcd called")):
+        assert x + zero is x and zero + x is x and x - zero is x
+        assert x * one is x and one * x is x
+        assert (x * zero).is_zero and (zero * x).is_zero
+        assert (zero - x) == -x
+
+
+def test_fields_must_agree_on_the_fast_paths():
+    zero7 = RationalFunction.from_scalar(GF(7).zero)
+    x = RationalFunction.from_poly(_poly(QQ, {(1, 0, 0): 1}))
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(FieldMismatch):
+            op(x, zero7)
+        with pytest.raises(FieldMismatch):
+            op(zero7, x)
+
+
+# ---------------------------------------------------------------------------
+# poly_gcd: pre-test against the PRS and sympy.gcd
+# ---------------------------------------------------------------------------
+
+
+def _prs_gcd(a, b):
+    with mock.patch.object(rings, "_coprime_by_images", return_value=False):
+        return poly_gcd(a, b)
+
+
+def _sympy_gcd(a, b, field):
+    kw = {"modulus": field.p} if field.p else {"domain": "QQ"}
+    g = sympy.Poly(_to_sympy(a), *SYMS, **kw).gcd(sympy.Poly(_to_sympy(b), *SYMS, **kw))
+    g = _from_sympy(g.as_expr(), field)
+    return g.scale(g.leading_term()[1].inverse())
+
+
+def _check_gcd(field, a, b):
+    g = poly_gcd(a, b)
+    assert g == _prs_gcd(a, b), (a, b)
+    assert g == _sympy_gcd(a, b, field), (a, b)
+
+
+@pytest.mark.parametrize("field", GCD_FIELDS, ids=repr)
+@given(data=st.data())
+def test_gcd_matches_prs_and_sympy(field, data):
+    q = polys(field, nonzero=True)
+    c = data.draw(q) if data.draw(st.booleans()) else CommPoly.one(field)
+    _check_gcd(field, c * data.draw(q), c * data.draw(q))
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3)], ids=repr)
+def test_gcd_where_every_point_kills_a_leading_coefficient(field):
+    """lc in t2 of G is t1^p - t1, zero at every point of GF(p): the PRS must decide."""
+    p = field.p
+    g = _poly(field, {(p, 1, 0): 1, (1, 1, 0): -1, (0, 0, 0): 1})  # (t1^p - t1) t2 + 1
+    t2 = _poly(field, {(0, 1, 0): 1})
+    a, b = g * (t2 + CommPoly.one(field)), g * t2
+    assert poly_gcd(a, b) == g
+    _check_gcd(field, a, b)
+
+
+def test_pretest_proves_coprime_pairs():
+    t = [_poly(QQ, {tuple(int(i == k) for i in range(3)): 1}) for k in range(3)]
+    a = (t[0] - t[1]) * (t[0] - t[2])
+    b = (t[1] - t[2]) * (t[0] + t[1])
+    assert rings._coprime_by_images(a, b)
+    assert not rings._coprime_by_images(a * b, (t[0] - t[1]) * t[2])

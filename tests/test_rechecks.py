@@ -5,6 +5,7 @@ suite itself runs under ``python -O``; the subprocess tests run the CLI under
 ``-O`` whatever mode the suite runs in.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import sys
 import pytest
 
 import nclab
-from nclab import linalg
+from nclab import diagonalize, linalg
 from nclab.centralizer import centralizer_basis
 from nclab.cli import main
 from nclab.fields import QQ
@@ -102,4 +103,77 @@ def test_rechecks_survive_python_O(argv):
     )
     _expect(proc.returncode == 2, f"exit {proc.returncode}: {proc.stderr}")
     _expect("verification failed" in proc.stderr, proc.stderr)
+    _expect("Traceback" not in proc.stderr, proc.stderr)
+
+
+# -- diag: the verdict is the re-check u A = D u, not the reported form alone --
+
+DIAG_ARGV = ["diag", "--n", "3", "--order", "2"]
+
+
+def _doubled_sylvester(real):
+    """solve_sylvester_diag returning 2T: a wrong conjugator whose steps stay consistent."""
+
+    def solve(lam, rhs, zero):
+        t = real(lam, rhs, zero)
+        return tuple(tuple(x + x for x in row) for row in t)
+
+    return solve
+
+
+def _truncated_inverse(real):
+    """inverse_unitriangular with its top coefficient dropped: a wrong u^-1 used at every step."""
+
+    def inverse(self):
+        inv = real(self)
+        coeffs = list(inv.coeffs[:-1]) + [inv.zero_matrix()]
+        return diagonalize.SeriesFieldMatrix(coeffs, inv.zero, inv.one)
+
+    return inverse
+
+
+def _corrupt_sylvester(monkeypatch):
+    monkeypatch.setattr(
+        diagonalize, "solve_sylvester_diag", _doubled_sylvester(diagonalize.solve_sylvester_diag)
+    )
+
+
+def _corrupt_inverse(monkeypatch):
+    real = diagonalize.SeriesFieldMatrix.inverse_unitriangular
+    monkeypatch.setattr(diagonalize.SeriesFieldMatrix, "inverse_unitriangular", _truncated_inverse(real))
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_sylvester, _corrupt_inverse], ids=["sylvester", "inverse"])
+def test_diag_corrupted_step_fails(corrupt, monkeypatch, capsys):
+    corrupt(monkeypatch)
+    code = main(DIAG_ARGV)
+    out = capsys.readouterr().out
+    _expect(code == 2, f"exit {code}, expected 2")
+    _expect("off-diagonal vanishes through h^2: FAIL" in out, out)
+    code = main(DIAG_ARGV + ["--json"])
+    out = capsys.readouterr().out
+    _expect(code == 2, f"exit {code}, expected 2")
+    _expect(json.loads(out)["command"] == "diag", out)
+
+
+_OPTIMIZED_DIAG_RUN = """
+import sys
+from nclab import diagonalize
+from nclab.cli import main
+real = diagonalize.solve_sylvester_diag
+def solve(lam, rhs, zero):
+    return tuple(tuple(x + x for x in row) for row in real(lam, rhs, zero))
+diagonalize.solve_sylvester_diag = solve
+raise SystemExit(main(sys.argv[1:]))
+"""
+
+
+def test_diag_verdict_survives_python_O():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nclab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_DIAG_RUN, *DIAG_ARGV],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    _expect(proc.returncode == 2, f"exit {proc.returncode}: {proc.stderr}")
+    _expect("off-diagonal vanishes through h^2: FAIL" in proc.stdout, proc.stdout)
     _expect("Traceback" not in proc.stderr, proc.stderr)
