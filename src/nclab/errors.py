@@ -39,6 +39,12 @@ class ParseError(EngineError):
         self.position = position
 
 
+class PowerTooLarge(ParseError):
+    """A ``^`` in an expression whose result would exceed a size limit."""
+
+    code = "power-too-large"
+
+
 class UnknownGenerator(EngineError):
     code = "unknown-generator"
 

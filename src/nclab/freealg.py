@@ -20,6 +20,7 @@ from __future__ import annotations
 from .errors import (
     FieldMismatch,
     ParseError,
+    PowerTooLarge,
     ShapeMismatch,
     UnknownGenerator,
 )
@@ -307,6 +308,40 @@ class _Tokenizer:
 #: level costs five Python frames, so this stays far below the recursion limit.
 MAX_NESTING = 100
 
+#: Limits on one ``^`` in an expression, checked before any product is formed.
+#: The power's degree is estimated as the base's degree times the exponent (a
+#: constant counts as degree 1, since the power still costs one product per
+#: unit of exponent), its term count as the base's term count to the power,
+#: and, over Q, its coefficient size as the exponent times the bits of the
+#: base's largest numerator or denominator.
+MAX_POWER_DEGREE = 1000
+MAX_POWER_TERMS = 10_000
+MAX_POWER_BITS = 10_000
+
+
+def _check_power(base: FreePoly, n: int, pos: int) -> None:
+    """Refuse base^n when its estimated size exceeds a MAX_POWER_* limit."""
+    degree = max((len(w) for w in base.terms), default=0)
+    if n * max(degree, 1) > MAX_POWER_DEGREE:
+        raise PowerTooLarge(
+            f"exponent {n} on a base of degree {degree} exceeds degree {MAX_POWER_DEGREE}", pos
+        )
+    if len(base.terms) ** n > MAX_POWER_TERMS:
+        raise PowerTooLarge(
+            f"exponent {n} on a base of {len(base.terms)} terms exceeds {MAX_POWER_TERMS} terms", pos
+        )
+    if base.field.p == 0:
+        bits = max(
+            (max(c.value.numerator.bit_length(), c.value.denominator.bit_length())
+             for c in base.terms.values()),
+            default=0,
+        )
+        if n * bits > MAX_POWER_BITS:
+            raise PowerTooLarge(
+                f"exponent {n} on {bits}-bit coefficients exceeds {MAX_POWER_BITS} bits",
+                pos,
+            )
+
 
 class _Parser:
     def __init__(self, text: str, s: int, field: Field):
@@ -362,6 +397,7 @@ class _Parser:
             nk, n, pos = self.toks.next()
             if nk != "nat":
                 raise ParseError("exponent must be a natural number", pos)
+            _check_power(value, n, pos)
             value = value**n
         return value
 

@@ -8,7 +8,6 @@ image of the free algebra satisfying all n x n matrix identities, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
 from . import linalg
@@ -21,6 +20,7 @@ from .errors import (
 )
 from .fields import Field, Scalar
 from .freealg import FreePoly, commutator, pretty
+from .records import Record
 from .rings import CommPoly, Variable, mono_mul
 
 
@@ -357,15 +357,10 @@ class BivariatePoly:
         return f"BivariatePoly({self})"
 
 
-@dataclass
-class AnnihilatorResult:
+class AnnihilatorResult(Record):
     """Outcome of the minimal-annihilator search for one commuting pair."""
 
-    found: bool
-    poly: BivariatePoly | None
-    total_degree: int | None
-    n: int
-    searched_bound: int
+    __slots__ = ("found", "poly", "total_degree", "n", "searched_bound")
 
     def verify(self, f: GenericMatrix, g: GenericMatrix) -> bool:
         if not self.found:
@@ -441,17 +436,13 @@ def _canonical_kernel_poly(kernel, monomials, field: Field) -> BivariatePoly:
     return BivariatePoly(field, {monomials[i]: coeffs[i] for i in range(ncols) if coeffs[i]})
 
 
-@dataclass
-class StabilityReport:
-    """Annihilators of one commuting free pair across several matrix sizes."""
+class StabilityReport(Record):
+    """Annihilators of one commuting free pair across several matrix sizes.
 
-    f_text: str
-    g_text: str
-    sizes: list
-    dmax: int
-    results: list  # AnnihilatorResult per size
-    all_found: bool
-    identical: bool
+    ``results`` holds one AnnihilatorResult per size.
+    """
+
+    __slots__ = ("f_text", "g_text", "sizes", "dmax", "results", "all_found", "identical")
 
     @staticmethod
     def of(f: FreePoly, g: FreePoly, sizes, dmax: int, results) -> StabilityReport:

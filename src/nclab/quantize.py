@@ -26,6 +26,7 @@ from .errors import (
 )
 from .fields import Field, Scalar
 from .genmat import GenericMatrix
+from .records import FrozenRecord
 from .rings import CommPoly, Variable, parse_variable_name
 
 
@@ -378,26 +379,10 @@ def star_commutator(a: FormalSeries, b: FormalSeries, ctx: StarContext) -> Forma
     return star_mul(a, b, ctx) - star_mul(b, a, ctx)
 
 
-class CorrespondenceReport:
+class CorrespondenceReport(FrozenRecord):
     """Comparison of the h-coefficient of a star commutator with the bracket."""
 
     __slots__ = ("holds", "star_linear_part", "bracket")
-
-    def __init__(self, holds, star_linear_part, bracket):
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "star_linear_part", star_linear_part)
-        object.__setattr__(self, "bracket", bracket)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("report is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CorrespondenceReport)
-            and self.holds == other.holds
-            and self.star_linear_part == other.star_linear_part
-            and self.bracket == other.bracket
-        )
 
 
 def verify_correspondence(

@@ -10,36 +10,36 @@ makes every canonical form deterministic.  Monomials are sorted tuples of
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
 from .errors import DivisionByZero, FieldMismatch, UnassignedVariable
 from .fields import NEG_INF, Field, Scalar
+from .records import FrozenRecord
 
 _AUX_NAME = re.compile(r"^[A-Za-z_]+$")
 _ENTRY_FORM = re.compile(r"^x(\d+)\[(\d+),(\d+)\]$")
 _AUX_FORM = re.compile(r"^([A-Za-z_]+)(\d+)$")
 
 
-@dataclass(frozen=True)
-class Variable:
-    """A commutative indeterminate: a generic-matrix entry or an auxiliary symbol."""
+class Variable(FrozenRecord):
+    """A commutative indeterminate: a generic-matrix entry or an auxiliary symbol.
 
-    kind: str  # "entry" | "aux"
-    gen: int = 0
-    row: int = 0
-    col: int = 0
-    name: str = ""
-    index: int = 0
+    ``kind`` is ``"entry"`` (with ``gen``, ``row``, ``col``) or ``"aux"``
+    (with ``name``, ``index``).
+    """
 
-    def __post_init__(self):
+    __slots__ = ("kind", "gen", "row", "col", "name", "index", "_key", "_hash")
+    _defaults = {"gen": 0, "row": 0, "col": 0, "name": "", "index": 0}
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if self.kind == "entry":
             key = (0, self.gen, self.row, self.col)
         else:
             key = (1, self.name, self.index)
         object.__setattr__(self, "_key", key)
-        # the hash the dataclass would compute on every call, computed once
+        # hashed once: monomial dict lookups hash every variable of every key
         fields = (self.kind, self.gen, self.row, self.col, self.name, self.index)
         object.__setattr__(self, "_hash", hash(fields))
 

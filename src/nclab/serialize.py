@@ -10,7 +10,6 @@ inputs give byte-identical JSON documents.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from . import __version__
 from .centralizer import BergmanReport, CentralizerBasis, PipelineReport, SizeOutcome
@@ -24,6 +23,7 @@ from .quantize import (
     PoissonTensor,
     SeriesMatrix,
 )
+from .records import Record
 from .rings import CommPoly, Mono, RationalFunction, parse_variable_name
 
 
@@ -32,47 +32,28 @@ from .rings import CommPoly, Mono, RationalFunction, parse_variable_name
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EvalReport:
-    poly: FreePoly
-    degree_text: str
-    term_count: int
+class EvalReport(Record):
+    __slots__ = ("poly", "degree_text", "term_count")
 
 
-@dataclass
-class CommuteReport:
-    f: FreePoly
-    g: FreePoly
-    commutator_value: FreePoly
-    commute: bool
+class CommuteReport(Record):
+    __slots__ = ("f", "g", "commutator_value", "commute")
 
 
-@dataclass
-class PiReport:
-    f: FreePoly
-    n: int
-    image: GenericMatrix
+class PiReport(Record):
+    __slots__ = ("f", "n", "image")
 
 
-@dataclass
-class ALReport:
-    n: int
-    arity: int
-    standard_vanishes: bool
-    sharpness_checked: bool
-    sharpness_nonzero: bool | None
+class ALReport(Record):
+    __slots__ = ("n", "arity", "standard_vanishes", "sharpness_checked", "sharpness_nonzero")
 
 
-@dataclass
-class StarReport:
-    product: FormalSeries
-    commutator_series: FormalSeries
-    correspondence: CorrespondenceReport | None
+class StarReport(Record):
+    __slots__ = ("product", "commutator_series", "correspondence")
 
 
-@dataclass
-class PoissonReport:
-    bracket: CommPoly
+class PoissonReport(Record):
+    __slots__ = ("bracket",)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +157,7 @@ def encode(obj):
         return {
             "type": "size-outcome",
             "n": obj.n,
-            "images_commute": obj.images_commute,
+            "images_commute": True,  # a SizeOutcome exists only for commuting images
             "annihilator": encode(obj.annihilator),
             "star_c0_zero": obj.star_c0_zero,
             "star_c1_zero": obj.star_c1_zero,
@@ -219,9 +200,7 @@ def encode(obj):
             "diagonal": encode(obj.diagonal),
             "achieved_order": obj.achieved_order,
             "eigenvalues": [_elem_obj(x) for x in obj.eigenvalues],
-            "second_eigenvalues": None
-            if obj.second_eigenvalues is None
-            else [_elem_obj(x) for x in obj.second_eigenvalues],
+            "second_eigenvalues": None,  # kept so report bytes do not change
         }
     if isinstance(obj, Eq1Report):
         return {
@@ -359,7 +338,6 @@ def decode(obj, field: Field):
     if kind == "size-outcome":
         return SizeOutcome(
             obj["n"],
-            obj["images_commute"],
             decode(obj["annihilator"], field),
             obj["star_c0_zero"],
             obj["star_c1_zero"],
@@ -392,13 +370,11 @@ def decode(obj, field: Field):
             decode(obj["witness"], field),
         )
     if kind == "diagonal":
-        second = obj["second_eigenvalues"]
         return DiagonalReport(
             decode(obj["conjugator"], field),
             decode(obj["diagonal"], field),
             obj["achieved_order"],
             [_elem_from(x, field) for x in obj["eigenvalues"]],
-            None if second is None else [_elem_from(x, field) for x in second],
         )
     if kind == "eq1":
         return Eq1Report(

@@ -1,14 +1,18 @@
 """End-to-end CLI behavior: flags, exit statuses, JSON output, determinism."""
 
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nclab
-from nclab.cli import build_parser, main
+from nclab.cli import COMMANDS, build_parser, main
 from nclab.freealg import MAX_NESTING
 
 SUBCOMMANDS = [
@@ -26,10 +30,30 @@ SUBCOMMANDS = [
 ]
 
 
+# the top-level usage at 80 columns, as every release so far has printed it
+USAGE = (
+    "usage: nclab [-h]\n"
+    "             {eval,commute,pi,al,annihilator,star,poisson,diag,centralizer,bergman-pipeline,probe}\n"
+    "             ...\n"
+)
+
+
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _subcommands_built(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
+
+
+def _help_text(parser, argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        parser.parse_args(argv)
+    assert e.value.code == 0
+    return capsys.readouterr().out
 
 
 class TestHelp:
@@ -44,6 +68,56 @@ class TestHelp:
     def test_unknown_flag_rejected(self, capsys):
         code, out, err = run(["eval", "--f", "x1", "--bogus"], capsys)
         assert code == 1
+
+    def test_command_table_lists_every_subcommand(self):
+        assert list(COMMANDS) == SUBCOMMANDS
+
+    @pytest.mark.parametrize(
+        "argv, built",
+        [(["eval", "--f", "x1"], ["eval"]), (["probe", "--help"], ["probe"])]
+        + [(argv, SUBCOMMANDS) for argv in ([], ["--help"], ["bogus"], ["--json", "eval"])],
+    )
+    def test_a_run_builds_only_its_subparser(self, argv, built):
+        assert _subcommands_built(build_parser(argv)) == built
+
+    @pytest.mark.parametrize("cmd", SUBCOMMANDS)
+    def test_subcommand_help_is_that_of_the_full_tree(self, cmd, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        alone = _help_text(build_parser([cmd, "--help"]), [cmd, "--help"], capsys)
+        full = _help_text(build_parser(), [cmd, "--help"], capsys)
+        assert alone == full
+        assert alone.startswith(f"usage: nclab {cmd} [-h]")
+
+    def test_top_level_help(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run(["--help"], capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith(USAGE)
+        flat = " ".join(out.split())
+        for name, (help_text, _, _) in COMMANDS.items():
+            assert f"{name} {help_text}" in flat
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "the following arguments are required: command"),
+            (["--json"], "the following arguments are required: command"),
+            (
+                ["bogus"],
+                "argument command: invalid choice: 'bogus' (choose from "
+                + ", ".join(f"'{c}'" for c in SUBCOMMANDS)
+                + ")",
+            ),
+            # rejected by the top-level parser after a one-subparser build
+            (["eval", "--f", "x1", "--bogus"], "unrecognized arguments: --bogus"),
+            (["eval", "--f", "x1", "extra"], "unrecognized arguments: extra"),
+        ],
+    )
+    def test_top_level_usage_errors(self, argv, message, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err == USAGE + f"error: usage error: {message}\n"
 
 
 class TestExitStatuses:
@@ -95,6 +169,35 @@ class TestExitStatuses:
             assert proc.stdout == ""
         else:
             assert json.loads(proc.stdout)["report"]  # exactly one document
+
+    def test_huge_power_is_refused_up_front(self):
+        # a separate process: without the bound this run would not end
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nclab.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "nclab", "eval", "--f", "x1^99999999", "--json"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error [power-too-large]: ")
+
+    @settings(max_examples=400)
+    @given(
+        st.lists(
+            st.sampled_from(["x1", "x2", *"0123456789", *"+-*^/()"]), max_size=12
+        ).map("".join)
+    )
+    def test_eval_fuzz_exits_cleanly(self, expr):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["eval", f"--f={expr}", "--json"])
+        assert code in (0, 1)
+        if code == 0:
+            assert json.loads(out.getvalue())["command"] == "eval"  # exactly one document
+        else:
+            assert out.getvalue() == ""
+            assert len(err.getvalue().splitlines()) == 1
 
     def test_unknown_generator_is_exit_1(self, capsys):
         code, _, err = run(["eval", "--f", "x3", "--s", "2"], capsys)

@@ -6,9 +6,18 @@ from fractions import Fraction
 import pytest
 
 from oracles import free_commutator, free_mul
-from nclab.errors import FieldMismatch, ParseError, ShapeMismatch, UnknownGenerator
+from nclab.errors import FieldMismatch, ParseError, PowerTooLarge, ShapeMismatch, UnknownGenerator
 from nclab.fields import GF, QQ, NEG_INF
-from nclab.freealg import MAX_NESTING, FreePoly, commutator, parse_free, pretty
+from nclab.freealg import (
+    MAX_NESTING,
+    MAX_POWER_BITS,
+    MAX_POWER_DEGREE,
+    MAX_POWER_TERMS,
+    FreePoly,
+    commutator,
+    parse_free,
+    pretty,
+)
 from nclab.genmat import GenericMatrix
 from nclab.rings import CommPoly
 from nclab.sample import random_freepoly, random_int_matrix
@@ -66,6 +75,43 @@ class TestParse:
         assert e.value.position == MAX_NESTING
         with pytest.raises(ParseError):
             parse_free("(" * 3000 + "x1" + ")" * 3000, 2, QQ)
+
+    def test_power_refused_before_any_product(self, monkeypatch):
+        def no_power(self, n):
+            raise AssertionError("a refused power must not be computed")
+
+        monkeypatch.setattr(FreePoly, "__pow__", no_power)
+        for text in ["x1^99999999", "2^99999999", "(x1 + x2)^99999999", "0^99999999"]:
+            with pytest.raises(PowerTooLarge) as e:
+                parse_free(text, 2, QQ)
+            assert e.value.code == "power-too-large"
+            assert isinstance(e.value, ParseError)  # a usage error: exit 1
+
+    @pytest.mark.parametrize(
+        "accepted, refused, field",
+        [
+            # degree: base degree times the exponent; a constant counts as degree 1
+            (f"x1^{MAX_POWER_DEGREE}", f"x1^{MAX_POWER_DEGREE + 1}", QQ),
+            (f"(x1*x2)^{MAX_POWER_DEGREE // 2}", f"(x1*x2)^{MAX_POWER_DEGREE // 2 + 1}", QQ),
+            ("(x1^500)^2", "(x1^500)^3", GF(7)),
+            (f"1^{MAX_POWER_DEGREE}", f"1^{MAX_POWER_DEGREE + 1}", QQ),
+            # terms: base term count to the power (2^13 <= 10,000 < 2^14)
+            ("(x1 + x2)^13", "(x1 + x2)^14", QQ),
+            ("(x1 + x2)^13", "(x1 + x2)^14", GF(32003)),
+            # coefficient bits over Q: 2^1000 has 1,001 bits
+            ("(2^1000)^9", "(2^1000)^10", QQ),
+            ("(1/1024)^909", "(1/1024)^910", QQ),
+        ],
+    )
+    def test_power_limits(self, accepted, refused, field):
+        assert MAX_POWER_TERMS == 10_000 and MAX_POWER_BITS == 10_000
+        parse_free(accepted, 2, field)
+        with pytest.raises(PowerTooLarge):
+            parse_free(refused, 2, field)
+
+    def test_prime_field_constants_have_no_bit_limit(self):
+        big = parse_free(f"2^{MAX_POWER_DEGREE}", 1, GF(32003))
+        assert big == FreePoly(1, GF(32003), {(): GF(32003).scalar(pow(2, MAX_POWER_DEGREE, 32003))})
 
     def test_prime_field_literals(self):
         f5 = GF(5)

@@ -1,0 +1,114 @@
+"""Plain record classes: construction, equality, defaults and immutability."""
+
+import pytest
+
+from nclab.centralizer import PipelineReport
+from nclab.cli import RunConfig
+from nclab.diagonalize import DiagonalReport
+from nclab.fields import QQ
+from nclab.genmat import AnnihilatorResult
+from nclab.quantize import CorrespondenceReport
+from nclab.rings import Variable
+from nclab.serialize import ALReport
+
+
+class TestVariable:
+    def test_hash_is_the_field_tuple_hash(self):
+        for v in [Variable.entry(2, 1, 3), Variable.aux("lam", 4), Variable("aux", name="y", index=1)]:
+            assert hash(v) == hash((v.kind, v.gen, v.row, v.col, v.name, v.index))
+        assert hash(Variable.entry(1, 2, 3)) == hash(("entry", 1, 2, 3, "", 0))
+
+    def test_equality_is_field_wise(self):
+        assert Variable.entry(1, 2, 3) == Variable("entry", 1, 2, 3)
+        assert Variable.entry(1, 2, 3) != Variable.entry(1, 3, 2)
+        assert Variable.aux("x", 1) != Variable.aux("y", 1)
+        # a field outside the sort key still takes part in equality
+        assert Variable("entry", 1, 1, 1) != Variable("entry", 1, 1, 1, name="z")
+        assert Variable.entry(1, 1, 1) != ("entry", 1, 1, 1, "", 0)
+        assert len({Variable.entry(1, 1, 1), Variable("entry", gen=1, row=1, col=1)}) == 1
+
+    def test_order_is_by_sort_key(self):
+        ordered = [
+            Variable.entry(1, 1, 1),
+            Variable.entry(1, 1, 2),
+            Variable.entry(2, 1, 1),
+            Variable.aux("lam", 1),
+            Variable.aux("lam", 2),
+            Variable.aux("x", 1),
+        ]
+        assert sorted(reversed(ordered)) == ordered
+        assert Variable.aux("lam", 1) > Variable.entry(9, 9, 9)
+
+    def test_immutable(self):
+        v = Variable.entry(1, 1, 1)
+        with pytest.raises(AttributeError):
+            v.gen = 2
+        with pytest.raises(AttributeError):
+            del v.gen
+        with pytest.raises(AttributeError):
+            v.extra = 1
+        assert v.gen == 1 and hash(v) == hash(Variable.entry(1, 1, 1))
+
+    def test_repr_names_the_fields(self):
+        assert repr(Variable.aux("lam", 2)) == (
+            "Variable(kind='aux', gen=0, row=0, col=0, name='lam', index=2)"
+        )
+
+
+class TestRecordConstruction:
+    def test_positional_keyword_and_default(self):
+        a = AnnihilatorResult(False, None, None, 2, 3)
+        b = AnnihilatorResult(found=False, poly=None, total_degree=None, n=2, searched_bound=3)
+        assert a == b and a.searched_bound == 3
+        assert PipelineReport("f", "g", True, None).trdeg_verdict == "unknown"
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ALReport(2, 4, True, True),  # missing field
+            lambda: ALReport(2, 4, True, True, None, "extra"),  # too many fields
+            lambda: ALReport(2, 4, True, True, None, bogus=1),  # unknown field
+            lambda: ALReport(2, 4, True, True, n=2),  # given twice
+            lambda: Variable("entry", 1, 1, 1, "", 0, None),
+            lambda: Variable("entry", _key=()),  # private slots are not fields
+        ],
+    )
+    def test_bad_arguments_raise_type_error(self, make):
+        with pytest.raises(TypeError):
+            make()
+
+    def test_equality_needs_the_same_class(self):
+        assert ALReport(2, 4, True, True, None) == ALReport(2, 4, True, True, None)
+        assert ALReport(2, 4, True, True, None) != ALReport(2, 4, True, True, False)
+        assert AnnihilatorResult(False, None, None, 2, 3) != ALReport(False, None, None, 2, 3)
+
+    def test_pipeline_reports_do_not_share_outcomes(self):
+        a = PipelineReport("f", "g", True, None)
+        b = PipelineReport("f", "g", True, None)
+        a.outcomes.append("outcome")
+        assert b.outcomes == []
+        assert PipelineReport("f", "g", True, None).outcomes == []
+
+    def test_diagonal_report_equality_ignores_verified(self):
+        one = QQ.one
+        passed = DiagonalReport("u", "d", 2, [one], verified=True)
+        failed = DiagonalReport("u", "d", 2, [one], verified=False)
+        assert passed == failed == DiagonalReport("u", "d", 2, [one])
+        assert passed != DiagonalReport("u", "d", 3, [one], verified=True)
+
+    def test_mutable_and_frozen_records(self):
+        rep = PipelineReport("f", "g", True, None)
+        rep.conclusion = "changed"
+        assert rep.conclusion == "changed"
+        config = RunConfig(QQ, 1, False, None)
+        with pytest.raises(AttributeError):
+            config.seed = 2
+        corr = CorrespondenceReport(True, None, None)
+        with pytest.raises(AttributeError):
+            corr.holds = False
+        assert config.seed == 1 and corr.holds is True
+
+    def test_records_have_no_instance_dict(self):
+        for rec in [ALReport(2, 4, True, True, None), Variable.entry(1, 1, 1)]:
+            with pytest.raises(AttributeError):
+                rec.__dict__
