@@ -120,7 +120,8 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         names = [argv[0]]
         # the metavar keeps every command in the top-level usage; the full tree
         # goes without it, since a missing command's error would name it
-        sub = top.add_subparsers(dest="command", required=True, metavar=_ALL_COMMANDS)
+        every = "{" + ",".join(COMMANDS) + "}"
+        sub = top.add_subparsers(dest="command", required=True, metavar=every)
     else:
         names = list(COMMANDS)
         sub = top.add_subparsers(dest="command", required=True)
@@ -450,7 +451,6 @@ COMMANDS = {
         _cmd_probe,
     ),
 }
-_ALL_COMMANDS = "{" + ",".join(COMMANDS) + "}"
 
 
 def main(argv=None) -> int:
