@@ -216,3 +216,27 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self.field!r}, {self.value})"
+
+
+def signed_sum(terms) -> str:
+    """Render (monomial text, coefficient) pairs as ``x1^2 - 2/3*x2 + 1``.
+
+    The monomial text ``"1"`` is the constant term.  Over Q a negative
+    coefficient prints as a minus sign before its magnitude; a magnitude of
+    one before a monomial is left out.  No terms render as ``0``.
+    """
+    parts = []
+    for mono, c in terms:
+        negative = c.field.p == 0 and c.value < 0
+        mag = -c if negative else c
+        if mono == "1":
+            chunk = str(mag)
+        elif mag.value == 1:
+            chunk = mono
+        else:
+            chunk = f"{mag}*{mono}"
+        if parts:
+            parts.append(f"- {chunk}" if negative else f"+ {chunk}")
+        else:
+            parts.append(f"-{chunk}" if negative else chunk)
+    return " ".join(parts) or "0"

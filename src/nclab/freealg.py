@@ -24,7 +24,7 @@ from .errors import (
     ShapeMismatch,
     UnknownGenerator,
 )
-from .fields import NEG_INF, Field, Scalar
+from .fields import NEG_INF, Field, Scalar, signed_sum
 
 Word = tuple  # tuple[int, ...]
 
@@ -232,24 +232,7 @@ def _word_str(w: Word) -> str:
 
 def pretty(a: FreePoly) -> str:
     """Deterministic rendering; parses back to an equal polynomial."""
-    if a.is_zero:
-        return "0"
-    parts = []
-    for w in a.support():
-        c = a.terms[w]
-        negative = c.field.p == 0 and c.value < 0
-        mag = -c if negative else c
-        if w == EMPTY_WORD:
-            chunk = str(mag)
-        elif mag == a.field.one:
-            chunk = _word_str(w)
-        else:
-            chunk = f"{mag}*{_word_str(w)}"
-        if not parts:
-            parts.append(f"-{chunk}" if negative else chunk)
-        else:
-            parts.append(f"- {chunk}" if negative else f"+ {chunk}")
-    return " ".join(parts)
+    return signed_sum((_word_str(w), a.terms[w]) for w in a.support())
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +291,14 @@ class _Tokenizer:
 #: level costs five Python frames, so this stays far below the recursion limit.
 MAX_NESTING = 100
 
-#: Limits on one ``^`` in an expression, checked before any product is formed.
-#: The power's degree is estimated as the base's degree times the exponent (a
-#: constant counts as degree 1, since the power still costs one product per
-#: unit of exponent), its term count as the base's term count to the power,
-#: and, over Q, its coefficient size as the exponent times the bits of the
-#: base's largest numerator or denominator.
+#: Limits on one ``^`` or ``*`` in an expression, checked before any product is
+#: formed.  A power's degree is estimated as the base's degree times the
+#: exponent (a constant counts as degree 1, since the power still costs one
+#: product per unit of exponent), its term count as the base's term count to
+#: the power, and, over Q, its coefficient size as the exponent times the bits
+#: of the base's largest numerator or denominator.  A product's term count is
+#: estimated as the product of its operands' term counts, so a chain of
+#: accepted factors cannot grow past ``MAX_POWER_TERMS`` either.
 MAX_POWER_DEGREE = 1000
 MAX_POWER_TERMS = 10_000
 MAX_POWER_BITS = 10_000
@@ -373,14 +358,19 @@ class _Parser:
     def _term(self) -> FreePoly:
         value = self._signed()
         while True:
-            kind, _, _ = self.toks.peek()
+            kind, _, pos = self.toks.peek()
             if kind == "*":
                 self.toks.next()
-                value = value * self._signed()
-            elif kind in ("gen", "nat", "("):
-                value = value * self._signed()
-            else:
+            elif kind not in ("gen", "nat", "("):
                 return value
+            other = self._signed()
+            if len(value.terms) * len(other.terms) > MAX_POWER_TERMS:
+                raise PowerTooLarge(
+                    f"a product of {len(value.terms)} and {len(other.terms)} terms"
+                    f" exceeds {MAX_POWER_TERMS} terms",
+                    pos,
+                )
+            value = value * other
 
     def _signed(self) -> FreePoly:
         kind, _, _ = self.toks.peek()

@@ -18,7 +18,7 @@ from .errors import (
     NotCommuting,
     ShapeMismatch,
 )
-from .fields import Field, Scalar
+from .fields import Field, Scalar, signed_sum
 from .freealg import FreePoly, commutator, pretty
 from .records import Record
 from .rings import CommPoly, Variable, mono_mul
@@ -331,27 +331,10 @@ class BivariatePoly:
         return hash((self.field, frozenset(self.terms.items())))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (ea, eb), c in self.sorted_terms():
-            negative = c.field.p == 0 and c.value < 0
-            mag = -c if negative else c
-            body = "*".join(
-                ([] if ea == 0 else [f"u^{ea}" if ea > 1 else "u"])
-                + ([] if eb == 0 else [f"v^{eb}" if eb > 1 else "v"])
-            )
-            if not body:
-                chunk = str(mag)
-            elif mag == self.field.one:
-                chunk = body
-            else:
-                chunk = f"{mag}*{body}"
-            if not parts:
-                parts.append(f"-{chunk}" if negative else chunk)
-            else:
-                parts.append(f"- {chunk}" if negative else f"+ {chunk}")
-        return " ".join(parts)
+        return signed_sum(
+            ("*".join(x if e == 1 else f"{x}^{e}" for x, e in (("u", a), ("v", b)) if e) or "1", c)
+            for (a, b), c in self.sorted_terms()
+        )
 
     def __repr__(self):
         return f"BivariatePoly({self})"

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 from .errors import DivisionByZero, FieldMismatch, UnassignedVariable
-from .fields import NEG_INF, Field, Scalar
+from .fields import NEG_INF, Field, Scalar, signed_sum
 from .records import FrozenRecord
 
 _AUX_NAME = re.compile(r"^[A-Za-z_]+$")
@@ -357,30 +357,10 @@ class CommPoly:
     # -- display ----------------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self.sorted_terms():
-            negative = _is_negative(c)
-            mag = -c if negative else c
-            if m == EMPTY_MONO:
-                chunk = str(mag)
-            elif mag == self.field.one:
-                chunk = mono_str(m)
-            else:
-                chunk = f"{mag}*{mono_str(m)}"
-            if not parts:
-                parts.append(f"-{chunk}" if negative else chunk)
-            else:
-                parts.append(f"- {chunk}" if negative else f"+ {chunk}")
-        return " ".join(parts)
+        return signed_sum((mono_str(m), c) for m, c in self.sorted_terms())
 
     def __repr__(self):
         return f"CommPoly({self})"
-
-
-def _is_negative(c: Scalar) -> bool:
-    return c.field.p == 0 and c.value < 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """JSON encoding and decoding of reports and algebra values.
 
-Every encoded object is a plain dict with a ``"type"`` tag; polynomials embed
-their pretty-printed form next to the structured terms.  ``decode`` inverts
-``encode`` given the ground field, and every report type round-trips to an
-equal value.  Rendering a report always uses ``dumps`` so that identical
-inputs give byte-identical JSON documents.
+The whole report format is the table below: every encoded object is a plain
+dict with a ``"type"`` tag, and each tag appears in exactly one row.  A value
+type's row names its body encoder and its decoder; a report record's row
+names only the JSON keys that differ from its field names and the keys that
+are not fields, and the record is coded from its compared fields.  Lists and
+tuples encode as JSON lists.  ``decode`` inverts ``encode`` given the ground
+field, and every report type round-trips to an equal value.  Rendering a
+report always uses ``dumps`` so that identical inputs give byte-identical
+JSON documents.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .quantize import (
     SeriesMatrix,
 )
 from .records import Record
-from .rings import CommPoly, Mono, RationalFunction, parse_variable_name
+from .rings import CommPoly, RationalFunction, parse_variable_name
 
 
 # ---------------------------------------------------------------------------
@@ -57,369 +61,149 @@ class PoissonReport(Record):
 
 
 # ---------------------------------------------------------------------------
-# Encoding
+# The format
 # ---------------------------------------------------------------------------
 
 
-def _mono_obj(m: Mono):
-    return [[str(v), e] for v, e in m]
+def _commpoly_body(p: CommPoly):
+    terms = [[[[str(v), e] for v, e in m], str(c)] for m, c in p.sorted_terms()]
+    return {"text": str(p), "terms": terms}
 
 
-def _poly_obj(p: CommPoly):
-    return {
-        "type": "commpoly",
-        "text": str(p),
-        "terms": [[_mono_obj(m), str(c)] for m, c in p.sorted_terms()],
-    }
+def _commpoly_from(obj, field: Field) -> CommPoly:
+    terms = {}
+    for mono, coeff in obj["terms"]:
+        m = tuple((parse_variable_name(name), int(e)) for name, e in mono)
+        terms[m] = field.scalar(coeff)
+    return CommPoly(field, terms)
 
 
-def _ratfun_obj(r: RationalFunction):
-    return {"type": "ratfun", "num": _poly_obj(r.num), "den": _poly_obj(r.den)}
+def _series_field_matrix_from(obj, field: Field) -> SeriesFieldMatrix:
+    coeffs = decode(obj["coeffs"], field)
+    zero, one = field.zero, field.one
+    if not isinstance(coeffs[0][0][0], Scalar):
+        zero, one = RationalFunction.from_scalar(zero), RationalFunction.from_scalar(one)
+    return SeriesFieldMatrix(coeffs, zero, one)
 
 
-def _elem_obj(x):
-    if isinstance(x, Scalar):
-        return {"type": "scalar", "value": str(x)}
-    if isinstance(x, RationalFunction):
-        return _ratfun_obj(x)
-    raise TypeError(f"cannot encode field element {x!r}")
+def _record(tag, cls, renamed=None, constant=None):
+    """Table row of a record class, coded from its compared fields.
+
+    ``renamed`` maps a field to the JSON key it is stored under; ``constant``
+    maps each key that is not a field to its value as a function of the record.
+    """
+    keys = [(name, (renamed or {}).get(name, name)) for name in cls._compared]
+    constant = constant or {}
+
+    def body(r):
+        out = {key: encode(getattr(r, name)) for name, key in keys}
+        out.update((key, encode(value(r))) for key, value in constant.items())
+        return out
+
+    def from_body(obj, field):
+        return cls(**{name: decode(obj[key], field) for name, key in keys})
+
+    return tag, cls, body, from_body
+
+
+_TEXTS = {"f_text": "f", "g_text": "g"}
+
+# One row per tag: tag, class, body of an instance (without its tag), instance
+# from (body, field).  The record keys that are not fields are kept so that
+# report bytes do not change.
+_FORMAT = (
+    ("scalar", Scalar, lambda x: {"value": str(x)}, lambda o, field: field.scalar(o["value"])),
+    ("commpoly", CommPoly, _commpoly_body, _commpoly_from),
+    (
+        "ratfun",
+        RationalFunction,
+        lambda r: {"num": encode(r.num), "den": encode(r.den)},
+        lambda o, field: RationalFunction(decode(o["num"], field), decode(o["den"], field)),
+    ),
+    (
+        "freepoly",
+        FreePoly,
+        lambda p: {"s": p.s, "expr": pretty(p)},
+        lambda o, field: parse_free(o["expr"], o["s"], field),
+    ),
+    (
+        "bivariate",
+        BivariatePoly,
+        lambda p: {"text": str(p), "terms": [[a, b, str(c)] for (a, b), c in p.sorted_terms()]},
+        lambda o, field: BivariatePoly(
+            field, {(int(a), int(b)): field.scalar(c) for a, b, c in o["terms"]}
+        ),
+    ),
+    (
+        "matrix",
+        GenericMatrix,
+        lambda m: {"n": m.n, "entries": encode(m.rows)},
+        lambda o, field: GenericMatrix(decode(o["entries"], field)),
+    ),
+    (
+        "series",
+        FormalSeries,
+        lambda s: {"order": s.order, "coeffs": encode(s.coeffs)},
+        lambda o, field: FormalSeries(o["order"], decode(o["coeffs"], field)),
+    ),
+    (
+        "series-matrix",
+        SeriesMatrix,
+        lambda s: {"n": s.n, "order": s.order, "entries": encode(s.entries)},
+        lambda o, field: SeriesMatrix(decode(o["entries"], field)),
+    ),
+    (
+        "series-field-matrix",
+        SeriesFieldMatrix,
+        lambda s: {"n": s.n, "order": s.order, "coeffs": encode(s.coeffs)},
+        _series_field_matrix_from,
+    ),
+    ("tensor", PoissonTensor, PoissonTensor.to_dict, PoissonTensor.from_dict),
+    _record("annihilator", AnnihilatorResult),
+    _record("stability", StabilityReport, renamed=_TEXTS),
+    # a SizeOutcome exists only for commuting images
+    _record("size-outcome", SizeOutcome, constant={"images_commute": lambda r: True}),
+    _record("pipeline", PipelineReport, renamed=_TEXTS),
+    _record("centralizer-basis", CentralizerBasis, constant={"dims": lambda r: r.dims}),
+    _record("bergman", BergmanReport),
+    _record("diagonal", DiagonalReport, constant={"second_eigenvalues": lambda r: None}),
+    _record("eq1", Eq1Report),
+    _record("correspondence", CorrespondenceReport),
+    _record("eval", EvalReport, renamed={"degree_text": "degree", "term_count": "terms"}),
+    _record("commute", CommuteReport, renamed={"commutator_value": "commutator"}),
+    _record("pi", PiReport),
+    _record("al", ALReport),
+    _record("star", StarReport, renamed={"commutator_series": "commutator"}),
+    _record("poisson", PoissonReport),
+)
+_ENCODERS = {cls: (tag, body) for tag, cls, body, _ in _FORMAT}
+_DECODERS = {tag: from_body for tag, _, _, from_body in _FORMAT}
 
 
 def encode(obj):
     """Encode a report or algebra value as JSON-safe data."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
-    if isinstance(obj, Scalar):
-        return _elem_obj(obj)
-    if isinstance(obj, CommPoly):
-        return _poly_obj(obj)
-    if isinstance(obj, RationalFunction):
-        return _ratfun_obj(obj)
-    if isinstance(obj, FreePoly):
-        return {"type": "freepoly", "s": obj.s, "expr": pretty(obj)}
-    if isinstance(obj, BivariatePoly):
-        return {
-            "type": "bivariate",
-            "text": str(obj),
-            "terms": [[a, b, str(c)] for (a, b), c in obj.sorted_terms()],
-        }
-    if isinstance(obj, GenericMatrix):
-        return {
-            "type": "matrix",
-            "n": obj.n,
-            "entries": [[_poly_obj(e) for e in row] for row in obj.rows],
-        }
-    if isinstance(obj, FormalSeries):
-        return {
-            "type": "series",
-            "order": obj.order,
-            "coeffs": [_poly_obj(c) for c in obj.coeffs],
-        }
-    if isinstance(obj, SeriesMatrix):
-        return {
-            "type": "series-matrix",
-            "n": obj.n,
-            "order": obj.order,
-            "entries": [[encode(e) for e in row] for row in obj.entries],
-        }
-    if isinstance(obj, SeriesFieldMatrix):
-        return {
-            "type": "series-field-matrix",
-            "n": obj.n,
-            "order": obj.order,
-            "coeffs": [
-                [[_elem_obj(x) for x in row] for row in c] for c in obj.coeffs
-            ],
-        }
-    if isinstance(obj, PoissonTensor):
-        return {"type": "tensor", **obj.to_dict()}
-    if isinstance(obj, AnnihilatorResult):
-        return {
-            "type": "annihilator",
-            "found": obj.found,
-            "poly": encode(obj.poly),
-            "total_degree": obj.total_degree,
-            "n": obj.n,
-            "searched_bound": obj.searched_bound,
-        }
-    if isinstance(obj, StabilityReport):
-        return {
-            "type": "stability",
-            "f": obj.f_text,
-            "g": obj.g_text,
-            "sizes": list(obj.sizes),
-            "dmax": obj.dmax,
-            "results": [encode(r) for r in obj.results],
-            "all_found": obj.all_found,
-            "identical": obj.identical,
-        }
-    if isinstance(obj, SizeOutcome):
-        return {
-            "type": "size-outcome",
-            "n": obj.n,
-            "images_commute": True,  # a SizeOutcome exists only for commuting images
-            "annihilator": encode(obj.annihilator),
-            "star_c0_zero": obj.star_c0_zero,
-            "star_c1_zero": obj.star_c1_zero,
-            "star_linear_part": encode(obj.star_linear_part),
-        }
-    if isinstance(obj, PipelineReport):
-        return {
-            "type": "pipeline",
-            "f": obj.f_text,
-            "g": obj.g_text,
-            "commute": obj.commute,
-            "free_commutator": encode(obj.free_commutator),
-            "outcomes": [encode(o) for o in obj.outcomes],
-            "stability": encode(obj.stability),
-            "trdeg_verdict": obj.trdeg_verdict,
-            "conclusion": obj.conclusion,
-        }
-    if isinstance(obj, CentralizerBasis):
-        return {
-            "type": "centralizer-basis",
-            "f": encode(obj.f),
-            "d": obj.d,
-            "bases": [[encode(e) for e in basis] for basis in obj.bases],
-            "dims": obj.dims,
-        }
-    if isinstance(obj, BergmanReport):
-        return {
-            "type": "bergman",
-            "f": encode(obj.f),
-            "d": obj.d,
-            "passed": obj.passed,
-            "generator": encode(obj.generator),
-            "dims": list(obj.dims),
-            "witness": encode(obj.witness),
-        }
-    if isinstance(obj, DiagonalReport):
-        return {
-            "type": "diagonal",
-            "conjugator": encode(obj.conjugator),
-            "diagonal": encode(obj.diagonal),
-            "achieved_order": obj.achieved_order,
-            "eigenvalues": [_elem_obj(x) for x in obj.eigenvalues],
-            "second_eigenvalues": None,  # kept so report bytes do not change
-        }
-    if isinstance(obj, Eq1Report):
-        return {
-            "type": "eq1",
-            "n": obj.n,
-            "diagonal": [encode(d) for d in obj.diagonal],
-            "expected": [encode(e) for e in obj.expected],
-            "per_entry_equal": list(obj.per_entry_equal),
-            "all_equal": obj.all_equal,
-            "nonvanishing": obj.nonvanishing,
-            "linear_part": encode(obj.linear_part),
-        }
-    if isinstance(obj, CorrespondenceReport):
-        return {
-            "type": "correspondence",
-            "holds": obj.holds,
-            "star_linear_part": encode(obj.star_linear_part),
-            "bracket": encode(obj.bracket),
-        }
-    if isinstance(obj, EvalReport):
-        return {
-            "type": "eval",
-            "poly": encode(obj.poly),
-            "degree": obj.degree_text,
-            "terms": obj.term_count,
-        }
-    if isinstance(obj, CommuteReport):
-        return {
-            "type": "commute",
-            "f": encode(obj.f),
-            "g": encode(obj.g),
-            "commutator": encode(obj.commutator_value),
-            "commute": obj.commute,
-        }
-    if isinstance(obj, PiReport):
-        return {"type": "pi", "f": encode(obj.f), "n": obj.n, "image": encode(obj.image)}
-    if isinstance(obj, ALReport):
-        return {
-            "type": "al",
-            "n": obj.n,
-            "arity": obj.arity,
-            "standard_vanishes": obj.standard_vanishes,
-            "sharpness_checked": obj.sharpness_checked,
-            "sharpness_nonzero": obj.sharpness_nonzero,
-        }
-    if isinstance(obj, StarReport):
-        return {
-            "type": "star",
-            "product": encode(obj.product),
-            "commutator": encode(obj.commutator_series),
-            "correspondence": encode(obj.correspondence),
-        }
-    if isinstance(obj, PoissonReport):
-        return {"type": "poisson", "bracket": encode(obj.bracket)}
-    raise TypeError(f"cannot encode {obj!r}")
-
-
-# ---------------------------------------------------------------------------
-# Decoding
-# ---------------------------------------------------------------------------
-
-
-def _poly_from(obj, field: Field) -> CommPoly:
-    terms = {}
-    for mono_obj, coeff in obj["terms"]:
-        m = tuple((parse_variable_name(name), int(e)) for name, e in mono_obj)
-        terms[m] = field.scalar(coeff)
-    return CommPoly(field, terms)
-
-
-def _ratfun_from(obj, field: Field) -> RationalFunction:
-    return RationalFunction(_poly_from(obj["num"], field), _poly_from(obj["den"], field))
-
-
-def _elem_from(obj, field: Field):
-    if obj["type"] == "scalar":
-        return field.scalar(obj["value"])
-    return _ratfun_from(obj, field)
+    if isinstance(obj, (list, tuple)):
+        return [encode(x) for x in obj]
+    entry = _ENCODERS.get(type(obj))
+    if entry is None:
+        raise TypeError(f"cannot encode {obj!r}")
+    tag, body = entry
+    return {"type": tag, **body(obj)}
 
 
 def decode(obj, field: Field):
     """Inverse of ``encode`` for the given ground field."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
+    if isinstance(obj, list):
+        return [decode(x, field) for x in obj]
     kind = obj["type"]
-    if kind == "scalar":
-        return field.scalar(obj["value"])
-    if kind == "commpoly":
-        return _poly_from(obj, field)
-    if kind == "ratfun":
-        return _ratfun_from(obj, field)
-    if kind == "freepoly":
-        return parse_free(obj["expr"], obj["s"], field)
-    if kind == "bivariate":
-        return BivariatePoly(
-            field, {(int(a), int(b)): field.scalar(c) for a, b, c in obj["terms"]}
-        )
-    if kind == "matrix":
-        return GenericMatrix([[_poly_from(e, field) for e in row] for row in obj["entries"]])
-    if kind == "series":
-        return FormalSeries(obj["order"], [_poly_from(c, field) for c in obj["coeffs"]])
-    if kind == "series-matrix":
-        return SeriesMatrix([[decode(e, field) for e in row] for row in obj["entries"]])
-    if kind == "series-field-matrix":
-        coeffs = [
-            [[_elem_from(x, field) for x in row] for row in c] for c in obj["coeffs"]
-        ]
-        sample = coeffs[0][0][0]
-        if isinstance(sample, Scalar):
-            zero, one = field.zero, field.one
-        else:
-            zero = RationalFunction.from_scalar(field.zero)
-            one = RationalFunction.from_scalar(field.one)
-        return SeriesFieldMatrix(coeffs, zero, one)
-    if kind == "tensor":
-        return PoissonTensor.from_dict(obj, field)
-    if kind == "annihilator":
-        return AnnihilatorResult(
-            obj["found"],
-            decode(obj["poly"], field),
-            obj["total_degree"],
-            obj["n"],
-            obj["searched_bound"],
-        )
-    if kind == "stability":
-        return StabilityReport(
-            obj["f"],
-            obj["g"],
-            list(obj["sizes"]),
-            obj["dmax"],
-            [decode(r, field) for r in obj["results"]],
-            obj["all_found"],
-            obj["identical"],
-        )
-    if kind == "size-outcome":
-        return SizeOutcome(
-            obj["n"],
-            decode(obj["annihilator"], field),
-            obj["star_c0_zero"],
-            obj["star_c1_zero"],
-            decode(obj["star_linear_part"], field),
-        )
-    if kind == "pipeline":
-        return PipelineReport(
-            obj["f"],
-            obj["g"],
-            obj["commute"],
-            decode(obj["free_commutator"], field),
-            [decode(o, field) for o in obj["outcomes"]],
-            decode(obj["stability"], field),
-            obj["trdeg_verdict"],
-            obj["conclusion"],
-        )
-    if kind == "centralizer-basis":
-        return CentralizerBasis(
-            decode(obj["f"], field),
-            obj["d"],
-            [[decode(e, field) for e in basis] for basis in obj["bases"]],
-        )
-    if kind == "bergman":
-        return BergmanReport(
-            decode(obj["f"], field),
-            obj["d"],
-            obj["passed"],
-            decode(obj["generator"], field),
-            list(obj["dims"]),
-            decode(obj["witness"], field),
-        )
-    if kind == "diagonal":
-        return DiagonalReport(
-            decode(obj["conjugator"], field),
-            decode(obj["diagonal"], field),
-            obj["achieved_order"],
-            [_elem_from(x, field) for x in obj["eigenvalues"]],
-        )
-    if kind == "eq1":
-        return Eq1Report(
-            obj["n"],
-            [decode(d, field) for d in obj["diagonal"]],
-            [decode(e, field) for e in obj["expected"]],
-            list(obj["per_entry_equal"]),
-            obj["all_equal"],
-            obj["nonvanishing"],
-            decode(obj["linear_part"], field),
-        )
-    if kind == "correspondence":
-        return CorrespondenceReport(
-            obj["holds"],
-            decode(obj["star_linear_part"], field),
-            decode(obj["bracket"], field),
-        )
-    if kind == "eval":
-        return EvalReport(decode(obj["poly"], field), obj["degree"], obj["terms"])
-    if kind == "commute":
-        return CommuteReport(
-            decode(obj["f"], field),
-            decode(obj["g"], field),
-            decode(obj["commutator"], field),
-            obj["commute"],
-        )
-    if kind == "pi":
-        return PiReport(decode(obj["f"], field), obj["n"], decode(obj["image"], field))
-    if kind == "al":
-        return ALReport(
-            obj["n"],
-            obj["arity"],
-            obj["standard_vanishes"],
-            obj["sharpness_checked"],
-            obj["sharpness_nonzero"],
-        )
-    if kind == "star":
-        return StarReport(
-            decode(obj["product"], field),
-            decode(obj["commutator"], field),
-            decode(obj["correspondence"], field),
-        )
-    if kind == "poisson":
-        return PoissonReport(decode(obj["bracket"], field))
-    raise ValueError(f"unknown encoded type {kind!r}")
+    from_body = _DECODERS.get(kind)
+    if from_body is None:
+        raise ValueError(f"unknown encoded type {kind!r}")
+    return from_body(obj, field)
 
 
 # ---------------------------------------------------------------------------

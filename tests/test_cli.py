@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -181,6 +182,23 @@ class TestExitStatuses:
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error [power-too-large]: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--f", "(x1+x2)^13*(x1+x2)^13"],
+            ["--s", "10", "--f", "*".join(["(" + "+".join(f"x{i}" for i in range(1, 11)) + ")"] * 5)],
+        ],
+    )
+    def test_huge_product_is_refused_up_front(self, argv, capsys):
+        start = time.perf_counter()
+        code = main(["eval", *argv, "--json"])
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error [power-too-large]: ")
+        assert "exceeds 10000 terms" in captured.err
 
     @settings(max_examples=400)
     @given(

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from nclab import serialize
 from nclab.fields import GF, QQ
 from nclab.freealg import parse_free
@@ -127,3 +129,32 @@ def test_composite_cli_reports_round_trip():
     round_trip(serialize.PiReport(g, 2, pi_reduce(g, 2)))
     round_trip(serialize.ALReport(2, 4, True, True, True))
     round_trip(serialize.PoissonReport(CommPoly.one(QQ)))
+
+
+def test_each_tag_and_class_has_one_row():
+    tags = [row[0] for row in serialize._FORMAT]
+    classes = [row[1] for row in serialize._FORMAT]
+    assert len(set(tags)) == len(tags) == 25
+    assert len(set(classes)) == len(classes)
+
+
+def test_unknown_values_are_refused():
+    with pytest.raises(TypeError):
+        serialize.encode(object())
+    with pytest.raises(TypeError):
+        serialize.encode(1.5)
+    with pytest.raises(ValueError):
+        serialize.decode({"type": "no-such-type"}, QQ)
+
+
+def test_renamed_uncompared_and_constant_keys():
+    basis = centralizer_basis(parse_free("x1", 2, QQ), 1)
+    assert serialize.encode(basis)["dims"] == basis.dims
+    rep = serialize.encode(serialize.EvalReport(parse_free("x1", 2, QQ), "1", 1))
+    assert sorted(rep) == ["degree", "poly", "terms", "type"]
+    zero, one = QQ.zero, QQ.one
+    a = SeriesFieldMatrix([((one, zero), (zero, one + one)), ((zero, one), (one, zero))], zero, one)
+    diag = successive_diagonalize(a, 1)
+    assert diag.verified is not None
+    obj = serialize.encode(diag)
+    assert "verified" not in obj and obj["second_eigenvalues"] is None
