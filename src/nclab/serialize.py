@@ -86,18 +86,18 @@ def _series_field_matrix_from(obj, field: Field) -> SeriesFieldMatrix:
     return SeriesFieldMatrix(coeffs, zero, one)
 
 
-def _record(tag, cls, renamed=None, constant=None):
+def _record(tag, cls, renamed=None, extra=None):
     """Table row of a record class, coded from its compared fields.
 
-    ``renamed`` maps a field to the JSON key it is stored under; ``constant``
+    ``renamed`` maps a field to the JSON key it is stored under; ``extra``
     maps each key that is not a field to its value as a function of the record.
     """
     keys = [(name, (renamed or {}).get(name, name)) for name in cls._compared]
-    constant = constant or {}
+    extra = extra or {}
 
     def body(r):
         out = {key: encode(getattr(r, name)) for name, key in keys}
-        out.update((key, encode(value(r))) for key, value in constant.items())
+        out.update((key, encode(value(r))) for key, value in extra.items())
         return out
 
     def from_body(obj, field):
@@ -162,11 +162,11 @@ _FORMAT = (
     _record("annihilator", AnnihilatorResult),
     _record("stability", StabilityReport, renamed=_TEXTS),
     # a SizeOutcome exists only for commuting images
-    _record("size-outcome", SizeOutcome, constant={"images_commute": lambda r: True}),
+    _record("size-outcome", SizeOutcome, extra={"images_commute": lambda r: True}),
     _record("pipeline", PipelineReport, renamed=_TEXTS),
-    _record("centralizer-basis", CentralizerBasis, constant={"dims": lambda r: r.dims}),
+    _record("centralizer-basis", CentralizerBasis, extra={"dims": lambda r: r.dims}),
     _record("bergman", BergmanReport),
-    _record("diagonal", DiagonalReport, constant={"second_eigenvalues": lambda r: None}),
+    _record("diagonal", DiagonalReport, extra={"second_eigenvalues": lambda r: None}),
     _record("eq1", Eq1Report),
     _record("correspondence", CorrespondenceReport),
     _record("eval", EvalReport, renamed={"degree_text": "degree", "term_count": "terms"}),

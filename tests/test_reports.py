@@ -146,15 +146,3 @@ def test_unknown_values_are_refused():
     with pytest.raises(ValueError):
         serialize.decode({"type": "no-such-type"}, QQ)
 
-
-def test_renamed_uncompared_and_constant_keys():
-    basis = centralizer_basis(parse_free("x1", 2, QQ), 1)
-    assert serialize.encode(basis)["dims"] == basis.dims
-    rep = serialize.encode(serialize.EvalReport(parse_free("x1", 2, QQ), "1", 1))
-    assert sorted(rep) == ["degree", "poly", "terms", "type"]
-    zero, one = QQ.zero, QQ.one
-    a = SeriesFieldMatrix([((one, zero), (zero, one + one)), ((zero, one), (one, zero))], zero, one)
-    diag = successive_diagonalize(a, 1)
-    assert diag.verified is not None
-    obj = serialize.encode(diag)
-    assert "verified" not in obj and obj["second_eigenvalues"] is None
