@@ -21,7 +21,7 @@ from .centralizer import (
     diagonal_generic_pair,
 )
 from .diagonalize import SeriesFieldMatrix, successive_diagonalize
-from .errors import EngineError
+from .errors import EngineError, InvalidSize
 from .fields import QQ, Field
 from .freealg import commutator, parse_free, pretty
 from .genmat import (
@@ -180,12 +180,18 @@ def _cmd_pi(args, field):
     return rep, {"s": args.s, "n": args.n}, 0, [f"pi_{args.n}(f) = {image}"]
 
 
+#: ``al`` sums S_2n over all (2n)! permutations of symbolic n x n products.
+MAX_AL_N = 3
+
+
 def _args_al(p):
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=int, default=2, help=f"matrix size, at most {MAX_AL_N}")
 
 
 def _cmd_al(args, field):
     n = args.n
+    if n > MAX_AL_N:
+        raise InvalidSize(f"al --n is at most {MAX_AL_N}, got {n}: S_{2 * n} has {2 * n}! terms")
     arity = 2 * n
     mats = make_generic(arity, n, field)
     vanishes = standard_identity(arity, mats).is_zero

@@ -1,11 +1,16 @@
 """Perturbative diagonalization of series matrices over an exact field.
 
-Matrices here carry entries from any exact field with division (Scalar or
-RationalFunction, duck-typed through ``+ - * / .is_zero``).  A perturbation
-``A = A0 + h A1 + ...`` with diagonal, pairwise-distinct A0 is diagonalized
-order by order: at order r the off-diagonal defect is cancelled by
-conjugating with E + h^r T where T solves the Sylvester-type system
-``t_ij (lambda_i - lambda_j) = defect_ij``, and the diagonal defect is kept.
+Matrices here carry Scalar or RationalFunction entries, duck-typed through
+``+ - * / .is_zero``.  A perturbation ``A = A0 + h A1 + ...`` with diagonal,
+pairwise-distinct A0 is diagonalized order by order: at order r the
+off-diagonal defect is cancelled by conjugating with E + h^r T where T solves
+the Sylvester-type system ``t_ij (lambda_i - lambda_j) = defect_ij``, and the
+diagonal defect is kept.
+
+That solve is the only division; the series inverse of E + h^r T is a finite
+geometric sum.  So for A0 = diag(lam1, ..., lamn) and a constant A1 every
+entry lies in k[lam][1/Δ], Δ = prod_{i<j} (lam_i - lam_j), which is the ring
+``RationalFunction`` implements without any gcd.
 
 Conjugation uses the plain coefficientwise product of the series-matrix
 ring, not a star product.  At first order the two choices agree: a star
@@ -43,21 +48,21 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(a, b))
 
 
-def mat_neg(a: Matrix) -> Matrix:
-    return tuple(tuple(-x for x in r) for r in a)
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
+    """a b, summing only the products of two nonzero entries."""
+    cols = tuple(zip(*b))
     out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = a[i][0] * b[0][j]
-            for k in range(1, n):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(tuple(row))
+    for row in a:
+        out_row = []
+        for col in cols:
+            acc = None
+            for x, y in zip(row, col):
+                if x.is_zero or y.is_zero:
+                    continue
+                acc = x * y if acc is None else acc + x * y
+            # with no nonzero product, row[0] * col[0] is a zero of the ring
+            out_row.append(row[0] * col[0] if acc is None else acc)
+        out.append(tuple(out_row))
     return tuple(out)
 
 
@@ -169,18 +174,8 @@ class SeriesFieldMatrix:
         return SeriesFieldMatrix(out, self.zero, self.one)
 
     def __eq__(self, other):
-        if not isinstance(other, SeriesFieldMatrix):
-            return False
-        return (
-            self.n == other.n
-            and self.order == other.order
-            and all(
-                (x - y).is_zero
-                for a, b in zip(self.coeffs, other.coeffs)
-                for r1, r2 in zip(a, b)
-                for x, y in zip(r1, r2)
-            )
-        )
+        # entries are in canonical form, so equal values have equal entries
+        return isinstance(other, SeriesFieldMatrix) and self.coeffs == other.coeffs
 
     def inverse_unitriangular(self) -> SeriesFieldMatrix:
         """Inverse of E + (higher order): the finite geometric series."""
@@ -202,14 +197,6 @@ class SeriesFieldMatrix:
             mat_is_zero(mat_offdiag_part(self.coeffs[r], self.zero))
             for r in range(order + 1)
         )
-
-    def __str__(self):
-        chunks = []
-        for r, c in enumerate(self.coeffs):
-            body = "[" + "; ".join(", ".join(str(e) for e in row) for row in c) + "]"
-            h = "" if r == 0 else (" h" if r == 1 else f" h^{r}")
-            chunks.append(body + h)
-        return " + ".join(chunks)
 
 
 class DiagonalReport(Record):

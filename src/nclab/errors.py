@@ -83,3 +83,11 @@ class ScalarInput(EngineError):
 
 class BadTensorFile(EngineError):
     code = "bad-tensor-file"
+
+
+class UnsupportedDenominator(EngineError):
+    code = "unsupported-denominator"
+
+
+class BadReport(EngineError):
+    code = "bad-report"

@@ -18,6 +18,7 @@ import json
 from . import __version__
 from .centralizer import BergmanReport, CentralizerBasis, PipelineReport, SizeOutcome
 from .diagonalize import DiagonalReport, Eq1Report, SeriesFieldMatrix
+from .errors import BadReport, UnsupportedDenominator
 from .fields import Field, Scalar
 from .freealg import FreePoly, parse_free, pretty
 from .genmat import AnnihilatorResult, BivariatePoly, GenericMatrix, StabilityReport
@@ -78,6 +79,13 @@ def _commpoly_from(obj, field: Field) -> CommPoly:
     return CommPoly(field, terms)
 
 
+def _ratfun_from(obj, field: Field) -> RationalFunction:
+    try:
+        return RationalFunction(decode(obj["num"], field), decode(obj["den"], field))
+    except UnsupportedDenominator as exc:
+        raise BadReport(f"ratfun: {exc}") from exc
+
+
 def _series_field_matrix_from(obj, field: Field) -> SeriesFieldMatrix:
     coeffs = decode(obj["coeffs"], field)
     zero, one = field.zero, field.one
@@ -118,7 +126,7 @@ _FORMAT = (
         "ratfun",
         RationalFunction,
         lambda r: {"num": encode(r.num), "den": encode(r.den)},
-        lambda o, field: RationalFunction(decode(o["num"], field), decode(o["den"], field)),
+        _ratfun_from,
     ),
     (
         "freepoly",

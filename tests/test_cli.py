@@ -39,6 +39,42 @@ USAGE = (
 )
 
 
+FUZZ_EXPRESSIONS = st.lists(
+    st.sampled_from(["x1", "x2", *"0123456789", *"+-*^/()"]), max_size=12
+).map("".join)
+
+# well-formed sums of products, so that fuzzed runs also reach the computation
+_FUZZ_TERMS = st.lists(
+    st.sampled_from(["x1", "x2", "3", "-x2", "x1^2", "(x1+x2)", "(x1-1)^2"]), min_size=1, max_size=3
+).map("*".join)
+FUZZ_ANY = st.one_of(FUZZ_EXPRESSIONS, st.lists(_FUZZ_TERMS, min_size=1, max_size=3).map("+".join))
+
+# command -> (expression flags, tiny size flags)
+FUZZ_COMMANDS = {
+    "commute": (("f", "g"), []),
+    "pi": (("f",), ["--n", "2"]),
+    "centralizer": (("f",), ["--d", "2"]),
+    "annihilator": (("f", "g"), ["--nmax", "1", "--dmax", "2"]),
+    "star": (("a", "b"), ["--order", "2"]),
+    "poisson": (("a", "b"), []),
+    "bergman-pipeline": (("f", "g"), ["--nmax", "1", "--dmax", "2", "--order", "1"]),
+}
+
+
+def _assert_clean_exit(argv, codes):
+    """Exit code in ``codes``; one JSON document, or an empty stdout and one error line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--json"])
+    assert code in codes, (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
+    else:
+        assert json.loads(out.getvalue())["command"] == argv[0]  # exactly one document
+
+
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -203,21 +239,29 @@ class TestExitStatuses:
         assert "exceeds 10000 terms" in captured.err
 
     @settings(max_examples=400)
-    @given(
-        st.lists(
-            st.sampled_from(["x1", "x2", *"0123456789", *"+-*^/()"]), max_size=12
-        ).map("".join)
-    )
+    @given(FUZZ_EXPRESSIONS)
     def test_eval_fuzz_exits_cleanly(self, expr):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["eval", f"--f={expr}", "--json"])
-        assert code in (0, 1)
-        if code == 0:
-            assert json.loads(out.getvalue())["command"] == "eval"  # exactly one document
-        else:
-            assert out.getvalue() == ""
-            assert len(err.getvalue().splitlines()) == 1
+        _assert_clean_exit(["eval", f"--f={expr}"], codes=(0, 1))
+
+    @settings(max_examples=300, deadline=2000)
+    @given(st.sampled_from(sorted(FUZZ_COMMANDS)), st.data())
+    def test_every_command_fuzz_exits_cleanly(self, command, data):
+        flags, sizes = FUZZ_COMMANDS[command]
+        argv = [command, *sizes]
+        for flag in flags:
+            argv.append(f"--{flag}={data.draw(FUZZ_ANY, label=flag)}")
+        _assert_clean_exit(argv, codes=(0, 1, 2))
+
+    def test_al_beyond_the_bound_is_refused_up_front(self, capsys):
+        # unbounded, --n 4 would expand S_8 over 8! symbolic products
+        start = time.perf_counter()
+        code = main(["al", "--n", "4", "--json"])
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error [invalid-size]: al --n is at most 3")
 
     def test_unknown_generator_is_exit_1(self, capsys):
         code, _, err = run(["eval", "--f", "x3", "--s", "2"], capsys)

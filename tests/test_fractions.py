@@ -1,30 +1,37 @@
-"""RationalFunction fast paths and the gcd pre-test against slow paths and sympy.
+"""RationalFunction against its constructor and sympy; poly_gcd against the PRS and sympy.
 
-Every operation is compared with two references: the unreduced numerator and
-denominator normalized by the full constructor (the reduction by one gcd of
-the whole pair), and ``sympy.cancel`` (a test-only oracle).  ``poly_gcd`` is
-compared with the primitive PRS alone (the pre-test switched off) and with
-``sympy.gcd``, over fields as small as GF(2), where the pre-test often finds
-no admissible point and must leave the answer to the PRS.
+A fraction's denominator is a nonzero scalar times a product of differences
+t_i - t_j.  Every operation is compared with two references: the unreduced
+numerator and denominator put through the constructor (which factors the
+denominator by trial division), and ``sympy.cancel`` (a test-only oracle).
+A quotient by an element whose numerator is not such a product is refused,
+and sympy's factorization decides which quotients those are.  ``poly_gcd``,
+which fractions no longer use, is compared with the primitive PRS alone (the
+pre-test switched off) and with ``sympy.gcd``, over fields as small as
+GF(2), where the pre-test often finds no admissible point and must leave the
+answer to the PRS.
 """
 
+import itertools
+import random
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nclab import rings
-from nclab.errors import DivisionByZero, FieldMismatch
+from nclab.errors import DivisionByZero, FieldMismatch, UnsupportedDenominator
 from nclab.fields import GF, QQ
 from nclab.rings import CommPoly, RationalFunction, Variable, mono_from_dict, poly_gcd
 
-VARS = (Variable.aux("t", 1), Variable.aux("t", 2), Variable.aux("t", 3))
-SYMS = sympy.symbols("t1 t2 t3")
+VARS = tuple(Variable.aux("t", i) for i in range(1, 5))
+SYMS = sympy.symbols("t1 t2 t3 t4")
 FRACTION_FIELDS = [QQ, GF(7), GF(32003)]
 GCD_FIELDS = [QQ, GF(2), GF(3), GF(7), GF(32003)]
-KINDS = ("zero", "one", "equal_den", "coprime_den", "shared_factor", "cancelling")
+KINDS = ("zero", "one", "equal_den", "any_den", "shared_factor", "cancelling", "unit")
+PAIRS = [(0, 1), (0, 2), (1, 2)]
 
 
 def _poly(field, exps_to_coeff) -> CommPoly:
@@ -35,10 +42,11 @@ def _poly(field, exps_to_coeff) -> CommPoly:
     return CommPoly(field, {m: field.scalar(c) for m, c in terms.items()})
 
 
-# 1, t1, t2, t3 and the quadratic monomials in t1, t2.  Products of these are
-# like the diag workload's denominators (products of linear forms), and the
-# unreduced pairs of the slow reference stay small enough for the primitive
-# PRS, which is slow on dense cubics in three variables.
+def _var(field, i) -> CommPoly:
+    return CommPoly.variable(VARS[i], field)
+
+
+# 1, t1, t2, t3 and the quadratic monomials in t1, t2.
 MONOS = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0), (0, 2, 0)]
 
 
@@ -50,9 +58,23 @@ def polys(field, nonzero=False, max_terms=3):
     return out.filter(lambda p: not p.is_zero) if nonzero else out
 
 
+def dens(field):
+    """A nonzero scalar times a product of up to three factors t_i - t_j."""
+    scalar = st.integers(-3, 3).filter(lambda c: c % (field.p or 7))
+    factors = st.lists(st.sampled_from(PAIRS), max_size=3)
+
+    def build(c, pairs):
+        out = CommPoly.constant(field.scalar(c))
+        for i, j in pairs:
+            out = out * (_var(field, i) - _var(field, j))
+        return out
+
+    return st.builds(build, scalar, factors)
+
+
 @st.composite
 def operand_pairs(draw, field):
-    p, q = polys(field), polys(field, nonzero=True)
+    p, q = polys(field), dens(field)
     kind = draw(st.sampled_from(KINDS))
     a = RationalFunction(draw(p), draw(q))
     if kind == "zero":
@@ -61,50 +83,74 @@ def operand_pairs(draw, field):
         b = RationalFunction.from_scalar(field.one)
     elif kind == "equal_den":
         b = RationalFunction(draw(p), a.den)
-    elif kind == "coprime_den":
+    elif kind == "any_den":
         b = RationalFunction(draw(p), draw(q))
     elif kind == "shared_factor":
         c = draw(q)
-        a = RationalFunction(draw(p), c * draw(q))
+        a = RationalFunction(draw(p) * c, c * draw(q))
         b = RationalFunction(draw(p), c * draw(q))
-    else:  # a + b = k/e: the sum's numerator shares the factor c with gcd(d1, d2)
+    elif kind == "cancelling":  # a + b = k/e: the sum's numerator shares the factor c
         c, e, n1, k = draw(q), draw(q), draw(p), draw(p)
         a = RationalFunction(n1, c)
         b = RationalFunction(k * c - n1 * e, c * e)
+    else:  # a unit of the ring, so a / b is defined
+        b = RationalFunction(draw(q), draw(q))
     if draw(st.booleans()):
         a, b = b, a
     return a, b
 
 
 def _to_sympy(p: CommPoly):
-    sym = dict(zip(VARS, SYMS))
     total = sympy.Integer(0)
     for m, c in p.terms.items():
         v = c.value
         coeff = sympy.Rational(v.numerator, v.denominator) if p.field.p == 0 else sympy.Integer(v)
         for var, e in m:
-            coeff = coeff * sym[var] ** e
+            coeff = coeff * sympy.Symbol(str(var)) ** e
         total += coeff
     return total
 
 
-def _from_sympy(expr, field) -> CommPoly:
+def _from_sympy(expr, field, variables=VARS) -> CommPoly:
     """Rational coefficients (sympy's results mod p may carry them) mapped into ``field``."""
-    poly = sympy.Poly(expr, *SYMS, domain="QQ")
-    return _poly(field, {exps: Fraction(int(c.p), int(c.q)) for exps, c in poly.terms()})
+    poly = sympy.Poly(expr, *[sympy.Symbol(str(v)) for v in variables], domain="QQ")
+    terms = {}
+    for exps, c in poly.terms():
+        m = mono_from_dict(dict(zip(variables, exps)))
+        terms[m] = field.scalar(Fraction(int(c.p), int(c.q)))
+    return CommPoly(field, terms)
 
 
 def _sympy_value(r: RationalFunction):
     return _to_sympy(r.num) / _to_sympy(r.den)
 
 
-def _sympy_reduced(expr, field):
+def _sympy_reduced(expr, field, variables=VARS):
     """(num, den) of ``sympy.cancel(expr)``, scaled so that den is monic under graded lex."""
     kw = {"modulus": field.p} if field.p else {}
     num, den = sympy.fraction(sympy.cancel(sympy.together(expr), **kw))
-    num, den = _from_sympy(num, field), _from_sympy(den, field)
+    num, den = _from_sympy(num, field, variables), _from_sympy(den, field, variables)
     inv = den.leading_term()[1].inverse()
     return num.scale(inv), den.scale(inv)
+
+
+def _is_unit(r: RationalFunction) -> bool:
+    """sympy's verdict: the numerator is a scalar times differences of variables.
+
+    (sympy factors no multivariate polynomial over GF(p), so this divides.)
+    """
+    if r.is_zero:
+        return False
+    gens = [sympy.Symbol(str(v)) for v in VARS]
+    kw = {"modulus": r.field.p} if r.field.p else {"domain": "QQ"}
+    num = sympy.Poly(_to_sympy(r.num), *gens, **kw)
+    for i, j in itertools.combinations(range(len(gens)), 2):
+        diff = sympy.Poly(gens[i] - gens[j], *gens, **kw)
+        q, rem = num.div(diff)
+        while rem.is_zero:
+            num = q
+            q, rem = num.div(diff)
+    return num.is_ground
 
 
 # (fast operation, unreduced (num, den) through the constructor, sympy value)
@@ -126,6 +172,10 @@ def _check_ops(field, a, b):
             with pytest.raises(DivisionByZero):
                 fast(a, b)
             continue
+        if name == "div" and not _is_unit(b):
+            with pytest.raises(UnsupportedDenominator):
+                fast(a, b)
+            continue
         got = fast(a, b)
         slow = RationalFunction(*unreduced(a, b))
         assert (got.num, got.den) == (slow.num, slow.den), (name, a, b, got, slow)
@@ -142,22 +192,57 @@ def test_fraction_ops_match_constructor_and_sympy(field, data):
 
 @pytest.mark.parametrize("field", FRACTION_FIELDS, ids=repr)
 def test_sum_cancelling_into_the_common_factor(field):
-    """1/(t1 t2) + (t1 - 1)/(t1 t2): the sum's numerator t1 cancels against g = t1 t2."""
-    t1 = _poly(field, {(1, 0, 0): 1})
-    t2 = _poly(field, {(0, 1, 0): 1})
-    a = RationalFunction(CommPoly.one(field), t1 * t2)
-    b = RationalFunction(t1 - CommPoly.one(field), t1 * t2)
-    assert a + b == RationalFunction(CommPoly.one(field), t2)
-    # unequal denominators: (t2 + 1)/(t1 t2) - 1/(t1 (t2 + 1))
-    s = t2 + CommPoly.one(field)
-    c = RationalFunction(s, t1 * t2)
-    d = RationalFunction(CommPoly.one(field), t1 * s)
+    """The numerator t2 - t3 of a sum over (t1 - t2)(t2 - t3) cancels the common factor."""
+    one = CommPoly.one(field)
+    t1, t2, t3 = (_var(field, i) for i in range(3))
+    den = (t1 - t2) * (t2 - t3)
+    a = RationalFunction(one, den)
+    b = RationalFunction(t2 - t3 - one, den)
+    assert a + b == RationalFunction(one, t1 - t2)
+    # unequal denominators: (t1 - t3)/((t1 - t2)(t2 - t3)) - 1/((t1 - t2)(t1 - t3))
+    c = RationalFunction(t1 - t3, den)
+    d = RationalFunction(one, (t1 - t2) * (t1 - t3))
     _check_ops(field, c, d)
     _check_ops(field, a, b)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("field", FRACTION_FIELDS, ids=repr)
+def test_seeded_chains_match_sympy(field, n):
+    """Chains of +, -, x and / (lam_i - lam_j), each step checked against sympy.cancel.
+
+    A chain starts at lam1 and mixes in random polynomials in lam1..lamn, so
+    sums and products pile up factors that must be cancelled as they appear.
+    """
+    lams = [Variable.aux("lam", i) for i in range(1, n + 1)]
+    rng = random.Random(1000 * n + field.p)
+    for _ in range(4):
+        x = RationalFunction.from_poly(CommPoly.variable(lams[0], field))
+        for _ in range(8):
+            op = rng.choice(("add", "sub", "mul", "div"))
+            if op == "div":
+                i, j = rng.sample(range(n), 2)
+                y = RationalFunction.from_poly(
+                    CommPoly.variable(lams[i], field) - CommPoly.variable(lams[j], field)
+                )
+            else:
+                terms = {}
+                for _ in range(rng.randint(1, 2)):
+                    exps = {v: rng.randint(0, 1) for v in rng.sample(lams, 2)}
+                    terms[mono_from_dict(exps)] = field.scalar(rng.randint(-3, 3))
+                y = RationalFunction.from_poly(CommPoly(field, terms))
+                if op == "mul" and y.is_zero:
+                    continue
+            fast, _, symbolic = OPS[op]
+            got = fast(x, y)
+            oracle = _sympy_reduced(symbolic(_sympy_value(x), _sympy_value(y)), field, lams)
+            assert (got.num, got.den) == oracle, (op, x, y, got)
+            x = got
+
+
 def test_fast_paths_return_operands():
-    x = RationalFunction(_poly(QQ, {(1, 0, 0): 1}), _poly(QQ, {(0, 1, 0): 1, (0, 0, 0): 2}))
+    t1, t2 = _var(QQ, 0), _var(QQ, 1)
+    x = RationalFunction(t1, t1 - t2)
     zero, one = RationalFunction.from_scalar(QQ.zero), RationalFunction.from_scalar(QQ.one)
     with mock.patch.object(rings, "poly_gcd", side_effect=AssertionError("gcd called")):
         assert x + zero is x and zero + x is x and x - zero is x
@@ -174,6 +259,16 @@ def test_fields_must_agree_on_the_fast_paths():
             op(x, zero7)
         with pytest.raises(FieldMismatch):
             op(zero7, x)
+
+
+def test_denominators_outside_the_ring_are_refused():
+    t1, t2 = _var(QQ, 0), _var(QQ, 1)
+    one = CommPoly.one(QQ)
+    for den in (t1, t2, t1 + t2, t1 * t2, (t1 - t2) * (t1 + t2)):
+        with pytest.raises(UnsupportedDenominator):
+            RationalFunction(one, den)
+        with pytest.raises(UnsupportedDenominator):
+            RationalFunction.from_poly(t1 - t2) / RationalFunction.from_poly(den)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from nclab import serialize
+from nclab.errors import BadReport, DivisionByZero, EngineError
 from nclab.fields import GF, QQ
 from nclab.freealg import parse_free
 from nclab.genmat import annihilator_stability, pi_reduce
@@ -94,6 +95,37 @@ def test_diagonal_report_round_trip():
     a = SeriesFieldMatrix([a0, a1], zero, one)
     rep = successive_diagonalize(a, 1)
     round_trip(rep)
+
+
+def _ratfun_doc(den_terms, field=QQ):
+    one = serialize.encode(CommPoly.one(field))
+    den = {"type": "commpoly", "text": "", "terms": den_terms}
+    return {"type": "ratfun", "num": one, "den": den}
+
+
+@pytest.mark.parametrize(
+    "den_terms",
+    [
+        [[[["lam1", 1]], "1"]],  # lam1
+        [[[["lam1", 1]], "1"], [[["lam2", 1]], "1"]],  # lam1 + lam2
+        [[[["lam1", 2]], "1"], [[["lam2", 1]], "-1"]],  # lam1^2 - lam2
+    ],
+)
+def test_ratfun_outside_the_ring_is_a_bad_report(den_terms):
+    with pytest.raises(BadReport) as exc:
+        serialize.decode(_ratfun_doc(den_terms), QQ)
+    assert isinstance(exc.value, EngineError) and exc.value.code == "bad-report"
+
+
+def test_ratfun_decoding_divides_out_the_factors():
+    # the denominator 2 (lam1 - lam2)(lam2 - lam3) decodes to 1/2 over the monic product
+    lam = [CommPoly.variable(Variable.aux("lam", i), QQ) for i in (1, 2, 3)]
+    den = ((lam[0] - lam[1]) * (lam[1] - lam[2])).scale(QQ.scalar(2))
+    r = serialize.decode(_ratfun_doc(serialize.encode(den)["terms"]), QQ)
+    assert r.num == CommPoly.constant(QQ.scalar("1/2"))
+    assert r.den == (lam[0] - lam[1]) * (lam[1] - lam[2])
+    with pytest.raises(DivisionByZero):
+        serialize.decode(_ratfun_doc([]), QQ)
 
 
 def test_eq1_report_round_trip():

@@ -1,11 +1,11 @@
-"""Commutative polynomials, derivatives, evaluation, gcd and fractions."""
+"""Commutative polynomials, derivatives, evaluation, gcd and fractions over the lam_i - lam_j."""
 
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from nclab.errors import DivisionByZero, UnassignedVariable
+from nclab.errors import DivisionByZero, UnassignedVariable, UnsupportedDenominator
 from nclab.fields import GF, QQ, NEG_INF
 from nclab.rings import (
     CommPoly,
@@ -212,7 +212,26 @@ class TestDivisionAndGcd:
             assert rc.is_zero
 
 
+def _lam(i, field=QQ):
+    return CommPoly.variable(Variable.aux("lam", i), field)
+
+
+def _random_den(rng, field=QQ, n=3):
+    """A nonzero scalar times a product of up to three factors lam_i - lam_j."""
+    while True:
+        c = random_scalar(rng, field)
+        if c:
+            break
+    den = CommPoly.constant(c)
+    for _ in range(rng.randint(0, 3)):
+        i, j = rng.sample(range(1, n + 1), 2)
+        den = den * (_lam(i, field) - _lam(j, field))
+    return den
+
+
 class TestRationalFunction:
+    """Fractions with denominators in the differences lam_i - lam_j."""
+
     def test_inverse_cancellation(self):
         lam1 = CommPoly.variable(Variable.aux("lam", 1), QQ)
         lam2 = CommPoly.variable(Variable.aux("lam", 2), QQ)
@@ -221,10 +240,12 @@ class TestRationalFunction:
         assert r == RationalFunction.from_scalar(QQ.one)
 
     def test_sum_to_zero(self):
-        lam1 = CommPoly.variable(Variable.aux("lam", 1), QQ)
-        lam2 = CommPoly.variable(Variable.aux("lam", 2), QQ)
-        a = RationalFunction(lam1, lam2)
-        assert (a + (-a)).is_zero
+        lam1, lam2, lam3 = _lam(1), _lam(2), _lam(3)
+        a = RationalFunction(lam3, (lam1 - lam2) * (lam2 - lam3))
+        s = a + (-a)
+        assert s.is_zero
+        assert s == RationalFunction.from_scalar(QQ.zero)
+        assert str(s.den) == "1"
 
     def test_zero_denominator(self):
         lam1 = CommPoly.variable(Variable.aux("lam", 1), QQ)
@@ -235,39 +256,59 @@ class TestRationalFunction:
 
     def test_scaled_inputs_are_equal_values(self):
         rng = random.Random(10)
-        vars2 = [X, Y]
+        lams = [Variable.aux("lam", i) for i in range(1, 4)]
         for _ in range(25):
-            a = random_commpoly(rng, vars2, QQ, max_degree=2, max_terms=2)
-            b = random_commpoly(rng, vars2, QQ, max_degree=2, max_terms=2)
-            c = random_commpoly(rng, vars2, QQ, max_degree=2, max_terms=2)
-            if b.is_zero or c.is_zero:
-                continue
+            a = random_commpoly(rng, lams, QQ, max_degree=2, max_terms=2)
+            b, c = _random_den(rng), _random_den(rng)
             assert RationalFunction(a * c, b * c) == RationalFunction(a, b)
 
     def test_denominator_is_monic(self):
-        x, y = _x(), _y()
-        r = RationalFunction(y, x.scale(QQ.scalar(2)))
+        lam1, lam2 = _lam(1), _lam(2)
+        r = RationalFunction(lam2, (lam2 - lam1).scale(QQ.scalar(2)))
         _, lc = r.den.leading_term()
         assert lc == QQ.one
+        assert r.den == lam1 - lam2
+        assert r.num == lam2.scale(QQ.scalar("-1/2"))
 
     def test_field_arithmetic_randomized(self):
         rng = random.Random(11)
-        vars2 = [X, Y]
+        lams = [Variable.aux("lam", i) for i in range(1, 4)]
 
         def rand_rf():
-            while True:
-                den = random_commpoly(rng, vars2, QQ, max_degree=1, max_terms=2)
-                if not den.is_zero:
-                    break
-            num = random_commpoly(rng, vars2, QQ, max_degree=1, max_terms=2)
-            return RationalFunction(num, den)
+            num = random_commpoly(rng, lams, QQ, max_degree=1, max_terms=2)
+            return RationalFunction(num, _random_den(rng))
 
         for _ in range(20):
             a, b, c = rand_rf(), rand_rf(), rand_rf()
             assert (a + b) * c == a * c + b * c
             assert a - a == RationalFunction.from_scalar(QQ.zero)
-            if not b.is_zero:
-                assert (a / b) * b == a
+            d = RationalFunction(_random_den(rng), _random_den(rng))  # a unit of the ring
+            assert (a / d) * d == a
+
+    def test_denominators_outside_the_ring_are_refused(self):
+        lam1, lam2 = _lam(1), _lam(2)
+        one = CommPoly.one(QQ)
+        for den in (lam1, lam1 + lam2, lam1 * lam1 - lam2):
+            with pytest.raises(UnsupportedDenominator):
+                RationalFunction(one, den)
+            with pytest.raises(UnsupportedDenominator):
+                RationalFunction.from_poly(one) / RationalFunction.from_poly(den)
+
+    def test_reduced_form_is_unique_in_every_characteristic(self):
+        for field in (QQ, GF(2), GF(3), GF(7)):
+            rng = random.Random(field.p)
+            lams = [Variable.aux("lam", i) for i in range(1, 4)]
+            for _ in range(15):
+                a = random_commpoly(rng, lams, field, max_degree=2, max_terms=3)
+                b, c = _random_den(rng, field), _random_den(rng, field)
+                r = RationalFunction(a * c, b * c)
+                assert r == RationalFunction(a, b)
+                # lowest terms: no factor of the denominator divides the numerator
+                for (u, v), _ in r.exps:
+                    diff = CommPoly.variable(u, field) - CommPoly.variable(v, field)
+                    assert r.is_zero or not poly_divmod(r.num, diff)[1].is_zero
+                if not r.is_zero:
+                    assert r.den.leading_term()[1] == field.one
 
 
 @given(st.integers(-20, 20), st.integers(-20, 20))
