@@ -21,6 +21,7 @@ from .quantize import (  # noqa: F401
     SeriesMatrix,
     StarContext,
     matrix_star,
+    matrix_star_commutator,
     poisson_bracket,
     quantize_lift,
     star_commutator,

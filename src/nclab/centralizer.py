@@ -23,7 +23,7 @@ from .genmat import (
     find_annihilator,
     pi_reduce,
 )
-from .quantize import StarContext, matrix_star, pairing_tensor, quantize_lift
+from .quantize import StarContext, matrix_star_commutator, pairing_tensor, quantize_lift
 from .records import Record
 from .rings import CommPoly, Variable
 
@@ -236,7 +236,7 @@ def bergman_pipeline(
         fn, gn = pi_reduce(f, n), pi_reduce(g, n)
         ann = find_annihilator(fn, gn, dmax)
         fhat, ghat = quantize_lift(fn, ctx), quantize_lift(gn, ctx)
-        comm = matrix_star(fhat, ghat, ctx, op="commutator")
+        comm = matrix_star_commutator(fhat, ghat, ctx)
         c0, c1 = comm.coefficient(0), comm.coefficient(1)
         report.outcomes.append(SizeOutcome(n, ann, c0.is_zero, c1.is_zero, c1))
     report.stability = StabilityReport.of(
@@ -260,7 +260,7 @@ def commuting_matrix_probe(
         raise NotCommuting("probe inputs must commute") from None
     report = PipelineReport(str(f), str(g), True, None)
     fhat, ghat = quantize_lift(f, ctx), quantize_lift(g, ctx)
-    comm = matrix_star(fhat, ghat, ctx, op="commutator")
+    comm = matrix_star_commutator(fhat, ghat, ctx)
     c0, c1 = comm.coefficient(0), comm.coefficient(1)
     report.outcomes.append(SizeOutcome(f.n, ann, c0.is_zero, c1.is_zero, c1))
     _conclude(report)

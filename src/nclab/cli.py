@@ -401,7 +401,9 @@ def _args_probe(p):
 
 
 def _cmd_probe(args, field):
-    if args.f is not None and args.g is not None:
+    if (args.f is None) != (args.g is None):
+        raise EngineError("probe takes both --f and --g, or neither")
+    if args.f is not None:
         f = pi_reduce(parse_free(args.f, args.s, field), args.n)
         g = pi_reduce(parse_free(args.g, args.s, field), args.n)
         tensor = _tensor(args, field, args.s, args.n)

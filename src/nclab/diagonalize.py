@@ -26,7 +26,7 @@ from .errors import (
     RepeatedEigenvalue,
     ShapeMismatch,
 )
-from .quantize import SeriesMatrix, StarContext, matrix_star, poisson_bracket
+from .quantize import SeriesMatrix, StarContext, matrix_star_commutator, poisson_bracket
 from .records import Record
 
 Matrix = tuple  # tuple[tuple[element, ...], ...]
@@ -286,7 +286,7 @@ def eq1_diagonal_check(fhat: SeriesMatrix, ghat: SeriesMatrix, ctx: StarContext)
     f0, g0 = fhat.coefficient(0), ghat.coefficient(0)
     if not f0.is_diagonal() or not g0.is_diagonal():
         raise NotDiagonalLeadingTerm("degree-0 coefficients must be diagonal")
-    comm = matrix_star(fhat, ghat, ctx, op="commutator")
+    comm = matrix_star_commutator(fhat, ghat, ctx)
     if not comm.coefficient(0).is_zero:
         raise ArithmeticError("degree-0 part of the star commutator must vanish")
     linear = comm.coefficient(1)

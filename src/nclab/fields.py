@@ -3,6 +3,7 @@
 A ``Field`` is a lightweight descriptor (characteristic 0 for the rationals,
 otherwise a prime modulus).  A ``Scalar`` is an immutable field element; all
 arithmetic is exact and no floating point appears anywhere in the engine.
+``SparseSum`` is the base of the polynomial classes of the other modules.
 """
 
 from __future__ import annotations
@@ -240,3 +241,118 @@ def signed_sum(terms) -> str:
         else:
             parts.append(f"-{chunk}" if negative else chunk)
     return " ".join(parts) or "0"
+
+
+class SparseSum:
+    """Immutable finite sum key -> nonzero scalar over one field, canonical.
+
+    A subclass gives its key product ``_key_mul()`` (None: no product), the
+    printing order ``_order`` and text ``_key_str`` of its keys, and, when it
+    takes more constructor arguments than the field, ``_ring()``: those
+    arguments, on which every operand must agree.  An operand of another
+    class is refused with ``TypeError``.
+    """
+
+    __slots__ = ("field", "terms")
+
+    def __init__(self, field: Field, terms=None):
+        object.__setattr__(self, "field", field)
+        clean = {}
+        for k, c in (terms or {}).items():
+            if not isinstance(c, Scalar):
+                c = field.scalar(c)
+            elif c.field != field:
+                raise FieldMismatch("coefficient from a different field")
+            if c:
+                clean[k] = c
+        object.__setattr__(self, "terms", clean)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _ring(self):
+        return (self.field,)
+
+    def _like(self, terms):
+        return type(self)(*self._ring(), terms)
+
+    def _key_mul(self):
+        return None
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def coefficient(self, key) -> Scalar:
+        return self.terms.get(key, self.field.zero)
+
+    def sorted_terms(self):
+        """(key, coefficient) pairs in printing order."""
+        order = self._order
+        return sorted(self.terms.items(), key=lambda t: order(t[0]))
+
+    def _check(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"expected {type(self).__name__}, got {other!r}")
+        if other._ring() != self._ring():
+            raise FieldMismatch(f"{type(self).__name__} over {self._ring()} vs {other._ring()}")
+        return other
+
+    def __add__(self, other):
+        other = self._check(other)
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            s = terms.get(k)
+            terms[k] = c if s is None else s + c
+        return self._like(terms)
+
+    def __sub__(self, other):
+        other = self._check(other)
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            s = terms.get(k)
+            terms[k] = -c if s is None else s - c
+        return self._like(terms)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def scale(self, c: Scalar):
+        return self._like({k: v * c for k, v in self.terms.items()})
+
+    def __mul__(self, other):
+        other = self._check(other)
+        key_mul = self._key_mul()
+        if key_mul is None:
+            raise TypeError(f"{type(self).__name__} has no product")
+        terms = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                k = key_mul(k1, k2)
+                c = c1 * c2
+                s = terms.get(k)
+                terms[k] = c if s is None else s + c
+        return self._like(terms)
+
+    def __pow__(self, n: int):
+        if self._key_mul() is None:
+            raise TypeError(f"{type(self).__name__} has no product")
+        if n < 0:
+            raise ValueError("negative power")
+        out = self._like({(): self.field.one})  # () is the unit key of every product
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._ring() == other._ring() and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self._ring(), frozenset(self.terms.items())))
+
+    def __str__(self):
+        key_str = self._key_str
+        return signed_sum((key_str(k), c) for k, c in self.sorted_terms())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"

@@ -17,6 +17,8 @@ than products, products tighter than sums.
 
 from __future__ import annotations
 
+from operator import concat
+
 from .errors import (
     FieldMismatch,
     ParseError,
@@ -24,7 +26,7 @@ from .errors import (
     ShapeMismatch,
     UnknownGenerator,
 )
-from .fields import NEG_INF, Field, Scalar, signed_sum
+from .fields import NEG_INF, Field, Scalar, SparseSum
 
 Word = tuple  # tuple[int, ...]
 
@@ -36,30 +38,39 @@ def word_key(w: Word):
     return (-len(w), w)
 
 
-class FreePoly:
-    """Element of the free algebra: finite map word -> scalar, canonical."""
+class FreePoly(SparseSum):
+    """Element of the free algebra: a sum of words in s generators, canonical."""
 
-    __slots__ = ("s", "field", "terms")
+    __slots__ = ("s",)
+
+    _order = staticmethod(word_key)
 
     def __init__(self, s: int, field: Field, terms=None):
         if s < 1:
             raise ValueError("generator count must be at least 1")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "field", field)
-        clean = {}
-        for w, c in (terms or {}).items():
-            if not isinstance(c, Scalar):
-                c = field.scalar(c)
-            elif c.field != field:
-                raise FieldMismatch("coefficient from a different field")
+        for w in terms or ():
             if any(g < 1 or g > s for g in w):
                 raise UnknownGenerator(f"word {w} uses a generator outside [1,{s}]")
-            if c:
-                clean[w] = c
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "s", s)
+        super().__init__(field, terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FreePoly is immutable")
+    def _ring(self):
+        return (self.s, self.field)
+
+    def _key_mul(self):
+        return concat
+
+    @staticmethod
+    def _key_str(w: Word) -> str:
+        if not w:
+            return "1"
+        runs = []
+        for g in w:
+            if runs and runs[-1][0] == g:
+                runs[-1][1] += 1
+            else:
+                runs.append([g, 1])
+        return "*".join(f"x{g}" if e == 1 else f"x{g}^{e}" for g, e in runs)
 
     # -- constructors ----------------------------------------------------------
 
@@ -84,10 +95,6 @@ class FreePoly:
     # -- structure -------------------------------------------------------------
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
     def is_scalar(self) -> bool:
         """True when the element lies in the ground field (including 0)."""
         return not self.terms or (len(self.terms) == 1 and EMPTY_WORD in self.terms)
@@ -100,79 +107,10 @@ class FreePoly:
     def constant_term(self) -> Scalar:
         return self.terms.get(EMPTY_WORD, self.field.zero)
 
-    def coefficient(self, w: Word) -> Scalar:
-        return self.terms.get(w, self.field.zero)
-
     def homogeneous_component(self, m: int) -> FreePoly:
         if m < 0:
             raise ValueError("degree must be nonnegative")
         return FreePoly(self.s, self.field, {w: c for w, c in self.terms.items() if len(w) == m})
-
-    def support(self):
-        return sorted(self.terms, key=word_key)
-
-    # -- arithmetic --------------------------------------------------------------
-
-    def _check(self, other) -> FreePoly:
-        if not isinstance(other, FreePoly):
-            raise TypeError(f"expected FreePoly, got {other!r}")
-        if other.field != self.field:
-            raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
-        if other.s != self.s:
-            raise FieldMismatch(f"different generator counts {self.s} vs {other.s}")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            s = terms.get(w)
-            terms[w] = c if s is None else s + c
-        return FreePoly(self.s, self.field, terms)
-
-    def __sub__(self, other):
-        other = self._check(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            s = terms.get(w)
-            terms[w] = -c if s is None else s - c
-        return FreePoly(self.s, self.field, terms)
-
-    def __neg__(self):
-        return FreePoly(self.s, self.field, {w: -c for w, c in self.terms.items()})
-
-    def __mul__(self, other):
-        other = self._check(other)
-        terms = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                s = terms.get(w)
-                terms[w] = c if s is None else s + c
-        return FreePoly(self.s, self.field, terms)
-
-    def scale(self, c: Scalar) -> FreePoly:
-        return FreePoly(self.s, self.field, {w: v * c for w, v in self.terms.items()})
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = FreePoly.one(self.s, self.field)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FreePoly)
-            and self.field == other.field
-            and self.s == other.s
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.s, self.field, frozenset(self.terms.items())))
 
     # -- evaluation ----------------------------------------------------------------
 
@@ -204,35 +142,15 @@ class FreePoly:
             out = out + prod.scale(self.terms[w])
         return out
 
-    # -- display --------------------------------------------------------------------
-
-    def __str__(self):
-        return pretty(self)
-
-    def __repr__(self):
-        return f"FreePoly({self})"
-
 
 def commutator(a: FreePoly, b: FreePoly) -> FreePoly:
     """a*b - b*a."""
     return a * b - b * a
 
 
-def _word_str(w: Word) -> str:
-    if not w:
-        return "1"
-    runs = []
-    for g in w:
-        if runs and runs[-1][0] == g:
-            runs[-1][1] += 1
-        else:
-            runs.append([g, 1])
-    return "*".join(f"x{g}" if e == 1 else f"x{g}^{e}" for g, e in runs)
-
-
 def pretty(a: FreePoly) -> str:
     """Deterministic rendering; parses back to an equal polynomial."""
-    return signed_sum((_word_str(w), a.terms[w]) for w in a.support())
+    return str(a)
 
 
 # ---------------------------------------------------------------------------

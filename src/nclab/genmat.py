@@ -18,7 +18,7 @@ from .errors import (
     NotCommuting,
     ShapeMismatch,
 )
-from .fields import Field, Scalar, signed_sum
+from .fields import Field, Scalar, SparseSum
 from .freealg import FreePoly, commutator, pretty
 from .records import Record
 from .rings import CommPoly, Variable, mono_mul
@@ -278,35 +278,20 @@ def standard_identity(k: int, mats) -> GenericMatrix:
 # ---------------------------------------------------------------------------
 
 
-class BivariatePoly:
-    """Polynomial in two commuting slots u, v: finite map (a, b) -> scalar."""
+class BivariatePoly(SparseSum):
+    """Polynomial in two commuting slots u, v: a sum of exponent pairs (a, b), no product."""
 
-    __slots__ = ("field", "terms")
+    __slots__ = ()
 
-    def __init__(self, field: Field, terms=None):
-        object.__setattr__(self, "field", field)
-        clean = {}
-        for (ea, eb), c in (terms or {}).items():
-            if not isinstance(c, Scalar):
-                c = field.scalar(c)
-            if c:
-                clean[(ea, eb)] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BivariatePoly is immutable")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    _order = staticmethod(lambda k: (-k[0] - k[1], -k[0]))
+    _key_str = staticmethod(
+        lambda k: "*".join(x if e == 1 else f"{x}^{e}" for x, e in zip("uv", k) if e) or "1"
+    )
 
     def total_degree(self) -> int:
         if not self.terms:
             return 0
         return max(a + b for a, b in self.terms)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: (t[0][0] + t[0][1], t[0][0]), reverse=True)
 
     def evaluate_at_matrices(self, f: GenericMatrix, g: GenericMatrix) -> GenericMatrix:
         acc = GenericMatrix.zeros(f.n, f.field)
@@ -319,25 +304,6 @@ class BivariatePoly:
                     powers[top + 1] = powers[top] * base
             acc = acc + (powers_f[ea] * powers_g[eb]).scale(c)
         return acc
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BivariatePoly)
-            and self.field == other.field
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.field, frozenset(self.terms.items())))
-
-    def __str__(self):
-        return signed_sum(
-            ("*".join(x if e == 1 else f"{x}^{e}" for x, e in (("u", a), ("v", b)) if e) or "1", c)
-            for (a, b), c in self.sorted_terms()
-        )
-
-    def __repr__(self):
-        return f"BivariatePoly({self})"
 
 
 class AnnihilatorResult(Record):

@@ -478,12 +478,8 @@ class SeriesMatrix:
         return "[" + "; ".join(", ".join(str(e) for e in r) for r in self.entries) + "]"
 
 
-def matrix_star(a: SeriesMatrix, b: SeriesMatrix, ctx: StarContext, op: str = "mul") -> SeriesMatrix:
+def matrix_star(a: SeriesMatrix, b: SeriesMatrix, ctx: StarContext) -> SeriesMatrix:
     """Row-column product where every entry product is the star product."""
-    if op == "commutator":
-        return matrix_star(a, b, ctx) - matrix_star(b, a, ctx)
-    if op != "mul":
-        raise ValueError(f"unknown op {op!r}")
     a._check(b)
     n = a.n
     out = []
@@ -498,6 +494,10 @@ def matrix_star(a: SeriesMatrix, b: SeriesMatrix, ctx: StarContext, op: str = "m
             row.append(acc)
         out.append(row)
     return SeriesMatrix(out)
+
+
+def matrix_star_commutator(a: SeriesMatrix, b: SeriesMatrix, ctx: StarContext) -> SeriesMatrix:
+    return matrix_star(a, b, ctx) - matrix_star(b, a, ctx)
 
 
 def quantize_lift(a: GenericMatrix, ctx: StarContext) -> SeriesMatrix:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 from .errors import DivisionByZero, FieldMismatch, UnassignedVariable, UnsupportedDenominator
-from .fields import NEG_INF, Field, Scalar, signed_sum
+from .fields import NEG_INF, Field, Scalar, SparseSum
 from .records import FrozenRecord
 
 _AUX_NAME = re.compile(r"^[A-Za-z_]+$")
@@ -173,36 +173,29 @@ def mono_cmp(m1: Mono, m2: Mono) -> int:
 _MONO_KEY = cmp_to_key(mono_cmp)
 
 
-def mono_str(m: Mono) -> str:
-    if not m:
-        return "1"
-    return "*".join(str(v) if e == 1 else f"{v}^{e}" for v, e in m)
-
-
 # ---------------------------------------------------------------------------
 # CommPoly
 # ---------------------------------------------------------------------------
 
 
-class CommPoly:
-    """Sparse commutative polynomial; canonical (no zero coefficients stored)."""
+class CommPoly(SparseSum):
+    """Sparse commutative polynomial: a sum of monomials, canonical."""
 
-    __slots__ = ("field", "terms")
+    __slots__ = ()
 
-    def __init__(self, field: Field, terms=None):
-        object.__setattr__(self, "field", field)
-        clean = {}
-        for m, c in (terms or {}).items():
-            if not isinstance(c, Scalar):
-                c = field.scalar(c)
-            elif c.field != field:
-                raise FieldMismatch("coefficient from a different field")
-            if c:
-                clean[m] = c
-        object.__setattr__(self, "terms", clean)
+    def _key_mul(self):
+        return mono_mul  # looked up per product, so a rebinding of rings.mono_mul is seen
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CommPoly is immutable")
+    @staticmethod
+    def _order(m: Mono):
+        """Descending graded lex: the printing order."""
+        return (-mono_degree(m), tuple((v._key, -e) for v, e in m))
+
+    @staticmethod
+    def _key_str(m: Mono) -> str:
+        if not m:
+            return "1"
+        return "*".join(str(v) if e == 1 else f"{v}^{e}" for v, e in m)
 
     # -- constructors --------------------------------------------------------
 
@@ -225,10 +218,6 @@ class CommPoly:
     # -- structure -----------------------------------------------------------
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and EMPTY_MONO in self.terms)
 
@@ -247,78 +236,12 @@ class CommPoly:
                 out.add(v)
         return out
 
-    def coefficient(self, m: Mono) -> Scalar:
-        return self.terms.get(m, self.field.zero)
-
     def leading_term(self):
         """(monomial, coefficient) of the graded-lex largest monomial."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         m = max(self.terms, key=_MONO_KEY)
         return m, self.terms[m]
-
-    def sorted_terms(self, reverse=True):
-        return sorted(self.terms.items(), key=lambda t: _MONO_KEY(t[0]), reverse=reverse)
-
-    # -- arithmetic ------------------------------------------------------------
-
-    def _check(self, other) -> CommPoly:
-        if not isinstance(other, CommPoly):
-            raise TypeError(f"expected CommPoly, got {other!r}")
-        if other.field != self.field:
-            raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m)
-            terms[m] = c if s is None else s + c
-        return CommPoly(self.field, terms)
-
-    def __sub__(self, other):
-        other = self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m)
-            terms[m] = -c if s is None else s - c
-        return CommPoly(self.field, terms)
-
-    def __neg__(self):
-        return CommPoly(self.field, {m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        other = self._check(other)
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                c = c1 * c2
-                s = terms.get(m)
-                terms[m] = c if s is None else s + c
-        return CommPoly(self.field, terms)
-
-    def scale(self, c: Scalar) -> CommPoly:
-        return CommPoly(self.field, {m: v * c for m, v in self.terms.items()})
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = CommPoly.one(self.field)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CommPoly)
-            and self.field == other.field
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.field, frozenset(self.terms.items())))
 
     # -- calculus / evaluation -------------------------------------------------
 
@@ -353,14 +276,6 @@ class CommPoly:
                 val = val * point[v] ** e
             total = total + val
         return total
-
-    # -- display ----------------------------------------------------------------
-
-    def __str__(self):
-        return signed_sum((mono_str(m), c) for m, c in self.sorted_terms())
-
-    def __repr__(self):
-        return f"CommPoly({self})"
 
 
 # ---------------------------------------------------------------------------

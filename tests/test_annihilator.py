@@ -3,7 +3,7 @@
 import pytest
 
 from oracles import fraction_kernel
-from nclab.errors import NotCommuting
+from nclab.errors import FieldMismatch, NotCommuting
 from nclab.fields import GF, QQ
 from nclab.freealg import parse_free
 from nclab.genmat import (
@@ -18,6 +18,12 @@ from nclab.rings import CommPoly, Variable
 
 def bp(terms, field=QQ):
     return BivariatePoly(field, terms)
+
+
+def test_bivariate_refuses_a_coefficient_from_another_field():
+    with pytest.raises(FieldMismatch):
+        BivariatePoly(GF(7), {(1, 0): QQ.scalar(3)})
+    assert str(BivariatePoly(GF(7), {(1, 0): GF(7).scalar(3)})) == "3*u"
 
 
 class TestFindAnnihilator:

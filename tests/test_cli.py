@@ -58,6 +58,7 @@ FUZZ_COMMANDS = {
     "star": (("a", "b"), ["--order", "2"]),
     "poisson": (("a", "b"), []),
     "bergman-pipeline": (("f", "g"), ["--nmax", "1", "--dmax", "2", "--order", "1"]),
+    "probe": (("f", "g"), ["--n", "1", "--dmax", "2", "--order", "1"]),
 }
 
 
@@ -284,6 +285,13 @@ class TestExitStatuses:
         code, out, _ = run(["probe", "--n", "2", "--dmax", "3"], capsys)
         assert code == 0
         assert "contradiction" in out
+
+    @pytest.mark.parametrize("flag", ["--f", "--g"])
+    def test_probe_refuses_a_lone_expression(self, flag, capsys):
+        code, out, err = run(["probe", "--n", "2", flag, "x1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == ["error [engine-error]: probe takes both --f and --g, or neither"]
 
     def test_pipeline_single_line_verdict(self, capsys):
         code, out, _ = run(

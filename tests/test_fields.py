@@ -128,3 +128,66 @@ def test_pow_matches_repeated_mul(base, e):
 def test_negative_pow_is_inverse_power():
     a = QQ.scalar("2/3")
     assert a**-2 == (a.inverse()) ** 2
+
+
+class TestSparseSum:
+    """The arithmetic CommPoly, FreePoly and BivariatePoly share through SparseSum."""
+
+    def test_sibling_classes_are_refused(self):
+        from nclab.freealg import FreePoly
+        from nclab.genmat import BivariatePoly
+        from nclab.rings import CommPoly
+
+        with pytest.raises(TypeError):
+            CommPoly.one(QQ) + FreePoly.one(1, QQ)
+        with pytest.raises(TypeError):
+            FreePoly.one(1, QQ) * BivariatePoly(QQ, {(1, 0): 1})
+
+    def test_free_generator_counts_must_agree(self):
+        from nclab.freealg import FreePoly
+
+        with pytest.raises(FieldMismatch):
+            FreePoly.generator(1, 2, QQ) + FreePoly.generator(1, 3, QQ)
+        assert FreePoly.one(2, QQ) != FreePoly.one(3, QQ)
+
+    def test_equal_terms_in_different_classes_differ(self):
+        from nclab.freealg import FreePoly
+        from nclab.rings import CommPoly
+
+        one_free, one_comm = FreePoly.one(1, QQ), CommPoly.one(QQ)
+        assert one_free.terms == one_comm.terms == {(): QQ.one}
+        assert one_free != one_comm
+
+    def test_rebinding_mono_mul_is_seen(self, monkeypatch):
+        import nclab.rings as rings
+
+        calls = []
+        original = rings.mono_mul
+
+        def counted(m1, m2):
+            calls.append((m1, m2))
+            return original(m1, m2)
+
+        monkeypatch.setattr(rings, "mono_mul", counted)
+        x = rings.CommPoly.variable(rings.Variable.aux("t", 1), QQ)
+        assert str((x + rings.CommPoly.one(QQ)) * x) == "t1^2 + t1"
+        assert len(calls) == 2
+
+    def test_bivariate_has_no_product(self):
+        from nclab.genmat import BivariatePoly
+
+        u = BivariatePoly(QQ, {(1, 0): 1})
+        with pytest.raises(TypeError):
+            u * u
+        with pytest.raises(TypeError):
+            u**0
+        assert str(u + u.scale(QQ.scalar(2)) - BivariatePoly(QQ, {(0, 1): 1})) == "3*u - v"
+
+    def test_sums_are_immutable(self):
+        from nclab.freealg import FreePoly
+        from nclab.genmat import BivariatePoly
+        from nclab.rings import CommPoly
+
+        for p in (CommPoly.one(QQ), FreePoly.one(1, QQ), BivariatePoly(QQ, {(0, 0): 1})):
+            with pytest.raises(AttributeError, match="immutable"):
+                p.terms = {}

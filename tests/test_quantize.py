@@ -17,7 +17,7 @@ from nclab.quantize import (
     SeriesMatrix,
     StarContext,
     entry_pairing_tensor,
-    matrix_star,
+    matrix_star_commutator,
     pairing_tensor,
     poisson_bracket,
     quantize_lift,
@@ -307,7 +307,7 @@ class TestMatrixStar:
         ctx = StarContext(t, 2)
         f = SeriesMatrix([[FormalSeries.from_poly(poly(VX[0]), 2)]])
         g = SeriesMatrix([[FormalSeries.from_poly(poly(VY[0]), 2)]])
-        comm = matrix_star(f, g, ctx, op="commutator")
+        comm = matrix_star_commutator(f, g, ctx)
         assert comm.coefficient(0).is_zero
         assert comm.coefficient(1) == GenericMatrix([[CommPoly.one(QQ)]])
 
@@ -316,7 +316,7 @@ class TestMatrixStar:
         ctx = StarContext(t, 2)
         f = GenericMatrix.diagonal([poly(VX[0]), poly(VX[1])])
         g = GenericMatrix.diagonal([poly(VY[0]), poly(VY[1])])
-        comm = matrix_star(quantize_lift(f, ctx), quantize_lift(g, ctx), ctx, "commutator")
+        comm = matrix_star_commutator(quantize_lift(f, ctx), quantize_lift(g, ctx), ctx)
         assert comm.coefficient(0).is_zero
         assert comm.coefficient(1) == GenericMatrix.identity(2, QQ)
 
@@ -335,7 +335,7 @@ class TestMatrixStar:
         ]
         b = SeriesMatrix(entries)
         e = SeriesMatrix.identity(2, QQ, 2)
-        assert matrix_star(e, b, ctx, "commutator").is_zero
+        assert matrix_star_commutator(e, b, ctx).is_zero
 
 
 class TestQuantizeLift:

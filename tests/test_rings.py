@@ -165,6 +165,24 @@ class TestMonomialOrder:
             c = mono_cmp(m1, m2)
             assert mono_cmp(mono_mul(m1, t), mono_mul(m2, t)) == c
 
+    def test_printing_order_is_descending_graded_lex(self):
+        from functools import cmp_to_key
+
+        from nclab.rings import mono_from_dict
+
+        rng = random.Random(5)
+        pool = [Variable.entry(1, 1, 2), Variable.entry(2, 1, 1)] + [
+            Variable.aux(name, i) for name in ("lam", "t") for i in (1, 2)
+        ]
+        for _ in range(300):
+            monos = {
+                mono_from_dict({v: rng.randint(1, 3) for v in rng.sample(pool, rng.randint(0, 4))})
+                for _ in range(rng.randint(1, 10))
+            }
+            p = CommPoly(QQ, dict.fromkeys(monos, 1))
+            expected = sorted(monos, key=cmp_to_key(mono_cmp), reverse=True)
+            assert [m for m, _ in p.sorted_terms()] == expected
+
 
 class TestDivisionAndGcd:
     def test_exact_division(self):
