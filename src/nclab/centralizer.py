@@ -74,12 +74,12 @@ def centralizer_basis(f: FreePoly, d: int) -> CentralizerBasis:
     each element under its leading word, and the elements of degree <= m
     are then exactly the reduced echelon basis of K_m.
     """
-    if f.is_scalar:
+    if f.is_constant:
         raise ScalarInput("the centralizer of a scalar is the whole algebra")
     if d < 0:
         raise ValueError("degree bound must be nonnegative")
     field = f.field
-    raw_f = [(u, c.value) for u, c in f.terms.items()]
+    raw_f = list(f.terms.items())
     words = _words_up_to(f.s, d)[::-1]  # ascending length
     echelon = linalg.Echelon(field)
     kernel = []
@@ -123,9 +123,9 @@ def _span_membership(elements, candidates_powers, field):
     """Index of the first element not in the span, or None if all belong."""
     echelon = linalg.Echelon(field)
     for p in candidates_powers:
-        echelon.absorb({w: c.value for w, c in p.terms.items()})
+        echelon.absorb(p.terms)
     for k, e in enumerate(elements):
-        if echelon.solve({w: c.value for w, c in e.terms.items()}) is None:
+        if echelon.solve(e.terms) is None:
             return k
     return None
 
@@ -143,7 +143,7 @@ def bergman_check(f: FreePoly, d: int) -> BergmanReport:
     candidates = []
     for e in nonconstant:
         if e.degree() == min_deg:
-            candidates.append(e - FreePoly.constant(e.constant_term(), f.s))
+            candidates.append(e - FreePoly.constant(e.constant_value(), f.s))
     first_witness = None
     for h in candidates:
         powers = [FreePoly.one(f.s, field)]

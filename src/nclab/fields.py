@@ -1,9 +1,11 @@
 """Exact ground fields: arbitrary-precision rationals and prime fields F_p.
 
 A ``Field`` is a lightweight descriptor (characteristic 0 for the rationals,
-otherwise a prime modulus).  A ``Scalar`` is an immutable field element; all
-arithmetic is exact and no floating point appears anywhere in the engine.
-``SparseSum`` is the base of the polynomial classes of the other modules.
+otherwise a prime modulus).  Inside the engine a field element is a *raw*
+value: an int in ``[0, p)`` over F_p; over Q an int when it is integral and
+a lowest-terms ``Fraction`` otherwise.  A ``Scalar``, a raw value tagged
+with its field, is what crosses the API, and ``SparseSum``, the base of the
+polynomial classes, stores raw values.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -50,63 +52,63 @@ def is_prime(n: int) -> bool:
 
 
 class Field:
-    """Ground field tag: ``Field(0)`` is Q, ``Field(p)`` is F_p for prime p."""
+    """Ground field tag: ``Field(0)`` is Q, ``Field(p)`` is F_p for prime p.
+
+    There is one instance per characteristic, so fields compare by identity.
+    """
 
     __slots__ = ("p",)
+    _made = {}
 
-    def __init__(self, p: int = 0):
-        if p >= PRIMALITY_BOUND:
-            raise InvalidField(
-                f"modulus {p} is at least {PRIMALITY_BOUND}, where primality is not proven"
-            )
-        if p != 0 and not is_prime(p):
-            raise InvalidField(f"modulus {p} is not prime")
-        object.__setattr__(self, "p", p)
+    def __new__(cls, p: int = 0):
+        field = cls._made.get(p)
+        if field is None:
+            if p >= PRIMALITY_BOUND:
+                raise InvalidField(
+                    f"modulus {p} is at least {PRIMALITY_BOUND}, where primality is not proven"
+                )
+            if p != 0 and not is_prime(p):
+                raise InvalidField(f"modulus {p} is not prime")
+            field = cls._made[p] = object.__new__(cls)
+            object.__setattr__(field, "p", p)
+        return field
 
     def __setattr__(self, name, value):
         raise AttributeError("Field is immutable")
-
-    @property
-    def characteristic(self) -> int:
-        return self.p
-
-    def __eq__(self, other):
-        return isinstance(other, Field) and self.p == other.p
-
-    def __hash__(self):
-        return hash(("Field", self.p))
 
     def __repr__(self):
         return "QQ" if self.p == 0 else f"GF({self.p})"
 
     # -- element construction ------------------------------------------------
 
-    def scalar(self, value) -> Scalar:
-        """Coerce an int, Fraction, Scalar or literal string into this field."""
+    def raw(self, value):
+        """The raw value of an int, Fraction, Scalar of this field or literal string."""
         if isinstance(value, Scalar):
-            if value.field != self:
+            if value.field is not self:
                 raise FieldMismatch(f"cannot coerce {value!r} into {self!r}")
-            return value
+            return value.value
         if isinstance(value, str):
-            return self._from_str(value)
+            text = value.strip()
+            num, slash, den = text.partition("/")
+            value = Fraction(int(num), int(den)) if slash else int(text)
         if isinstance(value, Fraction):
             if self.p == 0:
-                return Scalar(self, value)
-            num = value.numerator % self.p
+                return rational(value)
             den = value.denominator % self.p
             if den == 0:
                 raise DivisionByZero(f"denominator of {value} vanishes mod {self.p}")
-            return Scalar(self, num * pow(den, -1, self.p) % self.p)
+            return value.numerator * pow(den, -1, self.p) % self.p
         if isinstance(value, int):
-            return Scalar(self, Fraction(value) if self.p == 0 else value % self.p)
+            return value % self.p if self.p else value
         raise TypeError(f"cannot build a scalar from {value!r}")
 
-    def _from_str(self, text: str) -> Scalar:
-        text = text.strip()
-        if "/" in text:
-            num, _, den = text.partition("/")
-            return self.scalar(Fraction(int(num), int(den)))
-        return self.scalar(int(text))
+    def scalar(self, value) -> Scalar:
+        """Coerce an int, Fraction, Scalar or literal string into this field."""
+        return Scalar(self, self.raw(value))
+
+    def reduce(self, value):
+        """The raw value of an exact sum or product of raw values."""
+        return value % self.p if self.p else rational(value)
 
     @property
     def zero(self) -> Scalar:
@@ -123,9 +125,7 @@ class Field:
 
     @staticmethod
     def from_dict(obj) -> Field:
-        if obj.get("kind") == "rational":
-            return QQ
-        return Field(int(obj["p"]))
+        return Field(0 if obj.get("kind") == "rational" else int(obj["p"]))
 
 
 QQ = Field(0)
@@ -135,11 +135,16 @@ def GF(p: int) -> Field:
     return Field(p)
 
 
-class Scalar:
-    """Immutable exact field element.
+def rational(value):
+    """The raw rational of an int or Fraction: an int when it is integral."""
+    return value if type(value) is int or value.denominator != 1 else value.numerator
 
-    Over Q the value is a ``Fraction`` (always in lowest terms with positive
-    denominator); over F_p it is the residue in ``[0, p)``.
+
+class Scalar:
+    """Immutable exact field element: a raw value tagged with its field.
+
+    Over Q the value is an int when it is integral and a lowest-terms
+    ``Fraction`` otherwise; over F_p it is the residue in ``[0, p)``.
     """
 
     __slots__ = ("field", "value")
@@ -154,45 +159,37 @@ class Scalar:
     def _check(self, other) -> Scalar:
         if not isinstance(other, Scalar):
             raise TypeError(f"expected Scalar, got {other!r}")
-        if other.field != self.field:
+        if other.field is not self.field:
             raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
         return other
 
     def __add__(self, other):
-        other = self._check(other)
-        v = self.value + other.value
-        return Scalar(self.field, v if self.field.p == 0 else v % self.field.p)
+        return Scalar(self.field, self.field.reduce(self.value + self._check(other).value))
 
     def __sub__(self, other):
-        other = self._check(other)
-        v = self.value - other.value
-        return Scalar(self.field, v if self.field.p == 0 else v % self.field.p)
+        return Scalar(self.field, self.field.reduce(self.value - self._check(other).value))
 
     def __mul__(self, other):
-        other = self._check(other)
-        v = self.value * other.value
-        return Scalar(self.field, v if self.field.p == 0 else v % self.field.p)
+        return Scalar(self.field, self.field.reduce(self.value * self._check(other).value))
 
     def __truediv__(self, other):
-        other = self._check(other)
-        return self * other.inverse()
+        return self * self._check(other).inverse()
 
     def __neg__(self):
-        v = -self.value
-        return Scalar(self.field, v if self.field.p == 0 else v % self.field.p)
+        return Scalar(self.field, self.field.reduce(-self.value))
 
     def inverse(self) -> Scalar:
         if not self:
             raise DivisionByZero("scalar division by zero")
         if self.field.p == 0:
-            return Scalar(self.field, 1 / self.value)
+            return Scalar(self.field, rational(Fraction(1) / self.value))  # 1 / int is a float
         return Scalar(self.field, pow(self.value, -1, self.field.p))
 
     def __pow__(self, exponent: int):
         if exponent < 0:
             return self.inverse() ** (-exponent)
         if self.field.p == 0:
-            return Scalar(self.field, self.value**exponent)
+            return Scalar(self.field, rational(self.value**exponent))
         return Scalar(self.field, pow(self.value, exponent, self.field.p))
 
     def __bool__(self):
@@ -219,8 +216,8 @@ class Scalar:
         return f"Scalar({self.field!r}, {self.value})"
 
 
-def signed_sum(terms) -> str:
-    """Render (monomial text, coefficient) pairs as ``x1^2 - 2/3*x2 + 1``.
+def signed_sum(terms, p: int) -> str:
+    """Render (monomial text, raw coefficient) pairs over Q (p = 0) or F_p as ``x1^2 - 2/3*x2 + 1``.
 
     The monomial text ``"1"`` is the constant term.  Over Q a negative
     coefficient prints as a minus sign before its magnitude; a magnitude of
@@ -228,11 +225,11 @@ def signed_sum(terms) -> str:
     """
     parts = []
     for mono, c in terms:
-        negative = c.field.p == 0 and c.value < 0
+        negative = p == 0 and c < 0
         mag = -c if negative else c
         if mono == "1":
             chunk = str(mag)
-        elif mag.value == 1:
+        elif mag == 1:
             chunk = mono
         else:
             chunk = f"{mag}*{mono}"
@@ -243,29 +240,48 @@ def signed_sum(terms) -> str:
     return " ".join(parts) or "0"
 
 
+def add_products(acc: dict, left, right, key_mul) -> None:
+    """Add c1 * c2 at key_mul(k1, k2) to ``acc`` for every (k1, c1) in left and (k2, c2) in right."""
+    for k1, c1 in left:
+        for k2, c2 in right:
+            k = key_mul(k1, k2)
+            s = acc.get(k)
+            acc[k] = c1 * c2 if s is None else s + c1 * c2
+
+
 class SparseSum:
-    """Immutable finite sum key -> nonzero scalar over one field, canonical.
+    """Immutable finite sum key -> nonzero raw value over one field, canonical.
 
     A subclass gives its key product ``_key_mul()`` (None: no product), the
     printing order ``_order`` and text ``_key_str`` of its keys, and, when it
     takes more constructor arguments than the field, ``_ring()``: those
     arguments, on which every operand must agree.  An operand of another
-    class is refused with ``TypeError``.
+    class is refused with ``TypeError``.  Only the constructor coerces; the
+    arithmetic builds its results with ``_of``, which only reduces.
     """
 
     __slots__ = ("field", "terms")
 
+    #: Key of the constant term (the unit of every key product).
+    _unit = ()
+
     def __init__(self, field: Field, terms=None):
         object.__setattr__(self, "field", field)
-        clean = {}
-        for k, c in (terms or {}).items():
-            if not isinstance(c, Scalar):
-                c = field.scalar(c)
-            elif c.field != field:
-                raise FieldMismatch("coefficient from a different field")
-            if c:
-                clean[k] = c
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", {k: v for k, c in (terms or {}).items() if (v := field.raw(c))})
+
+    @classmethod
+    def _of(cls, field: Field, acc: dict):
+        """The sum of ``acc``, exact sums and products of raw values, with nothing coerced."""
+        p = field.p
+        if p:
+            terms = {k: v for k, c in acc.items() if (v := c % p)}
+        else:
+            terms = {k: c if type(c) is int or c.denominator != 1 else c.numerator
+                     for k, c in acc.items() if c}
+        out = object.__new__(cls)
+        object.__setattr__(out, "field", field)
+        object.__setattr__(out, "terms", terms)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -273,8 +289,8 @@ class SparseSum:
     def _ring(self):
         return (self.field,)
 
-    def _like(self, terms):
-        return type(self)(*self._ring(), terms)
+    def _like(self, acc):
+        return self._of(self.field, acc)
 
     def _key_mul(self):
         return None
@@ -283,11 +299,19 @@ class SparseSum:
     def is_zero(self) -> bool:
         return not self.terms
 
+    @property
+    def is_constant(self) -> bool:
+        """True when the sum lies in the ground field (including 0)."""
+        return not self.terms or (len(self.terms) == 1 and self._unit in self.terms)
+
+    def constant_value(self) -> Scalar:
+        return Scalar(self.field, self.terms.get(self._unit, 0))
+
     def coefficient(self, key) -> Scalar:
-        return self.terms.get(key, self.field.zero)
+        return Scalar(self.field, self.terms.get(key, 0))
 
     def sorted_terms(self):
-        """(key, coefficient) pairs in printing order."""
+        """(key, raw coefficient) pairs in printing order."""
         order = self._order
         return sorted(self.terms.items(), key=lambda t: order(t[0]))
 
@@ -307,17 +331,14 @@ class SparseSum:
         return self._like(terms)
 
     def __sub__(self, other):
-        other = self._check(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k)
-            terms[k] = -c if s is None else s - c
-        return self._like(terms)
+        return self + -self._check(other)
 
     def __neg__(self):
         return self._like({k: -c for k, c in self.terms.items()})
 
-    def scale(self, c: Scalar):
+    def scale(self, c):
+        """This sum times a Scalar of its field or an int or Fraction."""
+        c = self.field.raw(c)
         return self._like({k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other):
@@ -326,12 +347,7 @@ class SparseSum:
         if key_mul is None:
             raise TypeError(f"{type(self).__name__} has no product")
         terms = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = key_mul(k1, k2)
-                c = c1 * c2
-                s = terms.get(k)
-                terms[k] = c if s is None else s + c
+        add_products(terms, self.terms.items(), other.terms.items(), key_mul)
         return self._like(terms)
 
     def __pow__(self, n: int):
@@ -339,7 +355,7 @@ class SparseSum:
             raise TypeError(f"{type(self).__name__} has no product")
         if n < 0:
             raise ValueError("negative power")
-        out = self._like({(): self.field.one})  # () is the unit key of every product
+        out = self._like({self._unit: 1})
         for _ in range(n):
             out = out * self
         return out
@@ -352,7 +368,7 @@ class SparseSum:
 
     def __str__(self):
         key_str = self._key_str
-        return signed_sum((key_str(k), c) for k, c in self.sorted_terms())
+        return signed_sum(((key_str(k), c) for k, c in self.sorted_terms()), self.field.p)
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"

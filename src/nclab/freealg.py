@@ -57,6 +57,11 @@ class FreePoly(SparseSum):
     def _ring(self):
         return (self.s, self.field)
 
+    def _like(self, acc):
+        out = self._of(self.field, acc)
+        object.__setattr__(out, "s", self.s)
+        return out
+
     def _key_mul(self):
         return concat
 
@@ -80,7 +85,7 @@ class FreePoly(SparseSum):
 
     @staticmethod
     def one(s: int, field: Field) -> FreePoly:
-        return FreePoly(s, field, {EMPTY_WORD: field.one})
+        return FreePoly(s, field, {EMPTY_WORD: 1})
 
     @staticmethod
     def constant(c: Scalar, s: int) -> FreePoly:
@@ -90,27 +95,19 @@ class FreePoly(SparseSum):
     def generator(i: int, s: int, field: Field) -> FreePoly:
         if i < 1 or i > s:
             raise UnknownGenerator(f"x{i} with only {s} generators")
-        return FreePoly(s, field, {(i,): field.one})
+        return FreePoly(s, field, {(i,): 1})
 
     # -- structure -------------------------------------------------------------
-
-    @property
-    def is_scalar(self) -> bool:
-        """True when the element lies in the ground field (including 0)."""
-        return not self.terms or (len(self.terms) == 1 and EMPTY_WORD in self.terms)
 
     def degree(self):
         if not self.terms:
             return NEG_INF
         return max(len(w) for w in self.terms)
 
-    def constant_term(self) -> Scalar:
-        return self.terms.get(EMPTY_WORD, self.field.zero)
-
     def homogeneous_component(self, m: int) -> FreePoly:
         if m < 0:
             raise ValueError("degree must be nonnegative")
-        return FreePoly(self.s, self.field, {w: c for w, c in self.terms.items() if len(w) == m})
+        return self._like({w: c for w, c in self.terms.items() if len(w) == m})
 
     # -- evaluation ----------------------------------------------------------------
 
@@ -125,7 +122,7 @@ class FreePoly(SparseSum):
             if m.field != self.field:
                 raise FieldMismatch("matrix ring over a different field")
         identity = first.identity_like()
-        out = identity.scale(self.field.zero)
+        out = identity.scale(0)
         cache = {EMPTY_WORD: identity}
         for w in sorted(self.terms, key=lambda w: (len(w), w)):
             prod = cache.get(w)
@@ -235,7 +232,7 @@ def _check_power(base: FreePoly, n: int, pos: int) -> None:
         )
     if base.field.p == 0:
         bits = max(
-            (max(c.value.numerator.bit_length(), c.value.denominator.bit_length())
+            (max(c.numerator.bit_length(), c.denominator.bit_length())
              for c in base.terms.values()),
             default=0,
         )

@@ -18,7 +18,7 @@ from .errors import (
     NotCommuting,
     ShapeMismatch,
 )
-from .fields import Field, Scalar, SparseSum
+from .fields import NEG_INF, Field, SparseSum, add_products
 from .freealg import FreePoly, commutator, pretty
 from .records import Record
 from .rings import CommPoly, Variable, mono_mul
@@ -39,7 +39,7 @@ class GenericMatrix:
             for e in r:
                 if not isinstance(e, CommPoly):
                     raise TypeError("entries must be CommPoly")
-                if e.field != field:
+                if e.field is not field:
                     raise FieldMismatch("entries over different fields")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "field", field)
@@ -124,38 +124,29 @@ class GenericMatrix:
         )
 
     def __sub__(self, other):
-        other = self._check(other)
-        return GenericMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
+        return self + -self._check(other)
 
     def __neg__(self):
         return GenericMatrix([[-e for e in r] for r in self.rows])
 
     def __mul__(self, other):
         other = self._check(other)
-        n = self.n
-        cols = list(zip(*other.rows))
+        field, key_mul, zero = self.field, mono_mul, CommPoly(self.field)
+        cols = [[e.terms.items() for e in col] for col in zip(*other.rows)]
         out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
+        for row in self.rows:
+            row = [e.terms.items() for e in row]
+            out_row = []
+            for col in cols:
                 acc = {}
-                for k in range(n):
-                    left, right = self.rows[i][k].terms, cols[j][k].terms
-                    if not left or not right:
-                        continue
-                    for m1, c1 in left.items():
-                        for m2, c2 in right.items():
-                            m = mono_mul(m1, m2)
-                            c = c1 * c2
-                            s = acc.get(m)
-                            acc[m] = c if s is None else s + c
-                row.append(CommPoly(self.field, acc))
-            out.append(row)
+                for left, right in zip(row, col):
+                    if left and right:
+                        add_products(acc, left, right, key_mul)
+                out_row.append(CommPoly._of(field, acc) if acc else zero)
+            out.append(out_row)
         return GenericMatrix(out)
 
-    def scale(self, c: Scalar) -> GenericMatrix:
+    def scale(self, c) -> GenericMatrix:
         return GenericMatrix([[e.scale(c) for e in r] for r in self.rows])
 
     def scale_poly(self, p: CommPoly) -> GenericMatrix:
@@ -270,7 +261,7 @@ def standard_identity(k: int, mats) -> GenericMatrix:
                     s = bucket.get(m)
                     term = -c if negative else c
                     bucket[m] = term if s is None else s + term
-    return GenericMatrix([[CommPoly(field, acc[i][j]) for j in range(n)] for i in range(n)])
+    return GenericMatrix([[CommPoly._of(field, acc[i][j]) for j in range(n)] for i in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +279,11 @@ class BivariatePoly(SparseSum):
         lambda k: "*".join(x if e == 1 else f"{x}^{e}" for x, e in zip("uv", k) if e) or "1"
     )
 
-    def total_degree(self) -> int:
+    _unit = (0, 0)
+
+    def total_degree(self):
         if not self.terms:
-            return 0
+            return NEG_INF
         return max(a + b for a, b in self.terms)
 
     def evaluate_at_matrices(self, f: GenericMatrix, g: GenericMatrix) -> GenericMatrix:
@@ -353,7 +346,7 @@ def find_annihilator(f: GenericMatrix, g: GenericMatrix, dmax: int) -> Annihilat
                 mat = g * prev[(0, b - 1)]
             cur[(a, b)] = mat
             col = {
-                (i, j, mono): c.value
+                (i, j, mono): c
                 for i, row in enumerate(mat.rows)
                 for j, entry in enumerate(row)
                 for mono, c in entry.terms.items()

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from .fields import Field
+from .fields import Field, rational
 
 
 class Echelon:
@@ -79,8 +79,10 @@ class Echelon:
         self._reduce(col, comb)
         if not col:
             return comb
-        row = next(iter(col))
-        inv = pow(col[row], -1, self._p) if self._p else Fraction(1) / col[row]
+        # over Q a pivot entry of 1 or -1 keeps integral columns integral
+        row = next((k for k, v in col.items() if v == 1 or v == -1), None) if not self._p else None
+        row = next(iter(col)) if row is None else row
+        inv = pow(col[row], -1, self._p) if self._p else rational(Fraction(1) / col[row])
         if inv != 1:
             p = self._p
             col = {k: v * inv % p if p else v * inv for k, v in col.items()}

@@ -24,7 +24,7 @@ from .errors import (
     ShapeMismatch,
     UnknownVariable,
 )
-from .fields import Field, Scalar
+from .fields import Field
 from .genmat import GenericMatrix
 from .records import FrozenRecord
 from .rings import CommPoly, Variable, parse_variable_name
@@ -46,10 +46,7 @@ class PoissonTensor:
                 raise BadTensorFile(f"entry index ({i},{j}) out of range")
             if i >= j:
                 raise BadTensorFile("entries must list the upper triangle only (i < j)")
-            if not isinstance(c, Scalar):
-                c = field.scalar(c)
-            elif c.field != field:
-                raise FieldMismatch("tensor entry over a different field")
+            c = field.scalar(c)  # refuses a Scalar of another field
             if (i, j) in clean:
                 raise BadTensorFile(f"duplicate entry ({i},{j})")
             if c:
@@ -66,7 +63,7 @@ class PoissonTensor:
         for p in polys:
             extra = p.variables() - allowed
             if extra:
-                name = sorted(extra, key=lambda v: v.sort_key())[0]
+                name = min(extra)
                 raise UnknownVariable(f"{name} is not a tensor variable")
 
     def ordered_pairs(self):
@@ -204,7 +201,7 @@ class StarContext:
             return out
         zero = CommPoly.zero(self.field)
         in_a, in_b = a.variables(), b.variables()
-        variables = sorted(in_a | in_b, key=Variable.sort_key)
+        variables = sorted(in_a | in_b)
         index = {v: k for k, v in enumerate(variables)}
         live = {}  # index of v_i -> [(index of v_j, raw T(i,j))] with v_j in b
         for v in in_a:
@@ -214,12 +211,12 @@ class StarContext:
         if not live:
             return out + [zero] * rmax
         p = self.field.p
-        side_b = [(tuple((index[v], e) for v, e in m), c.value) for m, c in b.terms.items()]
+        side_b = [(tuple((index[v], e) for v, e in m), c) for m, c in b.terms.items()]
         w = {}
         for m, c in a.terms.items():
             ka = tuple((index[v], e) for v, e in m)
             for kb, cb in side_b:
-                w[(ka, kb)] = c.value * cb
+                w[(ka, kb)] = c * cb
         for r in range(1, rmax + 1):
             w = _poisson_step(w, live, p)
             if not w:
@@ -238,7 +235,7 @@ class StarContext:
             s = terms.get(m)
             terms[m] = c if s is None else s + c
         weight = self._weights[r].value
-        return CommPoly(self.field, {m: c * weight for m, c in terms.items()})
+        return CommPoly._of(self.field, {m: c * weight for m, c in terms.items()})
 
 
 def _lower(mono: tuple, k: int) -> tuple:

@@ -12,39 +12,52 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cmp_to_key
+from operator import itemgetter
 
 from .errors import DivisionByZero, FieldMismatch, UnassignedVariable, UnsupportedDenominator
 from .fields import NEG_INF, Field, Scalar, SparseSum
-from .records import FrozenRecord
 
 _AUX_NAME = re.compile(r"^[A-Za-z_]+$")
 _ENTRY_FORM = re.compile(r"^x(\d+)\[(\d+),(\d+)\]$")
 _AUX_FORM = re.compile(r"^([A-Za-z_]+)(\d+)$")
 
 
-class Variable(FrozenRecord):
+class _Kind(str):
+    """The kind item of a Variable: hashes as its name, equals only itself, entries first."""
+
+    __slots__ = ()
+    __hash__ = str.__hash__  # the C hash of str, so a Variable hashes without a Python call
+    __eq__ = lambda self, other: self is other
+    __ne__ = lambda self, other: self is not other
+    __lt__ = lambda self, other: self is _ENTRY and other is _AUX
+    __gt__ = lambda self, other: self is _AUX and other is _ENTRY
+    __le__ = lambda self, other: self is other or self < other
+    __ge__ = lambda self, other: self is other or self > other
+
+
+_ENTRY, _AUX = _Kind("entry"), _Kind("aux")
+_KINDS = {"entry": _ENTRY, "aux": _AUX}
+
+
+class Variable(tuple):
     """A commutative indeterminate: a generic-matrix entry or an auxiliary symbol.
 
     ``kind`` is ``"entry"`` (with ``gen``, ``row``, ``col``) or ``"aux"``
-    (with ``name``, ``index``).
+    (with ``name``, ``index``).  It is the tuple of these fields, so hashing,
+    equality and order (entries first, each kind lexicographically) run in
+    C; its kind item keeps it unequal to the plain tuple of its fields.
     """
 
-    __slots__ = ("kind", "gen", "row", "col", "name", "index", "_key", "_hash")
-    _defaults = {"gen": 0, "row": 0, "col": 0, "name": "", "index": 0}
+    __slots__ = ()
+    _fields = ("kind", "gen", "row", "col", "name", "index")
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        if self.kind == "entry":
-            key = (0, self.gen, self.row, self.col)
-        else:
-            key = (1, self.name, self.index)
-        object.__setattr__(self, "_key", key)
-        # hashed once: monomial dict lookups hash every variable of every key
-        fields = (self.kind, self.gen, self.row, self.col, self.name, self.index)
-        object.__setattr__(self, "_hash", hash(fields))
+    def __new__(cls, kind, gen=0, row=0, col=0, name="", index=0):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown variable kind {kind!r}")
+        return tuple.__new__(cls, (_KINDS[kind], gen, row, col, name, index))
 
-    def __hash__(self):
-        return self._hash
+    kind = property(lambda self: str(self[0]))
+    gen, row, col, name, index = (property(itemgetter(i)) for i in range(1, 6))
 
     @staticmethod
     def entry(gen: int, row: int, col: int) -> Variable:
@@ -58,16 +71,14 @@ class Variable(FrozenRecord):
             raise ValueError(f"bad auxiliary variable {name!r}/{index}")
         return Variable("aux", name=name, index=index)
 
-    def sort_key(self):
-        return self._key
-
-    def __lt__(self, other: Variable):
-        return self.sort_key() < other.sort_key()
-
     def __str__(self):
-        if self.kind == "entry":
-            return f"x{self.gen}[{self.row},{self.col}]"
-        return f"{self.name}{self.index}"
+        if self[0] is _ENTRY:
+            return f"x{self[1]}[{self[2]},{self[3]}]"
+        return f"{self[4]}{self[5]}"
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, (self.kind,) + self[1:]))
+        return f"Variable({body})"
 
 
 def parse_variable_name(text: str) -> Variable:
@@ -91,7 +102,7 @@ EMPTY_MONO: Mono = ()
 
 
 def mono_from_dict(exps: dict) -> Mono:
-    return tuple(sorted(((v, e) for v, e in exps.items() if e), key=lambda p: p[0].sort_key()))
+    return tuple(sorted((v, e) for v, e in exps.items() if e))
 
 
 def mono_mul(m1: Mono, m2: Mono) -> Mono:
@@ -105,12 +116,11 @@ def mono_mul(m1: Mono, m2: Mono) -> Mono:
     while i < n1 and j < n2:
         v1, e1 = m1[i]
         v2, e2 = m2[j]
-        k1, k2 = v1._key, v2._key
-        if k1 == k2:
+        if v1 == v2:
             out.append((v1, e1 + e2))
             i += 1
             j += 1
-        elif k1 < k2:
+        elif v1 < v2:
             out.append(m1[i])
             i += 1
         else:
@@ -145,13 +155,12 @@ def _lex_cmp(m1: Mono, m2: Mono) -> int:
     while i < len(m1) and j < len(m2):
         v1, e1 = m1[i]
         v2, e2 = m2[j]
-        k1, k2 = v1._key, v2._key
-        if k1 == k2:
+        if v1 == v2:
             if e1 != e2:
                 return 1 if e1 > e2 else -1
             i += 1
             j += 1
-        elif k1 < k2:
+        elif v1 < v2:
             return 1  # m1 has a positive power on an earlier variable
         else:
             return -1
@@ -189,7 +198,7 @@ class CommPoly(SparseSum):
     @staticmethod
     def _order(m: Mono):
         """Descending graded lex: the printing order."""
-        return (-mono_degree(m), tuple((v._key, -e) for v, e in m))
+        return (-mono_degree(m), tuple((v, -e) for v, e in m))
 
     @staticmethod
     def _key_str(m: Mono) -> str:
@@ -205,7 +214,7 @@ class CommPoly(SparseSum):
 
     @staticmethod
     def one(field: Field) -> CommPoly:
-        return CommPoly.constant(field.one)
+        return CommPoly(field, {EMPTY_MONO: 1})
 
     @staticmethod
     def constant(c: Scalar) -> CommPoly:
@@ -213,16 +222,9 @@ class CommPoly(SparseSum):
 
     @staticmethod
     def variable(v: Variable, field: Field) -> CommPoly:
-        return CommPoly(field, {((v, 1),): field.one})
+        return CommPoly(field, {((v, 1),): 1})
 
     # -- structure -----------------------------------------------------------
-
-    @property
-    def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and EMPTY_MONO in self.terms)
-
-    def constant_value(self) -> Scalar:
-        return self.terms.get(EMPTY_MONO, self.field.zero)
 
     def total_degree(self):
         if not self.terms:
@@ -241,7 +243,7 @@ class CommPoly(SparseSum):
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         m = max(self.terms, key=_MONO_KEY)
-        return m, self.terms[m]
+        return m, Scalar(self.field, self.terms[m])
 
     # -- calculus / evaluation -------------------------------------------------
 
@@ -249,33 +251,25 @@ class CommPoly(SparseSum):
         """Formal partial derivative with respect to ``v``."""
         terms = {}
         for m, c in self.terms.items():
-            exps = dict(m)
-            e = exps.get(v, 0)
-            if not e:
-                continue
-            coeff = c * self.field.scalar(e)
-            if not coeff:
-                continue  # exponent divisible by the characteristic
-            if e == 1:
-                exps.pop(v)
-            else:
-                exps[v] = e - 1
-            nm = mono_from_dict(exps)
-            s = terms.get(nm)
-            terms[nm] = coeff if s is None else s + coeff
-        return CommPoly(self.field, terms)
+            for k, (w, e) in enumerate(m):
+                if w == v:
+                    nm = m[:k] + m[k + 1:] if e == 1 else m[:k] + ((w, e - 1),) + m[k + 1:]
+                    s = terms.get(nm)
+                    terms[nm] = c * e if s is None else s + c * e
+                    break
+        return self._like(terms)  # drops exponents divisible by the characteristic
 
     def evaluate(self, point: dict) -> Scalar:
         """Evaluate at a full assignment Variable -> Scalar."""
-        total = self.field.zero
+        raw = self.field.raw
+        total = 0
         for m, c in self.terms.items():
-            val = c
             for v, e in m:
                 if v not in point:
                     raise UnassignedVariable(f"no value for {v}")
-                val = val * point[v] ** e
-            total = total + val
-        return total
+                c = c * raw(point[v]) ** e
+            total += c
+        return Scalar(self.field, self.field.reduce(total))
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +284,7 @@ def poly_divmod(a: CommPoly, b: CommPoly):
         raise DivisionByZero("polynomial division by zero")
     a._check(b)
     lm, lc = b.leading_term()
+    inv = lc.inverse().value
     quot: dict = {}
     rem: dict = {}
     work = dict(a.terms)
@@ -300,18 +295,18 @@ def poly_divmod(a: CommPoly, b: CommPoly):
         if mq is None:
             rem[m] = c
             continue
-        qc = c / lc
-        quot[mq] = quot.get(mq, a.field.zero) + qc
+        qc = a.field.reduce(c * inv)
+        quot[mq] = quot.get(mq, 0) + qc
         for mb, cb in b.terms.items():
             if mb == lm:
                 continue  # already cancelled by popping the leading term
             mt = mono_mul(mq, mb)
-            s = work.get(mt, a.field.zero) - qc * cb
+            s = a.field.reduce(work.get(mt, 0) - qc * cb)
             if s:
                 work[mt] = s
             else:
                 work.pop(mt, None)
-    return CommPoly(a.field, quot), CommPoly(a.field, rem)
+    return CommPoly._of(a.field, quot), CommPoly._of(a.field, rem)
 
 
 def poly_divexact(a: CommPoly, b: CommPoly) -> CommPoly:
@@ -443,10 +438,10 @@ def _coprime_by_images(a: CommPoly, b: CommPoly) -> bool:
     over a small field) leaves the question open.
     """
     p = a.field.p
-    variables = sorted(a.variables() | b.variables(), key=Variable.sort_key)
+    variables = sorted(a.variables() | b.variables())
     index = {v: i for i, v in enumerate(variables)}
-    ta = [(c.value, tuple((index[v], e) for v, e in m)) for m, c in a.terms.items()]
-    tb = [(c.value, tuple((index[v], e) for v, e in m)) for m, c in b.terms.items()]
+    ta = [(c, tuple((index[v], e) for v, e in m)) for m, c in a.terms.items()]
+    tb = [(c, tuple((index[v], e) for v, e in m)) for m, c in b.terms.items()]
     for k in range(len(variables)):
         for t in range(_TRIALS):
             xs = [_trial_value(t, i, p) for i in range(len(variables))]
@@ -475,8 +470,7 @@ def poly_gcd(a: CommPoly, b: CommPoly) -> CommPoly:
         return CommPoly.one(a.field)
     if _coprime_by_images(a, b):
         return CommPoly.one(a.field)
-    common = sorted(a.variables() | b.variables(), key=lambda v: v.sort_key())
-    v = common[-1]
+    v = max(a.variables() | b.variables())
     if v not in a.variables():
         return poly_gcd(a, _content(_to_univ(b, v), b.field))
     if v not in b.variables():
@@ -502,7 +496,7 @@ def poly_gcd(a: CommPoly, b: CommPoly) -> CommPoly:
         pa, pb = pb, [poly_divexact(c, cr) for c in r]
     prim = _from_univ(pa, v, a.field) if len(pa) > 1 else pa[0]
     if prim.is_constant:
-        return _monic(CommPoly.constant(a.field.one) * cg)
+        return _monic(cg)
     return _monic(prim * cg)
 
 
@@ -514,7 +508,7 @@ def poly_gcd(a: CommPoly, b: CommPoly) -> CommPoly:
 def _factor_power(field: Field, pair, k: int) -> CommPoly:
     """(u - v)^k for the pair (u, v)."""
     u, v = pair
-    f = CommPoly(field, {((u, 1),): field.one, ((v, 1),): -field.one})
+    f = CommPoly(field, {((u, 1),): 1, ((v, 1),): -1})
     return f ** k
 
 
@@ -530,15 +524,15 @@ def _divide_out(num: CommPoly, pair):
     for m, c in num.terms.items():
         rest, a, b = [], 0, 0
         for w, e in m:
-            if w._key == u._key:
+            if w == u:
                 a = e
-            elif w._key == v._key:
+            elif w == v:
                 b = e
             else:
                 rest.append((w, e))
         rest = tuple(rest)
         split.append((rest, a, b, c))
-        image[rest, a + b] = image.get((rest, a + b), 0) + c.value
+        image[rest, a + b] = image.get((rest, a + b), 0) + c
     p = num.field.p
     if any(x % p if p else x for x in image.values()):
         return None
@@ -548,7 +542,7 @@ def _divide_out(num: CommPoly, pair):
             j = a - 1 - i + b
             m = mono_mul(rest, (((u, i),) if i else ()) + (((v, j),) if j else ()))
             terms[m] = c if m not in terms else terms[m] + c
-    return CommPoly(num.field, terms)
+    return CommPoly._of(num.field, terms)
 
 
 def _cancel(num: CommPoly, exps: dict, pairs) -> CommPoly:
@@ -567,7 +561,7 @@ def _factor_denominator(den: CommPoly):
     """(c, exps) with den = c * prod (u - v)^exps[(u, v)], by trial division."""
     if den.is_zero:
         raise DivisionByZero("rational function with zero denominator")
-    variables = sorted(den.variables(), key=Variable.sort_key)
+    variables = sorted(den.variables())
     pairs = [(u, v) for i, u in enumerate(variables) for v in variables[i + 1:]]
     room = dict.fromkeys(pairs, den.total_degree())
     rest = _cancel(den, room, pairs)
@@ -640,7 +634,7 @@ class RationalFunction:
     @property
     def is_one(self) -> bool:
         c = self.num.terms.get(EMPTY_MONO)
-        return len(self.num.terms) == 1 and c is not None and c.value == 1 and not self.exps
+        return len(self.num.terms) == 1 and c == 1 and not self.exps
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -702,7 +696,7 @@ class RationalFunction:
     def _coerce(self, other) -> RationalFunction:
         if type(other) is not RationalFunction:
             raise TypeError(f"cannot combine RationalFunction with {other!r}")
-        if other.num.field is not self.num.field and other.num.field != self.num.field:
+        if other.num.field is not self.num.field:
             # the fast paths form no product that would catch it
             raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
         return other

@@ -72,11 +72,8 @@ def _commpoly_body(p: CommPoly):
 
 
 def _commpoly_from(obj, field: Field) -> CommPoly:
-    terms = {}
-    for mono, coeff in obj["terms"]:
-        m = tuple((parse_variable_name(name), int(e)) for name, e in mono)
-        terms[m] = field.scalar(coeff)
-    return CommPoly(field, terms)
+    return CommPoly(field, {tuple((parse_variable_name(name), int(e)) for name, e in mono): coeff
+                            for mono, coeff in obj["terms"]})
 
 
 def _ratfun_from(obj, field: Field) -> RationalFunction:
@@ -139,7 +136,7 @@ _FORMAT = (
         BivariatePoly,
         lambda p: {"text": str(p), "terms": [[a, b, str(c)] for (a, b), c in p.sorted_terms()]},
         lambda o, field: BivariatePoly(
-            field, {(int(a), int(b)): field.scalar(c) for a, b, c in o["terms"]}
+            field, {(int(a), int(b)): c for a, b, c in o["terms"]}
         ),
     ),
     (

@@ -155,7 +155,7 @@ class TestSparseSum:
         from nclab.rings import CommPoly
 
         one_free, one_comm = FreePoly.one(1, QQ), CommPoly.one(QQ)
-        assert one_free.terms == one_comm.terms == {(): QQ.one}
+        assert one_free.terms == one_comm.terms == {(): 1}
         assert one_free != one_comm
 
     def test_rebinding_mono_mul_is_seen(self, monkeypatch):

@@ -103,8 +103,7 @@ def operand_pairs(draw, field):
 def _to_sympy(p: CommPoly):
     total = sympy.Integer(0)
     for m, c in p.terms.items():
-        v = c.value
-        coeff = sympy.Rational(v.numerator, v.denominator) if p.field.p == 0 else sympy.Integer(v)
+        coeff = sympy.Rational(c.numerator, c.denominator) if p.field.p == 0 else sympy.Integer(c)
         for var, e in m:
             coeff = coeff * sympy.Symbol(str(var)) ** e
         total += coeff

@@ -165,8 +165,7 @@ class TestArithmetic:
         for _ in range(100):
             a = random_freepoly(rng, 2, QQ, max_degree=3, max_terms=4)
             b = random_freepoly(rng, 2, QQ, max_degree=3, max_terms=4)
-            raw_a = {w: c.value for w, c in a.terms.items()}
-            raw_b = {w: c.value for w, c in b.terms.items()}
+            raw_a, raw_b = dict(a.terms), dict(b.terms)
             assert (a * b) == fp(free_mul(raw_a, raw_b))
 
     def test_associativity_randomized_500(self):
