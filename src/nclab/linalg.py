@@ -2,8 +2,8 @@
 
 ``Echelon`` is the elimination engine: it absorbs sparse columns one at a
 time and reports each column that depends on the earlier ones as a kernel
-vector.  It works on raw values (``Fraction`` over Q, ints in ``[0, p)`` over
-F_p) with the field held on the echelon, so no ``Scalar`` is built in its
+vector.  It works on raw values (ints and Fractions over Q, ints in ``[0, p)``
+over F_p) with the field held on the echelon, so no ``Scalar`` is built in its
 inner loop.  ``rref`` is the dense reduced row echelon form over ``Scalar``
 used to put small spans into canonical form.  Everything is deterministic:
 identical inputs give identical results.
@@ -80,8 +80,7 @@ class Echelon:
         if not col:
             return comb
         # over Q a pivot entry of 1 or -1 keeps integral columns integral
-        row = next((k for k, v in col.items() if v == 1 or v == -1), None) if not self._p else None
-        row = next(iter(col)) if row is None else row
+        row = next((k for k, v in col.items() if self._p or v in (1, -1)), next(iter(col)))
         inv = pow(col[row], -1, self._p) if self._p else rational(Fraction(1) / col[row])
         if inv != 1:
             p = self._p

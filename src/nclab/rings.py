@@ -4,7 +4,8 @@ Variables are either matrix-entry symbols ``x<l>[<i>,<j>]`` (the entries of
 the generic matrices) or auxiliary symbols like ``lam1``; a fixed total order
 on variables (matrix entries first, then auxiliaries, each lexicographically)
 makes every canonical form deterministic.  Monomials are sorted tuples of
-``(Variable, exponent)`` pairs and the monomial order is graded lex.
+``(Variable, exponent)`` pairs and the monomial order is graded lex.  A
+polynomial maps monomials to raw coefficients (see ``fields``).
 """
 
 from __future__ import annotations
