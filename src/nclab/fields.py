@@ -58,10 +58,10 @@ class Field:
     """
 
     __slots__ = ("p",)
-    _made = {}
+    _interned = {}
 
     def __new__(cls, p: int = 0):
-        field = cls._made.get(p)
+        field = cls._interned.get(p)
         if field is None:
             if p >= PRIMALITY_BOUND:
                 raise InvalidField(
@@ -69,7 +69,7 @@ class Field:
                 )
             if p != 0 and not is_prime(p):
                 raise InvalidField(f"modulus {p} is not prime")
-            field = cls._made[p] = object.__new__(cls)
+            field = cls._interned[p] = object.__new__(cls)
             object.__setattr__(field, "p", p)
         return field
 

@@ -135,11 +135,11 @@ class GenericMatrix:
         cols = [[e.terms.items() for e in col] for col in zip(*other.rows)]
         out = []
         for row in self.rows:
-            row = [e.terms.items() for e in row]
+            lefts = [e.terms.items() for e in row]
             out_row = []
             for col in cols:
                 acc = {}
-                for left, right in zip(row, col):
+                for left, right in zip(lefts, col):
                     if left and right:
                         add_products(acc, left, right, key_mul)
                 out_row.append(CommPoly._of(field, acc) if acc else zero)
