@@ -241,7 +241,7 @@ def signed_sum(terms, p: int) -> str:
 
 
 def add_products(acc: dict, left, right, key_mul) -> None:
-    """Add c1 * c2 at key_mul(k1, k2) to ``acc`` for every (k1, c1) in left and (k2, c2) in right."""
+    """acc[key_mul(k1, k2)] += c1 * c2 for every (k1, c1) in left and (k2, c2) in right."""
     for k1, c1 in left:
         for k2, c2 in right:
             k = key_mul(k1, k2)
