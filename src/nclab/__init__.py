@@ -18,7 +18,6 @@ from .genmat import (  # noqa: F401
 from .quantize import (  # noqa: F401
     FormalSeries,
     PoissonTensor,
-    SeriesMatrix,
     StarContext,
     matrix_star,
     matrix_star_commutator,

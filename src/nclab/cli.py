@@ -67,7 +67,8 @@ class RunConfig(FrozenRecord):
             ("nmax", 1),
             ("d", 0),
             ("dmax", 0),
-            ("order", 0),
+            # pipeline and probe report the h-coefficient of a star commutator
+            ("order", 1 if args.command in ("bergman-pipeline", "probe") else 0),
         ):
             value = getattr(args, name, None)
             if value is not None and value < minimum:
@@ -298,22 +299,16 @@ def _args_diag(p):
 
 def _cmd_diag(args, field):
     n, order = args.n, args.order
-    zero = RationalFunction.from_scalar(field.zero)
-    one = RationalFunction.from_scalar(field.one)
-    lam = [
+    a0 = GenericMatrix.diagonal(
         RationalFunction.from_poly(CommPoly.variable(Variable.aux("lam", i), field))
         for i in range(1, n + 1)
-    ]
+    )
     rng = random.Random(args.seed)
     m_int = random_int_matrix(rng, n, field, zero_diagonal=True)
-    a0 = tuple(tuple(lam[i] if i == j else zero for j in range(n)) for i in range(n))
-    a1 = tuple(
-        tuple(RationalFunction.from_scalar(m_int.entry(i + 1, j + 1).constant_value())
-              for j in range(n))
-        for i in range(n)
-    )
-    zmat = tuple(tuple(zero for _ in range(n)) for _ in range(n))
-    series = SeriesFieldMatrix([a0, a1] + [zmat] * (order - 1), zero, one)
+    a1 = GenericMatrix([[RationalFunction.from_poly(e) for e in row] for row in m_int.rows])
+    zero = GenericMatrix.zeros(n, field, RationalFunction)
+    # the series keeps the perturbation a1 even at order 0
+    series = SeriesFieldMatrix(max(order, 1), [a0, a1] + [zero] * (order - 1))
     rep = successive_diagonalize(series, order)
     ok = rep.verified
     lines = [

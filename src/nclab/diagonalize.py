@@ -1,21 +1,21 @@
 """Perturbative diagonalization of series matrices over an exact field.
 
-Matrices here carry Scalar or RationalFunction entries, duck-typed through
-``+ - * / .is_zero``.  A perturbation ``A = A0 + h A1 + ...`` with diagonal,
-pairwise-distinct A0 is diagonalized order by order: at order r the
-off-diagonal defect is cancelled by conjugating with E + h^r T where T solves
-the Sylvester-type system ``t_ij (lambda_i - lambda_j) = defect_ij``, and the
-diagonal defect is kept.
+A series matrix is a ``FormalSeries`` whose coefficients are
+``GenericMatrix`` values over ``RationalFunction``.  A perturbation
+``A = A0 + h A1 + ...`` with diagonal, pairwise-distinct A0 is diagonalized
+order by order: at order r the off-diagonal defect is cancelled by
+conjugating with E + h^r T where T solves the Sylvester-type system
+``t_ij (lambda_i - lambda_j) = defect_ij``, and the diagonal defect is kept.
 
 That solve is the only division; the series inverse of E + h^r T is a finite
 geometric sum.  So for A0 = diag(lam1, ..., lamn) and a constant A1 every
 entry lies in k[lam][1/Δ], Δ = prod_{i<j} (lam_i - lam_j), which is the ring
 ``RationalFunction`` implements without any gcd.
 
-Conjugation uses the plain coefficientwise product of the series-matrix
-ring, not a star product.  At first order the two choices agree: a star
-correction to (E + hT) A (E - hT) enters at h^2, so the order-h Sylvester
-equation is identical either way.
+Conjugation uses the plain product of series of matrices,
+``SeriesFieldMatrix.__mul__``, not a star product.  At first order the two
+choices agree: a star correction to (E + hT) A (E - hT) enters at h^2, so
+the order-h Sylvester equation is identical either way.
 """
 
 from __future__ import annotations
@@ -26,65 +26,14 @@ from .errors import (
     RepeatedEigenvalue,
     ShapeMismatch,
 )
-from .quantize import SeriesMatrix, StarContext, matrix_star_commutator, poisson_bracket
+from .fields import Field
+from .genmat import GenericMatrix
+from .quantize import FormalSeries, StarContext, matrix_star_commutator, poisson_bracket
 from .records import Record
-
-Matrix = tuple  # tuple[tuple[element, ...], ...]
-
-
-def mat_from_rows(rows) -> Matrix:
-    rows = tuple(tuple(r) for r in rows)
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
-        raise ShapeMismatch("matrix must be square and nonempty")
-    return rows
+from .rings import RationalFunction
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(a, b))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(a, b))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """a b, summing only the products of two nonzero entries."""
-    cols = tuple(zip(*b))
-    out = []
-    for row in a:
-        out_row = []
-        for col in cols:
-            acc = None
-            for x, y in zip(row, col):
-                if x.is_zero or y.is_zero:
-                    continue
-                acc = x * y if acc is None else acc + x * y
-            # with no nonzero product, row[0] * col[0] is a zero of the ring
-            out_row.append(row[0] * col[0] if acc is None else acc)
-        out.append(tuple(out_row))
-    return tuple(out)
-
-
-def mat_is_zero(a: Matrix) -> bool:
-    return all(x.is_zero for r in a for x in r)
-
-
-def mat_diag_part(a: Matrix, zero) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(a[i][j] if i == j else zero for j in range(n)) for i in range(n)
-    )
-
-
-def mat_offdiag_part(a: Matrix, zero) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(zero if i == j else a[i][j] for j in range(n)) for i in range(n)
-    )
-
-
-def solve_sylvester_diag(a0_diag, rhs: Matrix, zero) -> Matrix:
+def solve_sylvester_diag(a0_diag, rhs: GenericMatrix) -> GenericMatrix:
     """T with zero diagonal and [T, diag(a0)] = -rhs, entrywise division.
 
     Requires pairwise-distinct diagonal entries and a zero-diagonal rhs; the
@@ -92,96 +41,53 @@ def solve_sylvester_diag(a0_diag, rhs: Matrix, zero) -> Matrix:
     """
     lam = list(a0_diag)
     n = len(lam)
-    if len(rhs) != n:
+    if rhs.n != n:
         raise ShapeMismatch("rhs size differs from the diagonal")
     for i in range(n):
         for j in range(i + 1, n):
             if (lam[i] - lam[j]).is_zero:
                 raise RepeatedEigenvalue(f"diagonal entries {i+1} and {j+1} coincide")
-    for i in range(n):
-        if not rhs[i][i].is_zero:
-            raise NonzeroDiagonalRHS("rhs must have zero diagonal")
-    t = [
-        [zero if i == j else rhs[i][j] / (lam[i] - lam[j]) for j in range(n)]
-        for i in range(n)
-    ]
-    t = mat_from_rows(t)
-    a0 = tuple(tuple(lam[i] if i == j else zero for j in range(n)) for i in range(n))
-    check = mat_add(mat_sub(mat_mul(t, a0), mat_mul(a0, t)), rhs)
-    if not mat_is_zero(check):
+    if not all(x.is_zero for x in rhs.diagonal_entries()):
+        raise NonzeroDiagonalRHS("rhs must have zero diagonal")
+    zero = rhs.ring.zero(rhs.field)
+    t = GenericMatrix(
+        [[zero if i == j else x / (lam[i] - lam[j]) for j, x in enumerate(row)]
+         for i, row in enumerate(rhs.rows)]
+    )
+    a0 = GenericMatrix.diagonal(lam)
+    if not (t * a0 - a0 * t + rhs).is_zero:
         raise ArithmeticError("Sylvester solve failed its defining identity")
     return t
 
 
-class SeriesFieldMatrix:
-    """Truncated series whose coefficients are matrices over an exact field."""
+class SeriesFieldMatrix(FormalSeries):
+    """Series of matrices over RationalFunction, with the plain (Cauchy) product."""
 
-    __slots__ = ("n", "order", "coeffs", "zero", "one")
-
-    def __init__(self, coeffs, zero, one):
-        coeffs = tuple(mat_from_rows(c) for c in coeffs)
-        n = len(coeffs[0])
-        if any(len(c) != n for c in coeffs):
-            raise ShapeMismatch("coefficient matrices of different sizes")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "order", len(coeffs) - 1)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "zero", zero)
-        object.__setattr__(self, "one", one)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SeriesFieldMatrix is immutable")
+    __slots__ = ()
 
     @staticmethod
-    def identity(n: int, order: int, zero, one) -> SeriesFieldMatrix:
-        e = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-        z = tuple(tuple(zero for _ in range(n)) for _ in range(n))
-        return SeriesFieldMatrix([e] + [z] * order, zero, one)
-
-    def zero_matrix(self) -> Matrix:
-        return tuple(tuple(self.zero for _ in range(self.n)) for _ in range(self.n))
-
-    def coefficient(self, r: int) -> Matrix:
-        return self.coeffs[r]
-
-    def _check(self, other) -> SeriesFieldMatrix:
-        if not isinstance(other, SeriesFieldMatrix):
-            raise TypeError("expected SeriesFieldMatrix")
-        if other.n != self.n or other.order != self.order:
-            raise ShapeMismatch("incompatible series matrices")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return SeriesFieldMatrix(
-            [mat_add(a, b) for a, b in zip(self.coeffs, other.coeffs)], self.zero, self.one
-        )
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return SeriesFieldMatrix(
-            [mat_sub(a, b) for a, b in zip(self.coeffs, other.coeffs)], self.zero, self.one
-        )
+    def identity(n: int, order: int, field: Field) -> SeriesFieldMatrix:
+        return SeriesFieldMatrix.from_poly(GenericMatrix.identity(n, field, RationalFunction), order)
 
     def __mul__(self, other):
+        """Coefficient r is the sum of a_k b_(r-k) over the pairs of nonzero matrices."""
         other = self._check(other)
+        c0 = self.coeffs[0]
+        zero = GenericMatrix.zeros(c0.n, c0.field, c0.ring)
         out = []
         for r in range(self.order + 1):
-            acc = self.zero_matrix()
-            for k in range(r + 1):
-                acc = mat_add(acc, mat_mul(self.coeffs[k], other.coeffs[r - k]))
-            out.append(acc)
-        return SeriesFieldMatrix(out, self.zero, self.one)
-
-    def __eq__(self, other):
-        # entries are in canonical form, so equal values have equal entries
-        return isinstance(other, SeriesFieldMatrix) and self.coeffs == other.coeffs
+            acc = None
+            for a, b in zip(self.coeffs[: r + 1], reversed(other.coeffs[: r + 1])):
+                if not (a.is_zero or b.is_zero):
+                    acc = a * b if acc is None else acc + a * b
+            out.append(zero if acc is None else acc)
+        return SeriesFieldMatrix(self.order, out)
 
     def inverse_unitriangular(self) -> SeriesFieldMatrix:
         """Inverse of E + (higher order): the finite geometric series."""
-        e = SeriesFieldMatrix.identity(self.n, self.order, self.zero, self.one)
+        e = SeriesFieldMatrix.identity(self.coeffs[0].n, self.order, self.field)
         v = self - e
-        if not mat_is_zero(v.coeffs[0]):
+        if not v.coeffs[0].is_zero:
             raise ShapeMismatch("inverse_unitriangular needs leading coefficient E")
         out = e
         power = e
@@ -193,10 +99,7 @@ class SeriesFieldMatrix:
         return out
 
     def offdiag_is_zero_through(self, order: int) -> bool:
-        return all(
-            mat_is_zero(mat_offdiag_part(self.coeffs[r], self.zero))
-            for r in range(order + 1)
-        )
+        return all(c.is_diagonal() for c in self.coeffs[: order + 1])
 
 
 class DiagonalReport(Record):
@@ -223,37 +126,34 @@ def successive_diagonalize(a: SeriesFieldMatrix, target: int) -> DiagonalReport:
     """
     if target > a.order:
         raise ShapeMismatch("target order exceeds the series truncation")
-    zero, one = a.zero, a.one
     a0 = a.coeffs[0]
-    if not mat_is_zero(mat_offdiag_part(a0, zero)):
+    if not a0.is_diagonal():
         raise NotDiagonalLeadingTerm("leading coefficient must be diagonal")
-    lam = [a0[i][i] for i in range(a.n)]
-    for i in range(a.n):
-        for j in range(i + 1, a.n):
+    lam = a0.diagonal_entries()
+    for i in range(a0.n):
+        for j in range(i + 1, a0.n):
             if (lam[i] - lam[j]).is_zero:
                 raise RepeatedEigenvalue(f"leading entries {i+1} and {j+1} coincide")
-    u = SeriesFieldMatrix.identity(a.n, a.order, zero, one)
+    u = SeriesFieldMatrix.identity(a0.n, a.order, a.field)
+    zero = GenericMatrix.zeros(a0.n, a.field, a0.ring)
     current = a
     for r in range(1, target + 1):
-        off = mat_offdiag_part(current.coeffs[r], zero)
-        if mat_is_zero(off):
+        c = current.coeffs[r]
+        if c.is_diagonal():
             continue
-        t = solve_sylvester_diag(lam, off, zero)
-        b_coeffs = [u.coeffs[0]] + [
-            t if k == r else u.zero_matrix() for k in range(1, a.order + 1)
-        ]
-        b = SeriesFieldMatrix(b_coeffs, zero, one)
+        t = solve_sylvester_diag(lam, c - GenericMatrix.diagonal(c.diagonal_entries()))
+        b = SeriesFieldMatrix(a.order, [u.coeffs[0]] + [
+            t if k == r else zero for k in range(1, a.order + 1)
+        ])
         current = b * current * b.inverse_unitriangular()
         u = b * u
     diag = SeriesFieldMatrix(
-        [mat_diag_part(c, zero) for c in current.coeffs], zero, one
+        a.order, [GenericMatrix.diagonal(c.diagonal_entries()) for c in current.coeffs]
     )
     # u A u^-1 = D through h^target exactly when u A = D u there (u_0 = E);
     # the second form needs no series inverse, the step that built D used one
     lhs, rhs = u * a, diag * u
-    verified = all(
-        mat_is_zero(mat_sub(lhs.coeffs[r], rhs.coeffs[r])) for r in range(target + 1)
-    )
+    verified = all((lhs.coeffs[r] - rhs.coeffs[r]).is_zero for r in range(target + 1))
     return DiagonalReport(u, diag, target, lam, verified=verified)
 
 
@@ -275,7 +175,7 @@ class Eq1Report(Record):
     )
 
 
-def eq1_diagonal_check(fhat: SeriesMatrix, ghat: SeriesMatrix, ctx: StarContext) -> Eq1Report:
+def eq1_diagonal_check(fhat: FormalSeries, ghat: FormalSeries, ctx: StarContext) -> Eq1Report:
     """Diagonal of (1/h)[fhat, ghat]_* mod h against the brackets of eigenvalues.
 
     Both inputs must have diagonal degree-0 coefficients; the full commutator
@@ -293,10 +193,10 @@ def eq1_diagonal_check(fhat: SeriesMatrix, ghat: SeriesMatrix, ctx: StarContext)
     diagonal = linear.diagonal_entries()
     expected = [
         poisson_bracket(f0.entry(i, i), g0.entry(i, i), ctx.tensor)
-        for i in range(1, fhat.n + 1)
+        for i in range(1, f0.n + 1)
     ]
     per_entry = [d == e for d, e in zip(diagonal, expected)]
     nonvanishing = any(not d.is_zero for d in diagonal)
     return Eq1Report(
-        fhat.n, diagonal, expected, per_entry, all(per_entry), nonvanishing, linear
+        f0.n, diagonal, expected, per_entry, all(per_entry), nonvanishing, linear
     )

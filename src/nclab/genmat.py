@@ -21,11 +21,14 @@ from .errors import (
 from .fields import NEG_INF, Field, SparseSum, add_products
 from .freealg import FreePoly, commutator, pretty
 from .records import Record
-from .rings import CommPoly, Variable, mono_mul
+from .rings import CommPoly, RationalFunction, Variable, mono_mul
 
 
 class GenericMatrix:
-    """Square matrix over the polynomial ring; dense grid, sparse entries."""
+    """Square matrix over one ring, CommPoly or RationalFunction; dense grid.
+
+    The entry class is the ring: it supplies ``zero(field)`` and ``one(field)``.
+    """
 
     __slots__ = ("n", "field", "rows")
 
@@ -34,11 +37,13 @@ class GenericMatrix:
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ShapeMismatch("matrix must be square and nonempty")
-        field = rows[0][0].field
+        ring, field = type(rows[0][0]), rows[0][0].field
+        if ring is not CommPoly and ring is not RationalFunction:
+            raise TypeError("entries must be CommPoly or RationalFunction")
         for r in rows:
             for e in r:
-                if not isinstance(e, CommPoly):
-                    raise TypeError("entries must be CommPoly")
+                if type(e) is not ring:
+                    raise TypeError("entries of one matrix must lie in one ring")
                 if e.field is not field:
                     raise FieldMismatch("entries over different fields")
         object.__setattr__(self, "n", n)
@@ -51,20 +56,19 @@ class GenericMatrix:
     # -- constructors ----------------------------------------------------------
 
     @staticmethod
-    def identity(n: int, field: Field) -> GenericMatrix:
-        one, zero = CommPoly.one(field), CommPoly.zero(field)
+    def identity(n: int, field: Field, ring=CommPoly) -> GenericMatrix:
+        one, zero = ring.one(field), ring.zero(field)
         return GenericMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def zeros(n: int, field: Field) -> GenericMatrix:
-        zero = CommPoly.zero(field)
+    def zeros(n: int, field: Field, ring=CommPoly) -> GenericMatrix:
+        zero = ring.zero(field)
         return GenericMatrix([[zero] * n for _ in range(n)])
 
     @staticmethod
     def diagonal(entries) -> GenericMatrix:
         entries = list(entries)
-        field = entries[0].field
-        zero = CommPoly.zero(field)
+        zero = type(entries[0]).zero(entries[0].field)
         n = len(entries)
         return GenericMatrix(
             [[entries[i] if i == j else zero for j in range(n)] for i in range(n)]
@@ -79,11 +83,16 @@ class GenericMatrix:
         )
 
     def identity_like(self) -> GenericMatrix:
-        return GenericMatrix.identity(self.n, self.field)
+        return GenericMatrix.identity(self.n, self.field, self.ring)
 
     # -- access ------------------------------------------------------------------
 
-    def entry(self, i: int, j: int) -> CommPoly:
+    @property
+    def ring(self):
+        """The entry class, CommPoly or RationalFunction."""
+        return type(self.rows[0][0])
+
+    def entry(self, i: int, j: int):
         """1-based entry access."""
         return self.rows[i - 1][j - 1]
 
@@ -115,6 +124,8 @@ class GenericMatrix:
             raise ShapeMismatch(f"sizes {self.n} vs {other.n}")
         if other.field != self.field:
             raise FieldMismatch("matrices over different fields")
+        if other.ring is not self.ring:
+            raise TypeError("matrices over different rings")
         return other
 
     def __add__(self, other):
@@ -131,6 +142,8 @@ class GenericMatrix:
 
     def __mul__(self, other):
         other = self._check(other)
+        if self.ring is not CommPoly:
+            return self._mul_entries(other)
         field, key_mul, zero = self.field, mono_mul, CommPoly(self.field)
         cols = [[e.terms.items() for e in col] for col in zip(*other.rows)]
         out = []
@@ -143,6 +156,22 @@ class GenericMatrix:
                     if left and right:
                         add_products(acc, left, right, key_mul)
                 out_row.append(CommPoly._of(field, acc) if acc else zero)
+            out.append(out_row)
+        return GenericMatrix(out)
+
+    def _mul_entries(self, other) -> GenericMatrix:
+        """The product from entry arithmetic, summing only products of two nonzero entries."""
+        zero = self.ring.zero(self.field)
+        cols = tuple(zip(*other.rows))
+        out = []
+        for row in self.rows:
+            out_row = []
+            for col in cols:
+                acc = None
+                for x, y in zip(row, col):
+                    if not (x.is_zero or y.is_zero):
+                        acc = x * y if acc is None else acc + x * y
+                out_row.append(zero if acc is None else acc)
             out.append(out_row)
         return GenericMatrix(out)
 
@@ -160,8 +189,8 @@ class GenericMatrix:
             out = out * self
         return out
 
-    def trace(self) -> CommPoly:
-        acc = CommPoly.zero(self.field)
+    def trace(self):
+        acc = self.ring.zero(self.field)
         for i in range(self.n):
             acc = acc + self.rows[i][i]
         return acc

@@ -10,6 +10,11 @@ every order, the degree-0 coefficient of a*b is the commutative product ab,
 and the h-coefficient of the star commutator is exactly the Poisson bracket.
 In characteristic p the coefficients divide by r! and 2^r, so contexts
 require N < p (and N = 0 when p = 2).
+
+``FormalSeries`` is the one truncated series: its coefficients are all
+CommPoly, multiplied by ``star_mul``, or all GenericMatrix, multiplied by
+``matrix_star`` (the row-column product whose entry products are star
+products).  ``quantize_lift`` makes the series of matrices of a matrix.
 """
 
 from __future__ import annotations
@@ -267,7 +272,12 @@ def _poisson_step(w: dict, live: dict, p: int) -> dict:
 
 
 class FormalSeries:
-    """Truncated power series in h with CommPoly coefficients."""
+    """Truncated power series in h with CommPoly or GenericMatrix coefficients.
+
+    All coefficients are of one kind.  The sum is coefficientwise; the star
+    product of ``star_mul`` and ``matrix_star`` needs a context, so the class
+    defines no ``*`` (``diagonalize.SeriesFieldMatrix`` adds the plain one).
+    """
 
     __slots__ = ("order", "coeffs")
 
@@ -275,34 +285,34 @@ class FormalSeries:
         coeffs = tuple(coeffs)
         if len(coeffs) != order + 1:
             raise ValueError("need exactly order+1 coefficients")
-        field = coeffs[0].field
+        kind, field = type(coeffs[0]), coeffs[0].field
+        if kind is not CommPoly and kind is not GenericMatrix:
+            raise TypeError("series coefficients must be CommPoly or GenericMatrix")
         for c in coeffs:
+            if type(c) is not kind:
+                raise TypeError("series coefficients of different kinds")
             if c.field != field:
                 raise FieldMismatch("series coefficients over different fields")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, name, value):
-        raise AttributeError("FormalSeries is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def field(self) -> Field:
         return self.coeffs[0].field
 
-    @staticmethod
-    def from_poly(p: CommPoly, order: int) -> FormalSeries:
-        zero = CommPoly.zero(p.field)
-        return FormalSeries(order, [p] + [zero] * order)
+    @classmethod
+    def from_poly(cls, p, order: int) -> FormalSeries:
+        """p + 0 h + ... + 0 h^order, for a CommPoly or a GenericMatrix p."""
+        if isinstance(p, GenericMatrix):
+            zero = GenericMatrix.zeros(p.n, p.field, p.ring)
+        else:
+            zero = CommPoly.zero(p.field)
+        return cls(order, [p] + [zero] * order)
 
-    @staticmethod
-    def zero(field: Field, order: int) -> FormalSeries:
-        return FormalSeries(order, [CommPoly.zero(field)] * (order + 1))
-
-    @staticmethod
-    def one(field: Field, order: int) -> FormalSeries:
-        return FormalSeries.from_poly(CommPoly.one(field), order)
-
-    def coefficient(self, r: int) -> CommPoly:
+    def coefficient(self, r: int):
         return self.coeffs[r]
 
     @property
@@ -320,14 +330,14 @@ class FormalSeries:
 
     def __add__(self, other):
         other = self._check(other)
-        return FormalSeries(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return type(self)(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
         other = self._check(other)
-        return FormalSeries(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return type(self)(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
-        return FormalSeries(self.order, [-c for c in self.coeffs])
+        return type(self)(self.order, [-c for c in self.coeffs])
 
     def __eq__(self, other):
         return (
@@ -349,26 +359,38 @@ class FormalSeries:
         return " + ".join(parts) if parts else "0"
 
     def __repr__(self):
-        return f"FormalSeries({self})"
+        return f"{type(self).__name__}({self})"
+
+
+def _star_into(out: list, base: int, x: CommPoly, y: CommPoly, ctx: StarContext) -> None:
+    """out[base + j] += B_j(x, y) for each j the truncation keeps; nothing for a zero factor."""
+    if x.is_zero or y.is_zero:
+        return
+    for j, term in enumerate(ctx.bilinear_maps(x, y, ctx.order - base), base):
+        if not term.is_zero:
+            out[j] = out[j] + term
+
+
+def _check_star_operands(a: FormalSeries, b: FormalSeries, ctx: StarContext, kind) -> None:
+    """Both are series of ``kind`` at the context order, over the tensor variables only."""
+    a._check(b)
+    if type(a.coeffs[0]) is not kind or type(b.coeffs[0]) is not kind:
+        raise TypeError(f"expected series of {kind.__name__}")
+    if a.order != ctx.order:
+        raise ShapeMismatch("series order differs from context order")
+    polys = a.coeffs + b.coeffs
+    if kind is GenericMatrix:
+        polys = [e for c in polys for row in c.rows for e in row]
+    ctx.tensor.check_variables(polys)
 
 
 def star_mul(a: FormalSeries, b: FormalSeries, ctx: StarContext) -> FormalSeries:
     """Star product of two series, truncated at the context order."""
-    a._check(b)
-    if a.order != ctx.order:
-        raise ShapeMismatch("series order differs from context order")
-    ctx.tensor.check_variables([c for c in a.coeffs] + [c for c in b.coeffs])
-    zero = CommPoly.zero(ctx.field)
-    out = [zero] * (ctx.order + 1)
+    _check_star_operands(a, b, ctx, CommPoly)
+    out = [CommPoly.zero(ctx.field)] * (ctx.order + 1)
     for m, am in enumerate(a.coeffs):
-        if am.is_zero:
-            continue
-        for k, bk in enumerate(b.coeffs):
-            if bk.is_zero or m + k > ctx.order:
-                continue
-            for j, term in enumerate(ctx.bilinear_maps(am, bk, ctx.order - m - k)):
-                if not term.is_zero:
-                    out[m + k + j] = out[m + k + j] + term
+        for k, bk in enumerate(b.coeffs[: ctx.order + 1 - m]):
+            _star_into(out, m + k, am, bk, ctx)
     return FormalSeries(ctx.order, out)
 
 
@@ -401,105 +423,34 @@ def verify_correspondence(
     return CorrespondenceReport(linear == bracket, linear, bracket)
 
 
-class SeriesMatrix:
-    """Square matrix of formal series (equivalently, a series of matrices)."""
+def matrix_star(a: FormalSeries, b: FormalSeries, ctx: StarContext) -> FormalSeries:
+    """Row-column product of two series of matrices, each entry product the star product.
 
-    __slots__ = ("n", "order", "entries")
-
-    def __init__(self, entries):
-        entries = tuple(tuple(r) for r in entries)
-        n = len(entries)
-        if n == 0 or any(len(r) != n for r in entries):
-            raise ShapeMismatch("matrix must be square and nonempty")
-        order = entries[0][0].order
-        for r in entries:
-            for e in r:
-                if e.order != order:
-                    raise ShapeMismatch("entries with different truncation orders")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SeriesMatrix is immutable")
-
-    @property
-    def field(self) -> Field:
-        return self.entries[0][0].field
-
-    @staticmethod
-    def identity(n: int, field: Field, order: int) -> SeriesMatrix:
-        one = FormalSeries.one(field, order)
-        zero = FormalSeries.zero(field, order)
-        return SeriesMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    def coefficient(self, r: int) -> GenericMatrix:
-        return GenericMatrix([[e.coefficient(r) for e in row] for row in self.entries])
-
-    def entry(self, i: int, j: int) -> FormalSeries:
-        return self.entries[i - 1][j - 1]
-
-    @property
-    def is_zero(self) -> bool:
-        return all(e.is_zero for row in self.entries for e in row)
-
-    def _check(self, other) -> SeriesMatrix:
-        if not isinstance(other, SeriesMatrix):
-            raise TypeError(f"expected SeriesMatrix, got {other!r}")
-        if other.n != self.n:
-            raise ShapeMismatch(f"sizes {self.n} vs {other.n}")
-        if other.order != self.order:
-            raise ShapeMismatch("different truncation orders")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return SeriesMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
-        )
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return SeriesMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SeriesMatrix)
-            and self.n == other.n
-            and self.entries == other.entries
-        )
-
-    def __str__(self):
-        return "[" + "; ".join(", ".join(str(e) for e in r) for r in self.entries) + "]"
+    Coefficient r is the sum over m + k + s = r and over l of
+    B_s(a_m[i, l], b_k[l, j]).  The tensor variables are checked once per
+    operand, and zero entries are skipped.
+    """
+    _check_star_operands(a, b, ctx, GenericMatrix)
+    zero = CommPoly.zero(ctx.field)
+    cells = [[[zero] * (ctx.order + 1) for _ in row] for row in a.coeffs[0].rows]
+    for m, am in enumerate(a.coeffs):
+        for k, bk in enumerate(b.coeffs[: ctx.order + 1 - m]):
+            for out_row, a_row in zip(cells, am.rows):
+                for x, b_row in zip(a_row, bk.rows):
+                    if not x.is_zero:
+                        for out, y in zip(out_row, b_row):
+                            _star_into(out, m + k, x, y, ctx)
+    return FormalSeries(
+        ctx.order,
+        [GenericMatrix([[out[r] for out in row] for row in cells]) for r in range(ctx.order + 1)],
+    )
 
 
-def matrix_star(a: SeriesMatrix, b: SeriesMatrix, ctx: StarContext) -> SeriesMatrix:
-    """Row-column product where every entry product is the star product."""
-    a._check(b)
-    n = a.n
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = FormalSeries.zero(ctx.field, ctx.order)
-            for k in range(n):
-                left, right = a.entries[i][k], b.entries[k][j]
-                if not (left.is_zero or right.is_zero):
-                    acc = acc + star_mul(left, right, ctx)
-            row.append(acc)
-        out.append(row)
-    return SeriesMatrix(out)
-
-
-def matrix_star_commutator(a: SeriesMatrix, b: SeriesMatrix, ctx: StarContext) -> SeriesMatrix:
+def matrix_star_commutator(a: FormalSeries, b: FormalSeries, ctx: StarContext) -> FormalSeries:
     return matrix_star(a, b, ctx) - matrix_star(b, a, ctx)
 
 
-def quantize_lift(a: GenericMatrix, ctx: StarContext) -> SeriesMatrix:
-    """Canonical lift: degree-0 coefficient a, all higher coefficients zero."""
+def quantize_lift(a: GenericMatrix, ctx: StarContext) -> FormalSeries:
+    """Canonical lift: the series of matrices with degree-0 coefficient a, all higher zero."""
     ctx.tensor.check_variables([e for row in a.rows for e in row])
-    return SeriesMatrix(
-        [[FormalSeries.from_poly(e, ctx.order) for e in row] for row in a.rows]
-    )
+    return FormalSeries.from_poly(a, ctx.order)

@@ -609,6 +609,14 @@ class RationalFunction:
         raise AttributeError("RationalFunction is immutable")
 
     @staticmethod
+    def zero(field: Field) -> RationalFunction:
+        return RationalFunction._of(CommPoly.zero(field), {})
+
+    @staticmethod
+    def one(field: Field) -> RationalFunction:
+        return RationalFunction._of(CommPoly.one(field), {})
+
+    @staticmethod
     def from_poly(p: CommPoly) -> RationalFunction:
         return RationalFunction._of(p, {})
 

@@ -22,12 +22,7 @@ from .errors import BadReport, UnsupportedDenominator
 from .fields import Field, Scalar
 from .freealg import FreePoly, parse_free, pretty
 from .genmat import AnnihilatorResult, BivariatePoly, GenericMatrix, StabilityReport
-from .quantize import (
-    CorrespondenceReport,
-    FormalSeries,
-    PoissonTensor,
-    SeriesMatrix,
-)
+from .quantize import CorrespondenceReport, FormalSeries, PoissonTensor
 from .records import Record
 from .rings import CommPoly, RationalFunction, parse_variable_name
 
@@ -81,14 +76,6 @@ def _ratfun_from(obj, field: Field) -> RationalFunction:
         return RationalFunction(decode(obj["num"], field), decode(obj["den"], field))
     except UnsupportedDenominator as exc:
         raise BadReport(f"ratfun: {exc}") from exc
-
-
-def _series_field_matrix_from(obj, field: Field) -> SeriesFieldMatrix:
-    coeffs = decode(obj["coeffs"], field)
-    zero, one = field.zero, field.one
-    if not isinstance(coeffs[0][0][0], Scalar):
-        zero, one = RationalFunction.from_scalar(zero), RationalFunction.from_scalar(one)
-    return SeriesFieldMatrix(coeffs, zero, one)
 
 
 def _record(tag, cls, renamed=None, extra=None):
@@ -152,16 +139,14 @@ _FORMAT = (
         lambda o, field: FormalSeries(o["order"], decode(o["coeffs"], field)),
     ),
     (
-        "series-matrix",
-        SeriesMatrix,
-        lambda s: {"n": s.n, "order": s.order, "entries": encode(s.entries)},
-        lambda o, field: SeriesMatrix(decode(o["entries"], field)),
-    ),
-    (
         "series-field-matrix",
         SeriesFieldMatrix,
-        lambda s: {"n": s.n, "order": s.order, "coeffs": encode(s.coeffs)},
-        _series_field_matrix_from,
+        lambda s: {
+            "n": s.coeffs[0].n, "order": s.order, "coeffs": encode([c.rows for c in s.coeffs])
+        },
+        lambda o, field: SeriesFieldMatrix(
+            o["order"], [GenericMatrix(rows) for rows in decode(o["coeffs"], field)]
+        ),
     ),
     ("tensor", PoissonTensor, PoissonTensor.to_dict, PoissonTensor.from_dict),
     _record("annihilator", AnnihilatorResult),

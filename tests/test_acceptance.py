@@ -151,26 +151,25 @@ def test_criterion_5_diagonal_formula():
 
 def test_criterion_6_sylvester_recursion():
     with _Clock(6, "order-2 diagonalization over the eigenvalue fraction field", 10):
-        zero = RationalFunction.from_scalar(QQ.zero)
-        one = RationalFunction.from_scalar(QQ.one)
+        zero = RationalFunction.zero(QQ)
         lam = [
             RationalFunction.from_poly(CommPoly.variable(Variable.aux("lam", i), QQ))
             for i in (1, 2, 3)
         ]
         rng = random.Random(1729)
-        m = tuple(
-            tuple(
+        m = GenericMatrix([
+            [
                 RationalFunction.from_scalar(QQ.scalar(rng.randint(-5, 5)))
                 if i != j
                 else zero
                 for j in range(3)
-            )
+            ]
             for i in range(3)
-        )
-        assert any(not x.is_zero for row in m for x in row)
-        a0 = tuple(tuple(lam[i] if i == j else zero for j in range(3)) for i in range(3))
-        zmat = tuple(tuple(zero for _ in range(3)) for _ in range(3))
-        series = SeriesFieldMatrix([a0, m, zmat], zero, one)
+        ])
+        assert not m.is_zero
+        a0 = GenericMatrix.diagonal(lam)
+        zmat = GenericMatrix.zeros(3, QQ, RationalFunction)
+        series = SeriesFieldMatrix(2, [a0, m, zmat])
         rep = successive_diagonalize(series, 2)  # back-substitution check is built in
         conj = rep.conjugator * series * rep.conjugator.inverse_unitriangular()
         assert conj.offdiag_is_zero_through(2)  # off-diagonal = 0 mod h^3

@@ -49,16 +49,18 @@ _FUZZ_TERMS = st.lists(
 ).map("*".join)
 FUZZ_ANY = st.one_of(FUZZ_EXPRESSIONS, st.lists(_FUZZ_TERMS, min_size=1, max_size=3).map("+".join))
 
-# command -> (expression flags, tiny size flags)
+# command -> (expression flags, {integer flag: (lowest, highest)}).  Each size
+# range starts at the smallest value RunConfig accepts, so the edge is fuzzed.
 FUZZ_COMMANDS = {
-    "commute": (("f", "g"), []),
-    "pi": (("f",), ["--n", "2"]),
-    "centralizer": (("f",), ["--d", "2"]),
-    "annihilator": (("f", "g"), ["--nmax", "1", "--dmax", "2"]),
-    "star": (("a", "b"), ["--order", "2"]),
-    "poisson": (("a", "b"), []),
-    "bergman-pipeline": (("f", "g"), ["--nmax", "1", "--dmax", "2", "--order", "1"]),
-    "probe": (("f", "g"), ["--n", "1", "--dmax", "2", "--order", "1"]),
+    "commute": (("f", "g"), {}),
+    "pi": (("f",), {"n": (1, 2)}),
+    "centralizer": (("f",), {"d": (0, 2)}),
+    "annihilator": (("f", "g"), {"nmax": (1, 2), "dmax": (0, 2)}),
+    "star": (("a", "b"), {"order": (0, 2)}),
+    "poisson": (("a", "b"), {}),
+    "bergman-pipeline": (("f", "g"), {"nmax": (1, 2), "dmax": (0, 2), "order": (0, 2)}),
+    "probe": (("f", "g"), {"n": (1, 2), "dmax": (0, 2), "order": (0, 2)}),
+    "diag": ((), {"n": (1, 3), "order": (0, 2), "seed": (-(2**31), 2**31)}),
 }
 
 
@@ -248,10 +250,35 @@ class TestExitStatuses:
     @given(st.sampled_from(sorted(FUZZ_COMMANDS)), st.data())
     def test_every_command_fuzz_exits_cleanly(self, command, data):
         flags, sizes = FUZZ_COMMANDS[command]
-        argv = [command, *sizes]
+        argv = [command]
+        for flag, (lo, hi) in sizes.items():
+            argv.append(f"--{flag}={data.draw(st.integers(lo, hi), label=flag)}")
         for flag in flags:
             argv.append(f"--{flag}={data.draw(FUZZ_ANY, label=flag)}")
         _assert_clean_exit(argv, codes=(0, 1, 2))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bergman-pipeline", "--f", "x1", "--g", "x1^2", "--order", "0"],
+            ["probe", "--n", "2", "--order", "0"],
+        ],
+        ids=["bergman-pipeline", "probe"],
+    )
+    def test_order_zero_is_refused_where_the_h_coefficient_is_reported(self, argv, capsys):
+        # it used to read coefficient 1 of an order-0 series: an IndexError traceback
+        code = main([*argv, "--json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error [engine-error]: --order must be at least 1, got 0"]
+
+    @pytest.mark.parametrize(
+        "argv", [["star", "--a", "x1", "--b", "x2"], ["diag", "--n", "2"]], ids=["star", "diag"]
+    )
+    def test_order_zero_stays_valid_for_star_and_diag(self, argv, capsys):
+        assert main([*argv, "--order", "0", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["bounds"]["order"] == 0
 
     def test_al_beyond_the_bound_is_refused_up_front(self, capsys):
         # unbounded, --n 4 would expand S_8 over 8! symbolic products

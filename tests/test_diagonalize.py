@@ -15,14 +15,11 @@ from nclab.fields import QQ
 from nclab.diagonalize import (
     SeriesFieldMatrix,
     eq1_diagonal_check,
-    mat_is_zero,
-    mat_sub,
     solve_sylvester_diag,
     successive_diagonalize,
 )
 from nclab.quantize import (
     FormalSeries,
-    SeriesMatrix,
     StarContext,
     pairing_tensor,
     quantize_lift,
@@ -31,9 +28,10 @@ from nclab.genmat import GenericMatrix
 from nclab import rings
 from nclab.cli import main
 from nclab.rings import CommPoly, RationalFunction, Variable
+from nclab.sample import random_commpoly
 
-ZERO = RationalFunction.from_scalar(QQ.zero)
-ONE = RationalFunction.from_scalar(QQ.one)
+ZERO = RationalFunction.zero(QQ)
+ONE = RationalFunction.one(QQ)
 
 
 def lam(i):
@@ -45,23 +43,28 @@ def rf_const(v):
 
 
 def diag_matrix(entries):
-    n = len(entries)
-    return tuple(
-        tuple(entries[i] if i == j else ZERO for j in range(n)) for i in range(n)
-    )
+    return GenericMatrix.diagonal(entries)
+
+
+def mat(*rows):
+    return GenericMatrix(rows)
+
+
+def lists(m):
+    return [list(r) for r in m.rows]
 
 
 class TestSylvester:
     def test_2x2_fraction_field(self):
-        rhs = ((ZERO, ONE), (ONE, ZERO))
-        t = solve_sylvester_diag([lam(1), lam(2)], rhs, ZERO)
+        rhs = mat((ZERO, ONE), (ONE, ZERO))
+        t = solve_sylvester_diag([lam(1), lam(2)], rhs)
         d = lam(1) - lam(2)
-        assert t[0][1] == ONE / d
-        assert t[1][0] == ONE / (lam(2) - lam(1))
-        assert t[0][0].is_zero and t[1][1].is_zero
+        assert t.entry(1, 2) == ONE / d
+        assert t.entry(2, 1) == ONE / (lam(2) - lam(1))
+        assert t.entry(1, 1).is_zero and t.entry(2, 2).is_zero
         # oracle: substitute into [T, A0] with an independent 2x2 product
-        a0 = [list(r) for r in diag_matrix([lam(1), lam(2)])]
-        t_rows = [list(r) for r in t]
+        a0 = lists(diag_matrix([lam(1), lam(2)]))
+        t_rows = lists(t)
         # matmul works on CommPoly-like entries; RationalFunction supports + and *
         comm = [
             [
@@ -72,31 +75,70 @@ class TestSylvester:
         ]
         for i in range(2):
             for j in range(2):
-                assert (comm[i][j] + rhs[i][j]).is_zero
+                assert (comm[i][j] + rhs.rows[i][j]).is_zero
 
     def test_zero_rhs_gives_zero(self):
-        rhs = ((ZERO, ZERO), (ZERO, ZERO))
-        t = solve_sylvester_diag([lam(1), lam(2)], rhs, ZERO)
-        assert mat_is_zero(t)
+        rhs = mat((ZERO, ZERO), (ZERO, ZERO))
+        t = solve_sylvester_diag([lam(1), lam(2)], rhs)
+        assert t.is_zero
 
     def test_repeated_eigenvalue(self):
-        rhs = ((ZERO, ONE), (ONE, ZERO))
+        rhs = mat((ZERO, ONE), (ONE, ZERO))
         with pytest.raises(RepeatedEigenvalue):
-            solve_sylvester_diag([rf_const(1), rf_const(1)], rhs, ZERO)
+            solve_sylvester_diag([rf_const(1), rf_const(1)], rhs)
 
     def test_nonzero_diagonal_rhs(self):
-        rhs = ((ONE, ONE), (ONE, ZERO))
+        rhs = mat((ONE, ONE), (ONE, ZERO))
         with pytest.raises(NonzeroDiagonalRHS):
-            solve_sylvester_diag([lam(1), lam(2)], rhs, ZERO)
+            solve_sylvester_diag([lam(1), lam(2)], rhs)
 
 
 def series(coeff_matrices, order=None):
     order = len(coeff_matrices) - 1 if order is None else order
-    zmat = tuple(
-        tuple(ZERO for _ in range(len(coeff_matrices[0]))) for _ in coeff_matrices[0]
-    )
+    zmat = GenericMatrix.zeros(coeff_matrices[0].n, QQ, RationalFunction)
     coeffs = list(coeff_matrices) + [zmat] * (order + 1 - len(coeff_matrices))
-    return SeriesFieldMatrix(coeffs, ZERO, ONE)
+    return SeriesFieldMatrix(order, coeffs)
+
+
+def random_ratfun(rng, n_lam=3):
+    """0, or a random polynomial in lam_1..lam_n over up to two eigenvalue differences."""
+    if rng.random() < 0.25:
+        return ZERO
+    lams = [Variable.aux("lam", i) for i in range(1, n_lam + 1)]
+    num = random_commpoly(rng, lams, QQ, max_degree=2, max_terms=3)
+    out = RationalFunction.from_poly(num)
+    for _ in range(rng.randint(0, 2)):
+        i, j = sorted(rng.sample(range(1, n_lam + 1), 2))
+        out = out / (lam(i) - lam(j))
+    return out
+
+
+def random_rf_matrix(rng, n):
+    return GenericMatrix([[random_ratfun(rng) for _ in range(n)] for _ in range(n)])
+
+
+class TestSeriesFieldMatrixProduct:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_product_is_the_convolution_of_matmul(self, n):
+        rng = random.Random(700 + n)
+        order = 2
+        for _ in range(3):
+            a = SeriesFieldMatrix(order, [random_rf_matrix(rng, n) for _ in range(order + 1)])
+            b = SeriesFieldMatrix(order, [random_rf_matrix(rng, n) for _ in range(order + 1)])
+            got = a * b
+            for r in range(order + 1):
+                want = matmul(lists(a.coeffs[0]), lists(b.coeffs[r]))
+                for k in range(1, r + 1):
+                    term = matmul(lists(a.coeffs[k]), lists(b.coeffs[r - k]))
+                    want = [[x + y for x, y in zip(u, v)] for u, v in zip(want, term)]
+                assert lists(got.coefficient(r)) == want
+
+    def test_zero_coefficients_give_a_zero_matrix_over_the_same_ring(self):
+        a = series([diag_matrix([lam(1), lam(2)])], order=2)
+        prod = a * a
+        assert prod.coefficient(0) == diag_matrix([lam(1) * lam(1), lam(2) * lam(2)])
+        assert prod.coefficient(2) == GenericMatrix.zeros(2, QQ, RationalFunction)
+        assert type(prod) is SeriesFieldMatrix and type(prod - a) is SeriesFieldMatrix
 
 
 class TestDiagCommand:
@@ -116,13 +158,13 @@ class TestDiagCommand:
 
     def test_every_denominator_is_a_product_of_eigenvalue_differences(self):
         a = series([diag_matrix([lam(1), lam(2), lam(3)]),
-                    tuple(tuple(ZERO if i == j else rf_const(i + 2 * j) for j in range(3))
-                          for i in range(3))], order=3)
+                    GenericMatrix([[ZERO if i == j else rf_const(i + 2 * j) for j in range(3)]
+                                   for i in range(3)])], order=3)
         rep = successive_diagonalize(a, 3)
         assert rep.verified is True
         lams = {Variable.aux("lam", i) for i in range(1, 4)}
         for c in rep.conjugator.coeffs + rep.diagonal.coeffs:
-            for row in c:
+            for row in c.rows:
                 for x in row:
                     for (u, v), e in x.exps:
                         assert {u, v} <= lams and u < v and e > 0
@@ -130,22 +172,22 @@ class TestDiagCommand:
 
 class TestSuccessiveDiagonalize:
     def test_first_order_2x2(self):
-        a = series([diag_matrix([lam(1), lam(2)]), ((ZERO, ONE), (ONE, ZERO))])
+        a = series([diag_matrix([lam(1), lam(2)]), mat((ZERO, ONE), (ONE, ZERO))])
         rep = successive_diagonalize(a, 1)
         assert rep.diagonal.coefficient(0) == diag_matrix([lam(1), lam(2)])
-        assert mat_is_zero(rep.diagonal.coefficient(1))
+        assert rep.diagonal.coefficient(1).is_zero
         # conjugate has zero off-diagonal through h^1 (checked again here)
         conj = rep.conjugator * a * rep.conjugator.inverse_unitriangular()
         assert conj.offdiag_is_zero_through(1)
         # U = E + h T
-        assert mat_is_zero(mat_sub(rep.conjugator.coefficient(0), diag_matrix([ONE, ONE])))
+        assert (rep.conjugator.coefficient(0) - diag_matrix([ONE, ONE])).is_zero
 
     def test_diagonal_perturbation_is_kept(self):
         a = series(
             [diag_matrix([lam(1), lam(2)]), diag_matrix([rf_const(3), rf_const(-2)])]
         )
         rep = successive_diagonalize(a, 1)
-        e = SeriesFieldMatrix.identity(2, a.order, ZERO, ONE)
+        e = SeriesFieldMatrix.identity(2, a.order, QQ)
         assert rep.conjugator == e
         assert rep.diagonal == a
 
@@ -158,36 +200,34 @@ class TestSuccessiveDiagonalize:
             ]
         )
         rep = successive_diagonalize(a, 2)
-        assert rep.conjugator == SeriesFieldMatrix.identity(3, a.order, ZERO, ONE)
+        assert rep.conjugator == SeriesFieldMatrix.identity(3, a.order, QQ)
         assert rep.diagonal == a
 
     def test_order_two_with_dense_integer_perturbation(self):
         rng = random.Random(1729)
         n = 3
-        m = tuple(
-            tuple(
-                rf_const(rng.randint(-5, 5)) if i != j else ZERO for j in range(n)
-            )
+        m = GenericMatrix([
+            [rf_const(rng.randint(-5, 5)) if i != j else ZERO for j in range(n)]
             for i in range(n)
-        )
-        a = series([diag_matrix([lam(1), lam(2), lam(3)]), m, tuple(tuple(ZERO for _ in range(n)) for _ in range(n))])
+        ])
+        a = series([diag_matrix([lam(1), lam(2), lam(3)]), m], order=2)
         rep = successive_diagonalize(a, 2)
         conj = rep.conjugator * a * rep.conjugator.inverse_unitriangular()
         assert conj.offdiag_is_zero_through(2)
         assert rep.eigenvalues == [lam(1), lam(2), lam(3)]
 
     def test_rejects_nondiagonal_leading_term(self):
-        a = series([((lam(1), ONE), (ZERO, lam(2)))])
+        a = series([mat((lam(1), ONE), (ZERO, lam(2)))])
         with pytest.raises(NotDiagonalLeadingTerm):
             successive_diagonalize(a, 0)
 
     def test_rejects_repeated_leading_entries(self):
-        a = series([diag_matrix([lam(1), lam(1)]), ((ZERO, ONE), (ONE, ZERO))])
+        a = series([diag_matrix([lam(1), lam(1)]), mat((ZERO, ONE), (ONE, ZERO))])
         with pytest.raises(RepeatedEigenvalue):
             successive_diagonalize(a, 1)
 
     def test_determinism(self):
-        a = series([diag_matrix([lam(1), lam(2)]), ((ZERO, ONE), (rf_const(2), ZERO))])
+        a = series([diag_matrix([lam(1), lam(2)]), mat((ZERO, ONE), (rf_const(2), ZERO))])
         r1 = successive_diagonalize(a, 1)
         r2 = successive_diagonalize(a, 1)
         assert r1.conjugator == r2.conjugator
@@ -244,15 +284,9 @@ class TestEq1Diagonal:
         zero = CommPoly.zero(QQ)
 
         def lift_with_offdiag(diag_polys, off):
-            entries = []
-            for i in range(2):
-                row = []
-                for j in range(2):
-                    c0 = diag_polys[i] if i == j else zero
-                    c1 = off if i != j else zero
-                    row.append(FormalSeries(2, [c0, c1, zero]))
-                entries.append(row)
-            return SeriesMatrix(entries)
+            c0 = GenericMatrix.diagonal(diag_polys)
+            c1 = GenericMatrix([[zero, off], [off, zero]])
+            return FormalSeries(2, [c0, c1, GenericMatrix.zeros(2, QQ)])
 
         f = lift_with_offdiag([aux_poly("x", 1), aux_poly("x", 2)], aux_poly("y", 1))
         g = lift_with_offdiag([aux_poly("y", 1), aux_poly("y", 2)], aux_poly("x", 2))

@@ -19,8 +19,8 @@ from nclab.genmat import (
     standard_identity,
     trace_and_charpoly,
 )
-from nclab.rings import CommPoly, Variable
-from nclab.sample import random_freepoly
+from nclab.rings import CommPoly, RationalFunction, Variable
+from nclab.sample import random_commpoly, random_freepoly
 
 
 def entry_poly(l, i, j, field=QQ):
@@ -111,6 +111,52 @@ class TestMatrixArithmetic:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             GenericMatrix.identity(2, QQ) + GenericMatrix.identity(3, QQ)
+
+
+def random_ratfun(rng, field):
+    """0, or a random polynomial in lam1..lam3 over up to two eigenvalue differences."""
+    lams = [Variable.aux("lam", i) for i in (1, 2, 3)]
+    if rng.random() < 0.25:
+        return RationalFunction.zero(field)
+    out = RationalFunction.from_poly(random_commpoly(rng, lams, field, max_degree=2, max_terms=3))
+    for _ in range(rng.randint(0, 2)):
+        u, v = sorted(rng.sample(lams, 2))
+        diff = CommPoly.variable(u, field) - CommPoly.variable(v, field)
+        out = out / RationalFunction.from_poly(diff)
+    return out
+
+
+class TestRationalFunctionEntries:
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["q", "gf7"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_ring_operations_match_the_oracle(self, n, field):
+        rng = random.Random(800 + n)
+        for _ in range(4):
+            a, b = (
+                [[random_ratfun(rng, field) for _ in range(n)] for _ in range(n)]
+                for _ in range(2)
+            )
+            ma, mb = GenericMatrix(a), GenericMatrix(b)
+            assert ma.ring is RationalFunction
+            assert [list(r) for r in (ma * mb).rows] == matmul(a, b)
+            assert [list(r) for r in (ma + mb).rows] == [
+                [x + y for x, y in zip(u, v)] for u, v in zip(a, b)]
+            assert [list(r) for r in (ma - mb).rows] == [
+                [x - y for x, y in zip(u, v)] for u, v in zip(a, b)]
+
+    def test_zero_and_one_come_from_the_entry_class(self):
+        e = GenericMatrix.identity(2, QQ, RationalFunction)
+        assert e.entry(1, 1) == RationalFunction.one(QQ) and e.entry(1, 2).is_zero
+        z = GenericMatrix.zeros(2, QQ, RationalFunction)
+        assert (e * z) == z and (z * e).ring is RationalFunction
+        assert e.trace() == RationalFunction.from_poly(CommPoly.constant(QQ.scalar(2)))
+
+    def test_rings_do_not_mix(self):
+        with pytest.raises(TypeError):
+            GenericMatrix([[CommPoly.one(QQ), RationalFunction.one(QQ)],
+                           [CommPoly.zero(QQ), CommPoly.one(QQ)]])
+        with pytest.raises(TypeError):
+            GenericMatrix.identity(2, QQ) * GenericMatrix.identity(2, QQ, RationalFunction)
 
 
 class TestCharpoly:

@@ -1,4 +1,4 @@
-"""Poisson brackets, the truncated star product and series matrices."""
+"""Poisson brackets, the truncated star product and series of matrices."""
 
 import json
 import random
@@ -14,9 +14,9 @@ from nclab.fields import GF, QQ
 from nclab.quantize import (
     FormalSeries,
     PoissonTensor,
-    SeriesMatrix,
     StarContext,
     entry_pairing_tensor,
+    matrix_star,
     matrix_star_commutator,
     pairing_tensor,
     poisson_bracket,
@@ -128,7 +128,7 @@ class TestStarProduct:
         for _ in range(20):
             a = random_commpoly(rng, list(ctx.tensor.variables), QQ)
             sa = FormalSeries.from_poly(a, 2)
-            one = FormalSeries.one(QQ, 2)
+            one = FormalSeries.from_poly(CommPoly.one(QQ), 2)
             assert star_mul(sa, one, ctx) == sa
             assert star_mul(one, sa, ctx) == sa
 
@@ -305,8 +305,8 @@ class TestMatrixStar:
     def test_1x1_reduces_to_scalar_case(self):
         t = pairing_tensor([VX[0]], [VY[0]], QQ)
         ctx = StarContext(t, 2)
-        f = SeriesMatrix([[FormalSeries.from_poly(poly(VX[0]), 2)]])
-        g = SeriesMatrix([[FormalSeries.from_poly(poly(VY[0]), 2)]])
+        f = FormalSeries.from_poly(GenericMatrix([[poly(VX[0])]]), 2)
+        g = FormalSeries.from_poly(GenericMatrix([[poly(VY[0])]]), 2)
         comm = matrix_star_commutator(f, g, ctx)
         assert comm.coefficient(0).is_zero
         assert comm.coefficient(1) == GenericMatrix([[CommPoly.one(QQ)]])
@@ -324,18 +324,57 @@ class TestMatrixStar:
         t = two_pair_tensor()
         ctx = StarContext(t, 2)
         rng = random.Random(610)
-        entries = [
-            [
-                FormalSeries.from_poly(
-                    random_commpoly(rng, list(t.variables), QQ, max_degree=2), 2
-                )
-                for _ in range(2)
-            ]
+        rows = [
+            [random_commpoly(rng, list(t.variables), QQ, max_degree=2) for _ in range(2)]
             for _ in range(2)
         ]
-        b = SeriesMatrix(entries)
-        e = SeriesMatrix.identity(2, QQ, 2)
+        b = FormalSeries.from_poly(GenericMatrix(rows), 2)
+        e = FormalSeries.from_poly(GenericMatrix.identity(2, QQ), 2)
         assert matrix_star_commutator(e, b, ctx).is_zero
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["q", "gf7"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_moyal_oracle_with_higher_coefficients(self, n, field):
+        # coefficient r of a *_M b is sum over m + k + s = r and l of B_s(a_m[i,l], b_k[l,j])
+        order = 3
+        ctx = StarContext(two_pair_tensor(field), order)
+        variables = list(ctx.tensor.variables)
+        pairs = ctx.tensor.ordered_pairs()
+        weights = [field.scalar(Fraction(1, 2**r * factorial(r))) for r in range(order + 1)]
+        rng = random.Random(612 + n)
+
+        def random_series():
+            coeffs = [
+                GenericMatrix([
+                    [random_commpoly(rng, variables, field, max_degree=2, max_terms=2)
+                     if rng.random() < 0.7 else CommPoly.zero(field) for _ in range(n)]
+                    for _ in range(n)
+                ])
+                for _ in range(order + 1)
+            ]
+            return FormalSeries(order, coeffs)
+
+        for _ in range(4):
+            a, b = random_series(), random_series()
+            assert any(not c.is_zero for c in a.coeffs[1:])
+            got = matrix_star(a, b, ctx)
+            for r in range(order + 1):
+                for i in range(n):
+                    for j in range(n):
+                        want = CommPoly.zero(field)
+                        for m in range(r + 1):
+                            for k in range(r + 1 - m):
+                                s = r - m - k
+                                for l in range(n):
+                                    x, y = a.coeffs[m].rows[i][l], b.coeffs[k].rows[l][j]
+                                    want = want + moyal_term(x, y, s, pairs, weights[s])
+                        assert got.coefficient(r).rows[i][j] == want
+
+    def test_rejects_a_polynomial_series(self):
+        ctx = StarContext(two_pair_tensor(), 2)
+        s = FormalSeries.from_poly(poly(VX[0]), 2)
+        with pytest.raises(TypeError):
+            matrix_star(s, s, ctx)
 
 
 class TestQuantizeLift:

@@ -114,9 +114,9 @@ DIAG_ARGV = ["diag", "--n", "3", "--order", "2"]
 def _doubled_sylvester(real):
     """solve_sylvester_diag returning 2T: a wrong conjugator whose steps stay consistent."""
 
-    def solve(lam, rhs, zero):
-        t = real(lam, rhs, zero)
-        return tuple(tuple(x + x for x in row) for row in t)
+    def solve(lam, rhs):
+        t = real(lam, rhs)
+        return t + t
 
     return solve
 
@@ -126,8 +126,8 @@ def _truncated_inverse(real):
 
     def inverse(self):
         inv = real(self)
-        coeffs = list(inv.coeffs[:-1]) + [inv.zero_matrix()]
-        return diagonalize.SeriesFieldMatrix(coeffs, inv.zero, inv.one)
+        coeffs = list(inv.coeffs[:-1]) + [inv.coeffs[-1] - inv.coeffs[-1]]
+        return diagonalize.SeriesFieldMatrix(inv.order, coeffs)
 
     return inverse
 
@@ -161,8 +161,9 @@ import sys
 from nclab import diagonalize
 from nclab.cli import main
 real = diagonalize.solve_sylvester_diag
-def solve(lam, rhs, zero):
-    return tuple(tuple(x + x for x in row) for row in real(lam, rhs, zero))
+def solve(lam, rhs):
+    t = real(lam, rhs)
+    return t + t
 diagonalize.solve_sylvester_diag = solve
 raise SystemExit(main(sys.argv[1:]))
 """

@@ -8,7 +8,7 @@ from nclab import serialize
 from nclab.errors import BadReport, DivisionByZero, EngineError
 from nclab.fields import GF, QQ
 from nclab.freealg import parse_free
-from nclab.genmat import annihilator_stability, pi_reduce
+from nclab.genmat import GenericMatrix, annihilator_stability, pi_reduce
 from nclab.quantize import StarContext, entry_pairing_tensor, verify_correspondence
 from nclab.rings import CommPoly, RationalFunction, Variable
 from nclab.centralizer import (
@@ -23,7 +23,7 @@ from nclab.diagonalize import (
     eq1_diagonal_check,
     successive_diagonalize,
 )
-from nclab.quantize import quantize_lift
+from nclab.quantize import matrix_star_commutator, quantize_lift
 from nclab.sample import random_commpoly
 
 
@@ -84,15 +84,14 @@ def test_probe_round_trip():
 
 
 def test_diagonal_report_round_trip():
-    zero = RationalFunction.from_scalar(QQ.zero)
-    one = RationalFunction.from_scalar(QQ.one)
+    zero, one = RationalFunction.zero(QQ), RationalFunction.one(QQ)
     lam = [
         RationalFunction.from_poly(CommPoly.variable(Variable.aux("lam", i), QQ))
         for i in (1, 2)
     ]
-    a0 = ((lam[0], zero), (zero, lam[1]))
-    a1 = ((zero, one), (one, zero))
-    a = SeriesFieldMatrix([a0, a1], zero, one)
+    a0 = GenericMatrix.diagonal(lam)
+    a1 = GenericMatrix([[zero, one], [one, zero]])
+    a = SeriesFieldMatrix(1, [a0, a1])
     rep = successive_diagonalize(a, 1)
     round_trip(rep)
 
@@ -166,8 +165,18 @@ def test_composite_cli_reports_round_trip():
 def test_each_tag_and_class_has_one_row():
     tags = [row[0] for row in serialize._FORMAT]
     classes = [row[1] for row in serialize._FORMAT]
-    assert len(set(tags)) == len(tags) == 25
+    assert len(set(tags)) == len(tags) == 24
     assert len(set(classes)) == len(classes)
+
+
+def test_series_of_matrices_round_trips_through_the_series_row():
+    f, g, tensor = diagonal_generic_pair(2, QQ)
+    ctx = StarContext(tensor, 2)
+    comm = matrix_star_commutator(quantize_lift(f, ctx), quantize_lift(g, ctx), ctx)
+    assert serialize.encode(comm)["type"] == "series"
+    assert round_trip(comm) == comm
+    with pytest.raises(ValueError):
+        serialize.decode({"type": "series-matrix"}, QQ)
 
 
 def test_unknown_values_are_refused():
