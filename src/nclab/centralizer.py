@@ -13,19 +13,11 @@ pair.
 
 from __future__ import annotations
 
-from . import linalg
+from . import genmat, linalg, quantize, rings
 from .errors import NotCommuting, ScalarInput
 from .fields import Field
 from .freealg import EMPTY_WORD, FreePoly, commutator, pretty, word_key
-from .genmat import (
-    GenericMatrix,
-    StabilityReport,
-    find_annihilator,
-    pi_reduce,
-)
-from .quantize import StarContext, matrix_star_commutator, pairing_tensor, quantize_lift
 from .records import Record
-from .rings import CommPoly, Variable
 
 
 def _words_up_to(s: int, d: int):
@@ -223,7 +215,7 @@ def _conclude(report: PipelineReport) -> None:
 
 
 def bergman_pipeline(
-    f: FreePoly, g: FreePoly, nmax: int, dmax: int, ctx: StarContext
+    f: FreePoly, g: FreePoly, nmax: int, dmax: int, ctx: quantize.StarContext
 ) -> PipelineReport:
     """Commutation, reduction, annihilators and star commutators, end to end."""
     c = commutator(f, g)
@@ -233,13 +225,13 @@ def bergman_pipeline(
         report.conclusion = "inputs do not commute in the free algebra"
         return report
     for n in range(1, nmax + 1):
-        fn, gn = pi_reduce(f, n), pi_reduce(g, n)
-        ann = find_annihilator(fn, gn, dmax)
-        fhat, ghat = quantize_lift(fn, ctx), quantize_lift(gn, ctx)
-        comm = matrix_star_commutator(fhat, ghat, ctx)
+        fn, gn = genmat.pi_reduce(f, n), genmat.pi_reduce(g, n)
+        ann = genmat.find_annihilator(fn, gn, dmax)
+        fhat, ghat = quantize.quantize_lift(fn, ctx), quantize.quantize_lift(gn, ctx)
+        comm = quantize.matrix_star_commutator(fhat, ghat, ctx)
         c0, c1 = comm.coefficient(0), comm.coefficient(1)
         report.outcomes.append(SizeOutcome(n, ann, c0.is_zero, c1.is_zero, c1))
-    report.stability = StabilityReport.of(
+    report.stability = genmat.StabilityReport.of(
         f, g, report.sizes, dmax, [o.annihilator for o in report.outcomes]
     )
     _conclude(report)
@@ -247,7 +239,7 @@ def bergman_pipeline(
 
 
 def commuting_matrix_probe(
-    f: GenericMatrix, g: GenericMatrix, dmax: int, ctx: StarContext
+    f: genmat.GenericMatrix, g: genmat.GenericMatrix, dmax: int, ctx: quantize.StarContext
 ) -> PipelineReport:
     """Annihilator search plus star commutator for one commuting matrix pair.
 
@@ -255,12 +247,12 @@ def commuting_matrix_probe(
     elements, so transcendence-degree-2 pairs can be fed in directly.
     """
     try:
-        ann = find_annihilator(f, g, dmax)
+        ann = genmat.find_annihilator(f, g, dmax)
     except NotCommuting:
         raise NotCommuting("probe inputs must commute") from None
     report = PipelineReport(str(f), str(g), True, None)
-    fhat, ghat = quantize_lift(f, ctx), quantize_lift(g, ctx)
-    comm = matrix_star_commutator(fhat, ghat, ctx)
+    fhat, ghat = quantize.quantize_lift(f, ctx), quantize.quantize_lift(g, ctx)
+    comm = quantize.matrix_star_commutator(fhat, ghat, ctx)
     c0, c1 = comm.coefficient(0), comm.coefficient(1)
     report.outcomes.append(SizeOutcome(f.n, ann, c0.is_zero, c1.is_zero, c1))
     _conclude(report)
@@ -269,8 +261,8 @@ def commuting_matrix_probe(
 
 def diagonal_generic_pair(n: int, field: Field):
     """diag(x1..xn), diag(y1..yn) and the tensor pairing {x_i, y_i} = 1."""
-    xs = [Variable.aux("x", i) for i in range(1, n + 1)]
-    ys = [Variable.aux("y", i) for i in range(1, n + 1)]
-    f = GenericMatrix.diagonal([CommPoly.variable(v, field) for v in xs])
-    g = GenericMatrix.diagonal([CommPoly.variable(v, field) for v in ys])
-    return f, g, pairing_tensor(xs, ys, field)
+    xs = [rings.Variable.aux("x", i) for i in range(1, n + 1)]
+    ys = [rings.Variable.aux("y", i) for i in range(1, n + 1)]
+    f = genmat.GenericMatrix.diagonal([rings.CommPoly.variable(v, field) for v in xs])
+    g = genmat.GenericMatrix.diagonal([rings.CommPoly.variable(v, field) for v in ys])
+    return f, g, quantize.pairing_tensor(xs, ys, field)

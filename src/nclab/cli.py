@@ -13,36 +13,11 @@ import argparse
 import random
 import sys
 
-from . import serialize
-from .centralizer import (
-    bergman_check,
-    bergman_pipeline,
-    commuting_matrix_probe,
-    diagonal_generic_pair,
-)
-from .diagonalize import SeriesFieldMatrix, successive_diagonalize
+from . import centralizer, diagonalize, genmat, quantize, rings, sample, serialize
 from .errors import EngineError, InvalidSize
 from .fields import QQ, Field
 from .freealg import commutator, parse_free, pretty
-from .genmat import (
-    GenericMatrix,
-    annihilator_stability,
-    make_generic,
-    pi_reduce,
-    standard_identity,
-)
-from .quantize import (
-    FormalSeries,
-    PoissonTensor,
-    StarContext,
-    entry_pairing_tensor,
-    poisson_bracket,
-    star_mul,
-    verify_correspondence,
-)
 from .records import FrozenRecord
-from .rings import CommPoly, RationalFunction, Variable
-from .sample import DEFAULT_SEED, random_int_matrix
 from .serialize import (
     ALReport,
     CommuteReport,
@@ -95,15 +70,15 @@ def _parse_field(text: str) -> Field:
     raise EngineError(f"bad field {text!r}; use 'q' or 'fp:<prime>'")
 
 
-def _tensor(args, field: Field, s: int, n: int) -> PoissonTensor:
+def _tensor(args, field: Field, s: int, n: int) -> quantize.PoissonTensor:
     if args.poisson == "pairing":
-        return entry_pairing_tensor(s, n, field)
-    return PoissonTensor.load(args.poisson, field)
+        return quantize.entry_pairing_tensor(s, n, field)
+    return quantize.PoissonTensor.load(args.poisson, field)
 
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--field", default="q", help="ground field: q or fp:<prime>")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="PRNG seed")
+    p.add_argument("--seed", type=int, default=sample.DEFAULT_SEED, help="PRNG seed")
     p.add_argument("--json", action="store_true", help="emit one JSON document")
     p.add_argument("--out", default=None, help="write the report to this path")
 
@@ -176,13 +151,19 @@ def _args_pi(p):
 
 def _cmd_pi(args, field):
     f = parse_free(args.f, args.s, field)
-    image = pi_reduce(f, args.n)
+    image = genmat.pi_reduce(f, args.n)
     rep = PiReport(f, args.n, image)
     return rep, {"s": args.s, "n": args.n}, 0, [f"pi_{args.n}(f) = {image}"]
 
 
 #: ``al`` sums S_2n over all (2n)! permutations of symbolic n x n products.
 MAX_AL_N = 3
+
+#: ``centralizer`` makes one column of every word of length <= d in s letters,
+#: and holds all of the words at once.  Their total length is at most this: the
+#: 2^19 - 1 words of s = 2, d = 18.  Counting letters, not words, also bounds
+#: s = 1, where d + 1 words have d(d + 1)/2 letters.
+MAX_CENTRALIZER_LETTERS = 17 * 2**19 + 2
 
 
 def _args_al(p):
@@ -194,17 +175,17 @@ def _cmd_al(args, field):
     if n > MAX_AL_N:
         raise InvalidSize(f"al --n is at most {MAX_AL_N}, got {n}: S_{2 * n} has {2 * n}! terms")
     arity = 2 * n
-    mats = make_generic(arity, n, field)
-    vanishes = standard_identity(arity, mats).is_zero
+    mats = genmat.make_generic(arity, n, field)
+    vanishes = genmat.standard_identity(arity, mats).is_zero
     sharp_checked = n == 2
     sharp_nonzero = None
     if sharp_checked:
         units = [
-            GenericMatrix.unit(2, 1, 1, field),
-            GenericMatrix.unit(2, 1, 2, field),
-            GenericMatrix.unit(2, 2, 1, field),
+            genmat.GenericMatrix.unit(2, 1, 1, field),
+            genmat.GenericMatrix.unit(2, 1, 2, field),
+            genmat.GenericMatrix.unit(2, 2, 1, field),
         ]
-        sharp_nonzero = not standard_identity(3, units).is_zero
+        sharp_nonzero = not genmat.standard_identity(3, units).is_zero
     rep = ALReport(n, arity, vanishes, sharp_checked, sharp_nonzero)
     ok = vanishes and (sharp_nonzero is not False)
     lines = [
@@ -228,7 +209,7 @@ def _args_annihilator(p):
 def _cmd_annihilator(args, field):
     f = parse_free(args.f, args.s, field)
     g = parse_free(args.g, args.s, field)
-    rep = annihilator_stability(f, g, range(1, args.nmax + 1), args.dmax)
+    rep = genmat.annihilator_stability(f, g, range(1, args.nmax + 1), args.dmax)
     lines = []
     for r in rep.results:
         if r.found:
@@ -244,8 +225,8 @@ def _cmd_annihilator(args, field):
     return rep, {"s": args.s, "nmax": args.nmax, "dmax": args.dmax}, code, lines
 
 
-def _scalar_reduction(expr: str, s: int, field) -> CommPoly:
-    return pi_reduce(parse_free(expr, s, field), 1).entry(1, 1)
+def _scalar_reduction(expr: str, s: int, field) -> rings.CommPoly:
+    return genmat.pi_reduce(parse_free(expr, s, field), 1).entry(1, 1)
 
 
 def _args_star(p):
@@ -260,11 +241,12 @@ def _cmd_star(args, field):
     a = _scalar_reduction(args.a, args.s, field)
     b = _scalar_reduction(args.b, args.s, field)
     tensor = _tensor(args, field, args.s, 1)
-    ctx = StarContext(tensor, args.order)
-    sa, sb = FormalSeries.from_poly(a, ctx.order), FormalSeries.from_poly(b, ctx.order)
-    product = star_mul(sa, sb, ctx)
-    comm = product - star_mul(sb, sa, ctx)
-    corr = verify_correspondence(a, b, ctx, comm) if ctx.order >= 2 else None
+    ctx = quantize.StarContext(tensor, args.order)
+    lift = quantize.FormalSeries.from_poly
+    sa, sb = lift(a, ctx.order), lift(b, ctx.order)
+    product = quantize.star_mul(sa, sb, ctx)
+    comm = product - quantize.star_mul(sb, sa, ctx)
+    corr = quantize.verify_correspondence(a, b, ctx, comm) if ctx.order >= 2 else None
     rep = StarReport(product, comm, corr)
     lines = [f"a*b = {product}", f"[a,b]_* = {comm}"]
     code = 0
@@ -288,7 +270,7 @@ def _cmd_poisson(args, field):
     a = _scalar_reduction(args.a, args.s, field)
     b = _scalar_reduction(args.b, args.s, field)
     tensor = _tensor(args, field, args.s, 1)
-    bracket = poisson_bracket(a, b, tensor)
+    bracket = quantize.poisson_bracket(a, b, tensor)
     return PoissonReport(bracket), {"s": args.s}, 0, [f"{{a,b}} = {bracket}"]
 
 
@@ -299,17 +281,18 @@ def _args_diag(p):
 
 def _cmd_diag(args, field):
     n, order = args.n, args.order
-    a0 = GenericMatrix.diagonal(
-        RationalFunction.from_poly(CommPoly.variable(Variable.aux("lam", i), field))
+    ratfun = rings.RationalFunction
+    a0 = genmat.GenericMatrix.diagonal(
+        ratfun.from_poly(rings.CommPoly.variable(rings.Variable.aux("lam", i), field))
         for i in range(1, n + 1)
     )
     rng = random.Random(args.seed)
-    m_int = random_int_matrix(rng, n, field, zero_diagonal=True)
-    a1 = GenericMatrix([[RationalFunction.from_poly(e) for e in row] for row in m_int.rows])
-    zero = GenericMatrix.zeros(n, field, RationalFunction)
+    m_int = sample.random_int_matrix(rng, n, field, zero_diagonal=True)
+    a1 = genmat.GenericMatrix([[ratfun.from_poly(e) for e in row] for row in m_int.rows])
+    zero = genmat.GenericMatrix.zeros(n, field, ratfun)
     # the series keeps the perturbation a1 even at order 0
-    series = SeriesFieldMatrix(max(order, 1), [a0, a1] + [zero] * (order - 1))
-    rep = successive_diagonalize(series, order)
+    series = diagonalize.SeriesFieldMatrix(max(order, 1), [a0, a1] + [zero] * (order - 1))
+    rep = diagonalize.successive_diagonalize(series, order)
     ok = rep.verified
     lines = [
         f"perturbation (h-coefficient): {m_int}",
@@ -326,8 +309,17 @@ def _args_centralizer(p):
 
 
 def _cmd_centralizer(args, field):
+    letters, layer = 0, 1
+    for k in range(1, args.d + 1):
+        layer *= args.s
+        letters += k * layer
+        if letters > MAX_CENTRALIZER_LETTERS:
+            raise InvalidSize(
+                f"centralizer --s {args.s} --d {args.d}: the words of length <= d have more "
+                f"than {MAX_CENTRALIZER_LETTERS} letters in all"
+            )
     f = parse_free(args.f, args.s, field)
-    rep = bergman_check(f, args.d)
+    rep = centralizer.bergman_check(f, args.d)
     lines = [f"dims by degree: {rep.dims}"]
     if rep.generator is not None:
         lines.append(f"generator: {pretty(rep.generator)}")
@@ -369,8 +361,8 @@ def _cmd_bergman_pipeline(args, field):
     f = parse_free(args.f, args.s, field)
     g = parse_free(args.g, args.s, field)
     tensor = _tensor(args, field, args.s, args.nmax)
-    ctx = StarContext(tensor, args.order)
-    rep = bergman_pipeline(f, g, args.nmax, args.dmax, ctx)
+    ctx = quantize.StarContext(tensor, args.order)
+    rep = centralizer.bergman_pipeline(f, g, args.nmax, args.dmax, ctx)
     # A vanishing degree-0 star part must always hold for commuting inputs:
     # its failure is a mathematical FAIL.  The contradiction scenario (no
     # annihilator, nonzero h-part) is a reported state, exit 0.
@@ -399,15 +391,15 @@ def _cmd_probe(args, field):
     if (args.f is None) != (args.g is None):
         raise EngineError("probe takes both --f and --g, or neither")
     if args.f is not None:
-        f = pi_reduce(parse_free(args.f, args.s, field), args.n)
-        g = pi_reduce(parse_free(args.g, args.s, field), args.n)
+        f = genmat.pi_reduce(parse_free(args.f, args.s, field), args.n)
+        g = genmat.pi_reduce(parse_free(args.g, args.s, field), args.n)
         tensor = _tensor(args, field, args.s, args.n)
     else:
-        f, g, tensor = diagonal_generic_pair(args.n, field)
+        f, g, tensor = centralizer.diagonal_generic_pair(args.n, field)
         if args.poisson != "pairing":
-            tensor = PoissonTensor.load(args.poisson, field)
-    ctx = StarContext(tensor, args.order)
-    rep = commuting_matrix_probe(f, g, args.dmax, ctx)
+            tensor = quantize.PoissonTensor.load(args.poisson, field)
+    ctx = quantize.StarContext(tensor, args.order)
+    rep = centralizer.commuting_matrix_probe(f, g, args.dmax, ctx)
     bounds = {"n": args.n, "dmax": args.dmax, "order": args.order}
     return rep, bounds, 0, _pipeline_lines(rep)
 
@@ -484,8 +476,11 @@ def main(argv=None) -> int:
     else:
         payload = "\n".join(lines + [f"seed: {config.seed}"]) + "\n"
     if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(config.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            return _fail(str(exc))
     else:
         sys.stdout.write(payload)
     return code

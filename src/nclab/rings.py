@@ -620,10 +620,6 @@ class RationalFunction:
     def from_poly(p: CommPoly) -> RationalFunction:
         return RationalFunction._of(p, {})
 
-    @staticmethod
-    def from_scalar(c: Scalar) -> RationalFunction:
-        return RationalFunction.from_poly(CommPoly.constant(c))
-
     @property
     def field(self) -> Field:
         return self.num.field

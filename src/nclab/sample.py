@@ -9,10 +9,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from . import genmat, rings
 from .fields import Field, Scalar
 from .freealg import FreePoly
-from .genmat import GenericMatrix
-from .rings import CommPoly, mono_from_dict
 
 #: Documented default seed used by the CLI and the randomized suites.
 DEFAULT_SEED = 1729
@@ -28,7 +27,7 @@ def random_scalar(rng: random.Random, field: Field, span: int = 6) -> Scalar:
 
 def random_commpoly(
     rng: random.Random, variables, field: Field, max_degree: int = 3, max_terms: int = 4
-) -> CommPoly:
+) -> rings.CommPoly:
     variables = list(variables)
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
@@ -37,8 +36,8 @@ def random_commpoly(
         for _ in range(deg):
             v = rng.choice(variables)
             exps[v] = exps.get(v, 0) + 1
-        terms[mono_from_dict(exps)] = random_scalar(rng, field)
-    return CommPoly(field, terms)
+        terms[rings.mono_from_dict(exps)] = random_scalar(rng, field)
+    return rings.CommPoly(field, terms)
 
 
 def random_freepoly(
@@ -54,14 +53,14 @@ def random_freepoly(
 
 def random_int_matrix(
     rng: random.Random, n: int, field: Field, lo: int = -5, hi: int = 5, zero_diagonal=False
-) -> GenericMatrix:
+) -> genmat.GenericMatrix:
     rows = []
     for i in range(n):
         row = []
         for j in range(n):
             if zero_diagonal and i == j:
-                row.append(CommPoly.zero(field))
+                row.append(rings.CommPoly.zero(field))
             else:
-                row.append(CommPoly.constant(field.scalar(rng.randint(lo, hi))))
+                row.append(rings.CommPoly.constant(field.scalar(rng.randint(lo, hi))))
         rows.append(row)
-    return GenericMatrix(rows)
+    return genmat.GenericMatrix(rows)

@@ -1,7 +1,9 @@
 """JSON encoding and decoding of reports and algebra values.
 
 The whole report format is the table below: every encoded object is a plain
-dict with a ``"type"`` tag, and each tag appears in exactly one row.  A value
+dict with a ``"type"`` tag, and each tag appears in exactly one row.  A row
+names its class as ``"module.Class"`` (resolved when a value is decoded, so
+that a command loads only the modules of the values it emits).  A value
 type's row names its body encoder and its decoder; a report record's row
 names only the JSON keys that differ from its field names and the keys that
 are not fields, and the record is coded from its compared fields.  Lists and
@@ -14,17 +16,13 @@ JSON documents.
 from __future__ import annotations
 
 import json
+import sys
 
-from . import __version__
-from .centralizer import BergmanReport, CentralizerBasis, PipelineReport, SizeOutcome
-from .diagonalize import DiagonalReport, Eq1Report, SeriesFieldMatrix
+from . import __version__, diagonalize, genmat, quantize, rings
 from .errors import BadReport, UnsupportedDenominator
-from .fields import Field, Scalar
-from .freealg import FreePoly, parse_free, pretty
-from .genmat import AnnihilatorResult, BivariatePoly, GenericMatrix, StabilityReport
-from .quantize import CorrespondenceReport, FormalSeries, PoissonTensor
+from .fields import Field
+from .freealg import parse_free, pretty
 from .records import Record
-from .rings import CommPoly, RationalFunction, parse_variable_name
 
 
 # ---------------------------------------------------------------------------
@@ -61,112 +59,135 @@ class PoissonReport(Record):
 # ---------------------------------------------------------------------------
 
 
-def _commpoly_body(p: CommPoly):
+def _commpoly_body(p: rings.CommPoly):
     terms = [[[[str(v), e] for v, e in m], str(c)] for m, c in p.sorted_terms()]
     return {"text": str(p), "terms": terms}
 
 
-def _commpoly_from(obj, field: Field) -> CommPoly:
-    return CommPoly(field, {tuple((parse_variable_name(name), int(e)) for name, e in mono): coeff
-                            for mono, coeff in obj["terms"]})
+def _commpoly_from(obj, field: Field) -> rings.CommPoly:
+    name = rings.parse_variable_name
+    return rings.CommPoly(field, {tuple((name(v), int(e)) for v, e in mono): coeff
+                                  for mono, coeff in obj["terms"]})
 
 
-def _ratfun_from(obj, field: Field) -> RationalFunction:
+def _ratfun_from(obj, field: Field) -> rings.RationalFunction:
     try:
-        return RationalFunction(decode(obj["num"], field), decode(obj["den"], field))
+        return rings.RationalFunction(decode(obj["num"], field), decode(obj["den"], field))
     except UnsupportedDenominator as exc:
         raise BadReport(f"ratfun: {exc}") from exc
 
 
-def _record(tag, cls, renamed=None, extra=None):
+def _class(path):
+    """The class named ``"module.Class"`` in this package."""
+    module, name = path.split(".")
+    return getattr(sys.modules[f"{__package__}.{module}"], name)
+
+
+def _record(tag, path, renamed=None, extra=None):
     """Table row of a record class, coded from its compared fields.
 
     ``renamed`` maps a field to the JSON key it is stored under; ``extra``
     maps each key that is not a field to its value as a function of the record.
     """
-    keys = [(name, (renamed or {}).get(name, name)) for name in cls._compared]
+    renamed = renamed or {}
     extra = extra or {}
 
     def body(r):
-        out = {key: encode(getattr(r, name)) for name, key in keys}
+        out = {renamed.get(name, name): encode(getattr(r, name)) for name in r._compared}
         out.update((key, encode(value(r))) for key, value in extra.items())
         return out
 
     def from_body(obj, field):
-        return cls(**{name: decode(obj[key], field) for name, key in keys})
+        cls = _class(path)
+        return cls(**{name: decode(obj[renamed.get(name, name)], field) for name in cls._compared})
 
-    return tag, cls, body, from_body
+    return tag, path, body, from_body
 
 
 _TEXTS = {"f_text": "f", "g_text": "g"}
 
-# One row per tag: tag, class, body of an instance (without its tag), instance
-# from (body, field).  The record keys that are not fields are kept so that
-# report bytes do not change.
+# One row per tag: tag, "module.Class", body of an instance (without its tag),
+# instance from (body, field).  The record keys that are not fields are kept so
+# that report bytes do not change.
 _FORMAT = (
-    ("scalar", Scalar, lambda x: {"value": str(x)}, lambda o, field: field.scalar(o["value"])),
-    ("commpoly", CommPoly, _commpoly_body, _commpoly_from),
+    (
+        "scalar",
+        "fields.Scalar",
+        lambda x: {"value": str(x)},
+        lambda o, field: field.scalar(o["value"]),
+    ),
+    ("commpoly", "rings.CommPoly", _commpoly_body, _commpoly_from),
     (
         "ratfun",
-        RationalFunction,
+        "rings.RationalFunction",
         lambda r: {"num": encode(r.num), "den": encode(r.den)},
         _ratfun_from,
     ),
     (
         "freepoly",
-        FreePoly,
+        "freealg.FreePoly",
         lambda p: {"s": p.s, "expr": pretty(p)},
         lambda o, field: parse_free(o["expr"], o["s"], field),
     ),
     (
         "bivariate",
-        BivariatePoly,
+        "genmat.BivariatePoly",
         lambda p: {"text": str(p), "terms": [[a, b, str(c)] for (a, b), c in p.sorted_terms()]},
-        lambda o, field: BivariatePoly(
+        lambda o, field: genmat.BivariatePoly(
             field, {(int(a), int(b)): c for a, b, c in o["terms"]}
         ),
     ),
     (
         "matrix",
-        GenericMatrix,
+        "genmat.GenericMatrix",
         lambda m: {"n": m.n, "entries": encode(m.rows)},
-        lambda o, field: GenericMatrix(decode(o["entries"], field)),
+        lambda o, field: genmat.GenericMatrix(decode(o["entries"], field)),
     ),
     (
         "series",
-        FormalSeries,
+        "quantize.FormalSeries",
         lambda s: {"order": s.order, "coeffs": encode(s.coeffs)},
-        lambda o, field: FormalSeries(o["order"], decode(o["coeffs"], field)),
+        lambda o, field: quantize.FormalSeries(o["order"], decode(o["coeffs"], field)),
     ),
     (
         "series-field-matrix",
-        SeriesFieldMatrix,
+        "diagonalize.SeriesFieldMatrix",
         lambda s: {
             "n": s.coeffs[0].n, "order": s.order, "coeffs": encode([c.rows for c in s.coeffs])
         },
-        lambda o, field: SeriesFieldMatrix(
-            o["order"], [GenericMatrix(rows) for rows in decode(o["coeffs"], field)]
+        lambda o, field: diagonalize.SeriesFieldMatrix(
+            o["order"], [genmat.GenericMatrix(rows) for rows in decode(o["coeffs"], field)]
         ),
     ),
-    ("tensor", PoissonTensor, PoissonTensor.to_dict, PoissonTensor.from_dict),
-    _record("annihilator", AnnihilatorResult),
-    _record("stability", StabilityReport, renamed=_TEXTS),
+    (
+        "tensor",
+        "quantize.PoissonTensor",
+        lambda t: t.to_dict(),
+        lambda o, field: quantize.PoissonTensor.from_dict(o, field),
+    ),
+    _record("annihilator", "genmat.AnnihilatorResult"),
+    _record("stability", "genmat.StabilityReport", renamed=_TEXTS),
     # a SizeOutcome exists only for commuting images
-    _record("size-outcome", SizeOutcome, extra={"images_commute": lambda r: True}),
-    _record("pipeline", PipelineReport, renamed=_TEXTS),
-    _record("centralizer-basis", CentralizerBasis, extra={"dims": lambda r: r.dims}),
-    _record("bergman", BergmanReport),
-    _record("diagonal", DiagonalReport, extra={"second_eigenvalues": lambda r: None}),
-    _record("eq1", Eq1Report),
-    _record("correspondence", CorrespondenceReport),
-    _record("eval", EvalReport, renamed={"degree_text": "degree", "term_count": "terms"}),
-    _record("commute", CommuteReport, renamed={"commutator_value": "commutator"}),
-    _record("pi", PiReport),
-    _record("al", ALReport),
-    _record("star", StarReport, renamed={"commutator_series": "commutator"}),
-    _record("poisson", PoissonReport),
+    _record("size-outcome", "centralizer.SizeOutcome", extra={"images_commute": lambda r: True}),
+    _record("pipeline", "centralizer.PipelineReport", renamed=_TEXTS),
+    _record("centralizer-basis", "centralizer.CentralizerBasis", extra={"dims": lambda r: r.dims}),
+    _record("bergman", "centralizer.BergmanReport"),
+    _record(
+        "diagonal", "diagonalize.DiagonalReport", extra={"second_eigenvalues": lambda r: None}
+    ),
+    _record("eq1", "diagonalize.Eq1Report"),
+    _record("correspondence", "quantize.CorrespondenceReport"),
+    _record(
+        "eval", "serialize.EvalReport", renamed={"degree_text": "degree", "term_count": "terms"}
+    ),
+    _record("commute", "serialize.CommuteReport", renamed={"commutator_value": "commutator"}),
+    _record("pi", "serialize.PiReport"),
+    _record("al", "serialize.ALReport"),
+    _record("star", "serialize.StarReport", renamed={"commutator_series": "commutator"}),
+    _record("poisson", "serialize.PoissonReport"),
 )
-_ENCODERS = {cls: (tag, body) for tag, cls, body, _ in _FORMAT}
+# keyed by the class's module and name, so that no row's module is loaded to encode
+_ENCODERS = {f"{__package__}.{path}": (tag, body) for tag, path, body, _ in _FORMAT}
 _DECODERS = {tag: from_body for tag, _, _, from_body in _FORMAT}
 
 
@@ -176,7 +197,8 @@ def encode(obj):
         return obj
     if isinstance(obj, (list, tuple)):
         return [encode(x) for x in obj]
-    entry = _ENCODERS.get(type(obj))
+    cls = type(obj)
+    entry = _ENCODERS.get(f"{cls.__module__}.{cls.__qualname__}")
     if entry is None:
         raise TypeError(f"cannot encode {obj!r}")
     tag, body = entry

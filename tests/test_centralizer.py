@@ -211,16 +211,16 @@ class TestPipeline:
         assert rep.trdeg_verdict == "1"
 
     def test_each_annihilator_is_computed_once(self, monkeypatch):
-        from nclab import centralizer
+        from nclab import genmat
 
         calls = []
-        real = centralizer.find_annihilator
+        real = genmat.find_annihilator
 
         def counting(fn, gn, dmax):
             calls.append(fn.n)
             return real(fn, gn, dmax)
 
-        monkeypatch.setattr(centralizer, "find_annihilator", counting)
+        monkeypatch.setattr(genmat, "find_annihilator", counting)
         f = parse_free("x1", 2, QQ)
         g = parse_free("x1^2 + x1", 2, QQ)
         rep = bergman_pipeline(f, g, 3, 2, self._ctx(2, 3))

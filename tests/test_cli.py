@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nclab
-from nclab.cli import COMMANDS, build_parser, main
+from nclab.cli import COMMANDS, MAX_CENTRALIZER_LETTERS, build_parser, main
 from nclab.freealg import MAX_NESTING
 
 SUBCOMMANDS = [
@@ -291,6 +291,22 @@ class TestExitStatuses:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error [invalid-size]: al --n is at most 3")
 
+    @pytest.mark.parametrize(
+        "s, d", [(2, 19), (2, 40), (1, 10**9), (10**6, 3)], ids=["d19", "d40", "s1", "wide"]
+    )
+    def test_centralizer_beyond_the_letter_bound_is_refused_up_front(self, s, d, capsys):
+        # the s = 2, d = 18 words (the largest centralizer row timed) are exactly at the bound
+        assert sum(k * 2**k for k in range(19)) == MAX_CENTRALIZER_LETTERS
+        # unbounded, --d 40 would materialize every word of length <= 40
+        start = time.perf_counter()
+        code = main(["centralizer", "--f", "x1", "--s", str(s), "--d", str(d), "--json"])
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"error [invalid-size]: centralizer --s {s} --d {d}:")
+
     def test_unknown_generator_is_exit_1(self, capsys):
         code, _, err = run(["eval", "--f", "x3", "--s", "2"], capsys)
         assert code == 1
@@ -363,6 +379,14 @@ class TestJson:
         doc = json.loads(target.read_text())
         assert doc["report"]["standard_vanishes"] is True
 
+    @pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["no-such-dir", "a-dir"])
+    def test_out_to_an_unwritable_path_is_exit_1(self, target, tmp_path, capsys):
+        code, out, err = run(["eval", "--f", "x1", "--out", str(tmp_path / target)], capsys)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+
     def test_seed_is_embedded_and_overridable(self, capsys):
         code, out, _ = run(["diag", "--n", "2", "--seed", "7", "--json"], capsys)
         assert code == 0
@@ -430,7 +454,7 @@ class TestStarProducts:
             "--s", "4", "--order", "3"]
 
     def test_each_star_product_formed_once(self, monkeypatch, capsys):
-        from nclab import cli, quantize
+        from nclab import quantize
 
         calls = []
         real = quantize.star_mul
@@ -439,7 +463,6 @@ class TestStarProducts:
             calls.append((a, b))
             return real(a, b, ctx)
 
-        monkeypatch.setattr(cli, "star_mul", counting)
         monkeypatch.setattr(quantize, "star_mul", counting)
         code, out, _ = run(self.ARGV, capsys)
         assert code == 0

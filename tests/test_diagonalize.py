@@ -39,7 +39,7 @@ def lam(i):
 
 
 def rf_const(v):
-    return RationalFunction.from_scalar(QQ.scalar(v))
+    return RationalFunction.from_poly(CommPoly.constant(QQ.scalar(v)))
 
 
 def diag_matrix(entries):

@@ -255,22 +255,23 @@ class TestRationalFunction:
         lam2 = CommPoly.variable(Variable.aux("lam", 2), QQ)
         d = lam1 - lam2
         r = RationalFunction(CommPoly.one(QQ), d) * RationalFunction(d, CommPoly.one(QQ))
-        assert r == RationalFunction.from_scalar(QQ.one)
+        assert r == RationalFunction.from_poly(CommPoly.constant(QQ.one))
 
     def test_sum_to_zero(self):
         lam1, lam2, lam3 = _lam(1), _lam(2), _lam(3)
         a = RationalFunction(lam3, (lam1 - lam2) * (lam2 - lam3))
         s = a + (-a)
         assert s.is_zero
-        assert s == RationalFunction.from_scalar(QQ.zero)
+        assert s == RationalFunction.from_poly(CommPoly.constant(QQ.zero))
         assert str(s.den) == "1"
 
     def test_zero_denominator(self):
         lam1 = CommPoly.variable(Variable.aux("lam", 1), QQ)
         with pytest.raises(DivisionByZero):
             RationalFunction(CommPoly.one(QQ), lam1 - lam1)
+        zero = RationalFunction.from_poly(CommPoly.constant(QQ.zero))
         with pytest.raises(DivisionByZero):
-            RationalFunction.from_poly(lam1) / RationalFunction.from_scalar(QQ.zero)
+            RationalFunction.from_poly(lam1) / zero
 
     def test_scaled_inputs_are_equal_values(self):
         rng = random.Random(10)
@@ -299,7 +300,7 @@ class TestRationalFunction:
         for _ in range(20):
             a, b, c = rand_rf(), rand_rf(), rand_rf()
             assert (a + b) * c == a * c + b * c
-            assert a - a == RationalFunction.from_scalar(QQ.zero)
+            assert a - a == RationalFunction.from_poly(CommPoly.constant(QQ.zero))
             d = RationalFunction(_random_den(rng), _random_den(rng))  # a unit of the ring
             assert (a / d) * d == a
 

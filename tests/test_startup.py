@@ -4,6 +4,8 @@ Every ``nclab`` command is a fresh process, so what the import loads is paid
 on every run.  The benchmark's tracer (``perfbench/tracing.py``) wraps
 functions in the ``nclab`` modules right after ``import nclab.cli``, so each
 of them must already be loaded by then, and each traced name must exist.
+The submodules are registered lazily: each is in ``sys.modules`` at once but
+executes only on first use, so a command compiles only the modules it runs.
 """
 
 import importlib.util
@@ -11,6 +13,8 @@ import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 import nclab
 
@@ -60,3 +64,69 @@ def test_cli_import_generates_no_code_and_loads_every_traced_module():
     assert {f"nclab.{module}" for module in traced} <= loaded
     # a traced name that is renamed or deleted would silently drop out of --trace 1
     assert missing == []
+
+
+# what every command executes: the CLI, its report codec and the free-algebra parser
+_BASE = {"cli", "errors", "fields", "freealg", "records", "sample", "serialize"}
+
+
+@pytest.mark.parametrize(
+    "argv, executed",
+    [
+        (["centralizer", "--f", "x2*x1*x2", "--d", "5"], _BASE | {"centralizer", "linalg"}),
+        (["eval", "--f", "x1*x2 - x2*x1"], _BASE),
+        (
+            ["diag", "--n", "2", "--order", "2"],
+            _BASE | {"diagonalize", "genmat", "quantize", "rings"},
+        ),
+    ],
+    ids=["centralizer", "eval", "diag"],
+)
+def test_a_command_executes_only_the_modules_it_uses(argv, executed):
+    # a lazy module is a ModuleType subclass until its first attribute access
+    code = (
+        "import contextlib, io, json, sys, types; sys.path.insert(0, sys.argv[1])\n"
+        "import nclab.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = nclab.cli.main(sys.argv[2:])\n"
+        "ran = [k for k, m in sys.modules.items() if k.startswith('nclab.')"
+        " and type(m) is types.ModuleType]\n"
+        "print(json.dumps([status, sorted(ran)]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, SRC, *argv, "--json"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    status, ran = json.loads(proc.stdout)
+    assert status == 0
+    assert ran == sorted(f"nclab.{module}" for module in executed)
+
+
+# the names the package has always re-exported, by defining module
+PUBLIC = {
+    "fields": "GF QQ Field Scalar",
+    "freealg": "FreePoly commutator parse_free pretty",
+    "genmat": "BivariatePoly GenericMatrix annihilator_stability find_annihilator make_generic"
+    " pi_reduce standard_identity trace_and_charpoly",
+    "quantize": "FormalSeries PoissonTensor StarContext matrix_star matrix_star_commutator"
+    " poisson_bracket quantize_lift star_commutator star_mul verify_correspondence",
+    "rings": "CommPoly RationalFunction Variable",
+}
+
+
+def test_every_public_name_resolves_to_its_definition():
+    for module, names in PUBLIC.items():
+        defining = importlib.import_module(f"nclab.{module}")
+        for name in names.split():
+            assert getattr(nclab, name) is getattr(defining, name), name
+    from nclab import GenericMatrix
+
+    assert GenericMatrix is sys.modules["nclab.genmat"].GenericMatrix
+
+
+def test_an_unknown_public_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'NoSuchName'"):
+        nclab.NoSuchName
+    with pytest.raises(ImportError):
+        from nclab import NoSuchName  # noqa: F401
