@@ -61,10 +61,10 @@ def centralizer_basis(f: FreePoly, d: int) -> CentralizerBasis:
     """K_m = {g of degree <= m : [f, g] = 0} for every m <= d, exactly.
 
     One echelon absorbs the images [f, w] of the words by ascending length,
-    so the kernel vectors of the words of length <= m span K_m.  Over the
-    graded-lex descending word order the reduced echelon basis of K_d lists
-    each element under its leading word, and the elements of degree <= m
-    are then exactly the reduced echelon basis of K_m.
+    so the kernel vectors of the words of length <= m span K_m.  Last first,
+    they are the reduced echelon basis of K_d over the graded-lex descending
+    word order, each element under its leading word, and the elements of
+    degree <= m are then exactly the reduced echelon basis of K_m.
     """
     if f.is_constant:
         raise ScalarInput("the centralizer of a scalar is the whole algebra")
@@ -78,22 +78,15 @@ def centralizer_basis(f: FreePoly, d: int) -> CentralizerBasis:
     for w in words:
         vec = echelon.absorb(_commutator_column(raw_f, w, field.p))
         if vec is not None:
-            kernel.append({words[j]: v for j, v in vec.items()})
-    support = sorted({w for vec in kernel for w in vec}, key=word_key)
-    rows = [[field.scalar(vec.get(w, 0)) for w in support] for vec in kernel]
-    top = [
-        FreePoly(f.s, field, {support[i]: v for i, v in enumerate(row) if v})
-        for row in linalg.canonical_span_basis(rows, field)
-    ]
-    bases = [[b for b in top if b.degree() <= m] for m in range(d + 1)]
-    # Re-check by an independent path: every element commutes with f, and
-    # each K_m has one basis element per kernel vector of length <= m.
+            kernel.append(vec)
+    # Re-check by an independent path: the kernel vectors are in reduced
+    # echelon form, and every element commutes with f.
+    linalg.check_reduced(kernel)
+    top = [FreePoly(f.s, field, {words[j]: v for j, v in vec.items()}) for vec in reversed(kernel)]
     for b in top:
         if not commutator(f, b).is_zero:
             raise ArithmeticError(f"centralizer basis element {pretty(b)} does not commute with f")
-    lengths = [max(len(w) for w in vec) for vec in kernel]
-    if [len(b) for b in bases] != [sum(1 for k in lengths if k <= m) for m in range(d + 1)]:
-        raise ArithmeticError("centralizer bases disagree with the kernel dimensions")
+    bases = [[b for b in top if b.degree() <= m] for m in range(d + 1)]
     return CentralizerBasis(f, d, bases)
 
 

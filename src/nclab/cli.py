@@ -27,6 +27,8 @@ from .serialize import (
     StarReport,
 )
 
+DEFAULT_SEED = 1729
+
 
 class RunConfig(FrozenRecord):
     """Resolved run configuration shared by every subcommand."""
@@ -78,7 +80,7 @@ def _tensor(args, field: Field, s: int, n: int) -> quantize.PoissonTensor:
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--field", default="q", help="ground field: q or fp:<prime>")
-    p.add_argument("--seed", type=int, default=sample.DEFAULT_SEED, help="PRNG seed")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="PRNG seed")
     p.add_argument("--json", action="store_true", help="emit one JSON document")
     p.add_argument("--out", default=None, help="write the report to this path")
 

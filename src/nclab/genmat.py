@@ -349,9 +349,9 @@ def find_annihilator(f: GenericMatrix, g: GenericMatrix, dmax: int) -> Annihilat
 
     The monomials f^a g^b (a+b <= D) are flattened into coefficient vectors
     and D grows from 0 until the span first becomes linearly dependent, which
-    gives minimality; the kernel element is canonicalized by reduced echelon
-    form and scaled so its graded-lex leading coefficient is 1.  Raises
-    ``NotCommuting`` unless f*g = g*f.
+    gives minimality.  The result is the element of the reduced echelon
+    basis of the kernel that is led by the graded-lex largest monomial, with
+    leading coefficient 1.  Raises ``NotCommuting`` unless f*g = g*f.
     """
     f._check(g)
     fg = f * g
@@ -385,26 +385,16 @@ def find_annihilator(f: GenericMatrix, g: GenericMatrix, dmax: int) -> Annihilat
             if vec is not None:
                 kernel.append(vec)
         if kernel:
-            # the first dependent layer: its kernel vectors span the whole kernel
-            dense = [[field.scalar(vec.get(k, 0)) for k in range(len(monomials))] for vec in kernel]
-            poly = _canonical_kernel_poly(dense, monomials, field)
+            # the first dependent layer: its kernel vectors are the reduced basis
+            # of the whole kernel, the last one led by the largest monomial
+            linalg.check_reduced(kernel)
+            poly = BivariatePoly(field, {monomials[k]: v for k, v in kernel[-1].items()})
             result = AnnihilatorResult(True, poly, poly.total_degree(), f.n, dmax)
             if not result.verify(f, g):
                 raise ArithmeticError("annihilator failed re-evaluation")
             return result
         prev = cur
     return AnnihilatorResult(False, None, None, f.n, dmax)
-
-
-def _canonical_kernel_poly(kernel, monomials, field: Field) -> BivariatePoly:
-    # Echelonize with columns in *descending* graded order so each basis
-    # vector's pivot is its graded-lex leading monomial, then take the first.
-    ncols = len(monomials)
-    reversed_vectors = [list(reversed(vec)) for vec in kernel]
-    echelon = linalg.canonical_span_basis(reversed_vectors, field)
-    lead = echelon[0]
-    coeffs = list(reversed(lead))
-    return BivariatePoly(field, {monomials[i]: coeffs[i] for i in range(ncols) if coeffs[i]})
 
 
 class StabilityReport(Record):

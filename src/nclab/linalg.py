@@ -1,12 +1,12 @@
-"""Exact linear algebra over a field: an incremental sparse echelon and RREF.
+"""Exact linear algebra over a field: an incremental sparse echelon.
 
 ``Echelon`` is the elimination engine: it absorbs sparse columns one at a
 time and reports each column that depends on the earlier ones as a kernel
 vector.  It works on raw values (ints and Fractions over Q, ints in ``[0, p)``
 over F_p) with the field held on the echelon, so no ``Scalar`` is built in its
-inner loop.  ``rref`` is the dense reduced row echelon form over ``Scalar``
-used to put small spans into canonical form.  Everything is deterministic:
-identical inputs give identical results.
+inner loop.  Its kernel vectors are already in reduced echelon form, which
+``check_reduced`` re-checks.  Everything is deterministic: identical inputs
+give identical results.
 """
 
 from __future__ import annotations
@@ -70,7 +70,9 @@ class Echelon:
         """Add the next column; return its kernel vector if it depends on the others.
 
         The kernel vector is a dict column index -> raw value with the new
-        column's index (``ncols`` before the call) at coefficient 1.
+        column's index (``ncols`` before the call) at coefficient 1 and other
+        entries only at earlier pivot columns (a pivot's combination holds no
+        dependent column): reduced echelon form for the descending column order.
         """
         j = self.ncols
         self.ncols += 1
@@ -114,6 +116,21 @@ def _dense(raw: dict, n: int, field: Field):
     return vec
 
 
+def check_reduced(kernel) -> None:
+    """Raise ``ArithmeticError`` unless the kernel vectors are in reduced echelon form.
+
+    A vector (dict column index -> raw value) is led by its largest index;
+    the leads are distinct, each with 1 in its own vector and 0 in the others.
+    """
+    leads = {max(vec): vec for vec in kernel}
+    if len(leads) != len(kernel):
+        raise ArithmeticError("two kernel vectors share a leading column")
+    for lead, vec in leads.items():
+        if vec[lead] != 1 or any(vec[k] for k in vec.keys() & leads.keys() if k != lead):
+            raise ArithmeticError(f"kernel vector led by column {lead} is not reduced")
+
+
+# Nothing in nclab calls rref; the benchmark's tracer (perfbench/tracing.py) wraps it by name.
 def rref(rows, field: Field):
     """Reduced row echelon form (a copy) plus the pivot column indices."""
     m = [list(r) for r in rows]
@@ -150,14 +167,6 @@ def kernel_basis(rows, ncols: int, field: Field):
     columns = [_sparse(col) for col in zip(*rows)] if rows else [{}] * ncols
     kernel = (echelon.absorb(col) for col in columns)
     return [_dense(vec, ncols, field) for vec in kernel if vec is not None]
-
-
-def canonical_span_basis(vectors, field: Field):
-    """Reduced-echelon basis of the span of the given vectors (rows)."""
-    if not vectors:
-        return []
-    echelon, pivots = rref(vectors, field)
-    return [echelon[i] for i in range(len(pivots))]
 
 
 def solve_membership(columns, target, field: Field):

@@ -13,9 +13,6 @@ from . import genmat, rings
 from .fields import Field, Scalar
 from .freealg import FreePoly
 
-#: Documented default seed used by the CLI and the randomized suites.
-DEFAULT_SEED = 1729
-
 
 def random_scalar(rng: random.Random, field: Field, span: int = 6) -> Scalar:
     if field.p:

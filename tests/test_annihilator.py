@@ -1,8 +1,11 @@
 """Minimal annihilating polynomials of commuting pairs, and their stability."""
 
+from unittest import mock
+
 import pytest
 
 from oracles import fraction_kernel
+from nclab import linalg
 from nclab.errors import FieldMismatch, NotCommuting
 from nclab.fields import GF, QQ
 from nclab.freealg import parse_free
@@ -24,6 +27,14 @@ def test_bivariate_refuses_a_coefficient_from_another_field():
     with pytest.raises(FieldMismatch):
         BivariatePoly(GF(7), {(1, 0): QQ.scalar(3)})
     assert str(BivariatePoly(GF(7), {(1, 0): GF(7).scalar(3)})) == "3*u"
+
+
+def test_annihilator_needs_no_dense_elimination():
+    # the inputs of the golden annihilator-x1-x1cube.json
+    f, g = parse_free("x1", 2, QQ), parse_free("x1^3", 2, QQ)
+    with mock.patch.object(linalg, "rref", side_effect=AssertionError("rref called")):
+        results = [find_annihilator(pi_reduce(f, n), pi_reduce(g, n), 4) for n in (1, 2, 3)]
+    assert [r.poly for r in results] == [bp({(3, 0): 1, (0, 1): -1})] * 3
 
 
 class TestFindAnnihilator:

@@ -1,10 +1,13 @@
 """Centralizer bases, the single-generator test, pipeline and probe."""
 
+from unittest import mock
+
 import pytest
 
 from oracles import free_commutator
 from oracles import kernel as oracle_kernel
 from oracles import rank as oracle_rank
+from nclab import linalg
 from nclab.errors import NotCommuting, ScalarInput
 from nclab.fields import GF, QQ
 from nclab.freealg import FreePoly, commutator, parse_free
@@ -109,7 +112,6 @@ class TestCentralizerBasis:
         assert all(a <= b for a, b in zip(dims, dims[1:]))
 
     def test_kernels_are_nested_spans(self):
-        from nclab import linalg
         from nclab.freealg import word_key
 
         f = parse_free("x1*x2", 2, QQ)
@@ -161,6 +163,16 @@ class TestCentralizerAgainstOracle:
                 assert len(ours) == len(expected), (text, m)
                 assert oracle_rank(ours, len(words), p) == len(ours)
                 assert oracle_rank(ours + expected, len(words), p) == len(expected), (text, m)
+                # _all_words is ascending graded-lex, so Gauss-Jordan gives the reduced form
+                canonical = {FreePoly(2, field, dict(zip(words, vec))) for vec in expected}
+                assert set(cb.bases[m]) == canonical, (text, m)
+
+
+def test_one_letter_centralizer_needs_no_dense_elimination():
+    # every word commutes with x1, so the kernel is as wide as the word space
+    with mock.patch.object(linalg, "rref", side_effect=AssertionError("rref called")):
+        cb = centralizer_basis(parse_free("x1", 1, QQ), 1000)
+    assert cb.dims == list(range(1, 1002))
 
 
 class TestBergmanCheck:

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -117,3 +118,25 @@ def test_integer_values_over_q_stay_exact():
     assert echelon.absorb({0: 1, 1: 1}) is None
     assert echelon.solve({0: 1}) == {0: Fraction(1, 2), 1: Fraction(-1, 2)}
     assert all(isinstance(v, (int, Fraction)) for v in echelon.solve({0: 1}).values())
+
+
+@given(matrices)
+def test_raw_kernel_vectors_are_reduced(rows):
+    echelon = linalg.Echelon(QQ)
+    kernel = [echelon.absorb({i: x for i, x in enumerate(col) if x}) for col in zip(*rows)]
+    linalg.check_reduced([vec for vec in kernel if vec is not None])
+
+
+@pytest.mark.parametrize(
+    "kernel, message",
+    [
+        ([{0: 1, 1: 2}, {1: 1}], "share a leading column"),
+        ([{0: 1}, {2: 2, 1: 1}], "column 2 is not reduced"),
+        ([{0: 1}, {2: 1, 0: 3}], "column 2 is not reduced"),
+    ],
+    ids=["shared-lead", "lead-not-1", "entry-at-another-lead"],
+)
+def test_unreduced_kernels_are_refused(kernel, message):
+    linalg.check_reduced([{0: 1}, {2: 1, 1: 5}])  # column 1 leads no vector
+    with pytest.raises(ArithmeticError, match=message):
+        linalg.check_reduced(kernel)

@@ -45,6 +45,33 @@ def _corrupt_absorb(real):
     return absorb
 
 
+def _add_first_kernel_vector(real):
+    """Echelon.absorb that adds the echelon's first kernel vector to every later one.
+
+    The sums still lie in the kernel, so a centralizer basis still commutes
+    with f and an annihilator still annihilates; only the reduced echelon
+    form is lost.
+    """
+    firsts = {}  # id(echelon) -> (the echelon, held so its id stays unique; its first kernel vector)
+
+    def absorb(self, column):
+        vec = real(self, column)
+        if vec is None:
+            return None
+        if id(self) not in firsts:
+            firsts[id(self)] = (self, dict(vec))
+        else:
+            for k, v in firsts[id(self)][1].items():
+                vec[k] = vec.get(k, 0) + v
+        return vec
+
+    return absorb
+
+
+def _unreduce(monkeypatch):
+    monkeypatch.setattr(linalg.Echelon, "absorb", _add_first_kernel_vector(linalg.Echelon.absorb))
+
+
 def test_annihilator_recheck_raises(monkeypatch):
     monkeypatch.setattr(AnnihilatorResult, "verify", _never_verifies)
     f = pi_reduce(parse_free("x1", 1, QQ), 2)
@@ -75,30 +102,94 @@ def test_centralizer_recheck_exits_2(monkeypatch, capsys):
     _expect("verification failed" in err, err)
 
 
+# -- the kernel vectors must be in reduced echelon form: a sum of two of them
+# still commutes with f (or still annihilates), so only this re-check sees it --
+
+UNREDUCED_ANNIHILATOR_ARGV = ["annihilator", "--f", "1", "--g", "2", "--nmax", "2", "--dmax", "1"]
+
+
+def test_centralizer_unreduced_kernel_raises(monkeypatch):
+    f = parse_free("x1*x2", 2, QQ)
+    expected = centralizer_basis(f, 3).top_basis()
+    _unreduce(monkeypatch)
+    monkeypatch.setattr(linalg, "check_reduced", lambda kernel: None)
+    corrupted = centralizer_basis(f, 3).top_basis()
+    _expect(corrupted != expected, "the mutant left the basis unchanged")
+    monkeypatch.undo()
+    _unreduce(monkeypatch)
+    with pytest.raises(ArithmeticError, match="is not reduced"):
+        centralizer_basis(f, 3)
+
+
+def test_centralizer_unreduced_kernel_exits_2(monkeypatch, capsys):
+    _unreduce(monkeypatch)
+    code = main(CENTRALIZER_ARGV)
+    err = capsys.readouterr().err
+    _expect(code == 2, f"exit {code}, expected 2")
+    _expect("verification failed" in err and "is not reduced" in err, err)
+
+
+def test_annihilator_unreduced_kernel_raises(monkeypatch):
+    # the first dependent layer holds two kernel vectors, u - 1 and v - 2
+    f = pi_reduce(parse_free("1", 1, QQ), 2)
+    g = pi_reduce(parse_free("2", 1, QQ), 2)
+    _unreduce(monkeypatch)
+    with pytest.raises(ArithmeticError, match="is not reduced"):
+        find_annihilator(f, g, 1)
+
+
+def test_annihilator_unreduced_kernel_exits_2(monkeypatch, capsys):
+    _unreduce(monkeypatch)
+    code = main(UNREDUCED_ANNIHILATOR_ARGV)
+    err = capsys.readouterr().err
+    _expect(code == 2, f"exit {code}, expected 2")
+    _expect("verification failed" in err and "is not reduced" in err, err)
+
+
 _OPTIMIZED_RUN = """
 import sys
 from nclab import linalg
 from nclab.cli import main
 from nclab.genmat import AnnihilatorResult
-if sys.argv[1] == "annihilator":
+mutant, argv = sys.argv[1], sys.argv[2:]
+real = linalg.Echelon.absorb
+if mutant == "annihilator":
     AnnihilatorResult.verify = lambda self, f, g: False
-else:
-    real = linalg.Echelon.absorb
+elif mutant == "centralizer":
     def absorb(self, column):
         vec = real(self, column)
         if vec is not None and max(vec) > 1:
             vec[1] = vec.get(1, 0) + 1
         return vec
     linalg.Echelon.absorb = absorb
-raise SystemExit(main(sys.argv[1:]))
+else:
+    first = []
+    def absorb(self, column):
+        vec = real(self, column)
+        if vec is not None and first:
+            for k, v in first[0].items():
+                vec[k] = vec.get(k, 0) + v
+        elif vec is not None:
+            first.append(dict(vec))
+        return vec
+    linalg.Echelon.absorb = absorb
+raise SystemExit(main(argv))
 """
 
 
-@pytest.mark.parametrize("argv", [ANNIHILATOR_ARGV, CENTRALIZER_ARGV], ids=["annihilator", "centralizer"])
-def test_rechecks_survive_python_O(argv):
+@pytest.mark.parametrize(
+    "mutant, argv",
+    [
+        ("annihilator", ANNIHILATOR_ARGV),
+        ("centralizer", CENTRALIZER_ARGV),
+        ("reduced", CENTRALIZER_ARGV),
+    ],
+    ids=["annihilator", "centralizer", "reduced"],
+)
+def test_rechecks_survive_python_O(mutant, argv):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nclab.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", _OPTIMIZED_RUN, *argv],
+        [sys.executable, "-O", "-c", _OPTIMIZED_RUN, mutant, *argv],
         env=env, capture_output=True, text=True, timeout=120,
     )
     _expect(proc.returncode == 2, f"exit {proc.returncode}: {proc.stderr}")
