@@ -13,37 +13,40 @@ pair.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from . import genmat, linalg, quantize, rings
 from .errors import NotCommuting, ScalarInput
 from .fields import Field
-from .freealg import EMPTY_WORD, FreePoly, commutator, pretty, word_key
+from .freealg import EMPTY_WORD, FreePoly, commutator, pretty
 from .records import Record
 
 
 def _words_up_to(s: int, d: int):
-    """All words of length <= d, graded-lex descending (longer first)."""
+    """All words of length <= d: ascending length, descending lex within a length."""
     out = [EMPTY_WORD]
     layer = [EMPTY_WORD]
     for _ in range(d):
         layer = [w + (g,) for w in layer for g in range(1, s + 1)]
-        out.extend(layer)
-    return sorted(out, key=word_key)
+        out.extend(reversed(layer))
+    return out
 
 
 class CentralizerBasis(Record):
-    """Reduced-echelon kernel bases of [f, -] per degree bound 0..d.
+    """The reduced echelon basis of K_d = {g of degree <= d : [f, g] = 0}.
 
-    ``bases[m]`` is the list of FreePoly spanning K_m.
+    ``basis`` holds the kernel vectors last first: leading words descend, and
+    the elements of degree <= m are a suffix, the reduced echelon basis of K_m.
     """
 
-    __slots__ = ("f", "d", "bases")
+    __slots__ = ("f", "d", "basis")
 
     @property
     def dims(self):
-        return [len(b) for b in self.bases]
-
-    def top_basis(self):
-        return self.bases[self.d]
+        counts = [0] * (self.d + 1)
+        for b in self.basis:
+            counts[b.degree()] += 1
+        return list(accumulate(counts))
 
 
 def _commutator_column(raw_f, w, p: int) -> dict:
@@ -58,13 +61,12 @@ def _commutator_column(raw_f, w, p: int) -> dict:
 
 
 def centralizer_basis(f: FreePoly, d: int) -> CentralizerBasis:
-    """K_m = {g of degree <= m : [f, g] = 0} for every m <= d, exactly.
+    """K_d = {g of degree <= d : [f, g] = 0}, exactly.
 
-    One echelon absorbs the images [f, w] of the words by ascending length,
-    so the kernel vectors of the words of length <= m span K_m.  Last first,
-    they are the reduced echelon basis of K_d over the graded-lex descending
-    word order, each element under its leading word, and the elements of
-    degree <= m are then exactly the reduced echelon basis of K_m.
+    One echelon absorbs the images [f, w] of the words in ``_words_up_to``
+    order, so the kernel vectors of the words of length <= m span K_m.  Last
+    first, they are the reduced echelon basis of K_d over the graded-lex
+    descending word order, each element under its leading word.
     """
     if f.is_constant:
         raise ScalarInput("the centralizer of a scalar is the whole algebra")
@@ -72,7 +74,7 @@ def centralizer_basis(f: FreePoly, d: int) -> CentralizerBasis:
         raise ValueError("degree bound must be nonnegative")
     field = f.field
     raw_f = list(f.terms.items())
-    words = _words_up_to(f.s, d)[::-1]  # ascending length
+    words = _words_up_to(f.s, d)
     echelon = linalg.Echelon(field)
     kernel = []
     for w in words:
@@ -82,12 +84,11 @@ def centralizer_basis(f: FreePoly, d: int) -> CentralizerBasis:
     # Re-check by an independent path: the kernel vectors are in reduced
     # echelon form, and every element commutes with f.
     linalg.check_reduced(kernel)
-    top = [FreePoly(f.s, field, {words[j]: v for j, v in vec.items()}) for vec in reversed(kernel)]
-    for b in top:
+    basis = [FreePoly(f.s, field, {words[j]: v for j, v in vec.items()}) for vec in reversed(kernel)]
+    for b in basis:
         if not commutator(f, b).is_zero:
             raise ArithmeticError(f"centralizer basis element {pretty(b)} does not commute with f")
-    bases = [[b for b in top if b.degree() <= m] for m in range(d + 1)]
-    return CentralizerBasis(f, d, bases)
+    return CentralizerBasis(f, d, basis)
 
 
 class BergmanReport(Record):
@@ -116,30 +117,28 @@ def _span_membership(elements, candidates_powers, field):
 
 
 def bergman_check(f: FreePoly, d: int) -> BergmanReport:
-    """Try to exhibit the degree-<=d centralizer as the span of powers of one h."""
-    basis = centralizer_basis(f, d)
-    top = basis.top_basis()
-    field = f.field
-    nonconstant = [e for e in top if e.degree() >= 1]
+    """Test whether K_d is the span of the powers of one h; on FAIL name a witness.
+
+    h is the first least-degree nonconstant basis element less its constant.
+    Its powers in K_d have distinct degrees, so they span K_d exactly when
+    dim K_d = d // deg h + 1, whichever such h is taken.
+    """
+    cb = centralizer_basis(f, d)
+    dims = cb.dims
+    nonconstant = [e for e in cb.basis if e.degree() >= 1]
     if not nonconstant:
         # only scalars commute up to this bound: trivially k[h] for any h
-        return BergmanReport(f, d, True, None, basis.dims)
+        return BergmanReport(f, d, True, None, dims)
     min_deg = min(e.degree() for e in nonconstant)
-    candidates = []
-    for e in nonconstant:
-        if e.degree() == min_deg:
-            candidates.append(e - FreePoly.constant(e.constant_value(), f.s))
-    first_witness = None
-    for h in candidates:
-        powers = [FreePoly.one(f.s, field)]
-        while len(powers) <= d // min_deg:
-            powers.append(powers[-1] * h)
-        miss = _span_membership(top, powers, field)
-        if miss is None:
-            return BergmanReport(f, d, True, h, basis.dims)
-        if first_witness is None:
-            first_witness = top[miss]
-    return BergmanReport(f, d, False, candidates[0], basis.dims, witness=first_witness)
+    e = next(e for e in nonconstant if e.degree() == min_deg)
+    h = e - FreePoly.constant(e.constant_value(), f.s)
+    powers = [FreePoly.one(f.s, f.field)]
+    while len(powers) <= d // min_deg:
+        powers.append(powers[-1] * h)
+    miss = _span_membership(cb.basis, powers, f.field)
+    if miss is None:
+        return BergmanReport(f, d, True, h, dims)
+    return BergmanReport(f, d, False, h, dims, witness=cb.basis[miss])
 
 
 # ---------------------------------------------------------------------------

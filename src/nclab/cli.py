@@ -17,7 +17,6 @@ from . import centralizer, diagonalize, genmat, quantize, rings, sample, seriali
 from .errors import EngineError, InvalidSize
 from .fields import QQ, Field
 from .freealg import commutator, parse_free, pretty
-from .records import FrozenRecord
 from .serialize import (
     ALReport,
     CommuteReport,
@@ -30,27 +29,20 @@ from .serialize import (
 DEFAULT_SEED = 1729
 
 
-class RunConfig(FrozenRecord):
-    """Resolved run configuration shared by every subcommand."""
-
-    __slots__ = ("field", "seed", "json_mode", "out")
-
-    @staticmethod
-    def from_args(args) -> "RunConfig":
-        cfg = RunConfig(_parse_field(args.field), args.seed, args.json, args.out)
-        for name, minimum in (
-            ("s", 1),
-            ("n", 1),
-            ("nmax", 1),
-            ("d", 0),
-            ("dmax", 0),
-            # pipeline and probe report the h-coefficient of a star commutator
-            ("order", 1 if args.command in ("bergman-pipeline", "probe") else 0),
-        ):
-            value = getattr(args, name, None)
-            if value is not None and value < minimum:
-                raise EngineError(f"--{name} must be at least {minimum}, got {value}")
-        return cfg
+def _check_sizes(args) -> None:
+    """Refuse a size flag below the smallest value its command accepts."""
+    for name, minimum in (
+        ("s", 1),
+        ("n", 1),
+        ("nmax", 1),
+        ("d", 0),
+        ("dmax", 0),
+        # pipeline and probe report the h-coefficient of a star commutator
+        ("order", 1 if args.command in ("bergman-pipeline", "probe") else 0),
+    ):
+        value = getattr(args, name, None)
+        if value is not None and value < minimum:
+            raise EngineError(f"--{name} must be at least {minimum}, got {value}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -459,9 +451,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        config = RunConfig.from_args(args)
+        field = _parse_field(args.field)
+        _check_sizes(args)
         _, _, handler = COMMANDS[args.command]
-        report, bounds, code, lines = handler(args, config.field)
+        report, bounds, code, lines = handler(args, field)
     except EngineError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 1
@@ -472,14 +465,14 @@ def main(argv=None) -> int:
         # a built-in exactness re-verification did not hold
         print(f"verification failed: {exc}", file=sys.stderr)
         return 2
-    doc = serialize.envelope(report, args.command, config.field, config.seed, bounds)
-    if config.json_mode:
+    doc = serialize.envelope(report, args.command, field, args.seed, bounds)
+    if args.json:
         payload = serialize.dumps(doc)
     else:
-        payload = "\n".join(lines + [f"seed: {config.seed}"]) + "\n"
-    if config.out:
+        payload = "\n".join(lines + [f"seed: {args.seed}"]) + "\n"
+    if args.out:
         try:
-            with open(config.out, "w", encoding="utf-8") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(payload)
         except OSError as exc:
             return _fail(str(exc))

@@ -11,7 +11,6 @@ polynomial maps monomials to raw coefficients (see ``fields``).
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import cmp_to_key
 from operator import itemgetter
 
@@ -376,91 +375,11 @@ def _content(coeffs, field) -> CommPoly:
     return g
 
 
-# Coprimality pre-test: a few deterministic evaluation points per variable,
-# spread over [0, 10007) (reduced mod p) by a multiplicative hash.
-_TRIALS = 3
-
-
-def _trial_value(trial: int, index: int, p: int) -> int:
-    x = (2654435761 * (64 * trial + index + 1)) % 10007
-    return x % p if p else x - 5003
-
-
-def _image(terms, k: int, xs, p: int) -> list:
-    """Dense coefficients in variable ``k`` with every other variable ``i`` set to ``xs[i]``."""
-    acc = {}
-    for c, mono in terms:
-        ek = 0
-        for i, e in mono:
-            if i == k:
-                ek = e
-            elif p:
-                c = c * pow(xs[i], e, p) % p
-            else:
-                c = c * xs[i] ** e
-        acc[ek] = acc.get(ek, 0) + c
-    return [acc.get(e, 0) % p if p else acc.get(e, 0) for e in range(max(acc) + 1)]
-
-
-def _urem(f: list, g: list, p: int) -> list:
-    """Remainder of dense univariate f by g (nonzero leading entry) over Q or F_p."""
-    r = list(f)
-    dg = len(g) - 1
-    inv = pow(g[-1], -1, p) if p else 1 / Fraction(g[-1])
-    while len(r) > dg:
-        q = r[-1] * inv
-        s = len(r) - 1 - dg
-        for i in range(dg):
-            r[s + i] = (r[s + i] - q * g[i]) % p if p else r[s + i] - q * g[i]
-        r.pop()
-        while r and not r[-1]:
-            r.pop()
-    return r
-
-
-def _udeg_gcd(f: list, g: list, p: int) -> int:
-    """Degree of gcd(f, g) for nonzero dense univariate polynomials."""
-    while True:
-        if not g:
-            return len(f) - 1
-        if len(g) == 1:
-            return 0
-        f, g = g, _urem(f, g, p)
-
-
-def _coprime_by_images(a: CommPoly, b: CommPoly) -> bool:
-    """True when univariate images prove gcd(a, b) = 1; False when they do not decide.
-
-    For each variable v, the other variables are set to field values at which
-    the leading coefficients of a and b in v stay nonzero.  The image of
-    G = gcd(a, b) then keeps its degree in v and divides both images, so the
-    degree of the images' gcd bounds deg_v G.  If every bound is 0, G is a
-    constant.  A variable with no admissible point among the trials (possible
-    over a small field) leaves the question open.
-    """
-    p = a.field.p
-    variables = sorted(a.variables() | b.variables())
-    index = {v: i for i, v in enumerate(variables)}
-    ta = [(c, tuple((index[v], e) for v, e in m)) for m, c in a.terms.items()]
-    tb = [(c, tuple((index[v], e) for v, e in m)) for m, c in b.terms.items()]
-    for k in range(len(variables)):
-        for t in range(_TRIALS):
-            xs = [_trial_value(t, i, p) for i in range(len(variables))]
-            ia, ib = _image(ta, k, xs, p), _image(tb, k, xs, p)
-            if ia[-1] and ib[-1]:
-                break
-        else:
-            return False
-        if _udeg_gcd(ia, ib, p):
-            return False
-    return True
-
-
 def poly_gcd(a: CommPoly, b: CommPoly) -> CommPoly:
     """gcd over a field, normalized to graded-lex leading coefficient 1.
 
-    ``_coprime_by_images`` settles most coprime pairs without the primitive
-    PRS; every other pair goes through the PRS in the largest variable.
+    Computed by the primitive PRS (pseudo-remainder sequence) in the largest
+    variable, with the contents' gcd taken recursively.
     """
     if a.is_zero:
         return _monic(b)
@@ -468,8 +387,6 @@ def poly_gcd(a: CommPoly, b: CommPoly) -> CommPoly:
         return _monic(a)
     a._check(b)
     if a.is_constant or b.is_constant:
-        return CommPoly.one(a.field)
-    if _coprime_by_images(a, b):
         return CommPoly.one(a.field)
     v = max(a.variables() | b.variables())
     if v not in a.variables():

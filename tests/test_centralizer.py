@@ -1,5 +1,9 @@
 """Centralizer bases, the single-generator test, pipeline and probe."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -7,19 +11,22 @@ import pytest
 from oracles import free_commutator
 from oracles import kernel as oracle_kernel
 from oracles import rank as oracle_rank
-from nclab import linalg
+from nclab import centralizer, linalg, serialize
 from nclab.errors import NotCommuting, ScalarInput
 from nclab.fields import GF, QQ
-from nclab.freealg import FreePoly, commutator, parse_free
+from nclab.freealg import FreePoly, commutator, parse_free, word_key
 from nclab.genmat import BivariatePoly, GenericMatrix, pi_reduce
 from nclab.quantize import StarContext, entry_pairing_tensor
 from nclab.centralizer import (
+    CentralizerBasis,
+    _words_up_to,
     bergman_check,
     bergman_pipeline,
     centralizer_basis,
     commuting_matrix_probe,
     diagonal_generic_pair,
 )
+from nclab.cli import main
 
 
 def _all_words(s, d):
@@ -54,26 +61,31 @@ def oracle_centralizer_dim(f: FreePoly, m: int) -> int:
     return len(oracle_centralizer_kernel(raw_f, f.s, m)[1])
 
 
+def _k(cb, m):
+    """The basis of K_m: the elements of degree <= m."""
+    return [b for b in cb.basis if b.degree() <= m]
+
+
 class TestCentralizerBasis:
     def test_generator_in_two_variables(self):
         f = parse_free("x1", 2, QQ)
         cb = centralizer_basis(f, 3)
         assert cb.dims == [1, 2, 3, 4]
         powers = {parse_free(t, 2, QQ) for t in ["1", "x1", "x1^2", "x1^3"]}
-        assert set(cb.top_basis()) == powers
+        assert set(cb.basis) == powers
 
     def test_square_has_the_same_centralizer(self):
         f = parse_free("x1^2", 2, QQ)
         cb = centralizer_basis(f, 3)
         assert cb.dims == [1, 2, 3, 4]
         powers = {parse_free(t, 2, QQ) for t in ["1", "x1", "x1^2", "x1^3"]}
-        assert set(cb.top_basis()) == powers
+        assert set(cb.basis) == powers
 
     def test_product_word(self):
         f = parse_free("x1*x2", 2, QQ)
         cb = centralizer_basis(f, 2)
         assert cb.dims == [1, 1, 2]
-        assert set(cb.top_basis()) == {
+        assert set(cb.basis) == {
             parse_free("1", 2, QQ),
             parse_free("x1*x2", 2, QQ),
         }
@@ -83,7 +95,7 @@ class TestCentralizerBasis:
             f = parse_free(text, 2, QQ)
             cb = centralizer_basis(f, d)
             for m in range(d + 1):
-                assert len(cb.bases[m]) == oracle_centralizer_dim(f, m)
+                assert len(_k(cb, m)) == oracle_centralizer_dim(f, m)
 
     def test_scalar_input_rejected(self):
         with pytest.raises(ScalarInput):
@@ -95,13 +107,13 @@ class TestCentralizerBasis:
         for text in ["x1", "x1^2", "x1*x2", "x1+x2", "x1^3+x1"]:
             f = parse_free(text, 2, QQ)
             cb = centralizer_basis(f, 4)
-            for g in cb.top_basis():
+            for g in cb.basis:
                 assert commutator(f, g).is_zero
 
     def test_basis_elements_pairwise_commute(self):
         for text in ["x1^2", "x1*x2", "x2*x1*x2"]:
             f = parse_free(text, 2, QQ)
-            basis = centralizer_basis(f, 4).top_basis()
+            basis = centralizer_basis(f, 4).basis
             for a in basis:
                 for b in basis:
                     assert commutator(a, b).is_zero
@@ -112,12 +124,10 @@ class TestCentralizerBasis:
         assert all(a <= b for a, b in zip(dims, dims[1:]))
 
     def test_kernels_are_nested_spans(self):
-        from nclab.freealg import word_key
-
         f = parse_free("x1*x2", 2, QQ)
         cb = centralizer_basis(f, 4)
         for m in range(4):
-            lower, upper = cb.bases[m], cb.bases[m + 1]
+            lower, upper = _k(cb, m), _k(cb, m + 1)
             support = sorted(
                 {w for p in lower + upper for w in p.terms}, key=word_key
             )
@@ -136,7 +146,7 @@ class TestCentralizerBasis:
     def test_degree_zero_bound(self):
         cb = centralizer_basis(parse_free("x1", 2, QQ), 0)
         assert cb.dims == [1]
-        assert cb.top_basis() == [parse_free("1", 2, QQ)]
+        assert cb.basis == [parse_free("1", 2, QQ)]
 
 
 # The acceptance corpus and the benchmark's six centralizer word templates
@@ -158,14 +168,14 @@ class TestCentralizerAgainstOracle:
             cb = centralizer_basis(parse_free(text, 2, field), d)
             for m in range(d + 1):
                 words, expected = oracle_centralizer_kernel(raw_f, 2, m, p)
-                ours = [[b.terms.get(w, 0) for w in words] for b in cb.bases[m]]
-                assert all(len(b.terms) == sum(1 for w in words if w in b.terms) for b in cb.bases[m])
+                ours = [[b.terms.get(w, 0) for w in words] for b in _k(cb, m)]
+                assert all(len(b.terms) == sum(1 for w in words if w in b.terms) for b in _k(cb, m))
                 assert len(ours) == len(expected), (text, m)
                 assert oracle_rank(ours, len(words), p) == len(ours)
                 assert oracle_rank(ours + expected, len(words), p) == len(expected), (text, m)
                 # _all_words is ascending graded-lex, so Gauss-Jordan gives the reduced form
                 canonical = {FreePoly(2, field, dict(zip(words, vec))) for vec in expected}
-                assert set(cb.bases[m]) == canonical, (text, m)
+                assert set(_k(cb, m)) == canonical, (text, m)
 
 
 def test_one_letter_centralizer_needs_no_dense_elimination():
@@ -173,6 +183,27 @@ def test_one_letter_centralizer_needs_no_dense_elimination():
     with mock.patch.object(linalg, "rref", side_effect=AssertionError("rref called")):
         cb = centralizer_basis(parse_free("x1", 1, QQ), 1000)
     assert cb.dims == list(range(1, 1002))
+
+
+def test_one_letter_dims_read_each_degree_once():
+    # K_d has d + 1 elements; dims must not filter the basis once per degree
+    d, real, calls = 300, FreePoly.degree, []
+
+    def degree(self):
+        calls.append(self)
+        return real(self)
+
+    with mock.patch.object(FreePoly, "degree", degree):
+        dims = centralizer_basis(parse_free("x1", 1, QQ), d).dims
+    assert dims == list(range(1, d + 2))
+    assert len(calls) <= 2 * (d + 1), len(calls)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_words_come_in_absorb_order(s):
+    # ascending length, descending lex within a length: reversed graded-lex
+    for d in range(6):
+        assert _words_up_to(s, d) == sorted(_all_words(s, d), key=word_key)[::-1], d
 
 
 class TestBergmanCheck:
@@ -202,6 +233,54 @@ class TestBergmanCheck:
         rep = bergman_check(parse_free("x1^2 + x1 + 1", 2, QQ), 4)
         assert rep.passed
         assert rep.generator.constant_value() == QQ.zero
+
+
+class TestBergmanFail:
+    """The FAIL path, reached by adding one element to the basis of C(x1^2) at d = 4.
+
+    A second least-degree element (x2) and a higher-degree one (x1*x2*x1)
+    each lie outside the span of the powers of x1.
+    """
+
+    ARGV = ["centralizer", "--f", "x1^2", "--d", "4"]
+
+    @pytest.fixture(params=["x2", "x1*x2*x1"])
+    def extra(self, request, monkeypatch):
+        """Patch centralizer_basis to add the element, keeping degrees descending."""
+        extra = parse_free(request.param, 2, QQ)
+        real = centralizer.centralizer_basis
+
+        def patched(f, d):
+            basis = list(real(f, d).basis)
+            at = next(i for i, b in enumerate(basis) if b.degree() < extra.degree())
+            basis.insert(at, extra)
+            return CentralizerBasis(f, d, basis)
+
+        monkeypatch.setattr(centralizer, "centralizer_basis", patched)
+        return extra
+
+    def test_generator_and_witness(self, extra, monkeypatch):
+        real, calls = centralizer._span_membership, []
+
+        def span_membership(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(centralizer, "_span_membership", span_membership)
+        rep = bergman_check(parse_free("x1^2", 2, QQ), 4)
+        assert rep.passed is False
+        assert rep.generator == parse_free("x1", 2, QQ)
+        assert rep.witness == extra
+        assert len(calls) == 1
+
+    def test_cli_exits_2_with_the_witness(self, extra, capsys):
+        assert main(self.ARGV) == 2
+        assert "single-generator test: FAIL" in capsys.readouterr().out.splitlines()
+        assert main(self.ARGV + ["--json"]) == 2
+        doc, rep = serialize.loads(capsys.readouterr().out)
+        assert doc["report"]["passed"] is False
+        assert rep.witness == extra
+        assert serialize.encode(rep.witness) == doc["report"]["witness"]
 
 
 class TestPipeline:
@@ -332,3 +411,15 @@ class TestPrimeField:
         rep = bergman_pipeline(f, g, 2, 3, ctx)
         assert rep.trdeg_verdict == "1"
         assert rep.stability.identical
+
+
+def test_pipeline_demo_script_runs():
+    # the one script that drives bergman_check and the pipeline end to end
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "pipeline_demo.py")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "generated by" in proc.stdout

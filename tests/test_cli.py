@@ -50,7 +50,7 @@ _FUZZ_TERMS = st.lists(
 FUZZ_ANY = st.one_of(FUZZ_EXPRESSIONS, st.lists(_FUZZ_TERMS, min_size=1, max_size=3).map("+".join))
 
 # command -> (expression flags, {integer flag: (lowest, highest)}).  Each size
-# range starts at the smallest value RunConfig accepts, so the edge is fuzzed.
+# range starts at the smallest value the command accepts, so the edge is fuzzed.
 FUZZ_COMMANDS = {
     "commute": (("f", "g"), {}),
     "pi": (("f",), {"n": (1, 2)}),

@@ -1,4 +1,4 @@
-"""RationalFunction against its constructor and sympy; poly_gcd against the PRS and sympy.
+"""RationalFunction against its constructor and sympy; poly_gcd against sympy.
 
 A fraction's denominator is a nonzero scalar times a product of differences
 t_i - t_j.  Every operation is compared with two references: the unreduced
@@ -6,10 +6,9 @@ numerator and denominator put through the constructor (which factors the
 denominator by trial division), and ``sympy.cancel`` (a test-only oracle).
 A quotient by an element whose numerator is not such a product is refused,
 and sympy's factorization decides which quotients those are.  ``poly_gcd``,
-which fractions no longer use, is compared with the primitive PRS alone (the
-pre-test switched off) and with ``sympy.gcd``, over fields as small as
-GF(2), where the pre-test often finds no admissible point and must leave the
-answer to the PRS.
+which fractions no longer use, runs the primitive PRS (pseudo-remainder
+sequence) and is compared with ``sympy.gcd`` over Q and over fields as small
+as GF(2).
 """
 
 import itertools
@@ -272,13 +271,8 @@ def test_denominators_outside_the_ring_are_refused():
 
 
 # ---------------------------------------------------------------------------
-# poly_gcd: pre-test against the PRS and sympy.gcd
+# poly_gcd against sympy.gcd
 # ---------------------------------------------------------------------------
-
-
-def _prs_gcd(a, b):
-    with mock.patch.object(rings, "_coprime_by_images", return_value=False):
-        return poly_gcd(a, b)
 
 
 def _sympy_gcd(a, b, field):
@@ -289,14 +283,13 @@ def _sympy_gcd(a, b, field):
 
 
 def _check_gcd(field, a, b):
-    g = poly_gcd(a, b)
-    assert g == _prs_gcd(a, b), (a, b)
-    assert g == _sympy_gcd(a, b, field), (a, b)
+    assert poly_gcd(a, b) == _sympy_gcd(a, b, field), (a, b)
 
 
 @pytest.mark.parametrize("field", GCD_FIELDS, ids=repr)
 @given(data=st.data())
 def test_gcd_matches_prs_and_sympy(field, data):
+    """poly_gcd, which is the primitive PRS, against sympy.gcd."""
     q = polys(field, nonzero=True)
     c = data.draw(q) if data.draw(st.booleans()) else CommPoly.one(field)
     _check_gcd(field, c * data.draw(q), c * data.draw(q))
@@ -304,7 +297,7 @@ def test_gcd_matches_prs_and_sympy(field, data):
 
 @pytest.mark.parametrize("field", [GF(2), GF(3)], ids=repr)
 def test_gcd_where_every_point_kills_a_leading_coefficient(field):
-    """lc in t2 of G is t1^p - t1, zero at every point of GF(p): the PRS must decide."""
+    """lc in t2 of G is t1^p - t1, which vanishes at every point of GF(p)."""
     p = field.p
     g = _poly(field, {(p, 1, 0): 1, (1, 1, 0): -1, (0, 0, 0): 1})  # (t1^p - t1) t2 + 1
     t2 = _poly(field, {(0, 1, 0): 1})
@@ -312,10 +305,3 @@ def test_gcd_where_every_point_kills_a_leading_coefficient(field):
     assert poly_gcd(a, b) == g
     _check_gcd(field, a, b)
 
-
-def test_pretest_proves_coprime_pairs():
-    t = [_poly(QQ, {tuple(int(i == k) for i in range(3)): 1}) for k in range(3)]
-    a = (t[0] - t[1]) * (t[0] - t[2])
-    b = (t[1] - t[2]) * (t[0] + t[1])
-    assert rings._coprime_by_images(a, b)
-    assert not rings._coprime_by_images(a * b, (t[0] - t[1]) * t[2])

@@ -3,7 +3,6 @@
 import pytest
 
 from nclab.centralizer import PipelineReport
-from nclab.cli import RunConfig
 from nclab.diagonalize import DiagonalReport
 from nclab.fields import QQ
 from nclab.genmat import AnnihilatorResult
@@ -100,13 +99,10 @@ class TestRecordConstruction:
         rep = PipelineReport("f", "g", True, None)
         rep.conclusion = "changed"
         assert rep.conclusion == "changed"
-        config = RunConfig(QQ, 1, False, None)
-        with pytest.raises(AttributeError):
-            config.seed = 2
         corr = CorrespondenceReport(True, None, None)
         with pytest.raises(AttributeError):
             corr.holds = False
-        assert config.seed == 1 and corr.holds is True
+        assert corr.holds is True
 
     def test_records_have_no_instance_dict(self):
         for rec in [ALReport(2, 4, True, True, None), Variable.entry(1, 1, 1)]:
