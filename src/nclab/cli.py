@@ -284,8 +284,7 @@ def _cmd_diag(args, field):
     m_int = sample.random_int_matrix(rng, n, field, zero_diagonal=True)
     a1 = genmat.GenericMatrix([[ratfun.from_poly(e) for e in row] for row in m_int.rows])
     zero = genmat.GenericMatrix.zeros(n, field, ratfun)
-    # the series keeps the perturbation a1 even at order 0
-    series = diagonalize.SeriesFieldMatrix(max(order, 1), [a0, a1] + [zero] * (order - 1))
+    series = diagonalize.SeriesFieldMatrix(order, [a0, a1][: order + 1] + [zero] * (order - 1))
     rep = diagonalize.successive_diagonalize(series, order)
     ok = rep.verified
     lines = [
@@ -341,6 +340,19 @@ def _pipeline_lines(rep):
     return lines
 
 
+def _pipeline_code(rep) -> int:
+    """Exit status of a pipeline or probe report.
+
+    For commuting inputs a nonzero degree-0 star part, or annihilators found
+    at every size that differ, is a mathematical FAIL.  The contradiction
+    scenario (no annihilator, nonzero h-part) is a reported state, exit 0.
+    """
+    stability = rep.stability
+    unstable = stability is not None and stability.all_found and not stability.identical
+    failed = rep.commute and (unstable or not all(o.star_c0_zero for o in rep.outcomes))
+    return 2 if failed else 0
+
+
 def _args_bergman_pipeline(p):
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
@@ -357,18 +369,8 @@ def _cmd_bergman_pipeline(args, field):
     tensor = _tensor(args, field, args.s, args.nmax)
     ctx = quantize.StarContext(tensor, args.order)
     rep = centralizer.bergman_pipeline(f, g, args.nmax, args.dmax, ctx)
-    # A vanishing degree-0 star part must always hold for commuting inputs:
-    # its failure is a mathematical FAIL.  The contradiction scenario (no
-    # annihilator, nonzero h-part) is a reported state, exit 0.
-    consistent = True
-    if rep.commute:
-        for o in rep.outcomes:
-            if not o.star_c0_zero:
-                consistent = False
-        if rep.stability is not None and rep.stability.all_found and not rep.stability.identical:
-            consistent = False
     bounds = {"s": args.s, "nmax": args.nmax, "dmax": args.dmax, "order": args.order}
-    return rep, bounds, 0 if consistent else 2, _pipeline_lines(rep)
+    return rep, bounds, _pipeline_code(rep), _pipeline_lines(rep)
 
 
 def _args_probe(p):
@@ -395,7 +397,7 @@ def _cmd_probe(args, field):
     ctx = quantize.StarContext(tensor, args.order)
     rep = centralizer.commuting_matrix_probe(f, g, args.dmax, ctx)
     bounds = {"n": args.n, "dmax": args.dmax, "order": args.order}
-    return rep, bounds, 0, _pipeline_lines(rep)
+    return rep, bounds, _pipeline_code(rep), _pipeline_lines(rep)
 
 
 # name -> (help, argument adder, handler)

@@ -7,15 +7,15 @@ order by order: at order r the off-diagonal defect is cancelled by
 conjugating with E + h^r T where T solves the Sylvester-type system
 ``t_ij (lambda_i - lambda_j) = defect_ij``, and the diagonal defect is kept.
 
-That solve is the only division; the series inverse of E + h^r T is a finite
-geometric sum.  So for A0 = diag(lam1, ..., lamn) and a constant A1 every
-entry lies in k[lam][1/Δ], Δ = prod_{i<j} (lam_i - lam_j), which is the ring
+That solve is the only division.  No series is inverted: the conjugator u
+and C = u A u^-1 are built from the coefficients of u A = C u, one order at a
+time.  So for A0 = diag(lam1, ..., lamn) and a constant A1 every entry lies
+in k[lam][1/Δ], Δ = prod_{i<j} (lam_i - lam_j), which is the ring
 ``RationalFunction`` implements without any gcd.
 
-Conjugation uses the plain product of series of matrices,
-``SeriesFieldMatrix.__mul__``, not a star product.  At first order the two
-choices agree: a star correction to (E + hT) A (E - hT) enters at h^2, so
-the order-h Sylvester equation is identical either way.
+Conjugation uses the plain product of matrices, not a star product.  At
+first order the two choices agree: a star correction to (E + hT) A (E - hT)
+enters at h^2, so the order-h Sylvester equation is identical either way.
 """
 
 from __future__ import annotations
@@ -118,11 +118,12 @@ class DiagonalReport(Record):
 def successive_diagonalize(a: SeriesFieldMatrix, target: int) -> DiagonalReport:
     """Kill the off-diagonal defect order by order up to ``target``.
 
-    At each order the diagonal part of the defect is absorbed into the
-    diagonal form and the off-diagonal part is cancelled by a Sylvester
-    solve.  The result is re-checked from scratch: ``verified`` holds when
-    u A u^-1 agrees through ``target`` with the reported diagonal form D,
-    tested as u A = D u on the input A.
+    C = u A u^-1 is read off u A = C u (u_0 = E): C_r is the sum of u_k
+    A_(r-k) over k <= r less that of C_(r-k) u_k over 1 <= k <= r.  At an
+    order 0 < r <= target a Sylvester solve T of C_r's off-diagonal part
+    turns u into (E + h^r T) u and C_r into its diagonal.  D is the diagonal of C,
+    re-checked from scratch: ``verified`` holds when u A = D u through
+    ``target`` on the input A.
     """
     if target > a.order:
         raise ShapeMismatch("target order exceeds the series truncation")
@@ -134,24 +135,24 @@ def successive_diagonalize(a: SeriesFieldMatrix, target: int) -> DiagonalReport:
         for j in range(i + 1, a0.n):
             if (lam[i] - lam[j]).is_zero:
                 raise RepeatedEigenvalue(f"leading entries {i+1} and {j+1} coincide")
-    u = SeriesFieldMatrix.identity(a0.n, a.order, a.field)
     zero = GenericMatrix.zeros(a0.n, a.field, a0.ring)
-    current = a
-    for r in range(1, target + 1):
-        c = current.coeffs[r]
-        if c.is_diagonal():
-            continue
-        t = solve_sylvester_diag(lam, c - GenericMatrix.diagonal(c.diagonal_entries()))
-        b = SeriesFieldMatrix(a.order, [u.coeffs[0]] + [
-            t if k == r else zero for k in range(1, a.order + 1)
-        ])
-        current = b * current * b.inverse_unitriangular()
-        u = b * u
-    diag = SeriesFieldMatrix(
-        a.order, [GenericMatrix.diagonal(c.diagonal_entries()) for c in current.coeffs]
-    )
+    u = [a0.identity_like()] + [zero] * a.order
+    c = []
+    for r in range(a.order + 1):
+        acc = a.coeffs[r]
+        for k in range(1, r + 1):
+            if not u[k].is_zero:
+                acc = acc + u[k] * a.coeffs[r - k] - c[r - k] * u[k]
+        if 0 < r <= target and not acc.is_diagonal():
+            d = GenericMatrix.diagonal(acc.diagonal_entries())
+            t = solve_sylvester_diag(lam, acc - d)
+            u = u[:r] + [uk + t * u[k] for k, uk in enumerate(u[r:])]
+            acc = d
+        c.append(acc)
+    u = SeriesFieldMatrix(a.order, u)
+    diag = SeriesFieldMatrix(a.order, [GenericMatrix.diagonal(x.diagonal_entries()) for x in c])
     # u A u^-1 = D through h^target exactly when u A = D u there (u_0 = E);
-    # the second form needs no series inverse, the step that built D used one
+    # recomputed from the input A, not from the C that built D
     lhs, rhs = u * a, diag * u
     verified = all((lhs.coeffs[r] - rhs.coeffs[r]).is_zero for r in range(target + 1))
     return DiagonalReport(u, diag, target, lam, verified=verified)

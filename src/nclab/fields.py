@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DivisionByZero, FieldMismatch, InvalidField
+from .records import Frozen
 
 #: Degree of the zero polynomial: a totally-ordered sentinel below every int.
 NEG_INF = float("-inf")
@@ -51,7 +52,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class Field:
+class Field(Frozen):
     """Ground field tag: ``Field(0)`` is Q, ``Field(p)`` is F_p for prime p.
 
     There is one instance per characteristic, so fields compare by identity.
@@ -72,9 +73,6 @@ class Field:
             field = cls._interned[p] = object.__new__(cls)
             object.__setattr__(field, "p", p)
         return field
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Field is immutable")
 
     def __repr__(self):
         return "QQ" if self.p == 0 else f"GF({self.p})"
@@ -140,7 +138,7 @@ def rational(value):
     return value if type(value) is int or value.denominator != 1 else value.numerator
 
 
-class Scalar:
+class Scalar(Frozen):
     """Immutable exact field element: a raw value tagged with its field.
 
     Over Q the value is an int when it is integral and a lowest-terms
@@ -152,9 +150,6 @@ class Scalar:
     def __init__(self, field: Field, value):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
 
     def _check(self, other) -> Scalar:
         if not isinstance(other, Scalar):
@@ -249,7 +244,7 @@ def add_products(acc: dict, left, right, key_mul) -> None:
             acc[k] = c1 * c2 if s is None else s + c1 * c2
 
 
-class SparseSum:
+class SparseSum(Frozen):
     """Immutable finite sum key -> nonzero raw value over one field, canonical.
 
     A subclass gives its key product ``_key_mul()`` (None: no product), the
@@ -282,9 +277,6 @@ class SparseSum:
         object.__setattr__(out, "field", field)
         object.__setattr__(out, "terms", terms)
         return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _ring(self):
         return (self.field,)

@@ -20,11 +20,11 @@ from .errors import (
 )
 from .fields import NEG_INF, Field, SparseSum, add_products
 from .freealg import FreePoly, commutator, pretty
-from .records import Record
+from .records import Frozen, Record
 from .rings import CommPoly, RationalFunction, Variable, mono_mul
 
 
-class GenericMatrix:
+class GenericMatrix(Frozen):
     """Square matrix over one ring, CommPoly or RationalFunction; dense grid.
 
     The entry class is the ring: it supplies ``zero(field)`` and ``one(field)``.
@@ -49,9 +49,6 @@ class GenericMatrix:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GenericMatrix is immutable")
 
     # -- constructors ----------------------------------------------------------
 

@@ -31,11 +31,11 @@ from .errors import (
 )
 from .fields import Field
 from .genmat import GenericMatrix
-from .records import FrozenRecord
+from .records import Frozen, FrozenRecord
 from .rings import CommPoly, Variable, parse_variable_name
 
 
-class PoissonTensor:
+class PoissonTensor(Frozen):
     """Constant antisymmetric tensor on an ordered variable list."""
 
     __slots__ = ("variables", "entries", "field")
@@ -59,9 +59,6 @@ class PoissonTensor:
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "entries", clean)
         object.__setattr__(self, "field", field)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PoissonTensor is immutable")
 
     def check_variables(self, polys):
         allowed = set(self.variables)
@@ -154,7 +151,7 @@ def poisson_bracket(a: CommPoly, b: CommPoly, tensor: PoissonTensor) -> CommPoly
     return acc
 
 
-class StarContext:
+class StarContext(Frozen):
     """A Poisson tensor plus a truncation order for the star product."""
 
     __slots__ = ("tensor", "order", "field", "_weights", "_partners")
@@ -182,9 +179,6 @@ class StarContext:
         for vi, vj, w in tensor.ordered_pairs():
             partners.setdefault(vi, []).append((vj, w.value))
         object.__setattr__(self, "_partners", partners)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StarContext is immutable")
 
     def bilinear_map(self, r: int, a: CommPoly, b: CommPoly) -> CommPoly:
         """B_r(a, b); B_0 is the commutative product."""
@@ -271,7 +265,7 @@ def _poisson_step(w: dict, live: dict, p: int) -> dict:
     return {key: v for key, v in out.items() if v}
 
 
-class FormalSeries:
+class FormalSeries(Frozen):
     """Truncated power series in h with CommPoly or GenericMatrix coefficients.
 
     All coefficients are of one kind.  The sum is coefficientwise; the star
@@ -295,9 +289,6 @@ class FormalSeries:
                 raise FieldMismatch("series coefficients over different fields")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def field(self) -> Field:

@@ -7,7 +7,8 @@ from the class's ``_defaults`` (a list default is copied, so instances never
 share one).  ``==`` holds between records of the same class whose fields are
 equal, except the fields named in ``_uncompared``.  Nothing is compiled when
 a record class is created, so importing a module of records costs no more
-than importing its functions.
+than importing its functions.  ``Frozen`` makes instances immutable: the
+value classes and ``FrozenRecord`` build on it.
 """
 
 
@@ -55,8 +56,11 @@ class Record:
         return f"{type(self).__name__}({body})"
 
 
-class FrozenRecord(Record):
-    """A record whose fields cannot be reassigned after construction."""
+class Frozen:
+    """Mixin: no attribute of an instance can be assigned or deleted.
+
+    Constructors set their slots with ``object.__setattr__``.
+    """
 
     __slots__ = ()
 
@@ -65,3 +69,9 @@ class FrozenRecord(Record):
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class FrozenRecord(Record, Frozen):
+    """A record whose fields cannot be reassigned after construction."""
+
+    __slots__ = ()

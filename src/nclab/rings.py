@@ -16,6 +16,7 @@ from operator import itemgetter
 
 from .errors import DivisionByZero, FieldMismatch, UnassignedVariable, UnsupportedDenominator
 from .fields import NEG_INF, Field, Scalar, SparseSum
+from .records import Frozen
 
 _AUX_NAME = re.compile(r"^[A-Za-z_]+$")
 _ENTRY_FORM = re.compile(r"^x(\d+)\[(\d+),(\d+)\]$")
@@ -497,7 +498,7 @@ def _fill(out, num: CommPoly, exps: dict):
     return out
 
 
-class RationalFunction:
+class RationalFunction(Frozen):
     """num / prod (u - v)^e over pairs of variables u < v, in lowest terms.
 
     ``exps`` is the sorted tuple of ((u, v), e) with e > 0, and no such u - v
@@ -521,9 +522,6 @@ class RationalFunction:
     def _of(num: CommPoly, exps: dict) -> RationalFunction:
         """num / prod (u - v)^exps, already in lowest terms."""
         return _fill(object.__new__(RationalFunction), num, exps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
 
     @staticmethod
     def zero(field: Field) -> RationalFunction:

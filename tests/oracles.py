@@ -2,13 +2,17 @@
 
 These deliberately avoid the engine code paths they are used to check:
 plain-dict word arithmetic instead of FreePoly products, explicit Gaussian
-elimination over Fraction or mod p instead of nclab.linalg, and a from-scratch Moyal
-term expansion instead of the StarContext machinery.
+elimination over Fraction or mod p instead of nclab.linalg, a from-scratch Moyal
+term expansion instead of the StarContext machinery, and whole-series
+conjugation with series inverses instead of the order-r recurrence of
+``successive_diagonalize``.
 """
 
 from fractions import Fraction
 
-from nclab.rings import CommPoly
+from nclab.diagonalize import SeriesFieldMatrix, solve_sylvester_diag
+from nclab.genmat import GenericMatrix
+from nclab.rings import CommPoly, RationalFunction
 
 
 def free_mul(a: dict, b: dict) -> dict:
@@ -191,3 +195,27 @@ def poisson_oracle(a: CommPoly, b: CommPoly, tensor) -> CommPoly:
                 continue
             acc = acc + (a.diff(tensor.variables[i]) * b.diff(tensor.variables[j])).scale(c)
     return acc
+
+
+def diagonalize_by_conjugation(a: SeriesFieldMatrix, target: int):
+    """Conjugator u and diagonal form D by whole-series conjugation.
+
+    The current series starts at A.  At each order 0 < r <= target whose
+    coefficient is not diagonal, with T the Sylvester solve of its
+    off-diagonal part and b = E + h^r T, the series becomes b (series) b^-1
+    and u becomes b u.  D is the diagonal of the final series.
+    """
+    lam = a.coeffs[0].diagonal_entries()
+    u = SeriesFieldMatrix.identity(len(lam), a.order, a.field)
+    e, zero = u.coeffs[0], GenericMatrix.zeros(len(lam), a.field, RationalFunction)
+    current = a
+    for r in range(1, target + 1):
+        c = current.coeffs[r]
+        if c.is_diagonal():
+            continue
+        t = solve_sylvester_diag(lam, c - GenericMatrix.diagonal(c.diagonal_entries()))
+        b = SeriesFieldMatrix(a.order, [e] + [t if k == r else zero for k in range(1, a.order + 1)])
+        current = b * current * b.inverse_unitriangular()
+        u = b * u
+    diag = [GenericMatrix.diagonal(c.diagonal_entries()) for c in current.coeffs]
+    return u, SeriesFieldMatrix(a.order, diag)

@@ -1,17 +1,18 @@
 """Sylvester solves, order-by-order diagonalization, and the diagonal identity."""
 
+import json
 import random
 from unittest import mock
 
 import pytest
 
-from oracles import matmul
+from oracles import diagonalize_by_conjugation, matmul
 from nclab.errors import (
     NonzeroDiagonalRHS,
     NotDiagonalLeadingTerm,
     RepeatedEigenvalue,
 )
-from nclab.fields import QQ
+from nclab.fields import QQ, Field
 from nclab.diagonalize import (
     SeriesFieldMatrix,
     eq1_diagonal_check,
@@ -28,7 +29,7 @@ from nclab.genmat import GenericMatrix
 from nclab import rings
 from nclab.cli import main
 from nclab.rings import CommPoly, RationalFunction, Variable
-from nclab.sample import random_commpoly
+from nclab.sample import random_commpoly, random_int_matrix
 
 ZERO = RationalFunction.zero(QQ)
 ONE = RationalFunction.one(QQ)
@@ -156,6 +157,14 @@ class TestDiagCommand:
         assert code == 0
         assert "off-diagonal vanishes through h^3: PASS" in capsys.readouterr().out
 
+    def test_order_zero_reports_only_what_it_checks(self, capsys):
+        # an order-1 series would carry an h-coefficient that the re-check never reads
+        assert main(["diag", "--n", "2", "--order", "0", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        for name in ("conjugator", "diagonal"):
+            assert report[name]["order"] == 0
+            assert len(report[name]["coeffs"]) == 1
+
     def test_every_denominator_is_a_product_of_eigenvalue_differences(self):
         a = series([diag_matrix([lam(1), lam(2), lam(3)]),
                     GenericMatrix([[ZERO if i == j else rf_const(i + 2 * j) for j in range(3)]
@@ -233,6 +242,65 @@ class TestSuccessiveDiagonalize:
         assert r1.conjugator == r2.conjugator
         assert r1.diagonal == r2.diagonal
         assert r1.eigenvalues == r2.eigenvalues
+
+
+def perturbed(n, order, field, seed, dense=False):
+    """diag(lam) + h M as ``diag`` builds it, or with a full integer M_r at every order r."""
+    rng = random.Random(seed)
+    lams = [RationalFunction.from_poly(CommPoly.variable(Variable.aux("lam", i), field))
+            for i in range(1, n + 1)]
+    zero = GenericMatrix.zeros(n, field, RationalFunction)
+
+    def draw():
+        m = random_int_matrix(rng, n, field, zero_diagonal=not dense)
+        return GenericMatrix([[RationalFunction.from_poly(e) for e in row] for row in m.rows])
+
+    higher = [draw() for _ in range(order)] if dense else [draw()] + [zero] * (order - 1)
+    return SeriesFieldMatrix(order, [GenericMatrix.diagonal(lams)] + higher)
+
+
+class TestAgainstWholeSeriesConjugation:
+    """The order-r recurrence of u A = C u against conjugating the whole series per order."""
+
+    @pytest.mark.parametrize(
+        "field", [QQ, Field(5), Field(7), Field(32003)], ids=["q", "fp5", "fp7", "fp32003"]
+    )
+    @pytest.mark.parametrize("seed", [1, 97])
+    def test_diag_perturbations(self, field, seed):
+        # n = 4 stops at order 3: its order-4 oracle alone takes about 1 s
+        for n, order in [(n, r) for n in (2, 3, 4) for r in range(1, 5) if (n, r) != (4, 4)]:
+            a = perturbed(n, order, field, seed)
+            rep = successive_diagonalize(a, order)
+            assert rep.verified is True
+            assert (rep.conjugator, rep.diagonal) == diagonalize_by_conjugation(a, order), (n, order)
+
+    @pytest.mark.parametrize("field", [QQ, Field(7)], ids=["q", "fp7"])
+    def test_dense_perturbations_beyond_the_target(self, field):
+        # every order perturbed, diagonal included, and D read past the target
+        for n, order, target in [(2, 4, 4), (2, 4, 2), (3, 3, 3), (3, 3, 1), (3, 2, 0)]:
+            a = perturbed(n, order, field, 11, dense=True)
+            rep = successive_diagonalize(a, target)
+            assert rep.verified is True
+            assert (rep.conjugator, rep.diagonal) == diagonalize_by_conjugation(a, target)
+
+    def test_no_series_inverse_and_two_series_products(self, capsys):
+        calls = {"inverse": 0, "product": 0}
+
+        def counted(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        with mock.patch.object(SeriesFieldMatrix, "inverse_unitriangular",
+                               counted("inverse", SeriesFieldMatrix.inverse_unitriangular)), \
+                mock.patch.object(SeriesFieldMatrix, "__mul__",
+                                  counted("product", SeriesFieldMatrix.__mul__)):
+            assert main(["diag", "--n", "3", "--order", "4"]) == 0
+        capsys.readouterr()
+        # 4 inverses and 30 products with the whole-series conjugation
+        assert calls["inverse"] == 0
+        assert calls["product"] <= 2
 
 
 def aux_poly(name, i):

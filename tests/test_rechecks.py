@@ -13,7 +13,8 @@ import sys
 import pytest
 
 import nclab
-from nclab import diagonalize, linalg
+from mutants import run_mutant
+from nclab import diagonalize, linalg, quantize
 from nclab.centralizer import centralizer_basis
 from nclab.cli import main
 from nclab.fields import QQ
@@ -212,29 +213,13 @@ def _doubled_sylvester(real):
     return solve
 
 
-def _truncated_inverse(real):
-    """inverse_unitriangular with its top coefficient dropped: a wrong u^-1 used at every step."""
-
-    def inverse(self):
-        inv = real(self)
-        coeffs = list(inv.coeffs[:-1]) + [inv.coeffs[-1] - inv.coeffs[-1]]
-        return diagonalize.SeriesFieldMatrix(inv.order, coeffs)
-
-    return inverse
-
-
 def _corrupt_sylvester(monkeypatch):
     monkeypatch.setattr(
         diagonalize, "solve_sylvester_diag", _doubled_sylvester(diagonalize.solve_sylvester_diag)
     )
 
 
-def _corrupt_inverse(monkeypatch):
-    real = diagonalize.SeriesFieldMatrix.inverse_unitriangular
-    monkeypatch.setattr(diagonalize.SeriesFieldMatrix, "inverse_unitriangular", _truncated_inverse(real))
-
-
-@pytest.mark.parametrize("corrupt", [_corrupt_sylvester, _corrupt_inverse], ids=["sylvester", "inverse"])
+@pytest.mark.parametrize("corrupt", [_corrupt_sylvester], ids=["sylvester"])
 def test_diag_corrupted_step_fails(corrupt, monkeypatch, capsys):
     corrupt(monkeypatch)
     code = main(DIAG_ARGV)
@@ -269,3 +254,54 @@ def test_diag_verdict_survives_python_O():
     _expect(proc.returncode == 2, f"exit {proc.returncode}: {proc.stderr}")
     _expect("off-diagonal vanishes through h^2: FAIL" in proc.stdout, proc.stdout)
     _expect("Traceback" not in proc.stderr, proc.stderr)
+
+
+# the recurrence C_r = sum u_k A_(r-k) - sum C_(r-k) u_k without its second sum.
+# diag's perturbation has a zero diagonal, so C_1 = 0 and the first term the
+# mutant drops is C_2 u_1, at order 3: the run must go to h^3 to see it.
+DROPPED_CORRECTION = (
+    "diagonalize.py",
+    "                acc = acc + u[k] * a.coeffs[r - k] - c[r - k] * u[k]",
+    "                acc = acc + u[k] * a.coeffs[r - k]",
+)
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+def test_diag_dropped_correction_fails(optimize, tmp_path):
+    argv = ["diag", "--n", "3", "--order", "3"]
+    proc = run_mutant(tmp_path, *DROPPED_CORRECTION, argv, optimize=optimize)
+    _expect(proc.returncode == 2, f"exit {proc.returncode}: {proc.stderr}")
+    _expect("off-diagonal vanishes through h^3: FAIL" in proc.stdout, proc.stdout)
+    _expect("Traceback" not in proc.stderr, proc.stderr)
+
+
+# -- pipeline and probe: commuting inputs must have a zero degree-0 star part --
+
+
+def _star_part_plus_e(real):
+    """matrix_star_commutator with E added at h^0."""
+
+    def commutator(fhat, ghat, ctx):
+        comm = real(fhat, ghat, ctx)
+        c0 = comm.coeffs[0]
+        return quantize.FormalSeries(comm.order, (c0 + c0.identity_like(),) + comm.coeffs[1:])
+
+    return commutator
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bergman-pipeline", "--f", "x1", "--g", "x1^2", "--nmax", "2", "--dmax", "2"],
+        ["probe", "--n", "2", "--dmax", "3"],
+    ],
+    ids=["bergman-pipeline", "probe"],
+)
+def test_nonzero_degree_zero_star_part_exits_2(argv, monkeypatch, capsys):
+    monkeypatch.setattr(
+        quantize, "matrix_star_commutator", _star_part_plus_e(quantize.matrix_star_commutator)
+    )
+    code = main(argv)
+    out = capsys.readouterr().out
+    _expect(code == 2, f"exit {code}, expected 2")
+    _expect("star commutator nonzero mod h^2" in out, out)

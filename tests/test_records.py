@@ -108,3 +108,51 @@ class TestRecordConstruction:
         for rec in [ALReport(2, 4, True, True, None), Variable.entry(1, 1, 1)]:
             with pytest.raises(AttributeError):
                 rec.__dict__
+
+
+def _frozen_instances():
+    """One instance of each class built on ``records.Frozen``, with one of its slots."""
+    from nclab.diagonalize import SeriesFieldMatrix
+    from nclab.freealg import FreePoly
+    from nclab.genmat import GenericMatrix
+    from nclab.quantize import FormalSeries, StarContext, pairing_tensor
+    from nclab.rings import CommPoly, RationalFunction
+
+    x, y = Variable.aux("x", 1), Variable.aux("y", 1)
+    tensor = pairing_tensor([x], [y], QQ)
+    one = CommPoly.one(QQ)
+    matrix = GenericMatrix.identity(2, QQ, RationalFunction)
+    return [
+        (QQ, "p"),
+        (QQ.scalar(3), "value"),
+        (one, "terms"),
+        (FreePoly(2, QQ, {(1,): 1}), "s"),
+        (matrix, "rows"),
+        (tensor, "entries"),
+        (StarContext(tensor, 2), "order"),
+        (FormalSeries.from_poly(one, 1), "coeffs"),
+        (SeriesFieldMatrix.from_poly(matrix, 1), "coeffs"),
+        (RationalFunction.one(QQ), "num"),
+        (CorrespondenceReport(True, None, None), "holds"),
+    ]
+
+
+@pytest.mark.parametrize("index", range(11), ids=[
+    "Field", "Scalar", "CommPoly", "FreePoly", "GenericMatrix", "PoissonTensor",
+    "StarContext", "FormalSeries", "SeriesFieldMatrix", "RationalFunction",
+    "CorrespondenceReport",
+])
+def test_frozen_slots_can_be_neither_assigned_nor_deleted(index):
+    obj, slot = _frozen_instances()[index]
+    before = getattr(obj, slot)
+    message = f"^{type(obj).__name__} is immutable$"
+    with pytest.raises(AttributeError, match=message):
+        setattr(obj, slot, before)
+    try:
+        with pytest.raises(AttributeError, match=message):
+            delattr(obj, slot)
+    finally:
+        # a deleted slot of the interned QQ would break every later test
+        object.__setattr__(obj, slot, before)
+    with pytest.raises(AttributeError, match=message):
+        obj.extra = 1
