@@ -27,7 +27,7 @@ def _register(name):
 
 for _name in (
     "centralizer", "diagonalize", "errors", "fields", "freealg", "genmat",
-    "linalg", "quantize", "records", "rings", "sample", "serialize",
+    "linalg", "quantize", "records", "rings", "serialize",
 ):
     _register(_name)
 del _name
@@ -41,7 +41,7 @@ _PUBLIC = {
         (
             "genmat",
             "BivariatePoly GenericMatrix annihilator_stability find_annihilator"
-            " make_generic pi_reduce standard_identity trace_and_charpoly",
+            " make_generic pi_reduce standard_identity",
         ),
         (
             "quantize",

@@ -97,13 +97,6 @@ class BergmanReport(Record):
     __slots__ = ("f", "d", "passed", "generator", "dims", "witness")
     _defaults = {"witness": None}
 
-    @property
-    def expected_dims(self):
-        if self.generator is None:
-            return None
-        k = self.generator.degree()
-        return [m // k + 1 for m in range(self.d + 1)]
-
 
 def _span_membership(elements, candidates_powers, field):
     """Index of the first element not in the span, or None if all belong."""
@@ -181,29 +174,41 @@ class PipelineReport(Record):
         return [o.n for o in self.outcomes]
 
 
+def _size_outcome(f, g, dmax: int, ctx: quantize.StarContext) -> SizeOutcome:
+    """Annihilator of a commuting matrix pair and the star commutator of its lifts."""
+    ann = genmat.find_annihilator(f, g, dmax)
+    fhat, ghat = quantize.quantize_lift(f, ctx), quantize.quantize_lift(g, ctx)
+    comm = quantize.matrix_star_commutator(fhat, ghat, ctx)
+    c0, c1 = comm.coefficient(0), comm.coefficient(1)
+    return SizeOutcome(f.n, ann, c0.is_zero, c1.is_zero, c1)
+
+
 def _conclude(report: PipelineReport) -> None:
     outs = report.outcomes
-    all_found = all(o.annihilator.found for o in outs)
-    star_zero = all(o.star_c0_zero and o.star_c1_zero for o in outs)
-    if all_found:
+    if all(o.annihilator.found for o in outs):
         report.trdeg_verdict = "1"
+    else:
+        bound = outs[0].annihilator.searched_bound if outs else 0
+        report.trdeg_verdict = f">=2 up to degree {bound}"
+    star_zero = all(o.star_c1_zero for o in outs)
+    if not all(o.star_c0_zero for o in outs):
+        # commuting lifts commute at h^0, so this is a fault, not a trdeg-2 sign
+        report.conclusion = "FAIL: the star commutator of commuting inputs is nonzero at h^0"
+    elif report.stability is not None and report.stability.unstable:
+        report.conclusion = "FAIL: annihilators found at every size are not identical"
+    elif report.trdeg_verdict == "1":
         report.conclusion = (
             "annihilator found at every size: consistent with transcendence degree 1"
         )
         if not star_zero:
             report.conclusion += "; warning: star commutator did not vanish"
+    elif not star_zero:
+        report.conclusion = (
+            "no annihilator up to the bound and nonzero star commutator: "
+            "the contradiction mechanism is visible"
+        )
     else:
-        bound = outs[0].annihilator.searched_bound if outs else 0
-        report.trdeg_verdict = f">=2 up to degree {bound}"
-        if not star_zero:
-            report.conclusion = (
-                "no annihilator up to the bound and nonzero star commutator: "
-                "the contradiction mechanism is visible"
-            )
-        else:
-            report.conclusion = (
-                "no annihilator up to the bound but the star commutator vanishes"
-            )
+        report.conclusion = "no annihilator up to the bound but the star commutator vanishes"
 
 
 def bergman_pipeline(
@@ -218,11 +223,7 @@ def bergman_pipeline(
         return report
     for n in range(1, nmax + 1):
         fn, gn = genmat.pi_reduce(f, n), genmat.pi_reduce(g, n)
-        ann = genmat.find_annihilator(fn, gn, dmax)
-        fhat, ghat = quantize.quantize_lift(fn, ctx), quantize.quantize_lift(gn, ctx)
-        comm = quantize.matrix_star_commutator(fhat, ghat, ctx)
-        c0, c1 = comm.coefficient(0), comm.coefficient(1)
-        report.outcomes.append(SizeOutcome(n, ann, c0.is_zero, c1.is_zero, c1))
+        report.outcomes.append(_size_outcome(fn, gn, dmax, ctx))
     report.stability = genmat.StabilityReport.of(
         f, g, report.sizes, dmax, [o.annihilator for o in report.outcomes]
     )
@@ -239,14 +240,10 @@ def commuting_matrix_probe(
     elements, so transcendence-degree-2 pairs can be fed in directly.
     """
     try:
-        ann = genmat.find_annihilator(f, g, dmax)
+        outcome = _size_outcome(f, g, dmax, ctx)
     except NotCommuting:
         raise NotCommuting("probe inputs must commute") from None
-    report = PipelineReport(str(f), str(g), True, None)
-    fhat, ghat = quantize.quantize_lift(f, ctx), quantize.quantize_lift(g, ctx)
-    comm = quantize.matrix_star_commutator(fhat, ghat, ctx)
-    c0, c1 = comm.coefficient(0), comm.coefficient(1)
-    report.outcomes.append(SizeOutcome(f.n, ann, c0.is_zero, c1.is_zero, c1))
+    report = PipelineReport(str(f), str(g), True, None, [outcome])
     _conclude(report)
     return report
 

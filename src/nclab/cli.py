@@ -13,7 +13,7 @@ import argparse
 import random
 import sys
 
-from . import centralizer, diagonalize, genmat, quantize, rings, sample, serialize
+from . import centralizer, diagonalize, genmat, quantize, rings, serialize
 from .errors import EngineError, InvalidSize
 from .fields import QQ, Field
 from .freealg import commutator, parse_free, pretty
@@ -215,7 +215,7 @@ def _cmd_annihilator(args, field):
         if rep.all_found
         else "not found at every size"
     )
-    code = 2 if (rep.all_found and not rep.identical and len(rep.results) > 1) else 0
+    code = 2 if rep.unstable else 0
     return rep, {"s": args.s, "nmax": args.nmax, "dmax": args.dmax}, code, lines
 
 
@@ -273,6 +273,18 @@ def _args_diag(p):
     p.add_argument("--order", type=int, default=2, help="target order")
 
 
+def _perturbation(rng: random.Random, n: int, field: Field) -> genmat.GenericMatrix:
+    """Integers drawn from [-5, 5] row by row, with a zero diagonal."""
+    zero = rings.CommPoly.zero(field)
+    return genmat.GenericMatrix(
+        [
+            [zero if i == j else rings.CommPoly.constant(field.scalar(rng.randint(-5, 5)))
+             for j in range(n)]
+            for i in range(n)
+        ]
+    )
+
+
 def _cmd_diag(args, field):
     n, order = args.n, args.order
     ratfun = rings.RationalFunction
@@ -280,8 +292,7 @@ def _cmd_diag(args, field):
         ratfun.from_poly(rings.CommPoly.variable(rings.Variable.aux("lam", i), field))
         for i in range(1, n + 1)
     )
-    rng = random.Random(args.seed)
-    m_int = sample.random_int_matrix(rng, n, field, zero_diagonal=True)
+    m_int = _perturbation(random.Random(args.seed), n, field)
     a1 = genmat.GenericMatrix([[ratfun.from_poly(e) for e in row] for row in m_int.rows])
     zero = genmat.GenericMatrix.zeros(n, field, ratfun)
     series = diagonalize.SeriesFieldMatrix(order, [a0, a1][: order + 1] + [zero] * (order - 1))
@@ -347,8 +358,7 @@ def _pipeline_code(rep) -> int:
     at every size that differ, is a mathematical FAIL.  The contradiction
     scenario (no annihilator, nonzero h-part) is a reported state, exit 0.
     """
-    stability = rep.stability
-    unstable = stability is not None and stability.all_found and not stability.identical
+    unstable = rep.stability is not None and rep.stability.unstable
     failed = rep.commute and (unstable or not all(o.star_c0_zero for o in rep.outcomes))
     return 2 if failed else 0
 

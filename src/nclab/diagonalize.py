@@ -26,11 +26,9 @@ from .errors import (
     RepeatedEigenvalue,
     ShapeMismatch,
 )
-from .fields import Field
 from .genmat import GenericMatrix
 from .quantize import FormalSeries, StarContext, matrix_star_commutator, poisson_bracket
 from .records import Record
-from .rings import RationalFunction
 
 
 def solve_sylvester_diag(a0_diag, rhs: GenericMatrix) -> GenericMatrix:
@@ -65,10 +63,6 @@ class SeriesFieldMatrix(FormalSeries):
 
     __slots__ = ()
 
-    @staticmethod
-    def identity(n: int, order: int, field: Field) -> SeriesFieldMatrix:
-        return SeriesFieldMatrix.from_poly(GenericMatrix.identity(n, field, RationalFunction), order)
-
     def __mul__(self, other):
         """Coefficient r is the sum of a_k b_(r-k) over the pairs of nonzero matrices."""
         other = self._check(other)
@@ -82,24 +76,6 @@ class SeriesFieldMatrix(FormalSeries):
                     acc = a * b if acc is None else acc + a * b
             out.append(zero if acc is None else acc)
         return SeriesFieldMatrix(self.order, out)
-
-    def inverse_unitriangular(self) -> SeriesFieldMatrix:
-        """Inverse of E + (higher order): the finite geometric series."""
-        e = SeriesFieldMatrix.identity(self.coeffs[0].n, self.order, self.field)
-        v = self - e
-        if not v.coeffs[0].is_zero:
-            raise ShapeMismatch("inverse_unitriangular needs leading coefficient E")
-        out = e
-        power = e
-        negate = True
-        for _ in range(self.order):
-            power = power * v
-            out = out - power if negate else out + power
-            negate = not negate
-        return out
-
-    def offdiag_is_zero_through(self, order: int) -> bool:
-        return all(c.is_diagonal() for c in self.coeffs[: order + 1])
 
 
 class DiagonalReport(Record):

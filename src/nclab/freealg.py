@@ -104,11 +104,6 @@ class FreePoly(SparseSum):
             return NEG_INF
         return max(len(w) for w in self.terms)
 
-    def homogeneous_component(self, m: int) -> FreePoly:
-        if m < 0:
-            raise ValueError("degree must be nonnegative")
-        return self._like({w: c for w, c in self.terms.items() if len(w) == m})
-
     # -- evaluation ----------------------------------------------------------------
 
     def evaluate_in_matrices(self, images):

@@ -11,13 +11,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from . import linalg
-from .errors import (
-    CharacteristicTooSmall,
-    FieldMismatch,
-    InvalidSize,
-    NotCommuting,
-    ShapeMismatch,
-)
+from .errors import FieldMismatch, InvalidSize, NotCommuting, ShapeMismatch
 from .fields import NEG_INF, Field, SparseSum, add_products
 from .freealg import FreePoly, commutator, pretty
 from .records import Frozen, Record
@@ -105,13 +99,6 @@ class GenericMatrix(Frozen):
             self.rows[i][j].is_zero for i in range(self.n) for j in range(self.n) if i != j
         )
 
-    def variables(self) -> set:
-        out = set()
-        for r in self.rows:
-            for e in r:
-                out |= e.variables()
-        return out
-
     # -- ring operations -----------------------------------------------------------
 
     def _check(self, other) -> GenericMatrix:
@@ -175,23 +162,6 @@ class GenericMatrix(Frozen):
     def scale(self, c) -> GenericMatrix:
         return GenericMatrix([[e.scale(c) for e in r] for r in self.rows])
 
-    def scale_poly(self, p: CommPoly) -> GenericMatrix:
-        return GenericMatrix([[e * p for e in r] for r in self.rows])
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative matrix power")
-        out = self.identity_like()
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def trace(self):
-        acc = self.ring.zero(self.field)
-        for i in range(self.n):
-            acc = acc + self.rows[i][i]
-        return acc
-
     def __eq__(self, other):
         return (
             isinstance(other, GenericMatrix)
@@ -231,29 +201,6 @@ def pi_reduce(f: FreePoly, n: int) -> GenericMatrix:
     if n < 1:
         raise InvalidSize("matrix size must be at least 1")
     return f.evaluate_in_matrices(make_generic(f.s, n, f.field))
-
-
-def trace_and_charpoly(a: GenericMatrix):
-    """Trace and characteristic polynomial coefficients c_0..c_n of det(tI - A).
-
-    Uses the trace recurrence, which divides by 1..n; in characteristic p this
-    needs n < p.
-    """
-    n, field = a.n, a.field
-    if 0 < field.p <= n:
-        raise CharacteristicTooSmall(
-            f"characteristic {field.p} too small for size {n} (divides by 1..{n})"
-        )
-    coeffs = [None] * (n + 1)
-    coeffs[n] = CommPoly.one(field)
-    m = a
-    trace = a.trace()
-    for k in range(1, n + 1):
-        ck = m.trace().scale(field.scalar(k).inverse()).scale(-field.one)
-        coeffs[n - k] = ck
-        if k < n:
-            m = a * (m + GenericMatrix.identity(n, field).scale_poly(ck))
-    return trace, coeffs
 
 
 def _parity_sign(perm) -> int:
@@ -411,11 +358,9 @@ class StabilityReport(Record):
         return StabilityReport(pretty(f), pretty(g), list(sizes), dmax, list(results), all_found, identical)
 
     @property
-    def common_poly(self):
-        for r in self.results:
-            if r.found:
-                return r.poly
-        return None
+    def unstable(self) -> bool:
+        """Annihilators found at every size but not identical: a mathematical FAIL."""
+        return self.all_found and not self.identical
 
 
 def annihilator_stability(f: FreePoly, g: FreePoly, sizes, dmax: int) -> StabilityReport:

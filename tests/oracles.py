@@ -197,6 +197,27 @@ def poisson_oracle(a: CommPoly, b: CommPoly, tensor) -> CommPoly:
     return acc
 
 
+def series_identity(n: int, order: int, field) -> SeriesFieldMatrix:
+    """E as a series matrix over RationalFunction truncated at ``order``."""
+    return SeriesFieldMatrix.from_poly(GenericMatrix.identity(n, field, RationalFunction), order)
+
+
+def inverse_unitriangular(s: SeriesFieldMatrix) -> SeriesFieldMatrix:
+    """Inverse of E + V (V = O(h)): the finite geometric series E - V + V^2 - ..."""
+    e = series_identity(s.coeffs[0].n, s.order, s.field)
+    v = s - e
+    if not v.coeffs[0].is_zero:
+        raise ValueError("inverse_unitriangular needs leading coefficient E")
+    out = e
+    power = e
+    negate = True
+    for _ in range(s.order):
+        power = power * v
+        out = out - power if negate else out + power
+        negate = not negate
+    return out
+
+
 def diagonalize_by_conjugation(a: SeriesFieldMatrix, target: int):
     """Conjugator u and diagonal form D by whole-series conjugation.
 
@@ -206,7 +227,7 @@ def diagonalize_by_conjugation(a: SeriesFieldMatrix, target: int):
     and u becomes b u.  D is the diagonal of the final series.
     """
     lam = a.coeffs[0].diagonal_entries()
-    u = SeriesFieldMatrix.identity(len(lam), a.order, a.field)
+    u = series_identity(len(lam), a.order, a.field)
     e, zero = u.coeffs[0], GenericMatrix.zeros(len(lam), a.field, RationalFunction)
     current = a
     for r in range(1, target + 1):
@@ -215,7 +236,7 @@ def diagonalize_by_conjugation(a: SeriesFieldMatrix, target: int):
             continue
         t = solve_sylvester_diag(lam, c - GenericMatrix.diagonal(c.diagonal_entries()))
         b = SeriesFieldMatrix(a.order, [e] + [t if k == r else zero for k in range(1, a.order + 1)])
-        current = b * current * b.inverse_unitriangular()
+        current = b * current * inverse_unitriangular(b)
         u = b * u
     diag = [GenericMatrix.diagonal(c.diagonal_entries()) for c in current.coeffs]
     return u, SeriesFieldMatrix(a.order, diag)

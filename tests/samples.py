@@ -1,17 +1,16 @@
-"""Seeded random generators for polynomials and matrices.
+"""Seeded random test data: scalars, polynomials and integer matrices.
 
 Everything takes an explicit ``random.Random`` so that the randomized suites
-and the CLI are reproducible from a single integer seed.
+are reproducible from a single integer seed.
 """
-
-from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from . import genmat, rings
-from .fields import Field, Scalar
-from .freealg import FreePoly
+from nclab import rings
+from nclab.fields import Field, Scalar
+from nclab.freealg import FreePoly
+from nclab.genmat import GenericMatrix
 
 
 def random_scalar(rng: random.Random, field: Field, span: int = 6) -> Scalar:
@@ -50,14 +49,16 @@ def random_freepoly(
 
 def random_int_matrix(
     rng: random.Random, n: int, field: Field, lo: int = -5, hi: int = 5, zero_diagonal=False
-) -> genmat.GenericMatrix:
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if zero_diagonal and i == j:
-                row.append(rings.CommPoly.zero(field))
-            else:
-                row.append(rings.CommPoly.constant(field.scalar(rng.randint(lo, hi))))
-        rows.append(row)
-    return genmat.GenericMatrix(rows)
+) -> GenericMatrix:
+    """Constant CommPoly entries drawn from [lo, hi] row by row (the diagonal skipped if zero)."""
+    zero = rings.CommPoly.zero(field)
+    return GenericMatrix(
+        [
+            [
+                zero if zero_diagonal and i == j
+                else rings.CommPoly.constant(field.scalar(rng.randint(lo, hi)))
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+    )

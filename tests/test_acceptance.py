@@ -10,7 +10,8 @@ import time
 
 import pytest
 
-from oracles import poisson_oracle
+from oracles import inverse_unitriangular, poisson_oracle
+from samples import random_commpoly
 from nclab.cli import main
 from nclab.errors import CharacteristicTooSmall
 from nclab.fields import GF, QQ
@@ -38,7 +39,6 @@ from nclab.centralizer import (
 )
 from nclab.diagonalize import SeriesFieldMatrix, eq1_diagonal_check, successive_diagonalize
 from nclab.quantize import quantize_lift
-from nclab.sample import random_commpoly
 
 BERGMAN_CORPUS = ["x1", "x1^2", "x1^3 + x1", "x1 + x2", "x1*x2", "x2*x1*x2"]
 STABILITY_PAIRS = [("x1", "x1^2 + 1"), ("x1", "x1^3"), ("x1^2 + x1", "x1")]
@@ -171,8 +171,8 @@ def test_criterion_6_sylvester_recursion():
         zmat = GenericMatrix.zeros(3, QQ, RationalFunction)
         series = SeriesFieldMatrix(2, [a0, m, zmat])
         rep = successive_diagonalize(series, 2)  # back-substitution check is built in
-        conj = rep.conjugator * series * rep.conjugator.inverse_unitriangular()
-        assert conj.offdiag_is_zero_through(2)  # off-diagonal = 0 mod h^3
+        conj = rep.conjugator * series * inverse_unitriangular(rep.conjugator)
+        assert all(c.is_diagonal() for c in conj.coeffs[:3])  # off-diagonal = 0 mod h^3
         assert rep.eigenvalues == lam
 
 

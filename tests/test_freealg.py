@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import free_commutator, free_mul
+from samples import random_freepoly, random_int_matrix
 from nclab.errors import FieldMismatch, ParseError, PowerTooLarge, ShapeMismatch, UnknownGenerator
 from nclab.fields import GF, QQ, NEG_INF
 from nclab.freealg import (
@@ -20,7 +21,6 @@ from nclab.freealg import (
 )
 from nclab.genmat import GenericMatrix
 from nclab.rings import CommPoly
-from nclab.sample import random_freepoly, random_int_matrix
 
 
 def fp(terms, s=2, field=QQ):
@@ -219,29 +219,6 @@ class TestCommutator:
             b = random_freepoly(rng, 2, QQ)
             c = random_freepoly(rng, 2, QQ)
             assert commutator(a + b, c) == commutator(a, c) + commutator(b, c)
-
-
-class TestHomogeneousComponent:
-    def test_degree_one_part(self):
-        a = fp({(1,): 1, (1, 2): 1})
-        assert a.homogeneous_component(1) == fp({(1,): 1})
-
-    def test_empty_part(self):
-        a = fp({(1,): 1, (1, 2): 1})
-        assert a.homogeneous_component(3).is_zero
-
-    def test_constant_part(self):
-        a = fp({(): 5})
-        assert a.homogeneous_component(0) == a
-
-    def test_components_sum_back(self):
-        rng = random.Random(8)
-        for _ in range(30):
-            a = random_freepoly(rng, 2, QQ, max_degree=4)
-            total = FreePoly.zero(2, QQ)
-            for m in range(5):
-                total = total + a.homogeneous_component(m)
-            assert total == a
 
 
 class TestEvaluateInMatrices:

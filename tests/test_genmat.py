@@ -1,15 +1,12 @@
-"""Generic matrices: construction, reduction, identities, char polynomials."""
+"""Generic matrices: construction, reduction, identities."""
 
 import random
 
 import pytest
 
 from oracles import matmul, signed_permutation_sum
-from nclab.errors import (
-    CharacteristicTooSmall,
-    InvalidSize,
-    ShapeMismatch,
-)
+from samples import random_commpoly, random_freepoly
+from nclab.errors import InvalidSize, ShapeMismatch
 from nclab.fields import GF, QQ
 from nclab.freealg import parse_free
 from nclab.genmat import (
@@ -17,10 +14,8 @@ from nclab.genmat import (
     make_generic,
     pi_reduce,
     standard_identity,
-    trace_and_charpoly,
 )
 from nclab.rings import CommPoly, RationalFunction, Variable
-from nclab.sample import random_commpoly, random_freepoly
 
 
 def entry_poly(l, i, j, field=QQ):
@@ -49,7 +44,7 @@ class TestMakeGeneric:
         mats = make_generic(3, 2, QQ)
         seen = set()
         for m in mats:
-            vs = m.variables()
+            vs = {v for row in m.rows for e in row for v in e.variables()}
             assert not (vs & seen)
             seen |= vs
         assert len(seen) == 3 * 4
@@ -149,7 +144,8 @@ class TestRationalFunctionEntries:
         assert e.entry(1, 1) == RationalFunction.one(QQ) and e.entry(1, 2).is_zero
         z = GenericMatrix.zeros(2, QQ, RationalFunction)
         assert (e * z) == z and (z * e).ring is RationalFunction
-        assert e.trace() == RationalFunction.from_poly(CommPoly.constant(QQ.scalar(2)))
+        assert e.entry(1, 1) + e.entry(2, 2) == RationalFunction.from_poly(
+            CommPoly.constant(QQ.scalar(2)))
 
     def test_rings_do_not_mix(self):
         with pytest.raises(TypeError):
@@ -157,64 +153,6 @@ class TestRationalFunctionEntries:
                            [CommPoly.zero(QQ), CommPoly.one(QQ)]])
         with pytest.raises(TypeError):
             GenericMatrix.identity(2, QQ) * GenericMatrix.identity(2, QQ, RationalFunction)
-
-
-class TestCharpoly:
-    def test_1x1(self):
-        (x,) = make_generic(1, 1, QQ)
-        trace, coeffs = trace_and_charpoly(x)
-        assert trace == entry_poly(1, 1, 1)
-        # t - x: coefficients (c0, c1) = (-x, 1)
-        assert coeffs[0] == -entry_poly(1, 1, 1)
-        assert coeffs[1] == CommPoly.one(QQ)
-
-    def test_identity_2x2(self):
-        i2 = GenericMatrix.identity(2, QQ)
-        trace, coeffs = trace_and_charpoly(i2)
-        two = CommPoly.constant(QQ.scalar(2))
-        assert trace == two
-        # t^2 - 2t + 1
-        assert [str(c) for c in coeffs] == ["1", "-2", "1"]
-
-    def test_generic_2x2_against_cofactor_oracle(self):
-        (x,) = make_generic(1, 2, QQ)
-        trace, coeffs = trace_and_charpoly(x)
-        a, b = entry_poly(1, 1, 1), entry_poly(1, 1, 2)
-        c, d = entry_poly(1, 2, 1), entry_poly(1, 2, 2)
-        assert trace == a + d
-        assert coeffs[2] == CommPoly.one(QQ)
-        assert coeffs[1] == -(a + d)
-        assert coeffs[0] == a * d - b * c
-
-    def test_cayley_hamilton_generic_2x2(self):
-        (x,) = make_generic(1, 2, QQ)
-        _, coeffs = trace_and_charpoly(x)
-        acc = GenericMatrix.zeros(2, QQ)
-        power = GenericMatrix.identity(2, QQ)
-        for c in coeffs:
-            acc = acc + power.scale_poly(c)
-            power = power * x
-        assert acc.is_zero
-
-    def test_cayley_hamilton_generic_3x3(self):
-        (x,) = make_generic(1, 3, QQ)
-        _, coeffs = trace_and_charpoly(x)
-        acc = GenericMatrix.zeros(3, QQ)
-        power = GenericMatrix.identity(3, QQ)
-        for c in coeffs:
-            acc = acc + power.scale_poly(c)
-            power = power * x
-        assert acc.is_zero
-
-    def test_characteristic_too_small(self):
-        (x,) = make_generic(1, 3, GF(3))
-        with pytest.raises(CharacteristicTooSmall):
-            trace_and_charpoly(x)
-
-    def test_charpoly_fine_when_char_exceeds_size(self):
-        (x,) = make_generic(1, 2, GF(5))
-        trace, coeffs = trace_and_charpoly(x)
-        assert len(coeffs) == 3
 
 
 class TestStandardIdentity:

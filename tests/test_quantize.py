@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import moyal_term, poisson_oracle
+from samples import random_commpoly
 from nclab.errors import BadTensorFile, CharacteristicTooSmall, UnknownVariable
 from nclab.fields import GF, QQ
 from nclab.quantize import (
@@ -27,7 +28,6 @@ from nclab.quantize import (
 )
 from nclab.genmat import GenericMatrix, make_generic
 from nclab.rings import CommPoly, Variable, mono_from_dict
-from nclab.sample import random_commpoly
 
 VX = [Variable.aux("x", i) for i in (1, 2)]
 VY = [Variable.aux("y", i) for i in (1, 2)]

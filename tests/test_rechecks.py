@@ -305,3 +305,29 @@ def test_nonzero_degree_zero_star_part_exits_2(argv, monkeypatch, capsys):
     out = capsys.readouterr().out
     _expect(code == 2, f"exit {code}, expected 2")
     _expect("star commutator nonzero mod h^2" in out, out)
+    # a fault of its own, not the trdeg-2 contradiction nor a trdeg-1 warning
+    _expect("verdict: FAIL: the star commutator of commuting inputs is nonzero at h^0" in out, out)
+
+
+# [x1, x2] and its square vanish at size 1, where u is their least annihilator,
+# but not at size 2, where it is u^2 - v
+UNSTABLE = ["--f", "x1*x2 - x2*x1", "--g", "(x1*x2 - x2*x1)^2", "--dmax", "2"]
+
+
+@pytest.mark.parametrize(
+    "command, verdict",
+    [
+        ("annihilator", "identical across sizes: no"),
+        ("bergman-pipeline", "verdict: FAIL: annihilators found at every size are not identical"),
+    ],
+    ids=["annihilator", "bergman-pipeline"],
+)
+def test_annihilators_that_differ_across_sizes_exit_2(command, verdict, capsys):
+    code = main([command, *UNSTABLE, "--nmax", "2"])
+    out = capsys.readouterr().out
+    _expect(code == 2, f"exit {code}, expected 2")
+    _expect(verdict in out, out)
+    # one size is identical to itself
+    code = main([command, *UNSTABLE, "--nmax", "1"])
+    capsys.readouterr()
+    _expect(code == 0, f"exit {code} with one size, expected 0")

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from samples import random_commpoly
 from nclab import serialize
 from nclab.errors import BadReport, DivisionByZero, EngineError
 from nclab.fields import GF, QQ
@@ -24,7 +25,6 @@ from nclab.diagonalize import (
     successive_diagonalize,
 )
 from nclab.quantize import matrix_star_commutator, quantize_lift
-from nclab.sample import random_commpoly
 
 
 def round_trip(report, field=QQ):

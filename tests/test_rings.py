@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from samples import random_commpoly, random_scalar
 from nclab.errors import DivisionByZero, UnassignedVariable, UnsupportedDenominator
 from nclab.fields import GF, QQ, NEG_INF
 from nclab.rings import (
@@ -17,7 +18,6 @@ from nclab.rings import (
     poly_divmod,
     poly_gcd,
 )
-from nclab.sample import random_commpoly, random_scalar
 
 X = Variable.aux("t", 1)
 Y = Variable.aux("t", 2)

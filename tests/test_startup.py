@@ -77,7 +77,7 @@ _BASE = {"cli", "errors", "fields", "freealg", "records", "serialize"}
         (["eval", "--f", "x1*x2 - x2*x1"], _BASE),
         (
             ["diag", "--n", "2", "--order", "2"],
-            _BASE | {"diagonalize", "genmat", "quantize", "rings", "sample"},
+            _BASE | {"diagonalize", "genmat", "quantize", "rings"},
         ),
     ],
     ids=["centralizer", "eval", "diag"],
@@ -103,12 +103,12 @@ def test_a_command_executes_only_the_modules_it_uses(argv, executed):
     assert ran == sorted(f"nclab.{module}" for module in executed)
 
 
-# the names the package has always re-exported, by defining module
+# the names the package re-exports, by defining module
 PUBLIC = {
     "fields": "GF QQ Field Scalar",
     "freealg": "FreePoly commutator parse_free pretty",
     "genmat": "BivariatePoly GenericMatrix annihilator_stability find_annihilator make_generic"
-    " pi_reduce standard_identity trace_and_charpoly",
+    " pi_reduce standard_identity",
     "quantize": "FormalSeries PoissonTensor StarContext matrix_star matrix_star_commutator"
     " poisson_bracket quantize_lift star_commutator star_mul verify_correspondence",
     "rings": "CommPoly RationalFunction Variable",
