@@ -2,8 +2,7 @@
 """Run the acceptance suite with one visible line per criterion.
 
 Usage:
-    python scripts/run_acceptance.py          # the standard criteria
-    python scripts/run_acceptance.py --slow   # additionally the 3x3 identity
+    python scripts/run_acceptance.py
 """
 
 import subprocess
@@ -11,10 +10,7 @@ import sys
 
 
 def main() -> int:
-    args = ["-s", "-q", "tests/test_acceptance.py"]
-    if "--slow" in sys.argv[1:]:
-        args = ["-s", "-q", "-m", "slow or not slow", "tests/test_acceptance.py"]
-    return subprocess.call([sys.executable, "-m", "pytest", *args])
+    return subprocess.call([sys.executable, "-m", "pytest", "-s", "-q", "tests/test_acceptance.py"])
 
 
 if __name__ == "__main__":

@@ -173,6 +173,16 @@ class PipelineReport(Record):
     def sizes(self):
         return [o.n for o in self.outcomes]
 
+    @property
+    def failure(self):
+        """Why the run FAILs, or None; the contradiction scenario is not a failure."""
+        if not all(o.star_c0_zero for o in self.outcomes):
+            # commuting lifts commute at h^0, so this is a fault, not a trdeg-2 sign
+            return "the star commutator of commuting inputs is nonzero at h^0"
+        if self.stability is not None and self.stability.unstable:
+            return "annihilators found at every size are not identical"
+        return None
+
 
 def _size_outcome(f, g, dmax: int, ctx: quantize.StarContext) -> SizeOutcome:
     """Annihilator of a commuting matrix pair and the star commutator of its lifts."""
@@ -191,11 +201,8 @@ def _conclude(report: PipelineReport) -> None:
         bound = outs[0].annihilator.searched_bound if outs else 0
         report.trdeg_verdict = f">=2 up to degree {bound}"
     star_zero = all(o.star_c1_zero for o in outs)
-    if not all(o.star_c0_zero for o in outs):
-        # commuting lifts commute at h^0, so this is a fault, not a trdeg-2 sign
-        report.conclusion = "FAIL: the star commutator of commuting inputs is nonzero at h^0"
-    elif report.stability is not None and report.stability.unstable:
-        report.conclusion = "FAIL: annihilators found at every size are not identical"
+    if report.failure:
+        report.conclusion = "FAIL: " + report.failure
     elif report.trdeg_verdict == "1":
         report.conclusion = (
             "annihilator found at every size: consistent with transcendence degree 1"

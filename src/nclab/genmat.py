@@ -8,7 +8,7 @@ image of the free algebra satisfying all n x n matrix identities, and
 
 from __future__ import annotations
 
-from itertools import permutations
+from functools import cache
 
 from . import linalg
 from .errors import FieldMismatch, InvalidSize, NotCommuting, ShapeMismatch
@@ -203,38 +203,30 @@ def pi_reduce(f: FreePoly, n: int) -> GenericMatrix:
     return f.evaluate_in_matrices(make_generic(f.s, n, f.field))
 
 
-def _parity_sign(perm) -> int:
-    inversions = sum(
-        1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j]
-    )
-    return -1 if inversions % 2 else 1
-
-
 def standard_identity(k: int, mats) -> GenericMatrix:
-    """S_k(M_1,...,M_k): the alternating sum over all k! permutation products."""
+    """S_k(M_1,...,M_k) by expansion along the first factor.
+
+    S_k = sum_i (-1)^(i-1) M_i * S_(k-1)(the others), cached on the tuple of
+    indices still to place, so it forms fewer than k * 2^(k-1) products.
+    """
     mats = list(mats)
     if k < 1 or len(mats) != k:
         raise ShapeMismatch(f"need exactly {k} matrices")
     first = mats[0]
     for m in mats:
         first._check(m)
-    n, field = first.n, first.field
-    acc = [[{} for _ in range(n)] for _ in range(n)]
-    for perm in permutations(range(k)):
-        prod = mats[perm[0]]
-        for idx in perm[1:]:
-            prod = prod * mats[idx]
-        negative = _parity_sign(perm) < 0
-        for i in range(n):
-            bucket_row = acc[i]
-            prod_row = prod.rows[i]
-            for j in range(n):
-                bucket = bucket_row[j]
-                for m, c in prod_row[j].terms.items():
-                    s = bucket.get(m)
-                    term = -c if negative else c
-                    bucket[m] = term if s is None else s + term
-    return GenericMatrix([[CommPoly._of(field, acc[i][j]) for j in range(n)] for i in range(n)])
+
+    @cache
+    def expand(rest):
+        if len(rest) == 1:
+            return mats[rest[0]]
+        total = mats[rest[0]] * expand(rest[1:])
+        for i in range(1, len(rest)):
+            term = mats[rest[i]] * expand(rest[:i] + rest[i + 1:])
+            total = total - term if i % 2 else total + term
+        return total
+
+    return expand(tuple(range(k)))
 
 
 # ---------------------------------------------------------------------------

@@ -92,9 +92,8 @@ def test_criterion_1_standard_identity(capsys):
         assert not standard_identity(3, units).is_zero
 
 
-@pytest.mark.slow
 def test_criterion_1_slow_standard_identity_3x3():
-    with _Clock("1 (slow)", "degree-6 standard identity on 3x3 generic matrices", 600):
+    with _Clock("1 (3x3)", "degree-6 standard identity on 3x3 generic matrices", 600):
         assert standard_identity(6, make_generic(6, 3, QQ)).is_zero
 
 

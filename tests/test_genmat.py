@@ -178,8 +178,17 @@ class TestStandardIdentity:
             for j in range(2):
                 assert result.rows[i][j] == oracle[i][j]
 
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=str)
+    @pytest.mark.parametrize("k, n", [(k, 2) for k in range(1, 6)] + [(k, 3) for k in range(1, 5)])
+    def test_matches_the_permutation_sum(self, k, n, field):
+        mats = make_generic(k, n, field)
+        result = standard_identity(k, mats)
+        oracle = signed_permutation_sum([[list(r) for r in m.rows] for m in mats])
+        for i in range(n):
+            for j in range(n):
+                assert result.rows[i][j] == oracle[i][j]
+
     def test_alternating_on_repeated_argument(self):
-        rng = random.Random(30)
         for k in (2, 3, 4):
             mats = make_generic(k - 1, 2, QQ)
             args = list(mats) + [mats[0]]

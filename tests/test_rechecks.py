@@ -275,6 +275,24 @@ def test_diag_dropped_correction_fails(optimize, tmp_path):
     _expect("Traceback" not in proc.stderr, proc.stderr)
 
 
+# the subset recursion S_k = sum_i (-1)^(i-1) M_i S_(k-1)(others) with every
+# term added.  Negating every sign would only multiply S_k by +-1 and keep it
+# zero; dropping the alternation makes it a nonzero symmetric sum.
+DROPPED_SIGN = (
+    "genmat.py",
+    "            total = total - term if i % 2 else total + term",
+    "            total = total + term",
+)
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+def test_al_dropped_sign_fails(optimize, tmp_path):
+    proc = run_mutant(tmp_path, *DROPPED_SIGN, ["al", "--n", "2"], optimize=optimize)
+    _expect(proc.returncode == 2, f"exit {proc.returncode}: {proc.stderr}")
+    _expect("S_4 vanishes on 2x2 generic matrices: FAIL" in proc.stdout, proc.stdout)
+    _expect("Traceback" not in proc.stderr, proc.stderr)
+
+
 # -- pipeline and probe: commuting inputs must have a zero degree-0 star part --
 
 
