@@ -95,7 +95,6 @@ class BergmanReport(Record):
     """Outcome of the single-generator test on a degree-bounded centralizer."""
 
     __slots__ = ("f", "d", "passed", "generator", "dims", "witness")
-    _defaults = {"witness": None}
 
 
 def _span_membership(elements, candidates_powers, field):
@@ -121,7 +120,7 @@ def bergman_check(f: FreePoly, d: int) -> BergmanReport:
     nonconstant = [e for e in cb.basis if e.degree() >= 1]
     if not nonconstant:
         # only scalars commute up to this bound: trivially k[h] for any h
-        return BergmanReport(f, d, True, None, dims)
+        return BergmanReport(f, d, True, None, dims, None)
     min_deg = min(e.degree() for e in nonconstant)
     e = next(e for e in nonconstant if e.degree() == min_deg)
     h = e - FreePoly.constant(e.constant_value(), f.s)
@@ -130,8 +129,8 @@ def bergman_check(f: FreePoly, d: int) -> BergmanReport:
         powers.append(powers[-1] * h)
     miss = _span_membership(cb.basis, powers, f.field)
     if miss is None:
-        return BergmanReport(f, d, True, h, dims)
-    return BergmanReport(f, d, False, h, dims, witness=cb.basis[miss])
+        return BergmanReport(f, d, True, h, dims, None)
+    return BergmanReport(f, d, False, h, dims, cb.basis[miss])
 
 
 # ---------------------------------------------------------------------------
@@ -162,26 +161,20 @@ class PipelineReport(Record):
         "trdeg_verdict",
         "conclusion",
     )
-    _defaults = {
-        "outcomes": [],
-        "stability": None,
-        "trdeg_verdict": "unknown",
-        "conclusion": "non-commuting inputs",
-    }
-
-    @property
-    def sizes(self):
-        return [o.n for o in self.outcomes]
 
     @property
     def failure(self):
-        """Why the run FAILs, or None; the contradiction scenario is not a failure."""
-        if not all(o.star_c0_zero for o in self.outcomes):
-            # commuting lifts commute at h^0, so this is a fault, not a trdeg-2 sign
-            return "the star commutator of commuting inputs is nonzero at h^0"
-        if self.stability is not None and self.stability.unstable:
-            return "annihilators found at every size are not identical"
-        return None
+        return _failure(self.outcomes, self.stability)
+
+
+def _failure(outcomes, stability):
+    """Why the run FAILs, or None; the contradiction scenario is not a failure."""
+    if not all(o.star_c0_zero for o in outcomes):
+        # commuting lifts commute at h^0, so this is a fault, not a trdeg-2 sign
+        return "the star commutator of commuting inputs is nonzero at h^0"
+    if stability is not None and stability.unstable:
+        return "annihilators found at every size are not identical"
+    return None
 
 
 def _size_outcome(f, g, dmax: int, ctx: quantize.StarContext) -> SizeOutcome:
@@ -193,29 +186,28 @@ def _size_outcome(f, g, dmax: int, ctx: quantize.StarContext) -> SizeOutcome:
     return SizeOutcome(f.n, ann, c0.is_zero, c1.is_zero, c1)
 
 
-def _conclude(report: PipelineReport) -> None:
-    outs = report.outcomes
-    if all(o.annihilator.found for o in outs):
-        report.trdeg_verdict = "1"
+def _verdicts(outcomes, stability):
+    """The trdeg verdict and the conclusion of commuting inputs' outcomes."""
+    if all(o.annihilator.found for o in outcomes):
+        trdeg = "1"
     else:
-        bound = outs[0].annihilator.searched_bound if outs else 0
-        report.trdeg_verdict = f">=2 up to degree {bound}"
-    star_zero = all(o.star_c1_zero for o in outs)
-    if report.failure:
-        report.conclusion = "FAIL: " + report.failure
-    elif report.trdeg_verdict == "1":
-        report.conclusion = (
-            "annihilator found at every size: consistent with transcendence degree 1"
-        )
+        trdeg = f">=2 up to degree {outcomes[0].annihilator.searched_bound}"
+    failure = _failure(outcomes, stability)
+    star_zero = all(o.star_c1_zero for o in outcomes)
+    if failure:
+        conclusion = "FAIL: " + failure
+    elif trdeg == "1":
+        conclusion = "annihilator found at every size: consistent with transcendence degree 1"
         if not star_zero:
-            report.conclusion += "; warning: star commutator did not vanish"
+            conclusion += "; warning: star commutator did not vanish"
     elif not star_zero:
-        report.conclusion = (
+        conclusion = (
             "no annihilator up to the bound and nonzero star commutator: "
             "the contradiction mechanism is visible"
         )
     else:
-        report.conclusion = "no annihilator up to the bound but the star commutator vanishes"
+        conclusion = "no annihilator up to the bound but the star commutator vanishes"
+    return trdeg, conclusion
 
 
 def bergman_pipeline(
@@ -223,19 +215,16 @@ def bergman_pipeline(
 ) -> PipelineReport:
     """Commutation, reduction, annihilators and star commutators, end to end."""
     c = commutator(f, g)
-    report = PipelineReport(pretty(f), pretty(g), c.is_zero, c)
     if not c.is_zero:
-        report.trdeg_verdict = "not applicable"
-        report.conclusion = "inputs do not commute in the free algebra"
-        return report
-    for n in range(1, nmax + 1):
-        fn, gn = genmat.pi_reduce(f, n), genmat.pi_reduce(g, n)
-        report.outcomes.append(_size_outcome(fn, gn, dmax, ctx))
-    report.stability = genmat.StabilityReport.of(
-        f, g, report.sizes, dmax, [o.annihilator for o in report.outcomes]
+        return PipelineReport(pretty(f), pretty(g), False, c, [], None, "not applicable",
+                              "inputs do not commute in the free algebra")
+    sizes = range(1, nmax + 1)
+    outcomes = [_size_outcome(genmat.pi_reduce(f, n), genmat.pi_reduce(g, n), dmax, ctx)
+                for n in sizes]
+    stability = genmat.StabilityReport.of(f, g, sizes, dmax, [o.annihilator for o in outcomes])
+    return PipelineReport(
+        pretty(f), pretty(g), True, c, outcomes, stability, *_verdicts(outcomes, stability)
     )
-    _conclude(report)
-    return report
 
 
 def commuting_matrix_probe(
@@ -247,12 +236,10 @@ def commuting_matrix_probe(
     elements, so transcendence-degree-2 pairs can be fed in directly.
     """
     try:
-        outcome = _size_outcome(f, g, dmax, ctx)
+        outcomes = [_size_outcome(f, g, dmax, ctx)]
     except NotCommuting:
         raise NotCommuting("probe inputs must commute") from None
-    report = PipelineReport(str(f), str(g), True, None, [outcome])
-    _conclude(report)
-    return report
+    return PipelineReport(str(f), str(g), True, None, outcomes, None, *_verdicts(outcomes, None))
 
 
 def diagonal_generic_pair(n: int, field: Field):

@@ -302,7 +302,7 @@ def _cmd_diag(args, field):
     zero = genmat.GenericMatrix.zeros(n, field, ratfun)
     series = diagonalize.SeriesFieldMatrix(order, [a0, a1][: order + 1] + [zero] * (order - 1))
     rep = diagonalize.successive_diagonalize(series, order)
-    ok = rep.verified
+    ok = rep.verify(series)
     lines = [
         f"perturbation (h-coefficient): {m_int}",
         f"diagonalized to order {rep.achieved_order}; "

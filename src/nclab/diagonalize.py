@@ -79,16 +79,17 @@ class SeriesFieldMatrix(FormalSeries):
 
 
 class DiagonalReport(Record):
-    """Conjugator, diagonal form and eigenvalue data of one diagonalization.
+    """Conjugator, diagonal form and eigenvalue data of one diagonalization."""
 
-    ``verified`` is the outcome of the from-scratch re-check (None for a
-    report read back from JSON, which does not carry it), so it takes no part
-    in equality.
-    """
+    __slots__ = ("conjugator", "diagonal", "achieved_order", "eigenvalues")
 
-    __slots__ = ("conjugator", "diagonal", "achieved_order", "eigenvalues", "verified")
-    _defaults = {"verified": None}
-    _uncompared = ("verified",)
+    def verify(self, a: SeriesFieldMatrix) -> bool:
+        """u A = D u through ``achieved_order`` on the input A, recomputed from scratch.
+
+        With u_0 = E this holds exactly when u A u^-1 = D there.
+        """
+        lhs, rhs = self.conjugator * a, self.diagonal * self.conjugator
+        return all((lhs.coeffs[r] - rhs.coeffs[r]).is_zero for r in range(self.achieved_order + 1))
 
 
 def successive_diagonalize(a: SeriesFieldMatrix, target: int) -> DiagonalReport:
@@ -97,9 +98,8 @@ def successive_diagonalize(a: SeriesFieldMatrix, target: int) -> DiagonalReport:
     C = u A u^-1 is read off u A = C u (u_0 = E): C_r is the sum of u_k
     A_(r-k) over k <= r less that of C_(r-k) u_k over 1 <= k <= r.  At an
     order 0 < r <= target a Sylvester solve T of C_r's off-diagonal part
-    turns u into (E + h^r T) u and C_r into its diagonal.  D is the diagonal of C,
-    re-checked from scratch: ``verified`` holds when u A = D u through
-    ``target`` on the input A.
+    turns u into (E + h^r T) u and C_r into its diagonal.  D is the diagonal
+    of C; ``DiagonalReport.verify`` re-checks it against the input A.
     """
     if target > a.order:
         raise ShapeMismatch("target order exceeds the series truncation")
@@ -127,11 +127,7 @@ def successive_diagonalize(a: SeriesFieldMatrix, target: int) -> DiagonalReport:
         c.append(acc)
     u = SeriesFieldMatrix(a.order, u)
     diag = SeriesFieldMatrix(a.order, [GenericMatrix.diagonal(x.diagonal_entries()) for x in c])
-    # u A u^-1 = D through h^target exactly when u A = D u there (u_0 = E);
-    # recomputed from the input A, not from the C that built D
-    lhs, rhs = u * a, diag * u
-    verified = all((lhs.coeffs[r] - rhs.coeffs[r]).is_zero for r in range(target + 1))
-    return DiagonalReport(u, diag, target, lam, verified=verified)
+    return DiagonalReport(u, diag, target, lam)
 
 
 class Eq1Report(Record):

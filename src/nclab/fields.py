@@ -323,7 +323,12 @@ class SparseSum(Frozen):
         return self._like(terms)
 
     def __sub__(self, other):
-        return self + -self._check(other)
+        other = self._check(other)
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            s = terms.get(k)
+            terms[k] = -c if s is None else s - c
+        return self._like(terms)
 
     def __neg__(self):
         return self._like({k: -c for k, c in self.terms.items()})

@@ -119,7 +119,10 @@ class GenericMatrix(Frozen):
         )
 
     def __sub__(self, other):
-        return self + -self._check(other)
+        other = self._check(other)
+        return GenericMatrix(
+            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
+        )
 
     def __neg__(self):
         return GenericMatrix([[-e for e in r] for r in self.rows])

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .fields import Field
 from .genmat import GenericMatrix
-from .records import Frozen, FrozenRecord
+from .records import Frozen, Record
 from .rings import CommPoly, Variable, parse_variable_name
 
 
@@ -389,7 +389,7 @@ def star_commutator(a: FormalSeries, b: FormalSeries, ctx: StarContext) -> Forma
     return star_mul(a, b, ctx) - star_mul(b, a, ctx)
 
 
-class CorrespondenceReport(FrozenRecord):
+class CorrespondenceReport(Record):
     """Comparison of the h-coefficient of a star commutator with the bracket."""
 
     __slots__ = ("holds", "star_linear_part", "bracket")

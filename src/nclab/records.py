@@ -1,59 +1,14 @@
-"""Plain record classes: named fields without generated code.
+"""Plain immutable record classes: named fields without generated code.
 
 A record's fields are the public names in its ``__slots__`` (a slot whose
 name starts with ``_`` is private storage, not a field).  Records are built
-positionally or by keyword; a field missing from the call takes its value
-from the class's ``_defaults`` (a list default is copied, so instances never
-share one).  ``==`` holds between records of the same class whose fields are
-equal, except the fields named in ``_uncompared``.  Nothing is compiled when
-a record class is created, so importing a module of records costs no more
-than importing its functions.  ``Frozen`` makes instances immutable: the
-value classes and ``FrozenRecord`` build on it.
+once, positionally or by keyword, with every field given, and cannot be
+changed afterwards.  ``==`` holds between records of the same class whose
+fields are equal.  Nothing is compiled when a record class is created, so
+importing a module of records costs no more than importing its functions.
+``Frozen`` makes instances immutable: the value classes and ``Record``
+build on it.
 """
-
-
-class Record:
-    __slots__ = ()
-    _defaults = {}
-    _uncompared = ()
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
-        cls._compared = tuple(name for name in cls._fields if name not in cls._uncompared)
-
-    def __init__(self, *args, **kwargs):
-        fields = self._fields
-        if len(args) > len(fields):
-            raise TypeError(
-                f"{type(self).__name__} takes {len(fields)} fields, {len(args)} were given"
-            )
-        values = dict(zip(fields, args))
-        for name, value in kwargs.items():
-            if name not in fields:
-                raise TypeError(f"{type(self).__name__} has no field {name!r}")
-            if name in values:
-                raise TypeError(f"{type(self).__name__} got field {name!r} twice")
-            values[name] = value
-        for name in fields:
-            if name in values:
-                value = values[name]
-            elif name in self._defaults:
-                value = self._defaults[name]
-                if type(value) is list:
-                    value = list(value)
-            else:
-                raise TypeError(f"{type(self).__name__} is missing field {name!r}")
-            object.__setattr__(self, name, value)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self._compared)
-
-    def __repr__(self):
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({body})"
 
 
 class Frozen:
@@ -71,7 +26,36 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-class FrozenRecord(Record, Frozen):
-    """A record whose fields cannot be reassigned after construction."""
-
+class Record(Frozen):
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(fields)} fields, {len(args)} were given"
+            )
+        values = dict(zip(fields, args))
+        for name, value in kwargs.items():
+            if name not in fields:
+                raise TypeError(f"{type(self).__name__} has no field {name!r}")
+            if name in values:
+                raise TypeError(f"{type(self).__name__} got field {name!r} twice")
+            values[name] = value
+        for name in fields:
+            if name not in values:
+                raise TypeError(f"{type(self).__name__} is missing field {name!r}")
+            object.__setattr__(self, name, values[name])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self._fields)
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({body})"

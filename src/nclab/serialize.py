@@ -6,7 +6,7 @@ names its class as ``"module.Class"`` (resolved when a value is decoded, so
 that a command loads only the modules of the values it emits).  A value
 type's row names its body encoder and its decoder; a report record's row
 names only the JSON keys that differ from its field names and the keys that
-are not fields, and the record is coded from its compared fields.  Lists and
+are not fields, and the record is coded from its fields.  Lists and
 tuples encode as JSON lists.  ``decode`` inverts ``encode`` given the ground
 field, and every report type round-trips to an equal value.  Rendering a
 report always uses ``dumps`` so that identical inputs give byte-identical
@@ -84,7 +84,7 @@ def _class(path):
 
 
 def _record(tag, path, renamed=None, extra=None):
-    """Table row of a record class, coded from its compared fields.
+    """Table row of a record class, coded from its fields.
 
     ``renamed`` maps a field to the JSON key it is stored under; ``extra``
     maps each key that is not a field to its value as a function of the record.
@@ -93,13 +93,13 @@ def _record(tag, path, renamed=None, extra=None):
     extra = extra or {}
 
     def body(r):
-        out = {renamed.get(name, name): encode(getattr(r, name)) for name in r._compared}
+        out = {renamed.get(name, name): encode(getattr(r, name)) for name in r._fields}
         out.update((key, encode(value(r))) for key, value in extra.items())
         return out
 
     def from_body(obj, field):
         cls = _class(path)
-        return cls(**{name: decode(obj[renamed.get(name, name)], field) for name in cls._compared})
+        return cls(**{name: decode(obj[renamed.get(name, name)], field) for name in cls._fields})
 
     return tag, path, body, from_body
 
@@ -110,12 +110,6 @@ _TEXTS = {"f_text": "f", "g_text": "g"}
 # instance from (body, field).  The record keys that are not fields are kept so
 # that report bytes do not change.
 _FORMAT = (
-    (
-        "scalar",
-        "fields.Scalar",
-        lambda x: {"value": str(x)},
-        lambda o, field: field.scalar(o["value"]),
-    ),
     ("commpoly", "rings.CommPoly", _commpoly_body, _commpoly_from),
     (
         "ratfun",
@@ -159,18 +153,11 @@ _FORMAT = (
             o["order"], [genmat.GenericMatrix(rows) for rows in decode(o["coeffs"], field)]
         ),
     ),
-    (
-        "tensor",
-        "quantize.PoissonTensor",
-        lambda t: t.to_dict(),
-        lambda o, field: quantize.PoissonTensor.from_dict(o, field),
-    ),
     _record("annihilator", "genmat.AnnihilatorResult"),
     _record("stability", "genmat.StabilityReport", renamed=_TEXTS),
     # a SizeOutcome exists only for commuting images
     _record("size-outcome", "centralizer.SizeOutcome", extra={"images_commute": lambda r: True}),
     _record("pipeline", "centralizer.PipelineReport", renamed=_TEXTS),
-    _record("centralizer-basis", "centralizer.CentralizerBasis", extra={"dims": lambda r: r.dims}),
     _record("bergman", "centralizer.BergmanReport"),
     _record(
         "diagonal", "diagonalize.DiagonalReport", extra={"second_eigenvalues": lambda r: None}

@@ -169,7 +169,8 @@ def test_criterion_6_sylvester_recursion():
         a0 = GenericMatrix.diagonal(lam)
         zmat = GenericMatrix.zeros(3, QQ, RationalFunction)
         series = SeriesFieldMatrix(2, [a0, m, zmat])
-        rep = successive_diagonalize(series, 2)  # back-substitution check is built in
+        rep = successive_diagonalize(series, 2)
+        assert rep.verify(series)  # u A = D u through h^2, recomputed from A
         conj = rep.conjugator * series * inverse_unitriangular(rep.conjugator)
         assert all(c.is_diagonal() for c in conj.coeffs[:3])  # off-diagonal = 0 mod h^3
         assert rep.eigenvalues == lam

@@ -170,7 +170,7 @@ class TestDiagCommand:
                     GenericMatrix([[ZERO if i == j else rf_const(i + 2 * j) for j in range(3)]
                                    for i in range(3)])], order=3)
         rep = successive_diagonalize(a, 3)
-        assert rep.verified is True
+        assert rep.verify(a) is True
         lams = {Variable.aux("lam", i) for i in range(1, 4)}
         for c in rep.conjugator.coeffs + rep.diagonal.coeffs:
             for row in c.rows:
@@ -271,7 +271,7 @@ class TestAgainstWholeSeriesConjugation:
         for n, order in [(n, r) for n in (2, 3, 4) for r in range(1, 5) if (n, r) != (4, 4)]:
             a = perturbed(n, order, field, seed)
             rep = successive_diagonalize(a, order)
-            assert rep.verified is True
+            assert rep.verify(a) is True
             assert (rep.conjugator, rep.diagonal) == diagonalize_by_conjugation(a, order), (n, order)
 
     @pytest.mark.parametrize("field", [QQ, Field(7)], ids=["q", "fp7"])
@@ -280,7 +280,7 @@ class TestAgainstWholeSeriesConjugation:
         for n, order, target in [(2, 4, 4), (2, 4, 2), (3, 3, 3), (3, 3, 1), (3, 2, 0)]:
             a = perturbed(n, order, field, 11, dense=True)
             rep = successive_diagonalize(a, target)
-            assert rep.verified is True
+            assert rep.verify(a) is True
             assert (rep.conjugator, rep.diagonal) == diagonalize_by_conjugation(a, target)
 
     def test_no_series_inverse_and_two_series_products(self, capsys):

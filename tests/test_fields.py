@@ -191,3 +191,41 @@ class TestSparseSum:
         for p in (CommPoly.one(QQ), FreePoly.one(1, QQ), BivariatePoly(QQ, {(0, 0): 1})):
             with pytest.raises(AttributeError, match="immutable"):
                 p.terms = {}
+
+    @staticmethod
+    def _operand_pairs(field, rng):
+        """Random CommPoly, FreePoly and polynomial-matrix pairs over ``field``."""
+        from nclab.genmat import GenericMatrix
+        from nclab.rings import Variable
+        from samples import random_commpoly, random_freepoly
+
+        xs = [Variable.aux("t", i) for i in (1, 2)]
+
+        def matrix():
+            return GenericMatrix([[random_commpoly(rng, xs, field) for _ in range(2)]
+                                  for _ in range(2)])
+
+        pairs = []
+        for _ in range(20):
+            a, b = random_commpoly(rng, xs, field), random_freepoly(rng, 2, field)
+            pairs += [(a, random_commpoly(rng, xs, field)), (a, a + a),
+                      (b, random_freepoly(rng, 2, field)), (b, b), (matrix(), matrix())]
+        return pairs
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=["q", "fp2", "fp7"])
+    def test_difference_is_the_sum_with_the_negation(self, field):
+        for a, b in self._operand_pairs(field, random.Random(23)):
+            assert a - b == a + (-b)
+            assert (a - a).is_zero
+
+    def test_difference_builds_no_negated_copy(self, monkeypatch):
+        from nclab.fields import SparseSum
+
+        pairs = self._operand_pairs(GF(7), random.Random(5))
+        expected = [a + -b for a, b in pairs]
+
+        def refuse(self):
+            raise RuntimeError("negated copy")
+
+        monkeypatch.setattr(SparseSum, "__neg__", refuse)
+        assert [a - b for a, b in pairs] == expected

@@ -1,4 +1,4 @@
-"""Plain record classes: construction, equality, defaults and immutability."""
+"""Plain record classes: construction, equality and immutability."""
 
 import pytest
 
@@ -7,6 +7,7 @@ from nclab.diagonalize import DiagonalReport
 from nclab.fields import QQ
 from nclab.genmat import AnnihilatorResult
 from nclab.quantize import CorrespondenceReport
+from nclab.records import Record
 from nclab.rings import Variable
 from nclab.serialize import ALReport
 
@@ -59,7 +60,9 @@ class TestRecordConstruction:
         a = AnnihilatorResult(False, None, None, 2, 3)
         b = AnnihilatorResult(found=False, poly=None, total_degree=None, n=2, searched_bound=3)
         assert a == b and a.searched_bound == 3
-        assert PipelineReport("f", "g", True, None).trdeg_verdict == "unknown"
+        # no field has a default: a record is built once, whole
+        with pytest.raises(TypeError, match="missing field 'outcomes'"):
+            PipelineReport("f", "g", True, None)
 
     @pytest.mark.parametrize(
         "make",
@@ -81,28 +84,18 @@ class TestRecordConstruction:
         assert ALReport(2, 4, True, True, None) != ALReport(2, 4, True, True, False)
         assert AnnihilatorResult(False, None, None, 2, 3) != ALReport(False, None, None, 2, 3)
 
-    def test_pipeline_reports_do_not_share_outcomes(self):
-        a = PipelineReport("f", "g", True, None)
-        b = PipelineReport("f", "g", True, None)
-        a.outcomes.append("outcome")
-        assert b.outcomes == []
-        assert PipelineReport("f", "g", True, None).outcomes == []
-
-    def test_diagonal_report_equality_ignores_verified(self):
-        one = QQ.one
-        passed = DiagonalReport("u", "d", 2, [one], verified=True)
-        failed = DiagonalReport("u", "d", 2, [one], verified=False)
-        assert passed == failed == DiagonalReport("u", "d", 2, [one])
-        assert passed != DiagonalReport("u", "d", 3, [one], verified=True)
-
-    def test_mutable_and_frozen_records(self):
-        rep = PipelineReport("f", "g", True, None)
-        rep.conclusion = "changed"
-        assert rep.conclusion == "changed"
-        corr = CorrespondenceReport(True, None, None)
-        with pytest.raises(AttributeError):
-            corr.holds = False
-        assert corr.holds is True
+    def test_every_record_is_frozen(self):
+        # the imports above load every module that defines a record
+        classes = _record_classes(Record)
+        assert {PipelineReport, DiagonalReport, CorrespondenceReport, ALReport} <= set(classes)
+        for cls in classes:
+            rec = cls(*range(len(cls._fields)))
+            for name in cls._fields:
+                with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+                    setattr(rec, name, None)
+                with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+                    delattr(rec, name)
+            assert [getattr(rec, name) for name in cls._fields] == list(range(len(cls._fields)))
 
     def test_records_have_no_instance_dict(self):
         for rec in [ALReport(2, 4, True, True, None), Variable.entry(1, 1, 1)]:
@@ -110,8 +103,17 @@ class TestRecordConstruction:
                 rec.__dict__
 
 
+def _record_classes(cls):
+    """Every subclass of ``cls``, at any depth."""
+    out = []
+    for sub in cls.__subclasses__():
+        out += [sub] + _record_classes(sub)
+    return out
+
+
 def _frozen_instances():
     """One instance of each class built on ``records.Frozen``, with one of its slots."""
+    from nclab.centralizer import bergman_check
     from nclab.diagonalize import SeriesFieldMatrix
     from nclab.freealg import FreePoly
     from nclab.genmat import GenericMatrix
@@ -134,13 +136,16 @@ def _frozen_instances():
         (SeriesFieldMatrix.from_poly(matrix, 1), "coeffs"),
         (RationalFunction.one(QQ), "num"),
         (CorrespondenceReport(True, None, None), "holds"),
+        (PipelineReport("f", "g", False, None, [], None, "not applicable", "c"), "outcomes"),
+        (bergman_check(FreePoly(2, QQ, {(1,): 1}), 0), "dims"),
+        (DiagonalReport(matrix, matrix, 0, [QQ.one]), "achieved_order"),
     ]
 
 
-@pytest.mark.parametrize("index", range(11), ids=[
+@pytest.mark.parametrize("index", range(14), ids=[
     "Field", "Scalar", "CommPoly", "FreePoly", "GenericMatrix", "PoissonTensor",
     "StarContext", "FormalSeries", "SeriesFieldMatrix", "RationalFunction",
-    "CorrespondenceReport",
+    "CorrespondenceReport", "PipelineReport", "BergmanReport", "DiagonalReport",
 ])
 def test_frozen_slots_can_be_neither_assigned_nor_deleted(index):
     obj, slot = _frozen_instances()[index]
