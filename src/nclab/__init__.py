@@ -5,8 +5,9 @@ Every command runs in a fresh process, so each submodule but ``cli`` is
 registered lazily: it is in ``sys.modules`` and on the package from the
 start, and its code is compiled and run at its first attribute access.  A
 command then loads only the modules it uses.  The public names below resolve
-through their module on first use; ``from nclab import GenericMatrix`` loads
-``nclab.genmat``.
+through their module on first use; ``from nclab import FormalSeries`` loads
+``nclab.genmat``, where the truncated series lives beside ``GenericMatrix``,
+and not the star products of ``nclab.quantize``.
 """
 
 import importlib.util
@@ -40,12 +41,12 @@ _PUBLIC = {
         ("freealg", "FreePoly commutator parse_free pretty"),
         (
             "genmat",
-            "BivariatePoly GenericMatrix annihilator_stability find_annihilator"
+            "BivariatePoly FormalSeries GenericMatrix annihilator_stability find_annihilator"
             " make_generic pi_reduce standard_identity",
         ),
         (
             "quantize",
-            "FormalSeries PoissonTensor StarContext matrix_star matrix_star_commutator"
+            "PoissonTensor StarContext matrix_star matrix_star_commutator"
             " poisson_bracket quantize_lift star_commutator star_mul verify_correspondence",
         ),
         ("rings", "CommPoly RationalFunction Variable"),

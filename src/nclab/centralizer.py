@@ -15,17 +15,16 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from . import genmat, linalg, quantize, rings
+from . import freealg, genmat, linalg, quantize, rings
 from .errors import NotCommuting, ScalarInput
 from .fields import Field
-from .freealg import EMPTY_WORD, FreePoly, commutator, pretty
 from .records import Record
 
 
 def _words_up_to(s: int, d: int):
     """All words of length <= d: ascending length, descending lex within a length."""
-    out = [EMPTY_WORD]
-    layer = [EMPTY_WORD]
+    out = [freealg.EMPTY_WORD]
+    layer = [freealg.EMPTY_WORD]
     for _ in range(d):
         layer = [w + (g,) for w in layer for g in range(1, s + 1)]
         out.extend(reversed(layer))
@@ -60,7 +59,7 @@ def _commutator_column(raw_f, w, p: int) -> dict:
     return {k: v for k, v in col.items() if v}
 
 
-def centralizer_basis(f: FreePoly, d: int) -> CentralizerBasis:
+def centralizer_basis(f: freealg.FreePoly, d: int) -> CentralizerBasis:
     """K_d = {g of degree <= d : [f, g] = 0}, exactly.
 
     One echelon absorbs the images [f, w] of the words in ``_words_up_to``
@@ -84,10 +83,12 @@ def centralizer_basis(f: FreePoly, d: int) -> CentralizerBasis:
     # Re-check by an independent path: the kernel vectors are in reduced
     # echelon form, and every element commutes with f.
     linalg.check_reduced(kernel)
-    basis = [FreePoly(f.s, field, {words[j]: v for j, v in vec.items()}) for vec in reversed(kernel)]
+    basis = [freealg.FreePoly(f.s, field, {words[j]: v for j, v in vec.items()})
+             for vec in reversed(kernel)]
     for b in basis:
-        if not commutator(f, b).is_zero:
-            raise ArithmeticError(f"centralizer basis element {pretty(b)} does not commute with f")
+        if not freealg.commutator(f, b).is_zero:
+            raise ArithmeticError(
+                f"centralizer basis element {freealg.pretty(b)} does not commute with f")
     return CentralizerBasis(f, d, basis)
 
 
@@ -108,7 +109,7 @@ def _span_membership(elements, candidates_powers, field):
     return None
 
 
-def bergman_check(f: FreePoly, d: int) -> BergmanReport:
+def bergman_check(f: freealg.FreePoly, d: int) -> BergmanReport:
     """Test whether K_d is the span of the powers of one h; on FAIL name a witness.
 
     h is the first least-degree nonconstant basis element less its constant.
@@ -123,8 +124,8 @@ def bergman_check(f: FreePoly, d: int) -> BergmanReport:
         return BergmanReport(f, d, True, None, dims, None)
     min_deg = min(e.degree() for e in nonconstant)
     e = next(e for e in nonconstant if e.degree() == min_deg)
-    h = e - FreePoly.constant(e.constant_value(), f.s)
-    powers = [FreePoly.one(f.s, f.field)]
+    h = e - freealg.FreePoly.constant(e.constant_value(), f.s)
+    powers = [freealg.FreePoly.one(f.s, f.field)]
     while len(powers) <= d // min_deg:
         powers.append(powers[-1] * h)
     miss = _span_membership(cb.basis, powers, f.field)
@@ -211,19 +212,20 @@ def _verdicts(outcomes, stability):
 
 
 def bergman_pipeline(
-    f: FreePoly, g: FreePoly, nmax: int, dmax: int, ctx: quantize.StarContext
+    f: freealg.FreePoly, g: freealg.FreePoly, nmax: int, dmax: int, ctx: quantize.StarContext
 ) -> PipelineReport:
     """Commutation, reduction, annihilators and star commutators, end to end."""
-    c = commutator(f, g)
+    c = freealg.commutator(f, g)
+    f_text, g_text = freealg.pretty(f), freealg.pretty(g)
     if not c.is_zero:
-        return PipelineReport(pretty(f), pretty(g), False, c, [], None, "not applicable",
+        return PipelineReport(f_text, g_text, False, c, [], None, "not applicable",
                               "inputs do not commute in the free algebra")
     sizes = range(1, nmax + 1)
     outcomes = [_size_outcome(genmat.pi_reduce(f, n), genmat.pi_reduce(g, n), dmax, ctx)
                 for n in sizes]
     stability = genmat.StabilityReport.of(f, g, sizes, dmax, [o.annihilator for o in outcomes])
     return PipelineReport(
-        pretty(f), pretty(g), True, c, outcomes, stability, *_verdicts(outcomes, stability)
+        f_text, g_text, True, c, outcomes, stability, *_verdicts(outcomes, stability)
     )
 
 

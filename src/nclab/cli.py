@@ -13,10 +13,9 @@ import argparse
 import random
 import sys
 
-from . import centralizer, diagonalize, genmat, quantize, rings, serialize
+from . import centralizer, diagonalize, freealg, genmat, quantize, rings, serialize
 from .errors import EngineError, InvalidSize
 from .fields import QQ, Field
-from .freealg import commutator, parse_free, pretty
 from .serialize import (
     ALReport,
     CommuteReport,
@@ -114,11 +113,11 @@ def _args_eval(p):
 
 
 def _cmd_eval(args, field):
-    f = parse_free(args.f, args.s, field)
+    f = freealg.parse_free(args.f, args.s, field)
     deg = f.degree()
     deg_text = "-inf" if f.is_zero else str(deg)
     rep = EvalReport(f, deg_text, len(f.terms))
-    lines = [f"canonical: {pretty(f)}", f"degree: {deg_text}", f"terms: {len(f.terms)}"]
+    lines = [f"canonical: {freealg.pretty(f)}", f"degree: {deg_text}", f"terms: {len(f.terms)}"]
     return rep, {"s": args.s}, 0, lines
 
 
@@ -129,11 +128,11 @@ def _args_commute(p):
 
 
 def _cmd_commute(args, field):
-    f = parse_free(args.f, args.s, field)
-    g = parse_free(args.g, args.s, field)
-    c = commutator(f, g)
+    f = freealg.parse_free(args.f, args.s, field)
+    g = freealg.parse_free(args.g, args.s, field)
+    c = freealg.commutator(f, g)
     rep = CommuteReport(f, g, c, c.is_zero)
-    verdict = "PASS: [f,g] = 0" if c.is_zero else f"FAIL: [f,g] = {pretty(c)}"
+    verdict = "PASS: [f,g] = 0" if c.is_zero else f"FAIL: [f,g] = {freealg.pretty(c)}"
     return rep, {"s": args.s}, 0 if c.is_zero else 2, [verdict]
 
 
@@ -144,7 +143,7 @@ def _args_pi(p):
 
 
 def _cmd_pi(args, field):
-    f = parse_free(args.f, args.s, field)
+    f = freealg.parse_free(args.f, args.s, field)
     image = genmat.pi_reduce(f, args.n)
     rep = PiReport(f, args.n, image)
     return rep, {"s": args.s, "n": args.n}, 0, [f"pi_{args.n}(f) = {image}"]
@@ -206,8 +205,8 @@ def _args_annihilator(p):
 
 
 def _cmd_annihilator(args, field):
-    f = parse_free(args.f, args.s, field)
-    g = parse_free(args.g, args.s, field)
+    f = freealg.parse_free(args.f, args.s, field)
+    g = freealg.parse_free(args.g, args.s, field)
     rep = genmat.annihilator_stability(f, g, range(1, args.nmax + 1), args.dmax)
     lines = []
     for r in rep.results:
@@ -225,7 +224,7 @@ def _cmd_annihilator(args, field):
 
 
 def _scalar_reduction(expr: str, s: int, field) -> rings.CommPoly:
-    return genmat.pi_reduce(parse_free(expr, s, field), 1).entry(1, 1)
+    return genmat.pi_reduce(freealg.parse_free(expr, s, field), 1).entry(1, 1)
 
 
 def _args_star(p):
@@ -241,7 +240,7 @@ def _cmd_star(args, field):
     b = _scalar_reduction(args.b, args.s, field)
     tensor = _tensor(args, field, args.s, 1)
     ctx = quantize.StarContext(tensor, args.order)
-    lift = quantize.FormalSeries.from_poly
+    lift = genmat.FormalSeries.from_poly
     sa, sb = lift(a, ctx.order), lift(b, ctx.order)
     product = quantize.star_mul(sa, sb, ctx)
     comm = product - quantize.star_mul(sb, sa, ctx)
@@ -327,11 +326,11 @@ def _cmd_centralizer(args, field):
                 f"centralizer --s {args.s} --d {args.d}: the words of length <= d have more "
                 f"than {MAX_CENTRALIZER_LETTERS} letters in all"
             )
-    f = parse_free(args.f, args.s, field)
+    f = freealg.parse_free(args.f, args.s, field)
     rep = centralizer.bergman_check(f, args.d)
     lines = [f"dims by degree: {rep.dims}"]
     if rep.generator is not None:
-        lines.append(f"generator: {pretty(rep.generator)}")
+        lines.append(f"generator: {freealg.pretty(rep.generator)}")
     lines.append("single-generator test: " + ("PASS" if rep.passed else "FAIL"))
     return rep, {"s": args.s, "d": args.d}, 0 if rep.passed else 2, lines
 
@@ -339,7 +338,7 @@ def _cmd_centralizer(args, field):
 def _pipeline_lines(rep):
     lines = []
     if not rep.commute and rep.free_commutator is not None:
-        lines.append(f"[f,g] = {pretty(rep.free_commutator)}")
+        lines.append(f"[f,g] = {freealg.pretty(rep.free_commutator)}")
     for o in rep.outcomes:
         ann = (
             f"P(u,v) = {o.annihilator.poly}"
@@ -367,8 +366,8 @@ def _args_bergman_pipeline(p):
 
 
 def _cmd_bergman_pipeline(args, field):
-    f = parse_free(args.f, args.s, field)
-    g = parse_free(args.g, args.s, field)
+    f = freealg.parse_free(args.f, args.s, field)
+    g = freealg.parse_free(args.g, args.s, field)
     tensor = _tensor(args, field, args.s, args.nmax)
     ctx = quantize.StarContext(tensor, args.order)
     rep = centralizer.bergman_pipeline(f, g, args.nmax, args.dmax, ctx)
@@ -390,8 +389,8 @@ def _cmd_probe(args, field):
     if (args.f is None) != (args.g is None):
         raise EngineError("probe takes both --f and --g, or neither")
     if args.f is not None:
-        f = genmat.pi_reduce(parse_free(args.f, args.s, field), args.n)
-        g = genmat.pi_reduce(parse_free(args.g, args.s, field), args.n)
+        f = genmat.pi_reduce(freealg.parse_free(args.f, args.s, field), args.n)
+        g = genmat.pi_reduce(freealg.parse_free(args.g, args.s, field), args.n)
         tensor = _tensor(args, field, args.s, args.n)
     else:
         f, g, tensor = centralizer.diagonal_generic_pair(args.n, field)

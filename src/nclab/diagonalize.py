@@ -20,14 +20,14 @@ enters at h^2, so the order-h Sylvester equation is identical either way.
 
 from __future__ import annotations
 
+from . import quantize
 from .errors import (
     NonzeroDiagonalRHS,
     NotDiagonalLeadingTerm,
     RepeatedEigenvalue,
     ShapeMismatch,
 )
-from .genmat import GenericMatrix
-from .quantize import FormalSeries, StarContext, matrix_star_commutator, poisson_bracket
+from .genmat import FormalSeries, GenericMatrix
 from .records import Record
 
 
@@ -148,7 +148,9 @@ class Eq1Report(Record):
     )
 
 
-def eq1_diagonal_check(fhat: FormalSeries, ghat: FormalSeries, ctx: StarContext) -> Eq1Report:
+def eq1_diagonal_check(
+    fhat: FormalSeries, ghat: FormalSeries, ctx: quantize.StarContext
+) -> Eq1Report:
     """Diagonal of (1/h)[fhat, ghat]_* mod h against the brackets of eigenvalues.
 
     Both inputs must have diagonal degree-0 coefficients; the full commutator
@@ -159,13 +161,13 @@ def eq1_diagonal_check(fhat: FormalSeries, ghat: FormalSeries, ctx: StarContext)
     f0, g0 = fhat.coefficient(0), ghat.coefficient(0)
     if not f0.is_diagonal() or not g0.is_diagonal():
         raise NotDiagonalLeadingTerm("degree-0 coefficients must be diagonal")
-    comm = matrix_star_commutator(fhat, ghat, ctx)
+    comm = quantize.matrix_star_commutator(fhat, ghat, ctx)
     if not comm.coefficient(0).is_zero:
         raise ArithmeticError("degree-0 part of the star commutator must vanish")
     linear = comm.coefficient(1)
     diagonal = linear.diagonal_entries()
     expected = [
-        poisson_bracket(f0.entry(i, i), g0.entry(i, i), ctx.tensor)
+        quantize.poisson_bracket(f0.entry(i, i), g0.entry(i, i), ctx.tensor)
         for i in range(1, f0.n + 1)
     ]
     per_entry = [d == e for d, e in zip(diagonal, expected)]

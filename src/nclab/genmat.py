@@ -3,17 +3,17 @@
 ``make_generic(s, n, field)`` builds the matrices whose (i,j) entry is the
 indeterminate ``x<l>[i,j]``; the subalgebra they generate is the universal
 image of the free algebra satisfying all n x n matrix identities, and
-``pi_reduce`` is the evaluation homomorphism onto it.
+``pi_reduce`` is the evaluation homomorphism onto it.  ``FormalSeries`` is
+the one truncated series in h, with polynomial or matrix coefficients.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from . import linalg
+from . import freealg, linalg
 from .errors import FieldMismatch, InvalidSize, NotCommuting, ShapeMismatch
 from .fields import NEG_INF, Field, SparseSum, add_products
-from .freealg import FreePoly, commutator, pretty
 from .records import Frozen, Record
 from .rings import CommPoly, RationalFunction, Variable, mono_mul
 
@@ -183,6 +183,95 @@ class GenericMatrix(Frozen):
         return f"GenericMatrix({self})"
 
 
+class FormalSeries(Frozen):
+    """Truncated power series in h with CommPoly or GenericMatrix coefficients.
+
+    All coefficients are of one kind.  The sum is coefficientwise; the star
+    products ``quantize.star_mul`` and ``quantize.matrix_star`` need a
+    context, so the class defines no ``*`` (``diagonalize.SeriesFieldMatrix``
+    adds the plain one).
+    """
+
+    __slots__ = ("order", "coeffs")
+
+    def __init__(self, order: int, coeffs):
+        coeffs = tuple(coeffs)
+        if len(coeffs) != order + 1:
+            raise ValueError("need exactly order+1 coefficients")
+        kind, field = type(coeffs[0]), coeffs[0].field
+        if kind is not CommPoly and kind is not GenericMatrix:
+            raise TypeError("series coefficients must be CommPoly or GenericMatrix")
+        for c in coeffs:
+            if type(c) is not kind:
+                raise TypeError("series coefficients of different kinds")
+            if c.field != field:
+                raise FieldMismatch("series coefficients over different fields")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @property
+    def field(self) -> Field:
+        return self.coeffs[0].field
+
+    @classmethod
+    def from_poly(cls, p, order: int) -> FormalSeries:
+        """p + 0 h + ... + 0 h^order, for a CommPoly or a GenericMatrix p."""
+        if isinstance(p, GenericMatrix):
+            zero = GenericMatrix.zeros(p.n, p.field, p.ring)
+        else:
+            zero = CommPoly.zero(p.field)
+        return cls(order, [p] + [zero] * order)
+
+    def coefficient(self, r: int):
+        return self.coeffs[r]
+
+    @property
+    def is_zero(self) -> bool:
+        return all(c.is_zero for c in self.coeffs)
+
+    def _check(self, other) -> FormalSeries:
+        if not isinstance(other, FormalSeries):
+            raise TypeError(f"expected FormalSeries, got {other!r}")
+        if other.order != self.order:
+            raise ShapeMismatch("series with different truncation orders")
+        if other.field != self.field:
+            raise FieldMismatch("series over different fields")
+        return other
+
+    def __add__(self, other):
+        other = self._check(other)
+        return type(self)(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __sub__(self, other):
+        other = self._check(other)
+        return type(self)(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __neg__(self):
+        return type(self)(self.order, [-c for c in self.coeffs])
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, FormalSeries)
+            and self.order == other.order
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.order, self.coeffs))
+
+    def __str__(self):
+        parts = []
+        for r, c in enumerate(self.coeffs):
+            if c.is_zero:
+                continue
+            h = "" if r == 0 else ("h" if r == 1 else f"h^{r}")
+            parts.append(f"({c})" + (f"*{h}" if h else ""))
+        return " + ".join(parts) if parts else "0"
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
 def make_generic(s: int, n: int, field: Field):
     """The s generic matrices of size n; all s*n^2 entry variables distinct."""
     if s < 1:
@@ -199,7 +288,7 @@ def make_generic(s: int, n: int, field: Field):
     return out
 
 
-def pi_reduce(f: FreePoly, n: int) -> GenericMatrix:
+def pi_reduce(f: freealg.FreePoly, n: int) -> GenericMatrix:
     """Evaluation homomorphism onto the generic matrices of size n."""
     if n < 1:
         raise InvalidSize("matrix size must be at least 1")
@@ -345,12 +434,13 @@ class StabilityReport(Record):
     __slots__ = ("f_text", "g_text", "sizes", "dmax", "results", "all_found", "identical")
 
     @staticmethod
-    def of(f: FreePoly, g: FreePoly, sizes, dmax: int, results) -> StabilityReport:
+    def of(f: freealg.FreePoly, g: freealg.FreePoly, sizes, dmax: int, results) -> StabilityReport:
         """The report of the annihilator results already found at ``sizes``."""
         found = [r for r in results if r.found]
         all_found = len(found) == len(results)
         identical = all_found and all(r.poly == found[0].poly for r in found)
-        return StabilityReport(pretty(f), pretty(g), list(sizes), dmax, list(results), all_found, identical)
+        return StabilityReport(freealg.pretty(f), freealg.pretty(g), list(sizes), dmax,
+                               list(results), all_found, identical)
 
     @property
     def unstable(self) -> bool:
@@ -358,9 +448,11 @@ class StabilityReport(Record):
         return self.all_found and not self.identical
 
 
-def annihilator_stability(f: FreePoly, g: FreePoly, sizes, dmax: int) -> StabilityReport:
+def annihilator_stability(
+    f: freealg.FreePoly, g: freealg.FreePoly, sizes, dmax: int
+) -> StabilityReport:
     """Run the annihilator search on the size-n images for each n in sizes."""
-    if not commutator(f, g).is_zero:
+    if not freealg.commutator(f, g).is_zero:
         raise NotCommuting("inputs do not commute in the free algebra")
     sizes = sorted(set(sizes))
     results = [find_annihilator(pi_reduce(f, n), pi_reduce(g, n), dmax) for n in sizes]

@@ -83,9 +83,12 @@ class Echelon:
             return comb
         # over Q a pivot entry of 1 or -1 keeps integral columns integral
         row = next((k for k, v in col.items() if self._p or v in (1, -1)), next(iter(col)))
-        inv = pow(col[row], -1, self._p) if self._p else rational(Fraction(1) / col[row])
+        p, pivot = self._p, col[row]
+        if p:
+            inv = pow(pivot, -1, p)
+        else:  # over Q a pivot of 1 or -1 is its own inverse
+            inv = int(pivot) if pivot in (1, -1) else rational(Fraction(1) / pivot)
         if inv != 1:
-            p = self._p
             col = {k: v * inv % p if p else v * inv for k, v in col.items()}
             comb = {k: v * inv % p if p else v * inv for k, v in comb.items()}
         self._order[row] = len(self._pivots)

@@ -11,10 +11,10 @@ and the h-coefficient of the star commutator is exactly the Poisson bracket.
 In characteristic p the coefficients divide by r! and 2^r, so contexts
 require N < p (and N = 0 when p = 2).
 
-``FormalSeries`` is the one truncated series: its coefficients are all
-CommPoly, multiplied by ``star_mul``, or all GenericMatrix, multiplied by
-``matrix_star`` (the row-column product whose entry products are star
-products).  ``quantize_lift`` makes the series of matrices of a matrix.
+The series are ``genmat.FormalSeries``: a series of CommPoly is multiplied
+by ``star_mul``, a series of GenericMatrix by ``matrix_star`` (the
+row-column product whose entry products are star products).
+``quantize_lift`` makes the series of matrices of a matrix.
 """
 
 from __future__ import annotations
@@ -25,12 +25,11 @@ from fractions import Fraction
 from .errors import (
     BadTensorFile,
     CharacteristicTooSmall,
-    FieldMismatch,
     ShapeMismatch,
     UnknownVariable,
 )
 from .fields import Field
-from .genmat import GenericMatrix
+from .genmat import FormalSeries, GenericMatrix
 from .records import Frozen, Record
 from .rings import CommPoly, Variable, parse_variable_name
 
@@ -83,12 +82,6 @@ class PoissonTensor(Frozen):
             and self.entries == other.entries
             and self.field == other.field
         )
-
-    def to_dict(self):
-        return {
-            "variables": [str(v) for v in self.variables],
-            "entries": [[i, j, str(c)] for (i, j), c in sorted(self.entries.items())],
-        }
 
     @staticmethod
     def from_dict(obj, field: Field) -> PoissonTensor:
@@ -263,94 +256,6 @@ def _poisson_step(w: dict, live: dict, p: int) -> dict:
     if p:
         return {key: v % p for key, v in out.items() if v % p}
     return {key: v for key, v in out.items() if v}
-
-
-class FormalSeries(Frozen):
-    """Truncated power series in h with CommPoly or GenericMatrix coefficients.
-
-    All coefficients are of one kind.  The sum is coefficientwise; the star
-    product of ``star_mul`` and ``matrix_star`` needs a context, so the class
-    defines no ``*`` (``diagonalize.SeriesFieldMatrix`` adds the plain one).
-    """
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != order + 1:
-            raise ValueError("need exactly order+1 coefficients")
-        kind, field = type(coeffs[0]), coeffs[0].field
-        if kind is not CommPoly and kind is not GenericMatrix:
-            raise TypeError("series coefficients must be CommPoly or GenericMatrix")
-        for c in coeffs:
-            if type(c) is not kind:
-                raise TypeError("series coefficients of different kinds")
-            if c.field != field:
-                raise FieldMismatch("series coefficients over different fields")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def field(self) -> Field:
-        return self.coeffs[0].field
-
-    @classmethod
-    def from_poly(cls, p, order: int) -> FormalSeries:
-        """p + 0 h + ... + 0 h^order, for a CommPoly or a GenericMatrix p."""
-        if isinstance(p, GenericMatrix):
-            zero = GenericMatrix.zeros(p.n, p.field, p.ring)
-        else:
-            zero = CommPoly.zero(p.field)
-        return cls(order, [p] + [zero] * order)
-
-    def coefficient(self, r: int):
-        return self.coeffs[r]
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coeffs)
-
-    def _check(self, other) -> FormalSeries:
-        if not isinstance(other, FormalSeries):
-            raise TypeError(f"expected FormalSeries, got {other!r}")
-        if other.order != self.order:
-            raise ShapeMismatch("series with different truncation orders")
-        if other.field != self.field:
-            raise FieldMismatch("series over different fields")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return type(self)(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return type(self)(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return type(self)(self.order, [-c for c in self.coeffs])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FormalSeries)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    def __str__(self):
-        parts = []
-        for r, c in enumerate(self.coeffs):
-            if c.is_zero:
-                continue
-            h = "" if r == 0 else ("h" if r == 1 else f"h^{r}")
-            parts.append(f"({c})" + (f"*{h}" if h else ""))
-        return " + ".join(parts) if parts else "0"
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self})"
 
 
 def _star_into(out: list, base: int, x: CommPoly, y: CommPoly, ctx: StarContext) -> None:

@@ -11,7 +11,7 @@ polynomial maps monomials to raw coefficients (see ``fields``).
 from __future__ import annotations
 
 import re
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 from operator import itemgetter
 
 from .errors import DivisionByZero, FieldMismatch, UnassignedVariable, UnsupportedDenominator
@@ -431,6 +431,15 @@ def _factor_power(field: Field, pair, k: int) -> CommPoly:
     return f ** k
 
 
+@lru_cache(maxsize=256)  # a diag run meets tens of denominators; a library process, any number
+def _expand_denominator(field: Field, exps: tuple) -> CommPoly:
+    """prod (u - v)^k over the ((u, v), k) of ``exps``, expanded once per (field, exps)."""
+    out = CommPoly.one(field)
+    for pair, k in exps:
+        out = out * _factor_power(field, pair, k)
+    return out
+
+
 def _divide_out(num: CommPoly, pair):
     """num / (u - v) when u - v divides num, else None.
 
@@ -542,10 +551,7 @@ class RationalFunction(Frozen):
     @property
     def den(self) -> CommPoly:
         """The expanded denominator, monic under graded lex."""
-        out = CommPoly.one(self.field)
-        for pair, k in self.exps:
-            out = out * _factor_power(self.field, pair, k)
-        return out
+        return _expand_denominator(self.field, self.exps)
 
     @property
     def is_zero(self) -> bool:

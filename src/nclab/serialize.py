@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
-from . import __version__, diagonalize, genmat, quantize, rings
+from . import __version__, diagonalize, freealg, genmat, rings
 from .errors import BadReport, UnsupportedDenominator
 from .fields import Field
-from .freealg import parse_free, pretty
 from .records import Record
 
 
@@ -120,8 +120,8 @@ _FORMAT = (
     (
         "freepoly",
         "freealg.FreePoly",
-        lambda p: {"s": p.s, "expr": pretty(p)},
-        lambda o, field: parse_free(o["expr"], o["s"], field),
+        lambda p: {"s": p.s, "expr": freealg.pretty(p)},
+        lambda o, field: freealg.parse_free(o["expr"], o["s"], field),
     ),
     (
         "bivariate",
@@ -139,9 +139,9 @@ _FORMAT = (
     ),
     (
         "series",
-        "quantize.FormalSeries",
+        "genmat.FormalSeries",
         lambda s: {"order": s.order, "coeffs": encode(s.coeffs)},
-        lambda o, field: quantize.FormalSeries(o["order"], decode(o["coeffs"], field)),
+        lambda o, field: genmat.FormalSeries(o["order"], decode(o["coeffs"], field)),
     ),
     (
         "series-field-matrix",
@@ -223,8 +223,58 @@ def envelope(report, command: str, field: Field, seed: int, bounds: dict):
 
 
 def dumps(document) -> str:
-    """Deterministic JSON rendering (sorted keys, fixed separators)."""
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON rendering: ``json.dumps(document, sort_keys=True, indent=2) + "\\n"``.
+
+    ``json`` renders an indented document with its pure-Python encoder; this
+    renders it in one pass into one list, quoting strings with the C
+    ``encode_basestring_ascii``.  Keys are strings and values are dicts,
+    lists, tuples, strings, ints, bools or None; anything else is a
+    ``TypeError``.
+    """
+    out = []
+    _render(document, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _render(obj, newline: str, out: list) -> None:
+    """Append the JSON of ``obj``; ``newline`` is a newline and the indent of its level."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, got {key!r}")
+            out.append(f"{sep}{_quote(key)}: ")
+            _render(obj[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _render(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"cannot render {obj!r} as JSON")
 
 
 def loads(text: str):

@@ -5,7 +5,9 @@ class, that nothing else in the package names (as a name, an attribute or
 an import) is code that no command runs.  It is deleted, or it moves into
 ``tests/`` if the tests use it.  The scan is by name, so a method counts as
 named when any attribute of that name appears, which keeps it cheap and
-errs towards keeping code.
+errs towards keeping code.  So it misses a method that shares its name with
+one in use: ``field.to_dict()`` in ``serialize`` counts as a use of every
+method named ``to_dict``.
 """
 
 import ast

@@ -120,6 +120,37 @@ def test_integer_values_over_q_stay_exact():
     assert all(isinstance(v, (int, Fraction)) for v in echelon.solve({0: 1}).values())
 
 
+# unit entries as ints and as Fractions, next to non-unit ones that need a division
+_pivot_entries = st.sampled_from(
+    [0, 1, -1, Fraction(1), Fraction(-1), 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+)
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda ncols: st.lists(st.lists(_pivot_entries, min_size=ncols, max_size=ncols),
+                           min_size=1, max_size=5)
+))
+def test_unit_and_non_unit_pivots_give_the_fraction_kernel(rows):
+    # a pivot of 1 or -1 is used as its own inverse; the oracle divides by every pivot
+    echelon = linalg.Echelon(QQ)
+    ours = []
+    for j in range(len(rows[0])):
+        vec = echelon.absorb({i: r[j] for i, r in enumerate(rows) if r[j]})
+        if vec is not None:
+            ours.append([vec.get(k, 0) for k in range(len(rows[0]))])
+    assert ours == oracle_kernel(rows, len(rows[0]))
+
+
+def test_a_minus_one_pivot_and_a_fraction_pivot():
+    echelon = linalg.Echelon(QQ)
+    assert echelon.absorb({0: Fraction(-1), 1: 2}) is None  # pivot -1 at row 0
+    assert echelon.absorb({1: Fraction(2, 3)}) is None  # pivot 2/3 at row 1
+    assert echelon.absorb({0: 3, 1: -4}) == {2: 1, 0: 3, 1: -3}  # col2 = -3 col0 + 3 col1
+    # the inverse of the pivot Fraction(-1) is the int -1, so integral columns stay ints
+    assert echelon.solve({0: 1, 1: -2}) == {0: -1}
+    assert all(type(v) is int for v in echelon.solve({0: 1, 1: -2}).values())
+
+
 @given(matrices)
 def test_raw_kernel_vectors_are_reduced(rows):
     echelon = linalg.Echelon(QQ)

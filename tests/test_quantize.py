@@ -413,15 +413,23 @@ class TestQuantizeLift:
             quantize_lift(stray, ctx)
 
 
+def tensor_dict(t: PoissonTensor) -> dict:
+    """The tensor file object that ``PoissonTensor.from_dict`` reads."""
+    return {
+        "variables": [str(v) for v in t.variables],
+        "entries": [[i, j, str(c)] for (i, j), c in sorted(t.entries.items())],
+    }
+
+
 class TestTensorIO:
     def test_dict_round_trip(self):
         t = two_pair_tensor()
-        assert PoissonTensor.from_dict(t.to_dict(), QQ) == t
+        assert PoissonTensor.from_dict(tensor_dict(t), QQ) == t
 
     def test_file_round_trip(self, tmp_path):
         t = entry_pairing_tensor(2, 2, QQ)
         path = tmp_path / "tensor.json"
-        path.write_text(json.dumps(t.to_dict()))
+        path.write_text(json.dumps(tensor_dict(t)))
         assert PoissonTensor.load(path, QQ) == t
 
     def test_lower_triangle_rejected(self):

@@ -5,6 +5,8 @@ import os
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from samples import random_commpoly
 from nclab import serialize
@@ -227,3 +229,61 @@ def test_unknown_values_are_refused():
     with pytest.raises(ValueError):
         serialize.decode({"type": "no-such-type"}, QQ)
 
+
+
+def _reference(doc):
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_renderer_matches_json_on_every_golden_document():
+    for name in sorted(os.listdir(GOLDEN)):
+        with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+            text = fh.read()
+        doc = json.loads(text)
+        assert serialize.dumps(doc) == _reference(doc), name
+        if name != "manifest.json":
+            assert serialize.dumps(doc) == text, name
+
+
+# quotes, backslashes, control, non-ASCII and astral characters next to arbitrary ones
+_specials = ['"', "\\", "\n", "\x00", "\x1f", "\x7f", "é", "\u2028", "😀"]
+_strings = st.text(st.one_of(st.characters(), st.sampled_from(_specials)))
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([0, 1, -1]),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**256),
+    st.integers(min_value=-(2**256), max_value=-(2**63) - 1),
+    _strings,
+)
+_trees = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_strings, inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@given(_trees)
+def test_renderer_matches_json_on_generated_trees(doc):
+    assert serialize.dumps(doc) == _reference(doc)
+
+
+def test_renderer_keeps_empty_containers_and_bools_apart_from_ints():
+    doc = {"a": {}, "b": [[], {}, ({},)], "c": [True, 1, False, 0, None], "": ()}
+    assert serialize.dumps(doc) == _reference(doc)
+    assert serialize.dumps([True, 1]) == "[\n  true,\n  1\n]\n"
+    assert serialize.dumps({}) == "{}\n"
+
+
+@pytest.mark.parametrize(
+    "doc", [1.5, {"a": [0.0]}, [object()], {"a": {1, 2}}, {1: "int key"}, b"bytes"],
+    ids=["float", "nested-float", "object", "set", "int-key", "bytes"],
+)
+def test_renderer_refuses_what_is_not_a_report_value(doc):
+    with pytest.raises(TypeError):
+        serialize.dumps(doc)

@@ -289,6 +289,15 @@ class TestRationalFunction:
         assert r.den == lam1 - lam2
         assert r.num == lam2.scale(QQ.scalar("-1/2"))
 
+    def test_expanded_denominator_is_shared_per_field_and_exponents(self):
+        lam1, lam2 = _lam(1), _lam(2)
+        cube = (lam1 - lam2) ** 3
+        r = RationalFunction(lam2, cube)
+        assert r.den == cube and r.den is RationalFunction(lam1, cube).den
+        cube7 = (_lam(1, GF(7)) - _lam(2, GF(7))) ** 3
+        s = RationalFunction(CommPoly.one(GF(7)), cube7)
+        assert s.exps == r.exps and s.den.field is GF(7) and s.den == cube7
+
     def test_field_arithmetic_randomized(self):
         rng = random.Random(11)
         lams = [Variable.aux("lam", i) for i in range(1, 4)]

@@ -66,21 +66,31 @@ def test_cli_import_generates_no_code_and_loads_every_traced_module():
     assert missing == []
 
 
-# what every command executes: the CLI, its report codec and the free-algebra parser
-_BASE = {"cli", "errors", "fields", "freealg", "records", "serialize"}
+# what every command executes: the CLI, its errors, the field tag and the report codec
+_BASE = {"cli", "errors", "fields", "records", "serialize"}
+_PROBE = {"centralizer", "genmat", "linalg", "quantize", "rings"}
 
 
 @pytest.mark.parametrize(
     "argv, executed",
     [
-        (["centralizer", "--f", "x2*x1*x2", "--d", "5"], _BASE | {"centralizer", "linalg"}),
-        (["eval", "--f", "x1*x2 - x2*x1"], _BASE),
         (
-            ["diag", "--n", "2", "--order", "2"],
-            _BASE | {"diagonalize", "genmat", "quantize", "rings"},
+            ["centralizer", "--f", "x2*x1*x2", "--d", "5"],
+            _BASE | {"centralizer", "freealg", "linalg"},
+        ),
+        (["eval", "--f", "x1*x2 - x2*x1"], _BASE | {"freealg"}),
+        # no free algebra, star product, elimination or centralizer
+        (["diag", "--n", "2", "--order", "2"], _BASE | {"diagonalize", "genmat", "rings"}),
+        # the diagonal pair is built without parsing a free expression
+        (["probe", "--n", "2", "--dmax", "2", "--order", "1"], _BASE | _PROBE),
+        (["al", "--n", "2"], _BASE | {"genmat", "rings"}),
+        (
+            ["bergman-pipeline", "--f", "x1", "--g", "x1*x1", "--nmax", "1", "--dmax", "2",
+             "--order", "1"],
+            _BASE | _PROBE | {"freealg"},
         ),
     ],
-    ids=["centralizer", "eval", "diag"],
+    ids=["centralizer", "eval", "diag", "probe", "al", "bergman-pipeline"],
 )
 def test_a_command_executes_only_the_modules_it_uses(argv, executed):
     # a lazy module is a ModuleType subclass until its first attribute access
@@ -107,9 +117,9 @@ def test_a_command_executes_only_the_modules_it_uses(argv, executed):
 PUBLIC = {
     "fields": "GF QQ Field Scalar",
     "freealg": "FreePoly commutator parse_free pretty",
-    "genmat": "BivariatePoly GenericMatrix annihilator_stability find_annihilator make_generic"
-    " pi_reduce standard_identity",
-    "quantize": "FormalSeries PoissonTensor StarContext matrix_star matrix_star_commutator"
+    "genmat": "BivariatePoly FormalSeries GenericMatrix annihilator_stability find_annihilator"
+    " make_generic pi_reduce standard_identity",
+    "quantize": "PoissonTensor StarContext matrix_star matrix_star_commutator"
     " poisson_bracket quantize_lift star_commutator star_mul verify_correspondence",
     "rings": "CommPoly RationalFunction Variable",
 }
