@@ -9,12 +9,12 @@ stdout (or written to ``--out``).
 
 from __future__ import annotations
 
-import argparse
 import random
 import sys
+import types
 
 from . import centralizer, diagonalize, freealg, genmat, quantize, rings, serialize
-from .errors import EngineError, InvalidSize
+from .errors import EngineError, InvalidField, InvalidSize
 from .fields import QQ, Field
 from .serialize import (
     ALReport,
@@ -44,12 +44,6 @@ def _check_sizes(args) -> None:
             raise EngineError(f"--{name} must be at least {minimum}, got {value}")
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(_fail(f"usage error: {message}"))
-
-
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 1
@@ -59,7 +53,10 @@ def _parse_field(text: str) -> Field:
     if text == "q":
         return QQ
     if text.startswith("fp:"):
-        return Field(int(text[3:]))
+        p = int(text[3:])
+        if p < 2:  # Field(0) is Q
+            raise InvalidField(f"modulus {p} is not prime")
+        return Field(p)
     raise EngineError(f"bad field {text!r}; use 'q' or 'fp:<prime>'")
 
 
@@ -69,22 +66,46 @@ def _tensor(args, field: Field, s: int, n: int) -> quantize.PoissonTensor:
     return quantize.PoissonTensor.load(args.poisson, field)
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--field", default="q", help="ground field: q or fp:<prime>")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="PRNG seed")
-    p.add_argument("--json", action="store_true", help="emit one JSON document")
-    p.add_argument("--out", default=None, help="write the report to this path")
+#: A flag is (name, type, default, help).  The type ``bool`` is a bare switch,
+#: false unless given; the default ``_REQUIRED`` makes the flag required.
+_REQUIRED = object()
+
+#: the flags of every command, after its own
+_COMMON = (
+    ("field", str, "q", "ground field: q or fp:<prime>"),
+    ("seed", int, DEFAULT_SEED, "PRNG seed"),
+    ("json", bool, False, "emit one JSON document"),
+    ("out", str, None, "write the report to this path"),
+)
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The ``nclab`` argument parser.
+def build_parser(argv=None):
+    """The ``nclab`` argument parser, built from ``COMMANDS``.
 
     When ``argv`` starts with a command name, only that command's subparser is
     built (a run parses one command); otherwise, as for ``--help`` or an
     unknown or missing command, all of them are.  Usage, help and error text
     are the same either way.
     """
-    top = _Parser(prog="nclab", description=__doc__)
+    import argparse  # only help and usage errors get here; see parse_plain
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            raise SystemExit(_fail(f"usage error: {message}"))
+
+        def parse_known_args(self, args=None, namespace=None):
+            namespace, extras = super().parse_known_args(args, namespace)
+            for action in self._actions:
+                # argparse strips '--flag=--' to no value at all: the value is '--'
+                if getattr(namespace, action.dest, None) == []:
+                    try:
+                        setattr(namespace, action.dest, action.type("--"))
+                    except ValueError:
+                        self.error(f"argument --{action.dest}: invalid int value: '--'")
+            return namespace, extras
+
+    top = Parser(prog="nclab", description=__doc__)
     if argv and argv[0] in COMMANDS:
         names = [argv[0]]
         # the metavar keeps every command in the top-level usage; the full tree
@@ -95,21 +116,63 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         names = list(COMMANDS)
         sub = top.add_subparsers(dest="command", required=True)
     for name in names:
-        help_text, add_arguments, _ = COMMANDS[name]
+        help_text, flags, _ = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        add_arguments(p)
-        _add_common(p)
+        for flag, kind, default, flag_help in flags + _COMMON:
+            if kind is bool:
+                p.add_argument(f"--{flag}", action="store_true", help=flag_help)
+            elif default is _REQUIRED:
+                p.add_argument(f"--{flag}", type=kind, required=True, help=flag_help)
+            else:
+                p.add_argument(f"--{flag}", type=kind, default=default, help=flag_help)
     return top
+
+
+def parse_plain(argv):
+    """The namespace of a well-formed command line, or None to leave it to argparse.
+
+    Accepted: a command, then tokens ``--flag value`` (a value that does not
+    start with '-'), ``--flag=value`` and a bare switch, with full flag names
+    only.  Anything else, such as ``-h``, ``--``, an abbreviation, a negative
+    value after a space or a missing required flag, is None, so that argparse
+    parses it, prints help or refuses it.  Where this accepts, its namespace
+    is argparse's.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    flags = COMMANDS[argv[0]][1] + _COMMON
+    kinds = {f"--{flag}": kind for flag, kind, _, _ in flags}
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        kind = kinds.get(name)
+        if kind is None:
+            return None
+        if kind is bool:
+            if eq:
+                return None
+            values[name[2:]] = True
+            continue
+        if not eq:
+            value = next(tokens, "-")  # a missing value is refused like '-x'
+            if value.startswith("-"):
+                return None
+        try:
+            values[name[2:]] = kind(value)
+        except ValueError:
+            return None
+    for flag, _, default, _ in flags:
+        if flag not in values:
+            if default is _REQUIRED:
+                return None
+            values[flag] = default
+    return types.SimpleNamespace(command=argv[0], **values)
 
 
 # ---------------------------------------------------------------------------
 # Command implementations: each returns (report, bounds, exit_code, text lines)
 # ---------------------------------------------------------------------------
-
-
-def _args_eval(p):
-    p.add_argument("--f", required=True, help="free-algebra expression")
-    p.add_argument("--s", type=int, default=2, help="generator count")
 
 
 def _cmd_eval(args, field):
@@ -121,12 +184,6 @@ def _cmd_eval(args, field):
     return rep, {"s": args.s}, 0, lines
 
 
-def _args_commute(p):
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--s", type=int, default=2)
-
-
 def _cmd_commute(args, field):
     f = freealg.parse_free(args.f, args.s, field)
     g = freealg.parse_free(args.g, args.s, field)
@@ -134,12 +191,6 @@ def _cmd_commute(args, field):
     rep = CommuteReport(f, g, c, c.is_zero)
     verdict = "PASS: [f,g] = 0" if c.is_zero else f"FAIL: [f,g] = {freealg.pretty(c)}"
     return rep, {"s": args.s}, 0 if c.is_zero else 2, [verdict]
-
-
-def _args_pi(p):
-    p.add_argument("--f", required=True)
-    p.add_argument("--s", type=int, default=2)
-    p.add_argument("--n", type=int, default=2, help="matrix size")
 
 
 def _cmd_pi(args, field):
@@ -159,10 +210,6 @@ MAX_AL_N = 3
 #: 2^19 - 1 words of s = 2, d = 18.  Counting letters, not words, also bounds
 #: s = 1, where d + 1 words have d(d + 1)/2 letters.
 MAX_CENTRALIZER_LETTERS = 17 * 2**19 + 2
-
-
-def _args_al(p):
-    p.add_argument("--n", type=int, default=2, help=f"matrix size, at most {MAX_AL_N}")
 
 
 def _cmd_al(args, field):
@@ -196,14 +243,6 @@ def _cmd_al(args, field):
     return rep, {"n": n}, 0 if ok else 2, lines
 
 
-def _args_annihilator(p):
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--s", type=int, default=2)
-    p.add_argument("--nmax", type=int, default=2, help="largest matrix size")
-    p.add_argument("--dmax", type=int, default=3, help="total-degree search bound")
-
-
 def _cmd_annihilator(args, field):
     f = freealg.parse_free(args.f, args.s, field)
     g = freealg.parse_free(args.g, args.s, field)
@@ -225,14 +264,6 @@ def _cmd_annihilator(args, field):
 
 def _scalar_reduction(expr: str, s: int, field) -> rings.CommPoly:
     return genmat.pi_reduce(freealg.parse_free(expr, s, field), 1).entry(1, 1)
-
-
-def _args_star(p):
-    p.add_argument("--a", required=True, help="free expression, reduced at size 1")
-    p.add_argument("--b", required=True)
-    p.add_argument("--s", type=int, default=2)
-    p.add_argument("--order", type=int, default=2, help="truncation order N")
-    p.add_argument("--poisson", default="pairing", help="'pairing' or a tensor JSON file")
 
 
 def _cmd_star(args, field):
@@ -257,24 +288,12 @@ def _cmd_star(args, field):
     return rep, bounds, code, lines
 
 
-def _args_poisson(p):
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--s", type=int, default=2)
-    p.add_argument("--poisson", default="pairing")
-
-
 def _cmd_poisson(args, field):
     a = _scalar_reduction(args.a, args.s, field)
     b = _scalar_reduction(args.b, args.s, field)
     tensor = _tensor(args, field, args.s, 1)
     bracket = quantize.poisson_bracket(a, b, tensor)
     return PoissonReport(bracket), {"s": args.s}, 0, [f"{{a,b}} = {bracket}"]
-
-
-def _args_diag(p):
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--order", type=int, default=2, help="target order")
 
 
 def _perturbation(rng: random.Random, n: int, field: Field) -> genmat.GenericMatrix:
@@ -308,12 +327,6 @@ def _cmd_diag(args, field):
         f"off-diagonal vanishes through h^{order}: {'PASS' if ok else 'FAIL'}",
     ]
     return rep, {"n": n, "order": order}, 0 if ok else 2, lines
-
-
-def _args_centralizer(p):
-    p.add_argument("--f", required=True)
-    p.add_argument("--s", type=int, default=2)
-    p.add_argument("--d", type=int, default=4, help="degree bound")
 
 
 def _cmd_centralizer(args, field):
@@ -355,16 +368,6 @@ def _pipeline_lines(rep):
     return lines
 
 
-def _args_bergman_pipeline(p):
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--s", type=int, default=2)
-    p.add_argument("--nmax", type=int, default=2)
-    p.add_argument("--dmax", type=int, default=3)
-    p.add_argument("--order", type=int, default=2)
-    p.add_argument("--poisson", default="pairing")
-
-
 def _cmd_bergman_pipeline(args, field):
     f = freealg.parse_free(args.f, args.s, field)
     g = freealg.parse_free(args.g, args.s, field)
@@ -373,16 +376,6 @@ def _cmd_bergman_pipeline(args, field):
     rep = centralizer.bergman_pipeline(f, g, args.nmax, args.dmax, ctx)
     bounds = {"s": args.s, "nmax": args.nmax, "dmax": args.dmax, "order": args.order}
     return rep, bounds, 2 if rep.failure else 0, _pipeline_lines(rep)
-
-
-def _args_probe(p):
-    p.add_argument("--n", type=int, default=2, help="size of the diagonal generic pair")
-    p.add_argument("--f", default=None, help="optional free expression (size-n image)")
-    p.add_argument("--g", default=None)
-    p.add_argument("--s", type=int, default=2)
-    p.add_argument("--dmax", type=int, default=3)
-    p.add_argument("--order", type=int, default=2)
-    p.add_argument("--poisson", default="pairing")
 
 
 def _cmd_probe(args, field):
@@ -402,45 +395,69 @@ def _cmd_probe(args, field):
     return rep, bounds, 2 if rep.failure else 0, _pipeline_lines(rep)
 
 
-# name -> (help, argument adder, handler)
+# flags that several commands declare alike
+_F = ("f", str, _REQUIRED, None)
+_G = ("g", str, _REQUIRED, None)
+_S = ("s", int, 2, None)
+_POISSON = ("poisson", str, "pairing", None)
+
+# name -> (help, flags, handler)
 COMMANDS = {
-    "eval": ("parse an expression and print its canonical form", _args_eval, _cmd_eval),
-    "commute": ("test whether [f, g] = 0 in the free algebra", _args_commute, _cmd_commute),
-    "pi": ("reduce a free element to generic matrices of size n", _args_pi, _cmd_pi),
+    "eval": (
+        "parse an expression and print its canonical form",
+        (("f", str, _REQUIRED, "free-algebra expression"), ("s", int, 2, "generator count")),
+        _cmd_eval,
+    ),
+    "commute": ("test whether [f, g] = 0 in the free algebra", (_F, _G, _S), _cmd_commute),
+    "pi": (
+        "reduce a free element to generic matrices of size n",
+        (_F, _S, ("n", int, 2, "matrix size")),
+        _cmd_pi,
+    ),
     "al": (
         "verify the degree-2n standard identity on n x n generic matrices",
-        _args_al,
+        (("n", int, 2, f"matrix size, at most {MAX_AL_N}"),),
         _cmd_al,
     ),
     "annihilator": (
         "search minimal annihilators of a commuting pair across sizes",
-        _args_annihilator,
+        (_F, _G, _S, ("nmax", int, 2, "largest matrix size"),
+         ("dmax", int, 3, "total-degree search bound")),
         _cmd_annihilator,
     ),
     "star": (
         "star product and commutator of two scalar reductions",
-        _args_star,
+        (("a", str, _REQUIRED, "free expression, reduced at size 1"), ("b", str, _REQUIRED, None),
+         _S, ("order", int, 2, "truncation order N"),
+         ("poisson", str, "pairing", "'pairing' or a tensor JSON file")),
         _cmd_star,
     ),
-    "poisson": ("Poisson bracket of two scalar reductions", _args_poisson, _cmd_poisson),
+    "poisson": (
+        "Poisson bracket of two scalar reductions",
+        (("a", str, _REQUIRED, None), ("b", str, _REQUIRED, None), _S, _POISSON),
+        _cmd_poisson,
+    ),
     "diag": (
         "perturbatively diagonalize diag(lam) + h*M for a seeded integer M",
-        _args_diag,
+        (("n", int, 3, None), ("order", int, 2, "target order")),
         _cmd_diag,
     ),
     "centralizer": (
         "degree-bounded centralizer and single-generator test",
-        _args_centralizer,
+        (_F, _S, ("d", int, 4, "degree bound")),
         _cmd_centralizer,
     ),
     "bergman-pipeline": (
         "commutation, reduction, annihilators and star commutators end to end",
-        _args_bergman_pipeline,
+        (_F, _G, _S, ("nmax", int, 2, None), ("dmax", int, 3, None), ("order", int, 2, None),
+         _POISSON),
         _cmd_bergman_pipeline,
     ),
     "probe": (
         "annihilator + star commutator for a commuting matrix pair",
-        _args_probe,
+        (("n", int, 2, "size of the diagonal generic pair"),
+         ("f", str, None, "optional free expression (size-n image)"), ("g", str, None, None), _S,
+         ("dmax", int, 3, None), ("order", int, 2, None), _POISSON),
         _cmd_probe,
     ),
 }
@@ -449,11 +466,12 @@ COMMANDS = {
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+    args = parse_plain(argv)
+    if args is None:
+        try:
+            args = build_parser(argv).parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 1
     try:
         field = _parse_field(args.field)
         _check_sizes(args)

@@ -119,14 +119,15 @@ class FreePoly(SparseSum):
         identity = first.identity_like()
         out = identity.scale(0)
         cache = {EMPTY_WORD: identity}
+        cache.update(((g,), m) for g, m in enumerate(images, 1))
         for w in sorted(self.terms, key=lambda w: (len(w), w)):
             prod = cache.get(w)
             if prod is None:
                 prefix = w[:-1]
                 base = cache.get(prefix)
                 if base is None:
-                    base = identity
-                    for g in prefix:
+                    base = images[prefix[0] - 1]
+                    for g in prefix[1:]:
                         base = base * images[g - 1]
                     cache[prefix] = base
                 prod = base * images[w[-1] - 1]

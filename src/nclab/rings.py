@@ -424,8 +424,9 @@ def poly_gcd(a: CommPoly, b: CommPoly) -> CommPoly:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=256)  # diag's sums and quotients ask for the same few powers again and again
 def _factor_power(field: Field, pair, k: int) -> CommPoly:
-    """(u - v)^k for the pair (u, v)."""
+    """(u - v)^k for the pair (u, v), expanded once per (field, pair, k)."""
     u, v = pair
     f = CommPoly(field, {((u, 1),): 1, ((v, 1),): -1})
     return f ** k

@@ -188,6 +188,13 @@ class TestExitStatuses:
         code, _, err = run(["eval", "--f", "x1", "--field", "zz"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("modulus", ["0", "1", "-7"])
+    def test_a_modulus_below_2_is_refused(self, modulus, capsys):
+        # Field(0) is Q: fp:0 used to run over the rationals
+        code, out, err = run(["eval", "--f", "x1+1", "--field", f"fp:{modulus}", "--json"], capsys)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error [invalid-field]: modulus {modulus} is not prime"]
+
     def test_parse_error_is_exit_1(self, capsys):
         code, _, err = run(["eval", "--f", "x1 +"], capsys)
         assert code == 1

@@ -87,6 +87,28 @@ class TestPiReduce:
         one = parse_free("1", 2, QQ)
         assert pi_reduce(one, 3) == GenericMatrix.identity(3, QQ)
 
+    @pytest.mark.parametrize(
+        "expr, image, products",
+        [
+            ("x1 - 2*x2 + 3", lambda x1, x2, one: x1 + x2.scale(-2) + one.scale(3), 0),
+            ("x1*x2*x1", lambda x1, x2, one: x1 * x2 * x1, 2),
+        ],
+    )
+    def test_a_word_costs_one_product_per_letter_after_its_first(
+        self, expr, image, products, monkeypatch
+    ):
+        expected = image(*make_generic(2, 3, QQ), GenericMatrix.identity(3, QQ))
+        calls = []
+        real = GenericMatrix.__mul__
+
+        def counting(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(GenericMatrix, "__mul__", counting)
+        assert pi_reduce(parse_free(expr, 2, QQ), 3) == expected
+        assert len(calls) == products
+
 
 class TestMatrixArithmetic:
     def test_identity_is_neutral(self):

@@ -12,6 +12,7 @@ from nclab.rings import (
     CommPoly,
     RationalFunction,
     Variable,
+    _factor_power,
     mono_cmp,
     parse_variable_name,
     poly_divexact,
@@ -297,6 +298,14 @@ class TestRationalFunction:
         cube7 = (_lam(1, GF(7)) - _lam(2, GF(7))) ** 3
         s = RationalFunction(CommPoly.one(GF(7)), cube7)
         assert s.exps == r.exps and s.den.field is GF(7) and s.den == cube7
+
+    def test_factor_power_is_expanded_once_per_field_pair_and_exponent(self):
+        pair = (Variable.aux("lam", 1), Variable.aux("lam", 2))
+        square = _factor_power(QQ, pair, 2)
+        assert square == (_lam(1) - _lam(2)) ** 2
+        assert _factor_power(QQ, pair, 2) is square
+        assert _factor_power(GF(7), pair, 2) is not square
+        assert _factor_power(QQ, pair, 3) == square * (_lam(1) - _lam(2))
 
     def test_field_arithmetic_randomized(self):
         rng = random.Random(11)

@@ -6,17 +6,24 @@ functions in the ``nclab`` modules right after ``import nclab.cli``, so each
 of them must already be loaded by then, and each traced name must exist.
 The submodules are registered lazily: each is in ``sys.modules`` at once but
 executes only on first use, so a command compiles only the modules it runs.
+A well-formed command line is read from the flag table, ``cli.COMMANDS``,
+without importing argparse; wherever the table reads a line, argparse must
+read it alike.
 """
 
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import nclab
+from nclab import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.dirname(os.path.dirname(nclab.__file__))
@@ -101,16 +108,90 @@ def test_a_command_executes_only_the_modules_it_uses(argv, executed):
         "    status = nclab.cli.main(sys.argv[2:])\n"
         "ran = [k for k, m in sys.modules.items() if k.startswith('nclab.')"
         " and type(m) is types.ModuleType]\n"
-        "print(json.dumps([status, sorted(ran)]))"
+        "parsers = [k for k in ('argparse', 'gettext', 'locale') if k in sys.modules]\n"
+        "print(json.dumps([status, sorted(ran), parsers]))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code, SRC, *argv, "--json"],
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    status, ran = json.loads(proc.stdout)
+    status, ran, parsers = json.loads(proc.stdout)
     assert status == 0
     assert ran == sorted(f"nclab.{module}" for module in executed)
+    # a well-formed command line is read from the flag table, without argparse
+    assert parsers == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["centralizer", "--f=x2*x1*x2", "--d", "5", "--field", "fp:7", "--json"],
+        ["diag", "--n", "3", "--order", "2", "--seed", "123", "--json"],
+        ["eval", "--f=-x1", "--seed=-5", "--f", "x2", "--out", os.devnull],
+    ],
+)
+def test_the_flag_table_reads_a_well_formed_line_as_argparse_does(argv):
+    plain = cli.parse_plain(argv)
+    assert plain is not None
+    assert vars(plain) == vars(cli.build_parser(argv).parse_args(argv))
+
+
+# tokens that parse_plain refuses, so that argparse parses them, prints help or refuses them
+_TRAPS = ["--", "-h", "--help", "", "-5", "--bogus", "x1"]
+
+# a flag's values: (well formed, odd), where an odd value parses only after '=' or never
+_VALUES = {
+    str: (st.sampled_from(["x1", "x2*x1*x2", "x1^2+3", "x3", "1/0", ""]),
+          st.sampled_from(["-x1", "--", "-h"])),
+    int: (st.one_of(st.integers(-1, 2).map(str), st.sampled_from([" 1 ", "0_2"])),
+          st.sampled_from(["-7", "", "--", "x", "2.0"])),
+    "field": (st.sampled_from(["q", "fp:7", "fp:0", "fp:1", "fp:-7", "fp:", "zz"]),
+              st.sampled_from(["--", "-q"])),
+    "out": (st.just(os.devnull),) * 2,  # never a file that the run could create
+    "poisson": (st.sampled_from(["pairing", "no-such-tensor.json", ""]), st.just("--")),
+}
+
+
+@st.composite
+def _command_lines(draw):
+    """A command line of declared flags in any order, with odd values or also with traps."""
+    mode = draw(st.sampled_from(["clean", "values", "traps"]))
+    command = draw(st.sampled_from([*cli.COMMANDS, *(["bogus", "-h"] if mode == "traps" else [])]))
+    flags = (cli.COMMANDS[command][1] if command in cli.COMMANDS else ()) + cli._COMMON
+    argv = [command]
+    for name, kind, _, _ in draw(st.permutations(flags)):
+        if mode == "traps" and draw(st.integers(0, 3)) == 0:
+            argv.append(draw(st.sampled_from(_TRAPS)))
+        if draw(st.integers(0, 3)) == 0:
+            continue  # a flag left out: its default, or a missing required flag
+        full = mode != "traps" or draw(st.booleans())
+        spelling = "--" + (name if full else name[: draw(st.integers(1, len(name)))])
+        if kind is bool:
+            odd = mode != "clean" and draw(st.integers(0, 3)) == 0
+            argv.append(spelling + "=1" if odd else spelling)
+            continue
+        good, odd = _VALUES.get(name, _VALUES[kind])
+        value = draw(odd if mode != "clean" and draw(st.integers(0, 3)) == 0 else good)
+        argv += draw(st.sampled_from([[spelling, value], [f"{spelling}={value}"]]))
+    return argv
+
+
+@settings(max_examples=250, deadline=None)
+@given(_command_lines())
+# argparse strips '--flag=--' to an empty list, which used to reach the commands
+@example(["eval", "--f=--"])
+@example(["pi", "--f", "x1", "--n=--"])
+@example(["diag", "--seed=--", "--n", "-1"])
+def test_argparse_reads_every_command_line_that_the_flag_table_reads_alike(argv):
+    plain = cli.parse_plain(argv)
+    if plain is not None:
+        assert vars(plain) == vars(cli.build_parser(argv).parse_args(argv))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 # the names the package re-exports, by defining module
