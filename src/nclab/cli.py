@@ -9,7 +9,6 @@ stdout (or written to ``--out``).
 
 from __future__ import annotations
 
-import random
 import sys
 import types
 
@@ -79,14 +78,8 @@ _COMMON = (
 )
 
 
-def build_parser(argv=None):
-    """The ``nclab`` argument parser, built from ``COMMANDS``.
-
-    When ``argv`` starts with a command name, only that command's subparser is
-    built (a run parses one command); otherwise, as for ``--help`` or an
-    unknown or missing command, all of them are.  Usage, help and error text
-    are the same either way.
-    """
+def build_parser():
+    """The ``nclab`` argument parser, built from ``COMMANDS``."""
     import argparse  # only help and usage errors get here; see parse_plain
 
     class Parser(argparse.ArgumentParser):
@@ -106,17 +99,8 @@ def build_parser(argv=None):
             return namespace, extras
 
     top = Parser(prog="nclab", description=__doc__)
-    if argv and argv[0] in COMMANDS:
-        names = [argv[0]]
-        # the metavar keeps every command in the top-level usage; the full tree
-        # goes without it, since a missing command's error would name it
-        every = "{" + ",".join(COMMANDS) + "}"
-        sub = top.add_subparsers(dest="command", required=True, metavar=every)
-    else:
-        names = list(COMMANDS)
-        sub = top.add_subparsers(dest="command", required=True)
-    for name in names:
-        help_text, flags, _ = COMMANDS[name]
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (help_text, flags, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, kind, default, flag_help in flags + _COMMON:
             if kind is bool:
@@ -309,6 +293,8 @@ def _perturbation(rng: random.Random, n: int, field: Field) -> genmat.GenericMat
 
 
 def _cmd_diag(args, field):
+    import random  # only diag draws a perturbation
+
     n, order = args.n, args.order
     ratfun = rings.RationalFunction
     a0 = genmat.GenericMatrix.diagonal(
@@ -469,7 +455,7 @@ def main(argv=None) -> int:
     args = parse_plain(argv)
     if args is None:
         try:
-            args = build_parser(argv).parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 1
     try:

@@ -59,6 +59,7 @@ class Field(Frozen):
     """
 
     __slots__ = ("p",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
     _interned = {}
 
     def __new__(cls, p: int = 0):
@@ -193,16 +194,6 @@ class Scalar(Frozen):
     @property
     def is_zero(self) -> bool:
         return self.value == 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Scalar)
-            and self.field == other.field
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.value))
 
     def __str__(self):
         return str(self.value)
@@ -357,10 +348,7 @@ class SparseSum(Frozen):
             out = out * self
         return out
 
-    def __eq__(self, other):
-        return type(other) is type(self) and self._ring() == other._ring() and self.terms == other.terms
-
-    def __hash__(self):
+    def __hash__(self):  # the terms are a dict
         return hash((self._ring(), frozenset(self.terms.items())))
 
     def __str__(self):

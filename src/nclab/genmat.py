@@ -165,17 +165,6 @@ class GenericMatrix(Frozen):
     def scale(self, c) -> GenericMatrix:
         return GenericMatrix([[e.scale(c) for e in r] for r in self.rows])
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GenericMatrix)
-            and self.n == other.n
-            and self.field == other.field
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.field, self.rows))
-
     def __str__(self):
         return "[" + "; ".join(", ".join(str(e) for e in r) for r in self.rows) + "]"
 
@@ -248,16 +237,6 @@ class FormalSeries(Frozen):
 
     def __neg__(self):
         return type(self)(self.order, [-c for c in self.coeffs])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FormalSeries)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
 
     def __str__(self):
         parts = []
@@ -343,18 +322,6 @@ class BivariatePoly(SparseSum):
             return NEG_INF
         return max(a + b for a, b in self.terms)
 
-    def evaluate_at_matrices(self, f: GenericMatrix, g: GenericMatrix) -> GenericMatrix:
-        acc = GenericMatrix.zeros(f.n, f.field)
-        powers_f = {0: f.identity_like()}
-        powers_g = {0: f.identity_like()}
-        for (ea, eb), c in self.terms.items():
-            for e, base, powers in ((ea, f, powers_f), (eb, g, powers_g)):
-                while e not in powers:
-                    top = max(powers)
-                    powers[top + 1] = powers[top] * base
-            acc = acc + (powers_f[ea] * powers_g[eb]).scale(c)
-        return acc
-
 
 class AnnihilatorResult(Record):
     """Outcome of the minimal-annihilator search for one commuting pair."""
@@ -362,9 +329,11 @@ class AnnihilatorResult(Record):
     __slots__ = ("found", "poly", "total_degree", "n", "searched_bound")
 
     def verify(self, f: GenericMatrix, g: GenericMatrix) -> bool:
+        """Whether P(f, g) = 0, with P read as the free sum of c * x1^a * x2^b (f, g commute)."""
         if not self.found:
             return True
-        return self.poly.evaluate_at_matrices(f, g).is_zero
+        words = {(1,) * a + (2,) * b: c for (a, b), c in self.poly.terms.items()}
+        return freealg.FreePoly(2, self.poly.field, words).evaluate_in_matrices([f, g]).is_zero
 
 
 def _monomial_layers(dmax: int):

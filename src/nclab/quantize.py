@@ -19,7 +19,6 @@ row-column product whose entry products are star products).
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from .errors import (
@@ -75,14 +74,6 @@ class PoissonTensor(Frozen):
             out.append((self.variables[j], self.variables[i], -c))
         return out
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PoissonTensor)
-            and self.variables == other.variables
-            and self.entries == other.entries
-            and self.field == other.field
-        )
-
     @staticmethod
     def from_dict(obj, field: Field) -> PoissonTensor:
         try:
@@ -94,6 +85,8 @@ class PoissonTensor(Frozen):
 
     @staticmethod
     def load(path, field: Field) -> PoissonTensor:
+        import json  # only a tensor file needs the parser
+
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 obj = json.load(fh)
@@ -161,12 +154,10 @@ class StarContext(Frozen):
         object.__setattr__(self, "tensor", tensor)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "field", tensor.field)
-        weights = []
-        for r in range(order + 1):
-            denom = 2**r
-            for k in range(1, r + 1):
-                denom *= k
+        weights, denom = [], 1  # denom = 2^r * r!, a running product
+        for r in range(1, order + 2):
             weights.append(self.field.scalar(Fraction(1, denom)))
+            denom *= 2 * r
         object.__setattr__(self, "_weights", tuple(weights))
         partners = {}  # v_i -> [(v_j, raw T(i,j))] over both orientations
         for vi, vj, w in tensor.ordered_pairs():

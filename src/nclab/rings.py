@@ -628,16 +628,6 @@ class RationalFunction(Frozen):
             raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
         return other
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalFunction)
-            and self.num == other.num
-            and self.exps == other.exps
-        )
-
-    def __hash__(self):
-        return hash((self.num, self.exps))
-
     def __str__(self):
         if not self.exps:
             return str(self.num)

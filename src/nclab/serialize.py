@@ -15,9 +15,8 @@ JSON documents.
 
 from __future__ import annotations
 
-import json
 import sys
-from json.encoder import encode_basestring_ascii as _quote
+from _json import encode_basestring_ascii as _quote  # json.encoder's, without loading json
 
 from . import __version__, diagonalize, freealg, genmat, rings
 from .errors import BadReport, UnsupportedDenominator
@@ -279,6 +278,8 @@ def _render(obj, newline: str, out: list) -> None:
 
 def loads(text: str):
     """Parse an emitted document; returns (metadata, report object)."""
+    import json  # only decoding needs the parser
+
     doc = json.loads(text)
     field = Field.from_dict(doc["field"])
     return doc, decode(doc["report"], field)

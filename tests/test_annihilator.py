@@ -1,15 +1,18 @@
 """Minimal annihilating polynomials of commuting pairs, and their stability."""
 
+import json
+import os
 from unittest import mock
 
 import pytest
 
-from oracles import fraction_kernel
+from oracles import fraction_kernel, matmul
 from nclab import linalg
 from nclab.errors import FieldMismatch, NotCommuting
 from nclab.fields import GF, QQ
 from nclab.freealg import parse_free
 from nclab.genmat import (
+    AnnihilatorResult,
     BivariatePoly,
     GenericMatrix,
     annihilator_stability,
@@ -45,7 +48,7 @@ class TestFindAnnihilator:
         assert res.found
         assert res.poly == bp({(2, 0): 1, (0, 1): -1})  # u^2 - v
         assert res.total_degree == 2
-        assert res.poly.evaluate_at_matrices(f, g).is_zero
+        assert res.verify(f, g)
 
     def test_equal_inputs(self):
         f = pi_reduce(parse_free("x1", 1, QQ), 2)
@@ -140,3 +143,52 @@ class TestStability:
         rep = annihilator_stability(f, g, {1, 2, 3}, 3)
         for n, res in zip(rep.sizes, rep.results):
             assert res.verify(pi_reduce(f, n), pi_reduce(g, n))
+
+
+def _pipeline_golden_pairs():
+    """The distinct (f, g) texts of the recorded bergman-pipeline commands."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "manifest.json")
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    pairs = []
+    for argv in manifest.values():
+        if argv[0] != "bergman-pipeline":
+            continue
+        flags = {}
+        for token, following in zip(argv, argv[1:] + [None]):
+            name, eq, value = token.partition("=")
+            if name in ("--f", "--g"):
+                flags[name] = value if eq else following
+        pair = (flags["--f"], flags["--g"])
+        if pair not in pairs:
+            pairs.append(pair)
+    return pairs
+
+
+def _oracle_is_zero(poly, f, g):
+    """Whether the sum of c * f^a * g^b, from list-of-list products, is the zero matrix."""
+    n, field = f.n, f.field
+    one, zero = CommPoly.one(field), CommPoly.zero(field)
+    total = [[zero] * n for _ in range(n)]
+    for (a, b), c in poly.terms.items():
+        term = [[one if i == j else zero for j in range(n)] for i in range(n)]
+        for factor in [f] * a + [g] * b:
+            term = matmul(term, [list(row) for row in factor.rows])
+        total = [[t + e.scale(c) for t, e in zip(trow, erow)] for trow, erow in zip(total, term)]
+    return all(e.is_zero for row in total for e in row)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["q", "fp5"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("f_text, g_text", _pipeline_golden_pairs())
+def test_verify_agrees_with_the_matrix_product_oracle(f_text, g_text, n, field):
+    f = pi_reduce(parse_free(f_text, 2, field), n)
+    g = pi_reduce(parse_free(g_text, 2, field), n)
+    res = find_annihilator(f, g, 2)
+    assert res.found
+    assert res.verify(f, g) and _oracle_is_zero(res.poly, f, g)
+    # one coefficient changed: P(f, g) becomes that monomial's value, not zero
+    (lead, c), *_ = res.poly.sorted_terms()
+    changed = BivariatePoly(field, {**res.poly.terms, lead: c + 1})
+    wrong = AnnihilatorResult(True, changed, changed.total_degree(), n, 2)
+    assert not wrong.verify(f, g) and not _oracle_is_zero(changed, f, g)

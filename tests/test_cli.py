@@ -1,6 +1,5 @@
 """End-to-end CLI behavior: flags, exit statuses, JSON output, determinism."""
 
-import argparse
 import contextlib
 import io
 import json
@@ -84,11 +83,6 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
-def _subcommands_built(parser):
-    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return list(action.choices)
-
-
 def _help_text(parser, argv, capsys):
     with pytest.raises(SystemExit) as e:
         parser.parse_args(argv)
@@ -112,21 +106,13 @@ class TestHelp:
     def test_command_table_lists_every_subcommand(self):
         assert list(COMMANDS) == SUBCOMMANDS
 
-    @pytest.mark.parametrize(
-        "argv, built",
-        [(["eval", "--f", "x1"], ["eval"]), (["probe", "--help"], ["probe"])]
-        + [(argv, SUBCOMMANDS) for argv in ([], ["--help"], ["bogus"], ["--json", "eval"])],
-    )
-    def test_a_run_builds_only_its_subparser(self, argv, built):
-        assert _subcommands_built(build_parser(argv)) == built
-
     @pytest.mark.parametrize("cmd", SUBCOMMANDS)
     def test_subcommand_help_is_that_of_the_full_tree(self, cmd, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
-        alone = _help_text(build_parser([cmd, "--help"]), [cmd, "--help"], capsys)
-        full = _help_text(build_parser(), [cmd, "--help"], capsys)
-        assert alone == full
-        assert alone.startswith(f"usage: nclab {cmd} [-h]")
+        code, printed, err = run([cmd, "--help"], capsys)
+        assert (code, err) == (0, "")
+        assert printed == _help_text(build_parser(), [cmd, "--help"], capsys)
+        assert printed.startswith(f"usage: nclab {cmd} [-h]")
 
     def test_top_level_help(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")

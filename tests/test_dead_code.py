@@ -1,9 +1,11 @@
-"""Every public definition in ``src/nclab`` is named somewhere else in ``src/``.
+"""Every definition in ``src/nclab`` is named somewhere else in ``src/``.
 
-A public top-level function or class, or a public method of any top-level
-class, that nothing else in the package names (as a name, an attribute or
-an import) is code that no command runs.  It is deleted, or it moves into
-``tests/`` if the tests use it.  The scan is by name, so a method counts as
+A top-level function or class, or a method of any top-level class, that
+nothing else in the package names (as a name, an attribute or an import) is
+code that no command runs.  It is deleted, or it moves into ``tests/`` if
+the tests use it.  Private ``_name`` definitions count too, so a helper
+orphaned by a deletion is caught; dunders, which Python itself calls, are
+left out.  The scan is by name, so a method counts as
 named when any attribute of that name appears, which keeps it cheap and
 errs towards keeping code.  So it misses a method that shares its name with
 one in use: ``field.to_dict()`` in ``serialize`` counts as a use of every
@@ -33,6 +35,10 @@ ALLOWED = {
 }
 
 
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _overrides_outside_nclab(module, cls_name, method):
     """Whether the method overrides one of a base class that nclab does not define."""
     cls = getattr(importlib.import_module(f"nclab.{module}"), cls_name)
@@ -52,13 +58,13 @@ def _unnamed_definitions():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if not node.name.startswith("_"):
+            if not _dunder(node.name):
                 definitions.append((f"{module}.{node.name}", node.name, node))
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if (
                         isinstance(item, ast.FunctionDef)
-                        and not item.name.startswith("_")
+                        and not _dunder(item.name)
                         and not _overrides_outside_nclab(module, node.name, item.name)
                     ):
                         definitions.append((f"{module}.{node.name}.{item.name}", item.name, item))
@@ -74,15 +80,20 @@ def _unnamed_definitions():
             else:
                 continue
             references.setdefault(name, set()).add(id(node))
-    unnamed = set()
+    unnamed = {}  # qualified name -> short name
     for qualified, name, node in definitions:
         # a definition that names only itself (recursion) is still unnamed
         inside = {id(n) for n in ast.walk(node)}
         if not references.get(name, set()) - inside:
-            unnamed.add(qualified)
+            unnamed[qualified] = name
     return unnamed
 
 
 def test_every_public_definition_is_named_elsewhere_in_src():
-    assert _unnamed_definitions() == set(ALLOWED)
+    public = {q for q, name in _unnamed_definitions().items() if not name.startswith("_")}
+    assert public == set(ALLOWED)
+
+
+def test_every_private_definition_is_named_elsewhere_in_src():
+    assert [q for q, name in _unnamed_definitions().items() if name.startswith("_")] == []
 

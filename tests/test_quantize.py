@@ -106,6 +106,11 @@ class TestStarProduct:
     def _ctx(self, order=2):
         return StarContext(two_pair_tensor(), order)
 
+    @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["q", "fp32003"])
+    def test_weights_are_one_over_two_to_the_r_times_r_factorial(self, field):
+        weights = StarContext(two_pair_tensor(field), 40)._weights
+        assert weights == tuple(field.scalar(Fraction(1, 2**r * factorial(r))) for r in range(41))
+
     def test_x_star_y(self):
         ctx = self._ctx()
         x, y = poly(VX[0]), poly(VY[0])

@@ -161,3 +161,92 @@ def test_frozen_slots_can_be_neither_assigned_nor_deleted(index):
         object.__setattr__(obj, slot, before)
     with pytest.raises(AttributeError, match=message):
         obj.extra = 1
+
+
+def _value_table():
+    """Class name -> a builder of two variants of one value that differ in one slot."""
+    from nclab.diagonalize import SeriesFieldMatrix
+    from nclab.freealg import FreePoly
+    from nclab.genmat import BivariatePoly, FormalSeries, GenericMatrix
+    from nclab.quantize import PoissonTensor
+    from nclab.rings import CommPoly, RationalFunction
+
+    x = CommPoly.variable(Variable.aux("x", 1), QQ)
+    u, v = (CommPoly.variable(Variable.aux("lam", i), QQ) for i in (1, 2))
+    one = RationalFunction.one(QQ)
+    zero_matrix = GenericMatrix.zeros(2, QQ, RationalFunction)
+
+    def fraction_matrix(k):
+        return GenericMatrix.diagonal([one, RationalFunction.from_poly(x.scale(1 + k))])
+
+    return {
+        "Scalar": lambda k: QQ.scalar(3 + k),  # value
+        "CommPoly": lambda k: x.scale(1 + k),  # terms
+        "FreePoly": lambda k: FreePoly(2 + k, QQ, {(1,): 1}),  # s
+        "BivariatePoly": lambda k: BivariatePoly(QQ, {(1, 0): 1 + k}),  # terms
+        "GenericMatrix[CommPoly]": lambda k: GenericMatrix.diagonal([x, x.scale(1 + k)]),  # rows
+        "GenericMatrix[RationalFunction]": fraction_matrix,  # rows
+        "FormalSeries": lambda k: FormalSeries(1, [x, x.scale(k)]),  # coeffs
+        "SeriesFieldMatrix": lambda k: SeriesFieldMatrix(  # coeffs
+            1, [fraction_matrix(0), fraction_matrix(0) if k else zero_matrix]),
+        "RationalFunction": lambda k: RationalFunction(CommPoly.one(QQ), (u - v) ** (1 + k)),  # exps
+        "PoissonTensor": lambda k: PoissonTensor(  # entries
+            (Variable.aux("x", 1), Variable.aux("y", 1)), {(0, 1): 1 + k}, QQ),
+        "ALReport": lambda k: ALReport(2, 4, True, True, bool(k)),  # sharpness_nonzero
+    }
+
+
+def _hash_or_error(obj):
+    try:
+        return hash(obj)
+    except TypeError as exc:  # a value with a dict in a slot is unhashable
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", list(_value_table()))
+def test_values_compare_by_class_and_every_slot(name):
+    table = _value_table()
+    make = table[name]
+    a, b, changed = make(0), make(0), make(1)
+    assert a is not b
+    assert a == b and not a != b
+    assert _hash_or_error(a) == _hash_or_error(b)
+    assert a != changed and changed != a
+    for other_name, other_make in table.items():
+        if other_name != name:
+            other = other_make(0)
+            assert a != other and other != a, other_name
+
+
+def test_a_series_of_matrices_is_not_a_series_field_matrix_with_its_coefficients():
+    from nclab.diagonalize import SeriesFieldMatrix
+    from nclab.genmat import FormalSeries
+
+    field_series = _value_table()["SeriesFieldMatrix"](1)
+    plain = FormalSeries(field_series.order, field_series.coeffs)
+    assert plain.coeffs == field_series.coeffs
+    assert plain != field_series and field_series != plain
+    assert plain == FormalSeries(1, field_series.coeffs)
+    assert field_series == SeriesFieldMatrix(1, plain.coeffs)
+
+
+def test_fields_compare_by_identity():
+    from nclab.fields import GF, Field
+
+    assert GF(7) is Field(7) and QQ is Field(0)
+    assert GF(7) == GF(7) and QQ != GF(7)
+    assert hash(GF(7)) == object.__hash__(GF(7))
+    # a second instance with the same slot is not the field
+    twin = object.__new__(Field)
+    object.__setattr__(twin, "p", 7)
+    assert twin != GF(7) and GF(7) != twin
+
+
+def test_star_contexts_compare_by_slots_and_do_not_hash():
+    from nclab.quantize import StarContext
+
+    tensor = _value_table()["PoissonTensor"](0)
+    assert StarContext(tensor, 2) == StarContext(tensor, 2)
+    assert StarContext(tensor, 2) != StarContext(tensor, 1)
+    with pytest.raises(TypeError):
+        hash(StarContext(tensor, 2))

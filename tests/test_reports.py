@@ -64,7 +64,7 @@ def test_stability_round_trip_and_witness_reverification():
     for res in decoded.results:
         fn = pi_reduce(parse_free(decoded.f_text, 2, QQ), res.n)
         gn = pi_reduce(parse_free(decoded.g_text, 2, QQ), res.n)
-        assert res.poly.evaluate_at_matrices(fn, gn).is_zero
+        assert res.verify(fn, gn)
 
 
 def test_pipeline_round_trip():

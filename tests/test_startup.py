@@ -8,7 +8,8 @@ The submodules are registered lazily: each is in ``sys.modules`` at once but
 executes only on first use, so a command compiles only the modules it runs.
 A well-formed command line is read from the flag table, ``cli.COMMANDS``,
 without importing argparse; wherever the table reads a line, argparse must
-read it alike.
+read it alike.  No command imports the ``json`` package (reports are
+rendered without it), and only ``diag`` imports ``random``.
 """
 
 import contextlib
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import nclab
-from nclab import cli
+from nclab import cli, serialize
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.dirname(os.path.dirname(nclab.__file__))
@@ -102,25 +103,29 @@ _PROBE = {"centralizer", "genmat", "linalg", "quantize", "rings"}
 def test_a_command_executes_only_the_modules_it_uses(argv, executed):
     # a lazy module is a ModuleType subclass until its first attribute access
     code = (
-        "import contextlib, io, json, sys, types; sys.path.insert(0, sys.argv[1])\n"
+        "import contextlib, io, sys, types; sys.path.insert(0, sys.argv[1])\n"
         "import nclab.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    status = nclab.cli.main(sys.argv[2:])\n"
         "ran = [k for k, m in sys.modules.items() if k.startswith('nclab.')"
         " and type(m) is types.ModuleType]\n"
         "parsers = [k for k in ('argparse', 'gettext', 'locale') if k in sys.modules]\n"
-        "print(json.dumps([status, sorted(ran), parsers]))"
+        "stdlib = [k for k in ('json', 'json.decoder', 'random') if k in sys.modules]\n"
+        "import json\n"
+        "print(json.dumps([status, sorted(ran), parsers, stdlib]))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code, SRC, *argv, "--json"],
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    status, ran, parsers = json.loads(proc.stdout)
+    status, ran, parsers, stdlib = json.loads(proc.stdout)
     assert status == 0
     assert ran == sorted(f"nclab.{module}" for module in executed)
     # a well-formed command line is read from the flag table, without argparse
     assert parsers == []
+    # rendering needs no JSON parser, and only diag draws random numbers
+    assert stdlib == (["random"] if argv[0] == "diag" else [])
 
 
 @pytest.mark.parametrize(
@@ -134,7 +139,16 @@ def test_a_command_executes_only_the_modules_it_uses(argv, executed):
 def test_the_flag_table_reads_a_well_formed_line_as_argparse_does(argv):
     plain = cli.parse_plain(argv)
     assert plain is not None
-    assert vars(plain) == vars(cli.build_parser(argv).parse_args(argv))
+    assert vars(plain) == vars(cli.build_parser().parse_args(argv))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+@example("")
+@example('"\\\x00\u00e9\U0001f600\ud800')
+def test_the_renderer_quotes_strings_as_json_does(text):
+    # serialize takes the C quoting function from _json, so that a run never imports json
+    assert serialize._quote(text) == json.encoder.encode_basestring_ascii(text)
 
 
 # tokens that parse_plain refuses, so that argparse parses them, prints help or refuses them
@@ -186,7 +200,7 @@ def _command_lines(draw):
 def test_argparse_reads_every_command_line_that_the_flag_table_reads_alike(argv):
     plain = cli.parse_plain(argv)
     if plain is not None:
-        assert vars(plain) == vars(cli.build_parser(argv).parse_args(argv))
+        assert vars(plain) == vars(cli.build_parser().parse_args(argv))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
