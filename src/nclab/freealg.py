@@ -116,9 +116,8 @@ class FreePoly(SparseSum):
                 raise ShapeMismatch("matrices must share one size")
             if m.field != self.field:
                 raise FieldMismatch("matrix ring over a different field")
-        identity = first.identity_like()
-        out = identity.scale(0)
-        cache = {EMPTY_WORD: identity}
+        out = type(first).zeros(first.n, self.field, first.ring)  # genmat imports this module
+        cache = {EMPTY_WORD: first.identity_like()}
         cache.update(((g,), m) for g, m in enumerate(images, 1))
         for w in sorted(self.terms, key=lambda w: (len(w), w)):
             prod = cache.get(w)
@@ -151,6 +150,9 @@ def pretty(a: FreePoly) -> str:
 # ---------------------------------------------------------------------------
 
 
+_DIGITS = "0123456789"  # NAT digits only: str.isdigit also takes '²' and '٣'
+
+
 class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
@@ -172,16 +174,16 @@ class _Tokenizer:
                 continue
             if ch == "x":
                 j = i + 1
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and text[j] in _DIGITS:
                     j += 1
                 if j == i + 1:
                     raise ParseError("generator needs an index, e.g. x1", i)
                 self.tokens.append(("gen", int(text[i + 1 : j]), i))
                 i = j
                 continue
-            if ch.isdigit():
+            if ch in _DIGITS:
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and text[j] in _DIGITS:
                     j += 1
                 self.tokens.append(("nat", int(text[i:j]), i))
                 i = j

@@ -292,19 +292,15 @@ class CorrespondenceReport(Record):
 
 
 def verify_correspondence(
-    a: CommPoly, b: CommPoly, ctx: StarContext, comm: FormalSeries | None = None
+    a: CommPoly, b: CommPoly, ctx: StarContext, comm: FormalSeries
 ) -> CorrespondenceReport:
-    """Check that the h-coefficient of [a, b]_* equals {a, b} exactly.
+    """Check that the h-coefficient of ``comm`` = [a, b]_* equals {a, b} exactly.
 
-    ``comm`` is [a, b]_* when the caller has already formed it; the bracket
-    side is always computed here, independently of the star product.
+    The caller forms the star commutator; the bracket side is computed here,
+    independently of the star product.
     """
     if ctx.order < 2:
         raise ValueError("correspondence check needs truncation order >= 2")
-    if comm is None:
-        sa = FormalSeries.from_poly(a, ctx.order)
-        sb = FormalSeries.from_poly(b, ctx.order)
-        comm = star_commutator(sa, sb, ctx)
     bracket = poisson_bracket(a, b, ctx.tensor)
     linear = comm.coefficient(1)
     return CorrespondenceReport(linear == bracket, linear, bracket)

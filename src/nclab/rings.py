@@ -1,93 +1,65 @@
 """Sparse multivariate polynomials over an exact field, and their fractions.
 
 Variables are either matrix-entry symbols ``x<l>[<i>,<j>]`` (the entries of
-the generic matrices) or auxiliary symbols like ``lam1``; a fixed total order
-on variables (matrix entries first, then auxiliaries, each lexicographically)
-makes every canonical form deterministic.  Monomials are sorted tuples of
-``(Variable, exponent)`` pairs and the monomial order is graded lex.  A
-polynomial maps monomials to raw coefficients (see ``fields``).
+the generic matrices) or auxiliary symbols like ``lam1``; as tagged tuples
+they are totally ordered (matrix entries first, then auxiliaries, each
+lexicographically), which makes every canonical form deterministic.  Monomials
+are sorted tuples of ``(Variable, exponent)`` pairs, ordered graded lex by the
+one sort key ``CommPoly._order``.  A polynomial maps monomials to raw
+coefficients (see ``fields``).
 """
 
 from __future__ import annotations
 
 import re
-from functools import cmp_to_key, lru_cache
-from operator import itemgetter
+from functools import lru_cache
 
 from .errors import DivisionByZero, FieldMismatch, UnassignedVariable, UnsupportedDenominator
 from .fields import NEG_INF, Field, Scalar, SparseSum
 from .records import Frozen
 
-_AUX_NAME = re.compile(r"^[A-Za-z_]+$")
-_ENTRY_FORM = re.compile(r"^x(\d+)\[(\d+),(\d+)\]$")
-_AUX_FORM = re.compile(r"^([A-Za-z_]+)(\d+)$")
-
-
-class _Kind(str):
-    """The kind item of a Variable: hashes as its name, equals only itself, entries first."""
-
-    __slots__ = ()
-    __hash__ = str.__hash__  # the C hash of str, so a Variable hashes without a Python call
-    __eq__ = lambda self, other: self is other
-    __ne__ = lambda self, other: self is not other
-    __lt__ = lambda self, other: self is _ENTRY and other is _AUX
-    __gt__ = lambda self, other: self is _AUX and other is _ENTRY
-    __le__ = lambda self, other: self is other or self < other
-    __ge__ = lambda self, other: self is other or self > other
-
-
-_ENTRY, _AUX = _Kind("entry"), _Kind("aux")
-_KINDS = {"entry": _ENTRY, "aux": _AUX}
+_AUX_NAME = re.compile(r"[A-Za-z_]+")
+_ENTRY_FORM = re.compile(r"x([0-9]+)\[([0-9]+),([0-9]+)\]")
+_AUX_FORM = re.compile(r"([A-Za-z_]+)([0-9]+)")
 
 
 class Variable(tuple):
     """A commutative indeterminate: a generic-matrix entry or an auxiliary symbol.
 
-    ``kind`` is ``"entry"`` (with ``gen``, ``row``, ``col``) or ``"aux"``
-    (with ``name``, ``index``).  It is the tuple of these fields, so hashing,
-    equality and order (entries first, each kind lexicographically) run in
-    C; its kind item keeps it unequal to the plain tuple of its fields.
+    An entry is ``(0, gen, row, col)`` and an auxiliary symbol ``(1, name, index)``.
+    Hashing, equality and order (entries first, each kind lexicographically)
+    are tuple's own and run in C; a Variable equals the plain tuple of its items.
     """
 
     __slots__ = ()
-    _fields = ("kind", "gen", "row", "col", "name", "index")
-
-    def __new__(cls, kind, gen=0, row=0, col=0, name="", index=0):
-        if kind not in _KINDS:
-            raise ValueError(f"unknown variable kind {kind!r}")
-        return tuple.__new__(cls, (_KINDS[kind], gen, row, col, name, index))
-
-    kind = property(lambda self: str(self[0]))
-    gen, row, col, name, index = (property(itemgetter(i)) for i in range(1, 6))
 
     @staticmethod
     def entry(gen: int, row: int, col: int) -> Variable:
         if gen < 1 or row < 1 or col < 1:
             raise ValueError("entry variable indices are 1-based and positive")
-        return Variable("entry", gen=gen, row=row, col=col)
+        return tuple.__new__(Variable, (0, gen, row, col))
 
     @staticmethod
     def aux(name: str, index: int) -> Variable:
-        if not _AUX_NAME.match(name) or index < 1:
+        if not _AUX_NAME.fullmatch(name) or index < 1:
             raise ValueError(f"bad auxiliary variable {name!r}/{index}")
-        return Variable("aux", name=name, index=index)
+        return tuple.__new__(Variable, (1, name, index))
 
     def __str__(self):
-        if self[0] is _ENTRY:
+        if self[0] == 0:
             return f"x{self[1]}[{self[2]},{self[3]}]"
-        return f"{self[4]}{self[5]}"
+        return f"{self[1]}{self[2]}"
 
     def __repr__(self):
-        body = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, (self.kind,) + self[1:]))
-        return f"Variable({body})"
+        return f"Variable.{'aux' if self[0] else 'entry'}{self[1:]!r}"
 
 
 def parse_variable_name(text: str) -> Variable:
     """Inverse of ``str(Variable)``; used by tensor files and report loading."""
-    m = _ENTRY_FORM.match(text)
+    m = _ENTRY_FORM.fullmatch(text)
     if m:
         return Variable.entry(int(m.group(1)), int(m.group(2)), int(m.group(3)))
-    m = _AUX_FORM.match(text)
+    m = _AUX_FORM.fullmatch(text)
     if m:
         return Variable.aux(m.group(1), int(m.group(2)))
     raise ValueError(f"unrecognized variable name {text!r}")
@@ -150,39 +122,6 @@ def mono_div(m1: Mono, m2: Mono):
     return mono_from_dict(exps)
 
 
-def _lex_cmp(m1: Mono, m2: Mono) -> int:
-    """Lexicographic order where the smallest variable is most significant."""
-    i = j = 0
-    while i < len(m1) and j < len(m2):
-        v1, e1 = m1[i]
-        v2, e2 = m2[j]
-        if v1 == v2:
-            if e1 != e2:
-                return 1 if e1 > e2 else -1
-            i += 1
-            j += 1
-        elif v1 < v2:
-            return 1  # m1 has a positive power on an earlier variable
-        else:
-            return -1
-    if i < len(m1):
-        return 1
-    if j < len(m2):
-        return -1
-    return 0
-
-
-def mono_cmp(m1: Mono, m2: Mono) -> int:
-    """Graded lex comparison; returns -1/0/1."""
-    d1, d2 = mono_degree(m1), mono_degree(m2)
-    if d1 != d2:
-        return 1 if d1 > d2 else -1
-    return _lex_cmp(m1, m2)
-
-
-_MONO_KEY = cmp_to_key(mono_cmp)
-
-
 # ---------------------------------------------------------------------------
 # CommPoly
 # ---------------------------------------------------------------------------
@@ -198,7 +137,11 @@ class CommPoly(SparseSum):
 
     @staticmethod
     def _order(m: Mono):
-        """Descending graded lex: the printing order."""
+        """Descending graded lex, the one monomial order.
+
+        At equal degree no item tuple is a proper prefix of another, so the
+        earlier variable, then the larger exponent, sorts first.
+        """
         return (-mono_degree(m), tuple((v, -e) for v, e in m))
 
     @staticmethod
@@ -243,7 +186,7 @@ class CommPoly(SparseSum):
         """(monomial, coefficient) of the graded-lex largest monomial."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=_MONO_KEY)
+        m = min(self.terms, key=self._order)
         return m, Scalar(self.field, self.terms[m])
 
     # -- calculus / evaluation -------------------------------------------------
@@ -290,7 +233,7 @@ def poly_divmod(a: CommPoly, b: CommPoly):
     rem: dict = {}
     work = dict(a.terms)
     while work:
-        m = max(work, key=_MONO_KEY)
+        m = min(work, key=CommPoly._order)
         c = work.pop(m)
         mq = mono_div(m, lm)
         if mq is None:
@@ -619,6 +562,10 @@ class RationalFunction(Frozen):
 
     def __neg__(self):
         return RationalFunction._of(-self.num, dict(self.exps))
+
+    def scale(self, c) -> RationalFunction:
+        """This fraction times a Scalar of its field or an int or Fraction."""
+        return RationalFunction._of(self.num.scale(c), dict(self.exps))
 
     def _coerce(self, other) -> RationalFunction:
         if type(other) is not RationalFunction:

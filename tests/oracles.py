@@ -5,14 +5,40 @@ plain-dict word arithmetic instead of FreePoly products, explicit Gaussian
 elimination over Fraction or mod p instead of nclab.linalg, a from-scratch Moyal
 term expansion instead of the StarContext machinery, and whole-series
 conjugation with series inverses instead of the order-r recurrence of
-``successive_diagonalize``.
+``successive_diagonalize``, and a graded lex comparison of exponent vectors,
+read off the printed variable names, instead of ``CommPoly._order``.
 """
 
+import re
 from fractions import Fraction
 
 from nclab.diagonalize import SeriesFieldMatrix, solve_sylvester_diag
 from nclab.genmat import GenericMatrix
 from nclab.rings import CommPoly, RationalFunction
+
+_ENTRY_NAME = re.compile(r"x([0-9]+)\[([0-9]+),([0-9]+)\]")
+_AUX_NAME = re.compile(r"([A-Za-z_]+)([0-9]+)")
+
+
+def variable_rank(v):
+    """Sort key of a variable read from its name: every x<l>[<i>,<j>] before every lam1, t2, ..."""
+    m = _ENTRY_NAME.fullmatch(str(v))
+    if m:
+        return (0, int(m.group(1)), int(m.group(2)), int(m.group(3)))
+    m = _AUX_NAME.fullmatch(str(v))
+    return (1, m.group(1), int(m.group(2)))
+
+
+def graded_lex_cmp(m1, m2) -> int:
+    """-1/0/1: total degree first, then the exponent vectors over the variables in order."""
+    d1, d2 = sum(e for _, e in m1), sum(e for _, e in m2)
+    if d1 != d2:
+        return 1 if d1 > d2 else -1
+    e1, e2 = dict(m1), dict(m2)
+    order = sorted(set(e1) | set(e2), key=variable_rank)
+    v1 = [e1.get(v, 0) for v in order]
+    v2 = [e2.get(v, 0) for v in order]
+    return (v1 > v2) - (v1 < v2)
 
 
 def free_mul(a: dict, b: dict) -> dict:

@@ -1,7 +1,8 @@
 """Seeded random test data: scalars, polynomials and integer matrices.
 
-Everything takes an explicit ``random.Random`` so that the randomized suites
-are reproducible from a single integer seed.
+Everything random takes an explicit ``random.Random`` so that the randomized
+suites are reproducible from a single integer seed.  ``lifted_commutator``
+forms the star commutator that ``verify_correspondence`` checks.
 """
 
 import random
@@ -10,7 +11,8 @@ from fractions import Fraction
 from nclab import rings
 from nclab.fields import Field, Scalar
 from nclab.freealg import FreePoly
-from nclab.genmat import GenericMatrix
+from nclab.genmat import FormalSeries, GenericMatrix
+from nclab.quantize import StarContext, star_commutator
 
 
 def random_scalar(rng: random.Random, field: Field, span: int = 6) -> Scalar:
@@ -62,3 +64,9 @@ def random_int_matrix(
             for i in range(n)
         ]
     )
+
+
+def lifted_commutator(a: rings.CommPoly, b: rings.CommPoly, ctx: StarContext) -> FormalSeries:
+    """[a, b]_* of the two polynomials lifted to series truncated at ``ctx.order``."""
+    lift = FormalSeries.from_poly
+    return star_commutator(lift(a, ctx.order), lift(b, ctx.order), ctx)

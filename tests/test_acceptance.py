@@ -11,7 +11,7 @@ import time
 import pytest
 
 from oracles import inverse_unitriangular, poisson_oracle
-from samples import random_commpoly
+from samples import lifted_commutator, random_commpoly
 from nclab.cli import main
 from nclab.errors import CharacteristicTooSmall
 from nclab.fields import GF, QQ
@@ -117,7 +117,7 @@ def test_criterion_3_correspondence_suite():
         for _ in range(200):
             a = random_commpoly(rng, variables, QQ, max_degree=3, max_terms=4)
             b = random_commpoly(rng, variables, QQ, max_degree=3, max_terms=4)
-            rep = verify_correspondence(a, b, ctx)
+            rep = verify_correspondence(a, b, ctx, lifted_commutator(a, b, ctx))
             assert rep.holds
             assert rep.star_linear_part == poisson_oracle(a, b, ctx.tensor)
 

@@ -186,6 +186,14 @@ class TestExitStatuses:
         assert code == 1
         assert "syntax-error" in err
 
+    @pytest.mark.parametrize(
+        "expr", ["x\u00b2", "\u0663*x1"], ids=["superscript-two", "arabic-indic-three"]
+    )
+    def test_a_non_ascii_digit_is_a_syntax_error(self, expr, capsys):
+        code, out, err = run(["eval", "--f", expr], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error [syntax-error]:") and "(at position 0)" in err
+
     @pytest.mark.parametrize("depth, code", [(MAX_NESTING, 0), (3000, 1)])
     def test_deep_nesting_is_a_syntax_error(self, depth, code):
         # a separate process, so that an uncaught RecursionError would show as a traceback

@@ -151,8 +151,19 @@ def test_variables_hash_compare_and_order_in_c():
     # no Python-level method stands between a monomial lookup and tuple's own slots
     for name in ("__hash__", "__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__"):
         assert getattr(Variable, name) is getattr(tuple, name)
-    assert type(VARS[0][0]).__hash__ is str.__hash__
+    assert all(type(v[0]) is int for v in VARS)
     assert GF(7) is GF(7) and type(QQ).__eq__ is object.__eq__
+    # an entry meets an auxiliary symbol without a Python-level call
+    entry, aux = VARS[0], VARS[2]
+    calls = []
+    sys.setprofile(lambda frame, event, arg: calls.append(frame) if event == "call" else None)
+    try:
+        ordered = sorted([aux, entry, aux, entry])
+        compared = (entry < aux, entry != aux, entry >= aux)
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+    assert ordered == [entry, entry, aux, aux] and compared == (True, True, False)
 
 
 def test_one_name_per_concept_on_every_sum():

@@ -20,7 +20,7 @@ from nclab.freealg import (
     pretty,
 )
 from nclab.genmat import GenericMatrix
-from nclab.rings import CommPoly
+from nclab.rings import CommPoly, RationalFunction, Variable
 
 
 def fp(terms, s=2, field=QQ):
@@ -66,6 +66,17 @@ class TestParse:
             parse_free("x", 2, QQ)
         with pytest.raises(ParseError):
             parse_free("x1 $ x2", 2, QQ)
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [("x\u00b2", 0), ("\u0663*x1", 0), ("x1 + x\u0661", 5)],
+        ids=["superscript-two", "arabic-indic-three", "arabic-indic-one-index"],
+    )
+    def test_only_ascii_digits_are_nat_digits(self, text, position):
+        # str.isdigit would take the superscript two and the Arabic-Indic digits
+        with pytest.raises(ParseError) as e:
+            parse_free(text, 2, QQ)
+        assert e.value.position == position and e.value.code == "syntax-error"
 
     def test_nesting_is_bounded(self):
         deepest = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING
@@ -250,6 +261,21 @@ class TestEvaluateInMatrices:
             img = lambda p: p.evaluate_in_matrices(images)
             assert img(a * b) == img(a) * img(b)
             assert img(a + b) == img(a) + img(b)
+
+    def test_fraction_matrices(self):
+        lam1, lam2 = (
+            RationalFunction.from_poly(CommPoly.variable(Variable.aux("lam", i), QQ))
+            for i in (1, 2)
+        )
+        d1 = GenericMatrix.diagonal([lam1, lam2])
+        d2 = GenericMatrix.diagonal([lam2 - lam1, lam1]).scale(QQ.scalar(Fraction(1, 2)))
+        a = parse_free("x1*x2 - 3*x2^2 + 2", 2, QQ)
+        expected = [
+            p * q - (q * q).scale(3) + RationalFunction.one(QQ).scale(2)
+            for p, q in zip(d1.diagonal_entries(), d2.diagonal_entries())
+        ]
+        assert a.evaluate_in_matrices([d1, d2]) == GenericMatrix.diagonal(expected)
+        assert d1.scale(0).is_zero and d1.scale(0).ring is RationalFunction
 
     def test_shape_checks(self):
         a = parse_free("x1*x2", 2, QQ)

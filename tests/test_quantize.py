@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import moyal_term, poisson_oracle
-from samples import random_commpoly
+from samples import lifted_commutator, random_commpoly
 from nclab.errors import BadTensorFile, CharacteristicTooSmall, UnknownVariable
 from nclab.fields import GF, QQ
 from nclab.quantize import (
@@ -254,20 +254,23 @@ def test_bilinear_maps_match_oracle_on_random_tensors(case):
 class TestCorrespondence:
     def test_defining_pair(self):
         ctx = StarContext(two_pair_tensor(), 2)
-        rep = verify_correspondence(poly(VX[0]), poly(VY[0]), ctx)
+        a, b = poly(VX[0]), poly(VY[0])
+        rep = verify_correspondence(a, b, ctx, lifted_commutator(a, b, ctx))
         assert rep.holds
         assert rep.bracket == CommPoly.one(QQ)
 
     def test_equal_inputs(self):
         ctx = StarContext(two_pair_tensor(), 2)
-        rep = verify_correspondence(poly(VX[0]), poly(VX[0]), ctx)
+        a = poly(VX[0])
+        rep = verify_correspondence(a, a, ctx, lifted_commutator(a, a, ctx))
         assert rep.holds
         assert rep.bracket.is_zero
 
     def test_requires_order_two(self):
         ctx = StarContext(two_pair_tensor(), 1)
+        a, b = poly(VX[0]), poly(VY[0])
         with pytest.raises(ValueError):
-            verify_correspondence(poly(VX[0]), poly(VY[0]), ctx)
+            verify_correspondence(a, b, ctx, lifted_commutator(a, b, ctx))
 
     def test_randomized_suite_against_oracle(self):
         ctx = StarContext(two_pair_tensor(), 2)
@@ -276,7 +279,7 @@ class TestCorrespondence:
         for _ in range(60):
             a = random_commpoly(rng, vs, QQ, max_degree=3)
             b = random_commpoly(rng, vs, QQ, max_degree=3)
-            rep = verify_correspondence(a, b, ctx)
+            rep = verify_correspondence(a, b, ctx, lifted_commutator(a, b, ctx))
             assert rep.holds
             assert rep.star_linear_part == poisson_oracle(a, b, ctx.tensor)
 

@@ -13,19 +13,21 @@ from nclab.serialize import ALReport
 
 
 class TestVariable:
-    def test_hash_is_the_field_tuple_hash(self):
-        for v in [Variable.entry(2, 1, 3), Variable.aux("lam", 4), Variable("aux", name="y", index=1)]:
-            assert hash(v) == hash((v.kind, v.gen, v.row, v.col, v.name, v.index))
-        assert hash(Variable.entry(1, 2, 3)) == hash(("entry", 1, 2, 3, "", 0))
+    def test_hash_is_the_item_tuple_hash(self):
+        for v in [Variable.entry(2, 1, 3), Variable.aux("lam", 4), Variable.aux("y", 1)]:
+            assert hash(v) == hash(tuple(v))
+        assert hash(Variable.entry(1, 2, 3)) == hash((0, 1, 2, 3))
+        assert hash(Variable.aux("lam", 4)) == hash((1, "lam", 4))
 
-    def test_equality_is_field_wise(self):
-        assert Variable.entry(1, 2, 3) == Variable("entry", 1, 2, 3)
+    def test_equality_is_item_wise(self):
+        assert Variable.entry(1, 2, 3) == Variable.entry(1, 2, 3)
         assert Variable.entry(1, 2, 3) != Variable.entry(1, 3, 2)
         assert Variable.aux("x", 1) != Variable.aux("y", 1)
-        # a field outside the sort key still takes part in equality
-        assert Variable("entry", 1, 1, 1) != Variable("entry", 1, 1, 1, name="z")
-        assert Variable.entry(1, 1, 1) != ("entry", 1, 1, 1, "", 0)
-        assert len({Variable.entry(1, 1, 1), Variable("entry", gen=1, row=1, col=1)}) == 1
+        # the kind tag keeps an entry unequal to every auxiliary symbol
+        assert Variable.entry(1, 1, 1) != Variable.aux("x", 1)
+        # a Variable equals the plain tuple of its items
+        assert Variable.entry(1, 1, 1) == (0, 1, 1, 1)
+        assert len({Variable.aux("lam", 2), (1, "lam", 2)}) == 1
 
     def test_order_is_by_sort_key(self):
         ordered = [
@@ -41,18 +43,18 @@ class TestVariable:
 
     def test_immutable(self):
         v = Variable.entry(1, 1, 1)
-        with pytest.raises(AttributeError):
-            v.gen = 2
-        with pytest.raises(AttributeError):
-            del v.gen
+        with pytest.raises(TypeError):
+            v[1] = 2
         with pytest.raises(AttributeError):
             v.extra = 1
-        assert v.gen == 1 and hash(v) == hash(Variable.entry(1, 1, 1))
+        assert v[1] == 1 and hash(v) == hash(Variable.entry(1, 1, 1))
 
-    def test_repr_names_the_fields(self):
-        assert repr(Variable.aux("lam", 2)) == (
-            "Variable(kind='aux', gen=0, row=0, col=0, name='lam', index=2)"
-        )
+    def test_repr_evaluates_back(self):
+        assert repr(Variable.aux("lam", 2)) == "Variable.aux('lam', 2)"
+        assert repr(Variable.entry(1, 2, 3)) == "Variable.entry(1, 2, 3)"
+        for v in [Variable.aux("lam", 2), Variable.entry(1, 2, 3)]:
+            back = eval(repr(v), {"Variable": Variable})
+            assert back == v and type(back) is Variable
 
 
 class TestRecordConstruction:
@@ -71,8 +73,8 @@ class TestRecordConstruction:
             lambda: ALReport(2, 4, True, True, None, "extra"),  # too many fields
             lambda: ALReport(2, 4, True, True, None, bogus=1),  # unknown field
             lambda: ALReport(2, 4, True, True, n=2),  # given twice
-            lambda: Variable("entry", 1, 1, 1, "", 0, None),
-            lambda: Variable("entry", _key=()),  # private slots are not fields
+            lambda: Variable.entry(1, 1),  # missing index
+            lambda: Variable.aux("lam", 1, 2),  # too many indices
         ],
     )
     def test_bad_arguments_raise_type_error(self, make):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from samples import random_commpoly
+from samples import lifted_commutator, random_commpoly
 from nclab import serialize
 from nclab.cli import _perturbation
 from nclab.errors import BadReport, DivisionByZero, EngineError
@@ -143,7 +143,7 @@ def test_correspondence_round_trip():
     rng = random.Random(5)
     a = random_commpoly(rng, list(tensor.variables), QQ)
     b = random_commpoly(rng, list(tensor.variables), QQ)
-    round_trip(verify_correspondence(a, b, ctx))
+    round_trip(verify_correspondence(a, b, ctx, lifted_commutator(a, b, ctx)))
 
 
 def test_prime_field_reports_round_trip():

@@ -1,10 +1,12 @@
 """Commutative polynomials, derivatives, evaluation, gcd and fractions over the lam_i - lam_j."""
 
 import random
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import graded_lex_cmp
 from samples import random_commpoly, random_scalar
 from nclab.errors import DivisionByZero, UnassignedVariable, UnsupportedDenominator
 from nclab.fields import GF, QQ, NEG_INF
@@ -13,7 +15,8 @@ from nclab.rings import (
     RationalFunction,
     Variable,
     _factor_power,
-    mono_cmp,
+    mono_from_dict,
+    mono_mul,
     parse_variable_name,
     poly_divexact,
     poly_divmod,
@@ -51,11 +54,22 @@ class TestVariables:
         for v in [Variable.entry(3, 1, 2), Variable.aux("lam", 7), Variable.aux("y", 1)]:
             assert parse_variable_name(str(v)) == v
 
+    @pytest.mark.parametrize(
+        "text",
+        ["x\u0663[1,1]", "lam\u00b2", "lam1\n", "x1[1,1]\n"],
+        ids=["arabic-indic-three", "superscript-two", "aux-newline", "entry-newline"],
+    )
+    def test_name_needs_ascii_digits_and_nothing_after(self, text):
+        with pytest.raises(ValueError):
+            parse_variable_name(text)
+
     def test_bad_aux_name_rejected(self):
         with pytest.raises(ValueError):
             Variable.aux("lam2", 1)
         with pytest.raises(ValueError):
             Variable.aux("x", 0)
+        with pytest.raises(ValueError):
+            Variable.aux("lam\n", 1)
 
 
 class TestArithmetic:
@@ -138,51 +152,55 @@ class TestEvaluate:
             assert (a + b).evaluate(pt) == a.evaluate(pt) + b.evaluate(pt)
 
 
+def _random_mono(rng, pool, max_vars=4, max_exp=3):
+    chosen = rng.sample(pool, rng.randint(0, max_vars))
+    return mono_from_dict({v: rng.randint(1, max_exp) for v in chosen})
+
+
+MIXED_POOL = [Variable.entry(1, 1, 2), Variable.entry(2, 1, 1)] + [
+    Variable.aux(name, i) for name in ("lam", "t") for i in (1, 2)
+]
+
+
 class TestMonomialOrder:
+    """``CommPoly._order`` sorts monomials in descending graded lex."""
+
     def test_graded_before_lex(self):
+        order = CommPoly._order
         x2 = ((X, 2),)
         xy = ((X, 1), (Y, 1))
         y = ((Y, 1),)
-        assert mono_cmp(x2, y) == 1  # degree wins
-        assert mono_cmp(x2, xy) == 1  # same degree: earlier variable wins
-        assert mono_cmp(xy, xy) == 0
+        assert order(x2) < order(y)  # degree wins
+        assert order(x2) < order(xy)  # same degree: the higher power of the earlier variable wins
+        assert order(xy) < order(((Y, 2),))  # same degree: the earlier variable wins
+        assert order(xy) == order(((X, 1), (Y, 1)))
 
     def test_multiplicative(self):
         rng = random.Random(3)
-        vars3 = [Variable.aux("t", i) for i in range(1, 4)]
-        from nclab.rings import mono_mul
-
-        for _ in range(200):
-            def rand_mono():
-                exps = {}
-                for _ in range(rng.randint(0, 3)):
-                    v = rng.choice(vars3)
-                    exps[v] = exps.get(v, 0) + 1
-                from nclab.rings import mono_from_dict
-
-                return mono_from_dict(exps)
-
-            m1, m2, t = rand_mono(), rand_mono(), rand_mono()
-            c = mono_cmp(m1, m2)
-            assert mono_cmp(mono_mul(m1, t), mono_mul(m2, t)) == c
+        order = CommPoly._order
+        for _ in range(300):
+            m1, m2, t = (_random_mono(rng, MIXED_POOL, max_vars=3, max_exp=2) for _ in range(3))
+            before = (order(m1) > order(m2)) - (order(m1) < order(m2))
+            p1, p2 = order(mono_mul(m1, t)), order(mono_mul(m2, t))
+            assert (p1 > p2) - (p1 < p2) == before
 
     def test_printing_order_is_descending_graded_lex(self):
-        from functools import cmp_to_key
-
-        from nclab.rings import mono_from_dict
-
         rng = random.Random(5)
-        pool = [Variable.entry(1, 1, 2), Variable.entry(2, 1, 1)] + [
-            Variable.aux(name, i) for name in ("lam", "t") for i in (1, 2)
-        ]
         for _ in range(300):
-            monos = {
-                mono_from_dict({v: rng.randint(1, 3) for v in rng.sample(pool, rng.randint(0, 4))})
-                for _ in range(rng.randint(1, 10))
-            }
+            monos = {_random_mono(rng, MIXED_POOL) for _ in range(rng.randint(1, 10))}
             p = CommPoly(QQ, dict.fromkeys(monos, 1))
-            expected = sorted(monos, key=cmp_to_key(mono_cmp), reverse=True)
+            expected = sorted(monos, key=cmp_to_key(graded_lex_cmp), reverse=True)
             assert [m for m, _ in p.sorted_terms()] == expected
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(32003)], ids=repr)
+    def test_leading_term_is_the_graded_lex_maximum(self, field):
+        rng = random.Random(11)
+        for _ in range(200):
+            p = random_commpoly(rng, MIXED_POOL, field, max_degree=4, max_terms=6)
+            if p.is_zero:
+                continue
+            top = max(p.terms, key=cmp_to_key(graded_lex_cmp))
+            assert p.leading_term() == (top, field.scalar(p.terms[top]))
 
 
 class TestDivisionAndGcd:
