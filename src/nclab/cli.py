@@ -27,8 +27,46 @@ from .serialize import (
 DEFAULT_SEED = 1729
 
 
+#: The entries of the s generic n x n matrices that a command builds, s * n^2,
+#: with n = 1 for star and poisson and n = nmax for annihilator and the
+#: pipeline; probe is counted at its --s too.  pi --f x1 --n 150 builds 45,000
+#: and took 1.4-1.9 s on a 2-core 2.1 GHz VM; pi --n 300 (180,000) took 3.8 s
+#: and star --s 100000 3.9 s.
+MAX_MATRIX_ENTRIES = 2 * 150**2
+
+#: annihilator and bergman-pipeline search every size up to --nmax again.
+#: annihilator --f x1 --g x1 --nmax 20 --dmax 1 took 0.55 s, --nmax 40 4.5 s.
+MAX_NMAX = 20
+
+#: A star product of order N forms the weights 1/(2^r r!) for r <= N and visits
+#: the N^2/2 pairs of series coefficients.  star --a x1 --b x2 --order 3000
+#: took 2.5 s, --order 10000 17.7 s.
+MAX_STAR_ORDER = 3000
+
+#: diag solves n^2 Sylvester entries over the fractions in lam1..lamn at each
+#: order.  diag --n 60 --order 1 took 1.6 s, and diag --n 2 --order 100 1.5 s,
+#: --order 200 7-9 s and --order 800 over 60 s.
+MAX_DIAG_N = 60
+MAX_DIAG_ORDER = 100
+
+#: (command, flag) -> the largest value of the flag
+_MAXIMA = {
+    ("annihilator", "nmax"): MAX_NMAX,
+    ("bergman-pipeline", "nmax"): MAX_NMAX,
+    ("star", "order"): MAX_STAR_ORDER,
+    ("bergman-pipeline", "order"): MAX_STAR_ORDER,
+    ("probe", "order"): MAX_STAR_ORDER,
+    ("diag", "n"): MAX_DIAG_N,
+    ("diag", "order"): MAX_DIAG_ORDER,
+}
+
+#: command -> the flag of the size of the generic matrices it builds, None for 1
+_MATRIX_SIZE = {"pi": "n", "star": None, "poisson": None, "annihilator": "nmax",
+                "bergman-pipeline": "nmax", "probe": "n"}
+
+
 def _check_sizes(args) -> None:
-    """Refuse a size flag below the smallest value its command accepts."""
+    """Refuse a size flag outside the values its command accepts, before any work."""
     for name, minimum in (
         ("s", 1),
         ("n", 1),
@@ -41,6 +79,17 @@ def _check_sizes(args) -> None:
         value = getattr(args, name, None)
         if value is not None and value < minimum:
             raise EngineError(f"--{name} must be at least {minimum}, got {value}")
+        maximum = _MAXIMA.get((args.command, name))
+        if maximum is not None and value > maximum:
+            raise InvalidSize(f"{args.command} --{name} is at most {maximum}, got {value}")
+    if args.command in _MATRIX_SIZE:
+        size = _MATRIX_SIZE[args.command]
+        n = getattr(args, size) if size else 1
+        if args.s * n * n > MAX_MATRIX_ENTRIES:
+            raise InvalidSize(
+                f"{args.command} --s {args.s}" + (f" --{size} {n}" if size else "")
+                + f": {args.s} generic {n}x{n} matrices have over {MAX_MATRIX_ENTRIES} entries"
+            )
 
 
 def _fail(message: str) -> int:
@@ -52,7 +101,10 @@ def _parse_field(text: str) -> Field:
     if text == "q":
         return QQ
     if text.startswith("fp:"):
-        p = int(text[3:])
+        try:
+            p = int(text[3:])
+        except ValueError:
+            raise InvalidField(f"modulus {text[3:]!r} is not an integer") from None
         if p < 2:  # Field(0) is Q
             raise InvalidField(f"modulus {p} is not prime")
         return Field(p)

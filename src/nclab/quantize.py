@@ -9,7 +9,9 @@ truncated at a fixed order N.  For constant tensors this is associative at
 every order, the degree-0 coefficient of a*b is the commutative product ab,
 and the h-coefficient of the star commutator is exactly the Poisson bracket.
 In characteristic p the coefficients divide by r! and 2^r, so contexts
-require N < p (and N = 0 when p = 2).
+require N < p (and N = 0 when p = 2).  The terms of the Poisson operator's
+pass are keyed by the operands' own monomials, which ``rings`` lowers and
+multiplies; no variable is renumbered.
 
 The series are ``genmat.FormalSeries``: a series of CommPoly is multiplied
 by ``star_mul``, a series of GenericMatrix by ``matrix_star`` (the
@@ -30,7 +32,7 @@ from .errors import (
 from .fields import Field
 from .genmat import FormalSeries, GenericMatrix
 from .records import Frozen, Record
-from .rings import CommPoly, Variable, parse_variable_name
+from .rings import CommPoly, Variable, mono_mul, mono_partials, parse_variable_name
 
 
 class PoissonTensor(Frozen):
@@ -171,79 +173,55 @@ class StarContext(Frozen):
     def bilinear_maps(self, a: CommPoly, b: CommPoly, rmax: int) -> list:
         """[B_0(a, b), ..., B_rmax(a, b)] from one pass of the Poisson operator.
 
-        W_0 = a (x) b is a dict {(m_a, m_b): c_a c_b} on raw values, and
-        W_r = P(W_{r-1}) with P = sum T(i,j) d_i (x) d_j over ordered pairs.
-        Derivatives commute, so P^r is the sum over ordered r-tuples of pairs
-        in the Moyal formula, and B_r = weight_r * (product of the two sides
-        of W_r).  A term of W only meets the pairs with v_i in m_a and v_j in
-        m_b.  Variables are numbered in their sort order, so monomials stay
-        sorted tuples of (index, exponent).
+        W_0 = a (x) b is a dict {(m_a, m_b): c_a c_b} on raw values, keyed by
+        the operands' own monomials, and W_r = P(W_{r-1}) with
+        P = sum T(i,j) d_i (x) d_j over ordered pairs.  Derivatives commute, so
+        P^r is the sum over ordered r-tuples of pairs in the Moyal formula, and
+        B_r = weight_r * (product of the two sides of W_r).
         """
-        out = [a * b]
-        if rmax == 0:
-            return out
-        zero = CommPoly.zero(self.field)
-        in_a, in_b = a.variables(), b.variables()
-        variables = sorted(in_a | in_b)
-        index = {v: k for k, v in enumerate(variables)}
-        live = {}  # index of v_i -> [(index of v_j, raw T(i,j))] with v_j in b
-        for v in in_a:
-            pairs = [(index[vj], w) for vj, w in self._partners.get(v, ()) if vj in in_b]
-            if pairs:
-                live[index[v]] = pairs
-        if not live:
+        out, zero = [a * b], CommPoly.zero(self.field)
+        partners, in_b = self._partners, b.variables()
+        if not any(vj in in_b for v in a.variables() for vj, _ in partners.get(v, ())):
             return out + [zero] * rmax
         p = self.field.p
-        side_b = [(tuple((index[v], e) for v, e in m), c) for m, c in b.terms.items()]
-        w = {}
-        for m, c in a.terms.items():
-            ka = tuple((index[v], e) for v, e in m)
-            for kb, cb in side_b:
-                w[(ka, kb)] = c * cb
+        w = {(ma, mb): ca * cb for ma, ca in a.terms.items() for mb, cb in b.terms.items()}
         for r in range(1, rmax + 1):
-            w = _poisson_step(w, live, p)
+            w = _poisson_step(w, partners, p)
             if not w:
                 return out + [zero] * (rmax - r + 1)
-            out.append(self._multiply_sides(w, variables, r))
+            terms = {}
+            for (ma, mb), c in w.items():
+                m = mono_mul(ma, mb)
+                s = terms.get(m)
+                terms[m] = c if s is None else s + c
+            weight = self._weights[r].value
+            out.append(CommPoly._of(self.field, {m: c * weight for m, c in terms.items()}))
         return out
 
-    def _multiply_sides(self, w, variables, r: int) -> CommPoly:
-        """weight_r times the sum of c * m_a * m_b over the terms of W_r."""
-        terms = {}
-        for (ka, kb), c in w.items():
-            exps = dict(ka)
-            for i, e in kb:
-                exps[i] = exps.get(i, 0) + e
-            m = tuple((variables[i], e) for i, e in sorted(exps.items()))
-            s = terms.get(m)
-            terms[m] = c if s is None else s + c
-        weight = self._weights[r].value
-        return CommPoly._of(self.field, {m: c * weight for m, c in terms.items()})
 
+def _poisson_step(w: dict, partners: dict, p: int) -> dict:
+    """P(W) for P = sum T(i,j) d_i (x) d_j on raw values; zero terms dropped.
 
-def _lower(mono: tuple, k: int) -> tuple:
-    """The exponent at position k of an (index, exponent) monomial, minus one."""
-    i, e = mono[k]
-    if e == 1:
-        return mono[:k] + mono[k + 1:]
-    return mono[:k] + ((i, e - 1),) + mono[k + 1:]
-
-
-def _poisson_step(w: dict, live: dict, p: int) -> dict:
-    """P(W) for P = sum T(i,j) d_i (x) d_j on raw values; zero terms dropped."""
+    ``partners`` maps v_i to its [(v_j, raw T(i,j))]; a term of W meets only
+    the pairs with v_i in m_a and v_j in m_b.
+    """
     out = {}
-    for (ka, kb), c in w.items():
-        in_b = {j: k for k, (j, _e) in enumerate(kb)}
-        for ka_pos, (i, ei) in enumerate(ka):
-            hits = [(in_b[j], t) for j, t in live.get(i, ()) if j in in_b]
-            if not hits:
+    for (ma, mb), c in w.items():
+        db = None
+        for vi, (ei, da) in mono_partials(ma).items():
+            row = partners.get(vi)
+            if row is None:
                 continue
-            da, cai = _lower(ka, ka_pos), c * ei
-            for kb_pos, t in hits:
-                key = (da, _lower(kb, kb_pos))
-                v = cai * kb[kb_pos][1] * t
-                s = out.get(key)
-                out[key] = v if s is None else s + v
+            if db is None:
+                db = mono_partials(mb)
+            cai = c * ei
+            for vj, t in row:
+                hit = db.get(vj)
+                if hit is not None:
+                    key = (da, hit[1])
+                    v = cai * hit[0] * t
+                    s = out.get(key)
+                    out[key] = v if s is None else s + v
     if p:
         return {key: v % p for key, v in out.items() if v % p}
     return {key: v for key, v in out.items() if v}
@@ -263,6 +241,8 @@ def _check_star_operands(a: FormalSeries, b: FormalSeries, ctx: StarContext, kin
     a._check(b)
     if type(a.coeffs[0]) is not kind or type(b.coeffs[0]) is not kind:
         raise TypeError(f"expected series of {kind.__name__}")
+    if kind is GenericMatrix and (a.coeffs[0].ring, b.coeffs[0].ring) != (CommPoly, CommPoly):
+        raise TypeError("expected series of matrices over CommPoly")
     if a.order != ctx.order:
         raise ShapeMismatch("series order differs from context order")
     polys = a.coeffs + b.coeffs

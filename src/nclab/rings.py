@@ -5,8 +5,10 @@ the generic matrices) or auxiliary symbols like ``lam1``; as tagged tuples
 they are totally ordered (matrix entries first, then auxiliaries, each
 lexicographically), which makes every canonical form deterministic.  Monomials
 are sorted tuples of ``(Variable, exponent)`` pairs, ordered graded lex by the
-one sort key ``CommPoly._order``.  A polynomial maps monomials to raw
-coefficients (see ``fields``).
+one sort key ``CommPoly._order``.  This module alone builds, multiplies and
+differentiates them (``mono_from_dict``, ``mono_mul``, ``mono_partials``);
+the Moyal pass of ``quantize`` keys its terms by them as they are, with no
+renumbering.  A polynomial maps monomials to raw coefficients (see ``fields``).
 """
 
 from __future__ import annotations
@@ -108,6 +110,12 @@ def mono_degree(m: Mono) -> int:
     return sum(e for _, e in m)
 
 
+def mono_partials(m: Mono) -> dict:
+    """{v: (e, m with e lowered by one)} over the variables v of m: the first derivatives of m."""
+    return {v: (e, m[:k] + m[k + 1:] if e == 1 else m[:k] + ((v, e - 1),) + m[k + 1:])
+            for k, (v, e) in enumerate(m)}
+
+
 def mono_div(m1: Mono, m2: Mono):
     """m1 / m2, or None when m2 does not divide m1."""
     exps = dict(m1)
@@ -195,12 +203,11 @@ class CommPoly(SparseSum):
         """Formal partial derivative with respect to ``v``."""
         terms = {}
         for m, c in self.terms.items():
-            for k, (w, e) in enumerate(m):
-                if w == v:
-                    nm = m[:k] + m[k + 1:] if e == 1 else m[:k] + ((w, e - 1),) + m[k + 1:]
-                    s = terms.get(nm)
-                    terms[nm] = c * e if s is None else s + c * e
-                    break
+            hit = mono_partials(m).get(v)
+            if hit is not None:
+                e, nm = hit
+                s = terms.get(nm)
+                terms[nm] = c * e if s is None else s + c * e
         return self._like(terms)  # drops exponents divisible by the characteristic
 
     def evaluate(self, point: dict) -> Scalar:

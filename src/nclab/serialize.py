@@ -64,9 +64,16 @@ def _commpoly_body(p: rings.CommPoly):
 
 
 def _commpoly_from(obj, field: Field) -> rings.CommPoly:
-    name = rings.parse_variable_name
-    return rings.CommPoly(field, {tuple((name(v), int(e)) for v, e in mono): coeff
-                                  for mono, coeff in obj["terms"]})
+    """A monomial may list its variables in any order, each once with a positive exponent."""
+    terms = {}
+    for pairs, coeff in obj["terms"]:
+        exps = {rings.parse_variable_name(v): int(e) for v, e in pairs}
+        if len(exps) < len(pairs) or min(exps.values(), default=1) < 1:
+            raise BadReport(f"commpoly: monomial {pairs} repeats a variable or has exponent < 1")
+        terms[rings.mono_from_dict(exps)] = coeff
+    if len(terms) < len(obj["terms"]):
+        raise BadReport("commpoly: a monomial appears twice")
+    return rings.CommPoly(field, terms)
 
 
 def _ratfun_from(obj, field: Field) -> rings.RationalFunction:

@@ -2,8 +2,9 @@
 
 These deliberately avoid the engine code paths they are used to check:
 plain-dict word arithmetic instead of FreePoly products, explicit Gaussian
-elimination over Fraction or mod p instead of nclab.linalg, a from-scratch Moyal
-term expansion instead of the StarContext machinery, and whole-series
+elimination over Fraction or mod p instead of nclab.linalg, Moyal terms as a
+sympy bidifferential operator instead of the StarContext machinery and the
+monomial arithmetic of ``nclab.rings``, and whole-series
 conjugation with series inverses instead of the order-r recurrence of
 ``successive_diagonalize``, and a graded lex comparison of exponent vectors,
 read off the printed variable names, instead of ``CommPoly._order``.
@@ -12,9 +13,11 @@ read off the printed variable names, instead of ``CommPoly._order``.
 import re
 from fractions import Fraction
 
+import sympy.polys.rings
+
 from nclab.diagonalize import SeriesFieldMatrix, solve_sylvester_diag
 from nclab.genmat import GenericMatrix
-from nclab.rings import CommPoly, RationalFunction
+from nclab.rings import CommPoly, RationalFunction, mono_from_dict
 
 _ENTRY_NAME = re.compile(r"x([0-9]+)\[([0-9]+),([0-9]+)\]")
 _AUX_NAME = re.compile(r"([A-Za-z_]+)([0-9]+)")
@@ -178,32 +181,51 @@ def rank(vectors, ncols, p=0):
     return len(vectors) - len(kernel(transposed, len(vectors), p))
 
 
-def iterated_diff(p: CommPoly, variables) -> CommPoly:
-    out = p
-    for v in variables:
-        out = out.diff(v)
-    return out
-
-
 def moyal_term(a: CommPoly, b: CommPoly, r: int, pairs, weight_scalar) -> CommPoly:
-    """B_r(a, b) expanded from scratch over ordered tensor pairs.
+    """B_r(a, b) by sympy, as a bidifferential operator on two copies of the variables.
 
-    ``pairs`` is a list of (vi, vj, scalar weight); ``weight_scalar`` is the
-    field element 1/(2^r r!).
+    ``pairs`` is a list of (vi, vj, scalar weight) over both orientations;
+    ``weight_scalar`` is the field element 1/(2^r r!).  With b written in
+    primed variables, B_r(a, b) is weight * D^r (a b') at primed = unprimed,
+    for D = sum T(i,j) d/dv_i d/dv_j'.  The arithmetic is sympy's, in a
+    sparse polynomial ring over Q, reduced into the field at the end; over
+    F_p the inputs are integers, so that reduction is a ring homomorphism.
     """
-    from itertools import product
+    variables = sorted({v for p in (a, b) for v in p.variables()}
+                       | {v for vi, vj, _c in pairs for v in (vi, vj)})
+    ring, *gens = sympy.polys.rings.ring(
+        [str(v) for v in variables] + [f"{v}'" for v in variables], sympy.QQ)
+    names = dict(zip(variables, gens))
+    primed = dict(zip(variables, gens[len(variables):]))
 
-    acc = CommPoly.zero(a.field)
-    if r == 0:
-        return a * b
-    for combo in product(pairs, repeat=r):
-        left = iterated_diff(a, [vi for vi, _vj, _w in combo])
-        right = iterated_diff(b, [vj for _vi, vj, _w in combo])
-        w = a.field.one
-        for _vi, _vj, c in combo:
-            w = w * c
-        acc = acc + (left * right).scale(w)
-    return acc.scale(weight_scalar)
+    def lift(p: CommPoly, symbol):
+        total = ring.zero
+        for m, c in p.terms.items():
+            term = ring(Fraction(c))
+            for v, e in m:
+                term *= symbol[v] ** e
+            total += term
+        return total
+
+    rows = {}  # vi -> [(vj, T(i,j))]: each d/dv_i is taken once per step
+    for vi, vj, c in pairs:
+        rows.setdefault(vi, []).append((primed[vj], Fraction(c.value)))
+    w = lift(a, names) * lift(b, primed)
+    for _ in range(r):
+        out = ring.zero
+        for vi, row in rows.items():
+            di = w.diff(names[vi])
+            for vj, c in row:
+                out += di.diff(vj) * c
+        w = out
+    # primed = unprimed: add the two halves of each exponent vector
+    n, terms = len(variables), {}
+    for e, c in w.terms():
+        key = tuple(x + y for x, y in zip(e[:n], e[n:]))
+        terms[key] = terms.get(key, 0) + Fraction(int(c.numerator), int(c.denominator))
+    weight = Fraction(weight_scalar.value)
+    return CommPoly(a.field, {mono_from_dict(dict(zip(variables, e))): c * weight
+                              for e, c in terms.items()})
 
 
 def poisson_oracle(a: CommPoly, b: CommPoly, tensor) -> CommPoly:

@@ -12,7 +12,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nclab
-from nclab.cli import COMMANDS, MAX_CENTRALIZER_LETTERS, build_parser, main
+from nclab.cli import (
+    COMMANDS,
+    MAX_CENTRALIZER_LETTERS,
+    MAX_DIAG_N,
+    MAX_DIAG_ORDER,
+    MAX_MATRIX_ENTRIES,
+    MAX_NMAX,
+    MAX_STAR_ORDER,
+    build_parser,
+    main,
+)
 from nclab.freealg import MAX_NESTING
 
 SUBCOMMANDS = [
@@ -308,6 +318,46 @@ class TestExitStatuses:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith(f"error [invalid-size]: centralizer --s {s} --d {d}:")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["pi", "--f", "x1", "--n", "1", "--s", "100000000"], "pi --s 100000000 --n 1:"),
+            (["star", "--a", "x1", "--b", "x2", "--s", "100000000"], "star --s 100000000:"),
+            (["poisson", "--a", "x1", "--b", "x2", "--s", "100000000"], "poisson --s 100000000:"),
+            (["pi", "--f", "x1", "--n", "3000"], "pi --s 2 --n 3000:"),
+            (["pi", "--f", "x1", "--n", "151"], "pi --s 2 --n 151:"),
+            (["probe", "--n", "3000", "--dmax", "1", "--order", "1"], "probe --s 2 --n 3000:"),
+            (["diag", "--n", "500", "--order", "1"], f"diag --n is at most {MAX_DIAG_N},"),
+            (["diag", "--n", "2", "--order", "100000"],
+             f"diag --order is at most {MAX_DIAG_ORDER},"),
+            (["annihilator", "--f", "x1", "--g", "x1", "--nmax", "300", "--dmax", "1"],
+             f"annihilator --nmax is at most {MAX_NMAX},"),
+            (["bergman-pipeline", "--f", "x1", "--g", "x1", "--nmax", "21"],
+             f"bergman-pipeline --nmax is at most {MAX_NMAX},"),
+            (["star", "--a", "x1", "--b", "x2", "--order", "100000000"],
+             f"star --order is at most {MAX_STAR_ORDER},"),
+            (["probe", "--n", "2", "--order", "3001"],
+             f"probe --order is at most {MAX_STAR_ORDER},"),
+        ],
+        ids=["pi-s", "star-s", "poisson-s", "pi-n", "pi-n151", "probe-n", "diag-n", "diag-order",
+             "annihilator-nmax", "pipeline-nmax", "star-order", "probe-order"],
+    )
+    def test_sizes_beyond_the_bounds_are_refused_up_front(self, argv, message, capsys):
+        # unbounded, each of these ran for minutes or more before printing anything
+        assert MAX_MATRIX_ENTRIES == 2 * 150**2  # pi --f x1 --n 150 still runs
+        start = time.perf_counter()
+        code = main([*argv, "--json"])
+        assert time.perf_counter() - start < 2.0
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"error [invalid-size]: {message}")
+
+    def test_a_modulus_that_is_not_an_integer_is_an_invalid_field(self, capsys):
+        code, out, err = run(["eval", "--f", "x1", "--field", "fp:abc", "--json"], capsys)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["error [invalid-field]: modulus 'abc' is not an integer"]
 
     def test_unknown_generator_is_exit_1(self, capsys):
         code, _, err = run(["eval", "--f", "x3", "--s", "2"], capsys)

@@ -20,6 +20,8 @@ import os
 import nclab
 
 SRC = os.path.dirname(nclab.__file__)
+TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "perfbench", "tracing.py")
 
 # qualified name -> why it stays though nothing that runs reaches it
 ALLOWED = {
@@ -133,3 +135,24 @@ def test_no_allowed_definition_is_reachable_without_its_entry():
     definitions, roots = _scan()
     reached = _reached(definitions, roots)
     assert sorted(q for q in ALLOWED if q in reached) == []
+
+
+def _traced():
+    """The qualified names that the tracer wraps, read from its file without importing it."""
+    with open(TRACING, encoding="utf-8") as fh:
+        namespace = {"__name__": "perfbench_tracing"}
+        exec(compile(fh.read(), TRACING, "exec"), namespace)
+    return {f"{module}.{path}" for module, path, _ in namespace["SPANS"] + namespace["COUNTS"]}
+
+
+def _stale(allowed, traced):
+    """The entries whose reason is the tracer, for a name that the tracer does not wrap."""
+    return sorted(q for q, reason in allowed.items()
+                  if "perfbench/tracing.py" in reason and q not in traced)
+
+
+def test_every_entry_kept_for_the_tracer_names_a_traced_function():
+    traced = _traced()
+    assert _stale(ALLOWED, traced) == []
+    # once the tracer stops wrapping a name, its entry no longer holds
+    assert _stale({"rings.mono_div": ALLOWED["rings.poly_gcd"]}, traced) == ["rings.mono_div"]

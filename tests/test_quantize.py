@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import moyal_term, poisson_oracle
 from samples import lifted_commutator, random_commpoly
+from nclab.diagonalize import SeriesFieldMatrix
 from nclab.errors import BadTensorFile, CharacteristicTooSmall, UnknownVariable
 from nclab.fields import GF, QQ
 from nclab.quantize import (
@@ -27,7 +28,7 @@ from nclab.quantize import (
     verify_correspondence,
 )
 from nclab.genmat import GenericMatrix, make_generic
-from nclab.rings import CommPoly, Variable, mono_from_dict
+from nclab.rings import CommPoly, RationalFunction, Variable, mono_from_dict
 
 VX = [Variable.aux("x", i) for i in (1, 2)]
 VY = [Variable.aux("y", i) for i in (1, 2)]
@@ -215,25 +216,37 @@ class TestStarProduct:
             assert left == right
 
 
-# Three tensor variables carry a random antisymmetric tensor; z1 stays outside it.
-MOYAL_VARS = [Variable.aux("u", i) for i in (1, 2, 3)] + [VZ]
+# Four tensor variables, matrix entries and auxiliary symbols interleaved, carry
+# a random antisymmetric tensor; z1 stays outside it.
+MOYAL_VARS = [Variable.entry(1, 1, 1), Variable.aux("u", 1), Variable.entry(2, 1, 2),
+              Variable.aux("u", 2), VZ]
 
 
 @st.composite
 def moyal_cases(draw):
-    """(tensor, a, b) over Q or GF(p), with exponents up to 9 so some exceed p."""
+    """(tensor, a, b) over Q or GF(p), with exponents up to 9 so some exceed p.
+
+    Each operand has a term with an exponent of at least 2 on a tensor
+    variable, so a derivative lowers an exponent without removing its variable.
+    """
     field = draw(st.sampled_from([QQ, GF(5), GF(7), GF(32003)]))
     if field.p:
         scalars = st.integers(0, field.p - 1).map(field.scalar)
     else:
         scalars = st.fractions(-3, 3, max_denominator=4).map(field.scalar)
-    entries = {(i, j): draw(scalars) for i in range(3) for j in range(i + 1, 3)}
-    tensor = PoissonTensor(MOYAL_VARS[:3], entries, field)
-    monos = st.lists(st.integers(0, 9), min_size=4, max_size=4).map(
-        lambda exps: mono_from_dict(dict(zip(MOYAL_VARS, exps)))
-    )
-    polys = st.dictionaries(monos, scalars, min_size=1, max_size=3).map(lambda t: CommPoly(field, t))
-    return tensor, draw(polys), draw(polys)
+    entries = {(i, j): draw(scalars) for i in range(4) for j in range(i + 1, 4)}
+    tensor = PoissonTensor(MOYAL_VARS[:4], entries, field)
+    vectors = st.lists(st.integers(0, 9), min_size=5, max_size=5)
+    nonzero = scalars.filter(bool)
+
+    def operand():
+        exps = draw(st.lists(vectors, min_size=1, max_size=3))
+        k = draw(st.integers(0, 3))
+        exps[0][k] = max(exps[0][k], 2)
+        return CommPoly(field, {mono_from_dict(dict(zip(MOYAL_VARS, e))): draw(nonzero)
+                                for e in exps})
+
+    return tensor, operand(), operand()
 
 
 @settings(max_examples=60)
@@ -383,6 +396,15 @@ class TestMatrixStar:
         s = FormalSeries.from_poly(poly(VX[0]), 2)
         with pytest.raises(TypeError):
             matrix_star(s, s, ctx)
+
+    def test_rejects_a_fraction_matrix_series(self):
+        ctx = StarContext(two_pair_tensor(), 2)
+        entry = RationalFunction.from_poly(poly(VX[0]))
+        s = SeriesFieldMatrix.from_poly(GenericMatrix([[entry]]), 2)
+        with pytest.raises(TypeError):
+            matrix_star(s, s, ctx)
+        with pytest.raises(TypeError):
+            matrix_star(quantize_lift(GenericMatrix([[poly(VX[0])]]), ctx), s, ctx)
 
 
 class TestQuantizeLift:

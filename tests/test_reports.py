@@ -12,7 +12,7 @@ from samples import lifted_commutator, random_commpoly
 from nclab import serialize
 from nclab.cli import _perturbation
 from nclab.errors import BadReport, DivisionByZero, EngineError
-from nclab.fields import GF, QQ
+from nclab.fields import GF, QQ, Field
 from nclab.freealg import parse_free
 from nclab.genmat import GenericMatrix, annihilator_stability, pi_reduce
 from nclab.quantize import StarContext, entry_pairing_tensor, verify_correspondence
@@ -128,6 +128,57 @@ def test_ratfun_decoding_divides_out_the_factors():
     assert r.den == (lam[0] - lam[1]) * (lam[1] - lam[2])
     with pytest.raises(DivisionByZero):
         serialize.decode(_ratfun_doc([]), QQ)
+
+
+def _commpoly_terms(obj):
+    """The terms of every commpoly in an encoded document."""
+    if isinstance(obj, list):
+        return [t for x in obj for t in _commpoly_terms(x)]
+    if not isinstance(obj, dict):
+        return []
+    own = obj["terms"] if obj.get("type") == "commpoly" else []
+    return own + [t for v in obj.values() for t in _commpoly_terms(v)]
+
+
+def _reverse_monomials(obj):
+    """A copy of an encoded document with the pairs of every commpoly monomial reversed."""
+    if isinstance(obj, list):
+        return [_reverse_monomials(x) for x in obj]
+    if not isinstance(obj, dict):
+        return obj
+    out = {k: _reverse_monomials(v) for k, v in obj.items()}
+    if obj.get("type") == "commpoly":
+        out["terms"] = [[mono[::-1], c] for mono, c in obj["terms"]]
+    return out
+
+
+@pytest.mark.parametrize(
+    "name, multi",
+    [("bergman-pipeline-seed1-x1x2-x2.json", 100), ("pi-commutator-n2-q.json", 12)],
+)
+def test_a_monomial_decodes_whatever_the_order_of_its_variables(name, multi):
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+        doc, rep = serialize.loads(fh.read())
+    # the monomials of more than one variable, whose order reversal changes
+    assert sum(len(mono) > 1 for mono, _ in _commpoly_terms(doc["report"])) == multi
+    field = Field.from_dict(doc["field"])
+    assert serialize.decode(_reverse_monomials(doc["report"]), field) == rep
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [[[["x1[1,1]", 1], ["x1[1,1]", 2]], "1"]],  # a repeated variable
+        [[[["x1[1,1]", 1], ["x1[1,2]", 1], ["x1[1,1]", 1]], "1"]],
+        [[[["x1[1,1]", 0]], "1"]],  # a zero exponent
+        [[[["lam1", -1]], "1"]],
+        [[[["lam1", 1], ["lam2", 1]], "1"], [[["lam2", 1], ["lam1", 1]], "2"]],  # a monomial twice
+    ],
+    ids=["repeated", "repeated-apart", "zero-exponent", "negative-exponent", "twice"],
+)
+def test_a_malformed_monomial_is_a_bad_report(terms):
+    with pytest.raises(BadReport):
+        serialize.decode({"type": "commpoly", "text": "", "terms": terms}, QQ)
 
 
 def test_eq1_report_round_trip():

@@ -17,6 +17,7 @@ from nclab.rings import (
     _factor_power,
     mono_from_dict,
     mono_mul,
+    mono_partials,
     parse_variable_name,
     poly_divexact,
     poly_divmod,
@@ -113,6 +114,16 @@ class TestDerivative:
     def test_char_2_square_has_zero_derivative(self):
         x = _x(GF(2))
         assert (x * x).diff(X).is_zero
+
+    def test_monomial_partials_lower_one_exponent_each(self):
+        z = Variable.entry(1, 1, 1)
+        m = mono_from_dict({X: 2, Y: 1, z: 3})
+        assert mono_partials(m) == {
+            z: (3, mono_from_dict({X: 2, Y: 1, z: 2})),
+            X: (2, mono_from_dict({X: 1, Y: 1, z: 3})),
+            Y: (1, mono_from_dict({X: 2, z: 3})),  # an exponent 1 drops its variable
+        }
+        assert mono_partials(()) == {}
 
     def test_leibniz_randomized(self):
         rng = random.Random(55)
