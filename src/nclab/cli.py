@@ -5,6 +5,11 @@ One executable with subcommands; every run is deterministic given its flags
 success / PASS verdicts, 2 for mathematical FAIL verdicts, 1 for usage and
 arithmetic errors.  With ``--json`` exactly one JSON document is emitted on
 stdout (or written to ``--out``).
+
+The table ``COMMANDS`` is the one definition of the command line: each flag's
+type, default, help and accepted range.  ``parse`` reads every command line
+from it, ``_help`` prints the help from it, and ``_check_sizes`` refuses a
+size outside its range, or beyond a bound over several flags, before any work.
 """
 
 from __future__ import annotations
@@ -15,14 +20,7 @@ import types
 from . import centralizer, diagonalize, freealg, genmat, quantize, rings, serialize
 from .errors import EngineError, InvalidField, InvalidSize
 from .fields import QQ, Field
-from .serialize import (
-    ALReport,
-    CommuteReport,
-    EvalReport,
-    PiReport,
-    PoissonReport,
-    StarReport,
-)
+from .serialize import ALReport, CommuteReport, EvalReport, PiReport, PoissonReport, StarReport
 
 DEFAULT_SEED = 1729
 
@@ -48,17 +46,30 @@ MAX_STAR_ORDER = 3000
 #: --order 200 7-9 s and --order 800 over 60 s.
 MAX_DIAG_N = 60
 MAX_DIAG_ORDER = 100
+#: Those fractions grow exponentially in n at every order >= 2, so this is the
+#: largest --order at each --n from 1 to 11, and 1 past that.  Largest taken:
+#: --n 3 --order 16 14.6 s, --n 4 --order 7 18.9 s, --n 5 --order 4 19.6 s,
+#: --n 7 --order 3 6.8 s and --n 11 --order 2 8.1 s (2-core 2.1 GHz VM).  One
+#: order more at each of these, and --n 12 --order 2, ran over 25 s.
+MAX_DIAG_ORDER_AT_N = (100, 100, 16, 7, 4, 3, 3, 2, 2, 2, 2)
 
-#: (command, flag) -> the largest value of the flag
-_MAXIMA = {
-    ("annihilator", "nmax"): MAX_NMAX,
-    ("bergman-pipeline", "nmax"): MAX_NMAX,
-    ("star", "order"): MAX_STAR_ORDER,
-    ("bergman-pipeline", "order"): MAX_STAR_ORDER,
-    ("probe", "order"): MAX_STAR_ORDER,
-    ("diag", "n"): MAX_DIAG_N,
-    ("diag", "order"): MAX_DIAG_ORDER,
-}
+#: probe's star commutator of the diagonal pair costs about (n * order)^2:
+#: --n 12 --order 1000 took 26 s, and --n 48 --order 300 and --n 150 --order
+#: 100 over 25 s, against 2.4 s at --n 12 --order 300, 3.5 s at --n 4 --order
+#: 1000 and 21.9 s at --n 150 --order 66 (2-core 2.1 GHz VM).  --dmax adds
+#: little: --n 12 --dmax 40 took 0.24 s.
+MAX_PROBE_N_ORDER = 10_000
+
+#: ``al`` expands S_2n into monomials of the n x n generic entries.  Past n = 3
+#: that is out of reach: on 4 x 4 generic matrices S_6 alone has 1,290,240 terms
+#: and took 34 s and 566 MB (Python 3.11, 2-core VM), and S_8 has far more.
+MAX_AL_N = 3
+
+#: ``centralizer`` makes one column of every word of length <= d in s letters,
+#: and holds all of the words at once.  Their total length is at most this: the
+#: 2^19 - 1 words of s = 2, d = 18.  Counting letters, not words, also bounds
+#: s = 1, where d + 1 words have d(d + 1)/2 letters.
+MAX_CENTRALIZER_LETTERS = 17 * 2**19 + 2
 
 #: command -> the flag of the size of the generic matrices it builds, None for 1
 _MATRIX_SIZE = {"pi": "n", "star": None, "poisson": None, "annihilator": "nmax",
@@ -66,30 +77,43 @@ _MATRIX_SIZE = {"pi": "n", "star": None, "poisson": None, "annihilator": "nmax",
 
 
 def _check_sizes(args) -> None:
-    """Refuse a size flag outside the values its command accepts, before any work."""
-    for name, minimum in (
-        ("s", 1),
-        ("n", 1),
-        ("nmax", 1),
-        ("d", 0),
-        ("dmax", 0),
-        # pipeline and probe report the h-coefficient of a star commutator
-        ("order", 1 if args.command in ("bergman-pipeline", "probe") else 0),
-    ):
-        value = getattr(args, name, None)
-        if value is not None and value < minimum:
-            raise EngineError(f"--{name} must be at least {minimum}, got {value}")
-        maximum = _MAXIMA.get((args.command, name))
-        if maximum is not None and value > maximum:
-            raise InvalidSize(f"{args.command} --{name} is at most {maximum}, got {value}")
-    if args.command in _MATRIX_SIZE:
-        size = _MATRIX_SIZE[args.command]
+    """Refuse, before any work, a size outside the range of its flag or beyond a bound
+    over several flags, and a probe given only one of --f and --g."""
+    command = args.command
+    for name, _, _, _, least, most in COMMANDS[command][1]:
+        value = getattr(args, name)
+        if least is not None and value < least:
+            raise EngineError(f"--{name} must be at least {least}, got {value}")
+        if most is not None and value > most:
+            raise InvalidSize(f"{command} --{name} is at most {most}, got {value}")
+    if command in _MATRIX_SIZE:
+        size = _MATRIX_SIZE[command]
         n = getattr(args, size) if size else 1
         if args.s * n * n > MAX_MATRIX_ENTRIES:
             raise InvalidSize(
-                f"{args.command} --s {args.s}" + (f" --{size} {n}" if size else "")
+                f"{command} --s {args.s}" + (f" --{size} {n}" if size else "")
                 + f": {args.s} generic {n}x{n} matrices have over {MAX_MATRIX_ENTRIES} entries"
             )
+    if command == "centralizer":
+        letters, layer = 0, 1
+        for k in range(1, args.d + 1):
+            layer *= args.s
+            letters += k * layer
+            if letters > MAX_CENTRALIZER_LETTERS:
+                raise InvalidSize(
+                    f"centralizer --s {args.s} --d {args.d}: the words of length <= d have "
+                    f"more than {MAX_CENTRALIZER_LETTERS} letters in all"
+                )
+    if command == "diag":
+        limit = MAX_DIAG_ORDER_AT_N[args.n - 1] if args.n <= len(MAX_DIAG_ORDER_AT_N) else 1
+        if args.order > limit:
+            raise InvalidSize(f"diag --n {args.n} --order {args.order}: "
+                              f"at --n {args.n} the --order is at most {limit}")
+    if command == "probe" and (args.f is None) != (args.g is None):
+        raise EngineError("probe takes both --f and --g, or neither")
+    if command == "probe" and args.n * args.order > MAX_PROBE_N_ORDER:
+        raise InvalidSize(f"probe --n {args.n} --order {args.order}: "
+                          f"--n times --order is at most {MAX_PROBE_N_ORDER}")
 
 
 def _fail(message: str) -> int:
@@ -115,95 +139,6 @@ def _tensor(args, field: Field, s: int, n: int) -> quantize.PoissonTensor:
     if args.poisson == "pairing":
         return quantize.entry_pairing_tensor(s, n, field)
     return quantize.PoissonTensor.load(args.poisson, field)
-
-
-#: A flag is (name, type, default, help).  The type ``bool`` is a bare switch,
-#: false unless given; the default ``_REQUIRED`` makes the flag required.
-_REQUIRED = object()
-
-#: the flags of every command, after its own
-_COMMON = (
-    ("field", str, "q", "ground field: q or fp:<prime>"),
-    ("seed", int, DEFAULT_SEED, "PRNG seed"),
-    ("json", bool, False, "emit one JSON document"),
-    ("out", str, None, "write the report to this path"),
-)
-
-
-def build_parser():
-    """The ``nclab`` argument parser, built from ``COMMANDS``."""
-    import argparse  # only help and usage errors get here; see parse_plain
-
-    class Parser(argparse.ArgumentParser):
-        def error(self, message):
-            self.print_usage(sys.stderr)
-            raise SystemExit(_fail(f"usage error: {message}"))
-
-        def parse_known_args(self, args=None, namespace=None):
-            namespace, extras = super().parse_known_args(args, namespace)
-            for action in self._actions:
-                # argparse strips '--flag=--' to no value at all: the value is '--'
-                if getattr(namespace, action.dest, None) == []:
-                    try:
-                        setattr(namespace, action.dest, action.type("--"))
-                    except ValueError:
-                        self.error(f"argument --{action.dest}: invalid int value: '--'")
-            return namespace, extras
-
-    top = Parser(prog="nclab", description=__doc__)
-    sub = top.add_subparsers(dest="command", required=True)
-    for name, (help_text, flags, _) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        for flag, kind, default, flag_help in flags + _COMMON:
-            if kind is bool:
-                p.add_argument(f"--{flag}", action="store_true", help=flag_help)
-            elif default is _REQUIRED:
-                p.add_argument(f"--{flag}", type=kind, required=True, help=flag_help)
-            else:
-                p.add_argument(f"--{flag}", type=kind, default=default, help=flag_help)
-    return top
-
-
-def parse_plain(argv):
-    """The namespace of a well-formed command line, or None to leave it to argparse.
-
-    Accepted: a command, then tokens ``--flag value`` (a value that does not
-    start with '-'), ``--flag=value`` and a bare switch, with full flag names
-    only.  Anything else, such as ``-h``, ``--``, an abbreviation, a negative
-    value after a space or a missing required flag, is None, so that argparse
-    parses it, prints help or refuses it.  Where this accepts, its namespace
-    is argparse's.
-    """
-    if not argv or argv[0] not in COMMANDS:
-        return None
-    flags = COMMANDS[argv[0]][1] + _COMMON
-    kinds = {f"--{flag}": kind for flag, kind, _, _ in flags}
-    values = {}
-    tokens = iter(argv[1:])
-    for token in tokens:
-        name, eq, value = token.partition("=")
-        kind = kinds.get(name)
-        if kind is None:
-            return None
-        if kind is bool:
-            if eq:
-                return None
-            values[name[2:]] = True
-            continue
-        if not eq:
-            value = next(tokens, "-")  # a missing value is refused like '-x'
-            if value.startswith("-"):
-                return None
-        try:
-            values[name[2:]] = kind(value)
-        except ValueError:
-            return None
-    for flag, _, default, _ in flags:
-        if flag not in values:
-            if default is _REQUIRED:
-                return None
-            values[flag] = default
-    return types.SimpleNamespace(command=argv[0], **values)
 
 
 # ---------------------------------------------------------------------------
@@ -236,25 +171,8 @@ def _cmd_pi(args, field):
     return rep, {"s": args.s, "n": args.n}, 0, [f"pi_{args.n}(f) = {image}"]
 
 
-#: ``al`` expands S_2n into monomials of the n x n generic entries.  Past n = 3
-#: that is out of reach: on 4 x 4 generic matrices S_6 alone has 1,290,240 terms
-#: and took 34 s and 566 MB (Python 3.11, 2-core VM), and S_8 has far more.
-MAX_AL_N = 3
-
-#: ``centralizer`` makes one column of every word of length <= d in s letters,
-#: and holds all of the words at once.  Their total length is at most this: the
-#: 2^19 - 1 words of s = 2, d = 18.  Counting letters, not words, also bounds
-#: s = 1, where d + 1 words have d(d + 1)/2 letters.
-MAX_CENTRALIZER_LETTERS = 17 * 2**19 + 2
-
-
 def _cmd_al(args, field):
     n = args.n
-    if n > MAX_AL_N:
-        raise InvalidSize(
-            f"al --n is at most {MAX_AL_N}, got {n}: "
-            "on 4x4 generic matrices S_6 alone has 1.29 M terms"
-        )
     arity = 2 * n
     mats = genmat.make_generic(arity, n, field)
     vanishes = genmat.standard_identity(arity, mats).is_zero
@@ -269,13 +187,9 @@ def _cmd_al(args, field):
         sharp_nonzero = not genmat.standard_identity(3, units).is_zero
     rep = ALReport(n, arity, vanishes, sharp_checked, sharp_nonzero)
     ok = vanishes and (sharp_nonzero is not False)
-    lines = [
-        f"S_{arity} vanishes on {n}x{n} generic matrices: {'PASS' if vanishes else 'FAIL'}"
-    ]
+    lines = [f"S_{arity} vanishes on {n}x{n} generic matrices: {'PASS' if vanishes else 'FAIL'}"]
     if sharp_checked:
-        lines.append(
-            f"S_3 on (E11, E12, E21) is nonzero: {'PASS' if sharp_nonzero else 'FAIL'}"
-        )
+        lines.append(f"S_3 on (E11, E12, E21) is nonzero: {'PASS' if sharp_nonzero else 'FAIL'}")
     return rep, {"n": n}, 0 if ok else 2, lines
 
 
@@ -368,15 +282,6 @@ def _cmd_diag(args, field):
 
 
 def _cmd_centralizer(args, field):
-    letters, layer = 0, 1
-    for k in range(1, args.d + 1):
-        layer *= args.s
-        letters += k * layer
-        if letters > MAX_CENTRALIZER_LETTERS:
-            raise InvalidSize(
-                f"centralizer --s {args.s} --d {args.d}: the words of length <= d have more "
-                f"than {MAX_CENTRALIZER_LETTERS} letters in all"
-            )
     f = freealg.parse_free(args.f, args.s, field)
     rep = centralizer.bergman_check(f, args.d)
     lines = [f"dims by degree: {rep.dims}"]
@@ -417,8 +322,6 @@ def _cmd_bergman_pipeline(args, field):
 
 
 def _cmd_probe(args, field):
-    if (args.f is None) != (args.g is None):
-        raise EngineError("probe takes both --f and --g, or neither")
     if args.f is not None:
         f = genmat.pi_reduce(freealg.parse_free(args.f, args.s, field), args.n)
         g = genmat.pi_reduce(freealg.parse_free(args.g, args.s, field), args.n)
@@ -433,83 +336,175 @@ def _cmd_probe(args, field):
     return rep, bounds, 2 if rep.failure else 0, _pipeline_lines(rep)
 
 
+#: A flag is (name, type, default, help, least, most).  The type ``bool`` is a
+#: bare switch, false unless given, and the default ``_REQUIRED`` makes the
+#: flag required.  An int flag accepts least <= value <= most; None is no bound.
+_REQUIRED = object()
+
 # flags that several commands declare alike
-_F = ("f", str, _REQUIRED, None)
-_G = ("g", str, _REQUIRED, None)
-_S = ("s", int, 2, None)
-_POISSON = ("poisson", str, "pairing", None)
+_F = ("f", str, _REQUIRED, "free-algebra expression", None, None)
+_G = ("g", str, _REQUIRED, None, None, None)
+_A = ("a", str, _REQUIRED, "free expression, reduced at size 1", None, None)
+_B = ("b", str, _REQUIRED, None, None, None)
+_S = ("s", int, 2, "generator count", 1, None)
+_NMAX = ("nmax", int, 2, "largest matrix size", 1, MAX_NMAX)
+_DMAX = ("dmax", int, 3, "total-degree search bound", 0, None)
+# pipeline and probe report the h-coefficient of a star commutator
+_H_ORDER = ("order", int, 2, "truncation order N", 1, MAX_STAR_ORDER)
+_POISSON = ("poisson", str, "pairing", "'pairing' or a tensor JSON file", None, None)
+
+#: the flags of every command, after its own
+_COMMON = (
+    ("field", str, "q", "ground field: q or fp:<prime>", None, None),
+    ("seed", int, DEFAULT_SEED, "PRNG seed", None, None),
+    ("json", bool, False, "emit one JSON document", None, None),
+    ("out", str, None, "write the report to this path", None, None),
+)
 
 # name -> (help, flags, handler)
 COMMANDS = {
-    "eval": (
-        "parse an expression and print its canonical form",
-        (("f", str, _REQUIRED, "free-algebra expression"), ("s", int, 2, "generator count")),
-        _cmd_eval,
-    ),
+    "eval": ("parse an expression and print its canonical form", (_F, _S), _cmd_eval),
     "commute": ("test whether [f, g] = 0 in the free algebra", (_F, _G, _S), _cmd_commute),
-    "pi": (
-        "reduce a free element to generic matrices of size n",
-        (_F, _S, ("n", int, 2, "matrix size")),
-        _cmd_pi,
-    ),
-    "al": (
-        "verify the degree-2n standard identity on n x n generic matrices",
-        (("n", int, 2, f"matrix size, at most {MAX_AL_N}"),),
-        _cmd_al,
-    ),
-    "annihilator": (
-        "search minimal annihilators of a commuting pair across sizes",
-        (_F, _G, _S, ("nmax", int, 2, "largest matrix size"),
-         ("dmax", int, 3, "total-degree search bound")),
-        _cmd_annihilator,
-    ),
-    "star": (
-        "star product and commutator of two scalar reductions",
-        (("a", str, _REQUIRED, "free expression, reduced at size 1"), ("b", str, _REQUIRED, None),
-         _S, ("order", int, 2, "truncation order N"),
-         ("poisson", str, "pairing", "'pairing' or a tensor JSON file")),
-        _cmd_star,
-    ),
-    "poisson": (
-        "Poisson bracket of two scalar reductions",
-        (("a", str, _REQUIRED, None), ("b", str, _REQUIRED, None), _S, _POISSON),
-        _cmd_poisson,
-    ),
-    "diag": (
-        "perturbatively diagonalize diag(lam) + h*M for a seeded integer M",
-        (("n", int, 3, None), ("order", int, 2, "target order")),
-        _cmd_diag,
-    ),
-    "centralizer": (
-        "degree-bounded centralizer and single-generator test",
-        (_F, _S, ("d", int, 4, "degree bound")),
-        _cmd_centralizer,
-    ),
-    "bergman-pipeline": (
-        "commutation, reduction, annihilators and star commutators end to end",
-        (_F, _G, _S, ("nmax", int, 2, None), ("dmax", int, 3, None), ("order", int, 2, None),
-         _POISSON),
-        _cmd_bergman_pipeline,
-    ),
-    "probe": (
-        "annihilator + star commutator for a commuting matrix pair",
-        (("n", int, 2, "size of the diagonal generic pair"),
-         ("f", str, None, "optional free expression (size-n image)"), ("g", str, None, None), _S,
-         ("dmax", int, 3, None), ("order", int, 2, None), _POISSON),
-        _cmd_probe,
-    ),
+    "pi": ("reduce a free element to generic matrices of size n",
+           (_F, _S, ("n", int, 2, "matrix size", 1, None)), _cmd_pi),
+    "al": ("verify the degree-2n standard identity on n x n generic matrices",
+           (("n", int, 2, "matrix size", 1, MAX_AL_N),), _cmd_al),
+    "annihilator": ("search minimal annihilators of a commuting pair across sizes",
+                    (_F, _G, _S, _NMAX, _DMAX), _cmd_annihilator),
+    "star": ("star product and commutator of two scalar reductions",
+             (_A, _B, _S, ("order", int, 2, "truncation order N", 0, MAX_STAR_ORDER), _POISSON),
+             _cmd_star),
+    "poisson": ("Poisson bracket of two scalar reductions", (_A, _B, _S, _POISSON), _cmd_poisson),
+    "diag": ("perturbatively diagonalize diag(lam) + h*M for a seeded integer M",
+             (("n", int, 3, "matrix size", 1, MAX_DIAG_N),
+              ("order", int, 2, "target order", 0, MAX_DIAG_ORDER)), _cmd_diag),
+    "centralizer": ("degree-bounded centralizer and single-generator test",
+                    (_F, _S, ("d", int, 4, "degree bound", 0, None)), _cmd_centralizer),
+    "bergman-pipeline": ("commutation, reduction, annihilators and star commutators end to end",
+                         (_F, _G, _S, _NMAX, _DMAX, _H_ORDER, _POISSON), _cmd_bergman_pipeline),
+    "probe": ("annihilator + star commutator for a commuting matrix pair",
+              (("n", int, 2, "size of the diagonal generic pair", 1, None),
+               ("f", str, None, "optional free expression (size-n image)", None, None),
+               ("g", str, None, None, None, None), _S, _DMAX, _H_ORDER, _POISSON), _cmd_probe),
 }
 
 
-def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parse_plain(argv)
-    if args is None:
+class UsageError(Exception):
+    """A command line that ``COMMANDS`` does not read."""
+
+
+def _flag_name(token: str, names) -> str | None:
+    """The flag that a token names, in full or by a unique prefix; None for any other token."""
+    if token == "-h":
+        return "help"
+    if not token.startswith("--") or token == "--":
+        return None
+    text = token[2:].partition("=")[0]
+    if text in names:
+        return text
+    matches = [name for name in names if name.startswith(text)]
+    if len(matches) > 1:
+        options = ", ".join(f"--{name}" for name in matches)
+        raise UsageError(f"ambiguous option: {token} could match {options}")
+    return matches[0] if matches else None
+
+
+def parse(argv) -> types.SimpleNamespace | None:
+    """The command and the value of every flag of a command line.
+
+    The command comes first, then ``--flag value``, ``--flag=value`` and bare
+    switches in any order; a repeated flag keeps its last value.  A flag is
+    named in full or by a unique prefix.  After a space a value may start
+    with '-' only as a negative integer; after '=' it may be anything.
+    None stands for ``-h`` or ``--help``, and any other line that the table
+    does not read raises ``UsageError``.
+    """
+    if not argv or argv[0].startswith("-"):
+        if argv and _flag_name(argv[0], ("help",)):
+            return None
+        raise UsageError("the following arguments are required: command")
+    command = argv[0]
+    if command not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        raise UsageError(f"argument command: invalid choice: {command!r} (choose from {choices})")
+    flags = COMMANDS[command][1] + _COMMON
+    kinds = {name: kind for name, kind, *_ in flags}
+    values = {name: default for name, _, default, *_ in flags}
+    unrecognized = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name = _flag_name(token, [*kinds, "help"])
+        if name is None:
+            unrecognized.append(token)
+            continue
+        if name == "help":
+            return None
+        _, eq, value = token.partition("=")
+        if kinds[name] is bool:
+            if eq:
+                raise UsageError(f"argument --{name}: ignored explicit argument {value!r}")
+            values[name] = True
+            continue
+        if not eq:
+            value = next(tokens, "-")  # a missing value is refused like '-x'
+            if value.startswith("-") and not value[1:].isdecimal():
+                raise UsageError(f"argument --{name}: expected one argument")
         try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:
-            return exc.code if isinstance(exc.code, int) else 1
+            values[name] = kinds[name](value)
+        except ValueError:
+            raise UsageError(f"argument --{name}: invalid int value: {value!r}") from None
+    missing = ", ".join(f"--{name}" for name, value in values.items() if value is _REQUIRED)
+    if missing:
+        raise UsageError(f"the following arguments are required: {missing}")
+    if unrecognized:
+        raise UsageError(f"unrecognized arguments: {' '.join(unrecognized)}")
+    return types.SimpleNamespace(command=command, **values)
+
+
+def _usage(command: str | None) -> str:
+    """The one-line usage of ``nclab``, or of one of its commands."""
+    if command is None:
+        return "usage: nclab [-h] {" + ",".join(COMMANDS) + "} ..."
+    words = []
+    for flag in COMMANDS[command][1] + _COMMON:
+        spelling, _ = _describe(*flag)
+        words.append(spelling if flag[2] is _REQUIRED else f"[{spelling}]")
+    return f"usage: nclab {command} [-h] " + " ".join(words)
+
+
+def _describe(name, kind, _, text, least, most) -> tuple[str, str]:
+    """A flag's spelling, as in ``--n N``, and its help and range."""
+    spelling = f"--{name}" if kind is bool else f"--{name} {name.upper()}"
+    notes = [text] if text else []
+    if least is not None:
+        notes.append(f"at least {least}" if most is None else f"{least} to {most}")
+    return spelling, "; ".join(notes)
+
+
+def _help(command: str | None) -> str:
+    """The help of ``nclab``, a line for each command, or of a command, a line for each flag."""
+    if command is None:
+        head, rows = "commands:", [(name, row[0]) for name, row in COMMANDS.items()]
+    else:
+        text, flags, _ = COMMANDS[command]
+        head, rows = f"{text}\n\nflags:", [("-h, --help", "show this help and exit")]
+        rows += [_describe(*flag) for flag in flags + _COMMON]
+    width = max(len(left) for left, _ in rows) + 2
+    body = "".join(f"  {left:<{width}}{right}".rstrip() + "\n" for left, right in rows)
+    return f"{_usage(command)}\n\n{head}\n{body}"
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    try:
+        args = parse(argv)
+    except UsageError as exc:
+        print(_usage(command), file=sys.stderr)
+        return _fail(f"usage error: {exc}")
+    if args is None:
+        sys.stdout.write(_help(command))
+        return 0
     try:
         field = _parse_field(args.field)
         _check_sizes(args)

@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 import nclab
 from nclab.cli import (
+    _COMMON,
+    _REQUIRED,
     COMMANDS,
     MAX_CENTRALIZER_LETTERS,
     MAX_DIAG_N,
@@ -20,7 +22,6 @@ from nclab.cli import (
     MAX_MATRIX_ENTRIES,
     MAX_NMAX,
     MAX_STAR_ORDER,
-    build_parser,
     main,
 )
 from nclab.freealg import MAX_NESTING
@@ -40,12 +41,12 @@ SUBCOMMANDS = [
 ]
 
 
-# the top-level usage at 80 columns, as every release so far has printed it
+# the one-line usages of nclab and of eval
 USAGE = (
-    "usage: nclab [-h]\n"
-    "             {eval,commute,pi,al,annihilator,star,poisson,diag,centralizer,bergman-pipeline,probe}\n"
-    "             ...\n"
+    "usage: nclab [-h] "
+    "{eval,commute,pi,al,annihilator,star,poisson,diag,centralizer,bergman-pipeline,probe} ..."
 )
+EVAL_USAGE = "usage: nclab eval [-h] --f F [--s S] [--field FIELD] [--seed SEED] [--json] [--out OUT]"
 
 
 FUZZ_EXPRESSIONS = st.lists(
@@ -93,21 +94,33 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
-def _help_text(parser, argv, capsys):
-    with pytest.raises(SystemExit) as e:
-        parser.parse_args(argv)
-    assert e.value.code == 0
-    return capsys.readouterr().out
-
-
 class TestHelp:
     @pytest.mark.parametrize("cmd", SUBCOMMANDS)
     def test_every_subcommand_has_help(self, cmd, capsys):
-        with pytest.raises(SystemExit) as e:
-            build_parser().parse_args([cmd, "--help"])
-        assert e.value.code == 0
-        out = capsys.readouterr().out
-        assert "--json" in out and "--field" in out
+        # every flag of the command's row, and its range
+        code, out, err = run([cmd, "--help"], capsys)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0].startswith(f"usage: nclab {cmd} [-h]")
+        assert lines[2] == COMMANDS[cmd][0]
+        for name, kind, default, text, least, most in COMMANDS[cmd][1] + _COMMON:
+            spelling = f"--{name}" if kind is bool else f"--{name} {name.upper()}"
+            # a required flag is the one without brackets in the usage line
+            assert (f"[{spelling}]" not in lines[0]) == (default is _REQUIRED)
+            line = next(line for line in lines if f"{line} ".startswith(f"  {spelling} "))
+            assert (text or "") in line
+            if most is not None:
+                assert f"{least} to {most}" in line
+            elif least is not None:
+                assert f"at least {least}" in line
+
+    @pytest.mark.parametrize(
+        "argv", [["-h"], ["--he"], ["al", "-h"], ["al", "--h"], ["eval", "--bogus", "--help"]]
+    )
+    def test_h_and_a_prefix_of_help_print_help(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: nclab {argv[0]} [-h]" if argv[0] in COMMANDS else USAGE)
 
     def test_unknown_flag_rejected(self, capsys):
         code, out, err = run(["eval", "--f", "x1", "--bogus"], capsys)
@@ -116,19 +129,10 @@ class TestHelp:
     def test_command_table_lists_every_subcommand(self):
         assert list(COMMANDS) == SUBCOMMANDS
 
-    @pytest.mark.parametrize("cmd", SUBCOMMANDS)
-    def test_subcommand_help_is_that_of_the_full_tree(self, cmd, capsys, monkeypatch):
-        monkeypatch.setenv("COLUMNS", "80")
-        code, printed, err = run([cmd, "--help"], capsys)
-        assert (code, err) == (0, "")
-        assert printed == _help_text(build_parser(), [cmd, "--help"], capsys)
-        assert printed.startswith(f"usage: nclab {cmd} [-h]")
-
-    def test_top_level_help(self, capsys, monkeypatch):
-        monkeypatch.setenv("COLUMNS", "80")
+    def test_top_level_help(self, capsys):
         code, out, err = run(["--help"], capsys)
         assert (code, err) == (0, "")
-        assert out.startswith(USAGE)
+        assert out.startswith(USAGE + "\n")
         flat = " ".join(out.split())
         for name, (help_text, _, _) in COMMANDS.items():
             assert f"{name} {help_text}" in flat
@@ -144,16 +148,59 @@ class TestHelp:
                 + ", ".join(f"'{c}'" for c in SUBCOMMANDS)
                 + ")",
             ),
-            # rejected by the top-level parser after a one-subparser build
+            # after the command, the usage is the command's
             (["eval", "--f", "x1", "--bogus"], "unrecognized arguments: --bogus"),
             (["eval", "--f", "x1", "extra"], "unrecognized arguments: extra"),
         ],
     )
-    def test_top_level_usage_errors(self, argv, message, capsys, monkeypatch):
-        monkeypatch.setenv("COLUMNS", "80")
+    def test_top_level_usage_errors(self, argv, message, capsys):
         code, out, err = run(argv, capsys)
         assert (code, out) == (1, "")
-        assert err == USAGE + f"error: usage error: {message}\n"
+        usage = EVAL_USAGE if argv[:1] == ["eval"] else USAGE
+        assert err == f"{usage}\nerror: usage error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, usage, message",
+        [
+            (["eval", "--f", "x1", "--", "x2"], EVAL_USAGE, "unrecognized arguments: -- x2"),
+            (["eval", "--f", "-x1"], EVAL_USAGE, "argument --f: expected one argument"),
+            (["eval", "--s", "3", "--f"], EVAL_USAGE, "argument --f: expected one argument"),
+            (["eval", "--f", "x1", "--s=x"], EVAL_USAGE, "argument --s: invalid int value: 'x'"),
+            (["eval", "--f", "x1", "--json=1"], EVAL_USAGE,
+             "argument --json: ignored explicit argument '1'"),
+            (["eval", "--s", "3"], EVAL_USAGE, "the following arguments are required: --f"),
+            (["star", "--a", "x1", "--b", "x2", "--o", "3"],
+             "usage: nclab star [-h] --a A --b B [--s S] [--order ORDER] [--poisson POISSON]"
+             " [--field FIELD] [--seed SEED] [--json] [--out OUT]",
+             "ambiguous option: --o could match --order, --out"),
+            (["commute", "--s", "1"],
+             "usage: nclab commute [-h] --f F --g G [--s S] [--field FIELD] [--seed SEED]"
+             " [--json] [--out OUT]",
+             "the following arguments are required: --f, --g"),
+        ],
+        ids=["double-dash", "dash-value", "missing-value", "bad-int", "switch-value",
+             "missing-flag", "ambiguous-prefix", "missing-flags"],
+    )
+    def test_command_usage_errors(self, argv, usage, message, capsys):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [usage, f"error: usage error: {message}"]
+
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [
+            (["eval", "--f", "x1", "--se", "-5"], ["canonical: x1", "seed: -5"]),
+            (["eval", "--f=-x1", "--seed", "-5"], ["canonical: -x1", "seed: -5"]),
+            (["eval", "--f", "x1", "--f", "x2", "--s=3"], ["canonical: x2", "seed: 1729"]),
+            (["centralizer", "--f", "x1", "--d", "1", "--fi", "q"],
+             ["generator: x1", "seed: 1729"]),
+        ],
+        ids=["prefix-and-negative", "equals-dash", "last-wins", "prefix-field"],
+    )
+    def test_accepted_forms(self, argv, lines, capsys):
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0, "")
+        assert set(lines) <= set(out.splitlines())
 
 
 class TestExitStatuses:
@@ -339,9 +386,14 @@ class TestExitStatuses:
              f"star --order is at most {MAX_STAR_ORDER},"),
             (["probe", "--n", "2", "--order", "3001"],
              f"probe --order is at most {MAX_STAR_ORDER},"),
+            (["diag", "--n", "8", "--order", "8"], "diag --n 8 --order 8:"),
+            (["diag", "--n", "60", "--order", "100"], "diag --n 60 --order 100:"),
+            (["probe", "--n", "150", "--dmax", "5", "--order", "3000"],
+             "probe --n 150 --order 3000:"),
         ],
         ids=["pi-s", "star-s", "poisson-s", "pi-n", "pi-n151", "probe-n", "diag-n", "diag-order",
-             "annihilator-nmax", "pipeline-nmax", "star-order", "probe-order"],
+             "annihilator-nmax", "pipeline-nmax", "star-order", "probe-order", "diag-n8-order8",
+             "diag-n60-order100", "probe-n150-order3000"],
     )
     def test_sizes_beyond_the_bounds_are_refused_up_front(self, argv, message, capsys):
         # unbounded, each of these ran for minutes or more before printing anything
