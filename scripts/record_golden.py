@@ -6,9 +6,10 @@ Usage:
 
 Each manifest entry maps a file name under ``tests/golden/`` to the argv of
 one ``nclab`` command (``--json`` is appended).  Without flags the reports of
-the current tree are written; with ``--check`` they are compared instead and
-the names that differ are printed.  ``tests/test_golden.py`` runs the same
-comparison.  Re-record only for an intended change of report bytes.
+the current tree are written, and a command that exits nonzero stops the
+recording.  With ``--check`` they are compared instead: the names whose bytes
+differ or whose command exits nonzero are printed, and the exit status is 1.
+``tests/test_golden.py`` runs the same comparison.  Re-record only for an intended change of report bytes.
 """
 
 import contextlib
@@ -38,17 +39,19 @@ def main() -> int:
     for name, argv in manifest.items():
         code, out = report(argv)
         path = os.path.join(GOLDEN, name)
-        if check:
+        if code != 0:
+            if not check:
+                raise SystemExit(f"{name}: exit {code}")
+            bad.append(f"exit {code}: {name}")
+        elif check:
             with open(path, encoding="utf-8") as fh:
                 if fh.read() != out:
-                    bad.append(name)
+                    bad.append(f"differs: {name}")
         else:
-            if code != 0:
-                raise SystemExit(f"{name}: exit {code}")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(out)
-    for name in bad:
-        print(f"differs: {name}")
+    for line in bad:
+        print(line)
     return 1 if bad else 0
 
 

@@ -36,9 +36,10 @@ MAX_MATRIX_ENTRIES = 2 * 150**2
 #: annihilator --f x1 --g x1 --nmax 20 --dmax 1 took 0.55 s, --nmax 40 4.5 s.
 MAX_NMAX = 20
 
-#: A star product of order N forms the weights 1/(2^r r!) for r <= N and visits
-#: the N^2/2 pairs of series coefficients.  star --a x1 --b x2 --order 3000
-#: took 2.5 s, --order 10000 17.7 s.
+#: A star product of order N forms the weights 1/(2^r r!) for r <= N and builds,
+#: adds and renders series of N + 1 coefficients; it pairs only the nonzero ones.
+#: star --a x1 --b x2 --order 3000 took 0.26 s, --order 10000 0.99 s (2-core
+#: 2.1 GHz VM).
 MAX_STAR_ORDER = 3000
 
 #: diag solves n^2 Sylvester entries over the fractions in lam1..lamn at each
@@ -53,11 +54,12 @@ MAX_DIAG_ORDER = 100
 #: order more at each of these, and --n 12 --order 2, ran over 25 s.
 MAX_DIAG_ORDER_AT_N = (100, 100, 16, 7, 4, 3, 3, 2, 2, 2, 2)
 
-#: probe's star commutator of the diagonal pair costs about (n * order)^2:
-#: --n 12 --order 1000 took 26 s, and --n 48 --order 300 and --n 150 --order
-#: 100 over 25 s, against 2.4 s at --n 12 --order 300, 3.5 s at --n 4 --order
-#: 1000 and 21.9 s at --n 150 --order 66 (2-core 2.1 GHz VM).  --dmax adds
-#: little: --n 12 --dmax 40 took 0.24 s.
+#: probe's star commutator of the diagonal pair holds n^2 (order + 1) entries in
+#: each series, whose variables are checked and which are subtracted one by one:
+#: --n 150 --order 66 took 10.6 s and --order 100 15.6 s, --n 48 --order 300
+#: 4.5 s, --n 12 --order 1000 0.82 s, --n 12 --order 300 0.40 s and --n 4
+#: --order 1000 0.24 s (2-core 2.1 GHz VM).  --dmax adds little: --n 12 --dmax
+#: 40 took 0.42 s.
 MAX_PROBE_N_ORDER = 10_000
 
 #: ``al`` expands S_2n into monomials of the n x n generic entries.  Past n = 3

@@ -13,10 +13,12 @@ require N < p (and N = 0 when p = 2).  The terms of the Poisson operator's
 pass are keyed by the operands' own monomials, which ``rings`` lowers and
 multiplies; no variable is renumbered.
 
-The series are ``genmat.FormalSeries``: a series of CommPoly is multiplied
-by ``star_mul``, a series of GenericMatrix by ``matrix_star`` (the
-row-column product whose entry products are star products).
-``quantize_lift`` makes the series of matrices of a matrix.
+The series are ``genmat.FormalSeries``.  The one star product is
+``matrix_star`` on series of GenericMatrix: the row-column product whose
+entry products are star products, over the pairs of nonzero coefficients
+whose h-degrees sum to at most N.  ``star_mul`` multiplies two series of
+CommPoly as series of 1 x 1 matrices.  ``quantize_lift`` makes the series of
+matrices of a matrix.
 """
 
 from __future__ import annotations
@@ -109,23 +111,16 @@ def pairing_tensor(first_vars, second_vars, field: Field) -> PoissonTensor:
 
 
 def entry_pairing_tensor(s: int, n: int, field: Field) -> PoissonTensor:
-    """The default "pairing" tensor on matrix-entry variables.
+    """The default "pairing" tensor on the entries of s generic n x n matrices.
 
     Pairs the entries of consecutive generators: {x<2k-1>[i,j], x<2k>[i,j]} = 1.
+    Every other bracket is zero, so for odd s those of x<s> all vanish.
     """
-    first, second = [], []
-    for l in range(1, s + 1, 2):
-        if l + 1 > s:
-            break
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                first.append(Variable.entry(l, i, j))
-                second.append(Variable.entry(l + 1, i, j))
-    if not first:
-        # single-generator universe: all brackets vanish
-        variables = [Variable.entry(1, i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-        return PoissonTensor(variables, {}, field)
-    return pairing_tensor(first, second, field)
+    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    first = [Variable.entry(l, i, j) for l in range(1, s + 1, 2) for i, j in cells]
+    second = [Variable.entry(l, i, j) for l in range(2, s + 1, 2) for i, j in cells]
+    entries = {(k, len(first) + k): field.one for k in range(len(second))}
+    return PoissonTensor(first + second, entries, field)
 
 
 def poisson_bracket(a: CommPoly, b: CommPoly, tensor: PoissonTensor) -> CommPoly:
@@ -227,38 +222,47 @@ def _poisson_step(w: dict, partners: dict, p: int) -> dict:
     return {key: v for key, v in out.items() if v}
 
 
-def _star_into(out: list, base: int, x: CommPoly, y: CommPoly, ctx: StarContext) -> None:
-    """out[base + j] += B_j(x, y) for each j the truncation keeps; nothing for a zero factor."""
-    if x.is_zero or y.is_zero:
-        return
-    for j, term in enumerate(ctx.bilinear_maps(x, y, ctx.order - base), base):
-        if not term.is_zero:
-            out[j] = out[j] + term
+def matrix_star(a: FormalSeries, b: FormalSeries, ctx: StarContext) -> FormalSeries:
+    """Row-column product of two series of matrices, each entry product the star product.
 
-
-def _check_star_operands(a: FormalSeries, b: FormalSeries, ctx: StarContext, kind) -> None:
-    """Both are series of ``kind`` at the context order, over the tensor variables only."""
+    Coefficient r is the sum over m + k + s = r and over l of
+    B_s(a_m[i, l], b_k[l, j]).  Only nonzero coefficients with m + k <= N
+    and nonzero entries are paired, and the tensor variables are checked once
+    per operand.
+    """
     a._check(b)
-    if type(a.coeffs[0]) is not kind or type(b.coeffs[0]) is not kind:
-        raise TypeError(f"expected series of {kind.__name__}")
-    if kind is GenericMatrix and (a.coeffs[0].ring, b.coeffs[0].ring) != (CommPoly, CommPoly):
-        raise TypeError("expected series of matrices over CommPoly")
+    for c in (a.coeffs[0], b.coeffs[0]):
+        if type(c) is not GenericMatrix or c.ring is not CommPoly:
+            raise TypeError("expected series of matrices over CommPoly")
     if a.order != ctx.order:
         raise ShapeMismatch("series order differs from context order")
-    polys = a.coeffs + b.coeffs
-    if kind is GenericMatrix:
-        polys = [e for c in polys for row in c.rows for e in row]
-    ctx.tensor.check_variables(polys)
+    ctx.tensor.check_variables([e for c in a.coeffs + b.coeffs for row in c.rows for e in row])
+    order, zero = ctx.order, CommPoly.zero(ctx.field)
+    cells = [[[zero] * (order + 1) for _ in row] for row in a.coeffs[0].rows]
+    right = [(k, bk.rows) for k, bk in enumerate(b.coeffs) if not bk.is_zero]
+    for m, am in enumerate(a.coeffs):
+        for k, b_rows in right:
+            if m + k > order:
+                break
+            for out_row, a_row in zip(cells, am.rows):
+                for x, b_row in zip(a_row, b_rows):
+                    if x.is_zero:
+                        continue
+                    for out, y in zip(out_row, b_row):
+                        if y.is_zero:
+                            continue
+                        for r, term in enumerate(ctx.bilinear_maps(x, y, order - m - k), m + k):
+                            if not term.is_zero:
+                                out[r] = out[r] + term
+    return FormalSeries(
+        order, [GenericMatrix([[out[r] for out in row] for row in cells]) for r in range(order + 1)]
+    )
 
 
 def star_mul(a: FormalSeries, b: FormalSeries, ctx: StarContext) -> FormalSeries:
-    """Star product of two series, truncated at the context order."""
-    _check_star_operands(a, b, ctx, CommPoly)
-    out = [CommPoly.zero(ctx.field)] * (ctx.order + 1)
-    for m, am in enumerate(a.coeffs):
-        for k, bk in enumerate(b.coeffs[: ctx.order + 1 - m]):
-            _star_into(out, m + k, am, bk, ctx)
-    return FormalSeries(ctx.order, out)
+    """Star product of two series of polynomials: ``matrix_star`` on 1 x 1 matrices."""
+    a, b = (FormalSeries(s.order, [GenericMatrix([[c]]) for c in s.coeffs]) for s in (a, b))
+    return FormalSeries(ctx.order, [c.rows[0][0] for c in matrix_star(a, b, ctx).coeffs])
 
 
 def star_commutator(a: FormalSeries, b: FormalSeries, ctx: StarContext) -> FormalSeries:
@@ -284,29 +288,6 @@ def verify_correspondence(
     bracket = poisson_bracket(a, b, ctx.tensor)
     linear = comm.coefficient(1)
     return CorrespondenceReport(linear == bracket, linear, bracket)
-
-
-def matrix_star(a: FormalSeries, b: FormalSeries, ctx: StarContext) -> FormalSeries:
-    """Row-column product of two series of matrices, each entry product the star product.
-
-    Coefficient r is the sum over m + k + s = r and over l of
-    B_s(a_m[i, l], b_k[l, j]).  The tensor variables are checked once per
-    operand, and zero entries are skipped.
-    """
-    _check_star_operands(a, b, ctx, GenericMatrix)
-    zero = CommPoly.zero(ctx.field)
-    cells = [[[zero] * (ctx.order + 1) for _ in row] for row in a.coeffs[0].rows]
-    for m, am in enumerate(a.coeffs):
-        for k, bk in enumerate(b.coeffs[: ctx.order + 1 - m]):
-            for out_row, a_row in zip(cells, am.rows):
-                for x, b_row in zip(a_row, bk.rows):
-                    if not x.is_zero:
-                        for out, y in zip(out_row, b_row):
-                            _star_into(out, m + k, x, y, ctx)
-    return FormalSeries(
-        ctx.order,
-        [GenericMatrix([[out[r] for out in row] for row in cells]) for r in range(ctx.order + 1)],
-    )
 
 
 def matrix_star_commutator(a: FormalSeries, b: FormalSeries, ctx: StarContext) -> FormalSeries:

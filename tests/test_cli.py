@@ -94,6 +94,37 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+_ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nclab.__file__)))
+
+
+def run_process(argv, timeout=60):
+    """``nclab argv`` in a separate process: exit code, stdout, stderr and wall seconds."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "nclab", *argv],
+                          env=_ENV, capture_output=True, text=True, timeout=timeout)
+    return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
+
+
+@pytest.fixture(scope="module")
+def startup_s():
+    """Wall seconds of a separate ``nclab`` process that does almost no work."""
+    return min(run_process(["eval", "--f", "x1", "--json"])[3] for _ in range(2))
+
+
+def assert_refused_up_front(argv, limit, prefix, startup_s):
+    """``nclab argv --json`` exits 1 with one error line within ``limit`` seconds of work.
+
+    It runs in a separate process that is killed at the limit, so a size that
+    is no longer refused fails the test instead of running on.  Returns the line.
+    """
+    code, out, err, wall = run_process([*argv, "--json"], timeout=startup_s + limit)
+    assert wall - startup_s < limit
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith(prefix), err
+    return err
+
+
 class TestHelp:
     @pytest.mark.parametrize("cmd", SUBCOMMANDS)
     def test_every_subcommand_has_help(self, cmd, capsys):
@@ -254,31 +285,20 @@ class TestExitStatuses:
     @pytest.mark.parametrize("depth, code", [(MAX_NESTING, 0), (3000, 1)])
     def test_deep_nesting_is_a_syntax_error(self, depth, code):
         # a separate process, so that an uncaught RecursionError would show as a traceback
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nclab.__file__)))
         expr = "(" * depth + "x1" + ")" * depth
-        proc = subprocess.run(
-            [sys.executable, "-m", "nclab", "eval", f"--f={expr}", "--json"],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == code
-        assert "Traceback" not in proc.stderr
+        got, out, err, _ = run_process(["eval", f"--f={expr}", "--json"])
+        assert got == code
+        assert "Traceback" not in err
         if code:
-            assert "syntax-error" in proc.stderr and "nested deeper" in proc.stderr
-            assert proc.stdout == ""
+            assert "syntax-error" in err and "nested deeper" in err
+            assert out == ""
         else:
-            assert json.loads(proc.stdout)["report"]  # exactly one document
+            assert json.loads(out)["report"]  # exactly one document
 
-    def test_huge_power_is_refused_up_front(self):
-        # a separate process: without the bound this run would not end
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nclab.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-m", "nclab", "eval", "--f", "x1^99999999", "--json"],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert len(proc.stderr.splitlines()) == 1
-        assert proc.stderr.startswith("error [power-too-large]: ")
+    def test_huge_power_is_refused_up_front(self, startup_s):
+        # without the bound this run would not end
+        assert_refused_up_front(["eval", "--f", "x1^99999999"], 1.0, "error [power-too-large]: ",
+                                startup_s)
 
     @pytest.mark.parametrize(
         "argv",
@@ -288,16 +308,10 @@ class TestExitStatuses:
             ["--s", "10", "--f", "*".join(["(" + "+".join(f"x{i}" for i in range(1, 11)) + ")"] * 5)],
         ],
     )
-    def test_huge_product_is_refused_up_front(self, argv, capsys):
+    def test_huge_product_is_refused_up_front(self, argv, startup_s):
         # unbounded, ^9*^9 formed 2^18 words in about 9 s and ^13*^13 did not end
-        start = time.perf_counter()
-        code = main(["eval", *argv, "--json"])
-        assert time.perf_counter() - start < 1.0
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err.startswith("error [power-too-large]: ")
-        assert "exceeds 10000 terms" in captured.err
+        err = assert_refused_up_front(["eval", *argv], 1.0, "error [power-too-large]: ", startup_s)
+        assert "exceeds 10000 terms" in err
 
     @settings(max_examples=400)
     @given(FUZZ_EXPRESSIONS)
@@ -338,33 +352,21 @@ class TestExitStatuses:
         assert main([*argv, "--order", "0", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["bounds"]["order"] == 0
 
-    def test_al_beyond_the_bound_is_refused_up_front(self, capsys):
+    def test_al_beyond_the_bound_is_refused_up_front(self, startup_s):
         # unbounded, --n 4 would expand S_8 symbolically; on 4x4 generic matrices
         # S_6 alone has 1.29 M terms
-        start = time.perf_counter()
-        code = main(["al", "--n", "4", "--json"])
-        assert time.perf_counter() - start < 1.0
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith("error [invalid-size]: al --n is at most 3")
+        assert_refused_up_front(["al", "--n", "4"], 1.0,
+                                "error [invalid-size]: al --n is at most 3", startup_s)
 
     @pytest.mark.parametrize(
         "s, d", [(2, 19), (2, 40), (1, 10**9), (10**6, 3)], ids=["d19", "d40", "s1", "wide"]
     )
-    def test_centralizer_beyond_the_letter_bound_is_refused_up_front(self, s, d, capsys):
+    def test_centralizer_beyond_the_letter_bound_is_refused_up_front(self, s, d, startup_s):
         # the s = 2, d = 18 words (the largest centralizer row timed) are exactly at the bound
         assert sum(k * 2**k for k in range(19)) == MAX_CENTRALIZER_LETTERS
         # unbounded, --d 40 would materialize every word of length <= 40
-        start = time.perf_counter()
-        code = main(["centralizer", "--f", "x1", "--s", str(s), "--d", str(d), "--json"])
-        assert time.perf_counter() - start < 1.0
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith(f"error [invalid-size]: centralizer --s {s} --d {d}:")
+        assert_refused_up_front(["centralizer", "--f", "x1", "--s", str(s), "--d", str(d)], 1.0,
+                                f"error [invalid-size]: centralizer --s {s} --d {d}:", startup_s)
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -395,16 +397,10 @@ class TestExitStatuses:
              "annihilator-nmax", "pipeline-nmax", "star-order", "probe-order", "diag-n8-order8",
              "diag-n60-order100", "probe-n150-order3000"],
     )
-    def test_sizes_beyond_the_bounds_are_refused_up_front(self, argv, message, capsys):
+    def test_sizes_beyond_the_bounds_are_refused_up_front(self, argv, message, startup_s):
         # unbounded, each of these ran for minutes or more before printing anything
         assert MAX_MATRIX_ENTRIES == 2 * 150**2  # pi --f x1 --n 150 still runs
-        start = time.perf_counter()
-        code = main([*argv, "--json"])
-        assert time.perf_counter() - start < 2.0
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (1, "")
-        assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith(f"error [invalid-size]: {message}")
+        assert_refused_up_front(argv, 2.0, f"error [invalid-size]: {message}", startup_s)
 
     def test_a_modulus_that_is_not_an_integer_is_an_invalid_field(self, capsys):
         code, out, err = run(["eval", "--f", "x1", "--field", "fp:abc", "--json"], capsys)
@@ -427,6 +423,14 @@ class TestExitStatuses:
         code, out, _ = run(["centralizer", "--f", "x1^2", "--s", "2", "--d", "4"], capsys)
         assert code == 0
         assert "PASS" in out and "x1" in out
+
+    @pytest.mark.parametrize("command, line", [("star", "[a,b]_* = 0"), ("poisson", "{a,b} = 0")])
+    def test_the_unpaired_last_generator_brackets_to_zero(self, command, line, capsys):
+        code, out, _ = run([command, "--s", "3", "--a", "x3", "--b", "x1"], capsys)
+        assert code == 0
+        assert line in out.splitlines()
+        if command == "star":
+            assert "h-coefficient of [a,b]_* equals {a,b}: PASS" in out.splitlines()
 
     def test_probe_reports_mechanism(self, capsys):
         code, out, _ = run(["probe", "--n", "2", "--dmax", "3"], capsys)
@@ -465,6 +469,11 @@ class TestJson:
             ["centralizer", "--f", "x1^2", "--d", "4"],
             ["bergman-pipeline", "--f", "x1", "--g", "x1^2", "--nmax", "2", "--dmax", "2"],
             ["probe", "--n", "2", "--dmax", "2"],
+            # an odd --s leaves x<s> unpaired in the pairing tensor
+            ["star", "--s", "3", "--a", "x3", "--b", "x1"],
+            ["poisson", "--s", "3", "--a", "x3", "--b", "x1"],
+            ["bergman-pipeline", "--s", "3", "--f", "x3", "--g", "x3^2", "--nmax", "2"],
+            ["probe", "--s", "3", "--n", "2", "--f", "x3", "--g", "x3^2"],
         ],
     )
     def test_json_mode_emits_one_document(self, argv, capsys):

@@ -60,6 +60,20 @@ class TestPoissonBracket:
         t = two_pair_tensor()
         assert poisson_bracket(poly(VX[0]), poly(VZ), t).is_zero
 
+    @pytest.mark.parametrize("s", [1, 2, 3, 5])
+    def test_entry_pairing_pairs_consecutive_generators_and_keeps_the_last(self, s):
+        t = entry_pairing_tensor(s, 2, QQ)
+        cells = [(i, j) for i in (1, 2) for j in (1, 2)]
+        generators = range(1, s + 1)
+        assert set(t.variables) == {Variable.entry(l, i, j) for l in generators for i, j in cells}
+        pairs = {(t.variables[i], t.variables[j]) for i, j in t.entries}
+        assert pairs == {(Variable.entry(l, i, j), Variable.entry(l + 1, i, j))
+                         for l in range(1, s, 2) for i, j in cells}
+        assert set(t.entries.values()) <= {QQ.one}
+        if s % 2:
+            last = poly(Variable.entry(s, 1, 1))
+            assert all(poisson_bracket(last, poly(v), t).is_zero for v in t.variables)
+
     def test_unknown_variable(self):
         t = pairing_tensor([VX[0]], [VY[0]], QQ)
         with pytest.raises(UnknownVariable):
@@ -264,6 +278,63 @@ def test_bilinear_maps_match_oracle_on_random_tensors(case):
     assert ctx.bilinear_map(2, a, b) == maps[2]
 
 
+@st.composite
+def star_relation_cases(draw):
+    """(T, -T, a, b): two series of n x n matrices over Q or GF(p), at an order 1 to 3.
+
+    Each operand has a nonzero entry at h-degree 0 and at the top degree, so
+    the product meets coefficient pairs with m + k above the order.
+    """
+    field = draw(st.sampled_from([QQ, GF(7), GF(32003)]))
+    order, n = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    if field.p:
+        scalars = st.integers(1, field.p - 1).map(field.scalar)
+    else:
+        scalars = st.fractions(-3, 3, max_denominator=4).filter(bool).map(field.scalar)
+    entries = {(i, j): draw(scalars) for i in range(4) for j in range(i + 1, 4)}
+    tensor = PoissonTensor(MOYAL_VARS[:4], entries, field)
+    negated = PoissonTensor(MOYAL_VARS[:4], {k: -c for k, c in entries.items()}, field)
+    monomials = st.lists(st.integers(0, 3), min_size=4, max_size=4).map(
+        lambda e: mono_from_dict(dict(zip(MOYAL_VARS, e))))
+    polys = st.dictionaries(monomials, scalars, min_size=1, max_size=2).map(
+        lambda terms: CommPoly(field, terms))
+    zero = CommPoly.zero(field)
+
+    def series():
+        coeffs = []
+        for r in range(order + 1):
+            rows = [[draw(polys) if draw(st.booleans()) else zero for _ in range(n)]
+                    for _ in range(n)]
+            if r in (0, order):
+                rows[0][0] = draw(polys)
+            coeffs.append(GenericMatrix(rows))
+        return FormalSeries(order, coeffs)
+
+    return StarContext(tensor, order), StarContext(negated, order), series(), series()
+
+
+def transposed(a):
+    return FormalSeries(a.order, [GenericMatrix(zip(*c.rows)) for c in a.coeffs])
+
+
+def corner(a):
+    """The series of the (1, 1) entries of a series of matrices."""
+    return FormalSeries(a.order, [c.rows[0][0] for c in a.coeffs])
+
+
+@settings(max_examples=25, deadline=None)
+@given(star_relation_cases())
+def test_reversing_the_tensor_reverses_the_star_product(case):
+    # a *_{-T} b = b *_T a, hence [a, b]_* = -[b, a]_*; on matrices it also transposes
+    ctx, reversed_ctx, a, b = case
+    want = transposed(matrix_star(transposed(b), transposed(a), ctx))
+    assert matrix_star(a, b, reversed_ctx) == want
+    assert matrix_star_commutator(a, b, ctx) == -matrix_star_commutator(b, a, ctx)
+    x, y = corner(a), corner(b)
+    assert star_mul(x, y, reversed_ctx) == star_mul(y, x, ctx)
+    assert star_commutator(x, y, ctx) == -star_commutator(y, x, ctx)
+
+
 class TestCorrespondence:
     def test_defining_pair(self):
         ctx = StarContext(two_pair_tensor(), 2)
@@ -354,9 +425,10 @@ class TestMatrixStar:
         assert matrix_star_commutator(e, b, ctx).is_zero
 
     @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["q", "gf7"])
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_moyal_oracle_with_higher_coefficients(self, n, field):
-        # coefficient r of a *_M b is sum over m + k + s = r and l of B_s(a_m[i,l], b_k[l,j])
+        # coefficient r of a *_M b is sum over m + k + s = r and l of B_s(a_m[i,l], b_k[l,j]);
+        # at n = 1 star_mul of the entries is checked too
         order = 3
         ctx = StarContext(two_pair_tensor(field), order)
         variables = list(ctx.tensor.variables)
@@ -379,6 +451,8 @@ class TestMatrixStar:
             a, b = random_series(), random_series()
             assert any(not c.is_zero for c in a.coeffs[1:])
             got = matrix_star(a, b, ctx)
+            if n == 1:
+                scalar = star_mul(corner(a), corner(b), ctx)
             for r in range(order + 1):
                 for i in range(n):
                     for j in range(n):
@@ -390,6 +464,8 @@ class TestMatrixStar:
                                     x, y = a.coeffs[m].rows[i][l], b.coeffs[k].rows[l][j]
                                     want = want + moyal_term(x, y, s, pairs, weights[s])
                         assert got.coefficient(r).rows[i][j] == want
+                        if n == 1:
+                            assert scalar.coefficient(r) == want
 
     def test_rejects_a_polynomial_series(self):
         ctx = StarContext(two_pair_tensor(), 2)
