@@ -54,12 +54,12 @@ MAX_DIAG_ORDER = 100
 #: order more at each of these, and --n 12 --order 2, ran over 25 s.
 MAX_DIAG_ORDER_AT_N = (100, 100, 16, 7, 4, 3, 3, 2, 2, 2, 2)
 
-#: probe's star commutator of the diagonal pair holds n^2 (order + 1) entries in
-#: each series, whose variables are checked and which are subtracted one by one:
-#: --n 150 --order 66 took 10.6 s and --order 100 15.6 s, --n 48 --order 300
-#: 4.5 s, --n 12 --order 1000 0.82 s, --n 12 --order 300 0.40 s and --n 4
-#: --order 1000 0.24 s (2-core 2.1 GHz VM).  --dmax adds little: --n 12 --dmax
-#: 40 took 0.42 s.
+#: probe's products of the diagonal pair visit only the n nonzero entries of each
+#: factor, but its star commutator still builds, zero-tests and subtracts the
+#: n^2 (order + 1) entries of each series: --n 150 --order 66 took 2.4 s and
+#: --order 100 3.4 s, --n 48 --order 300 1.0 s, --n 12 --order 1000 0.45 s,
+#: --n 12 --order 300 0.18 s and --n 4 --order 1000 0.16 s (2-core 2.1 GHz VM).
+#: --dmax adds little: --n 12 --dmax 40 took 0.27 s.
 MAX_PROBE_N_ORDER = 10_000
 
 #: ``al`` expands S_2n into monomials of the n x n generic entries.  Past n = 3
@@ -227,7 +227,7 @@ def _cmd_star(args, field):
     sa, sb = lift(a, ctx.order), lift(b, ctx.order)
     product = quantize.star_mul(sa, sb, ctx)
     comm = product - quantize.star_mul(sb, sa, ctx)
-    corr = quantize.verify_correspondence(a, b, ctx, comm) if ctx.order >= 2 else None
+    corr = quantize.verify_correspondence(a, b, ctx, comm) if ctx.order else None
     rep = StarReport(product, comm, corr)
     lines = [f"a*b = {product}", f"[a,b]_* = {comm}"]
     code = 0

@@ -64,18 +64,15 @@ class SeriesFieldMatrix(FormalSeries):
     __slots__ = ()
 
     def __mul__(self, other):
-        """Coefficient r is the sum of a_k b_(r-k) over the pairs of nonzero matrices."""
+        """Coefficient r is the sum of a_m b_k over ``nonzero_pairs`` with m + k = r."""
         other = self._check(other)
+        acc = {}
+        for m, k, x, y in self.nonzero_pairs(other):
+            s = acc.get(m + k)
+            acc[m + k] = x * y if s is None else s + x * y
         c0 = self.coeffs[0]
         zero = GenericMatrix.zeros(c0.n, c0.field, c0.ring)
-        out = []
-        for r in range(self.order + 1):
-            acc = None
-            for a, b in zip(self.coeffs[: r + 1], reversed(other.coeffs[: r + 1])):
-                if not (a.is_zero or b.is_zero):
-                    acc = a * b if acc is None else acc + a * b
-            out.append(zero if acc is None else acc)
-        return SeriesFieldMatrix(self.order, out)
+        return SeriesFieldMatrix(self.order, [acc.get(r, zero) for r in range(self.order + 1)])
 
 
 class DiagonalReport(Record):

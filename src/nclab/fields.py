@@ -307,6 +307,8 @@ class SparseSum(Frozen):
 
     def __add__(self, other):
         other = self._check(other)
+        if not other.terms:
+            return self
         terms = dict(self.terms)
         for k, c in other.terms.items():
             s = terms.get(k)
@@ -315,6 +317,8 @@ class SparseSum(Frozen):
 
     def __sub__(self, other):
         other = self._check(other)
+        if not other.terms:
+            return self
         terms = dict(self.terms)
         for k, c in other.terms.items():
             s = terms.get(k)

@@ -22,6 +22,8 @@ class GenericMatrix(Frozen):
     """Square matrix over one ring, CommPoly or RationalFunction; dense grid.
 
     The entry class is the ring: it supplies ``zero(field)`` and ``one(field)``.
+    The product sums over ``nonzero_pairs``, so it costs one entry product per
+    pair of nonzero factors: n for diagonal operands, n^3 for dense ones.
     """
 
     __slots__ = ("n", "field", "rows")
@@ -127,40 +129,31 @@ class GenericMatrix(Frozen):
     def __neg__(self):
         return GenericMatrix([[-e for e in r] for r in self.rows])
 
+    def nonzero_pairs(self, other):
+        """(i, j, a_il, b_lj) over the nonzero a_il and b_lj, row by row (Gustavson).
+
+        At each (i, j) the l ascend, so a sum over them accumulates in index order.
+        """
+        right = [[(j, y) for j, y in enumerate(row) if not y.is_zero] for row in other.rows]
+        for i, row in enumerate(self.rows):
+            for x, rl in zip(row, right):
+                if rl and not x.is_zero:
+                    for j, y in rl:
+                        yield i, j, x, y
+
     def __mul__(self, other):
         other = self._check(other)
-        if self.ring is not CommPoly:
-            return self._mul_entries(other)
-        field, key_mul, zero = self.field, mono_mul, CommPoly(self.field)
-        cols = [[e.terms.items() for e in col] for col in zip(*other.rows)]
-        out = []
-        for row in self.rows:
-            lefts = [e.terms.items() for e in row]
-            out_row = []
-            for col in cols:
-                acc = {}
-                for left, right in zip(lefts, col):
-                    if left and right:
-                        add_products(acc, left, right, key_mul)
-                out_row.append(CommPoly._of(field, acc) if acc else zero)
-            out.append(out_row)
-        return GenericMatrix(out)
-
-    def _mul_entries(self, other) -> GenericMatrix:
-        """The product from entry arithmetic, summing only products of two nonzero entries."""
+        n, acc = self.n, {}
+        if self.ring is CommPoly:
+            for i, j, x, y in self.nonzero_pairs(other):
+                add_products(acc.setdefault((i, j), {}), x.terms.items(), y.terms.items(), mono_mul)
+            acc = {ij: CommPoly._of(self.field, terms) for ij, terms in acc.items()}
+        else:
+            for i, j, x, y in self.nonzero_pairs(other):
+                s = acc.get((i, j))
+                acc[i, j] = x * y if s is None else s + x * y
         zero = self.ring.zero(self.field)
-        cols = tuple(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc = None
-                for x, y in zip(row, col):
-                    if not (x.is_zero or y.is_zero):
-                        acc = x * y if acc is None else acc + x * y
-                out_row.append(zero if acc is None else acc)
-            out.append(out_row)
-        return GenericMatrix(out)
+        return GenericMatrix([[acc.get((i, j), zero) for j in range(n)] for i in range(n)])
 
     def scale(self, c) -> GenericMatrix:
         return GenericMatrix([[e.scale(c) for e in r] for r in self.rows])
@@ -178,7 +171,7 @@ class FormalSeries(Frozen):
     All coefficients are of one kind.  The sum is coefficientwise; the star
     products ``quantize.star_mul`` and ``quantize.matrix_star`` need a
     context, so the class defines no ``*`` (``diagonalize.SeriesFieldMatrix``
-    adds the plain one).
+    adds the plain one).  Both products walk ``nonzero_pairs``.
     """
 
     __slots__ = ("order", "coeffs")
@@ -213,6 +206,15 @@ class FormalSeries(Frozen):
 
     def coefficient(self, r: int):
         return self.coeffs[r]
+
+    def nonzero_pairs(self, other):
+        """(m, k, a_m, b_k) over the nonzero a_m and b_k with m + k <= order, m then k ascending."""
+        right = [(k, y) for k, y in enumerate(other.coeffs) if not y.is_zero]
+        for m, x in enumerate(self.coeffs):
+            right = [(k, y) for k, y in right if m + k <= self.order]
+            if right and not x.is_zero:
+                for k, y in right:
+                    yield m, k, x, y
 
     @property
     def is_zero(self) -> bool:

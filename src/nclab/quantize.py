@@ -226,9 +226,9 @@ def matrix_star(a: FormalSeries, b: FormalSeries, ctx: StarContext) -> FormalSer
     """Row-column product of two series of matrices, each entry product the star product.
 
     Coefficient r is the sum over m + k + s = r and over l of
-    B_s(a_m[i, l], b_k[l, j]).  Only nonzero coefficients with m + k <= N
-    and nonzero entries are paired, and the tensor variables are checked once
-    per operand.
+    B_s(a_m[i, l], b_k[l, j]), walked as ``FormalSeries.nonzero_pairs`` of
+    coefficients and, inside each, ``GenericMatrix.nonzero_pairs`` of
+    entries.  The tensor variables are checked once on the nonzero entries.
     """
     a._check(b)
     for c in (a.coeffs[0], b.coeffs[0]):
@@ -236,26 +236,19 @@ def matrix_star(a: FormalSeries, b: FormalSeries, ctx: StarContext) -> FormalSer
             raise TypeError("expected series of matrices over CommPoly")
     if a.order != ctx.order:
         raise ShapeMismatch("series order differs from context order")
-    ctx.tensor.check_variables([e for c in a.coeffs + b.coeffs for row in c.rows for e in row])
+    ctx.tensor.check_variables(
+        [e for c in a.coeffs + b.coeffs for row in c.rows for e in row if e.terms])
     order, zero = ctx.order, CommPoly.zero(ctx.field)
-    cells = [[[zero] * (order + 1) for _ in row] for row in a.coeffs[0].rows]
-    right = [(k, bk.rows) for k, bk in enumerate(b.coeffs) if not bk.is_zero]
-    for m, am in enumerate(a.coeffs):
-        for k, b_rows in right:
-            if m + k > order:
-                break
-            for out_row, a_row in zip(cells, am.rows):
-                for x, b_row in zip(a_row, b_rows):
-                    if x.is_zero:
-                        continue
-                    for out, y in zip(out_row, b_row):
-                        if y.is_zero:
-                            continue
-                        for r, term in enumerate(ctx.bilinear_maps(x, y, order - m - k), m + k):
-                            if not term.is_zero:
-                                out[r] = out[r] + term
+    cells = {}  # (i, j) -> its order + 1 coefficients
+    for m, k, am, bk in a.nonzero_pairs(b):
+        for i, j, x, y in am.nonzero_pairs(bk):
+            out = cells.setdefault((i, j), [zero] * (order + 1))
+            for r, term in enumerate(ctx.bilinear_maps(x, y, order - m - k), m + k):
+                out[r] = out[r] + term
+    n, empty = a.coeffs[0].n, [zero] * (order + 1)
+    rows = [[cells.get((i, j), empty) for j in range(n)] for i in range(n)]
     return FormalSeries(
-        order, [GenericMatrix([[out[r] for out in row] for row in cells]) for r in range(order + 1)]
+        order, [GenericMatrix([[out[r] for out in row] for row in rows]) for r in range(order + 1)]
     )
 
 
@@ -281,10 +274,11 @@ def verify_correspondence(
     """Check that the h-coefficient of ``comm`` = [a, b]_* equals {a, b} exactly.
 
     The caller forms the star commutator; the bracket side is computed here,
-    independently of the star product.
+    independently of the star product.  Coefficient r of a product truncated
+    at N does not depend on N once N >= r, so any order >= 1 will do.
     """
-    if ctx.order < 2:
-        raise ValueError("correspondence check needs truncation order >= 2")
+    if ctx.order < 1:
+        raise ValueError("correspondence check needs truncation order >= 1")
     bracket = poisson_bracket(a, b, ctx.tensor)
     linear = comm.coefficient(1)
     return CorrespondenceReport(linear == bracket, linear, bracket)

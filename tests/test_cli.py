@@ -563,10 +563,18 @@ class TestDeterminism:
 
 
 class TestStarProducts:
-    ARGV = ["star", "--a=x1^3*x2^2 + 2*x1*x3 - x4^8*x1", "--b=x2^4*x1 - 3*x3^2*x4 + x2^7",
-            "--s", "4", "--order", "3"]
-
-    def test_each_star_product_formed_once(self, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["star", "--a=x1^3*x2^2 + 2*x1*x3 - x4^8*x1", "--b=x2^4*x1 - 3*x3^2*x4 + x2^7",
+             "--s", "4", "--order", "3"],
+            # the h-coefficient is exact at every order >= 1
+            ["star", "--a", "x1^2*x2", "--b", "x1*x2^3", "--order", "1"],
+            ["star", "--a", "x1^2*x2", "--b", "x1*x2^3", "--order", "1", "--field", "fp:3"],
+        ],
+        ids=["s4-order3", "order1-q", "order1-fp3"],
+    )
+    def test_each_star_product_formed_once(self, argv, monkeypatch, capsys):
         from nclab import quantize
 
         calls = []
@@ -577,8 +585,8 @@ class TestStarProducts:
             return real(a, b, ctx)
 
         monkeypatch.setattr(quantize, "star_mul", counting)
-        code, out, _ = run(self.ARGV, capsys)
+        code, out, _ = run(argv, capsys)
         assert code == 0
-        assert "equals {a,b}: PASS" in out
+        assert "h-coefficient of [a,b]_* equals {a,b}: PASS" in out.splitlines()
         assert len(calls) == 2
         assert calls[0] == calls[1][::-1]

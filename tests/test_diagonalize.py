@@ -121,11 +121,22 @@ def random_rf_matrix(rng, n):
 class TestSeriesFieldMatrixProduct:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_product_is_the_convolution_of_matmul(self, n):
+        # the dense Cauchy sum, zero coefficient matrices and diagonal ones included
         rng = random.Random(700 + n)
-        order = 2
+        order = 3
+        zero = GenericMatrix.zeros(n, QQ, RationalFunction)
+
+        def coefficient():
+            kind = rng.choice(["zero", "diagonal", "full"])
+            if kind == "zero":
+                return zero
+            if kind == "diagonal":
+                return GenericMatrix.diagonal([random_ratfun(rng) for _ in range(n)])
+            return random_rf_matrix(rng, n)
+
         for _ in range(3):
-            a = SeriesFieldMatrix(order, [random_rf_matrix(rng, n) for _ in range(order + 1)])
-            b = SeriesFieldMatrix(order, [random_rf_matrix(rng, n) for _ in range(order + 1)])
+            a, b = (SeriesFieldMatrix(order, [coefficient() for _ in range(order + 1)])
+                    for _ in range(2))
             got = a * b
             for r in range(order + 1):
                 want = matmul(lists(a.coeffs[0]), lists(b.coeffs[r]))

@@ -1,6 +1,8 @@
 """Generic matrices: construction, reduction, identities."""
 
+import itertools
 import random
+from functools import partial
 
 import pytest
 
@@ -10,6 +12,7 @@ from nclab.errors import InvalidSize, ShapeMismatch
 from nclab.fields import GF, QQ
 from nclab.freealg import parse_free
 from nclab.genmat import (
+    FormalSeries,
     GenericMatrix,
     make_generic,
     pi_reduce,
@@ -175,6 +178,71 @@ class TestRationalFunctionEntries:
                            [CommPoly.zero(QQ), CommPoly.one(QQ)]])
         with pytest.raises(TypeError):
             GenericMatrix.identity(2, QQ) * GenericMatrix.identity(2, QQ, RationalFunction)
+
+
+SHAPES = ("zero-lines", "diagonal", "unit", "dense")
+
+
+def random_shaped(rng, n, shape, entry, zero):
+    """An n x n list of entries: ``entry()`` where the shape allows one, else ``zero``."""
+    grid = [(i, j) for i in range(n) for j in range(n)]
+    if shape == "zero-lines":  # some rows and columns zero, the rest half full
+        rows, cols = set(rng.sample(range(n), n // 2)), set(rng.sample(range(n), n // 2))
+        cells = {(i, j) for i, j in grid if i not in rows and j not in cols and rng.random() < 0.5}
+    elif shape == "diagonal":
+        cells = {(i, i) for i in range(n)}
+    elif shape == "unit":
+        cells = {(rng.randrange(n), rng.randrange(n))}
+    else:
+        cells = set(grid)
+    return [[entry() if (i, j) in cells else zero for j in range(n)] for i in range(n)]
+
+
+def transpose(m):
+    return GenericMatrix(zip(*m.rows))
+
+
+class TestNonzeroPairs:
+    RINGS = [("q", QQ, CommPoly), ("gf2", GF(2), CommPoly), ("gf32003", GF(32003), CommPoly),
+             ("ratfun-q", QQ, RationalFunction)]
+
+    @pytest.mark.parametrize("name, field, ring", RINGS, ids=[r[0] for r in RINGS])
+    def test_product_matches_the_entrywise_sum(self, name, field, ring):
+        # sum over l of a_il * b_lj, formed by the oracle with every zero factor included
+        rng = random.Random(f"pairs-{name}")
+        variables = [Variable.aux("z", i) for i in (1, 2, 3)]
+        if ring is CommPoly:
+            entry = partial(random_commpoly, rng, variables, field, max_degree=2, max_terms=3)
+        else:
+            entry = partial(random_ratfun, rng, field)
+        zero = ring.zero(field)
+        for left, right, _ in itertools.product(SHAPES, SHAPES, range(3)):
+            n = rng.randint(1, 3 if ring is RationalFunction else 4)
+            a, b = (random_shaped(rng, n, shape, entry, zero) for shape in (left, right))
+            ma, mb = GenericMatrix(a), GenericMatrix(b)
+            assert [list(r) for r in (ma * mb).rows] == matmul(a, b)
+            if ring is CommPoly:  # (AB)^T = B^T A^T
+                assert transpose(ma * mb) == transpose(mb) * transpose(ma)
+
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    def test_diagonal_operands_give_n_pairs_and_lifts_one(self, n):
+        f, g = (GenericMatrix.diagonal([entry_poly(l, i, i) for i in range(1, n + 1)])
+                for l in (1, 2))
+        assert [(i, j) for i, j, _, _ in f.nonzero_pairs(g)] == [(i, i) for i in range(n)]
+        lifts = [FormalSeries.from_poly(m, 3) for m in (f, g)]
+        assert [(m, k) for m, k, _, _ in lifts[0].nonzero_pairs(lifts[1])] == [(0, 0)]
+
+    def test_pairs_run_row_by_row_with_l_ascending(self):
+        x, y = make_generic(2, 3, QQ)
+        want = [(i, j, x.rows[i][l], y.rows[l][j])
+                for i in range(3) for l in range(3) for j in range(3)]
+        assert list(x.nonzero_pairs(y)) == want
+
+    def test_series_pairs_stop_at_the_order(self):
+        x, y = make_generic(2, 1, QQ)
+        zero = GenericMatrix.zeros(1, QQ)
+        a, b = FormalSeries(3, [x, zero, x, x]), FormalSeries(3, [zero, y, zero, y])
+        assert [(m, k) for m, k, _, _ in a.nonzero_pairs(b)] == [(0, 1), (0, 3), (2, 1)]
 
 
 class TestStandardIdentity:

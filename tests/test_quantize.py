@@ -350,11 +350,13 @@ class TestCorrespondence:
         assert rep.holds
         assert rep.bracket.is_zero
 
-    def test_requires_order_two(self):
-        ctx = StarContext(two_pair_tensor(), 1)
+    def test_requires_order_one(self):
         a, b = poly(VX[0]), poly(VY[0])
+        ctx = StarContext(two_pair_tensor(), 0)
         with pytest.raises(ValueError):
             verify_correspondence(a, b, ctx, lifted_commutator(a, b, ctx))
+        ctx = StarContext(two_pair_tensor(), 1)
+        assert verify_correspondence(a, b, ctx, lifted_commutator(a, b, ctx)).holds
 
     def test_randomized_suite_against_oracle(self):
         ctx = StarContext(two_pair_tensor(), 2)
@@ -428,7 +430,8 @@ class TestMatrixStar:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_moyal_oracle_with_higher_coefficients(self, n, field):
         # coefficient r of a *_M b is sum over m + k + s = r and l of B_s(a_m[i,l], b_k[l,j]);
-        # at n = 1 star_mul of the entries is checked too
+        # at n = 1 star_mul of the entries is checked too.  Coefficient 1 or 2 of each
+        # series is the zero matrix, between coefficients whose (1, 1) entry is random.
         order = 3
         ctx = StarContext(two_pair_tensor(field), order)
         variables = list(ctx.tensor.variables)
@@ -437,13 +440,15 @@ class TestMatrixStar:
         rng = random.Random(612 + n)
 
         def random_series():
+            hole = rng.randrange(1, order)
             coeffs = [
                 GenericMatrix([
                     [random_commpoly(rng, variables, field, max_degree=2, max_terms=2)
-                     if rng.random() < 0.7 else CommPoly.zero(field) for _ in range(n)]
-                    for _ in range(n)
+                     if r != hole and (i + j == 0 or rng.random() < 0.7) else CommPoly.zero(field)
+                     for j in range(n)]
+                    for i in range(n)
                 ])
-                for _ in range(order + 1)
+                for r in range(order + 1)
             ]
             return FormalSeries(order, coeffs)
 

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from oracles import graded_lex_cmp
 from samples import random_commpoly, random_scalar
-from nclab.errors import DivisionByZero, UnassignedVariable, UnsupportedDenominator
+from nclab.errors import DivisionByZero, FieldMismatch, UnassignedVariable, UnsupportedDenominator
 from nclab.fields import GF, QQ, NEG_INF
 from nclab.rings import (
     CommPoly,
@@ -81,6 +81,13 @@ class TestArithmetic:
     def test_cancellation_to_zero(self):
         x = _x()
         assert ((x + _const(1)) + (-x - _const(1))).is_zero
+
+    def test_adding_or_subtracting_zero_returns_the_operand(self):
+        x, zero = _x() + _const(1), CommPoly.zero(QQ)
+        assert x + zero is x and x - zero is x
+        assert (zero - x) == -x
+        with pytest.raises(FieldMismatch):
+            x + CommPoly.zero(GF(7))
 
     def test_frobenius_in_char_2(self):
         f2 = GF(2)
