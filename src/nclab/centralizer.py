@@ -62,10 +62,10 @@ def _commutator_column(raw_f, w, p: int) -> dict:
 def centralizer_basis(f: freealg.FreePoly, d: int) -> CentralizerBasis:
     """K_d = {g of degree <= d : [f, g] = 0}, exactly.
 
-    One echelon absorbs the images [f, w] of the words in ``_words_up_to``
-    order, so the kernel vectors of the words of length <= m span K_m.  Last
-    first, they are the reduced echelon basis of K_d over the graded-lex
-    descending word order, each element under its leading word.
+    ``linalg.kernel_basis`` absorbs the images [f, w] of the words in
+    ``_words_up_to`` order, so the kernel vectors of the words of length <= m
+    span K_m.  Last first, they are the reduced echelon basis of K_d over the
+    graded-lex descending word order, each element under its leading word.
     """
     if f.is_constant:
         raise ScalarInput("the centralizer of a scalar is the whole algebra")
@@ -74,17 +74,10 @@ def centralizer_basis(f: freealg.FreePoly, d: int) -> CentralizerBasis:
     field = f.field
     raw_f = list(f.terms.items())
     words = _words_up_to(f.s, d)
-    echelon = linalg.Echelon(field)
-    kernel = []
-    for w in words:
-        vec = echelon.absorb(_commutator_column(raw_f, w, field.p))
-        if vec is not None:
-            kernel.append(vec)
-    # Re-check by an independent path: the kernel vectors are in reduced
-    # echelon form, and every element commutes with f.
-    linalg.check_reduced(kernel)
+    columns = (_commutator_column(raw_f, w, field.p) for w in words)
     basis = [freealg.FreePoly(f.s, field, {words[j]: v for j, v in vec.items()})
-             for vec in reversed(kernel)]
+             for vec in reversed(linalg.kernel_basis(columns, field))]
+    # Re-check by an independent path: every element commutes with f.
     for b in basis:
         if not freealg.commutator(f, b).is_zero:
             raise ArithmeticError(
@@ -96,17 +89,6 @@ class BergmanReport(Record):
     """Outcome of the single-generator test on a degree-bounded centralizer."""
 
     __slots__ = ("f", "d", "passed", "generator", "dims", "witness")
-
-
-def _span_membership(elements, candidates_powers, field):
-    """Index of the first element not in the span, or None if all belong."""
-    echelon = linalg.Echelon(field)
-    for p in candidates_powers:
-        echelon.absorb(p.terms)
-    for k, e in enumerate(elements):
-        if echelon.solve(e.terms) is None:
-            return k
-    return None
 
 
 def bergman_check(f: freealg.FreePoly, d: int) -> BergmanReport:
@@ -128,10 +110,10 @@ def bergman_check(f: freealg.FreePoly, d: int) -> BergmanReport:
     powers = [freealg.FreePoly.one(f.s, f.field)]
     while len(powers) <= d // min_deg:
         powers.append(powers[-1] * h)
-    miss = _span_membership(cb.basis, powers, f.field)
-    if miss is None:
-        return BergmanReport(f, d, True, h, dims, None)
-    return BergmanReport(f, d, False, h, dims, cb.basis[miss])
+    coeffs = linalg.solve_membership((p.terms for p in powers),
+                                     (e.terms for e in cb.basis), f.field)
+    witness = next((e for e, c in zip(cb.basis, coeffs) if c is None), None)
+    return BergmanReport(f, d, witness is None, h, dims, witness)
 
 
 # ---------------------------------------------------------------------------

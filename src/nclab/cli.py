@@ -59,8 +59,17 @@ MAX_DIAG_ORDER_AT_N = (100, 100, 16, 7, 4, 3, 3, 2, 2, 2, 2)
 #: n^2 (order + 1) entries of each series: --n 150 --order 66 took 2.4 s and
 #: --order 100 3.4 s, --n 48 --order 300 1.0 s, --n 12 --order 1000 0.45 s,
 #: --n 12 --order 300 0.18 s and --n 4 --order 1000 0.16 s (2-core 2.1 GHz VM).
-#: --dmax adds little: --n 12 --dmax 40 took 0.27 s.
+#: Its annihilator search has a bound of its own, MAX_PROBE_N_DMAX_SQUARED.
 MAX_PROBE_N_ORDER = 10_000
+
+#: probe's diagonal pair has no annihilator, so its search absorbs every f^a g^b
+#: with a + b <= dmax: (dmax + 1)(dmax + 2)/2 columns of n entries, each built
+#: as an n x n matrix.  With --order 1, --n 1 --dmax 200 took 0.65 s, --n 2
+#: --dmax 141 0.51 s, --n 12 --dmax 57 0.53 s, --n 40 --dmax 31 0.95 s and
+#: --n 150 --dmax 16 3.0 s; --n 2 --dmax 400 took 3.9 s and --n 150 --dmax 25
+#: 6.2 s (2-core 2.1 GHz VM).  Images of --f and --g are not bounded here: the
+#: search ends at their annihilator, as in annihilator and bergman-pipeline.
+MAX_PROBE_N_DMAX_SQUARED = 40_000
 
 #: ``al`` expands S_2n into monomials of the n x n generic entries.  Past n = 3
 #: that is out of reach: on 4 x 4 generic matrices S_6 alone has 1,290,240 terms
@@ -116,6 +125,9 @@ def _check_sizes(args) -> None:
     if command == "probe" and args.n * args.order > MAX_PROBE_N_ORDER:
         raise InvalidSize(f"probe --n {args.n} --order {args.order}: "
                           f"--n times --order is at most {MAX_PROBE_N_ORDER}")
+    if command == "probe" and args.f is None and args.n * args.dmax**2 > MAX_PROBE_N_DMAX_SQUARED:
+        raise InvalidSize(f"probe --n {args.n} --dmax {args.dmax}: on the diagonal pair --n "
+                          f"times --dmax squared is at most {MAX_PROBE_N_DMAX_SQUARED}")
 
 
 def _fail(message: str) -> int:

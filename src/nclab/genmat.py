@@ -339,8 +339,12 @@ class AnnihilatorResult(Record):
 
 
 def _monomial_layers(dmax: int):
-    """Exponent pairs grouped by total degree, each layer in ascending u-power."""
-    return [[(a, t - a) for a in range(t + 1)] for t in range(dmax + 1)]
+    """Exponent pairs grouped by total degree, each layer in ascending u-power.
+
+    The layers are made one at a time, so a search that stops early costs
+    what it searched, not what ``dmax`` allows.
+    """
+    return ([(a, t - a) for a in range(t + 1)] for t in range(dmax + 1))
 
 
 def find_annihilator(f: GenericMatrix, g: GenericMatrix, dmax: int) -> AnnihilatorResult:

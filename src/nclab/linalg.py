@@ -5,8 +5,10 @@ time and reports each column that depends on the earlier ones as a kernel
 vector.  It works on raw values (ints and Fractions over Q, ints in ``[0, p)``
 over F_p) with the field held on the echelon, so no ``Scalar`` is built in its
 inner loop.  Its kernel vectors are already in reduced echelon form, which
-``check_reduced`` re-checks.  Everything is deterministic: identical inputs
-give identical results.
+``check_reduced`` re-checks.  ``kernel_basis`` (the kernel of a batch of
+columns) and ``solve_membership`` (a batch of targets over one echelon) are
+its batch interface.  Everything is deterministic: identical inputs give
+identical results.
 """
 
 from __future__ import annotations
@@ -106,19 +108,6 @@ class Echelon:
         return {k: -v % p if p else -v for k, v in comb.items()}
 
 
-def _sparse(vec) -> dict:
-    """A dense vector of Scalar as a dict index -> raw value of its nonzero entries."""
-    return {i: x.value for i, x in enumerate(vec) if x}
-
-
-def _dense(raw: dict, n: int, field: Field):
-    """A dict index -> raw value as a dense list of Scalar of length n."""
-    vec = [field.zero] * n
-    for k, v in raw.items():
-        vec[k] = field.scalar(v)
-    return vec
-
-
 def check_reduced(kernel) -> None:
     """Raise ``ArithmeticError`` unless the kernel vectors are in reduced echelon form.
 
@@ -164,22 +153,26 @@ def rref(rows, field: Field):
     return m, pivots
 
 
-def kernel_basis(rows, ncols: int, field: Field):
-    """Basis of the right kernel of the matrix (one vector per dependent column)."""
+def kernel_basis(columns, field: Field) -> list:
+    """The kernel vectors of the columns that depend on earlier ones, in column order.
+
+    ``columns`` is any iterable of sparse raw columns, the input of
+    ``Echelon.absorb``; each vector is what ``absorb`` returns for its column.
+    They are re-checked by ``check_reduced`` before they are returned.
+    """
     echelon = Echelon(field)
-    columns = [_sparse(col) for col in zip(*rows)] if rows else [{}] * ncols
-    kernel = (echelon.absorb(col) for col in columns)
-    return [_dense(vec, ncols, field) for vec in kernel if vec is not None]
+    kernel = [vec for vec in map(echelon.absorb, columns) if vec is not None]
+    check_reduced(kernel)
+    return kernel
 
 
-def solve_membership(columns, target, field: Field):
-    """Coefficients c with sum_j c_j * columns[j] == target, or None.
+def solve_membership(columns, targets, field: Field) -> list:
+    """For each target, the raw coefficients of ``Echelon.solve`` over the columns, or None.
 
-    ``columns`` is a list of vectors (all the same length).  Columns that
-    depend on earlier ones get coefficient 0.
+    One echelon absorbs the columns and solves every target.  A column that
+    depends on earlier ones gets no coefficient.
     """
     echelon = Echelon(field)
     for col in columns:
-        echelon.absorb(_sparse(col))
-    coeffs = echelon.solve(_sparse(target))
-    return None if coeffs is None else _dense(coeffs, len(columns), field)
+        echelon.absorb(col)
+    return [echelon.solve(target) for target in targets]

@@ -21,6 +21,7 @@ from nclab.cli import (
     MAX_DIAG_ORDER,
     MAX_MATRIX_ENTRIES,
     MAX_NMAX,
+    MAX_PROBE_N_DMAX_SQUARED,
     MAX_STAR_ORDER,
     main,
 )
@@ -401,6 +402,33 @@ class TestExitStatuses:
         # unbounded, each of these ran for minutes or more before printing anything
         assert MAX_MATRIX_ENTRIES == 2 * 150**2  # pi --f x1 --n 150 still runs
         assert_refused_up_front(argv, 2.0, f"error [invalid-size]: {message}", startup_s)
+
+    @pytest.mark.parametrize("n, dmax", [(1, 201), (2, 142), (150, 17), (1, 100000)])
+    def test_a_diagonal_probe_beyond_the_search_bound_is_refused_up_front(self, n, dmax,
+                                                                         startup_s):
+        # the diagonal pair has no annihilator, so every layer up to --dmax is searched:
+        # unbounded, --n 2 --dmax 800 took 15.5 s; the benchmark's probes stay allowed
+        assert 8 * 5**2 <= 150 * 16**2 <= MAX_PROBE_N_DMAX_SQUARED < n * dmax**2
+        assert_refused_up_front(["probe", "--n", str(n), "--dmax", str(dmax)], 1.0,
+                                f"error [invalid-size]: probe --n {n} --dmax {dmax}: ", startup_s)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["annihilator", "--f", "x1", "--g", "x1^2", "--nmax", "1"],
+            ["bergman-pipeline", "--f", "x1", "--g", "x1^2", "--nmax", "1"],
+            ["probe", "--f", "x1", "--g", "x1^2", "--n", "1"],
+        ],
+        ids=["annihilator", "bergman-pipeline", "probe"],
+    )
+    def test_an_early_annihilator_costs_what_was_searched(self, argv, startup_s):
+        # the search used to build every degree layer up to --dmax before it began:
+        # at --dmax 10000 these took 12-14 s, and at --dmax 100000 they did not end
+        code, out, err, wall = run_process([*argv, "--dmax", "100000", "--json"],
+                                           timeout=startup_s + 2.0)
+        assert wall - startup_s < 2.0
+        assert (code, err) == (0, "")
+        assert '"text": "u^2 - v"' in out and '"searched_bound": 100000' in out
 
     def test_a_modulus_that_is_not_an_integer_is_an_invalid_field(self, capsys):
         code, out, err = run(["eval", "--f", "x1", "--field", "fp:abc", "--json"], capsys)

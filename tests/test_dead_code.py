@@ -26,9 +26,6 @@ TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 # qualified name -> why it stays though nothing that runs reaches it
 ALLOWED = {
     "linalg.rref": "perfbench/tracing.py wraps it by name (ROADMAP direction 12, Half B)",
-    "linalg.kernel_basis": "perfbench/tracing.py wraps it by name (ROADMAP direction 12, Half B)",
-    "linalg.solve_membership":
-        "perfbench/tracing.py wraps it by name (ROADMAP direction 12, Half B)",
     "quantize.StarContext.bilinear_map":
         "perfbench/tracing.py wraps it by name (ROADMAP direction 12, Half B)",
     "rings.poly_gcd": "perfbench/tracing.py wraps it by name (ROADMAP direction 12, Half B)",

@@ -26,17 +26,21 @@ def _raw(x, p):
     return x % p if p else Fraction(x)
 
 
+def _sparse(vec, p):
+    """An integer vector as a sparse raw column, the input of ``absorb``."""
+    return {i: _raw(x, p) for i, x in enumerate(vec) if _raw(x, p)}
+
+
+def _columns(rows, p):
+    return [_sparse(col, p) for col in zip(*rows)]
+
+
 def _echelon_kernel(rows, p):
     """Absorb the columns of an integer matrix; return the kernel vectors as dense lists."""
     ncols = len(rows[0])
     echelon = linalg.Echelon(GF(p) if p else QQ)
-    out = []
-    for j in range(ncols):
-        column = {i: _raw(r[j], p) for i, r in enumerate(rows) if _raw(r[j], p)}
-        vec = echelon.absorb(column)
-        if vec is not None:
-            out.append([vec.get(k, 0) for k in range(ncols)])
-    return out
+    kernel = [echelon.absorb(col) for col in _columns(rows, p)]
+    return [[vec.get(k, 0) for k in range(ncols)] for vec in kernel if vec is not None]
 
 
 def _check_kernel(rows, p):
@@ -68,40 +72,51 @@ def test_echelon_kernel_matches_mod_32003_oracle(rows):
     _check_kernel(rows, 32003)
 
 
-@given(matrices, st.lists(st.integers(-3, 3), min_size=6, max_size=6), st.sampled_from([0, 7]))
-def test_solve_membership_agrees_with_the_oracle_rank(rows, target, p):
-    field = GF(p) if p else QQ
+@given(matrices, st.lists(st.lists(st.integers(-3, 3), min_size=6, max_size=6), min_size=1,
+                          max_size=3), st.sampled_from([0, 7]))
+def test_solve_membership_agrees_with_the_oracle_rank(rows, targets, p):
     ncols = len(rows[0])
-    target = target[: len(rows)]
-    columns = [[field.scalar(r[j]) for r in rows] for j in range(ncols)]
-    coeffs = linalg.solve_membership(columns, [field.scalar(x) for x in target], field)
+    targets = [target[: len(rows)] for target in targets]
+    columns = _columns(rows, p)
+    # one call solves every target
+    solved = linalg.solve_membership(columns, [_sparse(t, p) for t in targets], GF(p) if p else QQ)
+    assert len(solved) == len(targets)
     int_columns = [[r[j] for r in rows] for j in range(ncols)]
-    member = oracle_rank(int_columns + [target], len(rows), p) == oracle_rank(int_columns, len(rows), p)
-    assert (coeffs is not None) == member
-    if coeffs is not None:
-        for i in range(len(rows)):
-            total = field.zero
-            for j in range(ncols):
-                total = total + coeffs[j] * columns[j][i]
-            assert total == field.scalar(target[i])
+    for target, coeffs in zip(targets, solved):
+        member = (oracle_rank(int_columns + [target], len(rows), p)
+                  == oracle_rank(int_columns, len(rows), p))
+        assert (coeffs is not None) == member
+        if coeffs is not None:
+            for i in range(len(rows)):
+                total = sum(coeffs.get(j, 0) * rows[i][j] for j in range(ncols))
+                assert (total - target[i]) % p == 0 if p else (total == target[i])
 
 
 @given(matrices)
 def test_kernel_basis_is_the_reduced_kernel(rows):
     # one vector per dependent column: 1 there, other entries on earlier independent columns
     ncols = len(rows[0])
-    basis = linalg.kernel_basis([[QQ.scalar(x) for x in r] for r in rows], ncols, QQ)
+    basis = linalg.kernel_basis(iter(_columns(rows, 0)), QQ)
     expected = oracle_kernel(rows, ncols)
-    assert [[x.value for x in vec] for vec in basis] == expected
+    assert [[vec.get(k, 0) for k in range(ncols)] for vec in basis] == expected
+
+
+def test_kernel_basis_rechecks_its_vectors(monkeypatch):
+    def refuse(kernel):
+        raise ArithmeticError(f"{len(kernel)} vectors")
+
+    monkeypatch.setattr(linalg, "check_reduced", refuse)
+    with pytest.raises(ArithmeticError, match="1 vectors"):
+        linalg.kernel_basis([{0: 1}, {0: 2}], QQ)
 
 
 def test_empty_matrix_kernel_is_every_unit_vector():
-    assert linalg.kernel_basis([], 2, QQ) == [[QQ.one, QQ.zero], [QQ.zero, QQ.one]]
+    assert linalg.kernel_basis([{}, {}], QQ) == [{0: 1}, {1: 1}]
 
 
 def test_solve_over_no_columns():
-    assert linalg.solve_membership([], [QQ.zero], QQ) == []
-    assert linalg.solve_membership([], [QQ.one], QQ) is None
+    assert linalg.solve_membership([], [{}], QQ) == [{}]
+    assert linalg.solve_membership([], [{0: 1}], QQ) == [None]
 
 
 def test_dependent_column_gives_its_combination():
