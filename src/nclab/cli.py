@@ -54,21 +54,24 @@ MAX_DIAG_ORDER = 100
 #: order more at each of these, and --n 12 --order 2, ran over 25 s.
 MAX_DIAG_ORDER_AT_N = (100, 100, 16, 7, 4, 3, 3, 2, 2, 2, 2)
 
-#: probe's products of the diagonal pair visit only the n nonzero entries of each
-#: factor, but its star commutator still builds, zero-tests and subtracts the
-#: n^2 (order + 1) entries of each series: --n 150 --order 66 took 2.4 s and
-#: --order 100 3.4 s, --n 48 --order 300 1.0 s, --n 12 --order 1000 0.45 s,
-#: --n 12 --order 300 0.18 s and --n 4 --order 1000 0.16 s (2-core 2.1 GHz VM).
+#: probe's star commutator walks only the stored entries of the lifts, whose n
+#: nonzero entries all sit at h^0, so it makes n Moyal passes and its zero
+#: coefficients cost nothing.  What grows is the report, which renders the n x n
+#: grids of f, g and the h-coefficient (3 MB at n = 150), and the order's
+#: weights 1/(2^r r!): --n 150 --order 66 took 0.4-0.5 s and --order 100 0.34 s,
+#: --n 48 --order 300 0.17 s, --n 12 --order 1000 0.15 s, --n 12 --order 300
+#: 0.14 s and --n 4 --order 1000 0.15 s (2-core 2.1 GHz VM).
 #: Its annihilator search has a bound of its own, MAX_PROBE_N_DMAX_SQUARED.
 MAX_PROBE_N_ORDER = 10_000
 
 #: probe's diagonal pair has no annihilator, so its search absorbs every f^a g^b
-#: with a + b <= dmax: (dmax + 1)(dmax + 2)/2 columns of n entries, each built
-#: as an n x n matrix.  With --order 1, --n 1 --dmax 200 took 0.65 s, --n 2
-#: --dmax 141 0.51 s, --n 12 --dmax 57 0.53 s, --n 40 --dmax 31 0.95 s and
-#: --n 150 --dmax 16 3.0 s; --n 2 --dmax 400 took 3.9 s and --n 150 --dmax 25
-#: 6.2 s (2-core 2.1 GHz VM).  Images of --f and --g are not bounded here: the
-#: search ends at their annihilator, as in annihilator and bergman-pipeline.
+#: with a + b <= dmax: (dmax + 1)(dmax + 2)/2 columns of n entries, each one
+#: product over n entry pairs and one elimination step.  With --order 1, --n 1
+#: --dmax 200 took 0.38 s, --n 2 --dmax 141 0.28 s, --n 12 --dmax 57 0.22 s,
+#: --n 40 --dmax 31 0.31 s and --n 150 --dmax 16 0.60 s, most of it the report;
+#: --n 2 --dmax 400 took 3.0 s and --n 150 --dmax 25 0.61 s (2-core 2.1 GHz VM).
+#: Images of --f and --g are not bounded here: the search ends at their
+#: annihilator, as in annihilator and bergman-pipeline.
 MAX_PROBE_N_DMAX_SQUARED = 40_000
 
 #: ``al`` expands S_2n into monomials of the n x n generic entries.  Past n = 3
@@ -261,14 +264,10 @@ def _cmd_poisson(args, field):
 
 
 def _perturbation(rng: random.Random, n: int, field: Field) -> genmat.GenericMatrix:
-    """Integers drawn from [-5, 5] row by row, with a zero diagonal."""
-    zero = rings.CommPoly.zero(field)
+    """Integers drawn from [-5, 5] row by row off the diagonal, as fractions."""
+    zero, one = rings.RationalFunction.zero(field), rings.RationalFunction.one(field)
     return genmat.GenericMatrix(
-        [
-            [zero if i == j else rings.CommPoly.constant(field.scalar(rng.randint(-5, 5)))
-             for j in range(n)]
-            for i in range(n)
-        ]
+        [[zero if i == j else one.scale(rng.randint(-5, 5)) for j in range(n)] for i in range(n)]
     )
 
 
@@ -281,14 +280,13 @@ def _cmd_diag(args, field):
         ratfun.from_poly(rings.CommPoly.variable(rings.Variable.aux("lam", i), field))
         for i in range(1, n + 1)
     )
-    m_int = _perturbation(random.Random(args.seed), n, field)
-    a1 = genmat.GenericMatrix([[ratfun.from_poly(e) for e in row] for row in m_int.rows])
+    m = _perturbation(random.Random(args.seed), n, field)
     zero = genmat.GenericMatrix.zeros(n, field, ratfun)
-    series = diagonalize.SeriesFieldMatrix(order, [a0, a1][: order + 1] + [zero] * (order - 1))
+    series = diagonalize.SeriesFieldMatrix(order, [a0, m][: order + 1] + [zero] * (order - 1))
     rep = diagonalize.successive_diagonalize(series, order)
     ok = rep.verify(series)
     lines = [
-        f"perturbation (h-coefficient): {m_int}",
+        f"perturbation (h-coefficient): {m}",
         f"diagonalized to order {rep.achieved_order}; "
         f"off-diagonal vanishes through h^{order}: {'PASS' if ok else 'FAIL'}",
     ]

@@ -45,13 +45,9 @@ def solve_sylvester_diag(a0_diag, rhs: GenericMatrix) -> GenericMatrix:
         for j in range(i + 1, n):
             if (lam[i] - lam[j]).is_zero:
                 raise RepeatedEigenvalue(f"diagonal entries {i+1} and {j+1} coincide")
-    if not all(x.is_zero for x in rhs.diagonal_entries()):
+    if any(i == j for i, j in rhs.entries):
         raise NonzeroDiagonalRHS("rhs must have zero diagonal")
-    zero = rhs.ring.zero(rhs.field)
-    t = GenericMatrix(
-        [[zero if i == j else x / (lam[i] - lam[j]) for j, x in enumerate(row)]
-         for i, row in enumerate(rhs.rows)]
-    )
+    t = rhs._like({(i, j): x / (lam[i] - lam[j]) for (i, j), x in rhs.entries.items()})
     a0 = GenericMatrix.diagonal(lam)
     if not (t * a0 - a0 * t + rhs).is_zero:
         raise ArithmeticError("Sylvester solve failed its defining identity")
@@ -65,14 +61,10 @@ class SeriesFieldMatrix(FormalSeries):
 
     def __mul__(self, other):
         """Coefficient r is the sum of a_m b_k over ``nonzero_pairs`` with m + k = r."""
-        other = self._check(other)
-        acc = {}
-        for m, k, x, y in self.nonzero_pairs(other):
-            s = acc.get(m + k)
-            acc[m + k] = x * y if s is None else s + x * y
-        c0 = self.coeffs[0]
-        zero = GenericMatrix.zeros(c0.n, c0.field, c0.ring)
-        return SeriesFieldMatrix(self.order, [acc.get(r, zero) for r in range(self.order + 1)])
+        out = [self.coeffs[0]._like({})] * (self.order + 1)
+        for m, k, x, y in self.nonzero_pairs(self._check(other)):
+            out[m + k] = out[m + k] + x * y
+        return SeriesFieldMatrix(self.order, out)
 
 
 class DiagonalReport(Record):
@@ -108,14 +100,12 @@ def successive_diagonalize(a: SeriesFieldMatrix, target: int) -> DiagonalReport:
         for j in range(i + 1, a0.n):
             if (lam[i] - lam[j]).is_zero:
                 raise RepeatedEigenvalue(f"leading entries {i+1} and {j+1} coincide")
-    zero = GenericMatrix.zeros(a0.n, a.field, a0.ring)
-    u = [a0.identity_like()] + [zero] * a.order
+    u = [a0.identity_like()] + [a0._like({})] * a.order
     c = []
     for r in range(a.order + 1):
         acc = a.coeffs[r]
         for k in range(1, r + 1):
-            if not u[k].is_zero:
-                acc = acc + u[k] * a.coeffs[r - k] - c[r - k] * u[k]
+            acc = acc + u[k] * a.coeffs[r - k] - c[r - k] * u[k]
         if 0 < r <= target and not acc.is_diagonal():
             d = GenericMatrix.diagonal(acc.diagonal_entries())
             t = solve_sylvester_diag(lam, acc - d)

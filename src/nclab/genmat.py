@@ -19,61 +19,79 @@ from .rings import CommPoly, RationalFunction, Variable, mono_mul
 
 
 class GenericMatrix(Frozen):
-    """Square matrix over one ring, CommPoly or RationalFunction; dense grid.
+    """Square matrix over one ring, CommPoly or RationalFunction, kept sparse.
 
-    The entry class is the ring: it supplies ``zero(field)`` and ``one(field)``.
-    The product sums over ``nonzero_pairs``, so it costs one entry product per
-    pair of nonzero factors: n for diagonal operands, n^3 for dense ones.
+    ``entries`` maps each 0-based (i, j) of a nonzero entry to that entry.
+    Every constructor and operation builds through ``_of``, which drops the
+    zero entries, so no matrix holds a zero: ``is_zero`` is ``not entries``,
+    equal matrices have equal entries, and ``rows`` is a dense view for
+    rendering only.  The entry class is the ring: it supplies
+    ``zero(field)`` and ``one(field)``.  The product sums over
+    ``nonzero_pairs``, so it costs one entry product per pair of nonzero
+    factors: n for diagonal operands, n^3 for dense ones.
     """
 
-    __slots__ = ("n", "field", "rows")
+    __slots__ = ("n", "ring", "field", "entries")
 
-    def __init__(self, rows):
+    def __new__(cls, rows):
         rows = tuple(tuple(r) for r in rows)
         n = len(rows)
-        if n == 0 or any(len(r) != n for r in rows):
+        if any(len(r) != n for r in rows):
             raise ShapeMismatch("matrix must be square and nonempty")
-        ring, field = type(rows[0][0]), rows[0][0].field
+        return cls._checked(n, {(i, j): e for i, r in enumerate(rows) for j, e in enumerate(r)})
+
+    @staticmethod
+    def _checked(n: int, cells) -> GenericMatrix:
+        """``_of`` with the ring and field of the first of ``cells``, checked on all of them."""
+        if not cells:
+            raise ShapeMismatch("matrix must be square and nonempty")
+        first = next(iter(cells.values()))
+        ring, field = type(first), first.field
         if ring is not CommPoly and ring is not RationalFunction:
             raise TypeError("entries must be CommPoly or RationalFunction")
-        for r in rows:
-            for e in r:
-                if type(e) is not ring:
-                    raise TypeError("entries of one matrix must lie in one ring")
-                if e.field is not field:
-                    raise FieldMismatch("entries over different fields")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", rows)
+        for e in cells.values():
+            if type(e) is not ring:
+                raise TypeError("entries of one matrix must lie in one ring")
+            if e.field is not field:
+                raise FieldMismatch("entries over different fields")
+        return GenericMatrix._of(n, ring, field, cells)
+
+    @staticmethod
+    def _of(n: int, ring, field: Field, cells) -> GenericMatrix:
+        """The n x n matrix of the nonzero ``cells``, (i, j) -> entry of ``ring``, unchecked."""
+        out = object.__new__(GenericMatrix)
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "ring", ring)
+        object.__setattr__(out, "field", field)
+        object.__setattr__(out, "entries", {ij: e for ij, e in cells.items() if not e.is_zero})
+        return out
+
+    def _like(self, cells) -> GenericMatrix:
+        return GenericMatrix._of(self.n, self.ring, self.field, cells)
+
+    def __hash__(self):  # the entries are a dict
+        return hash((self.n, self.ring, self.field, frozenset(self.entries.items())))
 
     # -- constructors ----------------------------------------------------------
 
     @staticmethod
     def identity(n: int, field: Field, ring=CommPoly) -> GenericMatrix:
-        one, zero = ring.one(field), ring.zero(field)
-        return GenericMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
+        one = ring.one(field)
+        return GenericMatrix._of(n, ring, field, {(i, i): one for i in range(n)})
 
     @staticmethod
     def zeros(n: int, field: Field, ring=CommPoly) -> GenericMatrix:
-        zero = ring.zero(field)
-        return GenericMatrix([[zero] * n for _ in range(n)])
+        return GenericMatrix._of(n, ring, field, {})
 
     @staticmethod
     def diagonal(entries) -> GenericMatrix:
-        entries = list(entries)
-        zero = type(entries[0]).zero(entries[0].field)
-        n = len(entries)
-        return GenericMatrix(
-            [[entries[i] if i == j else zero for j in range(n)] for i in range(n)]
-        )
+        cells = {(i, i): e for i, e in enumerate(entries)}
+        return GenericMatrix._checked(len(cells), cells)
 
     @staticmethod
     def unit(n: int, i: int, j: int, field: Field) -> GenericMatrix:
         """Matrix unit E_ij (1-based)."""
-        zero, one = CommPoly.zero(field), CommPoly.one(field)
-        return GenericMatrix(
-            [[one if (r, c) == (i - 1, j - 1) else zero for c in range(n)] for r in range(n)]
-        )
+        return GenericMatrix._of(n, CommPoly, field, {(i - 1, j - 1): CommPoly.one(field)})
 
     def identity_like(self) -> GenericMatrix:
         return GenericMatrix.identity(self.n, self.field, self.ring)
@@ -81,25 +99,25 @@ class GenericMatrix(Frozen):
     # -- access ------------------------------------------------------------------
 
     @property
-    def ring(self):
-        """The entry class, CommPoly or RationalFunction."""
-        return type(self.rows[0][0])
+    def rows(self):
+        """The dense grid of entries, zeros included, for rendering."""
+        zero, get = self.ring.zero(self.field), self.entries.get
+        return tuple(tuple(get((i, j), zero) for j in range(self.n)) for i in range(self.n))
 
     def entry(self, i: int, j: int):
         """1-based entry access."""
-        return self.rows[i - 1][j - 1]
+        e = self.entries.get((i - 1, j - 1))
+        return self.ring.zero(self.field) if e is None else e
 
     def diagonal_entries(self):
-        return [self.rows[i][i] for i in range(self.n)]
+        return [self.entry(i, i) for i in range(1, self.n + 1)]
 
     @property
     def is_zero(self) -> bool:
-        return all(e.is_zero for r in self.rows for e in r)
+        return not self.entries
 
     def is_diagonal(self) -> bool:
-        return all(
-            self.rows[i][j].is_zero for i in range(self.n) for j in range(self.n) if i != j
-        )
+        return all(i == j for i, j in self.entries)
 
     # -- ring operations -----------------------------------------------------------
 
@@ -115,35 +133,36 @@ class GenericMatrix(Frozen):
         return other
 
     def __add__(self, other):
-        other = self._check(other)
-        return GenericMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
+        cells = dict(self.entries)
+        for ij, y in self._check(other).entries.items():
+            x = cells.get(ij)
+            cells[ij] = y if x is None else x + y
+        return self._like(cells)
 
     def __sub__(self, other):
-        other = self._check(other)
-        return GenericMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
+        cells, zero = dict(self.entries), self.ring.zero(self.field)
+        for ij, y in self._check(other).entries.items():
+            cells[ij] = cells.get(ij, zero) - y
+        return self._like(cells)
 
     def __neg__(self):
-        return GenericMatrix([[-e for e in r] for r in self.rows])
+        return self._like({ij: -e for ij, e in self.entries.items()})
 
     def nonzero_pairs(self, other):
-        """(i, j, a_il, b_lj) over the nonzero a_il and b_lj, row by row (Gustavson).
+        """(i, j, a_il, b_lj) over the entries of both, row by row (Gustavson).
 
         At each (i, j) the l ascend, so a sum over them accumulates in index order.
         """
-        right = [[(j, y) for j, y in enumerate(row) if not y.is_zero] for row in other.rows]
-        for i, row in enumerate(self.rows):
-            for x, rl in zip(row, right):
-                if rl and not x.is_zero:
-                    for j, y in rl:
-                        yield i, j, x, y
+        right = {}
+        for (l, j), y in sorted(other.entries.items()):
+            right.setdefault(l, []).append((j, y))
+        for (i, l), x in sorted(self.entries.items()):
+            for j, y in right.get(l, ()):
+                yield i, j, x, y
 
     def __mul__(self, other):
         other = self._check(other)
-        n, acc = self.n, {}
+        acc = {}
         if self.ring is CommPoly:
             for i, j, x, y in self.nonzero_pairs(other):
                 add_products(acc.setdefault((i, j), {}), x.terms.items(), y.terms.items(), mono_mul)
@@ -152,11 +171,10 @@ class GenericMatrix(Frozen):
             for i, j, x, y in self.nonzero_pairs(other):
                 s = acc.get((i, j))
                 acc[i, j] = x * y if s is None else s + x * y
-        zero = self.ring.zero(self.field)
-        return GenericMatrix([[acc.get((i, j), zero) for j in range(n)] for i in range(n)])
+        return self._like(acc)
 
     def scale(self, c) -> GenericMatrix:
-        return GenericMatrix([[e.scale(c) for e in r] for r in self.rows])
+        return self._like({ij: e.scale(c) for ij, e in self.entries.items()})
 
     def __str__(self):
         return "[" + "; ".join(", ".join(str(e) for e in r) for r in self.rows) + "]"
@@ -171,7 +189,9 @@ class FormalSeries(Frozen):
     All coefficients are of one kind.  The sum is coefficientwise; the star
     products ``quantize.star_mul`` and ``quantize.matrix_star`` need a
     context, so the class defines no ``*`` (``diagonalize.SeriesFieldMatrix``
-    adds the plain one).  Both products walk ``nonzero_pairs``.
+    adds the plain one).  Both products walk ``nonzero_pairs``.  A zero
+    matrix coefficient holds no entries, so it costs nothing to keep, to
+    zero-test or to skip.
     """
 
     __slots__ = ("order", "coeffs")
@@ -198,11 +218,7 @@ class FormalSeries(Frozen):
     @classmethod
     def from_poly(cls, p, order: int) -> FormalSeries:
         """p + 0 h + ... + 0 h^order, for a CommPoly or a GenericMatrix p."""
-        if isinstance(p, GenericMatrix):
-            zero = GenericMatrix.zeros(p.n, p.field, p.ring)
-        else:
-            zero = CommPoly.zero(p.field)
-        return cls(order, [p] + [zero] * order)
+        return cls(order, [p] + [p._like({})] * order)
 
     def coefficient(self, r: int):
         return self.coeffs[r]
@@ -377,12 +393,8 @@ def find_annihilator(f: GenericMatrix, g: GenericMatrix, dmax: int) -> Annihilat
             else:
                 mat = g * prev[(0, b - 1)]
             cur[(a, b)] = mat
-            col = {
-                (i, j, mono): c
-                for i, row in enumerate(mat.rows)
-                for j, entry in enumerate(row)
-                for mono, c in entry.terms.items()
-            }
+            col = {(i, j, mono): c for (i, j), entry in mat.entries.items()
+                   for mono, c in entry.terms.items()}
             monomials.append((a, b))
             vec = echelon.absorb(col)
             if vec is not None:

@@ -228,7 +228,9 @@ def matrix_star(a: FormalSeries, b: FormalSeries, ctx: StarContext) -> FormalSer
     Coefficient r is the sum over m + k + s = r and over l of
     B_s(a_m[i, l], b_k[l, j]), walked as ``FormalSeries.nonzero_pairs`` of
     coefficients and, inside each, ``GenericMatrix.nonzero_pairs`` of
-    entries.  The tensor variables are checked once on the nonzero entries.
+    entries; only the nonzero B_s are added, so a product whose Moyal terms
+    vanish past h^0 costs one sum per entry pair.  The tensor variables are
+    checked once on the entries.
     """
     a._check(b)
     for c in (a.coeffs[0], b.coeffs[0]):
@@ -236,26 +238,23 @@ def matrix_star(a: FormalSeries, b: FormalSeries, ctx: StarContext) -> FormalSer
             raise TypeError("expected series of matrices over CommPoly")
     if a.order != ctx.order:
         raise ShapeMismatch("series order differs from context order")
-    ctx.tensor.check_variables(
-        [e for c in a.coeffs + b.coeffs for row in c.rows for e in row if e.terms])
-    order, zero = ctx.order, CommPoly.zero(ctx.field)
-    cells = {}  # (i, j) -> its order + 1 coefficients
+    ctx.tensor.check_variables([e for c in a.coeffs + b.coeffs for e in c.entries.values()])
+    order = ctx.order
+    cells = [{} for _ in range(order + 1)]  # r -> (i, j) -> coefficient r of that entry
     for m, k, am, bk in a.nonzero_pairs(b):
         for i, j, x, y in am.nonzero_pairs(bk):
-            out = cells.setdefault((i, j), [zero] * (order + 1))
             for r, term in enumerate(ctx.bilinear_maps(x, y, order - m - k), m + k):
-                out[r] = out[r] + term
-    n, empty = a.coeffs[0].n, [zero] * (order + 1)
-    rows = [[cells.get((i, j), empty) for j in range(n)] for i in range(n)]
-    return FormalSeries(
-        order, [GenericMatrix([[out[r] for out in row] for row in rows]) for r in range(order + 1)]
-    )
+                if term.terms:
+                    s = cells[r].get((i, j))
+                    cells[r][i, j] = term if s is None else s + term
+    n = a.coeffs[0].n
+    return FormalSeries(order, [GenericMatrix._of(n, CommPoly, ctx.field, c) for c in cells])
 
 
 def star_mul(a: FormalSeries, b: FormalSeries, ctx: StarContext) -> FormalSeries:
     """Star product of two series of polynomials: ``matrix_star`` on 1 x 1 matrices."""
     a, b = (FormalSeries(s.order, [GenericMatrix([[c]]) for c in s.coeffs]) for s in (a, b))
-    return FormalSeries(ctx.order, [c.rows[0][0] for c in matrix_star(a, b, ctx).coeffs])
+    return FormalSeries(ctx.order, [c.entry(1, 1) for c in matrix_star(a, b, ctx).coeffs])
 
 
 def star_commutator(a: FormalSeries, b: FormalSeries, ctx: StarContext) -> FormalSeries:
@@ -290,5 +289,5 @@ def matrix_star_commutator(a: FormalSeries, b: FormalSeries, ctx: StarContext) -
 
 def quantize_lift(a: GenericMatrix, ctx: StarContext) -> FormalSeries:
     """Canonical lift: the series of matrices with degree-0 coefficient a, all higher zero."""
-    ctx.tensor.check_variables([e for row in a.rows for e in row])
+    ctx.tensor.check_variables(e for _, e in sorted(a.entries.items()))  # row by row
     return FormalSeries.from_poly(a, ctx.order)

@@ -202,6 +202,14 @@ def transpose(m):
     return GenericMatrix(zip(*m.rows))
 
 
+def assert_canonical(m):
+    """No zero entry is stored, and the dense grid builds back the same matrix and hash."""
+    assert not any(e.is_zero for e in m.entries.values())
+    assert all(0 <= i < m.n and 0 <= j < m.n for i, j in m.entries)
+    back = GenericMatrix(m.rows)
+    assert back == m and hash(back) == hash(m)
+
+
 class TestNonzeroPairs:
     RINGS = [("q", QQ, CommPoly), ("gf2", GF(2), CommPoly), ("gf32003", GF(32003), CommPoly),
              ("ratfun-q", QQ, RationalFunction)]
@@ -221,8 +229,42 @@ class TestNonzeroPairs:
             a, b = (random_shaped(rng, n, shape, entry, zero) for shape in (left, right))
             ma, mb = GenericMatrix(a), GenericMatrix(b)
             assert [list(r) for r in (ma * mb).rows] == matmul(a, b)
+            assert_canonical(ma * mb)
             if ring is CommPoly:  # (AB)^T = B^T A^T
                 assert transpose(ma * mb) == transpose(mb) * transpose(ma)
+
+    @pytest.mark.parametrize("name, field, ring", RINGS, ids=[r[0] for r in RINGS])
+    def test_entries_that_cancel_are_not_stored(self, name, field, ring):
+        rng = random.Random(f"cancel-{name}")
+        variables = [Variable.aux("z", i) for i in (1, 2, 3)]
+        if ring is CommPoly:
+            draw = partial(random_commpoly, rng, variables, field, max_degree=2, max_terms=3)
+        else:
+            draw = partial(random_ratfun, rng, field)
+
+        def entry():
+            e = draw()
+            return e if not e.is_zero else entry()
+
+        zero = ring.zero(field)
+        for shape, _ in itertools.product(SHAPES, range(2)):
+            a = GenericMatrix(random_shaped(rng, rng.randint(1, 3), shape, entry, zero))
+            results = [a - a, a + -a, a.scale(0), a * a.scale(0)]
+            if field.p:
+                results.append(a.scale(field.p))
+            for m in results:
+                assert m.is_zero and m == GenericMatrix.zeros(a.n, field, ring)
+                assert_canonical(m)
+        for _ in range(3):
+            # [[p, p], [q, r]] [[s, t], [-s, u]]: entry (1, 1) is ps - ps
+            p, q, r, s, t, u = (entry() for _ in range(6))
+            left, right = GenericMatrix([[p, p], [q, r]]), GenericMatrix([[s, t], [-s, u]])
+            product = left * right
+            assert (0, 0) not in product.entries
+            assert [list(row) for row in product.rows] == matmul(left.rows, right.rows)
+            assert_canonical(product)
+            # [[p, p], [q, q]] [[s, t], [-s, -t]] cancels everywhere
+            assert (GenericMatrix([[p, p], [q, q]]) * GenericMatrix([[s, t], [-s, -t]])).is_zero
 
     @pytest.mark.parametrize("n", [1, 3, 7])
     def test_diagonal_operands_give_n_pairs_and_lifts_one(self, n):
@@ -237,6 +279,10 @@ class TestNonzeroPairs:
         want = [(i, j, x.rows[i][l], y.rows[l][j])
                 for i in range(3) for l in range(3) for j in range(3)]
         assert list(x.nonzero_pairs(y)) == want
+        # a sum keeps its entries in the order they were added, not row by row
+        units = [GenericMatrix.unit(2, i, j, QQ) for i, j in ((2, 2), (1, 1), (2, 1))]
+        d = units[0] + units[1] + units[2]
+        assert [(i, j) for i, j, _, _ in d.nonzero_pairs(d)] == [(0, 0), (1, 0), (1, 0), (1, 1)]
 
     def test_series_pairs_stop_at_the_order(self):
         x, y = make_generic(2, 1, QQ)

@@ -13,17 +13,31 @@ the two answers must be related as the theorem says.
 - ``annihilator``: P(f, g) = 0 exactly when P'(g, f) = 0 for P'(u, v) =
   P(v, u).  For f = p(h) and g = q(h) the minimal annihilator is unique up
   to a scalar, so the two agree once each is scaled to a leading 1.
+  (f, g) -> (af + b, g) sends P(u, v) to P((u - b)/a, v), of the same
+  total degree.
+- ``pi``: pi_n(f) with the generators permuted is pi_n(f) with the entry
+  variables x<l>[i,j] permuted alike.
+- ``diag``: permuting the lam_i and conjugating the perturbation M by the
+  same permutation matrix conjugates u and D by it too.
 - ``eval``: parse(pretty(f)) = f.
+
+The images of sparse and cancelling inputs drive the matrices' sparse
+storage through permuted patterns of zero entries.
 """
+
+from math import comb
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nclab import genmat
 from nclab.centralizer import bergman_check
+from nclab.diagonalize import SeriesFieldMatrix, successive_diagonalize
 from nclab.errors import ScalarInput
 from nclab.fields import GF, QQ
 from nclab.freealg import FreePoly, parse_free, pretty
+from nclab.genmat import GenericMatrix
+from nclab.rings import CommPoly, RationalFunction, Variable, mono_from_dict
 
 FIELDS = [QQ, GF(7), GF(32003)]
 
@@ -117,6 +131,91 @@ def test_swapping_the_pair_swaps_the_annihilator(h_terms, p, q, field):
         swapped = genmat.BivariatePoly(field, {(v, u): c for (u, v), c in a.poly.terms.items()})
         assert _leading_one(swapped) == _leading_one(b.poly)
         assert a.total_degree == b.total_degree
+
+
+@settings(max_examples=15)
+@given(_h, _univariates, _univariates, _coefficients, st.integers(-3, 3), st.sampled_from(FIELDS))
+def test_an_affine_change_of_f_substitutes_into_the_annihilator(h_terms, p, q, a, b, field):
+    h = FreePoly(2, field, h_terms)
+    f, g = _univariate(h, p), _univariate(h, q)
+    moved = f.scale(a) + FreePoly.constant(field.scalar(b), 2)
+    dmax = max(len(p), len(q)) - 1
+    ours = genmat.annihilator_stability(f, g, [1, 2], dmax)
+    theirs = genmat.annihilator_stability(moved, g, [1, 2], dmax)
+    assert ours.all_found and theirs.all_found
+    inverse, shift = field.scalar(a).inverse(), -field.scalar(b)
+    for mine, other in zip(ours.results, theirs.results):
+        # c u^i v^j -> c a^-i (u - b)^i v^j, expanded binomially
+        terms = {}
+        for (i, j), c in mine.poly.terms.items():
+            for k in range(i + 1):
+                term = field.scalar(c) * inverse**i * field.scalar(comb(i, k)) * shift ** (i - k)
+                terms[k, j] = terms.get((k, j), field.zero) + term
+        substituted = genmat.BivariatePoly(field, terms)
+        assert _leading_one(substituted) == _leading_one(other.poly)
+        assert mine.total_degree == other.total_degree
+
+
+_free3 = st.dictionaries(st.lists(st.integers(1, 3), max_size=3).map(tuple), _coefficients,
+                         min_size=1, max_size=4)
+
+
+def _renamed(m, sigma):
+    """m with every entry variable x<l>[i,j] renamed x<sigma[l]>[i,j]."""
+    def rename(e):
+        return CommPoly(e.field, {
+            mono_from_dict({Variable.entry(sigma[v[1]], v[2], v[3]): k for v, k in mono}): c
+            for mono, c in e.terms.items()})
+
+    return GenericMatrix([[rename(e) for e in row] for row in m.rows])
+
+
+@settings(max_examples=30)
+@given(_free3, st.permutations([1, 2, 3]), st.integers(1, 2),
+       st.sampled_from([QQ, GF(2), GF(7)]))
+def test_pi_commutes_with_permuting_the_generators(terms, order, n, field):
+    sigma = dict(zip([1, 2, 3], order))
+    f = FreePoly(3, field, terms)
+    permuted = FreePoly(3, field, {tuple(sigma[g] for g in w): c for w, c in terms.items()})
+    assert genmat.pi_reduce(permuted, n) == _renamed(genmat.pi_reduce(f, n), sigma)
+
+
+def _diagonalized(lam, m, field, order):
+    """successive_diagonalize of diag(lam<k> for k in lam) + h M, M an integer grid."""
+    ratfun = RationalFunction
+    one = ratfun.one(field)
+    a0 = GenericMatrix.diagonal(
+        ratfun.from_poly(CommPoly.variable(Variable.aux("lam", k), field)) for k in lam)
+    a1 = GenericMatrix([[one.scale(c) for c in row] for row in m])
+    zero = GenericMatrix.zeros(len(lam), field, ratfun)
+    return successive_diagonalize(SeriesFieldMatrix(order, [a0, a1] + [zero] * (order - 1)), order)
+
+
+def _conjugated(m, perm):
+    """P m P^T for the permutation matrix P with (P m P^T)[i][j] = m[perm[i]][perm[j]]."""
+    rows = m.rows
+    return GenericMatrix([[rows[i][j] for j in perm] for i in perm])
+
+
+@st.composite
+def _diag_cases(draw):
+    n = draw(st.integers(2, 3))
+    order = draw(st.integers(1, 3 if n == 2 else 2))
+    # about half the entries zero, so the conjugation moves a pattern of zeros
+    m = [[draw(st.sampled_from([0, 0, -2, -1, 1, 2])) for _ in range(n)] for _ in range(n)]
+    return n, order, m, draw(st.permutations(range(n))), draw(st.sampled_from([QQ, GF(5)]))
+
+
+@settings(max_examples=12, deadline=None)
+@given(_diag_cases())
+def test_diag_commutes_with_permuting_the_eigenvalues(case):
+    n, order, m, perm, field = case
+    rep = _diagonalized(range(1, n + 1), m, field, order)
+    moved = _diagonalized([k + 1 for k in perm], [[m[i][j] for j in perm] for i in perm],
+                          field, order)
+    assert moved.eigenvalues == [rep.eigenvalues[k] for k in perm]
+    for ours, theirs in ((rep.conjugator, moved.conjugator), (rep.diagonal, moved.diagonal)):
+        assert [_conjugated(c, perm) for c in ours.coeffs] == list(theirs.coeffs)
 
 
 @given(st.dictionaries(st.lists(st.integers(1, 3), max_size=3).map(tuple),

@@ -261,8 +261,8 @@ def test_diag_verdict_survives_python_O():
 # mutant drops is C_2 u_1, at order 3: the run must go to h^3 to see it.
 DROPPED_CORRECTION = (
     "diagonalize.py",
-    "                acc = acc + u[k] * a.coeffs[r - k] - c[r - k] * u[k]",
-    "                acc = acc + u[k] * a.coeffs[r - k]",
+    "            acc = acc + u[k] * a.coeffs[r - k] - c[r - k] * u[k]",
+    "            acc = acc + u[k] * a.coeffs[r - k]",
 )
 
 

@@ -131,7 +131,7 @@ def _frozen_instances():
         (QQ.scalar(3), "value"),
         (one, "terms"),
         (FreePoly(2, QQ, {(1,): 1}), "s"),
-        (matrix, "rows"),
+        (matrix, "entries"),
         (tensor, "entries"),
         (StarContext(tensor, 2), "order"),
         (FormalSeries.from_poly(one, 1), "coeffs"),
@@ -186,8 +186,8 @@ def _value_table():
         "CommPoly": lambda k: x.scale(1 + k),  # terms
         "FreePoly": lambda k: FreePoly(2 + k, QQ, {(1,): 1}),  # s
         "BivariatePoly": lambda k: BivariatePoly(QQ, {(1, 0): 1 + k}),  # terms
-        "GenericMatrix[CommPoly]": lambda k: GenericMatrix.diagonal([x, x.scale(1 + k)]),  # rows
-        "GenericMatrix[RationalFunction]": fraction_matrix,  # rows
+        "GenericMatrix[CommPoly]": lambda k: GenericMatrix.diagonal([x, x.scale(1 + k)]),  # entries
+        "GenericMatrix[RationalFunction]": fraction_matrix,  # entries
         "FormalSeries": lambda k: FormalSeries(1, [x, x.scale(k)]),  # coeffs
         "SeriesFieldMatrix": lambda k: SeriesFieldMatrix(  # coeffs
             1, [fraction_matrix(0), fraction_matrix(0) if k else zero_matrix]),
@@ -199,6 +199,10 @@ def _value_table():
 
 
 def _hash_or_error(obj):
+    from nclab.genmat import FormalSeries, GenericMatrix
+
+    if isinstance(obj, (GenericMatrix, FormalSeries)):  # the tracer hashes annihilator inputs
+        return hash(obj)
     try:
         return hash(obj)
     except TypeError as exc:  # a value with a dict in a slot is unhashable

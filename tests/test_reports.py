@@ -249,8 +249,7 @@ def test_decoded_diag_report_re_verifies():
     assert doc["seed"] == 1729 and doc["bounds"] == {"n": 3, "order": 2}
     lam = [RationalFunction.from_poly(CommPoly.variable(Variable.aux("lam", i), QQ))
            for i in (1, 2, 3)]
-    m = _perturbation(random.Random(1729), 3, QQ)
-    a1 = GenericMatrix([[RationalFunction.from_poly(e) for e in row] for row in m.rows])
+    a1 = _perturbation(random.Random(1729), 3, QQ)
     a = SeriesFieldMatrix(2, [GenericMatrix.diagonal(lam), a1,
                               GenericMatrix.zeros(3, QQ, RationalFunction)])
     assert rep.verify(a)

@@ -4,6 +4,8 @@ Every ``nclab`` command is a fresh process, so what the import loads is paid
 on every run.  The benchmark's tracer (``perfbench/tracing.py``) wraps
 functions in the ``nclab`` modules right after ``import nclab.cli``, so each
 of them must already be loaded by then, and each traced name must exist.
+A traced job, run by the benchmark's own ``perfbench/job.py``, writes the
+same report bytes as an untraced one.
 The submodules are registered lazily: each is in ``sys.modules`` at once but
 executes only on first use, so a command compiles only the modules it runs.
 Every command line, help and usage errors included, is read from the flag
@@ -71,6 +73,31 @@ def test_cli_import_generates_no_code_and_loads_every_traced_module():
     assert {f"nclab.{module}" for module in traced} <= loaded
     # a traced name that is renamed or deleted would silently drop out of --trace 1
     assert missing == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bergman-pipeline", "--f", "x1^2+x2", "--g", "(x1^2+x2)^2+3", "--nmax", "2",
+         "--dmax", "2", "--order", "1"],
+        ["probe", "--n", "3", "--dmax", "3", "--order", "2"],
+    ],
+    ids=["bergman-pipeline", "probe"],
+)
+def test_a_traced_job_writes_the_untraced_report(argv, tmp_path):
+    # the tracer wraps matrix products in place and hashes find_annihilator's arguments
+    job = os.path.join(ROOT, "perfbench", "job.py")
+    reports = []
+    for trace in ("0", "1"):
+        meta = tmp_path / f"meta{trace}"
+        proc = subprocess.run([sys.executable, job, str(meta), "0", trace, "--", *argv],
+                              capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(meta.read_text())["raised"] is None
+        reports.append(proc.stdout)
+    assert reports[0] == reports[1]
+    names = {span[1] for span in _tracing().load(f"{tmp_path / 'meta1'}.spans")["spans"]}
+    assert {"genmat.GenericMatrix.mul", "genmat.find_annihilator", "quantize.matrix_star"} <= names
 
 
 # what every command executes: the CLI, its errors, the field tag and the report codec
