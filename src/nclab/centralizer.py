@@ -48,15 +48,13 @@ class CentralizerBasis(Record):
         return list(accumulate(counts))
 
 
-def _commutator_column(raw_f, w, p: int) -> dict:
+def _commutator_column(raw_f, w, field: Field) -> dict:
     """[f, w] for a word w as a dict word -> raw value, with raw_f the (word, value) terms of f."""
     col = {}
     for u, c in raw_f:
         col[u + w] = col.get(u + w, 0) + c
         col[w + u] = col.get(w + u, 0) - c
-    if p:
-        return {k: v % p for k, v in col.items() if v % p}
-    return {k: v for k, v in col.items() if v}
+    return field.reduced(col)
 
 
 def centralizer_basis(f: freealg.FreePoly, d: int) -> CentralizerBasis:
@@ -74,7 +72,7 @@ def centralizer_basis(f: freealg.FreePoly, d: int) -> CentralizerBasis:
     field = f.field
     raw_f = list(f.terms.items())
     words = _words_up_to(f.s, d)
-    columns = (_commutator_column(raw_f, w, field.p) for w in words)
+    columns = (_commutator_column(raw_f, w, field) for w in words)
     basis = [freealg.FreePoly(f.s, field, {words[j]: v for j, v in vec.items()})
              for vec in reversed(linalg.kernel_basis(columns, field))]
     # Re-check by an independent path: every element commutes with f.

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import sys
 import types
+from math import comb
 
 from . import centralizer, diagonalize, freealg, genmat, quantize, rings, serialize
 from .errors import EngineError, InvalidField, InvalidSize
@@ -70,9 +71,18 @@ MAX_PROBE_N_ORDER = 10_000
 #: --dmax 200 took 0.38 s, --n 2 --dmax 141 0.28 s, --n 12 --dmax 57 0.22 s,
 #: --n 40 --dmax 31 0.31 s and --n 150 --dmax 16 0.60 s, most of it the report;
 #: --n 2 --dmax 400 took 3.0 s and --n 150 --dmax 25 0.61 s (2-core 2.1 GHz VM).
-#: Images of --f and --g are not bounded here: the search ends at their
-#: annihilator, as in annihilator and bergman-pipeline.
+#: Images of --f and --g are bounded by MAX_PROBE_SEARCH_TERMS instead.
 MAX_PROBE_N_DMAX_SQUARED = 40_000
+
+#: When [f, g] != 0 in the free algebra, nothing ends probe's search for an
+#: annihilator of the images before --dmax (when [f, g] = 0 it ends by layer
+#: max(deg f, deg g)), so ``_probe_search_terms`` bounds the terms of its columns
+#: f^a g^b up front.  With --order 1, the largest searches let through took:
+#: --n 1 --f x1 --g x2^2 --dmax 243 0.4-0.7 s, --n 1 --f x1+x2 --g x1*x2 --dmax 54
+#: 0.14 s and --n 2 --f "(x1*x2-x2*x1)^2" --g x1 --dmax 3 0.03 s after start-up;
+#: unbounded, that --n 2 row took 6.4 s at --dmax 8 and the --n 1 row at --dmax
+#: 100000 ran past 10 s (2-core 2.1 GHz VM).
+MAX_PROBE_SEARCH_TERMS = 30_000
 
 #: ``al`` expands S_2n into monomials of the n x n generic entries.  Past n = 3
 #: that is out of reach: on 4 x 4 generic matrices S_6 alone has 1,290,240 terms
@@ -131,6 +141,36 @@ def _check_sizes(args) -> None:
     if command == "probe" and args.f is None and args.n * args.dmax**2 > MAX_PROBE_N_DMAX_SQUARED:
         raise InvalidSize(f"probe --n {args.n} --dmax {args.dmax}: on the diagonal pair --n "
                           f"times --dmax squared is at most {MAX_PROBE_N_DMAX_SQUARED}")
+
+
+def _entry_sizes(m):
+    """T, the most terms of an entry of m, and S, its distinct monomials over all entries.
+
+    S is at least 1, so that C(S + a - 1, a) is defined; a zero matrix has T = 0.
+    """
+    terms = [e.terms for e in m.entries.values()]
+    return max(map(len, terms), default=0), max(len(set().union(*terms)), 1)
+
+
+def _probe_search_terms(f, g, dmax: int) -> int:
+    """A bound on the terms of the columns f^a g^b that the search over images f, g builds.
+
+    The sum stops once it passes MAX_PROBE_SEARCH_TERMS.  An entry of f^a g^b
+    (a + b >= 1) sums n^(a+b-1) products of a entries of f and b of g, so it has
+    at most n^(a+b-1) T_f^a T_g^b terms.  Each of its monomials is a product of
+    a monomials of f's entries and b of g's, so there are at most
+    C(S_f + a - 1, a) C(S_g + b - 1, b) of them.  A layer with a zero column
+    (bound 0) is the search's last: that column is a kernel vector.
+    """
+    (tf, sf), (tg, sg) = _entry_sizes(f), _entry_sizes(g)
+    n, total = f.n, f.n  # the identity's n terms
+    for d in range(1, dmax + 1):
+        layer = [min(n ** (d - 1) * tf**a * tg ** (d - a),
+                     comb(sf + a - 1, a) * comb(sg + d - a - 1, d - a)) for a in range(d + 1)]
+        total += n * n * sum(layer)
+        if total > MAX_PROBE_SEARCH_TERMS or 0 in layer:
+            break
+    return total
 
 
 def _fail(message: str) -> int:
@@ -335,8 +375,12 @@ def _cmd_bergman_pipeline(args, field):
 
 def _cmd_probe(args, field):
     if args.f is not None:
-        f = genmat.pi_reduce(freealg.parse_free(args.f, args.s, field), args.n)
-        g = genmat.pi_reduce(freealg.parse_free(args.g, args.s, field), args.n)
+        free_f, free_g = (freealg.parse_free(text, args.s, field) for text in (args.f, args.g))
+        f, g = genmat.pi_reduce(free_f, args.n), genmat.pi_reduce(free_g, args.n)
+        if (not freealg.commutator(free_f, free_g).is_zero
+                and _probe_search_terms(f, g, args.dmax) > MAX_PROBE_SEARCH_TERMS):
+            raise InvalidSize(f"probe --n {args.n} --dmax {args.dmax}: the annihilator search "
+                              f"of --f and --g can build over {MAX_PROBE_SEARCH_TERMS} terms")
         tensor = _tensor(args, field, args.s, args.n)
     else:
         f, g, tensor = centralizer.diagonal_generic_pair(args.n, field)

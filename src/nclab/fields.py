@@ -3,9 +3,10 @@
 A ``Field`` is a lightweight descriptor (characteristic 0 for the rationals,
 otherwise a prime modulus).  Inside the engine a field element is a *raw*
 value: an int in ``[0, p)`` over F_p; over Q an int when it is integral and
-a lowest-terms ``Fraction`` otherwise.  A ``Scalar``, a raw value tagged
-with its field, is what crosses the API, and ``SparseSum``, the base of the
-polynomial classes, stores raw values.  All arithmetic is exact.
+a lowest-terms ``Fraction`` otherwise.  ``Field.reduce``, ``reduced`` and
+``inverse`` are the one raw arithmetic (``linalg.Echelon`` reduces inline).
+A ``Scalar``, a raw value tagged with its field, crosses the API, and
+``SparseSum``, the base of the polynomial classes, stores raw values.
 """
 
 from __future__ import annotations
@@ -91,12 +92,7 @@ class Field(Frozen):
             num, slash, den = text.partition("/")
             value = Fraction(int(num), int(den)) if slash else int(text)
         if isinstance(value, Fraction):
-            if self.p == 0:
-                return rational(value)
-            den = value.denominator % self.p
-            if den == 0:
-                raise DivisionByZero(f"denominator of {value} vanishes mod {self.p}")
-            return value.numerator * pow(den, -1, self.p) % self.p
+            return self.reduce(value.numerator * self.inverse(value.denominator))
         if isinstance(value, int):
             return value % self.p if self.p else value
         raise TypeError(f"cannot build a scalar from {value!r}")
@@ -108,6 +104,24 @@ class Field(Frozen):
     def reduce(self, value):
         """The raw value of an exact sum or product of raw values."""
         return value % self.p if self.p else rational(value)
+
+    def reduced(self, acc: dict) -> dict:
+        """The normal form of a dict of exact sums and products of raw values: zeros dropped."""
+        p = self.p
+        if p:
+            return {k: v for k, c in acc.items() if (v := c % p)}
+        return {k: c if type(c) is int or c.denominator != 1 else c.numerator
+                for k, c in acc.items() if c}
+
+    def inverse(self, value):
+        """The raw inverse of an exact sum or product of raw values."""
+        p = self.p
+        if not (value % p if p else value):
+            raise DivisionByZero(f"{value} has no inverse in {self!r}")
+        if p:
+            return pow(value, -1, p)
+        # 1 and -1 are their own inverses, as ints: a pivot of either keeps a column integral
+        return int(value) if value in (1, -1) else rational(Fraction(1) / value)  # 1 / int is a float
 
     @property
     def zero(self) -> Scalar:
@@ -175,11 +189,7 @@ class Scalar(Frozen):
         return Scalar(self.field, self.field.reduce(-self.value))
 
     def inverse(self) -> Scalar:
-        if not self:
-            raise DivisionByZero("scalar division by zero")
-        if self.field.p == 0:
-            return Scalar(self.field, rational(Fraction(1) / self.value))  # 1 / int is a float
-        return Scalar(self.field, pow(self.value, -1, self.field.p))
+        return Scalar(self.field, self.field.inverse(self.value))
 
     def __pow__(self, exponent: int):
         if exponent < 0:
@@ -258,15 +268,9 @@ class SparseSum(Frozen):
     @classmethod
     def _of(cls, field: Field, acc: dict):
         """The sum of ``acc``, exact sums and products of raw values, with nothing coerced."""
-        p = field.p
-        if p:
-            terms = {k: v for k, c in acc.items() if (v := c % p)}
-        else:
-            terms = {k: c if type(c) is int or c.denominator != 1 else c.numerator
-                     for k, c in acc.items() if c}
         out = object.__new__(cls)
         object.__setattr__(out, "field", field)
-        object.__setattr__(out, "terms", terms)
+        object.__setattr__(out, "terms", field.reduced(acc))
         return out
 
     def _ring(self):

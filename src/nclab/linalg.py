@@ -13,10 +13,9 @@ identical results.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from .fields import Field, rational
+from .fields import Field
 
 
 class Echelon:
@@ -30,17 +29,19 @@ class Echelon:
     made, which leaves it with no entry in any pivot row.
     """
 
-    __slots__ = ("ncols", "_p", "_order", "_pivots")
+    __slots__ = ("ncols", "_field", "_order", "_pivots")
 
     def __init__(self, field: Field):
         self.ncols = 0
-        self._p = field.p
+        self._field = field
         self._order = {}  # pivot row -> index into _pivots
         self._pivots = []  # (row, reduced column, combination)
 
     def _reduce(self, col: dict, comb: dict) -> None:
         """Subtract pivots from ``col`` in place, mirroring each step on ``comb``."""
-        p, order, pivots = self._p, self._order, self._pivots
+        # here, in absorb's pivot scaling and in solve, % p stays inline: the one
+        # raw arithmetic is Field's, but a call per entry costs more than the entry
+        p, order, pivots = self._field.p, self._order, self._pivots
         heap = [order[r] for r in col if r in order]
         heapify(heap)
         while heap:
@@ -83,13 +84,10 @@ class Echelon:
         self._reduce(col, comb)
         if not col:
             return comb
+        p = self._field.p
         # over Q a pivot entry of 1 or -1 keeps integral columns integral
-        row = next((k for k, v in col.items() if self._p or v in (1, -1)), next(iter(col)))
-        p, pivot = self._p, col[row]
-        if p:
-            inv = pow(pivot, -1, p)
-        else:  # over Q a pivot of 1 or -1 is its own inverse
-            inv = int(pivot) if pivot in (1, -1) else rational(Fraction(1) / pivot)
+        row = next((k for k, v in col.items() if p or v in (1, -1)), next(iter(col)))
+        inv = self._field.inverse(col[row])
         if inv != 1:
             col = {k: v * inv % p if p else v * inv for k, v in col.items()}
             comb = {k: v * inv % p if p else v * inv for k, v in comb.items()}
@@ -104,7 +102,7 @@ class Echelon:
         self._reduce(col, comb)
         if col:
             return None
-        p = self._p
+        p = self._field.p
         return {k: -v % p if p else -v for k, v in comb.items()}
 
 

@@ -23,8 +23,6 @@ matrices of a matrix.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import (
     BadTensorFile,
     CharacteristicTooSmall,
@@ -71,11 +69,11 @@ class PoissonTensor(Frozen):
                 raise UnknownVariable(f"{name} is not a tensor variable")
 
     def ordered_pairs(self):
-        """All ordered (vi, vj, weight) with nonzero weight, both orientations."""
+        """All ordered (vi, vj, raw weight) with nonzero weight, both orientations."""
         out = []
         for (i, j), c in sorted(self.entries.items()):
-            out.append((self.variables[i], self.variables[j], c))
-            out.append((self.variables[j], self.variables[i], -c))
+            out.append((self.variables[i], self.variables[j], c.value))
+            out.append((self.variables[j], self.variables[i], self.field.reduce(-c.value)))
         return out
 
     @staticmethod
@@ -151,14 +149,14 @@ class StarContext(Frozen):
         object.__setattr__(self, "tensor", tensor)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "field", tensor.field)
-        weights, denom = [], 1  # denom = 2^r * r!, a running product
+        weights, denom = [], 1  # raw 1 / (2^r * r!), denom a running product
         for r in range(1, order + 2):
-            weights.append(self.field.scalar(Fraction(1, denom)))
+            weights.append(self.field.inverse(denom))
             denom *= 2 * r
         object.__setattr__(self, "_weights", tuple(weights))
         partners = {}  # v_i -> [(v_j, raw T(i,j))] over both orientations
         for vi, vj, w in tensor.ordered_pairs():
-            partners.setdefault(vi, []).append((vj, w.value))
+            partners.setdefault(vi, []).append((vj, w))
         object.__setattr__(self, "_partners", partners)
 
     def bilinear_map(self, r: int, a: CommPoly, b: CommPoly) -> CommPoly:
@@ -178,10 +176,9 @@ class StarContext(Frozen):
         partners, in_b = self._partners, b.variables()
         if not any(vj in in_b for v in a.variables() for vj, _ in partners.get(v, ())):
             return out + [zero] * rmax
-        p = self.field.p
         w = {(ma, mb): ca * cb for ma, ca in a.terms.items() for mb, cb in b.terms.items()}
         for r in range(1, rmax + 1):
-            w = _poisson_step(w, partners, p)
+            w = _poisson_step(w, partners, self.field)
             if not w:
                 return out + [zero] * (rmax - r + 1)
             terms = {}
@@ -189,12 +186,12 @@ class StarContext(Frozen):
                 m = mono_mul(ma, mb)
                 s = terms.get(m)
                 terms[m] = c if s is None else s + c
-            weight = self._weights[r].value
+            weight = self._weights[r]
             out.append(CommPoly._of(self.field, {m: c * weight for m, c in terms.items()}))
         return out
 
 
-def _poisson_step(w: dict, partners: dict, p: int) -> dict:
+def _poisson_step(w: dict, partners: dict, field: Field) -> dict:
     """P(W) for P = sum T(i,j) d_i (x) d_j on raw values; zero terms dropped.
 
     ``partners`` maps v_i to its [(v_j, raw T(i,j))]; a term of W meets only
@@ -217,9 +214,7 @@ def _poisson_step(w: dict, partners: dict, p: int) -> dict:
                     v = cai * hit[0] * t
                     s = out.get(key)
                     out[key] = v if s is None else s + v
-    if p:
-        return {key: v % p for key, v in out.items() if v % p}
-    return {key: v for key, v in out.items() if v}
+    return field.reduced(out)
 
 
 def matrix_star(a: FormalSeries, b: FormalSeries, ctx: StarContext) -> FormalSeries:

@@ -235,7 +235,7 @@ def poly_divmod(a: CommPoly, b: CommPoly):
         raise DivisionByZero("polynomial division by zero")
     a._check(b)
     lm, lc = b.leading_term()
-    inv = lc.inverse().value
+    inv = a.field.inverse(lc.value)
     quot: dict = {}
     rem: dict = {}
     work = dict(a.terms)
@@ -271,7 +271,7 @@ def _monic(p: CommPoly) -> CommPoly:
     if p.is_zero:
         return p
     _, lc = p.leading_term()
-    return p.scale(lc.inverse())
+    return p.scale(p.field.inverse(lc.value))
 
 
 def _to_univ(p: CommPoly, v: Variable):
@@ -412,8 +412,7 @@ def _divide_out(num: CommPoly, pair):
         rest = tuple(rest)
         split.append((rest, a, b, c))
         image[rest, a + b] = image.get((rest, a + b), 0) + c
-    p = num.field.p
-    if any(x % p if p else x for x in image.values()):
+    if num.field.reduced(image):
         return None
     terms = {}
     for rest, a, b, c in split:
@@ -437,7 +436,7 @@ def _cancel(num: CommPoly, exps: dict, pairs) -> CommPoly:
 
 
 def _factor_denominator(den: CommPoly):
-    """(c, exps) with den = c * prod (u - v)^exps[(u, v)], by trial division."""
+    """(c, exps) with den = c * prod (u - v)^exps[(u, v)] and c raw, by trial division."""
     if den.is_zero:
         raise DivisionByZero("rational function with zero denominator")
     variables = sorted(den.variables())
@@ -448,7 +447,7 @@ def _factor_denominator(den: CommPoly):
         raise UnsupportedDenominator(
             "denominator is not a scalar times a product of differences of variables"
         )
-    return rest.constant_value(), {pair: den.total_degree() - k for pair, k in room.items()}
+    return rest.terms[EMPTY_MONO], {pair: den.total_degree() - k for pair, k in room.items()}
 
 
 def _fill(out, num: CommPoly, exps: dict):
@@ -476,7 +475,7 @@ class RationalFunction(Frozen):
     def __init__(self, num: CommPoly, den: CommPoly):
         num._check(den)
         c, exps = _factor_denominator(den)
-        _fill(self, _cancel(num.scale(c.inverse()), exps, sorted(exps)), exps)
+        _fill(self, _cancel(num.scale(den.field.inverse(c)), exps, sorted(exps)), exps)
 
     @staticmethod
     def _of(num: CommPoly, exps: dict) -> RationalFunction:
@@ -562,7 +561,7 @@ class RationalFunction(Frozen):
         if other.is_zero:
             raise DivisionByZero("division by the zero rational function")
         c, exps = _factor_denominator(other.num)
-        num = CommPoly.constant(c.inverse())
+        num = CommPoly(self.field, {EMPTY_MONO: self.field.inverse(c)})
         for pair, k in other.exps:
             num = num * _factor_power(self.field, pair, k)
         return self * RationalFunction._of(num, exps)

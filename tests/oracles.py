@@ -184,7 +184,7 @@ def rank(vectors, ncols, p=0):
 def moyal_term(a: CommPoly, b: CommPoly, r: int, pairs, weight_scalar) -> CommPoly:
     """B_r(a, b) by sympy, as a bidifferential operator on two copies of the variables.
 
-    ``pairs`` is a list of (vi, vj, scalar weight) over both orientations;
+    ``pairs`` is a list of (vi, vj, raw weight) over both orientations;
     ``weight_scalar`` is the field element 1/(2^r r!).  With b written in
     primed variables, B_r(a, b) is weight * D^r (a b') at primed = unprimed,
     for D = sum T(i,j) d/dv_i d/dv_j'.  The arithmetic is sympy's, in a
@@ -209,7 +209,7 @@ def moyal_term(a: CommPoly, b: CommPoly, r: int, pairs, weight_scalar) -> CommPo
 
     rows = {}  # vi -> [(vj, T(i,j))]: each d/dv_i is taken once per step
     for vi, vj, c in pairs:
-        rows.setdefault(vi, []).append((primed[vj], Fraction(c.value)))
+        rows.setdefault(vi, []).append((primed[vj], Fraction(c)))
     w = lift(a, names) * lift(b, primed)
     for _ in range(r):
         out = ring.zero

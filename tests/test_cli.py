@@ -22,10 +22,14 @@ from nclab.cli import (
     MAX_MATRIX_ENTRIES,
     MAX_NMAX,
     MAX_PROBE_N_DMAX_SQUARED,
+    MAX_PROBE_SEARCH_TERMS,
     MAX_STAR_ORDER,
+    _probe_search_terms,
     main,
 )
-from nclab.freealg import MAX_NESTING
+from nclab import genmat
+from nclab.fields import GF, QQ
+from nclab.freealg import MAX_NESTING, parse_free
 
 SUBCOMMANDS = [
     "eval",
@@ -411,6 +415,57 @@ class TestExitStatuses:
         assert 8 * 5**2 <= 150 * 16**2 <= MAX_PROBE_N_DMAX_SQUARED < n * dmax**2
         assert_refused_up_front(["probe", "--n", str(n), "--dmax", str(dmax)], 1.0,
                                 f"error [invalid-size]: probe --n {n} --dmax {dmax}: ", startup_s)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n", "1", "--s", "2", "--f", "x1", "--g", "x2^2", "--dmax", "100000"],
+            ["--n", "2", "--f", "(x1*x2-x2*x1)^2", "--g", "x1", "--order", "1", "--dmax", "8"],
+        ],
+        ids=["n1-dmax100000", "n2-central-square"],
+    )
+    def test_a_probe_of_a_pair_that_does_not_commute_freely_is_bounded_up_front(self, argv,
+                                                                               startup_s):
+        # [f, g] != 0 in the free algebra, so nothing ends the search before --dmax:
+        # unbounded, the first ran past 10 s and the second took 6.4 s.  The images
+        # commute: at n = 1 every pair does, and [x1, x2]^2 is central in M_2.
+        n, dmax = argv[1], argv[-1]
+        assert_refused_up_front(["probe", *argv], 1.0,
+                                f"error [invalid-size]: probe --n {n} --dmax {dmax}: the "
+                                "annihilator search of --f and --g can build over", startup_s)
+
+    @pytest.mark.parametrize(
+        "argv, searched",
+        [
+            (["--n", "2", "--f", "(x1*x2-x2*x1)^2", "--g", "x1", "--order", "1", "--dmax", "3"],
+             '"searched_bound": 3'),
+            # pi_1 of a commutator is 0, an empty column that ends the search at layer 1
+            (["--n", "1", "--f", "x1*x2-x2*x1", "--g", "x1", "--dmax", "100000"], '"text": "u"'),
+        ],
+        ids=["n2-central-square-dmax3", "n1-zero-image"],
+    )
+    def test_a_probe_of_such_a_pair_within_the_bound_runs(self, argv, searched, startup_s):
+        code, out, err, wall = run_process(["probe", *argv, "--json"], timeout=startup_s + 2.0)
+        assert wall - startup_s < 2.0
+        assert (code, err) == (0, "")
+        assert searched in out
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["q", "fp7"])
+    @pytest.mark.parametrize(
+        "n, f, g, dmax",
+        [(1, "x1+x2", "x1*x2-1", 6), (1, "(x1+x2+1)^2", "x1*x2+x2", 5),
+         (2, "(x1*x2-x2*x1)^2", "x1+2", 3), (2, "(x1*x2-x2*x1)^2+x2", "x2^2", 2)],
+    )
+    def test_the_probe_search_bound_is_at_least_the_terms_built(self, n, f, g, dmax, field):
+        # every column f^a g^b with a + b <= dmax, built as the search builds it
+        a, b = (genmat.pi_reduce(parse_free(e, 2, field), n) for e in (f, g))
+        built, prev = n, {(0, 0): a.identity_like()}  # the identity's n terms
+        for d in range(1, dmax + 1):
+            cur = {(i, d - i): a * prev[i - 1, d - i] if i else b * prev[0, d - 1]
+                   for i in range(d + 1)}
+            built += sum(len(e.terms) for m in cur.values() for e in m.entries.values())
+            prev = cur
+        assert built <= _probe_search_terms(a, b, dmax) <= MAX_PROBE_SEARCH_TERMS
 
     @pytest.mark.parametrize(
         "argv",

@@ -130,6 +130,88 @@ def test_negative_pow_is_inverse_power():
     assert a**-2 == (a.inverse()) ** 2
 
 
+class TestRawArithmetic:
+    """``Field.reduced`` and ``Field.inverse`` against Fraction and pow(x, -1, p)."""
+
+    FIELDS = pytest.mark.parametrize("field", [QQ, GF(2), GF(7), GF(32003)],
+                                     ids=["q", "fp2", "fp7", "fp32003"])
+
+    @staticmethod
+    def _exact(field):
+        """Exact sums and products of raw values: any int over F_p, also Fractions over Q."""
+        ints = st.integers(-(10**30), 10**30)
+        return st.one_of(ints, st.fractions()) if field.p == 0 else ints
+
+    @staticmethod
+    def _normal(field, x: Fraction):
+        """The raw value of a Fraction x, by Fraction arithmetic and the built-in pow."""
+        if field.p:
+            return x.numerator * pow(x.denominator, -1, field.p) % field.p
+        return x.numerator if x.denominator == 1 else x
+
+    @staticmethod
+    def _assert_raw(field, value):
+        if field.p:
+            assert type(value) is int and 0 <= value < field.p
+        else:
+            assert type(value) is int or (type(value) is Fraction and value.denominator != 1)
+
+    @FIELDS
+    @given(data=st.data())
+    def test_reduced_matches_fraction_arithmetic(self, field, data):
+        acc = data.draw(st.dictionaries(st.integers(0, 9), self._exact(field), max_size=8))
+        got = field.reduced(acc)
+        assert got == {k: v for k, c in acc.items() if (v := self._normal(field, Fraction(c)))}
+        for value in got.values():
+            self._assert_raw(field, value)
+
+    @FIELDS
+    @given(data=st.data())
+    def test_inverse_matches_fraction_and_pow(self, field, data):
+        x = data.draw(self._exact(field).filter(lambda x: self._normal(field, Fraction(x))))
+        got = field.inverse(x)
+        assert got == self._normal(field, 1 / Fraction(x))
+        if field.p:
+            assert got == pow(x, -1, field.p)
+        self._assert_raw(field, got)
+        assert field.scalar(x).inverse().value == got
+        assert field.reduce(got * x) == 1
+
+    @FIELDS
+    def test_zero_has_no_inverse(self, field):
+        zeros = [0, Fraction(0)] if field.p == 0 else [0, field.p, -3 * field.p]
+        for zero in zeros:
+            with pytest.raises(DivisionByZero):
+                field.inverse(zero)
+        with pytest.raises(DivisionByZero):
+            field.zero.inverse()
+        if field.p:  # a denominator that vanishes mod p
+            with pytest.raises(DivisionByZero):
+                field.raw(Fraction(1, field.p))
+
+    def test_one_and_minus_one_over_q_are_their_own_int_inverses(self):
+        # the shortcut that keeps integral elimination columns integral
+        for unit in (1, -1, Fraction(1), Fraction(-1)):
+            got = QQ.inverse(unit)
+            assert got == unit and type(got) is int
+
+    def test_a_fraction_with_denominator_one_comes_back_as_an_int(self):
+        assert QQ.inverse(Fraction(1, 3)) == 3 and type(QQ.inverse(Fraction(-1, 3))) is int
+        got = QQ.reduced({"a": Fraction(6, 2), "b": Fraction(1, 2) + Fraction(1, 2),
+                          "c": Fraction(1, 3), "z": Fraction(0)})
+        assert got == {"a": 3, "b": 1, "c": Fraction(1, 3)}
+        assert [type(v) for v in got.values()] == [int, int, Fraction]
+
+    @pytest.mark.parametrize("p", [2, 7, 32003])
+    def test_negative_ints_come_back_reduced_mod_p(self, p):
+        field = GF(p)
+        for x in (-1, -3, -p - 1, -(10**20) - 1):
+            if x % p:
+                assert field.inverse(x) == pow(x % p, -1, p)
+            assert field.reduced({"x": x}) == ({"x": x % p} if x % p else {})
+            assert all(0 <= v < p for v in field.reduced({"x": x}).values())
+
+
 class TestSparseSum:
     """The arithmetic CommPoly, FreePoly and BivariatePoly share through SparseSum."""
 

@@ -15,6 +15,13 @@ the two answers must be related as the theorem says.
   to a scalar, so the two agree once each is scaled to a leading 1.
   (f, g) -> (af + b, g) sends P(u, v) to P((u - b)/a, v), of the same
   total degree.
+- ``bergman-pipeline``: (f, g) -> (af + b, g) substitutes into each size's
+  annihilator as above.  The lift of bI commutes with every lift, so the star
+  commutator, and with it ``star_linear_part``, is scaled by a, and the
+  conclusion is unchanged.
+- ``probe``: swapping the pair swaps the annihilator, negates the star
+  commutator and keeps the conclusion.
+- ``commute``: [g, f] = -[f, g], in the free algebra and on the images.
 - ``pi``: pi_n(f) with the generators permuted is pi_n(f) with the entry
   variables x<l>[i,j] permuted alike.
 - ``diag``: permuting the lam_i and conjugating the perturbation M by the
@@ -27,16 +34,23 @@ storage through permuted patterns of zero entries.
 
 from math import comb
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nclab import genmat
-from nclab.centralizer import bergman_check
+from nclab.centralizer import (
+    bergman_check,
+    bergman_pipeline,
+    commuting_matrix_probe,
+    diagonal_generic_pair,
+)
 from nclab.diagonalize import SeriesFieldMatrix, successive_diagonalize
 from nclab.errors import ScalarInput
 from nclab.fields import GF, QQ
-from nclab.freealg import FreePoly, parse_free, pretty
+from nclab.freealg import FreePoly, commutator, parse_free, pretty
 from nclab.genmat import GenericMatrix
+from nclab.quantize import StarContext, entry_pairing_tensor
 from nclab.rings import CommPoly, RationalFunction, Variable, mono_from_dict
 
 FIELDS = [QQ, GF(7), GF(32003)]
@@ -143,17 +157,86 @@ def test_an_affine_change_of_f_substitutes_into_the_annihilator(h_terms, p, q, a
     ours = genmat.annihilator_stability(f, g, [1, 2], dmax)
     theirs = genmat.annihilator_stability(moved, g, [1, 2], dmax)
     assert ours.all_found and theirs.all_found
-    inverse, shift = field.scalar(a).inverse(), -field.scalar(b)
     for mine, other in zip(ours.results, theirs.results):
-        # c u^i v^j -> c a^-i (u - b)^i v^j, expanded binomially
-        terms = {}
-        for (i, j), c in mine.poly.terms.items():
-            for k in range(i + 1):
-                term = field.scalar(c) * inverse**i * field.scalar(comb(i, k)) * shift ** (i - k)
-                terms[k, j] = terms.get((k, j), field.zero) + term
-        substituted = genmat.BivariatePoly(field, terms)
-        assert _leading_one(substituted) == _leading_one(other.poly)
+        assert _leading_one(_substituted(mine.poly, a, b)) == _leading_one(other.poly)
         assert mine.total_degree == other.total_degree
+
+
+def _substituted(poly, a, b):
+    """P((u - b)/a, v) for the BivariatePoly P: c u^i v^j -> c a^-i (u - b)^i v^j, expanded."""
+    field = poly.field
+    inverse, shift = field.scalar(a).inverse(), -field.scalar(b)
+    terms = {}
+    for (i, j), c in poly.terms.items():
+        for k in range(i + 1):
+            term = field.scalar(c) * inverse**i * field.scalar(comb(i, k)) * shift ** (i - k)
+            terms[k, j] = terms.get((k, j), field.zero) + term
+    return genmat.BivariatePoly(field, terms)
+
+
+_STAR_FIELDS = [QQ, GF(7)]
+
+
+@settings(max_examples=10)
+@given(_h, _univariates, _univariates, _coefficients, st.integers(-3, 3),
+       st.sampled_from(_STAR_FIELDS))
+def test_an_affine_change_of_f_carries_through_the_pipeline(h_terms, p, q, a, b, field):
+    h = FreePoly(2, field, h_terms)
+    f, g = _univariate(h, p), _univariate(h, q)
+    moved = f.scale(a) + FreePoly.constant(field.scalar(b), 2)
+    assume(not moved.is_constant)  # a vanishes mod p
+    dmax, ctx = max(len(p), len(q)) - 1, StarContext(entry_pairing_tensor(2, 2, field), 1)
+    ours = bergman_pipeline(f, g, 2, dmax, ctx)
+    theirs = bergman_pipeline(moved, g, 2, dmax, ctx)
+    assert ours.commute and theirs.commute
+    assert (ours.trdeg_verdict, ours.conclusion) == (theirs.trdeg_verdict, theirs.conclusion)
+    for mine, other in zip(ours.outcomes, theirs.outcomes, strict=True):
+        assert _leading_one(_substituted(mine.annihilator.poly, a, b)) == \
+            _leading_one(other.annihilator.poly)
+        assert other.star_linear_part == mine.star_linear_part.scale(a)
+        assert (other.star_c0_zero, other.star_c1_zero) == (mine.star_c0_zero, mine.star_c1_zero)
+
+
+@settings(max_examples=10)
+@given(_h, _univariates, _univariates, st.integers(1, 2), st.sampled_from(_STAR_FIELDS))
+def test_swapping_the_probe_pair_swaps_the_annihilator_and_negates_c1(h_terms, p, q, n, field):
+    h = FreePoly(2, field, h_terms)
+    f, g = (genmat.pi_reduce(_univariate(h, cs), n) for cs in (p, q))
+    dmax, ctx = max(len(p), len(q)) - 1, StarContext(entry_pairing_tensor(2, n, field), 1)
+    ours, theirs = commuting_matrix_probe(f, g, dmax, ctx), commuting_matrix_probe(g, f, dmax, ctx)
+    assert (ours.trdeg_verdict, ours.conclusion) == (theirs.trdeg_verdict, theirs.conclusion)
+    (mine,), (other,) = ours.outcomes, theirs.outcomes
+    swapped = {(v, u): c for (u, v), c in mine.annihilator.poly.terms.items()}
+    assert _leading_one(genmat.BivariatePoly(field, swapped)) == _leading_one(other.annihilator.poly)
+    assert other.star_linear_part == -mine.star_linear_part
+
+
+@pytest.mark.parametrize("field", _STAR_FIELDS, ids=["q", "fp7"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_swapping_the_diagonal_pair_negates_c1(n, field):
+    # no annihilator, and a nonzero star commutator: the trdeg-2 pair
+    f, g, tensor = diagonal_generic_pair(n, field)
+    ctx = StarContext(tensor, 2)
+    ours, theirs = commuting_matrix_probe(f, g, 3, ctx), commuting_matrix_probe(g, f, 3, ctx)
+    (mine,), (other,) = ours.outcomes, theirs.outcomes
+    assert not mine.annihilator.found and not other.annihilator.found
+    assert not mine.star_linear_part.is_zero
+    assert other.star_linear_part == -mine.star_linear_part
+    assert ours.conclusion == theirs.conclusion
+
+
+_free2 = st.dictionaries(st.lists(st.integers(1, 2), max_size=3).map(tuple), _coefficients,
+                         max_size=3)
+
+
+@settings(max_examples=30)
+@given(_free2, _free2, st.integers(1, 2), st.sampled_from(_STAR_FIELDS))
+def test_the_commutator_is_antisymmetric(f_terms, g_terms, n, field):
+    f, g = FreePoly(2, field, f_terms), FreePoly(2, field, g_terms)
+    assert commutator(g, f) == -commutator(f, g)
+    a, b = genmat.pi_reduce(f, n), genmat.pi_reduce(g, n)
+    assert b * a - a * b == -(a * b - b * a)
+    assert genmat.pi_reduce(commutator(g, f), n) == -(a * b - b * a)
 
 
 _free3 = st.dictionaries(st.lists(st.integers(1, 3), max_size=3).map(tuple), _coefficients,

@@ -123,8 +123,10 @@ class TestStarProduct:
 
     @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["q", "fp32003"])
     def test_weights_are_one_over_two_to_the_r_times_r_factorial(self, field):
+        # raw values: an int or lowest-terms Fraction over Q, a residue over F_p
         weights = StarContext(two_pair_tensor(field), 40)._weights
-        assert weights == tuple(field.scalar(Fraction(1, 2**r * factorial(r))) for r in range(41))
+        assert weights == tuple(field.raw(Fraction(1, 2**r * factorial(r))) for r in range(41))
+        assert all(type(w) is (Fraction if field.p == 0 and r else int) for r, w in enumerate(weights))
 
     def test_x_star_y(self):
         ctx = self._ctx()

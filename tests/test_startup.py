@@ -13,6 +13,7 @@ table, ``cli.COMMANDS``.  No command imports the ``json`` package (reports
 are rendered without it), and only ``diag`` imports ``random``.
 """
 
+import ast
 import contextlib
 import importlib.util
 import io
@@ -236,6 +237,34 @@ def test_every_command_line_exits_cleanly(argv):
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert out.getvalue() == ""
+
+
+def _module_level_imports(tree):
+    """The modules that the import statements outside every function body name."""
+    names, todo = set(), list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue  # runs only when called
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module)
+        todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_only_fields_imports_fractions_at_module_level():
+    # raw values are built, reduced and inverted by fields alone; freealg's literal
+    # parser keeps its import inside the function that reads a fraction literal
+    package = os.path.dirname(nclab.__file__)
+    importers = set()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                if "fractions" in _module_level_imports(ast.parse(fh.read())):
+                    importers.add(name)
+    assert importers == {"fields.py"}
 
 
 # the names the package re-exports, by defining module
