@@ -1,0 +1,18 @@
+#!/bin/sh
+# Run the repository's gates in order and stop at the first that fails:
+#   1. the tier-1 test suite,
+#   2. the golden reports (scripts/record_golden.py --check),
+#   3. the benchmark's self-test in both trace modes (perfbench/run.py --smoke).
+# Usage, from anywhere in a checkout:  sh scripts/gates.sh
+# The exit status is that of the first failing gate, or 0.
+set -e
+cd "$(dirname "$0")/.."
+export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+
+echo "== tier-1 tests =="
+python -m pytest -q --continue-on-collection-errors
+echo "== golden reports =="
+python scripts/record_golden.py --check
+echo "== benchmark smoke =="
+python3 perfbench/run.py --smoke
+echo "all gates passed"

@@ -3,7 +3,8 @@
 
 Takes a commuting pair in the free algebra through reduction, annihilators and
 star commutators, then runs the probe on a directly constructed
-transcendence-degree-2 pair, where the star commutator refuses to vanish.
+transcendence-degree-2 pair, where the traces tr(c1 f^k) of the star
+commutator's h-coefficient c1, which no choice of lift changes, refuse to vanish.
 """
 
 from nclab.centralizer import (
@@ -25,8 +26,8 @@ def show_pipeline(ftext: str, gtext: str) -> None:
     print(f"pair ({ftext}, {gtext}): commute = {rep.commute}")
     for o in rep.outcomes:
         ann = str(o.annihilator.poly) if o.annihilator.found else "none"
-        star = "0" if (o.star_c0_zero and o.star_c1_zero) else "nonzero"
-        print(f"  n={o.n}: annihilator {ann}; star commutator {star} mod h^2")
+        tau = ", ".join(str(t) for t in o.tau)
+        print(f"  n={o.n}: annihilator {ann}; tau_k = tr(c1 f^k): {tau}")
     print(f"  -> {rep.conclusion}\n")
 
 
@@ -47,6 +48,7 @@ def main() -> None:
     (o,) = rep.outcomes
     print(f"diag pair: annihilator found = {o.annihilator.found}")
     print(f"h-coefficient of the star commutator: {o.star_linear_part}")
+    print(f"tau_k = tr(c1 f^k): {', '.join(str(t) for t in o.tau)}")
     print(f"-> {rep.conclusion}")
 
 

@@ -17,7 +17,7 @@ from itertools import accumulate
 
 from . import freealg, genmat, linalg, quantize, rings
 from .errors import NotCommuting, ScalarInput
-from .fields import Field
+from .fields import Field, add_products
 from .records import Record
 
 
@@ -123,10 +123,19 @@ class SizeOutcome(Record):
     """Per-matrix-size record inside a pipeline report.
 
     A report exists only for images that commute: ``find_annihilator`` raises
-    ``NotCommuting`` otherwise.
+    ``NotCommuting`` otherwise.  ``tau`` holds tau_k = tr(c1 f^k), k < n, for
+    c1 = ``star_linear_part``, the h-coefficient of the star commutator of the
+    canonical lifts.  A lift f + hX, g + hY moves c1 by [X, g] + [f, Y], whose
+    trace against f^k is tr(X [g, f^k]) + tr(Y [f^k, f]) = 0.  Where f has
+    distinct eigenvalues l_i and g has m_i, tau_k = sum_i {l_i, m_i} l_i^k:
+    Eq. (1) against a Vandermonde matrix: tau = 0 exactly when every {l_i, m_i} is.
     """
 
-    __slots__ = ("n", "annihilator", "star_c0_zero", "star_c1_zero", "star_linear_part")
+    __slots__ = ("n", "annihilator", "star_c0_zero", "star_c1_zero", "star_linear_part", "tau")
+
+    @property
+    def tau_zero(self) -> bool:
+        return all(t.is_zero for t in self.tau)
 
 
 class PipelineReport(Record):
@@ -153,18 +162,45 @@ def _failure(outcomes, stability):
     if not all(o.star_c0_zero for o in outcomes):
         # commuting lifts commute at h^0, so this is a fault, not a trdeg-2 sign
         return "the star commutator of commuting inputs is nonzero at h^0"
-    if stability is not None and stability.unstable:
+    if stability is None:  # the probe, whose pair need not come from the free algebra
+        return None
+    if not all(o.tau_zero for o in outcomes):
+        # matrix_star is associative, so commuting free inputs evaluated at the
+        # generic matrices as star series are lifts whose commutator is 0, and
+        # tau does not depend on the lift
+        return "the first-order star trace tau of commuting free inputs is nonzero"
+    if stability.unstable:
         return "annihilators found at every size are not identical"
     return None
 
 
+def _star_traces(c1: genmat.GenericMatrix, f: genmat.GenericMatrix) -> list:
+    """tau_k = tr(c1 f^k) for k < n, each summed over the entry pairs c1[i, l], f^k[l, i].
+
+    The powers of f are formed only when c1 has entries.
+    """
+    if c1.is_zero:
+        return [rings.CommPoly.zero(f.field)] * f.n
+    taus, fk = [], f.identity_like()
+    for k in range(f.n):
+        if k:
+            fk = fk * f
+        acc = {}
+        for (i, l), x in c1.entries.items():
+            y = fk.entries.get((l, i))
+            if y is not None:
+                add_products(acc, x.terms.items(), y.terms.items(), rings.mono_mul)
+        taus.append(rings.CommPoly._of(f.field, acc))
+    return taus
+
+
 def _size_outcome(f, g, dmax: int, ctx: quantize.StarContext) -> SizeOutcome:
-    """Annihilator of a commuting matrix pair and the star commutator of its lifts."""
+    """Annihilator of a commuting matrix pair, the star commutator of its lifts and its traces."""
     ann = genmat.find_annihilator(f, g, dmax)
     fhat, ghat = quantize.quantize_lift(f, ctx), quantize.quantize_lift(g, ctx)
     comm = quantize.matrix_star_commutator(fhat, ghat, ctx)
     c0, c1 = comm.coefficient(0), comm.coefficient(1)
-    return SizeOutcome(f.n, ann, c0.is_zero, c1.is_zero, c1)
+    return SizeOutcome(f.n, ann, c0.is_zero, c1.is_zero, c1, _star_traces(c1, f))
 
 
 def _verdicts(outcomes, stability):
@@ -174,20 +210,20 @@ def _verdicts(outcomes, stability):
     else:
         trdeg = f">=2 up to degree {outcomes[0].annihilator.searched_bound}"
     failure = _failure(outcomes, stability)
-    star_zero = all(o.star_c1_zero for o in outcomes)
+    tau_zero = all(o.tau_zero for o in outcomes)
     if failure:
         conclusion = "FAIL: " + failure
     elif trdeg == "1":
         conclusion = "annihilator found at every size: consistent with transcendence degree 1"
-        if not star_zero:
-            conclusion += "; warning: star commutator did not vanish"
-    elif not star_zero:
+        if not tau_zero:
+            conclusion += "; warning: the first-order star trace tau is nonzero"
+    elif not tau_zero:
         conclusion = (
-            "no annihilator up to the bound and nonzero star commutator: "
+            "no annihilator up to the bound and nonzero first-order star trace tau: "
             "the contradiction mechanism is visible"
         )
     else:
-        conclusion = "no annihilator up to the bound but the star commutator vanishes"
+        conclusion = "no annihilator up to the bound but the first-order star trace tau vanishes"
     return trdeg, conclusion
 
 

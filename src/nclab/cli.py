@@ -58,10 +58,11 @@ MAX_DIAG_ORDER_AT_N = (100, 100, 16, 7, 4, 3, 3, 2, 2, 2, 2)
 #: probe's star commutator walks only the stored entries of the lifts, whose n
 #: nonzero entries all sit at h^0, so it makes n Moyal passes and its zero
 #: coefficients cost nothing.  What grows is the report, which renders the n x n
-#: grids of f, g and the h-coefficient (3 MB at n = 150), and the order's
-#: weights 1/(2^r r!): --n 150 --order 66 took 0.4-0.5 s and --order 100 0.34 s,
-#: --n 48 --order 300 0.17 s, --n 12 --order 1000 0.15 s, --n 12 --order 300
-#: 0.14 s and --n 4 --order 1000 0.15 s (2-core 2.1 GHz VM).
+#: grids of f, g and the h-coefficient and the n traces tau_k = x1^k + ... + xn^k
+#: (7.3 MB at n = 150), and the order's weights 1/(2^r r!).  With --dmax 5,
+#: --n 150 --order 66 took 0.75-0.99 s, --n 100 --order 100 0.35-0.38 s, --n 48
+#: --order 200 0.14-0.17 s, --n 12 --order 833 0.12-0.14 s and --n 4 --order
+#: 2500 0.12-0.13 s, whole process (2-core VM, Python 3.11).
 #: Its annihilator search has a bound of its own, MAX_PROBE_N_DMAX_SQUARED.
 MAX_PROBE_N_ORDER = 10_000
 
@@ -354,7 +355,8 @@ def _pipeline_lines(rep):
             else f"no annihilator up to degree {o.annihilator.searched_bound}"
         )
         star = "0 mod h^2" if (o.star_c0_zero and o.star_c1_zero) else "nonzero mod h^2"
-        lines.append(f"n={o.n}: images commute: True; {ann}; star commutator {star}")
+        tau = "0" if o.tau_zero else "nonzero"
+        lines.append(f"n={o.n}: images commute: True; {ann}; star commutator {star}; tau {tau}")
     if rep.stability is not None:
         lines.append(
             "annihilators identical across sizes: " + ("yes" if rep.stability.identical else "no")

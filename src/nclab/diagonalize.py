@@ -20,7 +20,6 @@ enters at h^2, so the order-h Sylvester equation is identical either way.
 
 from __future__ import annotations
 
-from . import quantize
 from .errors import (
     NonzeroDiagonalRHS,
     NotDiagonalLeadingTerm,
@@ -115,50 +114,3 @@ def successive_diagonalize(a: SeriesFieldMatrix, target: int) -> DiagonalReport:
     u = SeriesFieldMatrix(a.order, u)
     diag = SeriesFieldMatrix(a.order, [GenericMatrix.diagonal(x.diagonal_entries()) for x in c])
     return DiagonalReport(u, diag, target, lam)
-
-
-class Eq1Report(Record):
-    """Diagonal of the first-order star commutator vs the bracket of entries.
-
-    ``diagonal`` holds the CommPoly entries of the h-coefficient's diagonal,
-    ``expected`` the Poisson brackets of the leading diagonal entries.
-    """
-
-    __slots__ = (
-        "n",
-        "diagonal",
-        "expected",
-        "per_entry_equal",
-        "all_equal",
-        "nonvanishing",
-        "linear_part",
-    )
-
-
-def eq1_diagonal_check(
-    fhat: FormalSeries, ghat: FormalSeries, ctx: quantize.StarContext
-) -> Eq1Report:
-    """Diagonal of (1/h)[fhat, ghat]_* mod h against the brackets of eigenvalues.
-
-    Both inputs must have diagonal degree-0 coefficients; the full commutator
-    matrix is computed so that off-diagonal cross terms are seen to
-    contribute nothing to the diagonal.
-    """
-    fhat._check(ghat)
-    f0, g0 = fhat.coefficient(0), ghat.coefficient(0)
-    if not f0.is_diagonal() or not g0.is_diagonal():
-        raise NotDiagonalLeadingTerm("degree-0 coefficients must be diagonal")
-    comm = quantize.matrix_star_commutator(fhat, ghat, ctx)
-    if not comm.coefficient(0).is_zero:
-        raise ArithmeticError("degree-0 part of the star commutator must vanish")
-    linear = comm.coefficient(1)
-    diagonal = linear.diagonal_entries()
-    expected = [
-        quantize.poisson_bracket(f0.entry(i, i), g0.entry(i, i), ctx.tensor)
-        for i in range(1, f0.n + 1)
-    ]
-    per_entry = [d == e for d, e in zip(diagonal, expected)]
-    nonvanishing = any(not d.is_zero for d in diagonal)
-    return Eq1Report(
-        f0.n, diagonal, expected, per_entry, all(per_entry), nonvanishing, linear
-    )

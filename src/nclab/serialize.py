@@ -168,7 +168,6 @@ _FORMAT = (
     _record(
         "diagonal", "diagonalize.DiagonalReport", extra={"second_eigenvalues": lambda r: None}
     ),
-    _record("eq1", "diagonalize.Eq1Report"),
     _record("correspondence", "quantize.CorrespondenceReport"),
     _record(
         "eval", "serialize.EvalReport", renamed={"degree_text": "degree", "term_count": "terms"}

@@ -37,8 +37,8 @@ from nclab.centralizer import (
     commuting_matrix_probe,
     diagonal_generic_pair,
 )
-from nclab.diagonalize import SeriesFieldMatrix, eq1_diagonal_check, successive_diagonalize
-from nclab.quantize import quantize_lift
+from nclab.diagonalize import SeriesFieldMatrix, successive_diagonalize
+from nclab.quantize import matrix_star_commutator, quantize_lift
 
 BERGMAN_CORPUS = ["x1", "x1^2", "x1^3 + x1", "x1 + x2", "x1*x2", "x2*x1*x2"]
 STABILITY_PAIRS = [("x1", "x1^2 + 1"), ("x1", "x1^3"), ("x1^2 + x1", "x1")]
@@ -143,9 +143,20 @@ def test_criterion_5_diagonal_formula():
         for n in (2, 3):
             f, g, tensor = diagonal_generic_pair(n, QQ)
             ctx = StarContext(tensor, 2)
-            rep = eq1_diagonal_check(quantize_lift(f, ctx), quantize_lift(g, ctx), ctx)
-            assert rep.all_equal and rep.nonvanishing
-            assert rep.linear_part == GenericMatrix.identity(n, QQ)
+            comm = matrix_star_commutator(quantize_lift(f, ctx), quantize_lift(g, ctx), ctx)
+            assert comm.coefficient(0).is_zero
+            linear_part = comm.coefficient(1)
+            xs, ys = f.diagonal_entries(), g.diagonal_entries()
+            # Eq. (1): the diagonal is the brackets of the eigenvalues
+            assert linear_part.diagonal_entries() == [
+                poisson_oracle(x, y, tensor) for x, y in zip(xs, ys)
+            ]
+            assert linear_part == GenericMatrix.identity(n, QQ)
+            # and its traces against the powers of f are their power sums
+            (o,) = commuting_matrix_probe(f, g, 1, ctx).outcomes
+            assert o.star_linear_part == linear_part
+            assert o.tau == [sum((x**k for x in xs), CommPoly.zero(QQ)) for k in range(n)]
+            assert not o.tau_zero
 
 
 def test_criterion_6_sylvester_recursion():

@@ -1,22 +1,31 @@
 """Centralizer bases, the single-generator test, pipeline and probe."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import free_commutator
 from oracles import kernel as oracle_kernel
 from oracles import rank as oracle_rank
+from samples import random_commpoly
 from nclab import centralizer, linalg, serialize
 from nclab.errors import NotCommuting, ScalarInput
 from nclab.fields import GF, QQ
 from nclab.freealg import FreePoly, commutator, parse_free, word_key
-from nclab.genmat import BivariatePoly, GenericMatrix, pi_reduce
-from nclab.quantize import StarContext, entry_pairing_tensor
+from nclab.genmat import BivariatePoly, FormalSeries, GenericMatrix, pi_reduce
+from nclab.quantize import (
+    StarContext,
+    entry_pairing_tensor,
+    matrix_star_commutator,
+    quantize_lift,
+)
+from nclab.rings import CommPoly
 from nclab.centralizer import (
     CentralizerBasis,
     _words_up_to,
@@ -385,6 +394,120 @@ class TestProbe:
         rep = commuting_matrix_probe(f, g, 2, ctx)
         (o,) = rep.outcomes
         assert o.star_linear_part == GenericMatrix.identity(3, QQ)
+
+
+def _traces(fhat, ghat, ctx):
+    """c1 of [fhat, ghat]_* and its traces tau_k = tr(c1 f^k) as the pipeline forms them."""
+    c1 = matrix_star_commutator(fhat, ghat, ctx).coefficient(1)
+    return c1, centralizer._star_traces(c1, fhat.coefficient(0))
+
+
+def _oracle_traces(c1, f):
+    """tr(c1 f^k) for k < n from whole matrix products."""
+    out, fk = [], f.identity_like()
+    for _ in range(f.n):
+        out.append(sum((c1 * fk).diagonal_entries(), CommPoly.zero(f.field)))
+        fk = fk * f
+    return out
+
+
+def _power_sums(xs):
+    """[sum_i x_i^k for k < n]: Eq. (1)'s tau_k = sum_i {x_i, y_i} x_i^k with every bracket 1."""
+    return [sum((x**k for x in xs), CommPoly.zero(xs[0].field)) for k in range(len(xs))]
+
+
+def _lift(c0, c1, order):
+    return FormalSeries(order, [c0, c1] + [c0._like({})] * (order - 1))
+
+
+def _conjugated_pair(n, field, rng):
+    """P diag(x) P^-1 and P diag(y) P^-1 for a random unitriangular integer P."""
+    f, g, tensor = diagonal_generic_pair(n, field)
+    zero = CommPoly.zero(field)
+    nil = GenericMatrix([[CommPoly.constant(field.scalar(rng.randint(-3, 3))) if j > i else zero
+                          for j in range(n)] for i in range(n)])
+    e = f.identity_like()
+    inverse, term = e, e
+    for _ in range(n - 1):  # (E + N)^-1 = sum (-N)^k, N nilpotent
+        term = -(term * nil)
+        inverse = inverse + term
+    p = e + nil
+    return p * f * inverse, p * g * inverse, tensor
+
+
+class TestStarTrace:
+    """tau_k = tr(c1 f^k) of the star commutator's h-coefficient c1 (Eq. (1))."""
+
+    def test_pairing_diagonals(self):
+        f, g, tensor = diagonal_generic_pair(2, QQ)
+        ctx = StarContext(tensor, 2)
+        c1, tau = _traces(quantize_lift(f, ctx), quantize_lift(g, ctx), ctx)
+        assert c1 == GenericMatrix.identity(2, QQ)
+        assert tau == _power_sums(f.diagonal_entries()) == _oracle_traces(c1, f)
+        assert tau[0] == CommPoly.constant(QQ.scalar(2))
+
+    def test_dependent_pair_vanishes(self):
+        f, _, tensor = diagonal_generic_pair(2, QQ)
+        ctx = StarContext(tensor, 2)
+        g = f * f
+        c1, tau = _traces(quantize_lift(f, ctx), quantize_lift(g, ctx), ctx)
+        assert c1.is_zero
+        assert tau == [CommPoly.zero(QQ)] * 2
+
+    def test_size_one(self):
+        f, g, tensor = diagonal_generic_pair(1, QQ)
+        ctx = StarContext(tensor, 2)
+        _, tau = _traces(quantize_lift(f, ctx), quantize_lift(g, ctx), ctx)
+        assert tau == [CommPoly.one(QQ)]
+
+    def test_offdiagonal_perturbations_leave_the_trace(self):
+        # h * (off-diagonal) blocks in both lifts make c1 non-diagonal, and
+        # its traces against the powers of f stay the power sums
+        f, g, tensor = diagonal_generic_pair(2, QQ)
+        ctx = StarContext(tensor, 2)
+        zero = CommPoly.zero(QQ)
+        y1, x2 = g.entry(1, 1), f.entry(2, 2)
+        fhat = _lift(f, GenericMatrix([[zero, y1], [y1, zero]]), 2)
+        ghat = _lift(g, GenericMatrix([[zero, x2], [x2, zero]]), 2)
+        c1, tau = _traces(fhat, ghat, ctx)
+        assert not c1.is_diagonal()
+        assert tau == _power_sums(f.diagonal_entries()) == _oracle_traces(c1, f)
+
+    def test_nondiagonal_leading_term(self):
+        # tau needs no eigenbasis: conjugating the pair by a constant P keeps it
+        f, g, tensor = _conjugated_pair(3, QQ, random.Random(7))
+        ctx = StarContext(tensor, 2)
+        assert not f.is_diagonal() and f * g == g * f
+        c1, tau = _traces(quantize_lift(f, ctx), quantize_lift(g, ctx), ctx)
+        xs = diagonal_generic_pair(3, QQ)[0].diagonal_entries()
+        assert tau == _power_sums(xs) == _oracle_traces(c1, f)
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["q", "fp5"])
+    def test_diagonal_pair_traces_are_the_power_sums(self, n, field):
+        f, g, tensor = diagonal_generic_pair(n, field)
+        rep = commuting_matrix_probe(f, g, 1, StarContext(tensor, 1))
+        (o,) = rep.outcomes
+        assert o.tau == _power_sums(f.diagonal_entries())
+        assert o.tau[0].constant_value().value == (n % field.p if field.p else n)
+        assert not o.tau_zero and "contradiction" in rep.conclusion
+
+    @settings(max_examples=30)
+    @given(st.sampled_from([2, 3]), st.sampled_from([QQ, GF(7)]), st.integers(0, 10**6))
+    def test_lift_perturbations_leave_tau(self, n, field, seed):
+        rng = random.Random(seed)
+        f, g, tensor = _conjugated_pair(n, field, rng)
+        ctx = StarContext(tensor, 1)
+        variables = list(tensor.variables)
+
+        def perturbation():
+            return GenericMatrix([[random_commpoly(rng, variables, field, 2, 2) for _ in range(n)]
+                                  for _ in range(n)])
+
+        _, tau = _traces(quantize_lift(f, ctx), quantize_lift(g, ctx), ctx)
+        moved, tau_moved = _traces(_lift(f, perturbation(), 1), _lift(g, perturbation(), 1), ctx)
+        xs = diagonal_generic_pair(n, field)[0].diagonal_entries()
+        assert tau == tau_moved == _power_sums(xs) == _oracle_traces(moved, f)
 
 
 class TestPrimeField:

@@ -32,7 +32,6 @@ ALLOWED = {
     "quantize.star_commutator":
         "the package's [a, b]_*; the star command forms it from the product it already has",
     "rings.CommPoly.evaluate": "annihilator ranks by evaluation need it (ROADMAP direction 2)",
-    "diagonalize.eq1_diagonal_check": "the probe's Eq. (1) verdict will call it (ROADMAP direction 13)",
     "fields.GF": "the public GF(p) spelling of Field(p)",
     "serialize.loads": "the documented decoder of emitted reports",
 }

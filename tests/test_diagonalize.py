@@ -1,4 +1,4 @@
-"""Sylvester solves, order-by-order diagonalization, and the diagonal identity."""
+"""Sylvester solves and order-by-order diagonalization."""
 
 import json
 import random
@@ -16,15 +16,8 @@ from nclab.errors import (
 from nclab.fields import QQ, Field
 from nclab.diagonalize import (
     SeriesFieldMatrix,
-    eq1_diagonal_check,
     solve_sylvester_diag,
     successive_diagonalize,
-)
-from nclab.quantize import (
-    FormalSeries,
-    StarContext,
-    pairing_tensor,
-    quantize_lift,
 )
 from nclab.genmat import GenericMatrix
 from nclab import rings
@@ -309,74 +302,3 @@ class TestAgainstWholeSeriesConjugation:
         # the whole-series conjugation made 30 products and 4 series inverses
         assert products <= 2
         assert not hasattr(SeriesFieldMatrix, "inverse_unitriangular")
-
-
-def aux_poly(name, i):
-    return CommPoly.variable(Variable.aux(name, i), QQ)
-
-
-def two_pairs():
-    xs = [Variable.aux("x", i) for i in (1, 2)]
-    ys = [Variable.aux("y", i) for i in (1, 2)]
-    return xs, ys, pairing_tensor(xs, ys, QQ)
-
-
-class TestEq1Diagonal:
-    def test_pairing_diagonals(self):
-        xs, ys, tensor = two_pairs()
-        ctx = StarContext(tensor, 2)
-        f = GenericMatrix.diagonal([aux_poly("x", 1), aux_poly("x", 2)])
-        g = GenericMatrix.diagonal([aux_poly("y", 1), aux_poly("y", 2)])
-        rep = eq1_diagonal_check(quantize_lift(f, ctx), quantize_lift(g, ctx), ctx)
-        assert rep.all_equal and rep.nonvanishing
-        assert rep.diagonal == [CommPoly.one(QQ), CommPoly.one(QQ)]
-
-    def test_dependent_pair_vanishes(self):
-        xs, ys, tensor = two_pairs()
-        ctx = StarContext(tensor, 2)
-        x1, x2 = aux_poly("x", 1), aux_poly("x", 2)
-        f = GenericMatrix.diagonal([x1, x2])
-        g = GenericMatrix.diagonal([x1 * x1, x2 * x2])
-        rep = eq1_diagonal_check(quantize_lift(f, ctx), quantize_lift(g, ctx), ctx)
-        assert rep.all_equal
-        assert not rep.nonvanishing
-        assert all(d.is_zero for d in rep.diagonal)
-
-    def test_size_one(self):
-        xs = [Variable.aux("x", 1)]
-        ys = [Variable.aux("y", 1)]
-        ctx = StarContext(pairing_tensor(xs, ys, QQ), 2)
-        f = GenericMatrix.diagonal([aux_poly("x", 1)])
-        g = GenericMatrix.diagonal([aux_poly("y", 1)])
-        rep = eq1_diagonal_check(quantize_lift(f, ctx), quantize_lift(g, ctx), ctx)
-        assert rep.diagonal == [CommPoly.one(QQ)]
-
-    def test_offdiagonal_perturbations_leave_the_diagonal(self):
-        # add h * (off-diagonal) blocks to both lifts: the order-h diagonal
-        # must still equal the brackets of the leading diagonal entries, and
-        # the full matrix is computed to see the cancellation
-        xs, ys, tensor = two_pairs()
-        ctx = StarContext(tensor, 2)
-        zero = CommPoly.zero(QQ)
-
-        def lift_with_offdiag(diag_polys, off):
-            c0 = GenericMatrix.diagonal(diag_polys)
-            c1 = GenericMatrix([[zero, off], [off, zero]])
-            return FormalSeries(2, [c0, c1, GenericMatrix.zeros(2, QQ)])
-
-        f = lift_with_offdiag([aux_poly("x", 1), aux_poly("x", 2)], aux_poly("y", 1))
-        g = lift_with_offdiag([aux_poly("y", 1), aux_poly("y", 2)], aux_poly("x", 2))
-        rep = eq1_diagonal_check(f, g, ctx)
-        assert rep.all_equal and rep.nonvanishing
-        assert rep.diagonal == [CommPoly.one(QQ), CommPoly.one(QQ)]
-        # the h-coefficient itself is not purely diagonal here
-        assert not rep.linear_part.is_diagonal()
-
-    def test_rejects_nondiagonal_leading(self):
-        xs, ys, tensor = two_pairs()
-        ctx = StarContext(tensor, 2)
-        one = CommPoly.one(QQ)
-        f = GenericMatrix([[aux_poly("x", 1), one], [CommPoly.zero(QQ), aux_poly("x", 2)]])
-        g = GenericMatrix.diagonal([aux_poly("y", 1), aux_poly("y", 2)])
-        with pytest.raises(NotDiagonalLeadingTerm):
-            eq1_diagonal_check(quantize_lift(f, ctx), quantize_lift(g, ctx), ctx)

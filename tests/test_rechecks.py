@@ -293,6 +293,49 @@ def test_al_dropped_sign_fails(optimize, tmp_path):
     _expect("Traceback" not in proc.stderr, proc.stderr)
 
 
+# -- pipeline: commuting free inputs must have a zero first-order star trace --
+
+# the exponent e_i of d_i x^m = e_i x^(m - e_i) dropped from the Poisson
+# operator: B_1 is no longer the bracket, and the lifts of 1/2*x1 + x2 and its
+# square get a nonzero trace tau, which no lift of a commuting pair has
+DROPPED_EXPONENT = ("quantize.py", "            cai = c * ei", "            cai = c")
+HALF_PIPELINE_ARGV = ["bergman-pipeline", "--f", "1/2*x1+x2", "--g", "(1/2*x1+x2)^2",
+                      "--nmax", "2", "--dmax", "2", "--order", "2"]
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+def test_pipeline_dropped_exponent_fails(optimize, tmp_path):
+    proc = run_mutant(tmp_path, *DROPPED_EXPONENT, HALF_PIPELINE_ARGV, optimize=optimize)
+    _expect(proc.returncode == 2, f"exit {proc.returncode}: {proc.stderr}")
+    verdict = "verdict: FAIL: the first-order star trace tau of commuting free inputs is nonzero"
+    _expect(verdict in proc.stdout, proc.stdout)
+    _expect("Traceback" not in proc.stderr, proc.stderr)
+
+
+# the verdict read from the whole c1 of the canonical lifts, which another lift
+# moves: x1*x2 + x1 and its square have c1 != 0 at n = 2 but tau = 0
+C1_VERDICT = (
+    "centralizer.py",
+    "    tau_zero = all(o.tau_zero for o in outcomes)",
+    "    tau_zero = all(o.star_c1_zero for o in outcomes)",
+)
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+def test_verdict_read_from_c1_changes_the_golden(optimize, tmp_path):
+    name = "bergman-pipeline-x1x2-fp5.json"
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+    with open(os.path.join(golden, "manifest.json"), encoding="utf-8") as fh:
+        argv = json.load(fh)[name]
+    with open(os.path.join(golden, name), encoding="utf-8") as fh:
+        expected = fh.read()
+    proc = run_mutant(tmp_path, *C1_VERDICT, argv + ["--json"], optimize=optimize)
+    _expect(proc.returncode == 0, f"exit {proc.returncode}: {proc.stderr}")
+    _expect(proc.stdout != expected, "the mutant left the golden report unchanged")
+    conclusion = json.loads(proc.stdout)["report"]["conclusion"]
+    _expect(conclusion.endswith("warning: the first-order star trace tau is nonzero"), conclusion)
+
+
 # -- pipeline and probe: commuting inputs must have a zero degree-0 star part --
 
 

@@ -26,7 +26,6 @@ from nclab.centralizer import (
 from nclab.diagonalize import (
     DiagonalReport,
     SeriesFieldMatrix,
-    eq1_diagonal_check,
     successive_diagonalize,
 )
 from nclab.quantize import matrix_star_commutator, quantize_lift
@@ -181,11 +180,12 @@ def test_a_malformed_monomial_is_a_bad_report(terms):
         serialize.decode({"type": "commpoly", "text": "", "terms": terms}, QQ)
 
 
-def test_eq1_report_round_trip():
-    f, g, tensor = diagonal_generic_pair(2, QQ)
-    ctx = StarContext(tensor, 2)
-    rep = eq1_diagonal_check(quantize_lift(f, ctx), quantize_lift(g, ctx), ctx)
-    round_trip(rep)
+def test_tau_round_trip():
+    f, g, tensor = diagonal_generic_pair(3, QQ)
+    (o,) = round_trip(commuting_matrix_probe(f, g, 2, StarContext(tensor, 2))).outcomes
+    # the decoded traces are Eq. (1)'s sum_i {x_i, y_i} x_i^k, every bracket 1
+    xs = f.diagonal_entries()
+    assert o.tau == [sum((x**k for x in xs), CommPoly.zero(QQ)) for k in range(3)]
 
 
 def test_correspondence_round_trip():
@@ -219,7 +219,7 @@ def test_composite_cli_reports_round_trip():
 def test_each_tag_and_class_has_one_row():
     tags = [row[0] for row in serialize._FORMAT]
     classes = [row[1] for row in serialize._FORMAT]
-    assert len(set(tags)) == len(tags) == 21
+    assert len(set(tags)) == len(tags) == 20
     assert len(set(classes)) == len(classes)
 
 
@@ -233,14 +233,14 @@ def _tags(obj):
 
 
 def test_every_format_row_is_held_by_a_golden_report():
-    # a row that no report holds is format nobody reads; eq1 waits for the probe to emit it
+    # a row that no report holds is format nobody reads
     held = set()
     for name in os.listdir(GOLDEN):
         if name != "manifest.json":
             with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
                 held |= _tags(json.load(fh)["report"])
     unheld = {row[0] for row in serialize._FORMAT} - held
-    assert unheld <= {"eq1"}
+    assert unheld == set()
 
 
 def test_decoded_diag_report_re_verifies():
