@@ -154,22 +154,21 @@ class PipelineReport(Record):
 
     @property
     def failure(self):
-        return _failure(self.outcomes, self.stability)
+        return _failure(self.outcomes, self.stability, self.free_commutator)
 
 
-def _failure(outcomes, stability):
+def _failure(outcomes, stability, free_commutator):
     """Why the run FAILs, or None; the contradiction scenario is not a failure."""
     if not all(o.star_c0_zero for o in outcomes):
         # commuting lifts commute at h^0, so this is a fault, not a trdeg-2 sign
         return "the star commutator of commuting inputs is nonzero at h^0"
-    if stability is None:  # the probe, whose pair need not come from the free algebra
-        return None
-    if not all(o.tau_zero for o in outcomes):
-        # matrix_star is associative, so commuting free inputs evaluated at the
-        # generic matrices as star series are lifts whose commutator is 0, and
-        # tau does not depend on the lift
+    if free_commutator is not None and free_commutator.is_zero and not all(
+            o.tau_zero for o in outcomes):
+        # matrix_star is associative, so inputs with [f, g] = 0 in the free
+        # algebra, evaluated at the generic matrices as star series, are lifts
+        # whose commutator is 0, and tau does not depend on the lift
         return "the first-order star trace tau of commuting free inputs is nonzero"
-    if stability.unstable:
+    if stability is not None and stability.unstable:
         return "annihilators found at every size are not identical"
     return None
 
@@ -203,13 +202,13 @@ def _size_outcome(f, g, dmax: int, ctx: quantize.StarContext) -> SizeOutcome:
     return SizeOutcome(f.n, ann, c0.is_zero, c1.is_zero, c1, _star_traces(c1, f))
 
 
-def _verdicts(outcomes, stability):
-    """The trdeg verdict and the conclusion of commuting inputs' outcomes."""
+def _verdicts(outcomes, stability, free_commutator):
+    """The trdeg verdict and the conclusion of commuting images' outcomes."""
     if all(o.annihilator.found for o in outcomes):
         trdeg = "1"
     else:
         trdeg = f">=2 up to degree {outcomes[0].annihilator.searched_bound}"
-    failure = _failure(outcomes, stability)
+    failure = _failure(outcomes, stability, free_commutator)
     tau_zero = all(o.tau_zero for o in outcomes)
     if failure:
         conclusion = "FAIL: " + failure
@@ -241,23 +240,27 @@ def bergman_pipeline(
                 for n in sizes]
     stability = genmat.StabilityReport.of(f, g, sizes, dmax, [o.annihilator for o in outcomes])
     return PipelineReport(
-        f_text, g_text, True, c, outcomes, stability, *_verdicts(outcomes, stability)
+        f_text, g_text, True, c, outcomes, stability, *_verdicts(outcomes, stability, c)
     )
 
 
 def commuting_matrix_probe(
-    f: genmat.GenericMatrix, g: genmat.GenericMatrix, dmax: int, ctx: quantize.StarContext
+    f: genmat.GenericMatrix, g: genmat.GenericMatrix, dmax: int, ctx: quantize.StarContext,
+    free_commutator: freealg.FreePoly | None = None,
 ) -> PipelineReport:
     """Annihilator search plus star commutator for one commuting matrix pair.
 
     Unlike the pipeline, the inputs need not be images of free-algebra
-    elements, so transcendence-degree-2 pairs can be fed in directly.
+    elements, so transcendence-degree-2 pairs can be fed in directly.  For
+    images of free elements, ``free_commutator`` is their [f, g] in the free
+    algebra, and where it is 0 a nonzero tau FAILs as in the pipeline.
     """
     try:
         outcomes = [_size_outcome(f, g, dmax, ctx)]
     except NotCommuting:
         raise NotCommuting("probe inputs must commute") from None
-    return PipelineReport(str(f), str(g), True, None, outcomes, None, *_verdicts(outcomes, None))
+    return PipelineReport(str(f), str(g), True, free_commutator, outcomes, None,
+                          *_verdicts(outcomes, None, free_commutator))
 
 
 def diagonal_generic_pair(n: int, field: Field):

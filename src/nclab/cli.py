@@ -234,21 +234,15 @@ def _cmd_al(args, field):
     arity = 2 * n
     mats = genmat.make_generic(arity, n, field)
     vanishes = genmat.standard_identity(arity, mats).is_zero
-    sharp_checked = n == 2
-    sharp_nonzero = None
-    if sharp_checked:
-        units = [
-            genmat.GenericMatrix.unit(2, 1, 1, field),
-            genmat.GenericMatrix.unit(2, 1, 2, field),
-            genmat.GenericMatrix.unit(2, 2, 1, field),
-        ]
-        sharp_nonzero = not genmat.standard_identity(3, units).is_zero
-    rep = ALReport(n, arity, vanishes, sharp_checked, sharp_nonzero)
-    ok = vanishes and (sharp_nonzero is not False)
-    lines = [f"S_{arity} vanishes on {n}x{n} generic matrices: {'PASS' if vanishes else 'FAIL'}"]
-    if sharp_checked:
-        lines.append(f"S_3 on (E11, E12, E21) is nonzero: {'PASS' if sharp_nonzero else 'FAIL'}")
-    return rep, {"n": n}, 0 if ok else 2, lines
+    # the staircase E11, E12, E22, ..., Enn: only the identity permutation's product is nonzero
+    cells = [(k // 2 + 1, (k + 1) // 2 + 1) for k in range(arity - 1)]
+    staircase = [genmat.GenericMatrix.unit(n, i, j, field) for i, j in cells]
+    sharp_nonzero = not genmat.standard_identity(arity - 1, staircase).is_zero
+    rep = ALReport(n, arity, vanishes, True, sharp_nonzero)
+    units = ", ".join(f"E{i}{j}" for i, j in cells)
+    lines = [f"S_{arity} vanishes on {n}x{n} generic matrices: {'PASS' if vanishes else 'FAIL'}",
+             f"S_{arity - 1} on ({units}) is nonzero: {'PASS' if sharp_nonzero else 'FAIL'}"]
+    return rep, {"n": n}, 0 if vanishes and sharp_nonzero else 2, lines
 
 
 def _cmd_annihilator(args, field):
@@ -379,17 +373,19 @@ def _cmd_probe(args, field):
     if args.f is not None:
         free_f, free_g = (freealg.parse_free(text, args.s, field) for text in (args.f, args.g))
         f, g = genmat.pi_reduce(free_f, args.n), genmat.pi_reduce(free_g, args.n)
-        if (not freealg.commutator(free_f, free_g).is_zero
+        free_commutator = freealg.commutator(free_f, free_g)
+        if (not free_commutator.is_zero
                 and _probe_search_terms(f, g, args.dmax) > MAX_PROBE_SEARCH_TERMS):
             raise InvalidSize(f"probe --n {args.n} --dmax {args.dmax}: the annihilator search "
                               f"of --f and --g can build over {MAX_PROBE_SEARCH_TERMS} terms")
         tensor = _tensor(args, field, args.s, args.n)
     else:
         f, g, tensor = centralizer.diagonal_generic_pair(args.n, field)
+        free_commutator = None
         if args.poisson != "pairing":
             tensor = quantize.PoissonTensor.load(args.poisson, field)
     ctx = quantize.StarContext(tensor, args.order)
-    rep = centralizer.commuting_matrix_probe(f, g, args.dmax, ctx)
+    rep = centralizer.commuting_matrix_probe(f, g, args.dmax, ctx, free_commutator)
     bounds = {"n": args.n, "dmax": args.dmax, "order": args.order}
     return rep, bounds, 2 if rep.failure else 0, _pipeline_lines(rep)
 

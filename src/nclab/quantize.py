@@ -36,51 +36,49 @@ from .rings import CommPoly, Variable, mono_mul, mono_partials, parse_variable_n
 
 
 class PoissonTensor(Frozen):
-    """Constant antisymmetric tensor on an ordered variable list."""
+    """Constant antisymmetric tensor on an ordered variable list.
 
-    __slots__ = ("variables", "entries", "field")
+    ``entries`` maps (i, j), i < j, to the raw T(i, j) != 0; T(j, i) = -T(i, j).
+    """
+
+    __slots__ = ("variables", "entries", "field", "_variable_set")
 
     def __init__(self, variables, entries, field: Field):
         variables = tuple(variables)
-        index = {v: k for k, v in enumerate(variables)}
-        if len(index) != len(variables):
+        variable_set = frozenset(variables)
+        if len(variable_set) != len(variables):
             raise BadTensorFile("duplicate variables in tensor")
         clean = {}
         for (i, j), c in entries.items():
-            if not (0 <= i < len(variables) and 0 <= j < len(variables)):
-                raise BadTensorFile(f"entry index ({i},{j}) out of range")
-            if i >= j:
-                raise BadTensorFile("entries must list the upper triangle only (i < j)")
-            c = field.scalar(c)  # refuses a Scalar of another field
-            if (i, j) in clean:
-                raise BadTensorFile(f"duplicate entry ({i},{j})")
+            if not 0 <= i < j < len(variables):
+                raise BadTensorFile(f"entry ({i},{j}) is not in the upper triangle "
+                                    f"0 <= i < j < {len(variables)}")
+            c = field.raw(c)  # refuses a Scalar of another field
             if c:
                 clean[(i, j)] = c
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "entries", clean)
         object.__setattr__(self, "field", field)
+        object.__setattr__(self, "_variable_set", variable_set)
 
     def check_variables(self, polys):
-        allowed = set(self.variables)
         for p in polys:
-            extra = p.variables() - allowed
+            extra = p.variables() - self._variable_set
             if extra:
-                name = min(extra)
-                raise UnknownVariable(f"{name} is not a tensor variable")
-
-    def ordered_pairs(self):
-        """All ordered (vi, vj, raw weight) with nonzero weight, both orientations."""
-        out = []
-        for (i, j), c in sorted(self.entries.items()):
-            out.append((self.variables[i], self.variables[j], c.value))
-            out.append((self.variables[j], self.variables[i], self.field.reduce(-c.value)))
-        return out
+                raise UnknownVariable(f"{min(extra)} is not a tensor variable")
 
     @staticmethod
     def from_dict(obj, field: Field) -> PoissonTensor:
+        """The tensor of a file object; its rows [i, j, "c"] name each pair once by integers."""
         try:
             variables = [parse_variable_name(t) for t in obj["variables"]]
-            entries = {(int(i), int(j)): field.scalar(str(c)) for i, j, c in obj["entries"]}
+            entries = {}
+            for i, j, c in obj["entries"]:
+                if type(i) is not int or type(j) is not int:
+                    raise BadTensorFile(f"entry index ({i},{j}) is not a pair of integers")
+                if (i, j) in entries:
+                    raise BadTensorFile(f"duplicate entry ({i},{j})")
+                entries[i, j] = field.raw(str(c))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise BadTensorFile(f"malformed tensor object: {exc}") from exc
         return PoissonTensor(variables, entries, field)
@@ -102,10 +100,8 @@ def pairing_tensor(first_vars, second_vars, field: Field) -> PoissonTensor:
     first_vars, second_vars = list(first_vars), list(second_vars)
     if len(first_vars) != len(second_vars):
         raise BadTensorFile("pairing needs two variable lists of equal length")
-    variables = first_vars + second_vars
     m = len(first_vars)
-    entries = {(k, m + k): field.one for k in range(m)}
-    return PoissonTensor(variables, entries, field)
+    return PoissonTensor(first_vars + second_vars, {(k, m + k): 1 for k in range(m)}, field)
 
 
 def entry_pairing_tensor(s: int, n: int, field: Field) -> PoissonTensor:
@@ -117,7 +113,7 @@ def entry_pairing_tensor(s: int, n: int, field: Field) -> PoissonTensor:
     cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     first = [Variable.entry(l, i, j) for l in range(1, s + 1, 2) for i, j in cells]
     second = [Variable.entry(l, i, j) for l in range(2, s + 1, 2) for i, j in cells]
-    entries = {(k, len(first) + k): field.one for k in range(len(second))}
+    entries = {(k, len(first) + k): 1 for k in range(len(second))}
     return PoissonTensor(first + second, entries, field)
 
 
@@ -154,9 +150,10 @@ class StarContext(Frozen):
             weights.append(self.field.inverse(denom))
             denom *= 2 * r
         object.__setattr__(self, "_weights", tuple(weights))
-        partners = {}  # v_i -> [(v_j, raw T(i,j))] over both orientations
-        for vi, vj, w in tensor.ordered_pairs():
-            partners.setdefault(vi, []).append((vj, w))
+        partners, names = {}, tensor.variables  # v_i -> [(v_j, raw T(i,j))], both orientations
+        for (i, j), c in sorted(tensor.entries.items()):
+            partners.setdefault(names[i], []).append((names[j], c))
+            partners.setdefault(names[j], []).append((names[i], self.field.reduce(-c)))
         object.__setattr__(self, "_partners", partners)
 
     def bilinear_map(self, r: int, a: CommPoly, b: CommPoly) -> CommPoly:

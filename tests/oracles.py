@@ -181,6 +181,15 @@ def rank(vectors, ncols, p=0):
     return len(vectors) - len(kernel(transposed, len(vectors), p))
 
 
+def ordered_pairs(tensor):
+    """(vi, vj, raw T(i,j)) over both orientations, read from the upper-triangle entries."""
+    out = []
+    for (i, j), c in sorted(tensor.entries.items()):
+        vi, vj = tensor.variables[i], tensor.variables[j]
+        out += [(vi, vj, c), (vj, vi, tensor.field.reduce(-c))]
+    return out
+
+
 def moyal_term(a: CommPoly, b: CommPoly, r: int, pairs, weight_scalar) -> CommPoly:
     """B_r(a, b) by sympy, as a bidifferential operator on two copies of the variables.
 

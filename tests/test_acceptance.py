@@ -81,20 +81,22 @@ def test_criterion_1_standard_identity(capsys):
         out = capsys.readouterr().out
         assert code == 0
         assert "S_4 vanishes on 2x2 generic matrices: PASS" in out
-        assert "S_3 on (E11, E12, E21) is nonzero: PASS" in out
+        assert "S_3 on (E11, E12, E22) is nonzero: PASS" in out
         # the same facts, checked directly: full symbolic expansion
         assert standard_identity(4, make_generic(4, 2, QQ)).is_zero
-        units = [
-            GenericMatrix.unit(2, 1, 1, QQ),
-            GenericMatrix.unit(2, 1, 2, QQ),
-            GenericMatrix.unit(2, 2, 1, QQ),
-        ]
-        assert not standard_identity(3, units).is_zero
+        assert not standard_identity(3, _staircase(2)).is_zero
+
+
+def _staircase(n):
+    """E11, E12, E22, E23, ..., Enn: 2n - 1 matrix units."""
+    cells = [(k, k) for k in range(1, n + 1)] + [(k, k + 1) for k in range(1, n)]
+    return [GenericMatrix.unit(n, i, j, QQ) for i, j in sorted(cells)]
 
 
 def test_criterion_1_slow_standard_identity_3x3():
     with _Clock("1 (3x3)", "degree-6 standard identity on 3x3 generic matrices", 600):
         assert standard_identity(6, make_generic(6, 3, QQ)).is_zero
+        assert not standard_identity(5, _staircase(3)).is_zero
 
 
 def _run_bergman_corpus(field):

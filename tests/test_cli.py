@@ -520,6 +520,18 @@ class TestExitStatuses:
         assert code == 0
         assert "contradiction" in out
 
+    @pytest.mark.parametrize("f, g, commutator, code", [
+        ("x1", "x1^2", "0", 0),
+        # images that commute at n = 1 with tau != 0: no FAIL, since [f, g] != 0
+        ("x1", "x2", "x1*x2 - x2*x1", 0),
+    ])
+    def test_probe_of_free_inputs_reports_their_commutator(self, f, g, commutator, code,
+                                                           capsys):
+        argv = ["probe", "--n", "1", "--f", f, "--g", g, "--dmax", "2", "--json"]
+        got, out, _ = run(argv, capsys)
+        assert got == code
+        assert json.loads(out)["report"]["free_commutator"]["expr"] == commutator
+
     @pytest.mark.parametrize("flag", ["--f", "--g"])
     def test_probe_refuses_a_lone_expression(self, flag, capsys):
         code, out, err = run(["probe", "--n", "2", flag, "x1"], capsys)
@@ -612,6 +624,21 @@ class TestJson:
             assert code == 1
             assert "bad-tensor-file" in err
             assert out == ""
+
+    @pytest.mark.parametrize("rows, message", [
+        # a dict keeps the last of two rows of one pair: {a,b} = 5
+        ([[0, 1, "1"], [0, 1, "5"]], "duplicate entry (0,1)"),
+        # int() truncates 0.9 and 1.7 to the pair (0, 1)
+        ([[0.9, 1.7, "1"]], "entry index (0.9,1.7) is not a pair of integers"),
+    ], ids=["repeated-pair", "fractional-index"])
+    def test_tensor_file_rows_a_dict_would_hide_are_refused(self, rows, message, tmp_path,
+                                                             capsys):
+        path = tmp_path / "tensor.json"
+        path.write_text(json.dumps({"variables": ["x1[1,1]", "x2[1,1]"], "entries": rows}))
+        code, out, err = run(["poisson", "--a", "x1", "--b", "x2", "--poisson", str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"error [bad-tensor-file]: {message}"]
 
     def test_json_decodes_to_report(self, capsys):
         from nclab import serialize

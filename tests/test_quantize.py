@@ -8,10 +8,10 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import moyal_term, poisson_oracle
+from oracles import moyal_term, ordered_pairs, poisson_oracle
 from samples import lifted_commutator, random_commpoly
 from nclab.diagonalize import SeriesFieldMatrix
-from nclab.errors import BadTensorFile, CharacteristicTooSmall, UnknownVariable
+from nclab.errors import BadTensorFile, CharacteristicTooSmall, FieldMismatch, UnknownVariable
 from nclab.fields import GF, QQ
 from nclab.quantize import (
     FormalSeries,
@@ -69,7 +69,7 @@ class TestPoissonBracket:
         pairs = {(t.variables[i], t.variables[j]) for i, j in t.entries}
         assert pairs == {(Variable.entry(l, i, j), Variable.entry(l + 1, i, j))
                          for l in range(1, s, 2) for i, j in cells}
-        assert set(t.entries.values()) <= {QQ.one}
+        assert set(t.entries.values()) <= {1}
         if s % 2:
             last = poly(Variable.entry(s, 1, 1))
             assert all(poisson_bracket(last, poly(v), t).is_zero for v in t.variables)
@@ -207,7 +207,7 @@ class TestStarProduct:
     def test_bilinear_maps_match_oracle(self):
         ctx = self._ctx(order=3)
         rng = random.Random(607)
-        pairs = ctx.tensor.ordered_pairs()
+        pairs = ordered_pairs(ctx.tensor)
         for r in (1, 2, 3):
             denom = 2**r
             for k in range(1, r + 1):
@@ -273,7 +273,7 @@ def test_bilinear_maps_match_oracle_on_random_tensors(case):
     ctx = StarContext(tensor, 4)
     maps = ctx.bilinear_maps(a, b, 4)
     assert len(maps) == 5
-    pairs = tensor.ordered_pairs()
+    pairs = ordered_pairs(tensor)
     for r, term in enumerate(maps):
         weight = field.scalar(Fraction(1, 2**r * factorial(r)))
         assert term == moyal_term(a, b, r, pairs, weight)
@@ -437,7 +437,7 @@ class TestMatrixStar:
         order = 3
         ctx = StarContext(two_pair_tensor(field), order)
         variables = list(ctx.tensor.variables)
-        pairs = ctx.tensor.ordered_pairs()
+        pairs = ordered_pairs(ctx.tensor)
         weights = [field.scalar(Fraction(1, 2**r * factorial(r))) for r in range(order + 1)]
         rng = random.Random(612 + n)
 
@@ -544,6 +544,27 @@ class TestTensorIO:
         path = tmp_path / "tensor.json"
         path.write_text(json.dumps(tensor_dict(t)))
         assert PoissonTensor.load(path, QQ) == t
+
+    @pytest.mark.parametrize("field, given, stored", [
+        (QQ, QQ.scalar(Fraction(2, 4)), Fraction(1, 2)),
+        (QQ, Fraction(4, 2), 2),
+        (GF(7), -1, 6),
+        (GF(7), "1/2", 4),
+    ])
+    def test_entries_hold_raw_values(self, field, given, stored):
+        t = PoissonTensor([VX[0], VY[0]], {(0, 1): given}, field)
+        assert t.entries == {(0, 1): stored}
+        assert type(t.entries[0, 1]) is type(stored)
+        assert PoissonTensor([VX[0], VY[0]], {(0, 1): 0}, field).entries == {}
+
+    def test_a_scalar_of_another_field_is_refused(self):
+        with pytest.raises(FieldMismatch):
+            PoissonTensor([VX[0], VY[0]], {(0, 1): GF(7).scalar(1)}, QQ)
+
+    @pytest.mark.parametrize("row", [["0", 1, "1"], [True, 1, "1"], [0, 1.0, "1"]])
+    def test_an_index_that_is_not_a_json_integer_is_refused(self, row):
+        with pytest.raises(BadTensorFile, match="is not a pair of integers"):
+            PoissonTensor.from_dict({"variables": ["x1", "y1"], "entries": [row]}, QQ)
 
     def test_lower_triangle_rejected(self):
         with pytest.raises(BadTensorFile):

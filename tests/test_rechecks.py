@@ -301,15 +301,26 @@ def test_al_dropped_sign_fails(optimize, tmp_path):
 DROPPED_EXPONENT = ("quantize.py", "            cai = c * ei", "            cai = c")
 HALF_PIPELINE_ARGV = ["bergman-pipeline", "--f", "1/2*x1+x2", "--g", "(1/2*x1+x2)^2",
                       "--nmax", "2", "--dmax", "2", "--order", "2"]
+# the probe of the same commuting free inputs takes the same rule
+HALF_PROBE_ARGV = ["probe", "--n", "2", "--f", "1/2*x1+x2", "--g", "(1/2*x1+x2)^2",
+                   "--dmax", "2", "--order", "2"]
 
 
-@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
-def test_pipeline_dropped_exponent_fails(optimize, tmp_path):
-    proc = run_mutant(tmp_path, *DROPPED_EXPONENT, HALF_PIPELINE_ARGV, optimize=optimize)
+def _expect_tau_fail(proc):
     _expect(proc.returncode == 2, f"exit {proc.returncode}: {proc.stderr}")
     verdict = "verdict: FAIL: the first-order star trace tau of commuting free inputs is nonzero"
     _expect(verdict in proc.stdout, proc.stdout)
     _expect("Traceback" not in proc.stderr, proc.stderr)
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+def test_pipeline_dropped_exponent_fails(optimize, tmp_path):
+    _expect_tau_fail(run_mutant(tmp_path, *DROPPED_EXPONENT, HALF_PIPELINE_ARGV, optimize=optimize))
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+def test_probe_of_commuting_free_inputs_dropped_exponent_fails(optimize, tmp_path):
+    _expect_tau_fail(run_mutant(tmp_path, *DROPPED_EXPONENT, HALF_PROBE_ARGV, optimize=optimize))
 
 
 # the verdict read from the whole c1 of the canonical lifts, which another lift
