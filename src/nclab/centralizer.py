@@ -139,7 +139,11 @@ class SizeOutcome(Record):
 
 
 class PipelineReport(Record):
-    """Joint record of commutation, annihilators, stability and star behavior."""
+    """Joint record of commutation, annihilators, stability and star behavior.
+
+    ``commute`` is whether ``free_commutator``, [f, g] in the free algebra, is
+    0; a probe pair given as matrices has no free commutator and commutes.
+    """
 
     __slots__ = (
         "f_text",
@@ -259,7 +263,8 @@ def commuting_matrix_probe(
         outcomes = [_size_outcome(f, g, dmax, ctx)]
     except NotCommuting:
         raise NotCommuting("probe inputs must commute") from None
-    return PipelineReport(str(f), str(g), True, free_commutator, outcomes, None,
+    commute = free_commutator is None or free_commutator.is_zero
+    return PipelineReport(str(f), str(g), commute, free_commutator, outcomes, None,
                           *_verdicts(outcomes, None, free_commutator))
 
 

@@ -37,34 +37,22 @@ MAX_MATRIX_ENTRIES = 2 * 150**2
 #: annihilator --f x1 --g x1 --nmax 20 --dmax 1 took 0.55 s, --nmax 40 4.5 s.
 MAX_NMAX = 20
 
-#: A star product of order N forms the weights 1/(2^r r!) for r <= N and builds,
-#: adds and renders series of N + 1 coefficients; it pairs only the nonzero ones.
-#: star --a x1 --b x2 --order 3000 took 0.26 s, --order 10000 0.99 s (2-core
-#: 2.1 GHz VM).
+#: A star product of order N builds, adds and renders series of N + 1
+#: coefficients; it pairs only the nonzero ones.  star --a x1 --b x2 --order
+#: 3000 took 0.23 s, --order 10000 0.47 s (2-core 2.1 GHz VM).
 MAX_STAR_ORDER = 3000
 
 #: diag solves n^2 Sylvester entries over the fractions in lam1..lamn at each
 #: order.  diag --n 60 --order 1 took 1.6 s, and diag --n 2 --order 100 1.5 s,
 #: --order 200 7-9 s and --order 800 over 60 s.
 MAX_DIAG_N = 60
-MAX_DIAG_ORDER = 100
 #: Those fractions grow exponentially in n at every order >= 2, so this is the
-#: largest --order at each --n from 1 to 11, and 1 past that.  Largest taken:
+#: largest --order at each --n from 1 to 11, and 1 past that; the first entry is
+#: also the range of the --order flag.  Largest taken:
 #: --n 3 --order 16 14.6 s, --n 4 --order 7 18.9 s, --n 5 --order 4 19.6 s,
 #: --n 7 --order 3 6.8 s and --n 11 --order 2 8.1 s (2-core 2.1 GHz VM).  One
 #: order more at each of these, and --n 12 --order 2, ran over 25 s.
 MAX_DIAG_ORDER_AT_N = (100, 100, 16, 7, 4, 3, 3, 2, 2, 2, 2)
-
-#: probe's star commutator walks only the stored entries of the lifts, whose n
-#: nonzero entries all sit at h^0, so it makes n Moyal passes and its zero
-#: coefficients cost nothing.  What grows is the report, which renders the n x n
-#: grids of f, g and the h-coefficient and the n traces tau_k = x1^k + ... + xn^k
-#: (7.3 MB at n = 150), and the order's weights 1/(2^r r!).  With --dmax 5,
-#: --n 150 --order 66 took 0.75-0.99 s, --n 100 --order 100 0.35-0.38 s, --n 48
-#: --order 200 0.14-0.17 s, --n 12 --order 833 0.12-0.14 s and --n 4 --order
-#: 2500 0.12-0.13 s, whole process (2-core VM, Python 3.11).
-#: Its annihilator search has a bound of its own, MAX_PROBE_N_DMAX_SQUARED.
-MAX_PROBE_N_ORDER = 10_000
 
 #: probe's diagonal pair has no annihilator, so its search absorbs every f^a g^b
 #: with a + b <= dmax: (dmax + 1)(dmax + 2)/2 columns of n entries, each one
@@ -136,9 +124,6 @@ def _check_sizes(args) -> None:
                               f"at --n {args.n} the --order is at most {limit}")
     if command == "probe" and (args.f is None) != (args.g is None):
         raise EngineError("probe takes both --f and --g, or neither")
-    if command == "probe" and args.n * args.order > MAX_PROBE_N_ORDER:
-        raise InvalidSize(f"probe --n {args.n} --order {args.order}: "
-                          f"--n times --order is at most {MAX_PROBE_N_ORDER}")
     if command == "probe" and args.f is None and args.n * args.dmax**2 > MAX_PROBE_N_DMAX_SQUARED:
         raise InvalidSize(f"probe --n {args.n} --dmax {args.dmax}: on the diagonal pair --n "
                           f"times --dmax squared is at most {MAX_PROBE_N_DMAX_SQUARED}")
@@ -340,7 +325,7 @@ def _cmd_centralizer(args, field):
 
 def _pipeline_lines(rep):
     lines = []
-    if not rep.commute and rep.free_commutator is not None:
+    if not rep.commute:
         lines.append(f"[f,g] = {freealg.pretty(rep.free_commutator)}")
     for o in rep.outcomes:
         ann = (
@@ -431,7 +416,7 @@ COMMANDS = {
     "poisson": ("Poisson bracket of two scalar reductions", (_A, _B, _S, _POISSON), _cmd_poisson),
     "diag": ("perturbatively diagonalize diag(lam) + h*M for a seeded integer M",
              (("n", int, 3, "matrix size", 1, MAX_DIAG_N),
-              ("order", int, 2, "target order", 0, MAX_DIAG_ORDER)), _cmd_diag),
+              ("order", int, 2, "target order", 0, MAX_DIAG_ORDER_AT_N[0])), _cmd_diag),
     "centralizer": ("degree-bounded centralizer and single-generator test",
                     (_F, _S, ("d", int, 4, "degree bound", 0, None)), _cmd_centralizer),
     "bergman-pipeline": ("commutation, reduction, annihilators and star commutators end to end",

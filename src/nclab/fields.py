@@ -123,14 +123,6 @@ class Field(Frozen):
         # 1 and -1 are their own inverses, as ints: a pivot of either keeps a column integral
         return int(value) if value in (1, -1) else rational(Fraction(1) / value)  # 1 / int is a float
 
-    @property
-    def zero(self) -> Scalar:
-        return self.scalar(0)
-
-    @property
-    def one(self) -> Scalar:
-        return self.scalar(1)
-
     def to_dict(self):
         if self.p == 0:
             return {"kind": "rational"}

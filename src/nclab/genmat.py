@@ -140,9 +140,10 @@ class GenericMatrix(Frozen):
         return self._like(cells)
 
     def __sub__(self, other):
-        cells, zero = dict(self.entries), self.ring.zero(self.field)
+        cells = dict(self.entries)
         for ij, y in self._check(other).entries.items():
-            cells[ij] = cells.get(ij, zero) - y
+            x = cells.get(ij)
+            cells[ij] = (self.ring.zero(self.field) if x is None else x) - y
         return self._like(cells)
 
     def __neg__(self):
@@ -227,9 +228,10 @@ class FormalSeries(Frozen):
         """(m, k, a_m, b_k) over the nonzero a_m and b_k with m + k <= order, m then k ascending."""
         right = [(k, y) for k, y in enumerate(other.coeffs) if not y.is_zero]
         for m, x in enumerate(self.coeffs):
-            right = [(k, y) for k, y in right if m + k <= self.order]
-            if right and not x.is_zero:
+            if not x.is_zero:
                 for k, y in right:
+                    if m + k > self.order:
+                        break
                     yield m, k, x, y
 
     @property

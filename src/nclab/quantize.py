@@ -23,6 +23,9 @@ matrices of a matrix.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import factorial
+
 from .errors import (
     BadTensorFile,
     CharacteristicTooSmall,
@@ -131,7 +134,7 @@ def poisson_bracket(a: CommPoly, b: CommPoly, tensor: PoissonTensor) -> CommPoly
 class StarContext(Frozen):
     """A Poisson tensor plus a truncation order for the star product."""
 
-    __slots__ = ("tensor", "order", "field", "_weights", "_partners")
+    __slots__ = ("tensor", "order", "field", "_partners")
 
     def __init__(self, tensor: PoissonTensor, order: int):
         if order < 0:
@@ -145,11 +148,6 @@ class StarContext(Frozen):
         object.__setattr__(self, "tensor", tensor)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "field", tensor.field)
-        weights, denom = [], 1  # raw 1 / (2^r * r!), denom a running product
-        for r in range(1, order + 2):
-            weights.append(self.field.inverse(denom))
-            denom *= 2 * r
-        object.__setattr__(self, "_weights", tuple(weights))
         partners, names = {}, tensor.variables  # v_i -> [(v_j, raw T(i,j))], both orientations
         for (i, j), c in sorted(tensor.entries.items()):
             partners.setdefault(names[i], []).append((names[j], c))
@@ -158,34 +156,44 @@ class StarContext(Frozen):
 
     def bilinear_map(self, r: int, a: CommPoly, b: CommPoly) -> CommPoly:
         """B_r(a, b); B_0 is the commutative product."""
-        return self.bilinear_maps(a, b, r)[r]
+        maps = self.bilinear_maps(a, b, r)
+        return maps[r] if r < len(maps) else CommPoly.zero(self.field)
 
     def bilinear_maps(self, a: CommPoly, b: CommPoly, rmax: int) -> list:
-        """[B_0(a, b), ..., B_rmax(a, b)] from one pass of the Poisson operator.
+        """[B_0(a, b), ..., B_last(a, b)] from one pass of the Poisson operator.
 
-        W_0 = a (x) b is a dict {(m_a, m_b): c_a c_b} on raw values, keyed by
-        the operands' own monomials, and W_r = P(W_{r-1}) with
-        P = sum T(i,j) d_i (x) d_j over ordered pairs.  Derivatives commute, so
-        P^r is the sum over ordered r-tuples of pairs in the Moyal formula, and
+        B_last is the last nonzero B_r with r <= rmax (B_0 if there is none):
+        every B_r past the list is zero, and none is padded in.  W_0 = a (x) b
+        is a dict {(m_a, m_b): c_a c_b} on raw values, keyed by the operands'
+        own monomials, and W_r = P(W_{r-1}) with P = sum T(i,j) d_i (x) d_j
+        over ordered pairs.  Derivatives commute, so P^r is the sum over
+        ordered r-tuples of pairs in the Moyal formula, and
         B_r = weight_r * (product of the two sides of W_r).
         """
-        out, zero = [a * b], CommPoly.zero(self.field)
-        partners, in_b = self._partners, b.variables()
+        out, partners, in_b = [a * b], self._partners, b.variables()
         if not any(vj in in_b for v in a.variables() for vj, _ in partners.get(v, ())):
-            return out + [zero] * rmax
+            return out
         w = {(ma, mb): ca * cb for ma, ca in a.terms.items() for mb, cb in b.terms.items()}
         for r in range(1, rmax + 1):
             w = _poisson_step(w, partners, self.field)
             if not w:
-                return out + [zero] * (rmax - r + 1)
+                break
             terms = {}
             for (ma, mb), c in w.items():
                 m = mono_mul(ma, mb)
                 s = terms.get(m)
                 terms[m] = c if s is None else s + c
-            weight = self._weights[r]
+            weight = _weight(self.field, r)
             out.append(CommPoly._of(self.field, {m: c * weight for m, c in terms.items()}))
+        while len(out) > 1 and out[-1].is_zero:
+            out.pop()
         return out
+
+
+@lru_cache(maxsize=None)
+def _weight(field: Field, r: int):
+    """The raw 1 / (2^r r!) of B_r, formed once per field, when a product first reaches h^r."""
+    return field.inverse(2**r * factorial(r))
 
 
 def _poisson_step(w: dict, partners: dict, field: Field) -> dict:
@@ -239,8 +247,8 @@ def matrix_star(a: FormalSeries, b: FormalSeries, ctx: StarContext) -> FormalSer
                 if term.terms:
                     s = cells[r].get((i, j))
                     cells[r][i, j] = term if s is None else s + term
-    n = a.coeffs[0].n
-    return FormalSeries(order, [GenericMatrix._of(n, CommPoly, ctx.field, c) for c in cells])
+    zero = a.coeffs[0]._like({})  # one shared empty matrix for every coefficient with no terms
+    return FormalSeries(order, [zero._like(c) if c else zero for c in cells])
 
 
 def star_mul(a: FormalSeries, b: FormalSeries, ctx: StarContext) -> FormalSeries:

@@ -5,6 +5,7 @@ lines.  Everything is exact; the asserted runtime bounds are the stated ones.
 """
 
 import json
+import os
 import random
 import time
 
@@ -256,6 +257,49 @@ _DETERMINISM_BATTERY = [
     ["probe", "--n", "2", "--dmax", "3", "--json"],
     ["centralizer", "--f", "x1^2", "--d", "4", "--field", "fp:7", "--json"],
 ]
+
+
+#: the recorded report (tests/golden/) of each battery line, in battery order
+_BATTERY_GOLDENS = [
+    "eval-2x1-x2sq-q.json",
+    "commute-x1-x1cube-q.json",
+    "pi-x1x2-n2-q.json",
+    "al-n2-q.json",
+    "annihilator-x1-x1sq1.json",
+    "star-x1-x2-q.json",
+    "poisson-x1-x2-q.json",
+    "diag-n3-o2-q.json",
+    "centralizer-x2x1x2-q-d5.json",
+    "bergman-pipeline-x1-x1sqx1.json",
+    "probe-n2-d3.json",
+    "centralizer-x1sq-fp7-d4.json",
+]
+_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+def test_criterion_10_battery_matches_its_goldens(capsys):
+    # repeated runs agreeing is not enough: each line keeps its bytes across changes
+    for argv, name in zip(_DETERMINISM_BATTERY, _BATTERY_GOLDENS, strict=True):
+        assert main(argv) == 0
+        with open(os.path.join(_GOLDEN, name), encoding="utf-8") as fh:
+            assert capsys.readouterr().out == fh.read(), name
+
+
+@pytest.mark.parametrize("argv", [
+    *(argv[:-1] for argv in _DETERMINISM_BATTERY if argv[0] in ("bergman-pipeline", "probe")),
+    # a seed-1 job of the benchmark's pipeline workload
+    ["bergman-pipeline", "--f=-2*(x1*x2 - 2*x2) + 2",
+     "--g=-(x1*x2 - 2*x2)^2 - (x1*x2 - 2*x2) + 2", "--nmax", "2", "--dmax", "2"],
+], ids=["pipeline", "probe", "benchmark-pipeline"])
+def test_the_truncation_order_changes_only_the_bounds(argv, capsys):
+    # both reports read only h^0 and h^1 of the star commutator, which every order >= 1 holds
+    docs = []
+    for order in (1, 3):
+        assert main([*argv, "--order", str(order), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["bounds"].pop("order") == order
+        docs.append(doc)
+    assert docs[0] == docs[1]
 
 
 def test_criterion_10_determinism(capsys):

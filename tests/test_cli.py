@@ -18,7 +18,7 @@ from nclab.cli import (
     COMMANDS,
     MAX_CENTRALIZER_LETTERS,
     MAX_DIAG_N,
-    MAX_DIAG_ORDER,
+    MAX_DIAG_ORDER_AT_N,
     MAX_MATRIX_ENTRIES,
     MAX_NMAX,
     MAX_PROBE_N_DMAX_SQUARED,
@@ -384,7 +384,7 @@ class TestExitStatuses:
             (["probe", "--n", "3000", "--dmax", "1", "--order", "1"], "probe --s 2 --n 3000:"),
             (["diag", "--n", "500", "--order", "1"], f"diag --n is at most {MAX_DIAG_N},"),
             (["diag", "--n", "2", "--order", "100000"],
-             f"diag --order is at most {MAX_DIAG_ORDER},"),
+             f"diag --order is at most {MAX_DIAG_ORDER_AT_N[0]},"),
             (["annihilator", "--f", "x1", "--g", "x1", "--nmax", "300", "--dmax", "1"],
              f"annihilator --nmax is at most {MAX_NMAX},"),
             (["bergman-pipeline", "--f", "x1", "--g", "x1", "--nmax", "21"],
@@ -395,17 +395,24 @@ class TestExitStatuses:
              f"probe --order is at most {MAX_STAR_ORDER},"),
             (["diag", "--n", "8", "--order", "8"], "diag --n 8 --order 8:"),
             (["diag", "--n", "60", "--order", "100"], "diag --n 60 --order 100:"),
-            (["probe", "--n", "150", "--dmax", "5", "--order", "3000"],
-             "probe --n 150 --order 3000:"),
         ],
         ids=["pi-s", "star-s", "poisson-s", "pi-n", "pi-n151", "probe-n", "diag-n", "diag-order",
              "annihilator-nmax", "pipeline-nmax", "star-order", "probe-order", "diag-n8-order8",
-             "diag-n60-order100", "probe-n150-order3000"],
+             "diag-n60-order100"],
     )
     def test_sizes_beyond_the_bounds_are_refused_up_front(self, argv, message, startup_s):
         # unbounded, each of these ran for minutes or more before printing anything
         assert MAX_MATRIX_ENTRIES == 2 * 150**2  # pi --f x1 --n 150 still runs
         assert_refused_up_front(argv, 2.0, f"error [invalid-size]: {message}", startup_s)
+
+    def test_the_largest_probe_order_finishes_within_the_limit(self, startup_s):
+        # the lifts' n nonzero entries sit at h^0 and every Moyal term past h^1 of the
+        # diagonal pair is zero, so the unread orders cost only their empty coefficients
+        argv = ["probe", "--n", "150", "--dmax", "5", "--order", str(MAX_STAR_ORDER), "--json"]
+        code, out, err, wall = run_process(argv, timeout=startup_s + 2.0)
+        assert wall - startup_s < 2.0
+        assert (code, err) == (0, "")
+        assert json.loads(out)["bounds"]["order"] == MAX_STAR_ORDER
 
     @pytest.mark.parametrize("n, dmax", [(1, 201), (2, 142), (150, 17), (1, 100000)])
     def test_a_diagonal_probe_beyond_the_search_bound_is_refused_up_front(self, n, dmax,
@@ -531,6 +538,19 @@ class TestExitStatuses:
         got, out, _ = run(argv, capsys)
         assert got == code
         assert json.loads(out)["report"]["free_commutator"]["expr"] == commutator
+
+    @pytest.mark.parametrize("free, commute", [
+        (["--f", "x1", "--g", "x1^2"], True),
+        (["--f", "x1", "--g", "x2"], False),
+        ([], True),  # the diagonal pair has no free commutator
+    ])
+    def test_probe_commute_is_whether_the_free_commutator_vanishes(self, free, commute,
+                                                                   capsys):
+        argv = ["probe", "--n", "1", *free, "--dmax", "2"]
+        _, out, _ = run([*argv, "--json"], capsys)
+        assert json.loads(out)["report"]["commute"] is commute
+        _, out, _ = run(argv, capsys)
+        assert ("[f,g] = x1*x2 - x2*x1" in out.splitlines()) is not commute
 
     @pytest.mark.parametrize("flag", ["--f", "--g"])
     def test_probe_refuses_a_lone_expression(self, flag, capsys):

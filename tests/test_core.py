@@ -141,10 +141,10 @@ def test_inverse_of_an_integral_rational_is_an_exact_fraction():
     inv = QQ.scalar(3).inverse()
     assert type(inv.value) is Fraction and inv.value == Fraction(1, 3)
     assert (QQ.scalar(3) ** -2).value == Fraction(1, 9)
-    assert (QQ.one / QQ.scalar(7)).value == Fraction(1, 7)
+    assert (QQ.scalar(1) / QQ.scalar(7)).value == Fraction(1, 7)
     assert QQ.scalar(Fraction(1, 3)).inverse().value == 3
     assert type(QQ.scalar(-1).inverse().value) is int
-    assert QQ.scalar(3).inverse() * QQ.scalar(3) == QQ.one
+    assert QQ.scalar(3).inverse() * QQ.scalar(3) == QQ.scalar(1)
 
 
 def test_variables_hash_compare_and_order_in_c():
@@ -174,7 +174,7 @@ def test_one_name_per_concept_on_every_sum():
         assert p.is_constant and p.constant_value() == QQ.scalar(3)
     assert not FreePoly.generator(1, 2, QQ).is_constant
     assert not BivariatePoly(QQ, {(1, 0): 1}).is_constant
-    assert FreePoly.generator(1, 2, QQ).constant_value() == QQ.zero
+    assert FreePoly.generator(1, 2, QQ).constant_value() == QQ.scalar(0)
 
 
 def test_zero_sums_have_degree_neg_inf():
@@ -190,14 +190,14 @@ MIXED = [
     "CommPoly.one(QQ) + CommPoly.one(GF(7))",
     "CommPoly.one(QQ) - CommPoly.one(GF(7))",
     "CommPoly.one(QQ) * CommPoly.one(GF(7))",
-    "CommPoly.one(QQ).scale(GF(7).one)",
+    "CommPoly.one(QQ).scale(GF(7).scalar(1))",
     "FreePoly.one(1, QQ) * FreePoly.one(1, GF(7))",
     "GenericMatrix.identity(2, QQ) + GenericMatrix.identity(2, GF(7))",
     "GenericMatrix.identity(2, QQ) * GenericMatrix.identity(2, GF(7))",
-    "GenericMatrix.identity(2, QQ).scale(GF(7).one)",
+    "GenericMatrix.identity(2, QQ).scale(GF(7).scalar(1))",
     "GenericMatrix([[CommPoly.one(QQ)] * 2, [CommPoly.one(GF(7))] * 2])",
-    "CommPoly(QQ, {(): GF(7).one})",
-    "FreePoly(1, QQ, {(1,): GF(7).one})",
+    "CommPoly(QQ, {(): GF(7).scalar(1)})",
+    "FreePoly(1, QQ, {(1,): GF(7).scalar(1)})",
     "BivariatePoly(GF(7), {(1, 0): QQ.scalar(3)})",
 ]
 

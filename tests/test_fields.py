@@ -21,14 +21,14 @@ def test_prime_field_mul():
 
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
-        QQ.scalar("2/3") / QQ.zero
+        QQ.scalar("2/3") / QQ.scalar(0)
     with pytest.raises(DivisionByZero):
         GF(7).scalar(1) / GF(7).scalar(0)
 
 
 def test_field_mismatch():
     with pytest.raises(FieldMismatch):
-        QQ.one + GF(5).one
+        QQ.scalar(1) + GF(5).scalar(1)
 
 
 def test_modulus_must_be_prime():
@@ -100,11 +100,11 @@ def test_field_axioms_randomized(field):
         assert a * (b + c) == a * b + a * c
         assert a + b == b + a
         assert a * b == b * a
-        assert a + field.zero == a
-        assert a * field.one == a
-        assert a + (-a) == field.zero
+        assert a + field.scalar(0) == a
+        assert a * field.scalar(1) == a
+        assert a + (-a) == field.scalar(0)
         if a:
-            assert a * a.inverse() == field.one
+            assert a * a.inverse() == field.scalar(1)
 
 
 @given(st.fractions(), st.fractions())
@@ -119,7 +119,7 @@ def test_rational_ops_match_fraction(x, y):
 def test_pow_matches_repeated_mul(base, e):
     f = GF(13)
     a = f.scalar(base)
-    acc = f.one
+    acc = f.scalar(1)
     for _ in range(e):
         acc = acc * a
     assert a**e == acc
@@ -184,7 +184,7 @@ class TestRawArithmetic:
             with pytest.raises(DivisionByZero):
                 field.inverse(zero)
         with pytest.raises(DivisionByZero):
-            field.zero.inverse()
+            field.scalar(0).inverse()
         if field.p:  # a denominator that vanishes mod p
             with pytest.raises(DivisionByZero):
                 field.raw(Fraction(1, field.p))

@@ -170,7 +170,7 @@ def _substituted(poly, a, b):
     for (i, j), c in poly.terms.items():
         for k in range(i + 1):
             term = field.scalar(c) * inverse**i * field.scalar(comb(i, k)) * shift ** (i - k)
-            terms[k, j] = terms.get((k, j), field.zero) + term
+            terms[k, j] = terms.get((k, j), field.scalar(0)) + term
     return genmat.BivariatePoly(field, terms)
 
 

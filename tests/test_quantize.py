@@ -17,6 +17,7 @@ from nclab.quantize import (
     FormalSeries,
     PoissonTensor,
     StarContext,
+    _weight,
     entry_pairing_tensor,
     matrix_star,
     matrix_star_commutator,
@@ -38,7 +39,7 @@ VZ = Variable.aux("z", 1)
 def two_pair_tensor(field=QQ):
     """{x1, y1} = {x2, y2} = 1 with an extra unpaired variable z1."""
     variables = VX + VY + [VZ]
-    entries = {(0, 2): field.one, (1, 3): field.one}
+    entries = {(0, 2): field.scalar(1), (1, 3): field.scalar(1)}
     return PoissonTensor(variables, entries, field)
 
 
@@ -124,8 +125,8 @@ class TestStarProduct:
     @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["q", "fp32003"])
     def test_weights_are_one_over_two_to_the_r_times_r_factorial(self, field):
         # raw values: an int or lowest-terms Fraction over Q, a residue over F_p
-        weights = StarContext(two_pair_tensor(field), 40)._weights
-        assert weights == tuple(field.raw(Fraction(1, 2**r * factorial(r))) for r in range(41))
+        weights = [_weight(field, r) for r in range(41)]
+        assert weights == [field.raw(Fraction(1, 2**r * factorial(r))) for r in range(41)]
         assert all(type(w) is (Fraction if field.p == 0 and r else int) for r, w in enumerate(weights))
 
     def test_x_star_y(self):
@@ -218,6 +219,19 @@ class TestStarProduct:
                 b = random_commpoly(rng, list(ctx.tensor.variables), QQ, max_degree=3)
                 assert ctx.bilinear_map(r, a, b) == moyal_term(a, b, r, pairs, weight)
 
+    def test_bilinear_maps_end_at_the_last_nonzero_term(self):
+        ctx = self._ctx(order=3)
+        x, y = poly(VX[0]), poly(VY[0])
+        xy, const = x * y, lambda c: CommPoly.constant(QQ.scalar(c))
+        # W_2 of x (x) y is empty, so the list stops at B_1 = 1/2
+        assert ctx.bilinear_maps(x, y, 3) == [xy, const(Fraction(1, 2))]
+        # B_1(xy, xy) = {xy, xy} / 2 = 0 and B_2 = -1/4: an inner zero stays, a last one goes
+        assert ctx.bilinear_maps(xy, xy, 1) == [xy * xy]
+        assert ctx.bilinear_maps(xy, xy, 2) == [xy * xy, const(0), const(Fraction(-1, 4))]
+        # no tensor pair joins x1 to x1
+        assert ctx.bilinear_maps(x, x, 3) == [x * x]
+        assert ctx.bilinear_map(3, x, y) == const(0)
+
     def test_associativity_randomized(self):
         ctx = self._ctx(order=3)
         rng = random.Random(608)
@@ -272,12 +286,26 @@ def test_bilinear_maps_match_oracle_on_random_tensors(case):
     field = tensor.field
     ctx = StarContext(tensor, 4)
     maps = ctx.bilinear_maps(a, b, 4)
-    assert len(maps) == 5
+    assert len(maps) <= 5
+    assert len(maps) == 1 or not maps[-1].is_zero  # no zero is padded in
     pairs = ordered_pairs(tensor)
-    for r, term in enumerate(maps):
+    for r in range(5):
         weight = field.scalar(Fraction(1, 2**r * factorial(r)))
-        assert term == moyal_term(a, b, r, pairs, weight)
-    assert ctx.bilinear_map(2, a, b) == maps[2]
+        assert ctx.bilinear_map(r, a, b) == moyal_term(a, b, r, pairs, weight)
+        if r < len(maps):
+            assert maps[r] == ctx.bilinear_map(r, a, b)
+
+
+@settings(max_examples=40)
+@given(moyal_cases(), st.integers(0, 4), st.integers(0, 4))
+def test_bilinear_maps_at_two_orders_agree_on_their_common_prefix(case, r1, r2):
+    # B_r does not depend on rmax >= r, and a list ends at its last nonzero term
+    tensor, a, b = case
+    ctx = StarContext(tensor, 4)
+    lo, hi = sorted((r1, r2))
+    short, long = ctx.bilinear_maps(a, b, lo), ctx.bilinear_maps(a, b, hi)
+    assert long[:len(short)] == short
+    assert all(t.is_zero for t in long[len(short):lo + 1])
 
 
 @st.composite
@@ -568,11 +596,11 @@ class TestTensorIO:
 
     def test_lower_triangle_rejected(self):
         with pytest.raises(BadTensorFile):
-            PoissonTensor([VX[0], VY[0]], {(1, 0): QQ.one}, QQ)
+            PoissonTensor([VX[0], VY[0]], {(1, 0): QQ.scalar(1)}, QQ)
 
     def test_diagonal_rejected(self):
         with pytest.raises(BadTensorFile):
-            PoissonTensor([VX[0], VY[0]], {(0, 0): QQ.one}, QQ)
+            PoissonTensor([VX[0], VY[0]], {(0, 0): QQ.scalar(1)}, QQ)
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"

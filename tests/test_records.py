@@ -140,7 +140,7 @@ def _frozen_instances():
         (CorrespondenceReport(True, None, None), "holds"),
         (PipelineReport("f", "g", False, None, [], None, "not applicable", "c"), "outcomes"),
         (bergman_check(FreePoly(2, QQ, {(1,): 1}), 0), "dims"),
-        (DiagonalReport(matrix, matrix, 0, [QQ.one]), "achieved_order"),
+        (DiagonalReport(matrix, matrix, 0, [QQ.scalar(1)]), "achieved_order"),
     ]
 
 

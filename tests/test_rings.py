@@ -148,7 +148,7 @@ class TestEvaluate:
         assert (x * x + y).evaluate({X: QQ.scalar(2), Y: QQ.scalar(3)}) == QQ.scalar(7)
 
     def test_zero_poly(self):
-        assert CommPoly.zero(QQ).evaluate({}) == QQ.zero
+        assert CommPoly.zero(QQ).evaluate({}) == QQ.scalar(0)
 
     def test_fractional_point(self):
         x, y = _x(), _y()
@@ -157,7 +157,7 @@ class TestEvaluate:
 
     def test_unassigned_variable(self):
         with pytest.raises(UnassignedVariable):
-            _x().evaluate({Y: QQ.one})
+            _x().evaluate({Y: QQ.scalar(1)})
 
     def test_evaluation_is_ring_homomorphism(self):
         rng = random.Random(77)
@@ -292,21 +292,21 @@ class TestRationalFunction:
         lam2 = CommPoly.variable(Variable.aux("lam", 2), QQ)
         d = lam1 - lam2
         r = RationalFunction(CommPoly.one(QQ), d) * RationalFunction(d, CommPoly.one(QQ))
-        assert r == RationalFunction.from_poly(CommPoly.constant(QQ.one))
+        assert r == RationalFunction.from_poly(CommPoly.constant(QQ.scalar(1)))
 
     def test_sum_to_zero(self):
         lam1, lam2, lam3 = _lam(1), _lam(2), _lam(3)
         a = RationalFunction(lam3, (lam1 - lam2) * (lam2 - lam3))
         s = a + (-a)
         assert s.is_zero
-        assert s == RationalFunction.from_poly(CommPoly.constant(QQ.zero))
+        assert s == RationalFunction.from_poly(CommPoly.constant(QQ.scalar(0)))
         assert str(s.den) == "1"
 
     def test_zero_denominator(self):
         lam1 = CommPoly.variable(Variable.aux("lam", 1), QQ)
         with pytest.raises(DivisionByZero):
             RationalFunction(CommPoly.one(QQ), lam1 - lam1)
-        zero = RationalFunction.from_poly(CommPoly.constant(QQ.zero))
+        zero = RationalFunction.from_poly(CommPoly.constant(QQ.scalar(0)))
         with pytest.raises(DivisionByZero):
             RationalFunction.from_poly(lam1) / zero
 
@@ -322,7 +322,7 @@ class TestRationalFunction:
         lam1, lam2 = _lam(1), _lam(2)
         r = RationalFunction(lam2, (lam2 - lam1).scale(QQ.scalar(2)))
         _, lc = r.den.leading_term()
-        assert lc == QQ.one
+        assert lc == QQ.scalar(1)
         assert r.den == lam1 - lam2
         assert r.num == lam2.scale(QQ.scalar("-1/2"))
 
@@ -354,7 +354,7 @@ class TestRationalFunction:
         for _ in range(20):
             a, b, c = rand_rf(), rand_rf(), rand_rf()
             assert (a + b) * c == a * c + b * c
-            assert a - a == RationalFunction.from_poly(CommPoly.constant(QQ.zero))
+            assert a - a == RationalFunction.from_poly(CommPoly.constant(QQ.scalar(0)))
             d = RationalFunction(_random_den(rng), _random_den(rng))  # a unit of the ring
             assert (a / d) * d == a
 
@@ -381,7 +381,7 @@ class TestRationalFunction:
                     diff = CommPoly.variable(u, field) - CommPoly.variable(v, field)
                     assert r.is_zero or not poly_divmod(r.num, diff)[1].is_zero
                 if not r.is_zero:
-                    assert r.den.leading_term()[1] == field.one
+                    assert r.den.leading_term()[1] == field.scalar(1)
 
 
 @given(st.integers(-20, 20), st.integers(-20, 20))
