@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Walk the whole mechanism on one screen.
 
-Takes a commuting pair in the free algebra through reduction, annihilators and
-star commutators, then runs the probe on a directly constructed
-transcendence-degree-2 pair, where the traces tr(c1 f^k) of the star
-commutator's h-coefficient c1, which no choice of lift changes, refuse to vanish.
+Lifts a commuting pair in the free algebra to the generic matrices as star
+series, a homomorphism whose h^0 coefficients are the reductions, finds
+annihilators of those images and checks that the lifts star-commute.  Then it
+runs the probe on a directly constructed transcendence-degree-2 pair, where
+the traces tr(c1 f^k) of the star commutator's h-coefficient c1, which no
+choice of lift changes, refuse to vanish.
 """
 
 from nclab.centralizer import (
@@ -26,8 +28,8 @@ def show_pipeline(ftext: str, gtext: str) -> None:
     print(f"pair ({ftext}, {gtext}): commute = {rep.commute}")
     for o in rep.outcomes:
         ann = str(o.annihilator.poly) if o.annihilator.found else "none"
-        tau = ", ".join(str(t) for t in o.tau)
-        print(f"  n={o.n}: annihilator {ann}; tau_k = tr(c1 f^k): {tau}")
+        star = "0" if o.star_c1_zero else "nonzero"
+        print(f"  n={o.n}: annihilator {ann}; h-coefficient of [f^, g^]_*: {star}")
     print(f"  -> {rep.conclusion}\n")
 
 
@@ -40,6 +42,7 @@ def main() -> None:
 
     print("== commuting free pairs ==")
     show_pipeline("x1", "x1^2 + x1")
+    show_pipeline("x1*x2 + x1", "(x1*x2 + x1)^2")
     show_pipeline("x1", "x2")
 
     print("== a transcendence-degree-2 matrix pair ==")

@@ -4,11 +4,13 @@ The centralizer of f up to degree d is the exact kernel of g |-> [f, g] on
 the span of words of length <= d, computed by linear algebra over the ground
 field.  ``bergman_check`` then tests whether that kernel is spanned by the
 powers of a single minimal-degree element, i.e. looks like k[h] at desk
-scale.  ``bergman_pipeline`` chains the reduction to generic matrices, the
-annihilator search and the star-commutator of the canonical lifts;
-``commuting_matrix_probe`` runs the same tail on directly constructed
-commuting matrices, which is the only way to feed it a transcendence-degree-2
-pair.
+scale.  ``bergman_pipeline`` lifts a commuting free pair to series of
+matrices by evaluating it at the star-generic matrices, a homomorphism whose
+h^0 coefficient is the reduction to generic matrices; it searches annihilators
+of those images and checks that the lifts' star commutator vanishes through
+the truncation order.  ``commuting_matrix_probe`` runs the same tail on one
+pair of commuting matrices, lifted canonically, which is the only way to feed
+it a transcendence-degree-2 pair.
 """
 
 from __future__ import annotations
@@ -123,12 +125,15 @@ class SizeOutcome(Record):
     """Per-matrix-size record inside a pipeline report.
 
     A report exists only for images that commute: ``find_annihilator`` raises
-    ``NotCommuting`` otherwise.  ``tau`` holds tau_k = tr(c1 f^k), k < n, for
-    c1 = ``star_linear_part``, the h-coefficient of the star commutator of the
-    canonical lifts.  A lift f + hX, g + hY moves c1 by [X, g] + [f, Y], whose
-    trace against f^k is tr(X [g, f^k]) + tr(Y [f^k, f]) = 0.  Where f has
-    distinct eigenvalues l_i and g has m_i, tau_k = sum_i {l_i, m_i} l_i^k:
-    Eq. (1) against a Vandermonde matrix: tau = 0 exactly when every {l_i, m_i} is.
+    ``NotCommuting`` otherwise.  The ``star_*`` fields and ``tau`` are read off
+    the star commutator of the lifts: of free elements, their images at the
+    star-generic matrices (``quantize.star_generic``), and of a matrix pair,
+    the canonical lifts.  ``tau`` holds tau_k = tr(c1 f^k), k < n, for
+    c1 = ``star_linear_part``, the h-coefficient.  Another lift f + hX, g + hY
+    moves c1 by [X, g] + [f, Y], whose trace against f^k is
+    tr(X [g, f^k]) + tr(Y [f^k, f]) = 0.  Where f has distinct eigenvalues l_i
+    and g has m_i, tau_k = sum_i {l_i, m_i} l_i^k: Eq. (1) against a
+    Vandermonde matrix: tau = 0 exactly when every {l_i, m_i} is.
     """
 
     __slots__ = ("n", "annihilator", "star_c0_zero", "star_c1_zero", "star_linear_part", "tau")
@@ -158,23 +163,9 @@ class PipelineReport(Record):
 
     @property
     def failure(self):
-        return _failure(self.outcomes, self.stability, self.free_commutator)
-
-
-def _failure(outcomes, stability, free_commutator):
-    """Why the run FAILs, or None; the contradiction scenario is not a failure."""
-    if not all(o.star_c0_zero for o in outcomes):
-        # commuting lifts commute at h^0, so this is a fault, not a trdeg-2 sign
-        return "the star commutator of commuting inputs is nonzero at h^0"
-    if free_commutator is not None and free_commutator.is_zero and not all(
-            o.tau_zero for o in outcomes):
-        # matrix_star is associative, so inputs with [f, g] = 0 in the free
-        # algebra, evaluated at the generic matrices as star series, are lifts
-        # whose commutator is 0, and tau does not depend on the lift
-        return "the first-order star trace tau of commuting free inputs is nonzero"
-    if stability is not None and stability.unstable:
-        return "annihilators found at every size are not identical"
-    return None
+        """Why the run FAILs, as its conclusion states it, or None."""
+        prefix = "FAIL: "
+        return self.conclusion[len(prefix):] if self.conclusion.startswith(prefix) else None
 
 
 def _star_traces(c1: genmat.GenericMatrix, f: genmat.GenericMatrix) -> list:
@@ -197,26 +188,41 @@ def _star_traces(c1: genmat.GenericMatrix, f: genmat.GenericMatrix) -> list:
     return taus
 
 
-def _size_outcome(f, g, dmax: int, ctx: quantize.StarContext) -> SizeOutcome:
-    """Annihilator of a commuting matrix pair, the star commutator of its lifts and its traces."""
+def _size_outcome(fhat, ghat, dmax: int, ctx: quantize.StarContext):
+    """The outcome of two lifts whose h^0 coefficients commute, and the least r at
+    which their star commutator is nonzero (None if it is 0 through the order)."""
+    f, g = fhat.coefficient(0), ghat.coefficient(0)
     ann = genmat.find_annihilator(f, g, dmax)
-    fhat, ghat = quantize.quantize_lift(f, ctx), quantize.quantize_lift(g, ctx)
     comm = quantize.matrix_star_commutator(fhat, ghat, ctx)
     c0, c1 = comm.coefficient(0), comm.coefficient(1)
-    return SizeOutcome(f.n, ann, c0.is_zero, c1.is_zero, c1, _star_traces(c1, f))
+    least = next((r for r, c in enumerate(comm.coeffs) if not c.is_zero), None)
+    return SizeOutcome(f.n, ann, c0.is_zero, c1.is_zero, c1, _star_traces(c1, f)), least
 
 
-def _verdicts(outcomes, stability, free_commutator):
-    """The trdeg verdict and the conclusion of commuting images' outcomes."""
+def _verdicts(outcomes, stability, free_commutator, leasts):
+    """The trdeg verdict and the conclusion of commuting images' outcomes.
+
+    ``leasts`` holds, per outcome, the least order at which its lifts' star
+    commutator is nonzero, or None.  The contradiction scenario is not a failure.
+    """
     if all(o.annihilator.found for o in outcomes):
         trdeg = "1"
     else:
         trdeg = f">=2 up to degree {outcomes[0].annihilator.searched_bound}"
-    failure = _failure(outcomes, stability, free_commutator)
+    free = free_commutator is not None and free_commutator.is_zero
+    nonzero = [r for r in leasts if r is not None]
     tau_zero = all(o.tau_zero for o in outcomes)
-    if failure:
-        conclusion = "FAIL: " + failure
-    elif trdeg == "1":
+    if not all(o.star_c0_zero for o in outcomes):
+        # commuting lifts commute at h^0, so this is a fault, not a trdeg-2 sign
+        return trdeg, "FAIL: the star commutator of commuting inputs is nonzero at h^0"
+    if free and nonzero:
+        # matrix_star is associative, so the lift at the star-generic matrices is a
+        # homomorphism, and it carries [f, g] = 0 to [f^, g^]_* = 0 at every order
+        return trdeg, ("FAIL: the star commutator of the quantized images of commuting "
+                       f"free inputs is nonzero at h^{min(nonzero)}")
+    if stability is not None and stability.unstable:
+        return trdeg, "FAIL: annihilators found at every size are not identical"
+    if trdeg == "1":
         conclusion = "annihilator found at every size: consistent with transcendence degree 1"
         if not tau_zero:
             conclusion += "; warning: the first-order star trace tau is nonzero"
@@ -227,45 +233,55 @@ def _verdicts(outcomes, stability, free_commutator):
         )
     else:
         conclusion = "no annihilator up to the bound but the first-order star trace tau vanishes"
+    if free:
+        conclusion += "; the quantized images commute through the truncation order"
     return trdeg, conclusion
 
 
 def bergman_pipeline(
     f: freealg.FreePoly, g: freealg.FreePoly, nmax: int, dmax: int, ctx: quantize.StarContext
 ) -> PipelineReport:
-    """Commutation, reduction, annihilators and star commutators, end to end."""
+    """Commutation, lifts at the star-generic matrices, annihilators and star commutators."""
     c = freealg.commutator(f, g)
     f_text, g_text = freealg.pretty(f), freealg.pretty(g)
     if not c.is_zero:
         return PipelineReport(f_text, g_text, False, c, [], None, "not applicable",
                               "inputs do not commute in the free algebra")
     sizes = range(1, nmax + 1)
-    outcomes = [_size_outcome(genmat.pi_reduce(f, n), genmat.pi_reduce(g, n), dmax, ctx)
-                for n in sizes]
+    outcomes, leasts = [], []
+    for n in sizes:
+        xs = quantize.star_generic(f.s, n, ctx)
+        outcome, least = _size_outcome(f.evaluate_in_matrices(xs), g.evaluate_in_matrices(xs),
+                                       dmax, ctx)
+        outcomes.append(outcome)
+        leasts.append(least)
     stability = genmat.StabilityReport.of(f, g, sizes, dmax, [o.annihilator for o in outcomes])
     return PipelineReport(
-        f_text, g_text, True, c, outcomes, stability, *_verdicts(outcomes, stability, c)
+        f_text, g_text, True, c, outcomes, stability, *_verdicts(outcomes, stability, c, leasts)
     )
 
 
-def commuting_matrix_probe(
-    f: genmat.GenericMatrix, g: genmat.GenericMatrix, dmax: int, ctx: quantize.StarContext,
-    free_commutator: freealg.FreePoly | None = None,
-) -> PipelineReport:
+def commuting_matrix_probe(f, g, dmax: int, ctx: quantize.StarContext,
+                           free_commutator: freealg.FreePoly | None = None) -> PipelineReport:
     """Annihilator search plus star commutator for one commuting matrix pair.
 
     Unlike the pipeline, the inputs need not be images of free-algebra
-    elements, so transcendence-degree-2 pairs can be fed in directly.  For
-    images of free elements, ``free_commutator`` is their [f, g] in the free
-    algebra, and where it is 0 a nonzero tau FAILs as in the pipeline.
+    elements, so transcendence-degree-2 pairs can be fed in directly: matrices
+    f and g are lifted canonically.  Images of free elements come as their
+    lifts at ``quantize.star_generic``, with ``free_commutator`` their [f, g]
+    in the free algebra; where it is 0, a nonzero lifted star commutator FAILs
+    as in the pipeline.
     """
+    if isinstance(f, genmat.GenericMatrix):
+        f, g = quantize.quantize_lift(f, ctx), quantize.quantize_lift(g, ctx)
     try:
-        outcomes = [_size_outcome(f, g, dmax, ctx)]
+        outcome, least = _size_outcome(f, g, dmax, ctx)
     except NotCommuting:
         raise NotCommuting("probe inputs must commute") from None
     commute = free_commutator is None or free_commutator.is_zero
-    return PipelineReport(str(f), str(g), commute, free_commutator, outcomes, None,
-                          *_verdicts(outcomes, None, free_commutator))
+    return PipelineReport(str(f.coefficient(0)), str(g.coefficient(0)), commute,
+                          free_commutator, [outcome], None,
+                          *_verdicts([outcome], None, free_commutator, [least]))
 
 
 def diagonal_generic_pair(n: int, field: Field):

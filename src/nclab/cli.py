@@ -357,19 +357,20 @@ def _cmd_bergman_pipeline(args, field):
 def _cmd_probe(args, field):
     if args.f is not None:
         free_f, free_g = (freealg.parse_free(text, args.s, field) for text in (args.f, args.g))
-        f, g = genmat.pi_reduce(free_f, args.n), genmat.pi_reduce(free_g, args.n)
+        ctx = quantize.StarContext(_tensor(args, field, args.s, args.n), args.order)
+        xs = quantize.star_generic(args.s, args.n, ctx)
+        f, g = free_f.evaluate_in_matrices(xs), free_g.evaluate_in_matrices(xs)
         free_commutator = freealg.commutator(free_f, free_g)
-        if (not free_commutator.is_zero
-                and _probe_search_terms(f, g, args.dmax) > MAX_PROBE_SEARCH_TERMS):
+        if (not free_commutator.is_zero and _probe_search_terms(
+                f.coefficient(0), g.coefficient(0), args.dmax) > MAX_PROBE_SEARCH_TERMS):
             raise InvalidSize(f"probe --n {args.n} --dmax {args.dmax}: the annihilator search "
                               f"of --f and --g can build over {MAX_PROBE_SEARCH_TERMS} terms")
-        tensor = _tensor(args, field, args.s, args.n)
     else:
         f, g, tensor = centralizer.diagonal_generic_pair(args.n, field)
         free_commutator = None
         if args.poisson != "pairing":
             tensor = quantize.PoissonTensor.load(args.poisson, field)
-    ctx = quantize.StarContext(tensor, args.order)
+        ctx = quantize.StarContext(tensor, args.order)
     rep = centralizer.commuting_matrix_probe(f, g, args.dmax, ctx, free_commutator)
     bounds = {"n": args.n, "dmax": args.dmax, "order": args.order}
     return rep, bounds, 2 if rep.failure else 0, _pipeline_lines(rep)

@@ -107,7 +107,12 @@ class FreePoly(SparseSum):
     # -- evaluation ----------------------------------------------------------------
 
     def evaluate_in_matrices(self, images):
-        """Apply the algebra homomorphism x_l -> images[l-1] (square matrices)."""
+        """Apply the algebra homomorphism x_l -> images[l-1].
+
+        The images are square matrices, or series of them under a product such
+        as ``quantize.StarSeries``: each offers ``n``, ``field``, ``+``, ``*``,
+        ``scale``, ``zeros_like`` and ``identity_like``.
+        """
         if len(images) != self.s:
             raise ShapeMismatch(f"need {self.s} matrices, got {len(images)}")
         first = images[0]
@@ -116,7 +121,7 @@ class FreePoly(SparseSum):
                 raise ShapeMismatch("matrices must share one size")
             if m.field != self.field:
                 raise FieldMismatch("matrix ring over a different field")
-        out = type(first).zeros(first.n, self.field, first.ring)  # genmat imports this module
+        out = first.zeros_like()
         cache = {EMPTY_WORD: first.identity_like()}
         cache.update(((g,), m) for g, m in enumerate(images, 1))
         for w in sorted(self.terms, key=lambda w: (len(w), w)):

@@ -96,6 +96,9 @@ class GenericMatrix(Frozen):
     def identity_like(self) -> GenericMatrix:
         return GenericMatrix.identity(self.n, self.field, self.ring)
 
+    def zeros_like(self) -> GenericMatrix:
+        return self._like({})
+
     # -- access ------------------------------------------------------------------
 
     @property
@@ -187,12 +190,14 @@ class GenericMatrix(Frozen):
 class FormalSeries(Frozen):
     """Truncated power series in h with CommPoly or GenericMatrix coefficients.
 
-    All coefficients are of one kind.  The sum is coefficientwise; the star
+    All coefficients are of one kind.  The sum is coefficientwise and builds
+    through ``_like``, which a subclass with more state overrides.  The star
     products ``quantize.star_mul`` and ``quantize.matrix_star`` need a
     context, so the class defines no ``*`` (``diagonalize.SeriesFieldMatrix``
-    adds the plain one).  Both products walk ``nonzero_pairs``.  A zero
-    matrix coefficient holds no entries, so it costs nothing to keep, to
-    zero-test or to skip.
+    adds the plain one, ``quantize.StarSeries`` the star one).  Both products
+    walk ``nonzero_pairs``.  A zero matrix coefficient holds no entries, so it
+    costs nothing to keep, to zero-test or to skip, and a sum keeps the
+    coefficient it adds a zero to.
     """
 
     __slots__ = ("order", "coeffs")
@@ -220,6 +225,10 @@ class FormalSeries(Frozen):
     def from_poly(cls, p, order: int) -> FormalSeries:
         """p + 0 h + ... + 0 h^order, for a CommPoly or a GenericMatrix p."""
         return cls(order, [p] + [p._like({})] * order)
+
+    def _like(self, coeffs) -> FormalSeries:
+        """A series of this class and order with the given coefficients."""
+        return type(self)(self.order, coeffs)
 
     def coefficient(self, r: int):
         return self.coeffs[r]
@@ -249,14 +258,14 @@ class FormalSeries(Frozen):
 
     def __add__(self, other):
         other = self._check(other)
-        return type(self)(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._like([a if b.is_zero else a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
         other = self._check(other)
-        return type(self)(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._like([a if b.is_zero else a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
-        return type(self)(self.order, [-c for c in self.coeffs])
+        return self._like([-c for c in self.coeffs])
 
     def __str__(self):
         parts = []

@@ -17,8 +17,14 @@ The series are ``genmat.FormalSeries``.  The one star product is
 ``matrix_star`` on series of GenericMatrix: the row-column product whose
 entry products are star products, over the pairs of nonzero coefficients
 whose h-degrees sum to at most N.  ``star_mul`` multiplies two series of
-CommPoly as series of 1 x 1 matrices.  ``quantize_lift`` makes the series of
-matrices of a matrix.
+CommPoly as series of 1 x 1 matrices.
+
+A free element f is lifted by evaluating it at ``star_generic``, the generic
+matrices as ``StarSeries``, whose ``*`` is ``matrix_star``.  That product is
+associative, so the lift f -> f(X^_1, ..., X^_s) is an algebra homomorphism:
+it carries [f, g] = 0 to [f^, g^]_* = 0 at every order, and its h^0
+coefficient is the image pi_n(f).  ``quantize_lift``, the canonical lift
+a + 0 h + ..., is for a matrix pair with no free preimage.
 """
 
 from __future__ import annotations
@@ -32,8 +38,8 @@ from .errors import (
     ShapeMismatch,
     UnknownVariable,
 )
-from .fields import Field
-from .genmat import FormalSeries, GenericMatrix
+from .fields import Field, add_products
+from .genmat import FormalSeries, GenericMatrix, make_generic
 from .records import Frozen, Record
 from .rings import CommPoly, Variable, mono_mul, mono_partials, parse_variable_name
 
@@ -170,24 +176,32 @@ class StarContext(Frozen):
         ordered r-tuples of pairs in the Moyal formula, and
         B_r = weight_r * (product of the two sides of W_r).
         """
-        out, partners, in_b = [a * b], self._partners, b.variables()
-        if not any(vj in in_b for v in a.variables() for vj, _ in partners.get(v, ())):
-            return out
+        out = [a * b] + [CommPoly._of(self.field, t) for t in self._moyal_terms(a, b, rmax)]
+        while len(out) > 1 and out[-1].is_zero:
+            out.pop()
+        return out
+
+    def _moyal_terms(self, a: CommPoly, b: CommPoly, rmax: int):
+        """The raw terms {monomial: value} of B_1(a, b), B_2(a, b), ..., up to B_rmax.
+
+        They end early, where W_r vanishes; none is formed when no variable of
+        a is paired with one of b.
+        """
+        partners, in_b = self._partners, b.variables()
+        if rmax < 1 or not any(vj in in_b for v in a.variables() for vj, _ in partners.get(v, ())):
+            return
         w = {(ma, mb): ca * cb for ma, ca in a.terms.items() for mb, cb in b.terms.items()}
         for r in range(1, rmax + 1):
             w = _poisson_step(w, partners, self.field)
             if not w:
-                break
+                return
             terms = {}
             for (ma, mb), c in w.items():
                 m = mono_mul(ma, mb)
                 s = terms.get(m)
                 terms[m] = c if s is None else s + c
             weight = _weight(self.field, r)
-            out.append(CommPoly._of(self.field, {m: c * weight for m, c in terms.items()}))
-        while len(out) > 1 and out[-1].is_zero:
-            out.pop()
-        return out
+            yield {m: c * weight for m, c in terms.items()}
 
 
 @lru_cache(maxsize=None)
@@ -228,9 +242,11 @@ def matrix_star(a: FormalSeries, b: FormalSeries, ctx: StarContext) -> FormalSer
     Coefficient r is the sum over m + k + s = r and over l of
     B_s(a_m[i, l], b_k[l, j]), walked as ``FormalSeries.nonzero_pairs`` of
     coefficients and, inside each, ``GenericMatrix.nonzero_pairs`` of
-    entries; only the nonzero B_s are added, so a product whose Moyal terms
-    vanish past h^0 costs one sum per entry pair.  The tensor variables are
-    checked once on the entries.
+    entries.  B_0 and the Moyal terms that ``StarContext._moyal_terms`` forms
+    are added on raw values into one dict per entry and coefficient, so a
+    product whose Moyal terms vanish past h^0 costs what the plain product
+    does, plus one test per entry pair.  The tensor variables are checked
+    once on the entries.
     """
     a._check(b)
     for c in (a.coeffs[0], b.coeffs[0]):
@@ -239,16 +255,20 @@ def matrix_star(a: FormalSeries, b: FormalSeries, ctx: StarContext) -> FormalSer
     if a.order != ctx.order:
         raise ShapeMismatch("series order differs from context order")
     ctx.tensor.check_variables([e for c in a.coeffs + b.coeffs for e in c.entries.values()])
-    order = ctx.order
-    cells = [{} for _ in range(order + 1)]  # r -> (i, j) -> coefficient r of that entry
+    order, field = ctx.order, ctx.field
+    cells = [{} for _ in range(order + 1)]  # r -> (i, j) -> raw terms of coefficient r there
     for m, k, am, bk in a.nonzero_pairs(b):
         for i, j, x, y in am.nonzero_pairs(bk):
-            for r, term in enumerate(ctx.bilinear_maps(x, y, order - m - k), m + k):
-                if term.terms:
-                    s = cells[r].get((i, j))
-                    cells[r][i, j] = term if s is None else s + term
+            add_products(cells[m + k].setdefault((i, j), {}), x.terms.items(), y.terms.items(),
+                         mono_mul)
+            for r, terms in enumerate(ctx._moyal_terms(x, y, order - m - k), m + k + 1):
+                acc = cells[r].setdefault((i, j), {})
+                for mono, c in terms.items():
+                    s = acc.get(mono)
+                    acc[mono] = c if s is None else s + c
     zero = a.coeffs[0]._like({})  # one shared empty matrix for every coefficient with no terms
-    return FormalSeries(order, [zero._like(c) if c else zero for c in cells])
+    return a._like([zero._like({ij: CommPoly._of(field, acc) for ij, acc in c.items()})
+                    if c else zero for c in cells])
 
 
 def star_mul(a: FormalSeries, b: FormalSeries, ctx: StarContext) -> FormalSeries:
@@ -291,3 +311,46 @@ def quantize_lift(a: GenericMatrix, ctx: StarContext) -> FormalSeries:
     """Canonical lift: the series of matrices with degree-0 coefficient a, all higher zero."""
     ctx.tensor.check_variables(e for _, e in sorted(a.entries.items()))  # row by row
     return FormalSeries.from_poly(a, ctx.order)
+
+
+class StarSeries(FormalSeries):
+    """A series of matrices truncated at ``ctx.order`` whose ``*`` is ``matrix_star`` in ``ctx``.
+
+    It offers what ``FreePoly.evaluate_in_matrices`` asks of an image, so that
+    loop, prefix cache included, evaluates a free element at these series.
+    """
+
+    __slots__ = ("ctx",)
+
+    def __init__(self, ctx: StarContext, coeffs):
+        super().__init__(ctx.order, coeffs)
+        object.__setattr__(self, "ctx", ctx)
+
+    def _like(self, coeffs) -> StarSeries:
+        return StarSeries(self.ctx, coeffs)
+
+    @property
+    def n(self) -> int:
+        return self.coeffs[0].n
+
+    def zeros_like(self) -> StarSeries:
+        return self._like([self.coeffs[0].zeros_like()] * (self.order + 1))
+
+    def identity_like(self) -> StarSeries:
+        e = self.coeffs[0].identity_like()
+        return self._like([e] + [e.zeros_like()] * self.order)
+
+    def scale(self, c) -> StarSeries:
+        return self._like([x if x.is_zero else x.scale(c) for x in self.coeffs])
+
+    def __mul__(self, other) -> StarSeries:
+        return matrix_star(self, other, self.ctx)
+
+
+def star_generic(s: int, n: int, ctx: StarContext) -> list:
+    """The s generic n x n matrices X_l as star series X^_l = X_l + 0 h + ... + 0 h^N.
+
+    ``f.evaluate_in_matrices(star_generic(f.s, n, ctx))`` is the lift f^ of f.
+    """
+    return [StarSeries(ctx, [x] + [x.zeros_like()] * ctx.order)
+            for x in make_generic(s, n, ctx.field)]

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from nclab import serialize
+from nclab import genmat, quantize, serialize
 from nclab.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -34,8 +34,8 @@ def test_every_golden_decodes_and_re_renders_to_its_own_bytes(name):
 
 
 def test_pipeline_goldens_have_zero_tau_and_probe_goldens_nonzero():
-    # commuting free inputs have commuting lifts, and tau does not depend on
-    # the lift; the probe's diagonal pair has tau_k = sum_i x_i^k
+    # the quantized images of commuting free inputs star-commute, so their c1
+    # and tau vanish; the probe's diagonal pair has tau_k = sum_i x_i^k
     commands = {}
     for name, argv in MANIFEST.items():
         if argv[0] in ("bergman-pipeline", "probe"):
@@ -43,6 +43,27 @@ def test_pipeline_goldens_have_zero_tau_and_probe_goldens_nonzero():
                 _, rep = serialize.loads(fh.read())
             assert "did not vanish" not in rep.conclusion, name
             zero = [o.tau_zero for o in rep.outcomes]
-            assert all(zero) if argv[0] == "bergman-pipeline" else not any(zero), name
+            if argv[0] == "bergman-pipeline":
+                assert all(zero) and all(o.star_c1_zero for o in rep.outcomes), name
+                assert rep.conclusion.endswith(
+                    "; the quantized images commute through the truncation order"), name
+            else:
+                assert not any(zero), name
             commands[argv[0]] = commands.get(argv[0], 0) + 1
     assert commands == {"bergman-pipeline": 7, "probe": 6}
+
+
+def test_pipeline_goldens_need_neither_the_reduction_nor_the_canonical_lift(monkeypatch, capsys):
+    # a pipeline lifts f by evaluating it at the star-generic matrices, whose
+    # h^0 coefficient is pi_n(f): neither pi_reduce nor quantize_lift runs
+    def refuse(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(genmat, "pi_reduce", refuse)
+    monkeypatch.setattr(quantize, "quantize_lift", refuse)
+    names = [name for name, argv in sorted(MANIFEST.items()) if argv[0] == "bergman-pipeline"]
+    for name in names:
+        assert main(MANIFEST[name] + ["--json"]) == 0, name
+        with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+            assert capsys.readouterr().out == fh.read(), name
+    assert len(names) == 7

@@ -17,6 +17,11 @@ F_p are at least the dims over Q, degree by degree.
 annihilator: the minimal P over Q, cleared to a primitive integer
 polynomial, reduces to a nonzero P mod p that annihilates the F_p images, so
 the minimal degree over F_p is at most the degree over Q.
+
+star, poisson: the Moyal weights 1/(2^r r!) are p-integral for r < p, so
+below the characteristic limit the Q star product, star commutator and
+Poisson bracket of integer inputs reduce to the F_p ones, and so does the
+lift of a free element at the star-generic matrices.
 """
 
 import contextlib
@@ -32,8 +37,18 @@ from nclab.cli import main
 from nclab.errors import DivisionByZero
 from nclab.fields import QQ, Field
 from nclab.freealg import FreePoly, parse_free
-from nclab.genmat import find_annihilator, pi_reduce
-from nclab.rings import CommPoly, RationalFunction
+from nclab.genmat import FormalSeries, find_annihilator, pi_reduce
+from nclab.quantize import (
+    PoissonTensor,
+    StarContext,
+    entry_pairing_tensor,
+    matrix_star_commutator,
+    poisson_bracket,
+    star_commutator,
+    star_generic,
+    star_mul,
+)
+from nclab.rings import CommPoly, RationalFunction, Variable, mono_from_dict
 
 PRIMES = (5, 7, 11, 32003)
 
@@ -116,3 +131,74 @@ def test_annihilator_degree_mod_p_is_at_most_the_degree_over_q(f, g, n):
     for p in (5, 7, 32003):
         result = annihilator(f, g, n, Field(p), over_q.total_degree)
         assert result.found and result.total_degree <= over_q.total_degree, p
+
+
+#: the order of the Q star products; inputs of degree <= 3 have B_r = 0 past
+#: r = 3, so every coefficient past it is 0 and this order covers every order
+STAR_ORDER = 6
+STAR_VARIABLES = [Variable.aux(name, i) for name in "xy" for i in (1, 2)]
+
+
+def integer_terms(rng: random.Random) -> dict:
+    """Up to four monomials of degree <= 3 in ``STAR_VARIABLES``, integer coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = {}
+        for _ in range(rng.randint(0, 3)):
+            v = rng.choice(STAR_VARIABLES)
+            exps[v] = exps.get(v, 0) + 1
+        terms[mono_from_dict(exps)] = rng.randint(-5, 5)
+    return terms
+
+
+def reduce_poly(a: CommPoly, field: Field) -> CommPoly:
+    return CommPoly(field, a.terms)
+
+
+def reduce_entries(m, field: Field) -> dict:
+    """The nonzero entries of a matrix over Q with their coefficients reduced into F_p."""
+    cells = {ij: reduce_poly(e, field) for ij, e in m.entries.items()}
+    return {ij: e for ij, e in cells.items() if not e.is_zero}
+
+
+# seeds whose star product reaches h^2: the others stop at h^0 or h^1
+@pytest.mark.parametrize("seed", [3, 4, 5, 6, 10, 11])
+def test_star_and_poisson_over_q_reduce_to_fp(seed):
+    rng = random.Random(seed)
+    a_terms, b_terms = integer_terms(rng), integer_terms(rng)
+    tensor_entries = {(i, j): rng.choice([-2, -1, 1, 3]) for i in range(4) for j in range(i + 1, 4)}
+
+    def run(field, order):
+        ctx = StarContext(PoissonTensor(STAR_VARIABLES, tensor_entries, field), order)
+        a, b = (FormalSeries.from_poly(CommPoly(field, t), order) for t in (a_terms, b_terms))
+        return (star_mul(a, b, ctx), star_commutator(a, b, ctx),
+                poisson_bracket(a.coefficient(0), b.coefficient(0), ctx.tensor))
+
+    product, commutator, bracket = run(QQ, STAR_ORDER)
+    assert not product.coefficient(2).is_zero
+    for p in (5, 7, 32003):
+        field = Field(p)
+        order = min(p - 1, STAR_ORDER)
+        theirs = run(field, order)
+        for ours, series in zip((product, commutator), theirs):
+            for r in range(order + 1):
+                assert reduce_poly(ours.coefficient(r), field) == series.coefficient(r), (p, r)
+        assert reduce_poly(bracket, field) == theirs[2], p
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("f, g", PIPELINE_PAIRS, ids=["x2", "x2sq", "x1-x2", "x1x2"])
+def test_lifts_at_the_star_generic_matrices_over_q_reduce_to_fp(f, g, n):
+    def lifts(field, order):
+        ctx = StarContext(entry_pairing_tensor(2, n, field), order)
+        xs = star_generic(2, n, ctx)
+        fhat, ghat = (parse_free(text, 2, field).evaluate_in_matrices(xs) for text in (f, g))
+        assert matrix_star_commutator(fhat, ghat, ctx).is_zero
+        return fhat, ghat
+
+    over_q = lifts(QQ, 4)
+    for p in (5, 7, 32003):
+        field = Field(p)
+        for ours, theirs in zip(over_q, lifts(field, 4)):
+            for a, b in zip(ours.coeffs, theirs.coeffs, strict=True):
+                assert reduce_entries(a, field) == b.entries, p

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import moyal_term, ordered_pairs, poisson_oracle
-from samples import lifted_commutator, random_commpoly
+from samples import lifted_commutator, random_commpoly, random_freepoly, random_scalar
+from nclab.centralizer import _star_traces
 from nclab.diagonalize import SeriesFieldMatrix
 from nclab.errors import BadTensorFile, CharacteristicTooSmall, FieldMismatch, UnknownVariable
 from nclab.fields import GF, QQ
@@ -17,6 +18,7 @@ from nclab.quantize import (
     FormalSeries,
     PoissonTensor,
     StarContext,
+    StarSeries,
     _weight,
     entry_pairing_tensor,
     matrix_star,
@@ -25,10 +27,12 @@ from nclab.quantize import (
     poisson_bracket,
     quantize_lift,
     star_commutator,
+    star_generic,
     star_mul,
     verify_correspondence,
 )
-from nclab.genmat import GenericMatrix, make_generic
+from nclab.freealg import FreePoly, parse_free
+from nclab.genmat import GenericMatrix, make_generic, pi_reduce
 from nclab.rings import CommPoly, RationalFunction, Variable, mono_from_dict
 
 VX = [Variable.aux("x", i) for i in (1, 2)]
@@ -552,6 +556,54 @@ class TestQuantizeLift:
         stray = GenericMatrix.diagonal([poly(VZ)])
         with pytest.raises(UnknownVariable):
             quantize_lift(stray, ctx)
+
+
+def polynomial_in(h: FreePoly, coeffs) -> FreePoly:
+    """sum_k coeffs[k] h^k, by Horner's rule."""
+    out = FreePoly.zero(h.s, h.field)
+    for c in reversed(coeffs):
+        out = out * h + FreePoly.constant(c, h.s)
+    return out
+
+
+class TestFreeLift:
+    """f^ = f(X^_1, ..., X^_s) at the star-generic matrices: a homomorphic lift."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from([1, 2, 3]), st.sampled_from([QQ, GF(7)]), st.integers(0, 10**6))
+    def test_lifts_of_polynomials_in_one_element_star_commute(self, n, field, seed):
+        # h has a word in both generators, so the canonical lifts of f = p(h)
+        # and g = q(h) mostly have c1 != 0 from n = 2 on, while the lifts at the
+        # star-generic matrices commute at every order
+        rng = random.Random(seed)
+        word = rng.choice([(1, 2), (2, 1)])
+        h = (FreePoly(2, field, {word: rng.choice([-3, -2, -1, 1, 2, 3])})
+             + random_freepoly(rng, 2, field, max_degree=1, max_terms=2))
+        f = polynomial_in(h, [random_scalar(rng, field) for _ in range(2)])
+        g = polynomial_in(h, [random_scalar(rng, field) for _ in range(3)])
+        ctx = StarContext(entry_pairing_tensor(2, n, field), 3)
+        xs = star_generic(2, n, ctx)
+        fhat, ghat = f.evaluate_in_matrices(xs), g.evaluate_in_matrices(xs)
+        fn, gn = pi_reduce(f, n), pi_reduce(g, n)
+        assert (fhat.coefficient(0), ghat.coefficient(0)) == (fn, gn)
+        comm = matrix_star_commutator(fhat, ghat, ctx)
+        assert comm.is_zero
+        # tau does not depend on the lift
+        canonical = matrix_star_commutator(quantize_lift(fn, ctx), quantize_lift(gn, ctx), ctx)
+        assert _star_traces(comm.coefficient(1), fn) == _star_traces(canonical.coefficient(1), fn)
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["q", "gf7"])
+    def test_commutator_plus_one_by_hand_at_size_2(self, field):
+        # x1[i,l] * x2[l,j] = x1[i,l] x2[l,j] + h/2 {x1[i,l], x2[l,j]}, and the
+        # bracket is 1 only at i = l = j: X^1 X^2 = X1 X2 + h/2 E and
+        # X^2 X^1 = X2 X1 - h/2 E, so f^ = [X1, X2] + E + h E
+        ctx = StarContext(entry_pairing_tensor(2, 2, field), 3)
+        fhat = parse_free("x1*x2 - x2*x1 + 1", 2, field).evaluate_in_matrices(
+            star_generic(2, 2, ctx))
+        x1, x2 = make_generic(2, 2, field)
+        e = x1.identity_like()
+        assert fhat.coeffs == (x1 * x2 - x2 * x1 + e, e, e.zeros_like(), e.zeros_like())
+        assert type(fhat) is StarSeries and fhat.ctx is ctx
 
 
 def tensor_dict(t: PoissonTensor) -> dict:

@@ -293,58 +293,62 @@ def test_al_dropped_sign_fails(optimize, tmp_path):
     _expect("Traceback" not in proc.stderr, proc.stderr)
 
 
-# -- pipeline: commuting free inputs must have a zero first-order star trace --
+# -- pipeline: the quantized images of commuting free inputs must star-commute --
 
 # the exponent e_i of d_i x^m = e_i x^(m - e_i) dropped from the Poisson
 # operator: B_1 is no longer the bracket, and the lifts of 1/2*x1 + x2 and its
-# square get a nonzero trace tau, which no lift of a commuting pair has
+# square no longer star-commute at h^1
 DROPPED_EXPONENT = ("quantize.py", "            cai = c * ei", "            cai = c")
 HALF_PIPELINE_ARGV = ["bergman-pipeline", "--f", "1/2*x1+x2", "--g", "(1/2*x1+x2)^2",
                       "--nmax", "2", "--dmax", "2", "--order", "2"]
 # the probe of the same commuting free inputs takes the same rule
 HALF_PROBE_ARGV = ["probe", "--n", "2", "--f", "1/2*x1+x2", "--g", "(1/2*x1+x2)^2",
                    "--dmax", "2", "--order", "2"]
+LIFT_FAIL = ("verdict: FAIL: the star commutator of the quantized images of commuting free "
+             "inputs is nonzero at h^")
 
 
-def _expect_tau_fail(proc):
+def _expect_lift_fail(proc, r):
     _expect(proc.returncode == 2, f"exit {proc.returncode}: {proc.stderr}")
-    verdict = "verdict: FAIL: the first-order star trace tau of commuting free inputs is nonzero"
-    _expect(verdict in proc.stdout, proc.stdout)
+    _expect(f"{LIFT_FAIL}{r}\n" in proc.stdout, proc.stdout)
     _expect("Traceback" not in proc.stderr, proc.stderr)
 
 
 @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
 def test_pipeline_dropped_exponent_fails(optimize, tmp_path):
-    _expect_tau_fail(run_mutant(tmp_path, *DROPPED_EXPONENT, HALF_PIPELINE_ARGV, optimize=optimize))
+    _expect_lift_fail(
+        run_mutant(tmp_path, *DROPPED_EXPONENT, HALF_PIPELINE_ARGV, optimize=optimize), 1)
 
 
 @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
 def test_probe_of_commuting_free_inputs_dropped_exponent_fails(optimize, tmp_path):
-    _expect_tau_fail(run_mutant(tmp_path, *DROPPED_EXPONENT, HALF_PROBE_ARGV, optimize=optimize))
+    _expect_lift_fail(
+        run_mutant(tmp_path, *DROPPED_EXPONENT, HALF_PROBE_ARGV, optimize=optimize), 1)
 
 
-# the verdict read from the whole c1 of the canonical lifts, which another lift
-# moves: x1*x2 + x1 and its square have c1 != 0 at n = 2 but tau = 0
-C1_VERDICT = (
-    "centralizer.py",
-    "    tau_zero = all(o.tau_zero for o in outcomes)",
-    "    tau_zero = all(o.star_c1_zero for o in outcomes)",
+# the Moyal weight of B_2 taken as 1/2^2 instead of 1/(2^2 2!): h^0 and h^1
+# are untouched, and the lifts of x1*x2 - 2*x2 and its square plus 1 stop
+# star-commuting at h^2, so --order decides the verdict
+WRONG_SECOND_WEIGHT = (
+    "quantize.py",
+    "    return field.inverse(2**r * factorial(r))",
+    "    return field.inverse(2**r if r == 2 else 2**r * factorial(r))",
 )
+WEIGHT_PIPELINE_ARGV = ["bergman-pipeline", "--f", "x1*x2 - 2*x2", "--g", "(x1*x2 - 2*x2)^2 + 1",
+                        "--nmax", "2", "--dmax", "2"]
 
 
 @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
-def test_verdict_read_from_c1_changes_the_golden(optimize, tmp_path):
-    name = "bergman-pipeline-x1x2-fp5.json"
-    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
-    with open(os.path.join(golden, "manifest.json"), encoding="utf-8") as fh:
-        argv = json.load(fh)[name]
-    with open(os.path.join(golden, name), encoding="utf-8") as fh:
-        expected = fh.read()
-    proc = run_mutant(tmp_path, *C1_VERDICT, argv + ["--json"], optimize=optimize)
-    _expect(proc.returncode == 0, f"exit {proc.returncode}: {proc.stderr}")
-    _expect(proc.stdout != expected, "the mutant left the golden report unchanged")
-    conclusion = json.loads(proc.stdout)["report"]["conclusion"]
-    _expect(conclusion.endswith("warning: the first-order star trace tau is nonzero"), conclusion)
+def test_pipeline_wrong_second_moyal_weight_fails_from_order_2(optimize, tmp_path):
+    def run(order):
+        argv = WEIGHT_PIPELINE_ARGV + ["--order", order]
+        return run_mutant(tmp_path / order, *WRONG_SECOND_WEIGHT, argv, optimize=optimize)
+
+    _expect_lift_fail(run("2"), 2)
+    order_1 = run("1")
+    _expect(order_1.returncode == 0, f"exit {order_1.returncode}: {order_1.stderr}")
+    _expect("the quantized images commute through the truncation order" in order_1.stdout,
+            order_1.stdout)
 
 
 # -- pipeline and probe: commuting inputs must have a zero degree-0 star part --

@@ -153,7 +153,7 @@ def _reverse_monomials(obj):
 
 @pytest.mark.parametrize(
     "name, multi",
-    [("bergman-pipeline-seed1-x1x2-x2.json", 100), ("pi-commutator-n2-q.json", 12)],
+    [("star-fp7-o4.json", 32), ("pi-commutator-n2-q.json", 12)],
 )
 def test_a_monomial_decodes_whatever_the_order_of_its_variables(name, multi):
     with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
