@@ -65,8 +65,9 @@ MAX_PROBE_N_DMAX_SQUARED = 40_000
 
 #: When [f, g] != 0 in the free algebra, nothing ends probe's search for an
 #: annihilator of the images before --dmax (when [f, g] = 0 it ends by layer
-#: max(deg f, deg g)), so ``_probe_search_terms`` bounds the terms of its columns
-#: f^a g^b up front.  With --order 1, the largest searches let through took:
+#: max(deg f, deg g)), so ``_probe_search_terms`` bounds up front the terms of
+#: its columns f^a g^b and of the products f g and g f that test commutation.
+#: With --order 1, the largest searches let through took:
 #: --n 1 --f x1 --g x2^2 --dmax 243 0.4-0.7 s, --n 1 --f x1+x2 --g x1*x2 --dmax 54
 #: 0.14 s and --n 2 --f "(x1*x2-x2*x1)^2" --g x1 --dmax 3 0.03 s after start-up;
 #: unbounded, that --n 2 row took 6.4 s at --dmax 8 and the --n 1 row at --dmax
@@ -139,17 +140,21 @@ def _entry_sizes(m):
 
 
 def _probe_search_terms(f, g, dmax: int) -> int:
-    """A bound on the terms of the columns f^a g^b that the search over images f, g builds.
+    """A bound on the terms of f g, g f and the columns f^a g^b of the search over images f, g.
 
-    The sum stops once it passes MAX_PROBE_SEARCH_TERMS.  An entry of f^a g^b
-    (a + b >= 1) sums n^(a+b-1) products of a entries of f and b of g, so it has
-    at most n^(a+b-1) T_f^a T_g^b terms.  Each of its monomials is a product of
-    a monomials of f's entries and b of g's, so there are at most
-    C(S_f + a - 1, a) C(S_g + b - 1, b) of them.  A layer with a zero column
-    (bound 0) is the search's last: that column is a kernel vector.
+    ``find_annihilator`` first forms f g and g f to test commutation: an entry
+    of each sums n products of an entry of f and one of g, so it has at most
+    min(n T_f T_g, S_f S_g) terms.  An entry of f^a g^b (a + b >= 1) sums
+    n^(a+b-1) products of a entries of f and b of g, so it has at most
+    n^(a+b-1) T_f^a T_g^b terms.  Each of its monomials is a product of a
+    monomials of f's entries and b of g's, so there are at most
+    C(S_f + a - 1, a) C(S_g + b - 1, b) of them.  The sum stops once it
+    passes MAX_PROBE_SEARCH_TERMS.  A layer with a zero column (bound 0) is
+    the search's last: that column is a kernel vector.
     """
     (tf, sf), (tg, sg) = _entry_sizes(f), _entry_sizes(g)
-    n, total = f.n, f.n  # the identity's n terms
+    n = f.n
+    total = n + 2 * n * n * min(n * tf * tg, sf * sg)  # the identity's n terms, f g and g f
     for d in range(1, dmax + 1):
         layer = [min(n ** (d - 1) * tf**a * tg ** (d - a),
                      comb(sf + a - 1, a) * comb(sg + d - a - 1, d - a)) for a in range(d + 1)]

@@ -7,15 +7,16 @@ over F_p) with the field held on the echelon, so no ``Scalar`` is built in its
 inner loop.  Its kernel vectors are already in reduced echelon form, which
 ``check_reduced`` re-checks.  ``kernel_basis`` (the kernel of a batch of
 columns) and ``solve_membership`` (a batch of targets over one echelon) are
-its batch interface.  Everything is deterministic: identical inputs give
-identical results.
+its batch interface.  ``rref`` and ``rings.poly_gcd`` are views of one
+echelon too: there is no second elimination.  Everything is deterministic:
+identical inputs give identical results.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 
-from .fields import Field
+from .fields import Field, Scalar
 
 
 class Echelon:
@@ -122,33 +123,22 @@ def check_reduced(kernel) -> None:
 
 # Nothing in nclab calls rref; the benchmark's tracer (perfbench/tracing.py) wraps it by name.
 def rref(rows, field: Field):
-    """Reduced row echelon form (a copy) plus the pivot column indices."""
-    m = [list(r) for r in rows]
-    if not m:
-        return m, []
-    ncols = len(m[0])
-    pivots = []
-    pr = 0
-    for pc in range(ncols):
-        pivot_row = None
-        for r in range(pr, len(m)):
-            if m[r][pc]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        m[pr], m[pivot_row] = m[pivot_row], m[pr]
-        inv = m[pr][pc].inverse()
-        m[pr] = [x * inv for x in m[pr]]
-        for r in range(len(m)):
-            if r != pr and m[r][pc]:
-                factor = m[r][pc]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == len(m):
-            break
-    return m, pivots
+    """Reduced row echelon form (a copy) plus the pivot column indices.
+
+    An ``Echelon`` takes the columns in order.  The pivot columns are those it
+    keeps; the kernel vector of any other column j holds minus the
+    coordinates of column j over the pivot columns, which are its entries in
+    the reduced rows.
+    """
+    rows = list(rows)
+    echelon = Echelon(field)
+    kernel = [echelon.absorb({i: field.raw(x) for i, x in enumerate(col) if x})
+              for col in zip(*rows)]
+    pivots = [j for j, vec in enumerate(kernel) if vec is None]
+    reduced = [[Scalar(field, int(j == pc) if vec is None else field.reduce(-vec.get(pc, 0)))
+                for j, vec in enumerate(kernel)] for pc in pivots]
+    zero = Scalar(field, 0)
+    return reduced + [[zero] * len(kernel) for _ in rows[len(pivots):]], pivots
 
 
 def kernel_basis(columns, field: Field) -> list:

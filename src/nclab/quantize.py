@@ -11,7 +11,8 @@ and the h-coefficient of the star commutator is exactly the Poisson bracket.
 In characteristic p the coefficients divide by r! and 2^r, so contexts
 require N < p (and N = 0 when p = 2).  The terms of the Poisson operator's
 pass are keyed by the operands' own monomials, which ``rings`` lowers and
-multiplies; no variable is renumbered.
+multiplies; no variable is renumbered.  ``StarContext._moyal_terms`` is that
+pass, and ``StarContext.bilinear_map`` reads one B_r off it.
 
 The series are ``genmat.FormalSeries``.  The one star product is
 ``matrix_star`` on series of GenericMatrix: the row-column product whose
@@ -161,31 +162,21 @@ class StarContext(Frozen):
         object.__setattr__(self, "_partners", partners)
 
     def bilinear_map(self, r: int, a: CommPoly, b: CommPoly) -> CommPoly:
-        """B_r(a, b); B_0 is the commutative product."""
-        maps = self.bilinear_maps(a, b, r)
-        return maps[r] if r < len(maps) else CommPoly.zero(self.field)
-
-    def bilinear_maps(self, a: CommPoly, b: CommPoly, rmax: int) -> list:
-        """[B_0(a, b), ..., B_last(a, b)] from one pass of the Poisson operator.
-
-        B_last is the last nonzero B_r with r <= rmax (B_0 if there is none):
-        every B_r past the list is zero, and none is padded in.  W_0 = a (x) b
-        is a dict {(m_a, m_b): c_a c_b} on raw values, keyed by the operands'
-        own monomials, and W_r = P(W_{r-1}) with P = sum T(i,j) d_i (x) d_j
-        over ordered pairs.  Derivatives commute, so P^r is the sum over
-        ordered r-tuples of pairs in the Moyal formula, and
-        B_r = weight_r * (product of the two sides of W_r).
-        """
-        out = [a * b] + [CommPoly._of(self.field, t) for t in self._moyal_terms(a, b, rmax)]
-        while len(out) > 1 and out[-1].is_zero:
-            out.pop()
-        return out
+        """B_r(a, b): the commutative product at r = 0, else the r-th term of ``_moyal_terms``."""
+        if r == 0:
+            return a * b
+        return CommPoly._of(self.field, dict(enumerate(self._moyal_terms(a, b, r), 1)).get(r, {}))
 
     def _moyal_terms(self, a: CommPoly, b: CommPoly, rmax: int):
         """The raw terms {monomial: value} of B_1(a, b), B_2(a, b), ..., up to B_rmax.
 
-        They end early, where W_r vanishes; none is formed when no variable of
-        a is paired with one of b.
+        W_0 = a (x) b is a dict {(m_a, m_b): c_a c_b} on raw values, keyed by
+        the operands' own monomials, and W_r = P(W_{r-1}) with P = sum T(i,j)
+        d_i (x) d_j over ordered pairs.  Derivatives commute, so P^r is the sum
+        over ordered r-tuples of pairs in the Moyal formula, and B_r =
+        weight_r * (product of the two sides of W_r).  The terms end early,
+        where W_r vanishes; none is formed when no variable of a is paired
+        with one of b.
         """
         partners, in_b = self._partners, b.variables()
         if rmax < 1 or not any(vj in in_b for v in a.variables() for vj, _ in partners.get(v, ())):

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
+from . import linalg
 from .errors import DivisionByZero, FieldMismatch, UnassignedVariable, UnsupportedDenominator
 from .fields import NEG_INF, Field, Scalar, SparseSum
 from .records import Frozen
@@ -116,20 +118,6 @@ def mono_partials(m: Mono) -> dict:
             for k, (v, e) in enumerate(m)}
 
 
-def mono_div(m1: Mono, m2: Mono):
-    """m1 / m2, or None when m2 does not divide m1."""
-    exps = dict(m1)
-    for v, e in m2:
-        r = exps.get(v, 0) - e
-        if r < 0:
-            return None
-        if r == 0:
-            exps.pop(v, None)
-        else:
-            exps[v] = r
-    return mono_from_dict(exps)
-
-
 # ---------------------------------------------------------------------------
 # CommPoly
 # ---------------------------------------------------------------------------
@@ -224,47 +212,9 @@ class CommPoly(SparseSum):
 
 
 # ---------------------------------------------------------------------------
-# Division and gcd (primitive PRS).  Nothing in nclab calls poly_gcd; the
-# benchmark's tracer (perfbench/tracing.py) wraps it by name.
+# gcd, read off one echelon.  Nothing in nclab calls poly_gcd; the benchmark's
+# tracer (perfbench/tracing.py) wraps it by name.
 # ---------------------------------------------------------------------------
-
-
-def poly_divmod(a: CommPoly, b: CommPoly):
-    """Multivariate division by a single divisor under graded lex."""
-    if b.is_zero:
-        raise DivisionByZero("polynomial division by zero")
-    a._check(b)
-    lm, lc = b.leading_term()
-    inv = a.field.inverse(lc.value)
-    quot: dict = {}
-    rem: dict = {}
-    work = dict(a.terms)
-    while work:
-        m = min(work, key=CommPoly._order)
-        c = work.pop(m)
-        mq = mono_div(m, lm)
-        if mq is None:
-            rem[m] = c
-            continue
-        qc = a.field.reduce(c * inv)
-        quot[mq] = quot.get(mq, 0) + qc
-        for mb, cb in b.terms.items():
-            if mb == lm:
-                continue  # already cancelled by popping the leading term
-            mt = mono_mul(mq, mb)
-            s = a.field.reduce(work.get(mt, 0) - qc * cb)
-            if s:
-                work[mt] = s
-            else:
-                work.pop(mt, None)
-    return CommPoly._of(a.field, quot), CommPoly._of(a.field, rem)
-
-
-def poly_divexact(a: CommPoly, b: CommPoly) -> CommPoly:
-    q, r = poly_divmod(a, b)
-    if not r.is_zero:
-        raise ArithmeticError("exact polynomial division left a remainder")
-    return q
 
 
 def _monic(p: CommPoly) -> CommPoly:
@@ -274,99 +224,44 @@ def _monic(p: CommPoly) -> CommPoly:
     return p.scale(p.field.inverse(lc.value))
 
 
-def _to_univ(p: CommPoly, v: Variable):
-    """Dense coefficient list in ``v``: index = exponent, entries CommPoly."""
-    deg = 0
-    for m in p.terms:
-        deg = max(deg, dict(m).get(v, 0))
-    coeffs = [dict() for _ in range(deg + 1)]
-    for m, c in p.terms.items():
-        exps = dict(m)
-        e = exps.pop(v, 0)
-        coeffs[e][mono_from_dict(exps)] = c
-    return [CommPoly(p.field, d) for d in coeffs]
+def _monomials(variables, degree: int) -> list:
+    """Every monomial of degree at most ``degree`` in ``variables``, in ascending degree."""
+    variables = sorted(variables)
+    return [mono_from_dict({v: c.count(v) for v in c})
+            for d in range(degree + 1) for c in combinations_with_replacement(variables, d)]
 
 
-def _from_univ(coeffs, v: Variable, field: Field) -> CommPoly:
-    terms = {}
-    for e, c in enumerate(coeffs):
-        vm = ((v, e),) if e else EMPTY_MONO
-        for m, s in c.terms.items():
-            terms[mono_mul(m, vm)] = s
-    return CommPoly(field, terms)
-
-
-def _trim(coeffs):
-    while coeffs and coeffs[-1].is_zero:
-        coeffs.pop()
-    return coeffs
-
-
-def _prem(A, B, field):
-    """Pseudo-remainder of dense univariate lists with CommPoly coefficients."""
-    R = _trim(list(A))
-    dB = len(B) - 1
-    lb = B[-1]
-    while R and len(R) - 1 >= dB:
-        lr = R[-1]
-        shift = len(R) - 1 - dB
-        R = [c * lb for c in R]
-        for i, cb in enumerate(B):
-            R[i + shift] = R[i + shift] - lr * cb
-        R.pop()  # leading coefficient cancels exactly
-        R = _trim(R)
-    return R if R else [CommPoly.zero(field)]
-
-
-def _content(coeffs, field) -> CommPoly:
-    g = CommPoly.zero(field)
-    for c in coeffs:
-        if not c.is_zero:
-            g = poly_gcd(g, c)
-    return g
+def _times(p: CommPoly, m: Mono) -> dict:
+    """The raw terms of p * m, a column of the echelon."""
+    return {mono_mul(k, m): c for k, c in p.terms.items()}
 
 
 def poly_gcd(a: CommPoly, b: CommPoly) -> CommPoly:
     """gcd over a field, normalized to graded-lex leading coefficient 1.
 
-    Computed by the primitive PRS (pseudo-remainder sequence) in the largest
-    variable, with the contents' gcd taken recursively.
+    One ``linalg.Echelon`` takes the columns b*m (deg m <= deg a, m in the
+    variables of a) and then a*m (deg m <= deg b, in the variables of b) in
+    ascending degree.  The solutions of a*u = b*v are u = t b/g, v = t a/g,
+    so the first a-column that depends on the earlier ones gives u of least
+    degree, where t is a constant c.  Then g/c solves (g/c)*v = a.
     """
     if a.is_zero:
         return _monic(b)
     if b.is_zero:
         return _monic(a)
     a._check(b)
-    if a.is_constant or b.is_constant:
-        return CommPoly.one(a.field)
-    v = max(a.variables() | b.variables())
-    if v not in a.variables():
-        return poly_gcd(a, _content(_to_univ(b, v), b.field))
-    if v not in b.variables():
-        return poly_gcd(_content(_to_univ(a, v), a.field), b)
-    ua, ub = _to_univ(a, v), _to_univ(b, v)
-    ca, cb = _content(ua, a.field), _content(ub, b.field)
-    cg = poly_gcd(ca, cb)
-    pa = [poly_divexact(c, ca) for c in ua]
-    pb = [poly_divexact(c, cb) for c in ub]
-    if len(pa) < len(pb):
-        pa, pb = pb, pa
-    while True:
-        if len(pb) == 1 and pb[0].is_zero:
-            break
-        if len(pb) == 1:  # nonzero constant in v: gcd of primitive parts is content-level
-            pa = [pb[0]]
-            break
-        r = _prem(pa, pb, a.field)
-        if len(r) == 1 and r[0].is_zero:
-            pa = pb
-            break
-        cr = _content(r, a.field)
-        pa, pb = pb, [poly_divexact(c, cr) for c in r]
-    prim = _from_univ(pa, v, a.field) if len(pa) > 1 else pa[0]
-    if prim.is_constant:
-        return _monic(cg)
-    return _monic(prim * cg)
+    field = a.field
+    ma = _monomials(a.variables(), a.total_degree())
+    echelon = linalg.Echelon(field)
+    for m in ma:
+        echelon.absorb(_times(b, m))
+    mb = _monomials(b.variables(), b.total_degree())
+    vec = next(filter(None, (echelon.absorb(_times(a, m)) for m in mb)))
+    v = CommPoly._of(field, {ma[k]: c for k, c in vec.items() if k < len(ma)})
+    top = a.total_degree() - v.total_degree()
+    cols = [m for m in ma if mono_degree(m) <= top]
+    coeffs = linalg.solve_membership([_times(v, m) for m in cols], [a.terms], field)[0]
+    return _monic(CommPoly._of(field, {cols[k]: c for k, c in coeffs.items()}))
 
 
 # ---------------------------------------------------------------------------

@@ -441,6 +441,13 @@ class TestExitStatuses:
                                 f"error [invalid-size]: probe --n {n} --dmax {dmax}: the "
                                 "annihilator search of --f and --g can build over", startup_s)
 
+    def test_a_probe_whose_commutation_test_is_too_large_is_refused_up_front(self, startup_s):
+        # find_annihilator forms f g and g f before any layer of the search: unbounded,
+        # this ran 16 s (2-core VM) and then exited 1 with not-commuting
+        argv = ["probe", "--n", "20", "--f", "x1*x2", "--g", "x2*x1", "--dmax", "1", "--order", "3"]
+        assert_refused_up_front(argv, 10.0, "error [invalid-size]: probe --n 20 --dmax 1: the "
+                                "annihilator search of --f and --g can build over", startup_s)
+
     @pytest.mark.parametrize(
         "argv, searched",
         [
@@ -466,7 +473,9 @@ class TestExitStatuses:
     def test_the_probe_search_bound_is_at_least_the_terms_built(self, n, f, g, dmax, field):
         # every column f^a g^b with a + b <= dmax, built as the search builds it
         a, b = (genmat.pi_reduce(parse_free(e, 2, field), n) for e in (f, g))
-        built, prev = n, {(0, 0): a.identity_like()}  # the identity's n terms
+        # the identity's n terms, and f g and g f, which test commutation first
+        built = n + sum(len(e.terms) for m in (a * b, b * a) for e in m.entries.values())
+        prev = {(0, 0): a.identity_like()}
         for d in range(1, dmax + 1):
             cur = {(i, d - i): a * prev[i - 1, d - i] if i else b * prev[0, d - 1]
                    for i in range(d + 1)}

@@ -25,10 +25,13 @@ TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 
 # qualified name -> why it stays though nothing that runs reaches it
 ALLOWED = {
-    "linalg.rref": "perfbench/tracing.py wraps it by name (ROADMAP direction 12, Half B)",
-    "quantize.StarContext.bilinear_map":
-        "perfbench/tracing.py wraps it by name (ROADMAP direction 12, Half B)",
-    "rings.poly_gcd": "perfbench/tracing.py wraps it by name (ROADMAP direction 12, Half B)",
+    "linalg.rref": "a view of Echelon that perfbench/tracing.py wraps by name"
+                   " (ROADMAP direction 12, Half B)",
+    "quantize.StarContext.bilinear_map": "a view of StarContext._moyal_terms that"
+                                         " perfbench/tracing.py wraps by name"
+                                         " (ROADMAP direction 12, Half B)",
+    "rings.poly_gcd": "a view of linalg.Echelon that perfbench/tracing.py wraps by name"
+                      " (ROADMAP direction 12, Half B)",
     "quantize.star_commutator":
         "the package's [a, b]_*; the star command forms it from the product it already has",
     "rings.CommPoly.evaluate": "annihilator ranks by evaluation need it (ROADMAP direction 2)",

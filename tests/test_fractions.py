@@ -6,13 +6,15 @@ numerator and denominator put through the constructor (which factors the
 denominator by trial division), and ``sympy.cancel`` (a test-only oracle).
 A quotient by an element whose numerator is not such a product is refused,
 and sympy's factorization decides which quotients those are.  ``poly_gcd``,
-which fractions no longer use, runs the primitive PRS (pseudo-remainder
-sequence) and is compared with ``sympy.gcd`` over Q and over fields as small
-as GF(2).
+which fractions no longer use, reads the gcd off one echelon of monomial
+multiples and is compared with ``sympy.gcd`` over Q and over fields as small
+as GF(2), and on the sums of fractions where the primitive PRS it replaced
+ran for seconds.
 """
 
 import itertools
 import random
+import signal
 from fractions import Fraction
 from unittest import mock
 
@@ -289,10 +291,50 @@ def _check_gcd(field, a, b):
 @pytest.mark.parametrize("field", GCD_FIELDS, ids=repr)
 @given(data=st.data())
 def test_gcd_matches_prs_and_sympy(field, data):
-    """poly_gcd, which is the primitive PRS, against sympy.gcd."""
+    """poly_gcd against sympy.gcd, on products that share a factor or not."""
     q = polys(field, nonzero=True)
     c = data.draw(q) if data.draw(st.booleans()) else CommPoly.one(field)
     _check_gcd(field, c * data.draw(q), c * data.draw(q))
+
+
+# every monomial of degree at most 2 in t1, t2, t3
+DENSE_MONOS = [e for e in itertools.product(range(3), repeat=3) if sum(e) <= 2]
+# the seeds below 1,200 on which the primitive PRS (poly_gcd's earlier algorithm) ran past 3 s
+PRS_SLOW_SEEDS = [17, 90, 152, 169, 249, 287, 305, 310, 319, 322, 351, 490, 540, 573, 685, 726,
+                  774, 792, 851, 881, 916, 963, 1010, 1055]
+
+
+def _sum_of_fractions(seed):
+    """n1 d2 + n2 d1 and d1 d2 over Q, each factor of up to 3 terms on DENSE_MONOS."""
+    rng = random.Random(seed)
+
+    def factor():
+        return _poly(QQ, {rng.choice(DENSE_MONOS): rng.choice([-3, -2, -1, 1, 2, 3])
+                          for _ in range(rng.randint(1, 3))})
+
+    n1, d1, n2, d2 = (factor() for _ in range(4))
+    return n1 * d2 + n2 * d1, d1 * d2
+
+
+def _within(seconds, fn, *args):
+    """fn(*args), cut by SIGALRM with a TimeoutError once it has run ``seconds``."""
+    def late(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, late)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("seed", PRS_SLOW_SEEDS + list(range(20)))
+def test_gcd_of_a_sum_of_fractions_matches_sympy_in_time(seed):
+    # the slowest of 1,200 such pairs took 0.3 to 0.4 s; the PRS ran past 3 s on each slow seed
+    a, b = _sum_of_fractions(seed)
+    assert _within(2.0, poly_gcd, a, b) == _sympy_gcd(a, b, QQ), seed
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(3)], ids=repr)

@@ -1,8 +1,14 @@
-"""The incremental sparse echelon against plain Gauss-Jordan oracles over Q and GF(p)."""
+"""The incremental sparse echelon against plain Gauss-Jordan oracles over Q and GF(p).
 
+``rref``, the reduced row echelon form read off an echelon, is compared with
+``sympy.Matrix.rref`` over Q and with the form its kernel determines mod 7.
+"""
+
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -186,3 +192,56 @@ def test_unreduced_kernels_are_refused(kernel, message):
     linalg.check_reduced([{0: 1}, {2: 1, 1: 5}])  # column 1 leads no vector
     with pytest.raises(ArithmeticError, match=message):
         linalg.check_reduced(kernel)
+
+
+def _seeded_matrices(seed, count):
+    """Integer matrices up to 6 x 7, each with a zero row, a zero column or both."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
+        rows = [[rng.choice([0, 0, -2, -1, 1, 2, 3]) for _ in range(ncols)] for _ in range(nrows)]
+        zero_row, zero_column = rng.choice([(True, False), (False, True), (True, True)])
+        if zero_row:
+            rows[rng.randrange(nrows)] = [0] * ncols
+        if zero_column:
+            k = rng.randrange(ncols)
+            for r in rows:
+                r[k] = 0
+        yield rows
+
+
+def _rref_values(rows, field):
+    reduced, pivots = linalg.rref([[field.scalar(x) for x in r] for r in rows], field)
+    assert all(x.field is field for r in reduced for x in r)
+    return [[x.value for x in r] for r in reduced], pivots
+
+
+def test_rref_matches_sympy_over_q():
+    for rows in _seeded_matrices(1, 200):
+        expected, pivots = sympy.Matrix(rows).rref()
+        values = [[Fraction(int(x.p), int(x.q)) for x in r] for r in expected.tolist()]
+        assert _rref_values(rows, QQ) == (values, list(pivots)), rows
+
+
+def _reduced_from_kernel(rows, p):
+    """The reduced row echelon form, and its pivots, that the oracle's kernel basis determines.
+
+    A basis vector leads at its free column c (its last nonzero entry) and holds
+    minus the entry of row i of the form at the i-th pivot column.
+    """
+    ncols = len(rows[0])
+    free = {max(k for k, x in enumerate(vec) if x): vec for vec in oracle_kernel(rows, ncols, p)}
+    pivots = [c for c in range(ncols) if c not in free]
+    reduced = [[-free[c][pc] % p if c in free else int(c == pc) for c in range(ncols)]
+               for pc in pivots]
+    return reduced + [[0] * ncols for _ in rows[len(pivots):]], pivots
+
+
+def test_rref_matches_the_kernel_oracle_mod_7():
+    for rows in _seeded_matrices(2, 200):
+        assert _rref_values(rows, GF(7)) == _reduced_from_kernel(rows, 7), rows
+
+
+def test_rref_of_no_rows_and_of_no_columns():
+    assert linalg.rref([], QQ) == ([], [])
+    assert linalg.rref([[], []], GF(7)) == ([[], []], [])

@@ -18,6 +18,10 @@ annihilator: the minimal P over Q, cleared to a primitive integer
 polynomial, reduces to a nonzero P mod p that annihilates the F_p images, so
 the minimal degree over F_p is at most the degree over Q.
 
+eval, pi, al: the canonical form of an integer f and its image pi_n(f)
+reduce to the F_p ones, with the degree and term count of the reduced f,
+and al's verdicts hold over every field.
+
 star, poisson: the Moyal weights 1/(2^r r!) are p-integral for r < p, so
 below the characteristic limit the Q star product, star commutator and
 Poisson bracket of integer inputs reduce to the F_p ones, and so does the
@@ -37,7 +41,7 @@ from nclab.cli import main
 from nclab.errors import DivisionByZero
 from nclab.fields import QQ, Field
 from nclab.freealg import FreePoly, parse_free
-from nclab.genmat import FormalSeries, find_annihilator, pi_reduce
+from nclab.genmat import FormalSeries, GenericMatrix, find_annihilator, pi_reduce
 from nclab.quantize import (
     PoissonTensor,
     StarContext,
@@ -49,20 +53,25 @@ from nclab.quantize import (
     star_mul,
 )
 from nclab.rings import CommPoly, RationalFunction, Variable, mono_from_dict
+from nclab.serialize import EvalReport, PiReport
 
 PRIMES = (5, 7, 11, 32003)
 
 
 @lru_cache(maxsize=None)
-def diag_report(n: int, order: int, seed: int, field: str):
-    """The decoded report of ``diag --n n --order order --seed seed --field field``."""
-    argv = ["diag", "--n", str(n), "--order", str(order), "--seed", str(seed),
-            "--field", field, "--json"]
+def report(*argv):
+    """The decoded report of ``nclab argv --json``, which must exit 0."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main(argv)
+        code = main([*argv, "--json"])
     assert code == 0, argv
     return serialize.loads(buf.getvalue())[1]
+
+
+def diag_report(n: int, order: int, seed: int, field: str):
+    """The decoded report of ``diag --n n --order order --seed seed --field field``."""
+    return report("diag", "--n", str(n), "--order", str(order), "--seed", str(seed),
+                  "--field", field)
 
 
 def reduce_mod(r: RationalFunction, field: Field) -> RationalFunction:
@@ -107,6 +116,52 @@ def test_centralizer_dims_mod_p_are_at_least_the_dims_over_q(seed):
         dims = bergman_check(FreePoly(2, Field(p), terms), 6).dims
         assert len(dims) == len(over_q)
         assert all(a >= b for a, b in zip(dims, over_q)), (p, dims, over_q)
+
+
+def free_text(terms: dict) -> str:
+    """The expression of the free element sum c w over the (word w, coefficient c) of ``terms``."""
+    return " + ".join(f"({c})*" + "*".join(f"x{g}" for g in w) for w, c in terms.items())
+
+
+#: the integer inputs of the eval and pi goldens, then seeded integer f
+FREE_INPUTS = ["7*x1^3-x2", "2x1 - x2^2", "x1*x2-x2*x1", "x1^2+x2", "x1*x2",
+               *(free_text(seeded_integer_f(seed)) for seed in range(1, 9))]
+FIELD_PRIMES = (2, 3, 5, 7, 32003)
+
+
+def reduce_free(f: FreePoly, field: Field) -> FreePoly:
+    return FreePoly(f.s, field, f.terms)
+
+
+@pytest.mark.parametrize("f", FREE_INPUTS)
+def test_eval_over_q_reduces_to_eval_over_fp(f):
+    over_q = report("eval", "--f", f)
+    for p in FIELD_PRIMES:
+        g = reduce_free(over_q.poly, Field(p))
+        expected = EvalReport(g, "-inf" if g.is_zero else str(g.degree()), len(g.terms))
+        assert report("eval", "--f", f, "--field", f"fp:{p}") == expected, p
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("f", FREE_INPUTS)
+def test_pi_over_q_reduces_to_pi_over_fp(f, n):
+    over_q = report("pi", "--f", f, "--n", str(n))
+    for p in FIELD_PRIMES:
+        field = Field(p)
+        image = GenericMatrix._of(n, CommPoly, field, {
+            ij: CommPoly(field, e.terms) for ij, e in over_q.image.entries.items()})
+        expected = PiReport(reduce_free(over_q.f, field), n, image)
+        assert report("pi", "--f", f, "--n", str(n), "--field", f"fp:{p}") == expected, p
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_al_over_q_is_al_over_fp(n):
+    # S_2n vanishes over Z and the staircase product is a unit matrix E_1n, so
+    # both verdicts hold mod every p; al --n 3 takes seconds and is in the goldens
+    over_q = report("al", "--n", str(n))
+    assert over_q.standard_vanishes and over_q.sharpness_nonzero
+    for p in FIELD_PRIMES:
+        assert report("al", "--n", str(n), "--field", f"fp:{p}") == over_q, p
 
 
 #: the f, g of the pipeline jobs of the benchmark's seed-1 pass

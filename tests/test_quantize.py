@@ -51,6 +51,11 @@ def poly(v, field=QQ):
     return CommPoly.variable(v, field)
 
 
+def moyal_terms(ctx, a, b, rmax):
+    """B_1(a, b), B_2(a, b), ... as ``StarContext._moyal_terms`` forms them, up to B_rmax."""
+    return [CommPoly._of(ctx.field, t) for t in ctx._moyal_terms(a, b, rmax)]
+
+
 class TestPoissonBracket:
     def test_defining_case(self):
         t = two_pair_tensor()
@@ -227,13 +232,16 @@ class TestStarProduct:
         ctx = self._ctx(order=3)
         x, y = poly(VX[0]), poly(VY[0])
         xy, const = x * y, lambda c: CommPoly.constant(QQ.scalar(c))
-        # W_2 of x (x) y is empty, so the list stops at B_1 = 1/2
-        assert ctx.bilinear_maps(x, y, 3) == [xy, const(Fraction(1, 2))]
-        # B_1(xy, xy) = {xy, xy} / 2 = 0 and B_2 = -1/4: an inner zero stays, a last one goes
-        assert ctx.bilinear_maps(xy, xy, 1) == [xy * xy]
-        assert ctx.bilinear_maps(xy, xy, 2) == [xy * xy, const(0), const(Fraction(-1, 4))]
-        # no tensor pair joins x1 to x1
-        assert ctx.bilinear_maps(x, x, 3) == [x * x]
+        # W_2 of x (x) y is empty, so the terms stop at B_1 = 1/2
+        assert ctx.bilinear_map(0, x, y) == xy
+        assert moyal_terms(ctx, x, y, 3) == [const(Fraction(1, 2))]
+        # B_1(xy, xy) = {xy, xy} / 2 = 0 and B_2 = -1/4: W_1 is not empty, so B_1 stays
+        assert ctx.bilinear_map(0, xy, xy) == xy * xy
+        assert moyal_terms(ctx, xy, xy, 1) == [const(0)]
+        assert moyal_terms(ctx, xy, xy, 2) == [const(0), const(Fraction(-1, 4))]
+        # no tensor pair joins x1 to x1, so no term is formed
+        assert ctx.bilinear_map(0, x, x) == x * x
+        assert moyal_terms(ctx, x, x, 3) == []
         assert ctx.bilinear_map(3, x, y) == const(0)
 
     def test_associativity_randomized(self):
@@ -289,27 +297,30 @@ def test_bilinear_maps_match_oracle_on_random_tensors(case):
     tensor, a, b = case
     field = tensor.field
     ctx = StarContext(tensor, 4)
-    maps = ctx.bilinear_maps(a, b, 4)
-    assert len(maps) <= 5
-    assert len(maps) == 1 or not maps[-1].is_zero  # no zero is padded in
+    terms = moyal_terms(ctx, a, b, 4)
+    assert len(terms) <= 4
     pairs = ordered_pairs(tensor)
     for r in range(5):
         weight = field.scalar(Fraction(1, 2**r * factorial(r)))
-        assert ctx.bilinear_map(r, a, b) == moyal_term(a, b, r, pairs, weight)
-        if r < len(maps):
-            assert maps[r] == ctx.bilinear_map(r, a, b)
+        expected = moyal_term(a, b, r, pairs, weight)
+        assert ctx.bilinear_map(r, a, b) == expected
+        if 1 <= r <= len(terms):
+            assert terms[r - 1] == expected
+        elif r:  # the terms end only where W_r vanishes, and every later B_r with it
+            assert expected.is_zero
 
 
 @settings(max_examples=40)
 @given(moyal_cases(), st.integers(0, 4), st.integers(0, 4))
 def test_bilinear_maps_at_two_orders_agree_on_their_common_prefix(case, r1, r2):
-    # B_r does not depend on rmax >= r, and a list ends at its last nonzero term
+    # B_r does not depend on rmax >= r, and the terms end only where W_r vanishes
     tensor, a, b = case
     ctx = StarContext(tensor, 4)
     lo, hi = sorted((r1, r2))
-    short, long = ctx.bilinear_maps(a, b, lo), ctx.bilinear_maps(a, b, hi)
-    assert long[:len(short)] == short
-    assert all(t.is_zero for t in long[len(short):lo + 1])
+    short, long = moyal_terms(ctx, a, b, lo), moyal_terms(ctx, a, b, hi)
+    assert long[:lo] == short
+    zero = CommPoly.zero(tensor.field)
+    assert [ctx.bilinear_map(r, a, b) for r in range(1, hi + 1)] == long + [zero] * (hi - len(long))
 
 
 @st.composite
