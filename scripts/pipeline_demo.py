@@ -17,7 +17,7 @@ from nclab.centralizer import (
 )
 from nclab.fields import QQ
 from nclab.freealg import parse_free, pretty
-from nclab.quantize import StarContext, entry_pairing_tensor
+from nclab.quantize import StarContext, entry_pairing_tensor, quantize_lift
 
 
 def show_pipeline(ftext: str, gtext: str) -> None:
@@ -47,7 +47,8 @@ def main() -> None:
 
     print("== a transcendence-degree-2 matrix pair ==")
     f, g, tensor = diagonal_generic_pair(2, QQ)
-    rep = commuting_matrix_probe(f, g, 3, StarContext(tensor, 2))
+    ctx = StarContext(tensor, 2)
+    rep = commuting_matrix_probe(quantize_lift(f, ctx), quantize_lift(g, ctx), 3)
     (o,) = rep.outcomes
     print(f"diag pair: annihilator found = {o.annihilator.found}")
     print(f"h-coefficient of the star commutator: {o.star_linear_part}")

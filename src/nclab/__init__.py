@@ -46,9 +46,8 @@ _PUBLIC = {
         ),
         (
             "quantize",
-            "PoissonTensor StarContext StarSeries matrix_star matrix_star_commutator"
-            " poisson_bracket quantize_lift star_commutator star_generic star_mul"
-            " verify_correspondence",
+            "PoissonTensor StarContext StarSeries matrix_star poisson_bracket quantize_lift"
+            " star_generic star_mul verify_correspondence",
         ),
         ("rings", "CommPoly RationalFunction Variable"),
     )

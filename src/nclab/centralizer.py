@@ -9,8 +9,8 @@ matrices by evaluating it at the star-generic matrices, a homomorphism whose
 h^0 coefficient is the reduction to generic matrices; it searches annihilators
 of those images and checks that the lifts' star commutator vanishes through
 the truncation order.  ``commuting_matrix_probe`` runs the same tail on one
-pair of commuting matrices, lifted canonically, which is the only way to feed
-it a transcendence-degree-2 pair.
+pair of such lifts, or on the canonical lifts of commuting matrices, which is
+the only way to feed it a transcendence-degree-2 pair.
 """
 
 from __future__ import annotations
@@ -188,12 +188,12 @@ def _star_traces(c1: genmat.GenericMatrix, f: genmat.GenericMatrix) -> list:
     return taus
 
 
-def _size_outcome(fhat, ghat, dmax: int, ctx: quantize.StarContext):
+def _size_outcome(fhat, ghat, dmax: int):
     """The outcome of two lifts whose h^0 coefficients commute, and the least r at
     which their star commutator is nonzero (None if it is 0 through the order)."""
     f, g = fhat.coefficient(0), ghat.coefficient(0)
     ann = genmat.find_annihilator(f, g, dmax)
-    comm = quantize.matrix_star_commutator(fhat, ghat, ctx)
+    comm = fhat * ghat - ghat * fhat
     c0, c1 = comm.coefficient(0), comm.coefficient(1)
     least = next((r for r, c in enumerate(comm.coeffs) if not c.is_zero), None)
     return SizeOutcome(f.n, ann, c0.is_zero, c1.is_zero, c1, _star_traces(c1, f)), least
@@ -252,7 +252,7 @@ def bergman_pipeline(
     for n in sizes:
         xs = quantize.star_generic(f.s, n, ctx)
         outcome, least = _size_outcome(f.evaluate_in_matrices(xs), g.evaluate_in_matrices(xs),
-                                       dmax, ctx)
+                                       dmax)
         outcomes.append(outcome)
         leasts.append(least)
     stability = genmat.StabilityReport.of(f, g, sizes, dmax, [o.annihilator for o in outcomes])
@@ -261,21 +261,19 @@ def bergman_pipeline(
     )
 
 
-def commuting_matrix_probe(f, g, dmax: int, ctx: quantize.StarContext,
+def commuting_matrix_probe(f, g, dmax: int,
                            free_commutator: freealg.FreePoly | None = None) -> PipelineReport:
-    """Annihilator search plus star commutator for one commuting matrix pair.
+    """Annihilator search plus star commutator for one pair of lifts f, g.
 
-    Unlike the pipeline, the inputs need not be images of free-algebra
-    elements, so transcendence-degree-2 pairs can be fed in directly: matrices
-    f and g are lifted canonically.  Images of free elements come as their
-    lifts at ``quantize.star_generic``, with ``free_commutator`` their [f, g]
-    in the free algebra; where it is 0, a nonzero lifted star commutator FAILs
-    as in the pipeline.
+    Unlike the pipeline, the lifts need not be of free-algebra elements, so
+    transcendence-degree-2 pairs can be fed in directly as the canonical
+    lifts ``quantize.quantize_lift`` of commuting matrices.  Lifts of free
+    elements at ``quantize.star_generic`` come with ``free_commutator``, their
+    [f, g] in the free algebra; where it is 0, a nonzero lifted star
+    commutator FAILs as in the pipeline.
     """
-    if isinstance(f, genmat.GenericMatrix):
-        f, g = quantize.quantize_lift(f, ctx), quantize.quantize_lift(g, ctx)
     try:
-        outcome, least = _size_outcome(f, g, dmax, ctx)
+        outcome, least = _size_outcome(f, g, dmax)
     except NotCommuting:
         raise NotCommuting("probe inputs must commute") from None
     commute = free_commutator is None or free_commutator.is_zero

@@ -54,24 +54,19 @@ MAX_DIAG_N = 60
 #: order more at each of these, and --n 12 --order 2, ran over 25 s.
 MAX_DIAG_ORDER_AT_N = (100, 100, 16, 7, 4, 3, 3, 2, 2, 2, 2)
 
-#: probe's diagonal pair has no annihilator, so its search absorbs every f^a g^b
-#: with a + b <= dmax: (dmax + 1)(dmax + 2)/2 columns of n entries, each one
-#: product over n entry pairs and one elimination step.  With --order 1, --n 1
-#: --dmax 200 took 0.38 s, --n 2 --dmax 141 0.28 s, --n 12 --dmax 57 0.22 s,
-#: --n 40 --dmax 31 0.31 s and --n 150 --dmax 16 0.60 s, most of it the report;
-#: --n 2 --dmax 400 took 3.0 s and --n 150 --dmax 25 0.61 s (2-core 2.1 GHz VM).
-#: Images of --f and --g are bounded by MAX_PROBE_SEARCH_TERMS instead.
-MAX_PROBE_N_DMAX_SQUARED = 40_000
-
-#: When [f, g] != 0 in the free algebra, nothing ends probe's search for an
-#: annihilator of the images before --dmax (when [f, g] = 0 it ends by layer
-#: max(deg f, deg g)), so ``_probe_search_terms`` bounds up front the terms of
-#: its columns f^a g^b and of the products f g and g f that test commutation.
-#: With --order 1, the largest searches let through took:
-#: --n 1 --f x1 --g x2^2 --dmax 243 0.4-0.7 s, --n 1 --f x1+x2 --g x1*x2 --dmax 54
-#: 0.14 s and --n 2 --f "(x1*x2-x2*x1)^2" --g x1 --dmax 3 0.03 s after start-up;
-#: unbounded, that --n 2 row took 6.4 s at --dmax 8 and the --n 1 row at --dmax
-#: 100000 ran past 10 s (2-core 2.1 GHz VM).
+#: Nothing but an annihilator ends probe's search of the images before --dmax,
+#: and the diagonal pair and most pairs with [f, g] != 0 in the free algebra
+#: have none, so ``_probe_search_terms`` bounds up front the terms of its
+#: columns f^a g^b and of the products f g and g f that test commutation
+#: (where [f, g] = 0 the search ends by layer max(deg f, deg g)).  With
+#: --order 1, the largest searches let through took, on the diagonal pair,
+#: --n 1 --dmax 243 0.5-0.9 s, --n 2 --dmax 171 0.4 s and --n 150 --dmax 18
+#: 0.7-0.9 s (whole process); --n 1 --f x1 --g x2^2 --dmax 243 0.4-0.7 s,
+#: --n 1 --f x1+x2 --g x1*x2 --dmax 54 0.14 s and --n 2 --f "(x1*x2-x2*x1)^2"
+#: --g x1 --dmax 3 0.03 s after start-up.  Unbounded, that --n 2 row took 6.4 s
+#: at --dmax 8, the --n 1 row at --dmax 100000 ran past 10 s, the diagonal pair
+#: at --n 2 --dmax 400 3.0 s, and --n 5 --f x1*x2 --g x1*x2*x1*x2 --dmax 2 13-15 s
+#: (2-core 2.1 GHz VM).
 MAX_PROBE_SEARCH_TERMS = 30_000
 
 #: ``al`` expands S_2n into monomials of the n x n generic entries.  Past n = 3
@@ -125,40 +120,43 @@ def _check_sizes(args) -> None:
                               f"at --n {args.n} the --order is at most {limit}")
     if command == "probe" and (args.f is None) != (args.g is None):
         raise EngineError("probe takes both --f and --g, or neither")
-    if command == "probe" and args.f is None and args.n * args.dmax**2 > MAX_PROBE_N_DMAX_SQUARED:
-        raise InvalidSize(f"probe --n {args.n} --dmax {args.dmax}: on the diagonal pair --n "
-                          f"times --dmax squared is at most {MAX_PROBE_N_DMAX_SQUARED}")
 
 
 def _entry_sizes(m):
-    """T, the most terms of an entry of m, and S, its distinct monomials over all entries.
+    """T, the most terms of an entry of m, S, its distinct monomials over all entries,
+    and R, the most nonzero entries in a row of m.
 
-    S is at least 1, so that C(S + a - 1, a) is defined; a zero matrix has T = 0.
+    S is at least 1, so that C(S + a - 1, a) is defined; a zero matrix has T = R = 0.
     """
-    terms = [e.terms for e in m.entries.values()]
-    return max(map(len, terms), default=0), max(len(set().union(*terms)), 1)
+    terms, per_row = [e.terms for e in m.entries.values()], {}
+    for i, _ in m.entries:
+        per_row[i] = per_row.get(i, 0) + 1
+    return (max(map(len, terms), default=0), max(len(set().union(*terms)), 1),
+            max(per_row.values(), default=0))
 
 
 def _probe_search_terms(f, g, dmax: int) -> int:
     """A bound on the terms of f g, g f and the columns f^a g^b of the search over images f, g.
 
-    ``find_annihilator`` first forms f g and g f to test commutation: an entry
-    of each sums n products of an entry of f and one of g, so it has at most
-    min(n T_f T_g, S_f S_g) terms.  An entry of f^a g^b (a + b >= 1) sums
-    n^(a+b-1) products of a entries of f and b of g, so it has at most
-    n^(a+b-1) T_f^a T_g^b terms.  Each of its monomials is a product of a
-    monomials of f's entries and b of g's, so there are at most
-    C(S_f + a - 1, a) C(S_g + b - 1, b) of them.  The sum stops once it
-    passes MAX_PROBE_SEARCH_TERMS.  A layer with a zero column (bound 0) is
-    the search's last: that column is a kernel vector.
+    Let R be the most nonzero entries in a row of f or g.  A product of k of
+    them then has at most min(n^2, n R^k) nonzero entries, each a sum over at
+    most R^(k-1) index paths: at most R^(k-1) T_f^a T_g^b terms for a factors
+    f and b factors g.  Each of its monomials is a product of a monomials of
+    f's entries and b of g's, so there are at most C(S_f + a - 1, a)
+    C(S_g + b - 1, b) of them.  ``find_annihilator`` first forms f g and g f
+    to test commutation, then the columns f^a g^b, a + b <= dmax.  The sum
+    stops once it passes MAX_PROBE_SEARCH_TERMS.  A layer with a zero column
+    (bound 0) is the search's last: that column is a kernel vector.
     """
-    (tf, sf), (tg, sg) = _entry_sizes(f), _entry_sizes(g)
-    n = f.n
-    total = n + 2 * n * n * min(n * tf * tg, sf * sg)  # the identity's n terms, f g and g f
+    (tf, sf, rf), (tg, sg, rg) = _entry_sizes(f), _entry_sizes(g)
+    n, r = f.n, max(rf, rg)
+    total = n + 2 * min(n * n, n * r * r) * min(r * tf * tg, sf * sg)  # the identity, f g, g f
     for d in range(1, dmax + 1):
-        layer = [min(n ** (d - 1) * tf**a * tg ** (d - a),
-                     comb(sf + a - 1, a) * comb(sg + d - a - 1, d - a)) for a in range(d + 1)]
-        total += n * n * sum(layer)
+        cells = min(n * n, n * r**d)
+        layer = [cells * min(r ** (d - 1) * tf**a * tg ** (d - a),
+                             comb(sf + a - 1, a) * comb(sg + d - a - 1, d - a))
+                 for a in range(d + 1)]
+        total += sum(layer)
         if total > MAX_PROBE_SEARCH_TERMS or 0 in layer:
             break
     return total
@@ -360,23 +358,28 @@ def _cmd_bergman_pipeline(args, field):
 
 
 def _cmd_probe(args, field):
+    layers = args.dmax
     if args.f is not None:
         free_f, free_g = (freealg.parse_free(text, args.s, field) for text in (args.f, args.g))
         ctx = quantize.StarContext(_tensor(args, field, args.s, args.n), args.order)
         xs = quantize.star_generic(args.s, args.n, ctx)
         f, g = free_f.evaluate_in_matrices(xs), free_g.evaluate_in_matrices(xs)
-        free_commutator = freealg.commutator(free_f, free_g)
-        if (not free_commutator.is_zero and _probe_search_terms(
-                f.coefficient(0), g.coefficient(0), args.dmax) > MAX_PROBE_SEARCH_TERMS):
-            raise InvalidSize(f"probe --n {args.n} --dmax {args.dmax}: the annihilator search "
-                              f"of --f and --g can build over {MAX_PROBE_SEARCH_TERMS} terms")
+        free_commutator, inputs = freealg.commutator(free_f, free_g), "--f and --g"
+        if free_commutator.is_zero:
+            # f and g lie in one k[h] (Bergman), so the images have an annihilator
+            # of total degree at most max(deg f, deg g), 1 for two scalars
+            layers = min(layers, max(free_f.degree(), free_g.degree(), 1))
     else:
         f, g, tensor = centralizer.diagonal_generic_pair(args.n, field)
-        free_commutator = None
         if args.poisson != "pairing":
             tensor = quantize.PoissonTensor.load(args.poisson, field)
         ctx = quantize.StarContext(tensor, args.order)
-    rep = centralizer.commuting_matrix_probe(f, g, args.dmax, ctx, free_commutator)
+        f, g = quantize.quantize_lift(f, ctx), quantize.quantize_lift(g, ctx)
+        free_commutator, inputs = None, "the diagonal pair"
+    if _probe_search_terms(f.coefficient(0), g.coefficient(0), layers) > MAX_PROBE_SEARCH_TERMS:
+        raise InvalidSize(f"probe --n {args.n} --dmax {args.dmax}: the annihilator search "
+                          f"of {inputs} can build over {MAX_PROBE_SEARCH_TERMS} terms")
+    rep = centralizer.commuting_matrix_probe(f, g, args.dmax, free_commutator)
     bounds = {"n": args.n, "dmax": args.dmax, "order": args.order}
     return rep, bounds, 2 if rep.failure else 0, _pipeline_lines(rep)
 

@@ -20,12 +20,13 @@ entry products are star products, over the pairs of nonzero coefficients
 whose h-degrees sum to at most N.  ``star_mul`` multiplies two series of
 CommPoly as series of 1 x 1 matrices.
 
-A free element f is lifted by evaluating it at ``star_generic``, the generic
-matrices as ``StarSeries``, whose ``*`` is ``matrix_star``.  That product is
-associative, so the lift f -> f(X^_1, ..., X^_s) is an algebra homomorphism:
-it carries [f, g] = 0 to [f^, g^]_* = 0 at every order, and its h^0
-coefficient is the image pi_n(f).  ``quantize_lift``, the canonical lift
-a + 0 h + ..., is for a matrix pair with no free preimage.
+Every lift is a ``StarSeries``, whose ``*`` is ``matrix_star``, so a star
+commutator is ``a * b - b * a``.  A free element f is lifted by evaluating
+it at ``star_generic``, the generic matrices as star series.  That product
+is associative, so the lift f -> f(X^_1, ..., X^_s) is an algebra
+homomorphism: it carries [f, g] = 0 to [f^, g^]_* = 0 at every order, and
+its h^0 coefficient is the image pi_n(f).  ``quantize_lift``, the canonical
+lift a + 0 h + ..., is for a matrix pair with no free preimage.
 """
 
 from __future__ import annotations
@@ -268,10 +269,6 @@ def star_mul(a: FormalSeries, b: FormalSeries, ctx: StarContext) -> FormalSeries
     return FormalSeries(ctx.order, [c.entry(1, 1) for c in matrix_star(a, b, ctx).coeffs])
 
 
-def star_commutator(a: FormalSeries, b: FormalSeries, ctx: StarContext) -> FormalSeries:
-    return star_mul(a, b, ctx) - star_mul(b, a, ctx)
-
-
 class CorrespondenceReport(Record):
     """Comparison of the h-coefficient of a star commutator with the bracket."""
 
@@ -294,16 +291,6 @@ def verify_correspondence(
     return CorrespondenceReport(linear == bracket, linear, bracket)
 
 
-def matrix_star_commutator(a: FormalSeries, b: FormalSeries, ctx: StarContext) -> FormalSeries:
-    return matrix_star(a, b, ctx) - matrix_star(b, a, ctx)
-
-
-def quantize_lift(a: GenericMatrix, ctx: StarContext) -> FormalSeries:
-    """Canonical lift: the series of matrices with degree-0 coefficient a, all higher zero."""
-    ctx.tensor.check_variables(e for _, e in sorted(a.entries.items()))  # row by row
-    return FormalSeries.from_poly(a, ctx.order)
-
-
 class StarSeries(FormalSeries):
     """A series of matrices truncated at ``ctx.order`` whose ``*`` is ``matrix_star`` in ``ctx``.
 
@@ -317,6 +304,11 @@ class StarSeries(FormalSeries):
         super().__init__(ctx.order, coeffs)
         object.__setattr__(self, "ctx", ctx)
 
+    @staticmethod
+    def constant(a: GenericMatrix, ctx: StarContext) -> StarSeries:
+        """a + 0 h + ... + 0 h^N, truncated at ``ctx.order``."""
+        return StarSeries(ctx, [a] + [a.zeros_like()] * ctx.order)
+
     def _like(self, coeffs) -> StarSeries:
         return StarSeries(self.ctx, coeffs)
 
@@ -325,11 +317,10 @@ class StarSeries(FormalSeries):
         return self.coeffs[0].n
 
     def zeros_like(self) -> StarSeries:
-        return self._like([self.coeffs[0].zeros_like()] * (self.order + 1))
+        return StarSeries.constant(self.coeffs[0].zeros_like(), self.ctx)
 
     def identity_like(self) -> StarSeries:
-        e = self.coeffs[0].identity_like()
-        return self._like([e] + [e.zeros_like()] * self.order)
+        return StarSeries.constant(self.coeffs[0].identity_like(), self.ctx)
 
     def scale(self, c) -> StarSeries:
         return self._like([x if x.is_zero else x.scale(c) for x in self.coeffs])
@@ -338,10 +329,14 @@ class StarSeries(FormalSeries):
         return matrix_star(self, other, self.ctx)
 
 
+def quantize_lift(a: GenericMatrix, ctx: StarContext) -> StarSeries:
+    """The canonical lift a + 0 h + ... + 0 h^N of a matrix over CommPoly."""
+    return StarSeries.constant(a, ctx)
+
+
 def star_generic(s: int, n: int, ctx: StarContext) -> list:
     """The s generic n x n matrices X_l as star series X^_l = X_l + 0 h + ... + 0 h^N.
 
     ``f.evaluate_in_matrices(star_generic(f.s, n, ctx))`` is the lift f^ of f.
     """
-    return [StarSeries(ctx, [x] + [x.zeros_like()] * ctx.order)
-            for x in make_generic(s, n, ctx.field)]
+    return [StarSeries.constant(x, ctx) for x in make_generic(s, n, ctx.field)]

@@ -12,7 +12,7 @@ from nclab import rings
 from nclab.fields import Field, Scalar
 from nclab.freealg import FreePoly
 from nclab.genmat import FormalSeries, GenericMatrix
-from nclab.quantize import StarContext, star_commutator
+from nclab.quantize import StarContext, star_mul
 
 
 def random_scalar(rng: random.Random, field: Field, span: int = 6) -> Scalar:
@@ -67,6 +67,6 @@ def random_int_matrix(
 
 
 def lifted_commutator(a: rings.CommPoly, b: rings.CommPoly, ctx: StarContext) -> FormalSeries:
-    """[a, b]_* of the two polynomials lifted to series truncated at ``ctx.order``."""
-    lift = FormalSeries.from_poly
-    return star_commutator(lift(a, ctx.order), lift(b, ctx.order), ctx)
+    """[a, b]_* = a * b - b * a of the polynomials lifted to series truncated at ``ctx.order``."""
+    a, b = (FormalSeries.from_poly(x, ctx.order) for x in (a, b))
+    return star_mul(a, b, ctx) - star_mul(b, a, ctx)

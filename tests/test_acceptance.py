@@ -39,7 +39,7 @@ from nclab.centralizer import (
     diagonal_generic_pair,
 )
 from nclab.diagonalize import SeriesFieldMatrix, successive_diagonalize
-from nclab.quantize import matrix_star_commutator, quantize_lift
+from nclab.quantize import quantize_lift
 
 BERGMAN_CORPUS = ["x1", "x1^2", "x1^3 + x1", "x1 + x2", "x1*x2", "x2*x1*x2"]
 STABILITY_PAIRS = [("x1", "x1^2 + 1"), ("x1", "x1^3"), ("x1^2 + x1", "x1")]
@@ -146,7 +146,8 @@ def test_criterion_5_diagonal_formula():
         for n in (2, 3):
             f, g, tensor = diagonal_generic_pair(n, QQ)
             ctx = StarContext(tensor, 2)
-            comm = matrix_star_commutator(quantize_lift(f, ctx), quantize_lift(g, ctx), ctx)
+            fhat, ghat = quantize_lift(f, ctx), quantize_lift(g, ctx)
+            comm = fhat * ghat - ghat * fhat
             assert comm.coefficient(0).is_zero
             linear_part = comm.coefficient(1)
             xs, ys = f.diagonal_entries(), g.diagonal_entries()
@@ -156,7 +157,7 @@ def test_criterion_5_diagonal_formula():
             ]
             assert linear_part == GenericMatrix.identity(n, QQ)
             # and its traces against the powers of f are their power sums
-            (o,) = commuting_matrix_probe(f, g, 1, ctx).outcomes
+            (o,) = commuting_matrix_probe(fhat, ghat, 1).outcomes
             assert o.star_linear_part == linear_part
             assert o.tau == [sum((x**k for x in xs), CommPoly.zero(QQ)) for k in range(n)]
             assert not o.tau_zero
@@ -206,7 +207,8 @@ def test_criterion_7_annihilator_stability():
 def test_criterion_8_contradiction_mechanism():
     with _Clock(8, "trdeg-2 probe shows nonzero star commutator; free pairs stay zero", 60):
         f, g, tensor = diagonal_generic_pair(2, QQ)
-        probe = commuting_matrix_probe(f, g, 3, StarContext(tensor, 2))
+        ctx = StarContext(tensor, 2)
+        probe = commuting_matrix_probe(quantize_lift(f, ctx), quantize_lift(g, ctx), 3)
         (outcome,) = probe.outcomes
         assert not outcome.annihilator.found
         assert outcome.star_c0_zero and not outcome.star_c1_zero

@@ -18,13 +18,8 @@ from nclab import centralizer, linalg, serialize
 from nclab.errors import NotCommuting, ScalarInput
 from nclab.fields import GF, QQ
 from nclab.freealg import FreePoly, commutator, parse_free, word_key
-from nclab.genmat import BivariatePoly, FormalSeries, GenericMatrix, pi_reduce
-from nclab.quantize import (
-    StarContext,
-    entry_pairing_tensor,
-    matrix_star_commutator,
-    quantize_lift,
-)
+from nclab.genmat import BivariatePoly, GenericMatrix, pi_reduce
+from nclab.quantize import StarContext, StarSeries, entry_pairing_tensor, quantize_lift
 from nclab.rings import CommPoly
 from nclab.centralizer import (
     CentralizerBasis,
@@ -349,11 +344,16 @@ class TestPipeline:
                 assert o.annihilator.found
 
 
+def _probe(f, g, dmax, ctx):
+    """The probe of two commuting matrices, lifted canonically."""
+    return commuting_matrix_probe(quantize_lift(f, ctx), quantize_lift(g, ctx), dmax)
+
+
 class TestProbe:
     def test_diagonal_generic_pair_shows_the_mechanism(self):
         f, g, tensor = diagonal_generic_pair(2, QQ)
         ctx = StarContext(tensor, 2)
-        rep = commuting_matrix_probe(f, g, 3, ctx)
+        rep = _probe(f, g, 3, ctx)
         (o,) = rep.outcomes
         assert not o.annihilator.found
         assert o.star_c0_zero
@@ -366,7 +366,7 @@ class TestProbe:
         f = pi_reduce(parse_free("x1", 1, QQ), 1)
         g = pi_reduce(parse_free("x1^2", 1, QQ), 1)
         ctx = StarContext(entry_pairing_tensor(1, 1, QQ), 2)
-        rep = commuting_matrix_probe(f, g, 3, ctx)
+        rep = _probe(f, g, 3, ctx)
         (o,) = rep.outcomes
         assert o.annihilator.poly == BivariatePoly(QQ, {(2, 0): 1, (0, 1): -1})
         assert o.star_c0_zero and o.star_c1_zero
@@ -375,7 +375,7 @@ class TestProbe:
     def test_equal_matrices(self):
         f, _, tensor = diagonal_generic_pair(2, QQ)
         ctx = StarContext(tensor, 2)
-        rep = commuting_matrix_probe(f, f, 2, ctx)
+        rep = _probe(f, f, 2, ctx)
         (o,) = rep.outcomes
         assert o.annihilator.poly == BivariatePoly(QQ, {(1, 0): 1, (0, 1): -1})
         assert o.star_c1_zero
@@ -386,19 +386,19 @@ class TestProbe:
         x1, x2 = make_generic(2, 2, QQ)
         ctx = StarContext(entry_pairing_tensor(2, 2, QQ), 2)
         with pytest.raises(NotCommuting):
-            commuting_matrix_probe(x1, x2, 2, ctx)
+            _probe(x1, x2, 2, ctx)
 
     def test_eq1_diagonal_reproduced_at_size_3(self):
         f, g, tensor = diagonal_generic_pair(3, QQ)
         ctx = StarContext(tensor, 2)
-        rep = commuting_matrix_probe(f, g, 2, ctx)
+        rep = _probe(f, g, 2, ctx)
         (o,) = rep.outcomes
         assert o.star_linear_part == GenericMatrix.identity(3, QQ)
 
 
-def _traces(fhat, ghat, ctx):
+def _traces(fhat, ghat):
     """c1 of [fhat, ghat]_* and its traces tau_k = tr(c1 f^k) as the pipeline forms them."""
-    c1 = matrix_star_commutator(fhat, ghat, ctx).coefficient(1)
+    c1 = (fhat * ghat - ghat * fhat).coefficient(1)
     return c1, centralizer._star_traces(c1, fhat.coefficient(0))
 
 
@@ -416,8 +416,8 @@ def _power_sums(xs):
     return [sum((x**k for x in xs), CommPoly.zero(xs[0].field)) for k in range(len(xs))]
 
 
-def _lift(c0, c1, order):
-    return FormalSeries(order, [c0, c1] + [c0._like({})] * (order - 1))
+def _lift(c0, c1, ctx):
+    return StarSeries(ctx, [c0, c1] + [c0.zeros_like()] * (ctx.order - 1))
 
 
 def _conjugated_pair(n, field, rng):
@@ -441,7 +441,7 @@ class TestStarTrace:
     def test_pairing_diagonals(self):
         f, g, tensor = diagonal_generic_pair(2, QQ)
         ctx = StarContext(tensor, 2)
-        c1, tau = _traces(quantize_lift(f, ctx), quantize_lift(g, ctx), ctx)
+        c1, tau = _traces(quantize_lift(f, ctx), quantize_lift(g, ctx))
         assert c1 == GenericMatrix.identity(2, QQ)
         assert tau == _power_sums(f.diagonal_entries()) == _oracle_traces(c1, f)
         assert tau[0] == CommPoly.constant(QQ.scalar(2))
@@ -450,14 +450,14 @@ class TestStarTrace:
         f, _, tensor = diagonal_generic_pair(2, QQ)
         ctx = StarContext(tensor, 2)
         g = f * f
-        c1, tau = _traces(quantize_lift(f, ctx), quantize_lift(g, ctx), ctx)
+        c1, tau = _traces(quantize_lift(f, ctx), quantize_lift(g, ctx))
         assert c1.is_zero
         assert tau == [CommPoly.zero(QQ)] * 2
 
     def test_size_one(self):
         f, g, tensor = diagonal_generic_pair(1, QQ)
         ctx = StarContext(tensor, 2)
-        _, tau = _traces(quantize_lift(f, ctx), quantize_lift(g, ctx), ctx)
+        _, tau = _traces(quantize_lift(f, ctx), quantize_lift(g, ctx))
         assert tau == [CommPoly.one(QQ)]
 
     def test_offdiagonal_perturbations_leave_the_trace(self):
@@ -467,9 +467,9 @@ class TestStarTrace:
         ctx = StarContext(tensor, 2)
         zero = CommPoly.zero(QQ)
         y1, x2 = g.entry(1, 1), f.entry(2, 2)
-        fhat = _lift(f, GenericMatrix([[zero, y1], [y1, zero]]), 2)
-        ghat = _lift(g, GenericMatrix([[zero, x2], [x2, zero]]), 2)
-        c1, tau = _traces(fhat, ghat, ctx)
+        fhat = _lift(f, GenericMatrix([[zero, y1], [y1, zero]]), ctx)
+        ghat = _lift(g, GenericMatrix([[zero, x2], [x2, zero]]), ctx)
+        c1, tau = _traces(fhat, ghat)
         assert not c1.is_diagonal()
         assert tau == _power_sums(f.diagonal_entries()) == _oracle_traces(c1, f)
 
@@ -478,7 +478,7 @@ class TestStarTrace:
         f, g, tensor = _conjugated_pair(3, QQ, random.Random(7))
         ctx = StarContext(tensor, 2)
         assert not f.is_diagonal() and f * g == g * f
-        c1, tau = _traces(quantize_lift(f, ctx), quantize_lift(g, ctx), ctx)
+        c1, tau = _traces(quantize_lift(f, ctx), quantize_lift(g, ctx))
         xs = diagonal_generic_pair(3, QQ)[0].diagonal_entries()
         assert tau == _power_sums(xs) == _oracle_traces(c1, f)
 
@@ -486,7 +486,7 @@ class TestStarTrace:
     @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["q", "fp5"])
     def test_diagonal_pair_traces_are_the_power_sums(self, n, field):
         f, g, tensor = diagonal_generic_pair(n, field)
-        rep = commuting_matrix_probe(f, g, 1, StarContext(tensor, 1))
+        rep = _probe(f, g, 1, StarContext(tensor, 1))
         (o,) = rep.outcomes
         assert o.tau == _power_sums(f.diagonal_entries())
         assert o.tau[0].constant_value().value == (n % field.p if field.p else n)
@@ -504,8 +504,8 @@ class TestStarTrace:
             return GenericMatrix([[random_commpoly(rng, variables, field, 2, 2) for _ in range(n)]
                                   for _ in range(n)])
 
-        _, tau = _traces(quantize_lift(f, ctx), quantize_lift(g, ctx), ctx)
-        moved, tau_moved = _traces(_lift(f, perturbation(), 1), _lift(g, perturbation(), 1), ctx)
+        _, tau = _traces(quantize_lift(f, ctx), quantize_lift(g, ctx))
+        moved, tau_moved = _traces(_lift(f, perturbation(), ctx), _lift(g, perturbation(), ctx))
         xs = diagonal_generic_pair(n, field)[0].diagonal_entries()
         assert tau == tau_moved == _power_sums(xs) == _oracle_traces(moved, f)
 

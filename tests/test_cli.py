@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,13 +22,12 @@ from nclab.cli import (
     MAX_DIAG_ORDER_AT_N,
     MAX_MATRIX_ENTRIES,
     MAX_NMAX,
-    MAX_PROBE_N_DMAX_SQUARED,
     MAX_PROBE_SEARCH_TERMS,
     MAX_STAR_ORDER,
     _probe_search_terms,
     main,
 )
-from nclab import genmat
+from nclab import centralizer, genmat, rings
 from nclab.fields import GF, QQ
 from nclab.freealg import MAX_NESTING, parse_free
 
@@ -414,14 +414,52 @@ class TestExitStatuses:
         assert (code, err) == (0, "")
         assert json.loads(out)["bounds"]["order"] == MAX_STAR_ORDER
 
-    @pytest.mark.parametrize("n, dmax", [(1, 201), (2, 142), (150, 17), (1, 100000)])
+    @pytest.mark.parametrize("n, dmax", [(1, 244), (2, 172), (150, 19), (1, 100000)])
     def test_a_diagonal_probe_beyond_the_search_bound_is_refused_up_front(self, n, dmax,
                                                                          startup_s):
         # the diagonal pair has no annihilator, so every layer up to --dmax is searched:
         # unbounded, --n 2 --dmax 800 took 15.5 s; the benchmark's probes stay allowed
-        assert 8 * 5**2 <= 150 * 16**2 <= MAX_PROBE_N_DMAX_SQUARED < n * dmax**2
+        f, g, _ = centralizer.diagonal_generic_pair(8, QQ)
+        assert _probe_search_terms(f, g, 5) <= MAX_PROBE_SEARCH_TERMS
         assert_refused_up_front(["probe", "--n", str(n), "--dmax", str(dmax)], 1.0,
-                                f"error [invalid-size]: probe --n {n} --dmax {dmax}: ", startup_s)
+                                f"error [invalid-size]: probe --n {n} --dmax {dmax}: the "
+                                "annihilator search of the diagonal pair can build over",
+                                startup_s)
+
+    @pytest.mark.parametrize("n, dmax", [(1, 243), (2, 171), (150, 18)])
+    def test_the_largest_diagonal_probe_search_runs(self, n, dmax, startup_s):
+        # one more layer at each --n is refused, as above
+        f, g, _ = centralizer.diagonal_generic_pair(n, QQ)
+        assert _probe_search_terms(f, g, dmax) <= MAX_PROBE_SEARCH_TERMS
+        assert _probe_search_terms(f, g, dmax + 1) > MAX_PROBE_SEARCH_TERMS
+        argv = ["probe", "--n", str(n), "--dmax", str(dmax), "--order", "1", "--json"]
+        code, out, err, wall = run_process(argv, timeout=startup_s + 2.0)
+        assert wall - startup_s < 2.0
+        assert (code, err) == (0, "")
+        assert f'"searched_bound": {dmax}' in out
+
+    def test_every_diagonal_probe_of_the_earlier_bound_is_accepted(self):
+        # --n times --dmax squared at most 40,000 was the diagonal pair's own bound
+        for n in range(1, 151):
+            f, g, _ = centralizer.diagonal_generic_pair(n, QQ)
+            assert _probe_search_terms(f, g, math.isqrt(40_000 // n)) <= MAX_PROBE_SEARCH_TERMS
+
+    @pytest.mark.parametrize("n, code", [(5, 1), (4, 1), (3, 0)])
+    def test_a_probe_of_a_pair_that_commutes_freely_is_bounded_up_front(self, n, code,
+                                                                       startup_s):
+        # [f, g] = 0, so an annihilator of degree <= max(deg f, deg g) = 4 ends the
+        # search, and the bound sums the layers up to min(--dmax, 4): unbounded,
+        # --n 4 took 2.2 s, --n 5 13-15 s and --n 6 ran past 60 s
+        argv = ["probe", "--n", str(n), "--f", "x1*x2", "--g", "x1*x2*x1*x2", "--dmax", "2",
+                "--order", "1"]
+        if code:
+            assert_refused_up_front(argv, 10.0, f"error [invalid-size]: probe --n {n} --dmax 2: "
+                                    "the annihilator search of --f and --g can build over",
+                                    startup_s)
+        else:
+            got, out, err, wall = run_process([*argv, "--json"], timeout=startup_s + 10.0)
+            assert (got, err) == (0, "")
+            assert '"searched_bound": 2' in out
 
     @pytest.mark.parametrize(
         "argv",
@@ -468,20 +506,35 @@ class TestExitStatuses:
     @pytest.mark.parametrize(
         "n, f, g, dmax",
         [(1, "x1+x2", "x1*x2-1", 6), (1, "(x1+x2+1)^2", "x1*x2+x2", 5),
-         (2, "(x1*x2-x2*x1)^2", "x1+2", 3), (2, "(x1*x2-x2*x1)^2+x2", "x2^2", 2)],
+         (2, "(x1*x2-x2*x1)^2", "x1+2", 3), (2, "(x1*x2-x2*x1)^2+x2", "x2^2", 2),
+         (3, "diagonal", None, 8), (4, "sparse", None, 3)],
     )
     def test_the_probe_search_bound_is_at_least_the_terms_built(self, n, f, g, dmax, field):
-        # every column f^a g^b with a + b <= dmax, built as the search builds it
-        a, b = (genmat.pi_reduce(parse_free(e, 2, field), n) for e in (f, g))
+        if f == "diagonal":
+            a, b, _ = centralizer.diagonal_generic_pair(n, field)
+        elif f == "sparse":
+            # a Jordan block x E + N and a polynomial in it: rows of at most 2 entries
+            x, y = (rings.CommPoly.variable(rings.Variable.aux(v, 1), field) for v in "xy")
+            zero, one = rings.CommPoly.zero(field), rings.CommPoly.one(field)
+            a = genmat.GenericMatrix([[x if j == i else one if j == i + 1 else zero
+                                       for j in range(n)] for i in range(n)])
+            b = a * a + genmat.GenericMatrix.diagonal([y] * n) * a
+            assert len(a.entries) == 2 * n - 1
+        else:
+            a, b = (genmat.pi_reduce(parse_free(e, 2, field), n) for e in (f, g))
         # the identity's n terms, and f g and g f, which test commutation first
         built = n + sum(len(e.terms) for m in (a * b, b * a) for e in m.entries.values())
+        # every column f^a g^b with a + b <= dmax, built as the search builds it
         prev = {(0, 0): a.identity_like()}
         for d in range(1, dmax + 1):
             cur = {(i, d - i): a * prev[i - 1, d - i] if i else b * prev[0, d - 1]
                    for i in range(d + 1)}
             built += sum(len(e.terms) for m in cur.values() for e in m.entries.values())
             prev = cur
-        assert built <= _probe_search_terms(a, b, dmax) <= MAX_PROBE_SEARCH_TERMS
+        bound = _probe_search_terms(a, b, dmax)
+        assert built <= bound <= MAX_PROBE_SEARCH_TERMS
+        if f == "diagonal":
+            assert built == bound  # n entries of one term in every product
 
     @pytest.mark.parametrize(
         "argv",
@@ -567,6 +620,18 @@ class TestExitStatuses:
         assert code == 1
         assert out == ""
         assert err.splitlines() == ["error [engine-error]: probe takes both --f and --g, or neither"]
+
+    @pytest.mark.parametrize("variables, missing", [(["x1", "y1"], "x2"),
+                                                    (["x1", "x2", "y2"], "y1")])
+    def test_probe_of_a_tensor_without_a_variable_of_the_diagonal_pair(self, variables, missing,
+                                                                       tmp_path, capsys):
+        # the canonical lifts take any matrix; their first star product checks the
+        # entries of f, then of g, row by row
+        path = tmp_path / "tensor.json"
+        path.write_text(json.dumps({"variables": variables, "entries": [[0, 1, "1"]]}))
+        code, out, err = run(["probe", "--n", "2", "--poisson", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error [unknown-variable]: {missing} is not a tensor variable"]
 
     def test_pipeline_single_line_verdict(self, capsys):
         code, out, _ = run(

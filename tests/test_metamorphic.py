@@ -50,7 +50,7 @@ from nclab.errors import ScalarInput
 from nclab.fields import GF, QQ
 from nclab.freealg import FreePoly, commutator, parse_free, pretty
 from nclab.genmat import GenericMatrix
-from nclab.quantize import StarContext, entry_pairing_tensor
+from nclab.quantize import StarContext, entry_pairing_tensor, quantize_lift
 from nclab.rings import CommPoly, RationalFunction, Variable, mono_from_dict
 
 FIELDS = [QQ, GF(7), GF(32003)]
@@ -203,7 +203,9 @@ def test_swapping_the_probe_pair_swaps_the_annihilator_and_negates_c1(h_terms, p
     h = FreePoly(2, field, h_terms)
     f, g = (genmat.pi_reduce(_univariate(h, cs), n) for cs in (p, q))
     dmax, ctx = max(len(p), len(q)) - 1, StarContext(entry_pairing_tensor(2, n, field), 1)
-    ours, theirs = commuting_matrix_probe(f, g, dmax, ctx), commuting_matrix_probe(g, f, dmax, ctx)
+    fhat, ghat = quantize_lift(f, ctx), quantize_lift(g, ctx)
+    ours = commuting_matrix_probe(fhat, ghat, dmax)
+    theirs = commuting_matrix_probe(ghat, fhat, dmax)
     assert (ours.trdeg_verdict, ours.conclusion) == (theirs.trdeg_verdict, theirs.conclusion)
     (mine,), (other,) = ours.outcomes, theirs.outcomes
     swapped = {(v, u): c for (u, v), c in mine.annihilator.poly.terms.items()}
@@ -217,7 +219,8 @@ def test_swapping_the_diagonal_pair_negates_c1(n, field):
     # no annihilator, and a nonzero star commutator: the trdeg-2 pair
     f, g, tensor = diagonal_generic_pair(n, field)
     ctx = StarContext(tensor, 2)
-    ours, theirs = commuting_matrix_probe(f, g, 3, ctx), commuting_matrix_probe(g, f, 3, ctx)
+    fhat, ghat = quantize_lift(f, ctx), quantize_lift(g, ctx)
+    ours, theirs = commuting_matrix_probe(fhat, ghat, 3), commuting_matrix_probe(ghat, fhat, 3)
     (mine,), (other,) = ours.outcomes, theirs.outcomes
     assert not mine.annihilator.found and not other.annihilator.found
     assert not mine.star_linear_part.is_zero

@@ -22,11 +22,9 @@ from nclab.quantize import (
     _weight,
     entry_pairing_tensor,
     matrix_star,
-    matrix_star_commutator,
     pairing_tensor,
     poisson_bracket,
     quantize_lift,
-    star_commutator,
     star_generic,
     star_mul,
     verify_correspondence,
@@ -167,9 +165,7 @@ class TestStarProduct:
     def test_commutator_of_conjugates(self):
         ctx = self._ctx()
         x, y = poly(VX[0]), poly(VY[0])
-        comm = star_commutator(
-            FormalSeries.from_poly(x, 2), FormalSeries.from_poly(y, 2), ctx
-        )
+        comm = lifted_commutator(x, y, ctx)
         assert comm.coefficient(0).is_zero
         assert comm.coefficient(1) == CommPoly.one(QQ)
         assert comm.coefficient(2).is_zero
@@ -177,10 +173,7 @@ class TestStarProduct:
     def test_commutator_of_dependent_elements_vanishes(self):
         ctx = self._ctx()
         x = poly(VX[0])
-        comm = star_commutator(
-            FormalSeries.from_poly(x, 2), FormalSeries.from_poly(x * x, 2), ctx
-        )
-        assert comm.is_zero
+        assert lifted_commutator(x, x * x, ctx).is_zero
 
     def test_commutator_antisymmetry(self):
         ctx = self._ctx()
@@ -188,8 +181,7 @@ class TestStarProduct:
         for _ in range(15):
             a = random_commpoly(rng, list(ctx.tensor.variables), QQ, max_degree=2)
             b = random_commpoly(rng, list(ctx.tensor.variables), QQ, max_degree=2)
-            sa, sb = FormalSeries.from_poly(a, 2), FormalSeries.from_poly(b, 2)
-            total = star_commutator(sa, sb, ctx) + star_commutator(sb, sa, ctx)
+            total = lifted_commutator(a, b, ctx) + lifted_commutator(b, a, ctx)
             assert total.is_zero
 
     def test_degree_zero_functoriality(self):
@@ -374,10 +366,13 @@ def test_reversing_the_tensor_reverses_the_star_product(case):
     ctx, reversed_ctx, a, b = case
     want = transposed(matrix_star(transposed(b), transposed(a), ctx))
     assert matrix_star(a, b, reversed_ctx) == want
-    assert matrix_star_commutator(a, b, ctx) == -matrix_star_commutator(b, a, ctx)
+    ab, ba = matrix_star(a, b, ctx), matrix_star(b, a, ctx)
+    assert ab - ba == -(ba - ab)
     x, y = corner(a), corner(b)
-    assert star_mul(x, y, reversed_ctx) == star_mul(y, x, ctx)
-    assert star_commutator(x, y, ctx) == -star_commutator(y, x, ctx)
+    xy, yx = star_mul(x, y, ctx), star_mul(y, x, ctx)
+    assert star_mul(x, y, reversed_ctx) == yx
+    # so reversing the tensor negates the star commutator
+    assert star_mul(x, y, reversed_ctx) - star_mul(y, x, reversed_ctx) == -(xy - yx)
 
 
 class TestCorrespondence:
@@ -433,10 +428,7 @@ class TestCharacteristicGuards:
         f7 = GF(7)
         t = two_pair_tensor(f7)
         ctx = StarContext(t, 2)
-        x, y = poly(VX[0], f7), poly(VY[0], f7)
-        comm = star_commutator(
-            FormalSeries.from_poly(x, 2), FormalSeries.from_poly(y, 2), ctx
-        )
+        comm = lifted_commutator(poly(VX[0], f7), poly(VY[0], f7), ctx)
         assert comm.coefficient(1) == CommPoly.one(f7)
 
 
@@ -444,9 +436,9 @@ class TestMatrixStar:
     def test_1x1_reduces_to_scalar_case(self):
         t = pairing_tensor([VX[0]], [VY[0]], QQ)
         ctx = StarContext(t, 2)
-        f = FormalSeries.from_poly(GenericMatrix([[poly(VX[0])]]), 2)
-        g = FormalSeries.from_poly(GenericMatrix([[poly(VY[0])]]), 2)
-        comm = matrix_star_commutator(f, g, ctx)
+        f = quantize_lift(GenericMatrix([[poly(VX[0])]]), ctx)
+        g = quantize_lift(GenericMatrix([[poly(VY[0])]]), ctx)
+        comm = f * g - g * f
         assert comm.coefficient(0).is_zero
         assert comm.coefficient(1) == GenericMatrix([[CommPoly.one(QQ)]])
 
@@ -455,7 +447,8 @@ class TestMatrixStar:
         ctx = StarContext(t, 2)
         f = GenericMatrix.diagonal([poly(VX[0]), poly(VX[1])])
         g = GenericMatrix.diagonal([poly(VY[0]), poly(VY[1])])
-        comm = matrix_star_commutator(quantize_lift(f, ctx), quantize_lift(g, ctx), ctx)
+        fhat, ghat = quantize_lift(f, ctx), quantize_lift(g, ctx)
+        comm = fhat * ghat - ghat * fhat
         assert comm.coefficient(0).is_zero
         assert comm.coefficient(1) == GenericMatrix.identity(2, QQ)
 
@@ -467,9 +460,9 @@ class TestMatrixStar:
             [random_commpoly(rng, list(t.variables), QQ, max_degree=2) for _ in range(2)]
             for _ in range(2)
         ]
-        b = FormalSeries.from_poly(GenericMatrix(rows), 2)
-        e = FormalSeries.from_poly(GenericMatrix.identity(2, QQ), 2)
-        assert matrix_star_commutator(e, b, ctx).is_zero
+        b = quantize_lift(GenericMatrix(rows), ctx)
+        e = b.identity_like()
+        assert (e * b - b * e).is_zero
 
     @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["q", "gf7"])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -561,12 +554,38 @@ class TestQuantizeLift:
             m = GenericMatrix(rows)
             assert quantize_lift(m, ctx).coefficient(0) == m
 
-    def test_unknown_variable_rejected(self):
+    def test_unknown_variable_rejected_by_the_product(self):
+        # the lift takes any matrix; matrix_star checks the variables of every operand entry
         t = pairing_tensor([VX[0]], [VY[0]], QQ)
         ctx = StarContext(t, 2)
-        stray = GenericMatrix.diagonal([poly(VZ)])
-        with pytest.raises(UnknownVariable):
-            quantize_lift(stray, ctx)
+        stray = quantize_lift(GenericMatrix.diagonal([poly(VZ)]), ctx)
+        known = quantize_lift(GenericMatrix.diagonal([poly(VX[0])]), ctx)
+        for a, b in ((stray, known), (known, stray)):
+            with pytest.raises(UnknownVariable, match="z1 is not a tensor variable"):
+                a * b
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["q", "gf7"])
+    def test_the_lift_is_a_star_series_whose_product_is_matrix_star(self, field):
+        ctx = StarContext(two_pair_tensor(field), 3)
+        rng = random.Random(613)
+        a, b = (GenericMatrix([[random_commpoly(rng, list(ctx.tensor.variables), field,
+                                                max_degree=2) for _ in range(2)]
+                               for _ in range(2)]) for _ in range(2))
+        ahat, bhat = quantize_lift(a, ctx), quantize_lift(b, ctx)
+        assert type(ahat) is StarSeries and ahat.ctx is ctx
+        assert ahat.coeffs == (a,) + (a.zeros_like(),) * 3
+        product = ahat * bhat
+        assert type(product) is StarSeries
+        assert product == matrix_star(ahat, bhat, ctx)
+        assert not product.coefficient(1).is_zero
+        assert ahat.identity_like() == quantize_lift(a.identity_like(), ctx)
+        assert ahat.zeros_like() == quantize_lift(a.zeros_like(), ctx)
+
+    @pytest.mark.parametrize("s, n", [(1, 1), (2, 2), (3, 2)])
+    def test_the_star_generic_matrices_are_lifts_of_the_generic_matrices(self, s, n):
+        ctx = StarContext(entry_pairing_tensor(s, n, QQ), 2)
+        lifts = [quantize_lift(x, ctx) for x in make_generic(s, n, QQ)]
+        assert star_generic(s, n, ctx) == lifts
 
 
 def polynomial_in(h: FreePoly, coeffs) -> FreePoly:
@@ -597,10 +616,11 @@ class TestFreeLift:
         fhat, ghat = f.evaluate_in_matrices(xs), g.evaluate_in_matrices(xs)
         fn, gn = pi_reduce(f, n), pi_reduce(g, n)
         assert (fhat.coefficient(0), ghat.coefficient(0)) == (fn, gn)
-        comm = matrix_star_commutator(fhat, ghat, ctx)
+        comm = fhat * ghat - ghat * fhat
         assert comm.is_zero
         # tau does not depend on the lift
-        canonical = matrix_star_commutator(quantize_lift(fn, ctx), quantize_lift(gn, ctx), ctx)
+        fn_hat, gn_hat = quantize_lift(fn, ctx), quantize_lift(gn, ctx)
+        canonical = fn_hat * gn_hat - gn_hat * fn_hat
         assert _star_traces(comm.coefficient(1), fn) == _star_traces(canonical.coefficient(1), fn)
 
     @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["q", "gf7"])

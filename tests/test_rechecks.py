@@ -14,7 +14,7 @@ import pytest
 
 import nclab
 from mutants import run_mutant
-from nclab import diagonalize, linalg, quantize
+from nclab import centralizer, diagonalize, linalg, quantize
 from nclab.centralizer import centralizer_basis
 from nclab.cli import main
 from nclab.fields import QQ
@@ -354,15 +354,24 @@ def test_pipeline_wrong_second_moyal_weight_fails_from_order_2(optimize, tmp_pat
 # -- pipeline and probe: commuting inputs must have a zero degree-0 star part --
 
 
+class _PlusEAtH0(quantize.StarSeries):
+    """A lift whose product with a right factor has E added at h^0."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        product = quantize.matrix_star(self, other, self.ctx)
+        c0 = product.coeffs[0]
+        return product._like((c0 + c0.identity_like(),) + product.coeffs[1:])
+
+
 def _star_part_plus_e(real):
-    """matrix_star_commutator with E added at h^0."""
+    """_size_outcome whose product f^ * g^ has E added at h^0, and so [f^, g^]_* too."""
 
-    def commutator(fhat, ghat, ctx):
-        comm = real(fhat, ghat, ctx)
-        c0 = comm.coeffs[0]
-        return quantize.FormalSeries(comm.order, (c0 + c0.identity_like(),) + comm.coeffs[1:])
+    def size_outcome(fhat, ghat, dmax):
+        return real(_PlusEAtH0(fhat.ctx, fhat.coeffs), ghat, dmax)
 
-    return commutator
+    return size_outcome
 
 
 @pytest.mark.parametrize(
@@ -375,7 +384,7 @@ def _star_part_plus_e(real):
 )
 def test_nonzero_degree_zero_star_part_exits_2(argv, monkeypatch, capsys):
     monkeypatch.setattr(
-        quantize, "matrix_star_commutator", _star_part_plus_e(quantize.matrix_star_commutator)
+        centralizer, "_size_outcome", _star_part_plus_e(centralizer._size_outcome)
     )
     code = main(argv)
     out = capsys.readouterr().out

@@ -14,8 +14,8 @@ from nclab.cli import _perturbation
 from nclab.errors import BadReport, DivisionByZero, EngineError
 from nclab.fields import GF, QQ, Field
 from nclab.freealg import parse_free
-from nclab.genmat import GenericMatrix, annihilator_stability, pi_reduce
-from nclab.quantize import StarContext, entry_pairing_tensor, verify_correspondence
+from nclab.genmat import FormalSeries, GenericMatrix, annihilator_stability, pi_reduce
+from nclab.quantize import StarContext, entry_pairing_tensor, quantize_lift, verify_correspondence
 from nclab.rings import CommPoly, RationalFunction, Variable
 from nclab.centralizer import (
     bergman_check,
@@ -28,7 +28,6 @@ from nclab.diagonalize import (
     SeriesFieldMatrix,
     successive_diagonalize,
 )
-from nclab.quantize import matrix_star_commutator, quantize_lift
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -81,8 +80,8 @@ def test_pipeline_round_trip():
 
 def test_probe_round_trip():
     f, g, tensor = diagonal_generic_pair(2, QQ)
-    rep = commuting_matrix_probe(f, g, 3, StarContext(tensor, 2))
-    round_trip(rep)
+    ctx = StarContext(tensor, 2)
+    round_trip(commuting_matrix_probe(quantize_lift(f, ctx), quantize_lift(g, ctx), 3))
 
 
 def test_diagonal_report_round_trip():
@@ -182,7 +181,9 @@ def test_a_malformed_monomial_is_a_bad_report(terms):
 
 def test_tau_round_trip():
     f, g, tensor = diagonal_generic_pair(3, QQ)
-    (o,) = round_trip(commuting_matrix_probe(f, g, 2, StarContext(tensor, 2))).outcomes
+    ctx = StarContext(tensor, 2)
+    rep = commuting_matrix_probe(quantize_lift(f, ctx), quantize_lift(g, ctx), 2)
+    (o,) = round_trip(rep).outcomes
     # the decoded traces are Eq. (1)'s sum_i {x_i, y_i} x_i^k, every bracket 1
     xs = f.diagonal_entries()
     assert o.tau == [sum((x**k for x in xs), CommPoly.zero(QQ)) for k in range(3)]
@@ -264,7 +265,11 @@ def test_decoded_diag_report_re_verifies():
 def test_series_of_matrices_round_trips_through_the_series_row():
     f, g, tensor = diagonal_generic_pair(2, QQ)
     ctx = StarContext(tensor, 2)
-    comm = matrix_star_commutator(quantize_lift(f, ctx), quantize_lift(g, ctx), ctx)
+    fhat, ghat = quantize_lift(f, ctx), quantize_lift(g, ctx)
+    lifted = fhat * ghat - ghat * fhat
+    # a StarSeries has no report row; its coefficients do, as a plain series
+    comm = FormalSeries(lifted.order, lifted.coeffs)
+    assert not comm.coefficient(1).is_zero
     assert serialize.encode(comm)["type"] == "series"
     assert round_trip(comm) == comm
     with pytest.raises(ValueError):

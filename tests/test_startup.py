@@ -273,8 +273,8 @@ PUBLIC = {
     "freealg": "FreePoly commutator parse_free pretty",
     "genmat": "BivariatePoly FormalSeries GenericMatrix annihilator_stability find_annihilator"
     " make_generic pi_reduce standard_identity",
-    "quantize": "PoissonTensor StarContext matrix_star matrix_star_commutator"
-    " poisson_bracket quantize_lift star_commutator star_mul verify_correspondence",
+    "quantize": "PoissonTensor StarContext StarSeries matrix_star poisson_bracket quantize_lift"
+    " star_generic star_mul verify_correspondence",
     "rings": "CommPoly RationalFunction Variable",
 }
 
