@@ -1,6 +1,7 @@
 #!/bin/sh
 # Run the repository's gates in order and stop at the first that fails:
-#   1. the tier-1 test suite,
+#   1. the tier-1 test suite, listing its ten slowest tests, so that a change
+#      shows where its tier-1 time goes,
 #   2. the golden reports (scripts/record_golden.py --check), also under python -O,
 #      so that no report depends on an assert,
 #   3. the benchmark's self-test in both trace modes (perfbench/run.py --smoke).
@@ -13,7 +14,7 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== tier-1 tests =="
-python -m pytest -q --continue-on-collection-errors
+python -m pytest -q --continue-on-collection-errors --durations=10
 echo "== golden reports =="
 python scripts/record_golden.py --check
 python -O scripts/record_golden.py --check

@@ -191,9 +191,11 @@ def _star_traces(c1: genmat.GenericMatrix, f: genmat.GenericMatrix) -> list:
 def _size_outcome(fhat, ghat, dmax: int):
     """The outcome of two lifts whose h^0 coefficients commute, and the least r at
     which their star commutator is nonzero (None if it is 0 through the order)."""
+    comm = fhat * ghat - ghat * fhat  # checks the tensor variables before the search
     f, g = fhat.coefficient(0), ghat.coefficient(0)
+    # not waste: this tests f g = g f with GenericMatrix products, and c0 is matrix_star's
+    # own, so a nonzero c0 here is an engine fault (exit 2), not non-commuting input (exit 1)
     ann = genmat.find_annihilator(f, g, dmax)
-    comm = fhat * ghat - ghat * fhat
     c0, c1 = comm.coefficient(0), comm.coefficient(1)
     least = next((r for r, c in enumerate(comm.coeffs) if not c.is_zero), None)
     return SizeOutcome(f.n, ann, c0.is_zero, c1.is_zero, c1, _star_traces(c1, f)), least
@@ -247,15 +249,14 @@ def bergman_pipeline(
     if not c.is_zero:
         return PipelineReport(f_text, g_text, False, c, [], None, "not applicable",
                               "inputs do not commute in the free algebra")
-    sizes = range(1, nmax + 1)
     outcomes, leasts = [], []
-    for n in sizes:
+    for n in range(1, nmax + 1):
         xs = quantize.star_generic(f.s, n, ctx)
         outcome, least = _size_outcome(f.evaluate_in_matrices(xs), g.evaluate_in_matrices(xs),
                                        dmax)
         outcomes.append(outcome)
         leasts.append(least)
-    stability = genmat.StabilityReport.of(f, g, sizes, dmax, [o.annihilator for o in outcomes])
+    stability = genmat.StabilityReport.of(f, g, dmax, [o.annihilator for o in outcomes])
     return PipelineReport(
         f_text, g_text, True, c, outcomes, stability, *_verdicts(outcomes, stability, c, leasts)
     )

@@ -8,8 +8,9 @@ stdout (or written to ``--out``).
 
 The table ``COMMANDS`` is the one definition of the command line: each flag's
 type, default, help and accepted range.  ``parse`` reads every command line
-from it, ``_help`` prints the help from it, and ``_check_sizes`` refuses a
-size outside its range, or beyond a bound over several flags, before any work.
+from it, ``_help`` prints the help and ``main`` the envelope's bounds from it,
+and ``_check_sizes`` refuses a size outside its range, or beyond a bound over
+several flags, before any work.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ DEFAULT_SEED = 1729
 
 #: The entries of the s generic n x n matrices that a command builds, s * n^2,
 #: with n = 1 for star and poisson and n = nmax for annihilator and the
-#: pipeline; probe is counted at its --s too.  pi --f x1 --n 150 builds 45,000
-#: and took 1.4-1.9 s on a 2-core 2.1 GHz VM; pi --n 300 (180,000) took 3.8 s
-#: and star --s 100000 3.9 s.
+#: pipeline; the probe's diagonal pair, which reads no --s, counts as s = 2.
+#: pi --f x1 --n 150 builds 45,000 and took 1.4-1.9 s on a 2-core 2.1 GHz VM;
+#: pi --n 300 (180,000) took 3.8 s and star --s 100000 3.9 s.
 MAX_MATRIX_ENTRIES = 2 * 150**2
 
 #: annihilator and bergman-pipeline search every size up to --nmax again.
@@ -85,7 +86,7 @@ _MATRIX_SIZE = {"pi": "n", "star": None, "poisson": None, "annihilator": "nmax",
                 "bergman-pipeline": "nmax", "probe": "n"}
 
 
-def _check_sizes(args) -> None:
+def _check_sizes(args, bounds: dict) -> None:
     """Refuse, before any work, a size outside the range of its flag or beyond a bound
     over several flags, and a probe given only one of --f and --g."""
     command = args.command
@@ -98,11 +99,11 @@ def _check_sizes(args) -> None:
     if command in _MATRIX_SIZE:
         size = _MATRIX_SIZE[command]
         n = getattr(args, size) if size else 1
-        if args.s * n * n > MAX_MATRIX_ENTRIES:
-            raise InvalidSize(
-                f"{command} --s {args.s}" + (f" --{size} {n}" if size else "")
-                + f": {args.s} generic {n}x{n} matrices have over {MAX_MATRIX_ENTRIES} entries"
-            )
+        count = bounds.get("s", 2)  # the probe's diagonal pair is two matrices
+        if count * n * n > MAX_MATRIX_ENTRIES:
+            flags = "".join(f" --{name} {bounds[name]}" for name in ("s", size) if name in bounds)
+            raise InvalidSize(f"{command}{flags}: {count} generic {n}x{n} matrices "
+                              f"have over {MAX_MATRIX_ENTRIES} entries")
     if command == "centralizer":
         letters, layer = 0, 1
         for k in range(1, args.d + 1):
@@ -188,7 +189,7 @@ def _tensor(args, field: Field, s: int, n: int) -> quantize.PoissonTensor:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations: each returns (report, bounds, exit_code, text lines)
+# Command implementations: each returns (report, exit_code, text lines)
 # ---------------------------------------------------------------------------
 
 
@@ -198,7 +199,7 @@ def _cmd_eval(args, field):
     deg_text = "-inf" if f.is_zero else str(deg)
     rep = EvalReport(f, deg_text, len(f.terms))
     lines = [f"canonical: {freealg.pretty(f)}", f"degree: {deg_text}", f"terms: {len(f.terms)}"]
-    return rep, {"s": args.s}, 0, lines
+    return rep, 0, lines
 
 
 def _cmd_commute(args, field):
@@ -207,36 +208,36 @@ def _cmd_commute(args, field):
     c = freealg.commutator(f, g)
     rep = CommuteReport(f, g, c, c.is_zero)
     verdict = "PASS: [f,g] = 0" if c.is_zero else f"FAIL: [f,g] = {freealg.pretty(c)}"
-    return rep, {"s": args.s}, 0 if c.is_zero else 2, [verdict]
+    return rep, 0 if c.is_zero else 2, [verdict]
 
 
 def _cmd_pi(args, field):
     f = freealg.parse_free(args.f, args.s, field)
     image = genmat.pi_reduce(f, args.n)
     rep = PiReport(f, args.n, image)
-    return rep, {"s": args.s, "n": args.n}, 0, [f"pi_{args.n}(f) = {image}"]
+    return rep, 0, [f"pi_{args.n}(f) = {image}"]
 
 
 def _cmd_al(args, field):
     n = args.n
     arity = 2 * n
     mats = genmat.make_generic(arity, n, field)
-    vanishes = genmat.standard_identity(arity, mats).is_zero
+    vanishes = genmat.standard_identity(mats).is_zero
     # the staircase E11, E12, E22, ..., Enn: only the identity permutation's product is nonzero
     cells = [(k // 2 + 1, (k + 1) // 2 + 1) for k in range(arity - 1)]
     staircase = [genmat.GenericMatrix.unit(n, i, j, field) for i, j in cells]
-    sharp_nonzero = not genmat.standard_identity(arity - 1, staircase).is_zero
+    sharp_nonzero = not genmat.standard_identity(staircase).is_zero
     rep = ALReport(n, arity, vanishes, True, sharp_nonzero)
     units = ", ".join(f"E{i}{j}" for i, j in cells)
     lines = [f"S_{arity} vanishes on {n}x{n} generic matrices: {'PASS' if vanishes else 'FAIL'}",
              f"S_{arity - 1} on ({units}) is nonzero: {'PASS' if sharp_nonzero else 'FAIL'}"]
-    return rep, {"n": n}, 0 if vanishes and sharp_nonzero else 2, lines
+    return rep, 0 if vanishes and sharp_nonzero else 2, lines
 
 
 def _cmd_annihilator(args, field):
     f = freealg.parse_free(args.f, args.s, field)
     g = freealg.parse_free(args.g, args.s, field)
-    rep = genmat.annihilator_stability(f, g, range(1, args.nmax + 1), args.dmax)
+    rep = genmat.annihilator_stability(f, g, args.nmax, args.dmax)
     lines = []
     for r in rep.results:
         if r.found:
@@ -248,8 +249,7 @@ def _cmd_annihilator(args, field):
         if rep.all_found
         else "not found at every size"
     )
-    code = 2 if rep.unstable else 0
-    return rep, {"s": args.s, "nmax": args.nmax, "dmax": args.dmax}, code, lines
+    return rep, 2 if rep.unstable else 0, lines
 
 
 def _scalar_reduction(expr: str, s: int, field) -> rings.CommPoly:
@@ -274,8 +274,7 @@ def _cmd_star(args, field):
             "h-coefficient of [a,b]_* equals {a,b}: " + ("PASS" if corr.holds else "FAIL")
         )
         code = 0 if corr.holds else 2
-    bounds = {"s": args.s, "order": args.order}
-    return rep, bounds, code, lines
+    return rep, code, lines
 
 
 def _cmd_poisson(args, field):
@@ -283,7 +282,7 @@ def _cmd_poisson(args, field):
     b = _scalar_reduction(args.b, args.s, field)
     tensor = _tensor(args, field, args.s, 1)
     bracket = quantize.poisson_bracket(a, b, tensor)
-    return PoissonReport(bracket), {"s": args.s}, 0, [f"{{a,b}} = {bracket}"]
+    return PoissonReport(bracket), 0, [f"{{a,b}} = {bracket}"]
 
 
 def _perturbation(rng: random.Random, n: int, field: Field) -> genmat.GenericMatrix:
@@ -306,14 +305,14 @@ def _cmd_diag(args, field):
     m = _perturbation(random.Random(args.seed), n, field)
     zero = genmat.GenericMatrix.zeros(n, field, ratfun)
     series = diagonalize.SeriesFieldMatrix(order, [a0, m][: order + 1] + [zero] * (order - 1))
-    rep = diagonalize.successive_diagonalize(series, order)
+    rep = diagonalize.successive_diagonalize(series)
     ok = rep.verify(series)
     lines = [
         f"perturbation (h-coefficient): {m}",
         f"diagonalized to order {rep.achieved_order}; "
         f"off-diagonal vanishes through h^{order}: {'PASS' if ok else 'FAIL'}",
     ]
-    return rep, {"n": n, "order": order}, 0 if ok else 2, lines
+    return rep, 0 if ok else 2, lines
 
 
 def _cmd_centralizer(args, field):
@@ -323,7 +322,7 @@ def _cmd_centralizer(args, field):
     if rep.generator is not None:
         lines.append(f"generator: {freealg.pretty(rep.generator)}")
     lines.append("single-generator test: " + ("PASS" if rep.passed else "FAIL"))
-    return rep, {"s": args.s, "d": args.d}, 0 if rep.passed else 2, lines
+    return rep, 0 if rep.passed else 2, lines
 
 
 def _pipeline_lines(rep):
@@ -353,8 +352,7 @@ def _cmd_bergman_pipeline(args, field):
     tensor = _tensor(args, field, args.s, args.nmax)
     ctx = quantize.StarContext(tensor, args.order)
     rep = centralizer.bergman_pipeline(f, g, args.nmax, args.dmax, ctx)
-    bounds = {"s": args.s, "nmax": args.nmax, "dmax": args.dmax, "order": args.order}
-    return rep, bounds, 2 if rep.failure else 0, _pipeline_lines(rep)
+    return rep, 2 if rep.failure else 0, _pipeline_lines(rep)
 
 
 def _cmd_probe(args, field):
@@ -380,8 +378,7 @@ def _cmd_probe(args, field):
         raise InvalidSize(f"probe --n {args.n} --dmax {args.dmax}: the annihilator search "
                           f"of {inputs} can build over {MAX_PROBE_SEARCH_TERMS} terms")
     rep = centralizer.commuting_matrix_probe(f, g, args.dmax, free_commutator)
-    bounds = {"n": args.n, "dmax": args.dmax, "order": args.order}
-    return rep, bounds, 2 if rep.failure else 0, _pipeline_lines(rep)
+    return rep, 2 if rep.failure else 0, _pipeline_lines(rep)
 
 
 #: A flag is (name, type, default, help, least, most).  The type ``bool`` is a
@@ -555,9 +552,13 @@ def main(argv=None) -> int:
         return 0
     try:
         field = _parse_field(args.field)
-        _check_sizes(args)
-        _, _, handler = COMMANDS[args.command]
-        report, bounds, code, lines = handler(args, field)
+        _, flags, handler = COMMANDS[args.command]
+        # the envelope records the int flags; the probe's diagonal pair reads no --s
+        bounds = {name: getattr(args, name) for name, kind, *_ in flags if kind is int}
+        if args.command == "probe" and args.f is None:
+            del bounds["s"]
+        _check_sizes(args, bounds)
+        report, code, lines = handler(args, field)
     except EngineError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 1

@@ -72,25 +72,22 @@ class DiagonalReport(Record):
     __slots__ = ("conjugator", "diagonal", "achieved_order", "eigenvalues")
 
     def verify(self, a: SeriesFieldMatrix) -> bool:
-        """u A = D u through ``achieved_order`` on the input A, recomputed from scratch.
+        """u A = D u on the input A, through its order, recomputed from scratch.
 
         With u_0 = E this holds exactly when u A u^-1 = D there.
         """
-        lhs, rhs = self.conjugator * a, self.diagonal * self.conjugator
-        return all((lhs.coeffs[r] - rhs.coeffs[r]).is_zero for r in range(self.achieved_order + 1))
+        return (self.conjugator * a - self.diagonal * self.conjugator).is_zero
 
 
-def successive_diagonalize(a: SeriesFieldMatrix, target: int) -> DiagonalReport:
-    """Kill the off-diagonal defect order by order up to ``target``.
+def successive_diagonalize(a: SeriesFieldMatrix) -> DiagonalReport:
+    """Kill the off-diagonal defect order by order, through the order of A.
 
     C = u A u^-1 is read off u A = C u (u_0 = E): C_r is the sum of u_k
-    A_(r-k) over k <= r less that of C_(r-k) u_k over 1 <= k <= r.  At an
-    order 0 < r <= target a Sylvester solve T of C_r's off-diagonal part
-    turns u into (E + h^r T) u and C_r into its diagonal.  D is the diagonal
-    of C; ``DiagonalReport.verify`` re-checks it against the input A.
+    A_(r-k) over k <= r less that of C_(r-k) u_k over 1 <= k <= r.  At each
+    order r > 0 a Sylvester solve T of C_r's off-diagonal part turns u into
+    (E + h^r T) u and C_r into its diagonal, so C is D, the diagonal form;
+    ``DiagonalReport.verify`` re-checks it against the input A.
     """
-    if target > a.order:
-        raise ShapeMismatch("target order exceeds the series truncation")
     a0 = a.coeffs[0]
     if not a0.is_diagonal():
         raise NotDiagonalLeadingTerm("leading coefficient must be diagonal")
@@ -100,17 +97,16 @@ def successive_diagonalize(a: SeriesFieldMatrix, target: int) -> DiagonalReport:
             if (lam[i] - lam[j]).is_zero:
                 raise RepeatedEigenvalue(f"leading entries {i+1} and {j+1} coincide")
     u = [a0.identity_like()] + [a0._like({})] * a.order
-    c = []
-    for r in range(a.order + 1):
+    c = [a0]
+    for r in range(1, a.order + 1):
         acc = a.coeffs[r]
         for k in range(1, r + 1):
             acc = acc + u[k] * a.coeffs[r - k] - c[r - k] * u[k]
-        if 0 < r <= target and not acc.is_diagonal():
+        if not acc.is_diagonal():
             d = GenericMatrix.diagonal(acc.diagonal_entries())
             t = solve_sylvester_diag(lam, acc - d)
             u = u[:r] + [uk + t * u[k] for k, uk in enumerate(u[r:])]
             acc = d
         c.append(acc)
-    u = SeriesFieldMatrix(a.order, u)
-    diag = SeriesFieldMatrix(a.order, [GenericMatrix.diagonal(x.diagonal_entries()) for x in c])
-    return DiagonalReport(u, diag, target, lam)
+    return DiagonalReport(SeriesFieldMatrix(a.order, u), SeriesFieldMatrix(a.order, c), a.order,
+                          lam)

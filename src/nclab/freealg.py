@@ -160,14 +160,12 @@ _DIGITS = "0123456789"  # NAT digits only: str.isdigit also takes '²' and '٣'
 
 class _Tokenizer:
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
         self.tokens = []
-        self._scan()
+        self._scan(text)
         self.cursor = 0
 
-    def _scan(self):
-        text, i = self.text, 0
+    def _scan(self, text: str):
+        i = 0
         while i < len(text):
             ch = text[i]
             if ch.isspace():

@@ -303,18 +303,17 @@ def pi_reduce(f: freealg.FreePoly, n: int) -> GenericMatrix:
     return f.evaluate_in_matrices(make_generic(f.s, n, f.field))
 
 
-def standard_identity(k: int, mats) -> GenericMatrix:
-    """S_k(M_1,...,M_k) by expansion along the first factor.
+def standard_identity(mats) -> GenericMatrix:
+    """S_k(M_1,...,M_k) for the k = len(mats) matrices, by expansion along the first factor.
 
     S_k = sum_i (-1)^(i-1) M_i * S_(k-1)(the others), cached on the tuple of
     indices still to place, so it forms fewer than k * 2^(k-1) products.
     """
     mats = list(mats)
-    if k < 1 or len(mats) != k:
-        raise ShapeMismatch(f"need exactly {k} matrices")
-    first = mats[0]
+    if not mats:
+        raise ShapeMismatch("need at least one matrix")
     for m in mats:
-        first._check(m)
+        mats[0]._check(m)
 
     @cache
     def expand(rest):
@@ -326,7 +325,7 @@ def standard_identity(k: int, mats) -> GenericMatrix:
             total = total - term if i % 2 else total + term
         return total
 
-    return expand(tuple(range(k)))
+    return expand(tuple(range(len(mats))))
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +431,12 @@ class StabilityReport(Record):
     __slots__ = ("f_text", "g_text", "sizes", "dmax", "results", "all_found", "identical")
 
     @staticmethod
-    def of(f: freealg.FreePoly, g: freealg.FreePoly, sizes, dmax: int, results) -> StabilityReport:
-        """The report of the annihilator results already found at ``sizes``."""
+    def of(f: freealg.FreePoly, g: freealg.FreePoly, dmax: int, results) -> StabilityReport:
+        """The report of the annihilator results already found, one at each size 1, 2, ..."""
         found = [r for r in results if r.found]
         all_found = len(found) == len(results)
         identical = all_found and all(r.poly == found[0].poly for r in found)
-        return StabilityReport(freealg.pretty(f), freealg.pretty(g), list(sizes), dmax,
+        return StabilityReport(freealg.pretty(f), freealg.pretty(g), [r.n for r in results], dmax,
                                list(results), all_found, identical)
 
     @property
@@ -447,11 +446,11 @@ class StabilityReport(Record):
 
 
 def annihilator_stability(
-    f: freealg.FreePoly, g: freealg.FreePoly, sizes, dmax: int
+    f: freealg.FreePoly, g: freealg.FreePoly, nmax: int, dmax: int
 ) -> StabilityReport:
-    """Run the annihilator search on the size-n images for each n in sizes."""
+    """Run the annihilator search on the size-n images for each n from 1 to nmax."""
     if not freealg.commutator(f, g).is_zero:
         raise NotCommuting("inputs do not commute in the free algebra")
-    sizes = sorted(set(sizes))
-    results = [find_annihilator(pi_reduce(f, n), pi_reduce(g, n), dmax) for n in sizes]
-    return StabilityReport.of(f, g, sizes, dmax, results)
+    results = [find_annihilator(pi_reduce(f, n), pi_reduce(g, n), dmax)
+               for n in range(1, nmax + 1)]
+    return StabilityReport.of(f, g, dmax, results)

@@ -275,10 +275,10 @@ def inverse_unitriangular(s: SeriesFieldMatrix) -> SeriesFieldMatrix:
     return out
 
 
-def diagonalize_by_conjugation(a: SeriesFieldMatrix, target: int):
+def diagonalize_by_conjugation(a: SeriesFieldMatrix):
     """Conjugator u and diagonal form D by whole-series conjugation.
 
-    The current series starts at A.  At each order 0 < r <= target whose
+    The current series starts at A.  At each order 0 < r <= a.order whose
     coefficient is not diagonal, with T the Sylvester solve of its
     off-diagonal part and b = E + h^r T, the series becomes b (series) b^-1
     and u becomes b u.  D is the diagonal of the final series.
@@ -287,7 +287,7 @@ def diagonalize_by_conjugation(a: SeriesFieldMatrix, target: int):
     u = series_identity(len(lam), a.order, a.field)
     e, zero = u.coeffs[0], GenericMatrix.zeros(len(lam), a.field, RationalFunction)
     current = a
-    for r in range(1, target + 1):
+    for r in range(1, a.order + 1):
         c = current.coeffs[r]
         if c.is_diagonal():
             continue

@@ -84,8 +84,8 @@ def test_criterion_1_standard_identity(capsys):
         assert "S_4 vanishes on 2x2 generic matrices: PASS" in out
         assert "S_3 on (E11, E12, E22) is nonzero: PASS" in out
         # the same facts, checked directly: full symbolic expansion
-        assert standard_identity(4, make_generic(4, 2, QQ)).is_zero
-        assert not standard_identity(3, _staircase(2)).is_zero
+        assert standard_identity(make_generic(4, 2, QQ)).is_zero
+        assert not standard_identity(_staircase(2)).is_zero
 
 
 def _staircase(n):
@@ -96,8 +96,8 @@ def _staircase(n):
 
 def test_criterion_1_slow_standard_identity_3x3():
     with _Clock("1 (3x3)", "degree-6 standard identity on 3x3 generic matrices", 600):
-        assert standard_identity(6, make_generic(6, 3, QQ)).is_zero
-        assert not standard_identity(5, _staircase(3)).is_zero
+        assert standard_identity(make_generic(6, 3, QQ)).is_zero
+        assert not standard_identity(_staircase(3)).is_zero
 
 
 def _run_bergman_corpus(field):
@@ -184,7 +184,7 @@ def test_criterion_6_sylvester_recursion():
         a0 = GenericMatrix.diagonal(lam)
         zmat = GenericMatrix.zeros(3, QQ, RationalFunction)
         series = SeriesFieldMatrix(2, [a0, m, zmat])
-        rep = successive_diagonalize(series, 2)
+        rep = successive_diagonalize(series)
         assert rep.verify(series)  # u A = D u through h^2, recomputed from A
         conj = rep.conjugator * series * inverse_unitriangular(rep.conjugator)
         assert all(c.is_diagonal() for c in conj.coeffs[:3])  # off-diagonal = 0 mod h^3
@@ -194,7 +194,7 @@ def test_criterion_6_sylvester_recursion():
 def _run_stability(field):
     for ftext, gtext in STABILITY_PAIRS:
         f, g = parse_free(ftext, 2, field), parse_free(gtext, 2, field)
-        rep = annihilator_stability(f, g, {1, 2, 3}, 3)
+        rep = annihilator_stability(f, g, 3, 3)
         assert rep.all_found
         assert rep.identical, f"annihilators differ across sizes for ({ftext}, {gtext})"
 
@@ -226,13 +226,13 @@ def test_criterion_8_contradiction_mechanism():
 def test_criterion_9_characteristic_p(capsys):
     with _Clock(9, "criteria 1, 2, 7 over GF(7); star order guard fails fast", 120):
         f7 = GF(7)
-        assert standard_identity(4, make_generic(4, 2, f7)).is_zero
+        assert standard_identity(make_generic(4, 2, f7)).is_zero
         units = [
             GenericMatrix.unit(2, 1, 1, f7),
             GenericMatrix.unit(2, 1, 2, f7),
             GenericMatrix.unit(2, 2, 1, f7),
         ]
-        assert not standard_identity(3, units).is_zero
+        assert not standard_identity(units).is_zero
         _run_bergman_corpus(f7)
         _run_stability(f7)
         with pytest.raises(CharacteristicTooSmall):

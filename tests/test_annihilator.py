@@ -112,14 +112,14 @@ class TestStability:
     def test_quadratic_shift_family(self):
         f = parse_free("x1", 2, QQ)
         g = parse_free("x1^2 + 1", 2, QQ)
-        rep = annihilator_stability(f, g, {1, 2, 3}, 3)
+        rep = annihilator_stability(f, g, 3, 3)
         assert rep.all_found and rep.identical
         poly = next(r.poly for r in rep.results if r.found)
         assert poly == bp({(2, 0): 1, (0, 1): -1, (0, 0): 1})  # u^2 - v + 1
 
     def test_equal_elements(self):
         f = parse_free("x1", 2, QQ)
-        rep = annihilator_stability(f, f, {1, 2}, 2)
+        rep = annihilator_stability(f, f, 2, 2)
         assert rep.identical
         assert next(r.poly for r in rep.results if r.found) == bp({(1, 0): 1, (0, 1): -1})
 
@@ -127,20 +127,20 @@ class TestStability:
         f = parse_free("x1", 2, QQ)
         g = parse_free("x2", 2, QQ)
         with pytest.raises(NotCommuting):
-            annihilator_stability(f, g, {1, 2}, 2)
+            annihilator_stability(f, g, 2, 2)
 
     def test_over_prime_field(self):
         f7 = GF(7)
         f = parse_free("x1", 2, f7)
         g = parse_free("x1^3", 2, f7)
-        rep = annihilator_stability(f, g, {1, 2}, 3)
+        rep = annihilator_stability(f, g, 2, 3)
         assert rep.all_found and rep.identical
         assert next(r.poly for r in rep.results if r.found) == bp({(3, 0): 1, (0, 1): -1}, f7)
 
     def test_found_results_reverify(self):
         f = parse_free("x1^2 + x1", 2, QQ)
         g = parse_free("x1", 2, QQ)
-        rep = annihilator_stability(f, g, {1, 2, 3}, 3)
+        rep = annihilator_stability(f, g, 3, 3)
         for n, res in zip(rep.sizes, rep.results):
             assert res.verify(pi_reduce(f, n), pi_reduce(g, n))
 

@@ -381,7 +381,10 @@ class TestExitStatuses:
             (["poisson", "--a", "x1", "--b", "x2", "--s", "100000000"], "poisson --s 100000000:"),
             (["pi", "--f", "x1", "--n", "3000"], "pi --s 2 --n 3000:"),
             (["pi", "--f", "x1", "--n", "151"], "pi --s 2 --n 151:"),
-            (["probe", "--n", "3000", "--dmax", "1", "--order", "1"], "probe --s 2 --n 3000:"),
+            (["probe", "--n", "3000", "--dmax", "1", "--order", "1"], "probe --n 3000:"),
+            # the diagonal pair reads no --s: its two matrices are counted at any --s
+            (["probe", "--n", "212", "--s", "1"], "probe --n 212: 2 generic 212x212 matrices"),
+            (["probe", "--n", "151"], "probe --n 151: 2 generic 151x151 matrices"),
             (["diag", "--n", "500", "--order", "1"], f"diag --n is at most {MAX_DIAG_N},"),
             (["diag", "--n", "2", "--order", "100000"],
              f"diag --order is at most {MAX_DIAG_ORDER_AT_N[0]},"),
@@ -396,7 +399,8 @@ class TestExitStatuses:
             (["diag", "--n", "8", "--order", "8"], "diag --n 8 --order 8:"),
             (["diag", "--n", "60", "--order", "100"], "diag --n 60 --order 100:"),
         ],
-        ids=["pi-s", "star-s", "poisson-s", "pi-n", "pi-n151", "probe-n", "diag-n", "diag-order",
+        ids=["pi-s", "star-s", "poisson-s", "pi-n", "pi-n151", "probe-n", "probe-n212-s1",
+             "probe-n151", "diag-n", "diag-order",
              "annihilator-nmax", "pipeline-nmax", "star-order", "probe-order", "diag-n8-order8",
              "diag-n60-order100"],
     )
@@ -404,6 +408,12 @@ class TestExitStatuses:
         # unbounded, each of these ran for minutes or more before printing anything
         assert MAX_MATRIX_ENTRIES == 2 * 150**2  # pi --f x1 --n 150 still runs
         assert_refused_up_front(argv, 2.0, f"error [invalid-size]: {message}", startup_s)
+
+    def test_the_diagonal_probe_runs_at_any_s(self, capsys):
+        # its two matrices are counted, not --s of them: 2 * 150^2 is at the bound
+        code, out, err = run(["probe", "--n", "150", "--s", "3", "--json"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["bounds"] == {"n": 150, "dmax": 3, "order": 2}
 
     def test_the_largest_probe_order_finishes_within_the_limit(self, startup_s):
         # the lifts' n nonzero entries sit at h^0 and every Moyal term past h^1 of the
@@ -624,9 +634,14 @@ class TestExitStatuses:
     @pytest.mark.parametrize("variables, missing", [(["x1", "y1"], "x2"),
                                                     (["x1", "x2", "y2"], "y1")])
     def test_probe_of_a_tensor_without_a_variable_of_the_diagonal_pair(self, variables, missing,
-                                                                       tmp_path, capsys):
+                                                                       tmp_path, capsys,
+                                                                       monkeypatch):
         # the canonical lifts take any matrix; their first star product checks the
-        # entries of f, then of g, row by row
+        # entries of f, then of g, row by row, before the annihilator search
+        def searched(*_):
+            raise AssertionError("the annihilator search ran before the tensor check")
+
+        monkeypatch.setattr(genmat, "find_annihilator", searched)
         path = tmp_path / "tensor.json"
         path.write_text(json.dumps({"variables": variables, "entries": [[0, 1, "1"]]}))
         code, out, err = run(["probe", "--n", "2", "--poisson", str(path)], capsys)
@@ -641,6 +656,26 @@ class TestExitStatuses:
         assert code == 0
         lines = [l for l in out.strip().splitlines() if l and not l.startswith("seed")]
         assert lines[-1].startswith("verdict:")
+
+
+# a command line of every command, and the bounds its envelope records
+ENVELOPE_BOUNDS = [
+    (["eval", "--f", "x1"], {"s": 2}),
+    (["commute", "--f", "x1", "--g", "x1^3", "--s", "3"], {"s": 3}),
+    (["pi", "--f", "x1", "--n", "3"], {"s": 2, "n": 3}),
+    (["al", "--n", "1"], {"n": 1}),
+    (["annihilator", "--f", "x1", "--g", "x1^2", "--nmax", "1", "--dmax", "2"],
+     {"s": 2, "nmax": 1, "dmax": 2}),
+    (["star", "--a", "x1", "--b", "x2", "--order", "1"], {"s": 2, "order": 1}),
+    (["poisson", "--a", "x1", "--b", "x2", "--s", "4"], {"s": 4}),
+    (["diag", "--n", "2", "--order", "1"], {"n": 2, "order": 1}),
+    (["centralizer", "--f", "x1^2", "--d", "3"], {"s": 2, "d": 3}),
+    (["bergman-pipeline", "--f", "x1", "--g", "x1^2", "--nmax", "1", "--dmax", "2", "--order", "1"],
+     {"s": 2, "nmax": 1, "dmax": 2, "order": 1}),
+    (["probe", "--n", "2", "--dmax", "2", "--s", "5"], {"n": 2, "dmax": 2, "order": 2}),
+    (["probe", "--n", "2", "--s", "3", "--f", "x3", "--g", "x3^2"],
+     {"n": 2, "s": 3, "dmax": 3, "order": 2}),
+]
 
 
 class TestJson:
@@ -672,6 +707,21 @@ class TestJson:
         assert doc["engine"]["name"] == "nclab"
         assert doc["seed"] == 1729
         assert "report" in doc
+
+    @pytest.mark.parametrize("argv, bounds", ENVELOPE_BOUNDS,
+                             ids=[" ".join(argv) for argv, _ in ENVELOPE_BOUNDS])
+    def test_the_envelope_records_the_int_flags_the_command_reads(self, argv, bounds, capsys):
+        code, out, _ = run(argv + ["--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["bounds"] == bounds
+
+    def test_the_envelope_bounds_are_the_int_flags_of_every_command(self):
+        for command, (_, flags, _) in COMMANDS.items():
+            ints = {name for name, kind, *_ in flags if kind is int}
+            recorded = [set(b) for a, b in ENVELOPE_BOUNDS if a[0] == command]
+            assert recorded, command
+            # only the probe's diagonal pair, which has no generators, leaves out --s
+            assert all(b == ints or (command, ints - b) == ("probe", {"s"}) for b in recorded)
 
     def test_out_writes_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"

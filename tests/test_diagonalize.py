@@ -173,7 +173,7 @@ class TestDiagCommand:
         a = series([diag_matrix([lam(1), lam(2), lam(3)]),
                     GenericMatrix([[ZERO if i == j else rf_const(i + 2 * j) for j in range(3)]
                                    for i in range(3)])], order=3)
-        rep = successive_diagonalize(a, 3)
+        rep = successive_diagonalize(a)
         assert rep.verify(a) is True
         lams = {Variable.aux("lam", i) for i in range(1, 4)}
         for c in rep.conjugator.coeffs + rep.diagonal.coeffs:
@@ -186,7 +186,7 @@ class TestDiagCommand:
 class TestSuccessiveDiagonalize:
     def test_first_order_2x2(self):
         a = series([diag_matrix([lam(1), lam(2)]), mat((ZERO, ONE), (ONE, ZERO))])
-        rep = successive_diagonalize(a, 1)
+        rep = successive_diagonalize(a)
         assert rep.diagonal.coefficient(0) == diag_matrix([lam(1), lam(2)])
         assert rep.diagonal.coefficient(1).is_zero
         # conjugate has zero off-diagonal through h^1 (checked again here)
@@ -199,7 +199,7 @@ class TestSuccessiveDiagonalize:
         a = series(
             [diag_matrix([lam(1), lam(2)]), diag_matrix([rf_const(3), rf_const(-2)])]
         )
-        rep = successive_diagonalize(a, 1)
+        rep = successive_diagonalize(a)
         e = series_identity(2, a.order, QQ)
         assert rep.conjugator == e
         assert rep.diagonal == a
@@ -212,7 +212,7 @@ class TestSuccessiveDiagonalize:
                 diag_matrix([rf_const(-1), rf_const(0), rf_const(5)]),
             ]
         )
-        rep = successive_diagonalize(a, 2)
+        rep = successive_diagonalize(a)
         assert rep.conjugator == series_identity(3, a.order, QQ)
         assert rep.diagonal == a
 
@@ -224,7 +224,7 @@ class TestSuccessiveDiagonalize:
             for i in range(n)
         ])
         a = series([diag_matrix([lam(1), lam(2), lam(3)]), m], order=2)
-        rep = successive_diagonalize(a, 2)
+        rep = successive_diagonalize(a)
         conj = rep.conjugator * a * inverse_unitriangular(rep.conjugator)
         assert all(c.is_diagonal() for c in conj.coeffs[:3])
         assert rep.eigenvalues == [lam(1), lam(2), lam(3)]
@@ -232,17 +232,17 @@ class TestSuccessiveDiagonalize:
     def test_rejects_nondiagonal_leading_term(self):
         a = series([mat((lam(1), ONE), (ZERO, lam(2)))])
         with pytest.raises(NotDiagonalLeadingTerm):
-            successive_diagonalize(a, 0)
+            successive_diagonalize(a)
 
     def test_rejects_repeated_leading_entries(self):
         a = series([diag_matrix([lam(1), lam(1)]), mat((ZERO, ONE), (ONE, ZERO))])
         with pytest.raises(RepeatedEigenvalue):
-            successive_diagonalize(a, 1)
+            successive_diagonalize(a)
 
     def test_determinism(self):
         a = series([diag_matrix([lam(1), lam(2)]), mat((ZERO, ONE), (rf_const(2), ZERO))])
-        r1 = successive_diagonalize(a, 1)
-        r2 = successive_diagonalize(a, 1)
+        r1 = successive_diagonalize(a)
+        r2 = successive_diagonalize(a)
         assert r1.conjugator == r2.conjugator
         assert r1.diagonal == r2.diagonal
         assert r1.eigenvalues == r2.eigenvalues
@@ -274,18 +274,18 @@ class TestAgainstWholeSeriesConjugation:
         # n = 4 stops at order 3: its order-4 oracle alone takes about 1 s
         for n, order in [(n, r) for n in (2, 3, 4) for r in range(1, 5) if (n, r) != (4, 4)]:
             a = perturbed(n, order, field, seed)
-            rep = successive_diagonalize(a, order)
+            rep = successive_diagonalize(a)
             assert rep.verify(a) is True
-            assert (rep.conjugator, rep.diagonal) == diagonalize_by_conjugation(a, order), (n, order)
+            assert (rep.conjugator, rep.diagonal) == diagonalize_by_conjugation(a), (n, order)
 
     @pytest.mark.parametrize("field", [QQ, Field(7)], ids=["q", "fp7"])
-    def test_dense_perturbations_beyond_the_target(self, field):
-        # every order perturbed, diagonal included, and D read past the target
-        for n, order, target in [(2, 4, 4), (2, 4, 2), (3, 3, 3), (3, 3, 1), (3, 2, 0)]:
+    def test_dense_perturbations(self, field):
+        # every order perturbed, diagonal included
+        for n, order in [(2, 4), (3, 3)]:
             a = perturbed(n, order, field, 11, dense=True)
-            rep = successive_diagonalize(a, target)
+            rep = successive_diagonalize(a)
             assert rep.verify(a) is True
-            assert (rep.conjugator, rep.diagonal) == diagonalize_by_conjugation(a, target)
+            assert (rep.conjugator, rep.diagonal) == diagonalize_by_conjugation(a)
 
     def test_no_series_inverse_and_two_series_products(self, capsys):
         products = 0

@@ -294,11 +294,11 @@ class TestNonzeroPairs:
 class TestStandardIdentity:
     def test_s2_is_the_commutator(self):
         x1, x2 = make_generic(2, 2, QQ)
-        assert standard_identity(2, [x1, x2]) == x1 * x2 - x2 * x1
+        assert standard_identity([x1, x2]) == x1 * x2 - x2 * x1
 
     def test_s4_vanishes_on_2x2_generic(self):
         mats = make_generic(4, 2, QQ)
-        assert standard_identity(4, mats).is_zero
+        assert standard_identity(mats).is_zero
 
     def test_s3_on_units_is_nonzero(self):
         units = [
@@ -306,7 +306,7 @@ class TestStandardIdentity:
             GenericMatrix.unit(2, 1, 2, QQ),
             GenericMatrix.unit(2, 2, 1, QQ),
         ]
-        result = standard_identity(3, units)
+        result = standard_identity(units)
         assert not result.is_zero
         rows = [[list(r) for r in m.rows] for m in units]
         oracle = signed_permutation_sum(rows)
@@ -318,7 +318,7 @@ class TestStandardIdentity:
     @pytest.mark.parametrize("k, n", [(k, 2) for k in range(1, 6)] + [(k, 3) for k in range(1, 5)])
     def test_matches_the_permutation_sum(self, k, n, field):
         mats = make_generic(k, n, field)
-        result = standard_identity(k, mats)
+        result = standard_identity(mats)
         oracle = signed_permutation_sum([[list(r) for r in m.rows] for m in mats])
         for i in range(n):
             for j in range(n):
@@ -328,14 +328,10 @@ class TestStandardIdentity:
         for k in (2, 3, 4):
             mats = make_generic(k - 1, 2, QQ)
             args = list(mats) + [mats[0]]
-            assert standard_identity(k, args).is_zero
+            assert standard_identity(args).is_zero
 
     def test_multilinear_spot_check(self):
         x1, x2, x3, x4 = make_generic(4, 2, QQ)
-        lhs = standard_identity(3, [x1 + x2, x3, x4])
-        rhs = standard_identity(3, [x1, x3, x4]) + standard_identity(3, [x2, x3, x4])
+        lhs = standard_identity([x1 + x2, x3, x4])
+        rhs = standard_identity([x1, x3, x4]) + standard_identity([x2, x3, x4])
         assert lhs == rhs
-
-    def test_arity_checked(self):
-        with pytest.raises(ShapeMismatch):
-            standard_identity(3, make_generic(2, 2, QQ))

@@ -138,8 +138,8 @@ def test_swapping_the_pair_swaps_the_annihilator(h_terms, p, q, field):
     h = FreePoly(2, field, h_terms)
     f, g = _univariate(h, p), _univariate(h, q)
     dmax = max(len(p), len(q)) - 1  # the curve (p(t), q(t)) has at most this degree
-    ours = genmat.annihilator_stability(f, g, [1, 2], dmax)
-    theirs = genmat.annihilator_stability(g, f, [1, 2], dmax)
+    ours = genmat.annihilator_stability(f, g, 2, dmax)
+    theirs = genmat.annihilator_stability(g, f, 2, dmax)
     assert ours.all_found and theirs.all_found
     for a, b in zip(ours.results, theirs.results):
         swapped = genmat.BivariatePoly(field, {(v, u): c for (u, v), c in a.poly.terms.items()})
@@ -154,8 +154,8 @@ def test_an_affine_change_of_f_substitutes_into_the_annihilator(h_terms, p, q, a
     f, g = _univariate(h, p), _univariate(h, q)
     moved = f.scale(a) + FreePoly.constant(field.scalar(b), 2)
     dmax = max(len(p), len(q)) - 1
-    ours = genmat.annihilator_stability(f, g, [1, 2], dmax)
-    theirs = genmat.annihilator_stability(moved, g, [1, 2], dmax)
+    ours = genmat.annihilator_stability(f, g, 2, dmax)
+    theirs = genmat.annihilator_stability(moved, g, 2, dmax)
     assert ours.all_found and theirs.all_found
     for mine, other in zip(ours.results, theirs.results):
         assert _leading_one(_substituted(mine.poly, a, b)) == _leading_one(other.poly)
@@ -274,7 +274,7 @@ def _diagonalized(lam, m, field, order):
         ratfun.from_poly(CommPoly.variable(Variable.aux("lam", k), field)) for k in lam)
     a1 = GenericMatrix([[one.scale(c) for c in row] for row in m])
     zero = GenericMatrix.zeros(len(lam), field, ratfun)
-    return successive_diagonalize(SeriesFieldMatrix(order, [a0, a1] + [zero] * (order - 1)), order)
+    return successive_diagonalize(SeriesFieldMatrix(order, [a0, a1] + [zero] * (order - 1)))
 
 
 def _conjugated(m, perm):

@@ -56,7 +56,7 @@ def test_bergman_report_round_trip():
 def test_stability_round_trip_and_witness_reverification():
     f = parse_free("x1", 2, QQ)
     g = parse_free("x1^2 + 1", 2, QQ)
-    rep = annihilator_stability(f, g, {1, 2}, 3)
+    rep = annihilator_stability(f, g, 2, 3)
     decoded = round_trip(rep)
     # the decoded annihilators re-verify against freshly computed images
     for res in decoded.results:
@@ -93,7 +93,7 @@ def test_diagonal_report_round_trip():
     a0 = GenericMatrix.diagonal(lam)
     a1 = GenericMatrix([[zero, one], [one, zero]])
     a = SeriesFieldMatrix(1, [a0, a1])
-    rep = successive_diagonalize(a, 1)
+    rep = successive_diagonalize(a)
     round_trip(rep)
 
 
