@@ -88,7 +88,9 @@ def centralizer_basis(f: freealg.FreePoly, d: int) -> CentralizerBasis:
 class BergmanReport(Record):
     """Outcome of the single-generator test on a degree-bounded centralizer."""
 
-    __slots__ = ("f", "d", "passed", "generator", "dims", "witness")
+    __slots__ = ("f", "d", "generator", "dims", "witness")
+
+    passed = property(lambda self: self.witness is None)
 
 
 def bergman_check(f: freealg.FreePoly, d: int) -> BergmanReport:
@@ -103,7 +105,7 @@ def bergman_check(f: freealg.FreePoly, d: int) -> BergmanReport:
     nonconstant = [e for e in cb.basis if e.degree() >= 1]
     if not nonconstant:
         # only scalars commute up to this bound: trivially k[h] for any h
-        return BergmanReport(f, d, True, None, dims, None)
+        return BergmanReport(f, d, None, dims, None)
     min_deg = min(e.degree() for e in nonconstant)
     e = next(e for e in nonconstant if e.degree() == min_deg)
     h = e - freealg.FreePoly.constant(e.constant_value(), f.s)
@@ -113,7 +115,7 @@ def bergman_check(f: freealg.FreePoly, d: int) -> BergmanReport:
     coeffs = linalg.solve_membership((p.terms for p in powers),
                                      (e.terms for e in cb.basis), f.field)
     witness = next((e for e, c in zip(cb.basis, coeffs) if c is None), None)
-    return BergmanReport(f, d, witness is None, h, dims, witness)
+    return BergmanReport(f, d, h, dims, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +138,10 @@ class SizeOutcome(Record):
     Vandermonde matrix: tau = 0 exactly when every {l_i, m_i} is.
     """
 
-    __slots__ = ("n", "annihilator", "star_c0_zero", "star_c1_zero", "star_linear_part", "tau")
+    __slots__ = ("annihilator", "star_c0_zero", "star_linear_part", "tau")
+
+    n = property(lambda self: self.annihilator.n)
+    star_c1_zero = property(lambda self: self.star_linear_part.is_zero)
 
     @property
     def tau_zero(self) -> bool:
@@ -150,16 +155,9 @@ class PipelineReport(Record):
     0; a probe pair given as matrices has no free commutator and commutes.
     """
 
-    __slots__ = (
-        "f_text",
-        "g_text",
-        "commute",
-        "free_commutator",
-        "outcomes",
-        "stability",
-        "trdeg_verdict",
-        "conclusion",
-    )
+    __slots__ = ("f_text", "g_text", "free_commutator", "outcomes", "stability", "conclusion")
+
+    commute = property(lambda self: self.free_commutator is None or self.free_commutator.is_zero)
 
     @property
     def failure(self):
@@ -191,40 +189,39 @@ def _star_traces(c1: genmat.GenericMatrix, f: genmat.GenericMatrix) -> list:
 def _size_outcome(fhat, ghat, dmax: int):
     """The outcome of two lifts whose h^0 coefficients commute, and the least r at
     which their star commutator is nonzero (None if it is 0 through the order)."""
-    comm = fhat * ghat - ghat * fhat  # checks the tensor variables before the search
+    # the tensor variables, then h^0 commutation, before the star commutator walks every order
+    fhat.ctx.tensor.check_variables([e for c in fhat.coeffs + ghat.coeffs
+                                     for e in c.entries.values()])
     f, g = fhat.coefficient(0), ghat.coefficient(0)
     # not waste: this tests f g = g f with GenericMatrix products, and c0 is matrix_star's
     # own, so a nonzero c0 here is an engine fault (exit 2), not non-commuting input (exit 1)
     ann = genmat.find_annihilator(f, g, dmax)
+    comm = fhat * ghat - ghat * fhat
     c0, c1 = comm.coefficient(0), comm.coefficient(1)
     least = next((r for r, c in enumerate(comm.coeffs) if not c.is_zero), None)
-    return SizeOutcome(f.n, ann, c0.is_zero, c1.is_zero, c1, _star_traces(c1, f)), least
+    return SizeOutcome(ann, c0.is_zero, c1, _star_traces(c1, f)), least
 
 
-def _verdicts(outcomes, stability, free_commutator, leasts):
-    """The trdeg verdict and the conclusion of commuting images' outcomes.
+def _conclusion(outcomes, stability, free_commutator, leasts):
+    """The conclusion of commuting images' outcomes.
 
     ``leasts`` holds, per outcome, the least order at which its lifts' star
     commutator is nonzero, or None.  The contradiction scenario is not a failure.
     """
-    if all(o.annihilator.found for o in outcomes):
-        trdeg = "1"
-    else:
-        trdeg = f">=2 up to degree {outcomes[0].annihilator.searched_bound}"
     free = free_commutator is not None and free_commutator.is_zero
     nonzero = [r for r in leasts if r is not None]
     tau_zero = all(o.tau_zero for o in outcomes)
     if not all(o.star_c0_zero for o in outcomes):
         # commuting lifts commute at h^0, so this is a fault, not a trdeg-2 sign
-        return trdeg, "FAIL: the star commutator of commuting inputs is nonzero at h^0"
+        return "FAIL: the star commutator of commuting inputs is nonzero at h^0"
     if free and nonzero:
         # matrix_star is associative, so the lift at the star-generic matrices is a
         # homomorphism, and it carries [f, g] = 0 to [f^, g^]_* = 0 at every order
-        return trdeg, ("FAIL: the star commutator of the quantized images of commuting "
-                       f"free inputs is nonzero at h^{min(nonzero)}")
+        return ("FAIL: the star commutator of the quantized images of commuting "
+                f"free inputs is nonzero at h^{min(nonzero)}")
     if stability is not None and stability.unstable:
-        return trdeg, "FAIL: annihilators found at every size are not identical"
-    if trdeg == "1":
+        return "FAIL: annihilators found at every size are not identical"
+    if all(o.annihilator.found for o in outcomes):
         conclusion = "annihilator found at every size: consistent with transcendence degree 1"
         if not tau_zero:
             conclusion += "; warning: the first-order star trace tau is nonzero"
@@ -237,7 +234,7 @@ def _verdicts(outcomes, stability, free_commutator, leasts):
         conclusion = "no annihilator up to the bound but the first-order star trace tau vanishes"
     if free:
         conclusion += "; the quantized images commute through the truncation order"
-    return trdeg, conclusion
+    return conclusion
 
 
 def bergman_pipeline(
@@ -247,7 +244,7 @@ def bergman_pipeline(
     c = freealg.commutator(f, g)
     f_text, g_text = freealg.pretty(f), freealg.pretty(g)
     if not c.is_zero:
-        return PipelineReport(f_text, g_text, False, c, [], None, "not applicable",
+        return PipelineReport(f_text, g_text, c, [], None,
                               "inputs do not commute in the free algebra")
     outcomes, leasts = [], []
     for n in range(1, nmax + 1):
@@ -256,10 +253,9 @@ def bergman_pipeline(
                                        dmax)
         outcomes.append(outcome)
         leasts.append(least)
-    stability = genmat.StabilityReport.of(f, g, dmax, [o.annihilator for o in outcomes])
-    return PipelineReport(
-        f_text, g_text, True, c, outcomes, stability, *_verdicts(outcomes, stability, c, leasts)
-    )
+    stability = genmat.StabilityReport(f_text, g_text, [o.annihilator for o in outcomes])
+    return PipelineReport(f_text, g_text, c, outcomes, stability,
+                          _conclusion(outcomes, stability, c, leasts))
 
 
 def commuting_matrix_probe(f, g, dmax: int,
@@ -277,10 +273,8 @@ def commuting_matrix_probe(f, g, dmax: int,
         outcome, least = _size_outcome(f, g, dmax)
     except NotCommuting:
         raise NotCommuting("probe inputs must commute") from None
-    commute = free_commutator is None or free_commutator.is_zero
-    return PipelineReport(str(f.coefficient(0)), str(g.coefficient(0)), commute,
-                          free_commutator, [outcome], None,
-                          *_verdicts([outcome], None, free_commutator, [least]))
+    return PipelineReport(str(f.coefficient(0)), str(g.coefficient(0)), free_commutator,
+                          [outcome], None, _conclusion([outcome], None, free_commutator, [least]))
 
 
 def diagonal_generic_pair(n: int, field: Field):

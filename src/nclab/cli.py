@@ -194,11 +194,9 @@ def _tensor(args, field: Field, s: int, n: int) -> quantize.PoissonTensor:
 
 
 def _cmd_eval(args, field):
-    f = freealg.parse_free(args.f, args.s, field)
-    deg = f.degree()
-    deg_text = "-inf" if f.is_zero else str(deg)
-    rep = EvalReport(f, deg_text, len(f.terms))
-    lines = [f"canonical: {freealg.pretty(f)}", f"degree: {deg_text}", f"terms: {len(f.terms)}"]
+    rep = EvalReport(freealg.parse_free(args.f, args.s, field))
+    lines = [f"canonical: {freealg.pretty(rep.poly)}", f"degree: {rep.degree_text}",
+             f"terms: {rep.term_count}"]
     return rep, 0, lines
 
 
@@ -206,15 +204,15 @@ def _cmd_commute(args, field):
     f = freealg.parse_free(args.f, args.s, field)
     g = freealg.parse_free(args.g, args.s, field)
     c = freealg.commutator(f, g)
-    rep = CommuteReport(f, g, c, c.is_zero)
-    verdict = "PASS: [f,g] = 0" if c.is_zero else f"FAIL: [f,g] = {freealg.pretty(c)}"
-    return rep, 0 if c.is_zero else 2, [verdict]
+    rep = CommuteReport(f, g, c)
+    verdict = "PASS: [f,g] = 0" if rep.commute else f"FAIL: [f,g] = {freealg.pretty(c)}"
+    return rep, 0 if rep.commute else 2, [verdict]
 
 
 def _cmd_pi(args, field):
     f = freealg.parse_free(args.f, args.s, field)
     image = genmat.pi_reduce(f, args.n)
-    rep = PiReport(f, args.n, image)
+    rep = PiReport(f, image)
     return rep, 0, [f"pi_{args.n}(f) = {image}"]
 
 
@@ -227,7 +225,7 @@ def _cmd_al(args, field):
     cells = [(k // 2 + 1, (k + 1) // 2 + 1) for k in range(arity - 1)]
     staircase = [genmat.GenericMatrix.unit(n, i, j, field) for i, j in cells]
     sharp_nonzero = not genmat.standard_identity(staircase).is_zero
-    rep = ALReport(n, arity, vanishes, True, sharp_nonzero)
+    rep = ALReport(n, vanishes, sharp_nonzero)
     units = ", ".join(f"E{i}{j}" for i, j in cells)
     lines = [f"S_{arity} vanishes on {n}x{n} generic matrices: {'PASS' if vanishes else 'FAIL'}",
              f"S_{arity - 1} on ({units}) is nonzero: {'PASS' if sharp_nonzero else 'FAIL'}"]

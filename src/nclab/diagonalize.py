@@ -69,7 +69,9 @@ class SeriesFieldMatrix(FormalSeries):
 class DiagonalReport(Record):
     """Conjugator, diagonal form and eigenvalue data of one diagonalization."""
 
-    __slots__ = ("conjugator", "diagonal", "achieved_order", "eigenvalues")
+    __slots__ = ("conjugator", "diagonal")
+
+    achieved_order = property(lambda self: self.conjugator.order)
 
     def verify(self, a: SeriesFieldMatrix) -> bool:
         """u A = D u on the input A, through its order, recomputed from scratch.
@@ -108,5 +110,4 @@ def successive_diagonalize(a: SeriesFieldMatrix) -> DiagonalReport:
             u = u[:r] + [uk + t * u[k] for k, uk in enumerate(u[r:])]
             acc = d
         c.append(acc)
-    return DiagonalReport(SeriesFieldMatrix(a.order, u), SeriesFieldMatrix(a.order, c), a.order,
-                          lam)
+    return DiagonalReport(SeriesFieldMatrix(a.order, u), SeriesFieldMatrix(a.order, c))

@@ -354,7 +354,10 @@ class BivariatePoly(SparseSum):
 class AnnihilatorResult(Record):
     """Outcome of the minimal-annihilator search for one commuting pair."""
 
-    __slots__ = ("found", "poly", "total_degree", "n", "searched_bound")
+    __slots__ = ("poly", "n", "searched_bound")
+
+    found = property(lambda self: self.poly is not None)
+    total_degree = property(lambda self: self.poly.total_degree() if self.found else None)
 
     def verify(self, f: GenericMatrix, g: GenericMatrix) -> bool:
         """Whether P(f, g) = 0, with P read as the free sum of c * x1^a * x2^b (f, g commute)."""
@@ -414,30 +417,25 @@ def find_annihilator(f: GenericMatrix, g: GenericMatrix, dmax: int) -> Annihilat
             # of the whole kernel, the last one led by the largest monomial
             linalg.check_reduced(kernel)
             poly = BivariatePoly(field, {monomials[k]: v for k, v in kernel[-1].items()})
-            result = AnnihilatorResult(True, poly, poly.total_degree(), f.n, dmax)
+            result = AnnihilatorResult(poly, f.n, dmax)
             if not result.verify(f, g):
                 raise ArithmeticError("annihilator failed re-evaluation")
             return result
         prev = cur
-    return AnnihilatorResult(False, None, None, f.n, dmax)
+    return AnnihilatorResult(None, f.n, dmax)
 
 
 class StabilityReport(Record):
     """Annihilators of one commuting free pair across several matrix sizes.
 
-    ``results`` holds one AnnihilatorResult per size.
+    ``results`` holds one AnnihilatorResult per size 1, 2, ...
     """
 
-    __slots__ = ("f_text", "g_text", "sizes", "dmax", "results", "all_found", "identical")
+    __slots__ = ("f_text", "g_text", "results")
 
-    @staticmethod
-    def of(f: freealg.FreePoly, g: freealg.FreePoly, dmax: int, results) -> StabilityReport:
-        """The report of the annihilator results already found, one at each size 1, 2, ..."""
-        found = [r for r in results if r.found]
-        all_found = len(found) == len(results)
-        identical = all_found and all(r.poly == found[0].poly for r in found)
-        return StabilityReport(freealg.pretty(f), freealg.pretty(g), [r.n for r in results], dmax,
-                               list(results), all_found, identical)
+    all_found = property(lambda self: all(r.found for r in self.results))
+    identical = property(lambda self: self.all_found
+                         and all(r.poly == self.results[0].poly for r in self.results))
 
     @property
     def unstable(self) -> bool:
@@ -453,4 +451,4 @@ def annihilator_stability(
         raise NotCommuting("inputs do not commute in the free algebra")
     results = [find_annihilator(pi_reduce(f, n), pi_reduce(g, n), dmax)
                for n in range(1, nmax + 1)]
-    return StabilityReport.of(f, g, dmax, results)
+    return StabilityReport(freealg.pretty(f), freealg.pretty(g), results)

@@ -272,7 +272,9 @@ def star_mul(a: FormalSeries, b: FormalSeries, ctx: StarContext) -> FormalSeries
 class CorrespondenceReport(Record):
     """Comparison of the h-coefficient of a star commutator with the bracket."""
 
-    __slots__ = ("holds", "star_linear_part", "bracket")
+    __slots__ = ("star_linear_part", "bracket")
+
+    holds = property(lambda self: self.star_linear_part == self.bracket)
 
 
 def verify_correspondence(
@@ -287,8 +289,7 @@ def verify_correspondence(
     if ctx.order < 1:
         raise ValueError("correspondence check needs truncation order >= 1")
     bracket = poisson_bracket(a, b, ctx.tensor)
-    linear = comm.coefficient(1)
-    return CorrespondenceReport(linear == bracket, linear, bracket)
+    return CorrespondenceReport(comm.coefficient(1), bracket)
 
 
 class StarSeries(FormalSeries):

@@ -8,8 +8,11 @@ hierarchy, are all equal, and the hash is that of the slot values.
 A record's fields are the public names in its ``__slots__`` (a slot whose
 name starts with ``_`` is private storage, not a field).  Records are built
 once, positionally or by keyword, with every field given, and cannot be
-changed afterwards.  Nothing is compiled when a record class is created, so
-importing a module of records costs no more than importing its functions.
+changed afterwards.  A fact that the fields determine is derived, not
+stored: a property, or a key that the report codec computes, and decoding
+refuses a document whose derived key disagrees with its fields.  Nothing
+is compiled when a record class is created, so importing a module of
+records costs no more than importing its functions.
 """
 
 from operator import attrgetter

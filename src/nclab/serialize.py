@@ -6,7 +6,7 @@ names its class as ``"module.Class"`` (resolved when a value is decoded, so
 that a command loads only the modules of the values it emits).  A value
 type's row names its body encoder and its decoder; a report record's row
 names only the JSON keys that differ from its field names and the keys that
-are not fields, and the record is coded from its fields.  Lists and
+its fields determine, and the record is coded from its fields.  Lists and
 tuples encode as JSON lists.  ``decode`` inverts ``encode`` given the ground
 field, and every report type round-trips to an equal value.  Rendering a
 report always uses ``dumps`` so that identical inputs give byte-identical
@@ -16,6 +16,7 @@ JSON documents.
 from __future__ import annotations
 
 import sys
+from operator import attrgetter
 from _json import encode_basestring_ascii as _quote  # json.encoder's, without loading json
 
 from . import __version__, diagonalize, freealg, genmat, rings
@@ -30,19 +31,24 @@ from .records import Record
 
 
 class EvalReport(Record):
-    __slots__ = ("poly", "degree_text", "term_count")
+    __slots__ = ("poly",)
+
+    degree_text = property(lambda self: "-inf" if self.poly.is_zero else str(self.poly.degree()))
+    term_count = property(lambda self: len(self.poly.terms))
 
 
 class CommuteReport(Record):
-    __slots__ = ("f", "g", "commutator_value", "commute")
+    __slots__ = ("f", "g", "commutator_value")
+
+    commute = property(lambda self: self.commutator_value.is_zero)
 
 
 class PiReport(Record):
-    __slots__ = ("f", "n", "image")
+    __slots__ = ("f", "image")
 
 
 class ALReport(Record):
-    __slots__ = ("n", "arity", "standard_vanishes", "sharpness_checked", "sharpness_nonzero")
+    __slots__ = ("n", "standard_vanishes", "sharpness_nonzero")
 
 
 class StarReport(Record):
@@ -89,32 +95,46 @@ def _class(path):
     return getattr(sys.modules[f"{__package__}.{module}"], name)
 
 
-def _record(tag, path, renamed=None, extra=None):
-    """Table row of a record class, coded from its fields.
+def _record(tag, path, renamed=None, derived=(), **computed):
+    """Table row of a record class, coded from its fields and its derived keys.
 
-    ``renamed`` maps a field to the JSON key it is stored under; ``extra``
-    maps each key that is not a field to its value as a function of the record.
+    ``renamed`` maps a field or property to the JSON key it is stored under.  A
+    derived key is a function of the fields: a property named in ``derived``, or a
+    ``computed`` key given as a function of the record.  Decoding builds the record
+    from its fields and refuses a derived key that differs from what they give.
     """
     renamed = renamed or {}
-    extra = extra or {}
+    values = {renamed.get(name, name): attrgetter(name) for name in derived} | computed
 
     def body(r):
         out = {renamed.get(name, name): encode(getattr(r, name)) for name in r._fields}
-        out.update((key, encode(value(r))) for key, value in extra.items())
+        out.update((key, encode(value(r))) for key, value in values.items())
         return out
 
     def from_body(obj, field):
         cls = _class(path)
-        return cls(**{name: decode(obj[renamed.get(name, name)], field) for name in cls._fields})
+        r = cls(**{name: decode(obj[renamed.get(name, name)], field) for name in cls._fields})
+        for key, value in values.items():
+            if decode(obj[key], field) != value(r):
+                raise BadReport(f"{tag}: {key} disagrees with the fields it is derived from")
+        return r
 
     return tag, path, body, from_body
 
 
 _TEXTS = {"f_text": "f", "g_text": "g"}
 
+
+def _trdeg_verdict(r) -> str:
+    """The transcendence-degree verdict of a pipeline or probe report."""
+    anns = [o.annihilator for o in r.outcomes]
+    if not anns:  # the inputs do not commute
+        return "not applicable"
+    return "1" if all(a.found for a in anns) else f">=2 up to degree {anns[0].searched_bound}"
+
+
 # One row per tag: tag, "module.Class", body of an instance (without its tag),
-# instance from (body, field).  The record keys that are not fields are kept so
-# that report bytes do not change.
+# instance from (body, field).
 _FORMAT = (
     ("commpoly", "rings.CommPoly", _commpoly_body, _commpoly_from),
     (
@@ -159,22 +179,26 @@ _FORMAT = (
             o["order"], [genmat.GenericMatrix(rows) for rows in decode(o["coeffs"], field)]
         ),
     ),
-    _record("annihilator", "genmat.AnnihilatorResult"),
-    _record("stability", "genmat.StabilityReport", renamed=_TEXTS),
+    _record("annihilator", "genmat.AnnihilatorResult", derived=("found", "total_degree")),
+    _record("stability", "genmat.StabilityReport", renamed=_TEXTS,
+            derived=("all_found", "identical"), sizes=lambda r: [a.n for a in r.results],
+            dmax=lambda r: r.results[0].searched_bound),
     # a SizeOutcome exists only for commuting images
-    _record("size-outcome", "centralizer.SizeOutcome", extra={"images_commute": lambda r: True}),
-    _record("pipeline", "centralizer.PipelineReport", renamed=_TEXTS),
-    _record("bergman", "centralizer.BergmanReport"),
-    _record(
-        "diagonal", "diagonalize.DiagonalReport", extra={"second_eigenvalues": lambda r: None}
-    ),
-    _record("correspondence", "quantize.CorrespondenceReport"),
-    _record(
-        "eval", "serialize.EvalReport", renamed={"degree_text": "degree", "term_count": "terms"}
-    ),
-    _record("commute", "serialize.CommuteReport", renamed={"commutator_value": "commutator"}),
-    _record("pi", "serialize.PiReport"),
-    _record("al", "serialize.ALReport"),
+    _record("size-outcome", "centralizer.SizeOutcome", derived=("n", "star_c1_zero"),
+            images_commute=lambda r: True),
+    _record("pipeline", "centralizer.PipelineReport", renamed=_TEXTS, derived=("commute",),
+            trdeg_verdict=_trdeg_verdict),
+    _record("bergman", "centralizer.BergmanReport", derived=("passed",)),
+    _record("diagonal", "diagonalize.DiagonalReport", derived=("achieved_order",),
+            eigenvalues=lambda r: r.diagonal.coeffs[0].diagonal_entries(),
+            second_eigenvalues=lambda r: None),
+    _record("correspondence", "quantize.CorrespondenceReport", derived=("holds",)),
+    _record("eval", "serialize.EvalReport", derived=("degree_text", "term_count"),
+            renamed={"degree_text": "degree", "term_count": "terms"}),
+    _record("commute", "serialize.CommuteReport", renamed={"commutator_value": "commutator"},
+            derived=("commute",)),
+    _record("pi", "serialize.PiReport", n=lambda r: r.image.n),
+    _record("al", "serialize.ALReport", arity=lambda r: 2 * r.n, sharpness_checked=lambda r: True),
     _record("star", "serialize.StarReport", renamed={"commutator_series": "commutator"}),
     _record("poisson", "serialize.PoissonReport"),
 )

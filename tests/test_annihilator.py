@@ -141,8 +141,8 @@ class TestStability:
         f = parse_free("x1^2 + x1", 2, QQ)
         g = parse_free("x1", 2, QQ)
         rep = annihilator_stability(f, g, 3, 3)
-        for n, res in zip(rep.sizes, rep.results):
-            assert res.verify(pi_reduce(f, n), pi_reduce(g, n))
+        for n, res in enumerate(rep.results, 1):
+            assert res.n == n and res.verify(pi_reduce(f, n), pi_reduce(g, n))
 
 
 def _pipeline_golden_pairs():
@@ -190,5 +190,5 @@ def test_verify_agrees_with_the_matrix_product_oracle(f_text, g_text, n, field):
     # one coefficient changed: P(f, g) becomes that monomial's value, not zero
     (lead, c), *_ = res.poly.sorted_terms()
     changed = BivariatePoly(field, {**res.poly.terms, lead: c + 1})
-    wrong = AnnihilatorResult(True, changed, changed.total_degree(), n, 2)
+    wrong = AnnihilatorResult(changed, n, 2)
     assert not wrong.verify(f, g) and not _oracle_is_zero(changed, f, g)

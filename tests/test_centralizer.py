@@ -14,12 +14,18 @@ from oracles import free_commutator
 from oracles import kernel as oracle_kernel
 from oracles import rank as oracle_rank
 from samples import random_commpoly
-from nclab import centralizer, linalg, serialize
+from nclab import centralizer, linalg, quantize, serialize
 from nclab.errors import NotCommuting, ScalarInput
 from nclab.fields import GF, QQ
 from nclab.freealg import FreePoly, commutator, parse_free, word_key
 from nclab.genmat import BivariatePoly, GenericMatrix, pi_reduce
-from nclab.quantize import StarContext, StarSeries, entry_pairing_tensor, quantize_lift
+from nclab.quantize import (
+    StarContext,
+    StarSeries,
+    entry_pairing_tensor,
+    quantize_lift,
+    star_generic,
+)
 from nclab.rings import CommPoly
 from nclab.centralizer import (
     CentralizerBasis,
@@ -294,7 +300,7 @@ class TestPipeline:
             assert o.annihilator.found and o.annihilator.poly == expected
             assert o.star_c0_zero and o.star_c1_zero
         assert rep.stability.identical
-        assert rep.trdeg_verdict == "1"
+        assert serialize.encode(rep)["trdeg_verdict"] == "1"
 
     def test_each_annihilator_is_computed_once(self, monkeypatch):
         from nclab import genmat
@@ -311,7 +317,7 @@ class TestPipeline:
         g = parse_free("x1^2 + x1", 2, QQ)
         rep = bergman_pipeline(f, g, 3, 2, self._ctx(2, 3))
         assert calls == [1, 2, 3]
-        assert rep.stability.sizes == [1, 2, 3]
+        assert [r.n for r in rep.stability.results] == [1, 2, 3]
         assert rep.stability.results == [o.annihilator for o in rep.outcomes]
         assert rep.stability.all_found and rep.stability.identical
 
@@ -328,7 +334,7 @@ class TestPipeline:
         rep = bergman_pipeline(f, f, 2, 2, self._ctx(2, 2))
         expected = BivariatePoly(QQ, {(1, 0): 1, (0, 1): -1})
         assert all(o.annihilator.poly == expected for o in rep.outcomes)
-        assert rep.trdeg_verdict == "1"
+        assert serialize.encode(rep)["trdeg_verdict"] == "1"
 
     def test_consistency_invariant_on_commuting_pairs(self):
         # pairs built from powers of x1 only touch generator-1 variables, so
@@ -359,7 +365,7 @@ class TestProbe:
         assert o.star_c0_zero
         assert not o.star_c1_zero
         assert o.star_linear_part == GenericMatrix.identity(2, QQ)
-        assert ">=2" in rep.trdeg_verdict
+        assert ">=2" in serialize.encode(rep)["trdeg_verdict"]
         assert "contradiction" in rep.conclusion
 
     def test_pi_image_pair_stays_tame(self):
@@ -370,7 +376,7 @@ class TestProbe:
         (o,) = rep.outcomes
         assert o.annihilator.poly == BivariatePoly(QQ, {(2, 0): 1, (0, 1): -1})
         assert o.star_c0_zero and o.star_c1_zero
-        assert rep.trdeg_verdict == "1"
+        assert serialize.encode(rep)["trdeg_verdict"] == "1"
 
     def test_equal_matrices(self):
         f, _, tensor = diagonal_generic_pair(2, QQ)
@@ -387,6 +393,20 @@ class TestProbe:
         ctx = StarContext(entry_pairing_tensor(2, 2, QQ), 2)
         with pytest.raises(NotCommuting):
             _probe(x1, x2, 2, ctx)
+
+    def test_noncommuting_lifts_are_refused_before_any_star_product(self, monkeypatch):
+        # x1^3*x2 and x2*x1^2 do not commute at size 3; the search refuses their h^0
+        # coefficients, so the star commutator, which walks every order, is never formed
+        ctx = StarContext(entry_pairing_tensor(2, 3, QQ), 2)
+        xs = star_generic(2, 3, ctx)
+        f, g = (parse_free(t, 2, QQ).evaluate_in_matrices(xs) for t in ("x1^3*x2", "x2*x1^2"))
+
+        def star(*_):
+            raise AssertionError("the star commutator was formed")
+
+        monkeypatch.setattr(quantize, "matrix_star", star)
+        with pytest.raises(NotCommuting):
+            commuting_matrix_probe(f, g, 1)
 
     def test_eq1_diagonal_reproduced_at_size_3(self):
         f, g, tensor = diagonal_generic_pair(3, QQ)
@@ -523,7 +543,7 @@ class TestPrimeField:
         g = parse_free("x1^2 + 1", 2, f7)
         ctx = StarContext(entry_pairing_tensor(2, 2, f7), 2)
         rep = bergman_pipeline(f, g, 2, 3, ctx)
-        assert rep.trdeg_verdict == "1"
+        assert serialize.encode(rep)["trdeg_verdict"] == "1"
         assert rep.stability.identical
 
 

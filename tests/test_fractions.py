@@ -183,6 +183,12 @@ def _check_ops(field, a, b):
         assert (got.num, got.den) == oracle, (name, a, b, got, oracle)
 
 
+# Each operation equals the constructor's reduction of its unreduced form, and sympy's.
+# Cost, run alone and inside tier-1 (Python 3.11, shared 2-core VM): GF(32003) 6.3 s
+# and 8.8 s, GF(7) 4.7 s and 7.1 s, QQ 2.2 s and 3.1 s.  Under cProfile about 95% of
+# it is the oracle's ``sympy.cancel``, a subresultant gcd.  (A comment, not a
+# docstring: hypothesis derives its derandomized examples from the source without
+# comments, so a docstring would change which examples run, and so the cost.)
 @pytest.mark.parametrize("field", FRACTION_FIELDS, ids=repr)
 @given(data=st.data())
 def test_fraction_ops_match_constructor_and_sympy(field, data):

@@ -136,7 +136,7 @@ def test_eval_over_q_reduces_to_eval_over_fp(f):
     over_q = report("eval", "--f", f)
     for p in FIELD_PRIMES:
         g = reduce_free(over_q.poly, Field(p))
-        expected = EvalReport(g, "-inf" if g.is_zero else str(g.degree()), len(g.terms))
+        expected = EvalReport(g)
         assert report("eval", "--f", f, "--field", f"fp:{p}") == expected, p
 
 
@@ -148,7 +148,7 @@ def test_pi_over_q_reduces_to_pi_over_fp(f, n):
         field = Field(p)
         image = GenericMatrix._of(n, CommPoly, field, {
             ij: CommPoly(field, e.terms) for ij, e in over_q.image.entries.items()})
-        expected = PiReport(reduce_free(over_q.f, field), n, image)
+        expected = PiReport(reduce_free(over_q.f, field), image)
         assert report("pi", "--f", f, "--n", str(n), "--field", f"fp:{p}") == expected, p
 
 

@@ -283,6 +283,13 @@ def moyal_cases(draw):
     return tensor, operand(), operand()
 
 
+# B_1 to B_4 of random operands match the sympy oracle ``oracles.moyal_term``.
+# Cost: 7.4 s run alone and 12.5 s inside tier-1 (Python 3.11, shared 2-core VM),
+# the slowest test of the suite.  Under cProfile half of it is the oracle's sympy
+# derivatives and products, and most of the rest is ``_moyal_terms``, which
+# ``bilinear_map`` runs again for each r.  (A comment, not a docstring: hypothesis
+# derives its derandomized examples from the source without comments, so a
+# docstring would change which examples run, and so the cost.)
 @settings(max_examples=60)
 @given(moyal_cases())
 def test_bilinear_maps_match_oracle_on_random_tensors(case):
