@@ -7,9 +7,11 @@ Usage:
 Each manifest entry maps a file name under ``tests/golden/`` to the argv of
 one ``nclab`` command (``--json`` is appended).  Without flags the reports of
 the current tree are written, and a command that exits nonzero stops the
-recording.  With ``--check`` they are compared instead: the names whose bytes
-differ or whose command exits nonzero are printed, and the exit status is 1.
-``tests/test_golden.py`` runs the same comparison.  Re-record only for an intended change of report bytes.
+recording.  With ``--check`` they are compared instead, and each report must
+also decode with ``serialize.loads`` and re-encode to the same bytes: the names
+whose bytes differ, whose report does not round-trip or whose command exits
+nonzero are printed, and the exit status is 1.  ``tests/test_golden.py`` runs
+the same comparison.  Re-record only for an intended change of report bytes.
 """
 
 import contextlib
@@ -31,6 +33,19 @@ def report(argv):
     return code, buf.getvalue()
 
 
+def round_trip_error(text):
+    """Why a report does not decode and re-encode to the same bytes, or None if it does."""
+    from nclab import serialize
+
+    try:
+        doc, rep = serialize.loads(text)
+    except Exception as exc:  # any refusal of the decoder fails the check
+        return f"{type(exc).__name__}: {exc}"
+    if serialize.dumps({**doc, "report": serialize.encode(rep)}) != text:
+        return "re-encodes to other bytes"
+    return None
+
+
 def main() -> int:
     check = "--check" in sys.argv[1:]
     with open(os.path.join(GOLDEN, "manifest.json"), encoding="utf-8") as fh:
@@ -47,6 +62,8 @@ def main() -> int:
             with open(path, encoding="utf-8") as fh:
                 if fh.read() != out:
                     bad.append(f"differs: {name}")
+                elif (error := round_trip_error(out)) is not None:
+                    bad.append(f"does not round-trip: {name}: {error}")
         else:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(out)

@@ -76,9 +76,11 @@ MAX_PROBE_SEARCH_TERMS = 30_000
 MAX_AL_N = 3
 
 #: ``centralizer`` makes one column of every word of length <= d in s letters,
-#: and holds all of the words at once.  Their total length is at most this: the
-#: 2^19 - 1 words of s = 2, d = 18.  Counting letters, not words, also bounds
-#: s = 1, where d + 1 words have d(d + 1)/2 letters.
+#: at about 11 us a column, and holds all of the words at once, at about 0.34 us
+#: a letter.  A run has at most the 2^19 - 1 words of s = 2, d = 18 (8.9 s) and
+#: at most their total length, this.  Letters bound s = 1, where d + 1 words
+#: have d(d + 1)/2 letters (--d 4000 took 2.7 s); words bound d = 2, where
+#: --s 1000 has 2,001,000 letters and took 13.6 s (whole process, 2-core VM).
 MAX_CENTRALIZER_LETTERS = 17 * 2**19 + 2
 
 #: command -> the flag of the size of the generic matrices it builds, None for 1
@@ -105,15 +107,14 @@ def _check_sizes(args, bounds: dict) -> None:
             raise InvalidSize(f"{command}{flags}: {count} generic {n}x{n} matrices "
                               f"have over {MAX_MATRIX_ENTRIES} entries")
     if command == "centralizer":
-        letters, layer = 0, 1
+        words, letters, layer = 1, 0, 1
         for k in range(1, args.d + 1):
             layer *= args.s
-            letters += k * layer
-            if letters > MAX_CENTRALIZER_LETTERS:
-                raise InvalidSize(
-                    f"centralizer --s {args.s} --d {args.d}: the words of length <= d have "
-                    f"more than {MAX_CENTRALIZER_LETTERS} letters in all"
-                )
+            words, letters = words + layer, letters + k * layer
+            if words > 2**19 - 1 or letters > MAX_CENTRALIZER_LETTERS:
+                raise InvalidSize(f"centralizer --s {args.s} --d {args.d}: the words of length "
+                                  f"<= d are more than {2**19 - 1} or have more than "
+                                  f"{MAX_CENTRALIZER_LETTERS} letters in all (--s 2 --d 18)")
     if command == "diag":
         limit = MAX_DIAG_ORDER_AT_N[args.n - 1] if args.n <= len(MAX_DIAG_ORDER_AT_N) else 1
         if args.order > limit:
@@ -302,7 +303,7 @@ def _cmd_diag(args, field):
     )
     m = _perturbation(random.Random(args.seed), n, field)
     zero = genmat.GenericMatrix.zeros(n, field, ratfun)
-    series = diagonalize.SeriesFieldMatrix(order, [a0, m][: order + 1] + [zero] * (order - 1))
+    series = diagonalize.SeriesFieldMatrix([a0, m][: order + 1] + [zero] * (order - 1))
     rep = diagonalize.successive_diagonalize(series)
     ok = rep.verify(series)
     lines = [

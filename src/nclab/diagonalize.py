@@ -60,10 +60,10 @@ class SeriesFieldMatrix(FormalSeries):
 
     def __mul__(self, other):
         """Coefficient r is the sum of a_m b_k over ``nonzero_pairs`` with m + k = r."""
-        out = [self.coeffs[0]._like({})] * (self.order + 1)
+        out = [self.coeffs[0]._like({})] * len(self.coeffs)
         for m, k, x, y in self.nonzero_pairs(self._check(other)):
             out[m + k] = out[m + k] + x * y
-        return SeriesFieldMatrix(self.order, out)
+        return SeriesFieldMatrix(out)
 
 
 class DiagonalReport(Record):
@@ -110,4 +110,4 @@ def successive_diagonalize(a: SeriesFieldMatrix) -> DiagonalReport:
             u = u[:r] + [uk + t * u[k] for k, uk in enumerate(u[r:])]
             acc = d
         c.append(acc)
-    return DiagonalReport(SeriesFieldMatrix(a.order, u), SeriesFieldMatrix(a.order, c))
+    return DiagonalReport(SeriesFieldMatrix(u), SeriesFieldMatrix(c))

@@ -190,22 +190,23 @@ class GenericMatrix(Frozen):
 class FormalSeries(Frozen):
     """Truncated power series in h with CommPoly or GenericMatrix coefficients.
 
-    All coefficients are of one kind.  The sum is coefficientwise and builds
-    through ``_like``, which a subclass with more state overrides.  The star
-    products ``quantize.star_mul`` and ``quantize.matrix_star`` need a
-    context, so the class defines no ``*`` (``diagonalize.SeriesFieldMatrix``
-    adds the plain one, ``quantize.StarSeries`` the star one).  Both products
-    walk ``nonzero_pairs``.  A zero matrix coefficient holds no entries, so it
-    costs nothing to keep, to zero-test or to skip, and a sum keeps the
-    coefficient it adds a zero to.
+    A series is its coefficients, all of one kind; its order is their count
+    less one.  The sum is coefficientwise and builds through ``_like``, which a
+    subclass with more state overrides.  The star products
+    ``quantize.star_mul`` and ``quantize.matrix_star`` need a context, so the
+    class defines no ``*`` (``diagonalize.SeriesFieldMatrix`` adds the plain
+    one, ``quantize.StarSeries`` the star one).  Both products walk
+    ``nonzero_pairs``.  A zero matrix coefficient holds no entries, so it costs
+    nothing to keep, to zero-test or to skip, and a sum keeps the coefficient
+    it adds a zero to.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, order: int, coeffs):
+    def __init__(self, coeffs):
         coeffs = tuple(coeffs)
-        if len(coeffs) != order + 1:
-            raise ValueError("need exactly order+1 coefficients")
+        if not coeffs:
+            raise ValueError("a series needs at least one coefficient")
         kind, field = type(coeffs[0]), coeffs[0].field
         if kind is not CommPoly and kind is not GenericMatrix:
             raise TypeError("series coefficients must be CommPoly or GenericMatrix")
@@ -214,8 +215,9 @@ class FormalSeries(Frozen):
                 raise TypeError("series coefficients of different kinds")
             if c.field != field:
                 raise FieldMismatch("series coefficients over different fields")
-        object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
+
+    order = property(lambda self: len(self.coeffs) - 1)
 
     @property
     def field(self) -> Field:
@@ -224,22 +226,22 @@ class FormalSeries(Frozen):
     @classmethod
     def from_poly(cls, p, order: int) -> FormalSeries:
         """p + 0 h + ... + 0 h^order, for a CommPoly or a GenericMatrix p."""
-        return cls(order, [p] + [p._like({})] * order)
+        return cls([p] + [p._like({})] * order)
 
     def _like(self, coeffs) -> FormalSeries:
-        """A series of this class and order with the given coefficients."""
-        return type(self)(self.order, coeffs)
+        """A series of this class with the given coefficients."""
+        return type(self)(coeffs)
 
     def coefficient(self, r: int):
         return self.coeffs[r]
 
     def nonzero_pairs(self, other):
         """(m, k, a_m, b_k) over the nonzero a_m and b_k with m + k <= order, m then k ascending."""
-        right = [(k, y) for k, y in enumerate(other.coeffs) if not y.is_zero]
+        order, right = self.order, [(k, y) for k, y in enumerate(other.coeffs) if not y.is_zero]
         for m, x in enumerate(self.coeffs):
             if not x.is_zero:
                 for k, y in right:
-                    if m + k > self.order:
+                    if m + k > order:
                         break
                     yield m, k, x, y
 
@@ -250,7 +252,7 @@ class FormalSeries(Frozen):
     def _check(self, other) -> FormalSeries:
         if not isinstance(other, FormalSeries):
             raise TypeError(f"expected FormalSeries, got {other!r}")
-        if other.order != self.order:
+        if len(other.coeffs) != len(self.coeffs):
             raise ShapeMismatch("series with different truncation orders")
         if other.field != self.field:
             raise FieldMismatch("series over different fields")
@@ -298,8 +300,6 @@ def make_generic(s: int, n: int, field: Field):
 
 def pi_reduce(f: freealg.FreePoly, n: int) -> GenericMatrix:
     """Evaluation homomorphism onto the generic matrices of size n."""
-    if n < 1:
-        raise InvalidSize("matrix size must be at least 1")
     return f.evaluate_in_matrices(make_generic(f.s, n, f.field))
 
 

@@ -80,8 +80,12 @@ class PoissonTensor(Frozen):
 
     @staticmethod
     def from_dict(obj, field: Field) -> PoissonTensor:
-        """The tensor of a file object; its rows [i, j, "c"] name each pair once by integers."""
+        """The tensor of a file object: lists of variable names and of rows [i, j, "c"],
+        which name each pair once by integers."""
         try:
+            for key in ("variables", "entries"):
+                if type(obj[key]) is not list:
+                    raise BadTensorFile(f"tensor key {key!r} is not a JSON list")
             variables = [parse_variable_name(t) for t in obj["variables"]]
             entries = {}
             for i, j, c in obj["entries"]:
@@ -265,8 +269,8 @@ def matrix_star(a: FormalSeries, b: FormalSeries, ctx: StarContext) -> FormalSer
 
 def star_mul(a: FormalSeries, b: FormalSeries, ctx: StarContext) -> FormalSeries:
     """Star product of two series of polynomials: ``matrix_star`` on 1 x 1 matrices."""
-    a, b = (FormalSeries(s.order, [GenericMatrix([[c]]) for c in s.coeffs]) for s in (a, b))
-    return FormalSeries(ctx.order, [c.entry(1, 1) for c in matrix_star(a, b, ctx).coeffs])
+    a, b = (FormalSeries([GenericMatrix([[c]]) for c in s.coeffs]) for s in (a, b))
+    return FormalSeries([c.entry(1, 1) for c in matrix_star(a, b, ctx).coeffs])
 
 
 class CorrespondenceReport(Record):
@@ -302,7 +306,9 @@ class StarSeries(FormalSeries):
     __slots__ = ("ctx",)
 
     def __init__(self, ctx: StarContext, coeffs):
-        super().__init__(ctx.order, coeffs)
+        super().__init__(coeffs)
+        if self.order != ctx.order:
+            raise ValueError("need exactly ctx.order + 1 coefficients")
         object.__setattr__(self, "ctx", ctx)
 
     @staticmethod

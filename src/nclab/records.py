@@ -10,7 +10,10 @@ name starts with ``_`` is private storage, not a field).  Records are built
 once, positionally or by keyword, with every field given, and cannot be
 changed afterwards.  A fact that the fields determine is derived, not
 stored: a property, or a key that the report codec computes, and decoding
-refuses a document whose derived key disagrees with its fields.  Nothing
+refuses a document whose derived key disagrees with its fields.  Values
+follow the same rule: a series stores only its coefficients (its order is
+their count less one), and the codec derives and checks a polynomial's
+text and a matrix's size.  Nothing
 is compiled when a record class is created, so importing a module of
 records costs no more than importing its functions.
 """

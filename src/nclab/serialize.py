@@ -3,14 +3,17 @@
 The whole report format is the table below: every encoded object is a plain
 dict with a ``"type"`` tag, and each tag appears in exactly one row.  A row
 names its class as ``"module.Class"`` (resolved when a value is decoded, so
-that a command loads only the modules of the values it emits).  A value
-type's row names its body encoder and its decoder; a report record's row
-names only the JSON keys that differ from its field names and the keys that
-its fields determine, and the record is coded from its fields.  Lists and
-tuples encode as JSON lists.  ``decode`` inverts ``encode`` given the ground
-field, and every report type round-trips to an equal value.  Rendering a
-report always uses ``dumps`` so that identical inputs give byte-identical
-JSON documents.
+that a command loads only the modules of the values it emits).  Every row is
+made by ``_row``: a value type's row names the encoder of the keys it is
+stored by, its decoder from them and its derived keys; a report record's row
+is stored by its fields and names only the JSON keys that differ from its
+field names and its derived keys.  A derived key (a polynomial's ``text``, a
+matrix's ``n``, a series' ``order``, a record's verdicts) is written on
+encode, and decoding refuses a document whose derived key differs from the
+value rebuilt from its stored keys.  Lists and tuples encode as JSON lists.
+``decode`` inverts ``encode`` given the ground field, and every report type
+round-trips to an equal value.  Rendering a report always uses ``dumps`` so
+that identical inputs give byte-identical JSON documents.
 """
 
 from __future__ import annotations
@@ -65,8 +68,7 @@ class PoissonReport(Record):
 
 
 def _commpoly_body(p: rings.CommPoly):
-    terms = [[[[str(v), e] for v, e in m], str(c)] for m, c in p.sorted_terms()]
-    return {"text": str(p), "terms": terms}
+    return {"terms": [[[[str(v), e] for v, e in m], str(c)] for m, c in p.sorted_terms()]}
 
 
 def _commpoly_from(obj, field: Field) -> rings.CommPoly:
@@ -95,31 +97,46 @@ def _class(path):
     return getattr(sys.modules[f"{__package__}.{module}"], name)
 
 
-def _record(tag, path, renamed=None, derived=(), **computed):
-    """Table row of a record class, coded from its fields and its derived keys.
+def _row(tag, path, stored, from_stored, **derived):
+    """Table row of a class, coded from the keys a value is stored by and its derived keys.
 
-    ``renamed`` maps a field or property to the JSON key it is stored under.  A
-    derived key is a function of the fields: a property named in ``derived``, or a
-    ``computed`` key given as a function of the record.  Decoding builds the record
-    from its fields and refuses a derived key that differs from what they give.
+    ``stored`` encodes the stored keys into a new dict and ``from_stored``
+    builds the value from them; a ``derived`` key is a function of the value.
+    Decoding refuses a derived key that differs from what the value built from
+    its stored keys gives.
     """
-    renamed = renamed or {}
-    values = {renamed.get(name, name): attrgetter(name) for name in derived} | computed
+    derived = tuple(derived.items())
 
-    def body(r):
-        out = {renamed.get(name, name): encode(getattr(r, name)) for name in r._fields}
-        out.update((key, encode(value(r))) for key, value in values.items())
+    def body(v):
+        out = stored(v)
+        out["type"] = tag
+        for key, value in derived:
+            out[key] = encode(value(v))
         return out
 
     def from_body(obj, field):
-        cls = _class(path)
-        r = cls(**{name: decode(obj[renamed.get(name, name)], field) for name in cls._fields})
-        for key, value in values.items():
-            if decode(obj[key], field) != value(r):
+        v = from_stored(obj, field)
+        for key, value in derived:
+            if decode(obj[key], field) != value(v):
                 raise BadReport(f"{tag}: {key} disagrees with the fields it is derived from")
-        return r
+        return v
 
     return tag, path, body, from_body
+
+
+def _record(tag, path, renamed=None, derived=(), **computed):
+    """Row of a record class, stored by its fields.  ``renamed`` maps a field or property
+    to its JSON key, and a derived key is a property named in ``derived`` or ``computed``."""
+    renamed = renamed or {}
+
+    def from_stored(obj, field):
+        cls = _class(path)
+        return cls(**{name: decode(obj[renamed.get(name, name)], field) for name in cls._fields})
+
+    return _row(tag, path,
+                lambda r: {renamed.get(name, name): encode(getattr(r, name)) for name in r._fields},
+                from_stored, **{renamed.get(name, name): attrgetter(name) for name in derived},
+                **computed)
 
 
 _TEXTS = {"f_text": "f", "g_text": "g"}
@@ -133,52 +150,28 @@ def _trdeg_verdict(r) -> str:
     return "1" if all(a.found for a in anns) else f">=2 up to degree {anns[0].searched_bound}"
 
 
-# One row per tag: tag, "module.Class", body of an instance (without its tag),
-# instance from (body, field).
+# One row per tag, each made by ``_row``: tag, "module.Class", body of an instance
+# (with its tag), instance from (body, field).
 _FORMAT = (
-    ("commpoly", "rings.CommPoly", _commpoly_body, _commpoly_from),
-    (
-        "ratfun",
-        "rings.RationalFunction",
-        lambda r: {"num": encode(r.num), "den": encode(r.den)},
-        _ratfun_from,
-    ),
-    (
-        "freepoly",
-        "freealg.FreePoly",
-        lambda p: {"s": p.s, "expr": freealg.pretty(p)},
-        lambda o, field: freealg.parse_free(o["expr"], o["s"], field),
-    ),
-    (
-        "bivariate",
-        "genmat.BivariatePoly",
-        lambda p: {"text": str(p), "terms": [[a, b, str(c)] for (a, b), c in p.sorted_terms()]},
-        lambda o, field: genmat.BivariatePoly(
-            field, {(int(a), int(b)): c for a, b, c in o["terms"]}
-        ),
-    ),
-    (
-        "matrix",
-        "genmat.GenericMatrix",
-        lambda m: {"n": m.n, "entries": encode(m.rows)},
-        lambda o, field: genmat.GenericMatrix(decode(o["entries"], field)),
-    ),
-    (
-        "series",
-        "genmat.FormalSeries",
-        lambda s: {"order": s.order, "coeffs": encode(s.coeffs)},
-        lambda o, field: genmat.FormalSeries(o["order"], decode(o["coeffs"], field)),
-    ),
-    (
-        "series-field-matrix",
-        "diagonalize.SeriesFieldMatrix",
-        lambda s: {
-            "n": s.coeffs[0].n, "order": s.order, "coeffs": encode([c.rows for c in s.coeffs])
-        },
-        lambda o, field: diagonalize.SeriesFieldMatrix(
-            o["order"], [genmat.GenericMatrix(rows) for rows in decode(o["coeffs"], field)]
-        ),
-    ),
+    _row("commpoly", "rings.CommPoly", _commpoly_body, _commpoly_from, text=str),
+    _row("ratfun", "rings.RationalFunction",
+         lambda r: {"num": encode(r.num), "den": encode(r.den)}, _ratfun_from),
+    _row("freepoly", "freealg.FreePoly", lambda p: {"s": p.s, "expr": freealg.pretty(p)},
+         lambda o, field: freealg.parse_free(o["expr"], o["s"], field)),
+    _row("bivariate", "genmat.BivariatePoly",
+         lambda p: {"terms": [[a, b, str(c)] for (a, b), c in p.sorted_terms()]},
+         lambda o, field: genmat.BivariatePoly(
+             field, {(int(a), int(b)): c for a, b, c in o["terms"]}), text=str),
+    _row("matrix", "genmat.GenericMatrix", lambda m: {"entries": encode(m.rows)},
+         lambda o, field: genmat.GenericMatrix(decode(o["entries"], field)), n=attrgetter("n")),
+    _row("series", "genmat.FormalSeries", lambda s: {"coeffs": encode(s.coeffs)},
+         lambda o, field: genmat.FormalSeries(decode(o["coeffs"], field)),
+         order=attrgetter("order")),
+    _row("series-field-matrix", "diagonalize.SeriesFieldMatrix",
+         lambda s: {"coeffs": encode([c.rows for c in s.coeffs])},
+         lambda o, field: diagonalize.SeriesFieldMatrix(
+             [genmat.GenericMatrix(rows) for rows in decode(o["coeffs"], field)]),
+         n=lambda s: s.coeffs[0].n, order=attrgetter("order")),
     _record("annihilator", "genmat.AnnihilatorResult", derived=("found", "total_degree")),
     _record("stability", "genmat.StabilityReport", renamed=_TEXTS,
             derived=("all_found", "identical"), sizes=lambda r: [a.n for a in r.results],
@@ -203,7 +196,7 @@ _FORMAT = (
     _record("poisson", "serialize.PoissonReport"),
 )
 # keyed by the class's module and name, so that no row's module is loaded to encode
-_ENCODERS = {f"{__package__}.{path}": (tag, body) for tag, path, body, _ in _FORMAT}
+_ENCODERS = {f"{__package__}.{path}": body for _, path, body, _ in _FORMAT}
 _DECODERS = {tag: from_body for tag, _, _, from_body in _FORMAT}
 
 
@@ -214,11 +207,10 @@ def encode(obj):
     if isinstance(obj, (list, tuple)):
         return [encode(x) for x in obj]
     cls = type(obj)
-    entry = _ENCODERS.get(f"{cls.__module__}.{cls.__qualname__}")
-    if entry is None:
+    body = _ENCODERS.get(f"{cls.__module__}.{cls.__qualname__}")
+    if body is None:
         raise TypeError(f"cannot encode {obj!r}")
-    tag, body = entry
-    return {"type": tag, **body(obj)}
+    return body(obj)
 
 
 def decode(obj, field: Field):

@@ -292,8 +292,8 @@ def diagonalize_by_conjugation(a: SeriesFieldMatrix):
         if c.is_diagonal():
             continue
         t = solve_sylvester_diag(lam, c - GenericMatrix.diagonal(c.diagonal_entries()))
-        b = SeriesFieldMatrix(a.order, [e] + [t if k == r else zero for k in range(1, a.order + 1)])
+        b = SeriesFieldMatrix([e] + [t if k == r else zero for k in range(1, a.order + 1)])
         current = b * current * inverse_unitriangular(b)
         u = b * u
     diag = [GenericMatrix.diagonal(c.diagonal_entries()) for c in current.coeffs]
-    return u, SeriesFieldMatrix(a.order, diag)
+    return u, SeriesFieldMatrix(diag)

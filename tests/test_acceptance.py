@@ -183,7 +183,7 @@ def test_criterion_6_sylvester_recursion():
         assert not m.is_zero
         a0 = GenericMatrix.diagonal(lam)
         zmat = GenericMatrix.zeros(3, QQ, RationalFunction)
-        series = SeriesFieldMatrix(2, [a0, m, zmat])
+        series = SeriesFieldMatrix([a0, m, zmat])
         rep = successive_diagonalize(series)
         assert rep.verify(series)  # u A = D u through h^2, recomputed from A
         conj = rep.conjugator * series * inverse_unitriangular(rep.conjugator)

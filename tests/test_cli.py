@@ -24,8 +24,10 @@ from nclab.cli import (
     MAX_NMAX,
     MAX_PROBE_SEARCH_TERMS,
     MAX_STAR_ORDER,
+    _check_sizes,
     _probe_search_terms,
     main,
+    parse,
 )
 from nclab import centralizer, genmat, rings
 from nclab.fields import GF, QQ
@@ -364,12 +366,16 @@ class TestExitStatuses:
                                 "error [invalid-size]: al --n is at most 3", startup_s)
 
     @pytest.mark.parametrize(
-        "s, d", [(2, 19), (2, 40), (1, 10**9), (10**6, 3)], ids=["d19", "d40", "s1", "wide"]
+        "s, d", [(2, 19), (2, 40), (1, 10**9), (10**6, 3), (1000, 2), (2000, 2)],
+        ids=["d19", "d40", "s1", "wide", "s1000-d2", "s2000-d2"]
     )
     def test_centralizer_beyond_the_letter_bound_is_refused_up_front(self, s, d, startup_s):
-        # the s = 2, d = 18 words (the largest centralizer row timed) are exactly at the bound
+        # the s = 2, d = 18 words (the largest centralizer row timed) are exactly at both
+        # bounds: 2^19 - 1 words of this many letters in all
         assert sum(k * 2**k for k in range(19)) == MAX_CENTRALIZER_LETTERS
-        # unbounded, --d 40 would materialize every word of length <= 40
+        assert _check_sizes(parse(["centralizer", "--f", "x1", "--d", "18"]), {}) is None
+        # unbounded, --s 1000 --d 2, within the letters but not the words, took 13.6 s,
+        # and --d 40 would materialize every word of length <= 40
         assert_refused_up_front(["centralizer", "--f", "x1", "--s", str(s), "--d", str(d)], 1.0,
                                 f"error [invalid-size]: centralizer --s {s} --d {d}:", startup_s)
 
@@ -783,6 +789,19 @@ class TestJson:
         assert code == 1
         assert out == ""
         assert err.splitlines() == [f"error [bad-tensor-file]: {message}"]
+
+    @pytest.mark.parametrize("obj, key", [
+        ({"variables": "x1[1,1]", "entries": []}, "variables"),
+        ({"variables": ["x1[1,1]", "x2[1,1]"], "entries": "0 1 1"}, "entries"),
+    ], ids=["variables-string", "entries-string"])
+    def test_tensor_file_keys_that_are_not_lists_are_refused(self, obj, key, tmp_path, capsys):
+        # iterated as they stand, the strings gave "unrecognized variable name 'x'"
+        # and "not enough values to unpack"
+        path = tmp_path / "tensor.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(["poisson", "--a", "x1", "--b", "x2", "--poisson", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error [bad-tensor-file]: tensor key '{key}' is not a JSON list\n"
 
     def test_json_decodes_to_report(self, capsys):
         from nclab import serialize

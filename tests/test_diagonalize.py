@@ -91,7 +91,7 @@ def series(coeff_matrices, order=None):
     order = len(coeff_matrices) - 1 if order is None else order
     zmat = GenericMatrix.zeros(coeff_matrices[0].n, QQ, RationalFunction)
     coeffs = list(coeff_matrices) + [zmat] * (order + 1 - len(coeff_matrices))
-    return SeriesFieldMatrix(order, coeffs)
+    return SeriesFieldMatrix(coeffs)
 
 
 def random_ratfun(rng, n_lam=3):
@@ -128,7 +128,7 @@ class TestSeriesFieldMatrixProduct:
             return random_rf_matrix(rng, n)
 
         for _ in range(3):
-            a, b = (SeriesFieldMatrix(order, [coefficient() for _ in range(order + 1)])
+            a, b = (SeriesFieldMatrix([coefficient() for _ in range(order + 1)])
                     for _ in range(2))
             got = a * b
             for r in range(order + 1):
@@ -259,7 +259,7 @@ def perturbed(n, order, field, seed, dense=False):
         return GenericMatrix([[RationalFunction.from_poly(e) for e in row] for row in m.rows])
 
     higher = [draw() for _ in range(order)] if dense else [draw()] + [zero] * (order - 1)
-    return SeriesFieldMatrix(order, [GenericMatrix.diagonal(lams)] + higher)
+    return SeriesFieldMatrix([GenericMatrix.diagonal(lams)] + higher)
 
 
 class TestAgainstWholeSeriesConjugation:

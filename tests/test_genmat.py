@@ -287,8 +287,11 @@ class TestNonzeroPairs:
     def test_series_pairs_stop_at_the_order(self):
         x, y = make_generic(2, 1, QQ)
         zero = GenericMatrix.zeros(1, QQ)
-        a, b = FormalSeries(3, [x, zero, x, x]), FormalSeries(3, [zero, y, zero, y])
+        a, b = FormalSeries([x, zero, x, x]), FormalSeries([zero, y, zero, y])
         assert [(m, k) for m, k, _, _ in a.nonzero_pairs(b)] == [(0, 1), (0, 3), (2, 1)]
+        assert a.order == 3  # a series stores only its coefficients
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            FormalSeries([])
 
 
 class TestStandardIdentity:

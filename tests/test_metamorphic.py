@@ -279,7 +279,7 @@ def _diagonalized(lam, m, field, order):
         ratfun.from_poly(CommPoly.variable(Variable.aux("lam", k), field)) for k in lam)
     a1 = GenericMatrix([[one.scale(c) for c in row] for row in m])
     zero = GenericMatrix.zeros(len(lam), field, ratfun)
-    return successive_diagonalize(SeriesFieldMatrix(order, [a0, a1] + [zero] * (order - 1)))
+    return successive_diagonalize(SeriesFieldMatrix([a0, a1] + [zero] * (order - 1)))
 
 
 def _conjugated(m, perm):

@@ -352,18 +352,18 @@ def star_relation_cases(draw):
             if r in (0, order):
                 rows[0][0] = draw(polys)
             coeffs.append(GenericMatrix(rows))
-        return FormalSeries(order, coeffs)
+        return FormalSeries(coeffs)
 
     return StarContext(tensor, order), StarContext(negated, order), series(), series()
 
 
 def transposed(a):
-    return FormalSeries(a.order, [GenericMatrix(zip(*c.rows)) for c in a.coeffs])
+    return FormalSeries([GenericMatrix(zip(*c.rows)) for c in a.coeffs])
 
 
 def corner(a):
     """The series of the (1, 1) entries of a series of matrices."""
-    return FormalSeries(a.order, [c.rows[0][0] for c in a.coeffs])
+    return FormalSeries([c.rows[0][0] for c in a.coeffs])
 
 
 @settings(max_examples=25, deadline=None)
@@ -495,7 +495,7 @@ class TestMatrixStar:
                 ])
                 for r in range(order + 1)
             ]
-            return FormalSeries(order, coeffs)
+            return FormalSeries(coeffs)
 
         for _ in range(4):
             a, b = random_series(), random_series()
@@ -587,6 +587,8 @@ class TestQuantizeLift:
         assert not product.coefficient(1).is_zero
         assert ahat.identity_like() == quantize_lift(a.identity_like(), ctx)
         assert ahat.zeros_like() == quantize_lift(a.zeros_like(), ctx)
+        with pytest.raises(ValueError, match="ctx.order"):  # truncated at the context's order
+            StarSeries(ctx, ahat.coeffs[:3])
 
     @pytest.mark.parametrize("s, n", [(1, 1), (2, 2), (3, 2)])
     def test_the_star_generic_matrices_are_lifts_of_the_generic_matrices(self, s, n):

@@ -195,9 +195,9 @@ def _value_table():
         "BivariatePoly": lambda k: BivariatePoly(QQ, {(1, 0): 1 + k}),  # terms
         "GenericMatrix[CommPoly]": lambda k: GenericMatrix.diagonal([x, x.scale(1 + k)]),  # entries
         "GenericMatrix[RationalFunction]": fraction_matrix,  # entries
-        "FormalSeries": lambda k: FormalSeries(1, [x, x.scale(k)]),  # coeffs
+        "FormalSeries": lambda k: FormalSeries([x, x.scale(k)]),  # coeffs
         "SeriesFieldMatrix": lambda k: SeriesFieldMatrix(  # coeffs
-            1, [fraction_matrix(0), fraction_matrix(0) if k else zero_matrix]),
+            [fraction_matrix(0), fraction_matrix(0) if k else zero_matrix]),
         "RationalFunction": lambda k: RationalFunction(CommPoly.one(QQ), (u - v) ** (1 + k)),  # exps
         "PoissonTensor": lambda k: PoissonTensor(  # entries
             (Variable.aux("x", 1), Variable.aux("y", 1)), {(0, 1): 1 + k}, QQ),
@@ -236,11 +236,11 @@ def test_a_series_of_matrices_is_not_a_series_field_matrix_with_its_coefficients
     from nclab.genmat import FormalSeries
 
     field_series = _value_table()["SeriesFieldMatrix"](1)
-    plain = FormalSeries(field_series.order, field_series.coeffs)
+    plain = FormalSeries(field_series.coeffs)
     assert plain.coeffs == field_series.coeffs
     assert plain != field_series and field_series != plain
-    assert plain == FormalSeries(1, field_series.coeffs)
-    assert field_series == SeriesFieldMatrix(1, plain.coeffs)
+    assert plain == FormalSeries(field_series.coeffs)
+    assert field_series == SeriesFieldMatrix(plain.coeffs)
 
 
 def test_fields_compare_by_identity():

@@ -16,7 +16,7 @@ from nclab.fields import GF, QQ, Field
 from nclab.freealg import parse_free
 from nclab.genmat import FormalSeries, GenericMatrix, annihilator_stability, pi_reduce
 from nclab.quantize import StarContext, entry_pairing_tensor, quantize_lift, verify_correspondence
-from nclab.rings import CommPoly, RationalFunction, Variable
+from nclab.rings import CommPoly, RationalFunction, Variable, mono_from_dict, parse_variable_name
 from nclab.centralizer import (
     bergman_check,
     bergman_pipeline,
@@ -92,14 +92,17 @@ def test_diagonal_report_round_trip():
     ]
     a0 = GenericMatrix.diagonal(lam)
     a1 = GenericMatrix([[zero, one], [one, zero]])
-    a = SeriesFieldMatrix(1, [a0, a1])
+    a = SeriesFieldMatrix([a0, a1])
     rep = successive_diagonalize(a)
     round_trip(rep)
 
 
 def _ratfun_doc(den_terms, field=QQ):
     one = serialize.encode(CommPoly.one(field))
-    den = {"type": "commpoly", "text": "", "terms": den_terms}
+    # the denominator's text is the one its terms give, so only the ratfun row can refuse it
+    monos = [mono_from_dict({parse_variable_name(v): e for v, e in m}) for m, _ in den_terms]
+    text = str(CommPoly(field, dict(zip(monos, (c for _, c in den_terms)))))
+    den = {"type": "commpoly", "text": text, "terms": den_terms}
     return {"type": "ratfun", "num": one, "den": den}
 
 
@@ -115,6 +118,7 @@ def test_ratfun_outside_the_ring_is_a_bad_report(den_terms):
     with pytest.raises(BadReport) as exc:
         serialize.decode(_ratfun_doc(den_terms), QQ)
     assert isinstance(exc.value, EngineError) and exc.value.code == "bad-report"
+    assert str(exc.value).startswith("ratfun: ")
 
 
 def test_ratfun_decoding_divides_out_the_factors():
@@ -248,10 +252,18 @@ def test_every_format_row_is_held_by_a_golden_report():
     ("annihilator-x1-x1cube.json", ["identical"], False),
     ("diag-n3-o2-q.json", ["achieved_order"], 3),
     ("annihilator-x1-x1cube.json", ["results", 0, "found"], False),
-], ids=["stability-identical", "diag-achieved-order", "annihilator-found"])
+    ("pi-x1x2-n2-q.json", ["image", "entries", 0, 0, "text"], "x1[1,1]"),
+    ("annihilator-x1-x1sq1.json", ["results", 0, "poly", "text"], "u^2 + 1"),
+    ("pi-x1x2-n2-q.json", ["image", "n"], 3),
+    ("star-q-o2.json", ["product", "order"], 3),
+    ("diag-n3-o2-q.json", ["conjugator", "n"], 2),
+    ("diag-n3-o2-q.json", ["conjugator", "order"], 1),
+], ids=["stability-identical", "diag-achieved-order", "annihilator-found", "commpoly-text",
+        "bivariate-text", "matrix-n", "series-order", "series-field-matrix-n",
+        "series-field-matrix-order"])
 def test_decoding_refuses_a_derived_key_that_disagrees_with_the_fields(name, path, value):
-    # each key is a function of its record's fields, so a document that flips it
-    # holds two contradictory facts
+    # each key is a function of its record's fields or its value's stored keys, so
+    # a document that flips it holds two contradictory facts
     with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
         doc = json.load(fh)
     serialize.loads(json.dumps(doc))
@@ -271,13 +283,13 @@ def test_decoded_diag_report_re_verifies():
     lam = [RationalFunction.from_poly(CommPoly.variable(Variable.aux("lam", i), QQ))
            for i in (1, 2, 3)]
     a1 = _perturbation(random.Random(1729), 3, QQ)
-    a = SeriesFieldMatrix(2, [GenericMatrix.diagonal(lam), a1,
-                              GenericMatrix.zeros(3, QQ, RationalFunction)])
+    a = SeriesFieldMatrix([GenericMatrix.diagonal(lam), a1,
+                           GenericMatrix.zeros(3, QQ, RationalFunction)])
     assert rep.verify(a)
     u = rep.conjugator.coeffs
     rows = [list(row) for row in u[1].rows]
     rows[0][1] = rows[0][1] + RationalFunction.one(QQ)
-    changed = SeriesFieldMatrix(2, [u[0], GenericMatrix(rows), u[2]])
+    changed = SeriesFieldMatrix([u[0], GenericMatrix(rows), u[2]])
     bad = DiagonalReport(changed, rep.diagonal)
     assert not bad.verify(a)
 
@@ -288,7 +300,7 @@ def test_series_of_matrices_round_trips_through_the_series_row():
     fhat, ghat = quantize_lift(f, ctx), quantize_lift(g, ctx)
     lifted = fhat * ghat - ghat * fhat
     # a StarSeries has no report row; its coefficients do, as a plain series
-    comm = FormalSeries(lifted.order, lifted.coeffs)
+    comm = FormalSeries(lifted.coeffs)
     assert not comm.coefficient(1).is_zero
     assert serialize.encode(comm)["type"] == "series"
     assert round_trip(comm) == comm
