@@ -12,11 +12,15 @@ owns the expression grammar shared with the CLI:
     GEN     := "x" NAT        RATIONAL := NAT ("/" NAT)?
 
 Juxtaposition and "*" both mean the noncommutative product; "^" binds tighter
-than products, products tighter than sums.
+than products, products tighter than sums.  NAT digits are ASCII, and
+whitespace is what ``str.isspace`` accepts.  One compiled token pattern scans
+the text; ``_Parser`` reads the tokens and builds each atom as a ``FreePoly``.
 """
 
 from __future__ import annotations
 
+import re
+from itertools import groupby
 from operator import concat
 
 from .errors import (
@@ -69,19 +73,10 @@ class FreePoly(SparseSum):
     def _key_str(w: Word) -> str:
         if not w:
             return "1"
-        runs = []
-        for g in w:
-            if runs and runs[-1][0] == g:
-                runs[-1][1] += 1
-            else:
-                runs.append([g, 1])
+        runs = ((g, sum(1 for _ in run)) for g, run in groupby(w))
         return "*".join(f"x{g}" if e == 1 else f"x{g}^{e}" for g, e in runs)
 
     # -- constructors ----------------------------------------------------------
-
-    @staticmethod
-    def zero(s: int, field: Field) -> FreePoly:
-        return FreePoly(s, field)
 
     @staticmethod
     def one(s: int, field: Field) -> FreePoly:
@@ -90,12 +85,6 @@ class FreePoly(SparseSum):
     @staticmethod
     def constant(c: Scalar, s: int) -> FreePoly:
         return FreePoly(s, c.field, {EMPTY_WORD: c})
-
-    @staticmethod
-    def generator(i: int, s: int, field: Field) -> FreePoly:
-        if i < 1 or i > s:
-            raise UnknownGenerator(f"x{i} with only {s} generators")
-        return FreePoly(s, field, {(i,): 1})
 
     # -- structure -------------------------------------------------------------
 
@@ -155,52 +144,28 @@ def pretty(a: FreePoly) -> str:
 # ---------------------------------------------------------------------------
 
 
-_DIGITS = "0123456789"  # NAT digits only: str.isdigit also takes '²' and '٣'
+#: One token per match: a generator, a NAT, an operator, a run of whitespace or
+#: any other character.  NAT digits are ASCII only (``\d`` and str.isdigit also
+#: take '²' and '٣'); ``\s`` matches exactly what str.isspace accepts.
+_TOKEN = re.compile(r"x(?P<gen>[0-9]+)|(?P<nat>[0-9]+)|(?P<op>[-+*^()/])|(?P<space>\s+)|(?P<bad>.)",
+                    re.DOTALL)
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.tokens = []
-        self._scan(text)
-        self.cursor = 0
-
-    def _scan(self, text: str):
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch in "+-*^()/":
-                self.tokens.append((ch, None, i))
-                i += 1
-                continue
-            if ch == "x":
-                j = i + 1
-                while j < len(text) and text[j] in _DIGITS:
-                    j += 1
-                if j == i + 1:
-                    raise ParseError("generator needs an index, e.g. x1", i)
-                self.tokens.append(("gen", int(text[i + 1 : j]), i))
-                i = j
-                continue
-            if ch in _DIGITS:
-                j = i
-                while j < len(text) and text[j] in _DIGITS:
-                    j += 1
-                self.tokens.append(("nat", int(text[i:j]), i))
-                i = j
-                continue
-            raise ParseError(f"unexpected character {ch!r}", i)
-        self.tokens.append(("end", None, len(text)))
-
-    def peek(self):
-        return self.tokens[self.cursor]
-
-    def next(self):
-        tok = self.tokens[self.cursor]
-        self.cursor += 1
-        return tok
+def _tokens(text: str) -> list:
+    """The (kind, value, position) tokens of ``text``, closed by ("end", None, len(text))."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        kind, lexeme, pos = m.lastgroup, m[m.lastgroup], m.start()
+        if kind == "gen" or kind == "nat":
+            tokens.append((kind, int(lexeme), pos))
+        elif kind == "op":
+            tokens.append((lexeme, None, pos))
+        elif kind == "bad":
+            if lexeme == "x":
+                raise ParseError("generator needs an index, e.g. x1", pos)
+            raise ParseError(f"unexpected character {lexeme!r}", pos)
+    tokens.append(("end", None, len(text)))
+    return tokens
 
 
 #: Deepest parenthesis nesting the recursive-descent parser accepts; each
@@ -246,14 +211,22 @@ def _check_power(base: FreePoly, n: int, pos: int) -> None:
 
 class _Parser:
     def __init__(self, text: str, s: int, field: Field):
-        self.toks = _Tokenizer(text)
+        self.tokens = _tokens(text)
+        self.cursor = 0
         self.s = s
         self.field = field
         self.depth = 0
 
+    def _peek(self):
+        return self.tokens[self.cursor]
+
+    def _next(self):
+        self.cursor += 1
+        return self.tokens[self.cursor - 1]
+
     def parse(self) -> FreePoly:
         value = self._expr()
-        kind, _, pos = self.toks.peek()
+        kind, _, pos = self._peek()
         if kind != "end":
             raise ParseError(f"unexpected {kind!r}", pos)
         return value
@@ -261,12 +234,12 @@ class _Parser:
     def _expr(self) -> FreePoly:
         value = self._term()
         while True:
-            kind, _, _ = self.toks.peek()
+            kind, _, _ = self._peek()
             if kind == "+":
-                self.toks.next()
+                self._next()
                 value = value + self._term()
             elif kind == "-":
-                self.toks.next()
+                self._next()
                 value = value - self._term()
             else:
                 return value
@@ -274,9 +247,9 @@ class _Parser:
     def _term(self) -> FreePoly:
         value = self._signed()
         while True:
-            kind, _, pos = self.toks.peek()
+            kind, _, pos = self._peek()
             if kind == "*":
-                self.toks.next()
+                self._next()
             elif kind not in ("gen", "nat", "("):
                 return value
             other = self._signed()
@@ -289,18 +262,18 @@ class _Parser:
             value = value * other
 
     def _signed(self) -> FreePoly:
-        kind, _, _ = self.toks.peek()
+        kind, _, _ = self._peek()
         if kind == "-":
-            self.toks.next()
+            self._next()
             return -self._factor()
         return self._factor()
 
     def _factor(self) -> FreePoly:
         value = self._atom()
-        kind, _, _ = self.toks.peek()
+        kind, _, _ = self._peek()
         if kind == "^":
-            self.toks.next()
-            nk, n, pos = self.toks.next()
+            self._next()
+            nk, n, pos = self._next()
             if nk != "nat":
                 raise ParseError("exponent must be a natural number", pos)
             _check_power(value, n, pos)
@@ -308,31 +281,28 @@ class _Parser:
         return value
 
     def _atom(self) -> FreePoly:
-        kind, val, pos = self.toks.next()
+        kind, val, pos = self._next()
         if kind == "gen":
             if val < 1 or val > self.s:
                 raise UnknownGenerator(f"x{val} (only {self.s} generators declared)")
-            return FreePoly.generator(val, self.s, self.field)
+            return FreePoly(self.s, self.field, {(val,): 1})
         if kind == "nat":
-            num = val
-            if self.toks.peek()[0] == "/":
-                self.toks.next()
-                dk, den, dpos = self.toks.next()
+            if self._peek()[0] == "/":
+                self._next()
+                dk, den, dpos = self._next()
                 if dk != "nat":
                     raise ParseError("denominator must be a natural number", dpos)
                 if den == 0:
                     raise ParseError("denominator must be nonzero", dpos)
-                from fractions import Fraction
-
-                return FreePoly.constant(self.field.scalar(Fraction(num, den)), self.s)
-            return FreePoly.constant(self.field.scalar(num), self.s)
+                return FreePoly.constant(self.field.scalar(f"{val}/{den}"), self.s)
+            return FreePoly.constant(self.field.scalar(val), self.s)
         if kind == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
             self.depth += 1
             value = self._expr()
             self.depth -= 1
-            ck, _, cpos = self.toks.next()
+            ck, _, cpos = self._next()
             if ck != ")":
                 raise ParseError("expected ')'", cpos)
             return value

@@ -299,9 +299,12 @@ def _render(obj, newline: str, out: list) -> None:
 
 
 def loads(text: str):
-    """Parse an emitted document; returns (metadata, report object)."""
+    """Parse an emitted document; returns (metadata, report object), or raises BadReport."""
     import json  # only decoding needs the parser
 
-    doc = json.loads(text)
-    field = Field.from_dict(doc["field"])
-    return doc, decode(doc["report"], field)
+    try:
+        doc = json.loads(text)
+        field = Field.from_dict(doc["field"])
+        return doc, decode(doc["report"], field)
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise BadReport(f"malformed report document: {type(exc).__name__}: {exc}") from exc

@@ -172,9 +172,9 @@ def test_one_name_per_concept_on_every_sum():
     pair = BivariatePoly(QQ, {(0, 0): 3})
     for p in (free, comm, pair):
         assert p.is_constant and p.constant_value() == QQ.scalar(3)
-    assert not FreePoly.generator(1, 2, QQ).is_constant
+    assert not FreePoly(2, QQ, {(1,): 1}).is_constant
     assert not BivariatePoly(QQ, {(1, 0): 1}).is_constant
-    assert FreePoly.generator(1, 2, QQ).constant_value() == QQ.scalar(0)
+    assert FreePoly(2, QQ, {(1,): 1}).constant_value() == QQ.scalar(0)
 
 
 def test_zero_sums_have_degree_neg_inf():

@@ -229,7 +229,7 @@ class TestSparseSum:
         from nclab.freealg import FreePoly
 
         with pytest.raises(FieldMismatch):
-            FreePoly.generator(1, 2, QQ) + FreePoly.generator(1, 3, QQ)
+            FreePoly(2, QQ, {(1,): 1}) + FreePoly(3, QQ, {(1,): 1})
         assert FreePoly.one(2, QQ) != FreePoly.one(3, QQ)
 
     def test_equal_terms_in_different_classes_differ(self):

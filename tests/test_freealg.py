@@ -7,7 +7,15 @@ import pytest
 
 from oracles import free_commutator, free_mul
 from samples import random_freepoly, random_int_matrix
-from nclab.errors import FieldMismatch, ParseError, PowerTooLarge, ShapeMismatch, UnknownGenerator
+from nclab.errors import (
+    DivisionByZero,
+    EngineError,
+    FieldMismatch,
+    ParseError,
+    PowerTooLarge,
+    ShapeMismatch,
+    UnknownGenerator,
+)
 from nclab.fields import GF, QQ, NEG_INF
 from nclab.freealg import (
     MAX_NESTING,
@@ -123,6 +131,76 @@ class TestParse:
         with pytest.raises(PowerTooLarge):
             parse_free(refused, 2, field)
 
+    # text, field, error class, message, position: one row per refusal of the reader,
+    # recorded from the tokenizer-class parser; the end token sits at len(text)
+    @pytest.mark.parametrize("text, field, error, message, position", [
+        ("x", QQ, ParseError, "generator needs an index, e.g. x1", 0),
+        ("x1 + x", QQ, ParseError, "generator needs an index, e.g. x1", 5),
+        ("x\u00b2", QQ, ParseError, "generator needs an index, e.g. x1", 0),
+        ("x1\u00b2", QQ, ParseError, "unexpected character '\u00b2'", 2),
+        ("\u0663", QQ, ParseError, "unexpected character '\u0663'", 0),
+        ("x1 $ x2", QQ, ParseError, "unexpected character '$'", 3),
+        ("x1 y", QQ, ParseError, "unexpected character 'y'", 3),
+        ("x1^x2", QQ, ParseError, "exponent must be a natural number", 3),
+        ("x1^-2", QQ, ParseError, "exponent must be a natural number", 3),
+        ("x1^", QQ, ParseError, "exponent must be a natural number", 3),
+        ("x1^ \t", QQ, ParseError, "exponent must be a natural number", 5),
+        ("1/x1", QQ, ParseError, "denominator must be a natural number", 2),
+        ("1/", QQ, ParseError, "denominator must be a natural number", 2),
+        ("x1 2/ ", QQ, ParseError, "denominator must be a natural number", 6),
+        ("1/0", QQ, ParseError, "denominator must be nonzero", 2),
+        ("3/00", GF(7), ParseError, "denominator must be nonzero", 2),
+        ("(x1", QQ, ParseError, "expected ')'", 3),
+        ("(x1 \u00a0", QQ, ParseError, "expected ')'", 5),
+        ("((x1)", QQ, ParseError, "expected ')'", 5),
+        ("(x1 x2(", QQ, ParseError, "expected a generator, number or '('", 7),
+        ("x1)", QQ, ParseError, "unexpected ')'", 2),
+        ("x1 / 2", QQ, ParseError, "unexpected '/'", 3),
+        ("x1/7", GF(7), ParseError, "unexpected '/'", 2),
+        ("x1 ^ 2 ^ 2", QQ, ParseError, "unexpected '^'", 7),
+        ("", QQ, ParseError, "expected a generator, number or '('", 0),
+        ("\u2003 ", QQ, ParseError, "expected a generator, number or '('", 2),
+        ("x1 + \t", QQ, ParseError, "expected a generator, number or '('", 6),
+        ("x1*", QQ, ParseError, "expected a generator, number or '('", 3),
+        ("-", QQ, ParseError, "expected a generator, number or '('", 1),
+        ("(" * 101 + "x1" + ")" * 101, QQ, ParseError, "parentheses nested deeper than 100", 100),
+        ("x1^1001", QQ, PowerTooLarge, "exponent 1001 on a base of degree 1 exceeds degree 1000", 3),
+        ("(x1+x2)^14", QQ, PowerTooLarge, "exponent 14 on a base of 2 terms exceeds 10000 terms", 8),
+        ("(2^1000)^10", QQ, PowerTooLarge,
+         "exponent 10 on 1001-bit coefficients exceeds 10000 bits", 9),
+        ("(x1+x2)^13*(x1+x2)^13", QQ, PowerTooLarge,
+         "a product of 8192 and 8192 terms exceeds 10000 terms", 10),
+        ("(x1+x2)^13 (x1+x2)^13", GF(7), PowerTooLarge,
+         "a product of 8192 and 8192 terms exceeds 10000 terms", 11),
+        ("x3", QQ, UnknownGenerator, "x3 (only 2 generators declared)", None),
+        ("x0", QQ, UnknownGenerator, "x0 (only 2 generators declared)", None),
+        ("x1 + x12", GF(7), UnknownGenerator, "x12 (only 2 generators declared)", None),
+        ("1/7", GF(7), DivisionByZero, "7 has no inverse in GF(7)", None),
+    ])
+    def test_each_refusal_has_its_class_message_and_position(
+        self, text, field, error, message, position
+    ):
+        with pytest.raises(EngineError) as e:
+            parse_free(text, 2, field)
+        assert type(e.value) is error
+        if position is None:
+            assert str(e.value) == message and not hasattr(e.value, "position")
+        else:
+            assert str(e.value) == f"{message} (at position {position})"
+            assert e.value.position == position
+
+    @pytest.mark.parametrize("text, terms", [
+        ("x1\tx2", {(1, 2): 1}),
+        ("x1\u00a0*\u00a0x2", {(1, 2): 1}),
+        ("\u2003x1\u2003+\u20033/2", {(1,): 1, (): Fraction(3, 2)}),
+        ("x1 - -x2 \t\n", {(1,): 1, (2,): 1}),
+        ("(x1)\u00a0^\t2 ", {(1, 1): 1}),
+        ("7/7\u2003", {(): 1}),
+    ])
+    def test_whitespace_is_what_isspace_accepts(self, text, terms):
+        assert parse_free(text, 2, QQ) == fp(terms)
+        assert parse_free(text, 2, GF(7)) == fp(terms, field=GF(7))
+
     def test_prime_field_constants_have_no_bit_limit(self):
         big = parse_free(f"2^{MAX_POWER_DEGREE}", 1, GF(32003))
         assert big == FreePoly(1, GF(32003), {(): GF(32003).scalar(pow(2, MAX_POWER_DEGREE, 32003))})
@@ -136,7 +214,7 @@ class TestParse:
 class TestPretty:
     def test_examples(self):
         assert pretty(fp({(1, 2): 1, (2, 1): -1})) == "x1*x2 - x2*x1"
-        assert pretty(FreePoly.zero(2, QQ)) == "0"
+        assert pretty(FreePoly(2, QQ)) == "0"
         assert pretty(fp({(): Fraction(3, 2)})) == "3/2"
 
     def test_runs_collapse_to_powers(self):
@@ -157,17 +235,17 @@ class TestPretty:
 
 class TestArithmetic:
     def test_generator_product_is_word(self):
-        x1 = FreePoly.generator(1, 2, QQ)
-        x2 = FreePoly.generator(2, 2, QQ)
+        x1 = fp({(1,): 1})
+        x2 = fp({(2,): 1})
         assert x1 * x2 == fp({(1, 2): 1})
 
     def test_noncommutativity(self):
-        x1 = FreePoly.generator(1, 2, QQ)
-        x2 = FreePoly.generator(2, 2, QQ)
+        x1 = fp({(1,): 1})
+        x2 = fp({(2,): 1})
         assert not (x1 * x2 - x2 * x1).is_zero
 
     def test_scalars_are_central(self):
-        x1 = FreePoly.generator(1, 2, QQ)
+        x1 = fp({(1,): 1})
         one = FreePoly.one(2, QQ)
         assert (x1 + one) * (x1 - one) == fp({(1, 1): 1, (): -1})
 
@@ -193,26 +271,26 @@ class TestArithmetic:
             FreePoly.one(2, QQ) + FreePoly.one(2, GF(5))
 
     def test_degree_sentinel(self):
-        assert FreePoly.zero(2, QQ).degree() == NEG_INF
+        assert FreePoly(2, QQ).degree() == NEG_INF
         assert FreePoly.one(2, QQ).degree() == 0
 
 
 class TestCommutator:
     def test_powers_commute(self):
-        x1 = FreePoly.generator(1, 2, QQ)
+        x1 = fp({(1,): 1})
         assert commutator(x1, x1 * x1).is_zero
 
     def test_generators(self):
-        x1 = FreePoly.generator(1, 2, QQ)
-        x2 = FreePoly.generator(2, 2, QQ)
+        x1 = fp({(1,): 1})
+        x2 = fp({(2,): 1})
         assert commutator(x1, x2) == fp({(1, 2): 1, (2, 1): -1})
 
     def test_sum_with_generator_matches_oracle(self):
         # [x1 + x2, x1]: frozen from the word-map oracle
         oracle = free_commutator({(1,): Fraction(1), (2,): Fraction(1)}, {(1,): Fraction(1)})
         assert oracle == {(2, 1): Fraction(1), (1, 2): Fraction(-1)}
-        x1 = FreePoly.generator(1, 2, QQ)
-        x2 = FreePoly.generator(2, 2, QQ)
+        x1 = fp({(1,): 1})
+        x2 = fp({(2,): 1})
         assert commutator(x1 + x2, x1) == fp(oracle)
 
     def test_alternating_and_antisymmetric(self):

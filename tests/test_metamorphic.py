@@ -120,7 +120,7 @@ def _leading_one(poly):
 
 def _univariate(h, coefficients):
     """sum_k coefficients[k] h^k in the free algebra."""
-    out, power = FreePoly.zero(2, h.field), FreePoly.one(2, h.field)
+    out, power = FreePoly(2, h.field), FreePoly.one(2, h.field)
     for c in coefficients:
         out = out + FreePoly.constant(h.field.scalar(c), 2) * power
         power = power * h

@@ -1,6 +1,7 @@
 """Poisson brackets, the truncated star product and series of matrices."""
 
 import json
+import operator
 import random
 from fractions import Fraction
 from math import factorial
@@ -12,7 +13,13 @@ from oracles import moyal_term, ordered_pairs, poisson_oracle
 from samples import lifted_commutator, random_commpoly, random_freepoly, random_scalar
 from nclab.centralizer import _star_traces
 from nclab.diagonalize import SeriesFieldMatrix
-from nclab.errors import BadTensorFile, CharacteristicTooSmall, FieldMismatch, UnknownVariable
+from nclab.errors import (
+    BadTensorFile,
+    CharacteristicTooSmall,
+    FieldMismatch,
+    ShapeMismatch,
+    UnknownVariable,
+)
 from nclab.fields import GF, QQ
 from nclab.quantize import (
     FormalSeries,
@@ -532,6 +539,36 @@ class TestMatrixStar:
         with pytest.raises(TypeError):
             matrix_star(quantize_lift(GenericMatrix([[poly(VX[0])]]), ctx), s, ctx)
 
+    def test_operands_over_a_field_other_than_the_contexts_are_refused(self):
+        # in a Q context, the lifts of 5 x and 3 y over GF(7) multiplied to a GF(7)
+        # series holding the unreduced 15 x y at h^0 and 15/2 at h^1
+        ctx = StarContext(pairing_tensor([VX[0]], [VY[0]], QQ), 1)
+        f7 = GF(7)
+        x, y = (CommPoly.variable(v, f7).scale(f7.scalar(c)) for v, c in ((VX[0], 5), (VY[0], 3)))
+        a, b = (quantize_lift(GenericMatrix([[p]]), ctx) for p in (x, y))
+        with pytest.raises(FieldMismatch, match="other than the context's"):
+            a * b
+        with pytest.raises(FieldMismatch, match="other than the context's"):
+            star_mul(FormalSeries.from_poly(x, 1), FormalSeries.from_poly(y, 1), ctx)
+
+    def test_star_series_of_different_contexts_are_refused(self):
+        # lifted in opposite pairings, a*b - b*a ran in a's context alone and gave 0
+        ctx = StarContext(pairing_tensor([VX[0]], [VY[0]], QQ), 1)
+        opposite = StarContext(pairing_tensor([VY[0]], [VX[0]], QQ), 1)
+        a = quantize_lift(GenericMatrix([[poly(VX[0])]]), ctx)
+        b = quantize_lift(GenericMatrix([[poly(VY[0])]]), opposite)
+        for op in (operator.add, operator.sub, operator.mul):
+            for left, right in ((a, b), (b, a)):
+                with pytest.raises(ShapeMismatch, match="another context"):
+                    op(left, right)
+        for left, right in ((a, a), (a, FormalSeries(a.coeffs)), (FormalSeries(a.coeffs), a)):
+            with pytest.raises(ShapeMismatch, match="another context"):
+                matrix_star(left, right, opposite)
+        # a context built apart but equal is the same context
+        same = StarContext(pairing_tensor([VX[0]], [VY[0]], QQ), 1)
+        c = quantize_lift(GenericMatrix([[poly(VY[0])]]), same)
+        assert (a * c - c * a).coefficient(1) == GenericMatrix([[CommPoly.one(QQ)]])
+
 
 class TestQuantizeLift:
     def test_lift_of_generic_1x1(self):
@@ -599,7 +636,7 @@ class TestQuantizeLift:
 
 def polynomial_in(h: FreePoly, coeffs) -> FreePoly:
     """sum_k coeffs[k] h^k, by Horner's rule."""
-    out = FreePoly.zero(h.s, h.field)
+    out = FreePoly(h.s, h.field)
     for c in reversed(coeffs):
         out = out * h + FreePoly.constant(c, h.s)
     return out

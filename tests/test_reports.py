@@ -276,6 +276,40 @@ def test_decoding_refuses_a_derived_key_that_disagrees_with_the_fields(name, pat
         serialize.loads(json.dumps(doc))
 
 
+_DELETED = object()
+
+
+@pytest.mark.parametrize("path, value, raw", [
+    (["report", "type"], _DELETED, KeyError),
+    (["field"], {"kind": "foo"}, KeyError),
+    (["field"], 7, AttributeError),
+    (["report"], 1.5, TypeError),
+    (["report", "image", "entries", 0, 0, "terms", 0, 1], "abc", ValueError),
+    (["report", "image", "entries", 0, 0, "terms", 0, 1], "1/0", ZeroDivisionError),
+    (["report", "image", "type"], "no-such-type", ValueError),
+], ids=["no-type", "unknown-field-kind", "field-a-number", "report-a-number",
+        "coefficient-not-a-number", "coefficient-over-zero", "unknown-type"])
+def test_a_malformed_document_is_a_bad_report(path, value, raw):
+    # ``loads`` refuses what ``decode`` cannot read; its raw error is kept as the cause
+    with open(os.path.join(GOLDEN, "pi-x1x2-n2-q.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    obj = doc
+    for key in path[:-1]:
+        obj = obj[key]
+    if value is _DELETED:
+        del obj[path[-1]]
+    else:
+        obj[path[-1]] = value
+    with pytest.raises(BadReport, match="^malformed report document: ") as e:
+        serialize.loads(json.dumps(doc))
+    assert type(e.value.__cause__) is raw
+
+
+def test_text_that_is_not_json_is_a_bad_report():
+    with pytest.raises(BadReport, match="JSONDecodeError"):
+        serialize.loads("{")
+
+
 def test_decoded_diag_report_re_verifies():
     with open(os.path.join(GOLDEN, "diag-n3-o2-q.json"), encoding="utf-8") as fh:
         doc, rep = serialize.loads(fh.read())

@@ -255,8 +255,8 @@ def _module_level_imports(tree):
 
 
 def test_only_fields_imports_fractions_at_module_level():
-    # raw values are built, reduced and inverted by fields alone; freealg's literal
-    # parser keeps its import inside the function that reads a fraction literal
+    # raw values are built, reduced and inverted by fields alone; the expression
+    # parser reads a fraction literal through Field.scalar
     package = os.path.dirname(nclab.__file__)
     importers = set()
     for name in sorted(os.listdir(package)):
