@@ -3,7 +3,8 @@
 #   1. the tier-1 test suite, listing its ten slowest tests, so that a change
 #      shows where its tier-1 time goes,
 #   2. the golden reports (scripts/record_golden.py --check), also under python -O,
-#      so that no report depends on an assert,
+#      so that no report depends on an assert; the two runs fix different string-hash
+#      seeds, so that a report that depends on hash order fails, and fails every time,
 #   3. the benchmark's self-test in both trace modes (perfbench/run.py --smoke).
 # Once all pass it prints the line count of src/nclab/*.py, so that a change's
 # net src/ lines are the difference of two runs.
@@ -16,8 +17,8 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 echo "== tier-1 tests =="
 python -m pytest -q --continue-on-collection-errors --durations=10
 echo "== golden reports =="
-python scripts/record_golden.py --check
-python -O scripts/record_golden.py --check
+PYTHONHASHSEED=0 python scripts/record_golden.py --check
+PYTHONHASHSEED=1 python -O scripts/record_golden.py --check
 echo "== benchmark smoke =="
 python3 perfbench/run.py --smoke
 echo "all gates passed"

@@ -16,7 +16,7 @@ from nclab.centralizer import (
     diagonal_generic_pair,
 )
 from nclab.fields import QQ
-from nclab.freealg import parse_free, pretty
+from nclab.freealg import parse_free
 from nclab.quantize import StarContext, entry_pairing_tensor, quantize_lift
 
 
@@ -37,7 +37,7 @@ def main() -> None:
     print("== centralizers ==")
     for text in ["x1^2", "x2*x1*x2"]:
         rep = bergman_check(parse_free(text, 2, QQ), 5)
-        print(f"C({text}) up to degree 5: generated by {pretty(rep.generator)}; dims {rep.dims}")
+        print(f"C({text}) up to degree 5: generated by {rep.generator}; dims {rep.dims}")
     print()
 
     print("== commuting free pairs ==")

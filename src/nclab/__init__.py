@@ -38,7 +38,7 @@ _PUBLIC = {
     name: module
     for module, names in (
         ("fields", "GF QQ Field Scalar"),
-        ("freealg", "FreePoly commutator parse_free pretty"),
+        ("freealg", "FreePoly commutator parse_free"),
         (
             "genmat",
             "BivariatePoly FormalSeries GenericMatrix annihilator_stability find_annihilator"

@@ -80,8 +80,7 @@ def centralizer_basis(f: freealg.FreePoly, d: int) -> CentralizerBasis:
     # Re-check by an independent path: every element commutes with f.
     for b in basis:
         if not freealg.commutator(f, b).is_zero:
-            raise ArithmeticError(
-                f"centralizer basis element {freealg.pretty(b)} does not commute with f")
+            raise ArithmeticError(f"centralizer basis element {b} does not commute with f")
     return CentralizerBasis(f, d, basis)
 
 
@@ -242,7 +241,7 @@ def bergman_pipeline(
 ) -> PipelineReport:
     """Commutation, lifts at the star-generic matrices, annihilators and star commutators."""
     c = freealg.commutator(f, g)
-    f_text, g_text = freealg.pretty(f), freealg.pretty(g)
+    f_text, g_text = str(f), str(g)
     if not c.is_zero:
         return PipelineReport(f_text, g_text, c, [], None,
                               "inputs do not commute in the free algebra")

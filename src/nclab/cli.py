@@ -196,8 +196,7 @@ def _tensor(args, field: Field, s: int, n: int) -> quantize.PoissonTensor:
 
 def _cmd_eval(args, field):
     rep = EvalReport(freealg.parse_free(args.f, args.s, field))
-    lines = [f"canonical: {freealg.pretty(rep.poly)}", f"degree: {rep.degree_text}",
-             f"terms: {rep.term_count}"]
+    lines = [f"canonical: {rep.poly}", f"degree: {rep.degree_text}", f"terms: {rep.term_count}"]
     return rep, 0, lines
 
 
@@ -206,7 +205,7 @@ def _cmd_commute(args, field):
     g = freealg.parse_free(args.g, args.s, field)
     c = freealg.commutator(f, g)
     rep = CommuteReport(f, g, c)
-    verdict = "PASS: [f,g] = 0" if rep.commute else f"FAIL: [f,g] = {freealg.pretty(c)}"
+    verdict = "PASS: [f,g] = 0" if rep.commute else f"FAIL: [f,g] = {c}"
     return rep, 0 if rep.commute else 2, [verdict]
 
 
@@ -319,7 +318,7 @@ def _cmd_centralizer(args, field):
     rep = centralizer.bergman_check(f, args.d)
     lines = [f"dims by degree: {rep.dims}"]
     if rep.generator is not None:
-        lines.append(f"generator: {freealg.pretty(rep.generator)}")
+        lines.append(f"generator: {rep.generator}")
     lines.append("single-generator test: " + ("PASS" if rep.passed else "FAIL"))
     return rep, 0 if rep.passed else 2, lines
 
@@ -327,7 +326,7 @@ def _cmd_centralizer(args, field):
 def _pipeline_lines(rep):
     lines = []
     if not rep.commute:
-        lines.append(f"[f,g] = {freealg.pretty(rep.free_commutator)}")
+        lines.append(f"[f,g] = {rep.free_commutator}")
     for o in rep.outcomes:
         ann = (
             f"P(u,v) = {o.annihilator.poly}"
@@ -568,9 +567,8 @@ def main(argv=None) -> int:
         # a built-in exactness re-verification did not hold
         print(f"verification failed: {exc}", file=sys.stderr)
         return 2
-    doc = serialize.envelope(report, args.command, field, args.seed, bounds)
     if args.json:
-        payload = serialize.dumps(doc)
+        payload = serialize.dumps(serialize.envelope(report, args.command, field, args.seed, bounds))
     else:
         payload = "\n".join(lines + [f"seed: {args.seed}"]) + "\n"
     if args.out:

@@ -241,7 +241,8 @@ class SparseSum(Frozen):
     """Immutable finite sum key -> nonzero raw value over one field, canonical.
 
     A subclass gives its key product ``_key_mul()`` (None: no product), the
-    printing order ``_order`` and text ``_key_str`` of its keys, and, when it
+    graded printing order ``_order`` (whose first component is minus the key's
+    degree) and text ``_key_str`` of its keys, and, when it
     takes more constructor arguments than the field, ``_ring()``: those
     arguments, on which every operand must agree.  An operand of another
     class is refused with ``TypeError``.  Only the constructor coerces; the
@@ -288,6 +289,12 @@ class SparseSum(Frozen):
 
     def coefficient(self, key) -> Scalar:
         return Scalar(self.field, self.terms.get(key, 0))
+
+    def degree(self):
+        """The largest degree of a key, read off ``_order``; ``NEG_INF`` for 0."""
+        if not self.terms:
+            return NEG_INF
+        return -min(map(self._order, self.terms))[0]
 
     def sorted_terms(self):
         """(key, raw coefficient) pairs in printing order."""

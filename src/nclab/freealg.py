@@ -12,14 +12,16 @@ owns the expression grammar shared with the CLI:
     GEN     := "x" NAT        RATIONAL := NAT ("/" NAT)?
 
 Juxtaposition and "*" both mean the noncommutative product; "^" binds tighter
-than products, products tighter than sums.  NAT digits are ASCII, and
-whitespace is what ``str.isspace`` accepts.  One compiled token pattern scans
-the text; ``_Parser`` reads the tokens and builds each atom as a ``FreePoly``.
+than products, products tighter than sums.  NAT digits are ASCII, at most
+4300 of them (int's default limit, whatever the process's own), and whitespace
+is what ``str.isspace`` accepts.  One compiled token pattern scans the text;
+``_Parser`` reads the tokens and builds each atom as a ``FreePoly``.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from itertools import groupby
 from operator import concat
 
@@ -30,7 +32,7 @@ from .errors import (
     ShapeMismatch,
     UnknownGenerator,
 )
-from .fields import NEG_INF, Field, Scalar, SparseSum
+from .fields import Field, Scalar, SparseSum
 
 Word = tuple  # tuple[int, ...]
 
@@ -43,7 +45,10 @@ def word_key(w: Word):
 
 
 class FreePoly(SparseSum):
-    """Element of the free algebra: a sum of words in s generators, canonical."""
+    """Element of the free algebra: a sum of words in s generators, canonical.
+
+    ``parse_free`` reads its ``str``, the grammar's text, back to an equal element.
+    """
 
     __slots__ = ("s",)
 
@@ -86,13 +91,6 @@ class FreePoly(SparseSum):
     def constant(c: Scalar, s: int) -> FreePoly:
         return FreePoly(s, c.field, {EMPTY_WORD: c})
 
-    # -- structure -------------------------------------------------------------
-
-    def degree(self):
-        if not self.terms:
-            return NEG_INF
-        return max(len(w) for w in self.terms)
-
     # -- evaluation ----------------------------------------------------------------
 
     def evaluate_in_matrices(self, images):
@@ -134,11 +132,6 @@ def commutator(a: FreePoly, b: FreePoly) -> FreePoly:
     return a * b - b * a
 
 
-def pretty(a: FreePoly) -> str:
-    """Deterministic rendering; parses back to an equal polynomial."""
-    return str(a)
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
@@ -153,10 +146,12 @@ _TOKEN = re.compile(r"x(?P<gen>[0-9]+)|(?P<nat>[0-9]+)|(?P<op>[-+*^()/])|(?P<spa
 
 def _tokens(text: str) -> list:
     """The (kind, value, position) tokens of ``text``, closed by ("end", None, len(text))."""
-    tokens = []
+    tokens, limit = [], sys.int_info.default_max_str_digits
     for m in _TOKEN.finditer(text):
         kind, lexeme, pos = m.lastgroup, m[m.lastgroup], m.start()
         if kind == "gen" or kind == "nat":
+            if len(lexeme) > limit:
+                raise ParseError(f"number longer than {limit} digits", m.start(kind))
             tokens.append((kind, int(lexeme), pos))
         elif kind == "op":
             tokens.append((lexeme, None, pos))
@@ -187,7 +182,7 @@ MAX_POWER_BITS = 10_000
 
 def _check_power(base: FreePoly, n: int, pos: int) -> None:
     """Refuse base^n when its estimated size exceeds a MAX_POWER_* limit."""
-    degree = max((len(w) for w in base.terms), default=0)
+    degree = max(base.degree(), 0)
     if n * max(degree, 1) > MAX_POWER_DEGREE:
         raise PowerTooLarge(
             f"exponent {n} on a base of degree {degree} exceeds degree {MAX_POWER_DEGREE}", pos

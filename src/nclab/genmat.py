@@ -13,7 +13,7 @@ from functools import cache
 
 from . import freealg, linalg
 from .errors import FieldMismatch, InvalidSize, NotCommuting, ShapeMismatch
-from .fields import NEG_INF, Field, SparseSum, add_products
+from .fields import Field, SparseSum, add_products
 from .records import Frozen, Record
 from .rings import CommPoly, RationalFunction, Variable, mono_mul
 
@@ -345,11 +345,6 @@ class BivariatePoly(SparseSum):
 
     _unit = (0, 0)
 
-    def total_degree(self):
-        if not self.terms:
-            return NEG_INF
-        return max(a + b for a, b in self.terms)
-
 
 class AnnihilatorResult(Record):
     """Outcome of the minimal-annihilator search for one commuting pair."""
@@ -357,7 +352,7 @@ class AnnihilatorResult(Record):
     __slots__ = ("poly", "n", "searched_bound")
 
     found = property(lambda self: self.poly is not None)
-    total_degree = property(lambda self: self.poly.total_degree() if self.found else None)
+    total_degree = property(lambda self: self.poly.degree() if self.found else None)
 
     def verify(self, f: GenericMatrix, g: GenericMatrix) -> bool:
         """Whether P(f, g) = 0, with P read as the free sum of c * x1^a * x2^b (f, g commute)."""
@@ -451,4 +446,4 @@ def annihilator_stability(
         raise NotCommuting("inputs do not commute in the free algebra")
     results = [find_annihilator(pi_reduce(f, n), pi_reduce(g, n), dmax)
                for n in range(1, nmax + 1)]
-    return StabilityReport(freealg.pretty(f), freealg.pretty(g), results)
+    return StabilityReport(str(f), str(g), results)

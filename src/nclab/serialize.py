@@ -36,7 +36,7 @@ from .records import Record
 class EvalReport(Record):
     __slots__ = ("poly",)
 
-    degree_text = property(lambda self: "-inf" if self.poly.is_zero else str(self.poly.degree()))
+    degree_text = property(lambda self: str(self.poly.degree()))  # NEG_INF prints -inf
     term_count = property(lambda self: len(self.poly.terms))
 
 
@@ -156,7 +156,7 @@ _FORMAT = (
     _row("commpoly", "rings.CommPoly", _commpoly_body, _commpoly_from, text=str),
     _row("ratfun", "rings.RationalFunction",
          lambda r: {"num": encode(r.num), "den": encode(r.den)}, _ratfun_from),
-    _row("freepoly", "freealg.FreePoly", lambda p: {"s": p.s, "expr": freealg.pretty(p)},
+    _row("freepoly", "freealg.FreePoly", lambda p: {"s": p.s, "expr": str(p)},
          lambda o, field: freealg.parse_free(o["expr"], o["s"], field)),
     _row("bivariate", "genmat.BivariatePoly",
          lambda p: {"terms": [[a, b, str(c)] for (a, b), c in p.sorted_terms()]},

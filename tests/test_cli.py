@@ -29,7 +29,7 @@ from nclab.cli import (
     main,
     parse,
 )
-from nclab import centralizer, genmat, rings
+from nclab import centralizer, genmat, rings, serialize
 from nclab.fields import GF, QQ
 from nclab.freealg import MAX_NESTING, parse_free
 
@@ -721,6 +721,18 @@ class TestJson:
         assert code == 0
         assert json.loads(out)["bounds"] == bounds
 
+    # every command, and a refusal that exits 2
+    @pytest.mark.parametrize("argv", [a for a, _ in ENVELOPE_BOUNDS]
+                             + [["commute", "--f", "x1", "--g", "x2"]], ids=" ".join)
+    def test_text_mode_encodes_no_report(self, argv, capsys, monkeypatch):
+        expected = run(argv, capsys)
+
+        def refuse(obj):
+            raise AssertionError("a report was encoded in text mode")
+
+        monkeypatch.setattr(serialize, "encode", refuse)
+        assert run(argv, capsys) == expected
+
     def test_the_envelope_bounds_are_the_int_flags_of_every_command(self):
         for command, (_, flags, _) in COMMANDS.items():
             ints = {name for name, kind, *_ in flags if kind is int}
@@ -804,8 +816,6 @@ class TestJson:
         assert err == f"error [bad-tensor-file]: tensor key '{key}' is not a JSON list\n"
 
     def test_json_decodes_to_report(self, capsys):
-        from nclab import serialize
-
         code, out, _ = run(
             ["centralizer", "--f", "x1*x2", "--d", "3", "--json"], capsys
         )

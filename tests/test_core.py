@@ -8,6 +8,7 @@ over F_p are ints, so reduction is a ring homomorphism.
 """
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,12 +18,13 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import nclab
+from samples import random_commpoly, random_freepoly, random_scalar
 from nclab.cli import main
 from nclab.errors import FieldMismatch
 from nclab.fields import GF, NEG_INF, QQ, Scalar
 from nclab.freealg import FreePoly
 from nclab.genmat import BivariatePoly, GenericMatrix
-from nclab.rings import CommPoly, Variable, mono_from_dict
+from nclab.rings import CommPoly, Variable, mono_degree, mono_from_dict
 
 SRC = os.path.dirname(os.path.dirname(nclab.__file__))
 FIELDS = [QQ, GF(2), GF(7), GF(32003)]
@@ -178,10 +180,40 @@ def test_one_name_per_concept_on_every_sum():
 
 
 def test_zero_sums_have_degree_neg_inf():
-    assert BivariatePoly(QQ).total_degree() == NEG_INF
-    assert CommPoly(QQ).total_degree() == NEG_INF
+    assert BivariatePoly(QQ).degree() == NEG_INF
+    assert CommPoly(QQ).degree() == NEG_INF
     assert FreePoly(1, QQ).degree() == NEG_INF
-    assert BivariatePoly(QQ, {(2, 1): 1, (0, 1): 5}).total_degree() == 3
+    assert BivariatePoly(QQ, {(2, 1): 1, (0, 1): 5}).degree() == 3
+
+
+# each sum and the degree of one of its keys
+KEY_DEGREES = {FreePoly: len, CommPoly: mono_degree, BivariatePoly: sum}
+
+
+def _random_sum(rng, kind, field):
+    """A nonzero sum of up to five keys of degree 0 to 4 (for a pair, 0 to 8)."""
+    while True:
+        if kind is FreePoly:
+            out = random_freepoly(rng, 2, field, max_degree=4, max_terms=5)
+        elif kind is CommPoly:
+            out = random_commpoly(rng, VARS, field, max_degree=4, max_terms=5)
+        else:
+            out = BivariatePoly(field, {(rng.randint(0, 4), rng.randint(0, 4)): random_scalar(rng, field)
+                                        for _ in range(rng.randint(1, 5))})
+        if not out.is_zero:
+            return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=repr)
+def test_the_degree_of_every_sum_is_its_largest_key_degree(field):
+    rng = random.Random(field.p)
+    for kind, key_degree in KEY_DEGREES.items():
+        for _ in range(200):
+            a = _random_sum(rng, kind, field)
+            assert a.degree() == max(map(key_degree, a.terms)), a
+            if kind is not BivariatePoly:  # a pair sum has no product
+                b = _random_sum(rng, kind, field)
+                assert (a * b).degree() == a.degree() + b.degree(), (a, b)
 
 
 # Each snippet must raise FieldMismatch; run under ``python -O`` too, which

@@ -3,9 +3,12 @@
 A fraction's denominator is a nonzero scalar times a product of differences
 t_i - t_j.  Every operation is compared with two references: the unreduced
 numerator and denominator put through the constructor (which factors the
-denominator by trial division), and ``sympy.cancel`` (a test-only oracle).
+denominator by trial division), and sympy (a test-only oracle): the same
+unreduced form in sympy's polynomials must equal the result's cross products,
+and the result must be in lowest terms, which sympy checks by division and
+substitution, with no gcd.  The seeded chains compare with ``sympy.cancel``.
 A quotient by an element whose numerator is not such a product is refused,
-and sympy's factorization decides which quotients those are.  ``poly_gcd``,
+and sympy's division decides which quotients those are.  ``poly_gcd``,
 which fractions no longer use, reads the gcd off one echelon of monomial
 multiples and is compared with ``sympy.gcd`` over Q and over fields as small
 as GF(2), and on the sums of fractions where the primitive PRS it replaced
@@ -16,6 +19,7 @@ import itertools
 import random
 import signal
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -134,26 +138,57 @@ def _sympy_reduced(expr, field, variables=VARS):
     return num.scale(inv), den.scale(inv)
 
 
-def _is_unit(r: RationalFunction) -> bool:
-    """sympy's verdict: the numerator is a scalar times differences of variables.
+GENS = [sympy.Symbol(str(v)) for v in VARS]
+
+
+def _sympy_poly(expr, field):
+    return sympy.Poly(expr, *GENS, **({"modulus": field.p} if field.p else {"domain": "QQ"}))
+
+
+def _strip_differences(p: sympy.Poly, field):
+    """(rest, pairs): p with every factor t_i - t_j divided out, and the set of (i, j) that divided it.
 
     (sympy factors no multivariate polynomial over GF(p), so this divides.)
     """
-    if r.is_zero:
-        return False
-    gens = [sympy.Symbol(str(v)) for v in VARS]
-    kw = {"modulus": r.field.p} if r.field.p else {"domain": "QQ"}
-    num = sympy.Poly(_to_sympy(r.num), *gens, **kw)
-    for i, j in itertools.combinations(range(len(gens)), 2):
-        diff = sympy.Poly(gens[i] - gens[j], *gens, **kw)
-        q, rem = num.div(diff)
+    pairs = set()
+    for i, j in itertools.combinations(range(len(GENS)), 2):
+        diff = _sympy_poly(GENS[i] - GENS[j], field)
+        q, rem = p.div(diff)
         while rem.is_zero:
-            num = q
-            q, rem = num.div(diff)
-    return num.is_ground
+            p = q
+            pairs.add((i, j))
+            q, rem = p.div(diff)
+    return p, pairs
 
 
-# (fast operation, unreduced (num, den) through the constructor, sympy value)
+def _is_unit(r: RationalFunction) -> bool:
+    """sympy's verdict: the numerator is a scalar times differences of variables."""
+    return not r.is_zero and _strip_differences(_sympy_parts(r).num, r.field)[0].is_ground
+
+
+def _sympy_parts(r: RationalFunction):
+    """The numerator and denominator of ``r`` as sympy polynomials, for the unreduced forms of OPS."""
+    num, den = (_sympy_poly(_to_sympy(p), r.field) for p in (r.num, r.den))
+    return SimpleNamespace(num=num, den=den)
+
+
+def _check_canonical(got: RationalFunction, num: sympy.Poly, den: sympy.Poly):
+    """``got`` is num/den in lowest terms, checked without a gcd.
+
+    The cross products expand equal.  ``got.den`` is a product of factors
+    t_i - t_j, monic under graded lex, and no such factor divides ``got.num``:
+    substituting t_j for t_i leaves it nonzero.  That pins the one form that
+    ``sympy.cancel`` gives.
+    """
+    mine = _sympy_parts(got)
+    assert (mine.num * den - num * mine.den).is_zero, (got, num, den)
+    rest, pairs = _strip_differences(mine.den, got.field)
+    assert rest.is_ground and mine.den.LC(order="grlex") == 1, got
+    for i, j in pairs:
+        assert not _sympy_poly(mine.num.as_expr().subs(GENS[i], GENS[j]), got.field).is_zero, (got, i, j)
+
+
+# (fast operation, unreduced (num, den) for the constructor and sympy, sympy value)
 OPS = {
     "add": (lambda a, b: a + b, lambda a, b: (a.num * b.den + b.num * a.den, a.den * b.den),
             lambda x, y: x + y),
@@ -167,7 +202,7 @@ OPS = {
 
 
 def _check_ops(field, a, b):
-    for name, (fast, unreduced, symbolic) in OPS.items():
+    for name, (fast, unreduced, _) in OPS.items():
         if name == "div" and b.is_zero:
             with pytest.raises(DivisionByZero):
                 fast(a, b)
@@ -179,16 +214,14 @@ def _check_ops(field, a, b):
         got = fast(a, b)
         slow = RationalFunction(*unreduced(a, b))
         assert (got.num, got.den) == (slow.num, slow.den), (name, a, b, got, slow)
-        oracle = _sympy_reduced(symbolic(_sympy_value(a), _sympy_value(b)), field)
-        assert (got.num, got.den) == oracle, (name, a, b, got, oracle)
+        _check_canonical(got, *unreduced(_sympy_parts(a), _sympy_parts(b)))
 
 
-# Each operation equals the constructor's reduction of its unreduced form, and sympy's.
-# Cost, run alone and inside tier-1 (Python 3.11, shared 2-core VM): GF(32003) 6.3 s
-# and 8.8 s, GF(7) 4.7 s and 7.1 s, QQ 2.2 s and 3.1 s.  Under cProfile about 95% of
-# it is the oracle's ``sympy.cancel``, a subresultant gcd.  (A comment, not a
-# docstring: hypothesis derives its derandomized examples from the source without
-# comments, so a docstring would change which examples run, and so the cost.)
+# Each operation equals the constructor's reduction of its unreduced form, and
+# ``_check_canonical`` finds that form in lowest terms with no gcd, so the cost does not
+# hang on the draw: about 2 s per field, run alone (Python 3.11, shared 2-core VM).
+# (A comment, not a docstring: hypothesis derives its derandomized examples from the
+# source without comments, so a docstring would change which examples run.)
 @pytest.mark.parametrize("field", FRACTION_FIELDS, ids=repr)
 @given(data=st.data())
 def test_fraction_ops_match_constructor_and_sympy(field, data):

@@ -1,6 +1,7 @@
 """Free-algebra arithmetic, the expression grammar and matrix evaluation."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,6 @@ from nclab.freealg import (
     FreePoly,
     commutator,
     parse_free,
-    pretty,
 )
 from nclab.genmat import GenericMatrix
 from nclab.rings import CommPoly, RationalFunction, Variable
@@ -176,6 +176,11 @@ class TestParse:
         ("x0", QQ, UnknownGenerator, "x0 (only 2 generators declared)", None),
         ("x1 + x12", GF(7), UnknownGenerator, "x12 (only 2 generators declared)", None),
         ("1/7", GF(7), DivisionByZero, "7 has no inverse in GF(7)", None),
+        # longer than int()'s default limit on the digits it reads
+        pytest.param("1" * 5000, QQ, ParseError, "number longer than 4300 digits", 0,
+                     id="nat-5000-digits"),
+        pytest.param("x" + "1" * 5000, QQ, ParseError, "number longer than 4300 digits", 1,
+                     id="gen-5000-digits"),
     ])
     def test_each_refusal_has_its_class_message_and_position(
         self, text, field, error, message, position
@@ -188,6 +193,18 @@ class TestParse:
         else:
             assert str(e.value) == f"{message} (at position {position})"
             assert e.value.position == position
+
+    @pytest.mark.parametrize("limit", [0, 640, 100_000])
+    def test_the_digit_limit_is_the_default_whatever_the_process_limit(self, limit):
+        assert parse_free("1" * 4300, 1, QQ).constant_value() == QQ.scalar(int("1" * 4300))
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            with pytest.raises(ParseError) as e:
+                parse_free("x1 + 2/" + "1" * 4301, 1, QQ)
+        finally:
+            sys.set_int_max_str_digits(before)
+        assert str(e.value) == "number longer than 4300 digits (at position 7)"
 
     @pytest.mark.parametrize("text, terms", [
         ("x1\tx2", {(1, 2): 1}),
@@ -211,26 +228,26 @@ class TestParse:
         assert parse_free("1/2", 1, f5) == FreePoly(1, f5, {(): f5.scalar(3)})
 
 
-class TestPretty:
+class TestText:
     def test_examples(self):
-        assert pretty(fp({(1, 2): 1, (2, 1): -1})) == "x1*x2 - x2*x1"
-        assert pretty(FreePoly(2, QQ)) == "0"
-        assert pretty(fp({(): Fraction(3, 2)})) == "3/2"
+        assert str(fp({(1, 2): 1, (2, 1): -1})) == "x1*x2 - x2*x1"
+        assert str(FreePoly(2, QQ)) == "0"
+        assert str(fp({(): Fraction(3, 2)})) == "3/2"
 
     def test_runs_collapse_to_powers(self):
-        assert pretty(fp({(1, 1, 2): 1})) == "x1^2*x2"
+        assert str(fp({(1, 1, 2): 1})) == "x1^2*x2"
 
-    def test_parse_pretty_round_trip_randomized(self):
+    def test_parse_text_round_trip_randomized(self):
         rng = random.Random(500)
         for _ in range(300):
             a = random_freepoly(rng, rng.randint(1, 3), QQ, max_degree=3, max_terms=5)
-            assert parse_free(pretty(a), a.s, a.field) == a
+            assert parse_free(str(a), a.s, a.field) == a
 
-    def test_pretty_parse_idempotent_on_conformant_text(self):
+    def test_text_parse_idempotent_on_conformant_text(self):
         texts = ["x1*x2-x2*x1", "(x1+1)^3", "2 x1 x1 x2", "-x1 - 1/2", "x2^2*x1"]
         for text in texts:
-            once = pretty(parse_free(text, 2, QQ))
-            assert pretty(parse_free(once, 2, QQ)) == once
+            once = str(parse_free(text, 2, QQ))
+            assert str(parse_free(once, 2, QQ)) == once
 
 
 class TestArithmetic:

@@ -72,7 +72,7 @@ class TestPiReduce:
             for j in range(2):
                 expected = prod[i][j] - anti[i][j]
                 assert image.rows[i][j] == expected
-                assert expected.total_degree() == 2
+                assert expected.degree() == 2
 
     def test_generator_maps_to_generic(self):
         a = parse_free("x1", 2, QQ)

@@ -26,7 +26,7 @@ the two answers must be related as the theorem says.
   variables x<l>[i,j] permuted alike.
 - ``diag``: permuting the lam_i and conjugating the perturbation M by the
   same permutation matrix conjugates u and D by it too.
-- ``eval``: parse(pretty(f)) = f.
+- ``eval``: parse(str(f)) = f.
 
 The images of sparse and cancelling inputs drive the matrices' sparse
 storage through permuted patterns of zero entries.
@@ -48,7 +48,7 @@ from nclab.centralizer import (
 from nclab.diagonalize import SeriesFieldMatrix, successive_diagonalize
 from nclab.errors import ScalarInput
 from nclab.fields import GF, QQ
-from nclab.freealg import FreePoly, commutator, parse_free, pretty
+from nclab.freealg import FreePoly, commutator, parse_free
 from nclab.genmat import GenericMatrix
 from nclab.quantize import StarContext, entry_pairing_tensor, quantize_lift
 from nclab.rings import CommPoly, RationalFunction, Variable, mono_from_dict
@@ -313,8 +313,8 @@ def test_diag_commutes_with_permuting_the_eigenvalues(case):
 @given(st.dictionaries(st.lists(st.integers(1, 3), max_size=3).map(tuple),
                        st.fractions(-5, 5, max_denominator=4), max_size=4),
        st.sampled_from(FIELDS))
-def test_pretty_parses_back_to_the_same_element(terms, field):
+def test_text_parses_back_to_the_same_element(terms, field):
     if field.p:
         terms = {w: c.numerator * pow(c.denominator, -1, field.p) for w, c in terms.items()}
     f = FreePoly(3, field, terms)
-    assert parse_free(pretty(f), 3, field) == f
+    assert parse_free(str(f), 3, field) == f

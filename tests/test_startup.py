@@ -270,7 +270,7 @@ def test_only_fields_imports_fractions_at_module_level():
 # the names the package re-exports, by defining module
 PUBLIC = {
     "fields": "GF QQ Field Scalar",
-    "freealg": "FreePoly commutator parse_free pretty",
+    "freealg": "FreePoly commutator parse_free",
     "genmat": "BivariatePoly FormalSeries GenericMatrix annihilator_stability find_annihilator"
     " make_generic pi_reduce standard_identity",
     "quantize": "PoissonTensor StarContext StarSeries matrix_star poisson_bracket quantize_lift"
