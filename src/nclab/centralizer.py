@@ -87,8 +87,9 @@ def centralizer_basis(f: freealg.FreePoly, d: int) -> CentralizerBasis:
 class BergmanReport(Record):
     """Outcome of the single-generator test on a degree-bounded centralizer."""
 
-    __slots__ = ("f", "d", "generator", "dims", "witness")
+    __slots__ = ("f", "generator", "dims", "witness")
 
+    d = property(lambda self: len(self.dims) - 1)  # dims runs over the degrees 0..d
     passed = property(lambda self: self.witness is None)
 
 
@@ -104,7 +105,7 @@ def bergman_check(f: freealg.FreePoly, d: int) -> BergmanReport:
     nonconstant = [e for e in cb.basis if e.degree() >= 1]
     if not nonconstant:
         # only scalars commute up to this bound: trivially k[h] for any h
-        return BergmanReport(f, d, None, dims, None)
+        return BergmanReport(f, None, dims, None)
     min_deg = min(e.degree() for e in nonconstant)
     e = next(e for e in nonconstant if e.degree() == min_deg)
     h = e - freealg.FreePoly.constant(e.constant_value(), f.s)
@@ -114,7 +115,7 @@ def bergman_check(f: freealg.FreePoly, d: int) -> BergmanReport:
     coeffs = linalg.solve_membership((p.terms for p in powers),
                                      (e.terms for e in cb.basis), f.field)
     witness = next((e for e, c in zip(cb.basis, coeffs) if c is None), None)
-    return BergmanReport(f, d, h, dims, witness)
+    return BergmanReport(f, h, dims, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 One executable with subcommands; every run is deterministic given its flags
-(the seed defaults to a fixed documented constant, 1729).  Exit status: 0 for
+(``diag``'s seed defaults to a fixed documented constant, 1729).  Exit status: 0 for
 success / PASS verdicts, 2 for mathematical FAIL verdicts, 1 for usage and
 arithmetic errors.  With ``--json`` exactly one JSON document is emitted on
 stdout (or written to ``--out``).
@@ -21,7 +21,7 @@ from math import comb
 
 from . import centralizer, diagonalize, freealg, genmat, quantize, rings, serialize
 from .errors import EngineError, InvalidField, InvalidSize
-from .fields import QQ, Field
+from .fields import QQ, Field, int_digits
 from .serialize import ALReport, CommuteReport, EvalReport, PiReport, PoissonReport, StarReport
 
 DEFAULT_SEED = 1729
@@ -309,6 +309,7 @@ def _cmd_diag(args, field):
         f"perturbation (h-coefficient): {m}",
         f"diagonalized to order {rep.achieved_order}; "
         f"off-diagonal vanishes through h^{order}: {'PASS' if ok else 'FAIL'}",
+        f"seed: {args.seed}",
     ]
     return rep, 0 if ok else 2, lines
 
@@ -399,7 +400,6 @@ _POISSON = ("poisson", str, "pairing", "'pairing' or a tensor JSON file", None, 
 #: the flags of every command, after its own
 _COMMON = (
     ("field", str, "q", "ground field: q or fp:<prime>", None, None),
-    ("seed", int, DEFAULT_SEED, "PRNG seed", None, None),
     ("json", bool, False, "emit one JSON document", None, None),
     ("out", str, None, "write the report to this path", None, None),
 )
@@ -420,7 +420,8 @@ COMMANDS = {
     "poisson": ("Poisson bracket of two scalar reductions", (_A, _B, _S, _POISSON), _cmd_poisson),
     "diag": ("perturbatively diagonalize diag(lam) + h*M for a seeded integer M",
              (("n", int, 3, "matrix size", 1, MAX_DIAG_N),
-              ("order", int, 2, "target order", 0, MAX_DIAG_ORDER_AT_N[0])), _cmd_diag),
+              ("order", int, 2, "target order", 0, MAX_DIAG_ORDER_AT_N[0]),
+              ("seed", int, DEFAULT_SEED, "PRNG seed of the perturbation", None, None)), _cmd_diag),
     "centralizer": ("degree-bounded centralizer and single-generator test",
                     (_F, _S, ("d", int, 4, "degree bound", 0, None)), _cmd_centralizer),
     "bergman-pipeline": ("commutation, reduction, annihilators and star commutators end to end",
@@ -551,12 +552,22 @@ def main(argv=None) -> int:
     try:
         field = _parse_field(args.field)
         _, flags, handler = COMMANDS[args.command]
-        # the envelope records the int flags; the probe's diagonal pair reads no --s
-        bounds = {name: getattr(args, name) for name, kind, *_ in flags if kind is int}
+        # the envelope records the flags with a range; the probe's diagonal pair reads no --s
+        bounds = {name: getattr(args, name) for name, _, _, _, least, most in flags
+                  if (least, most) != (None, None)}
         if args.command == "probe" and args.f is None:
             del bounds["s"]
         _check_sizes(args, bounds)
-        report, code, lines = handler(args, field)
+        # a handler bounds the integers it reads (an expression's NAT, a tensor
+        # file's), so its results print at any size
+        with int_digits():
+            report, code, lines = handler(args, field)
+            if args.json:
+                # only diag draws; every other envelope records the default seed
+                payload = serialize.dumps(serialize.envelope(
+                    report, args.command, field, getattr(args, "seed", DEFAULT_SEED), bounds))
+            else:
+                payload = "\n".join(lines) + "\n"
     except EngineError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 1
@@ -567,10 +578,6 @@ def main(argv=None) -> int:
         # a built-in exactness re-verification did not hold
         print(f"verification failed: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        payload = serialize.dumps(serialize.envelope(report, args.command, field, args.seed, bounds))
-    else:
-        payload = "\n".join(lines + [f"seed: {args.seed}"]) + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

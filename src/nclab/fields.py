@@ -11,6 +11,8 @@ A ``Scalar``, a raw value tagged with its field, crosses the API, and
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .errors import DivisionByZero, FieldMismatch, InvalidField
@@ -138,6 +140,18 @@ QQ = Field(0)
 
 def GF(p: int) -> Field:
     return Field(p)
+
+
+@contextmanager
+def int_digits(limit: int = 0):
+    """Python's bound on the digits of an int <-> str conversion, set to ``limit`` (0:
+    none) inside the block and restored after it, whatever the process's own bound."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def rational(value):
@@ -286,9 +300,6 @@ class SparseSum(Frozen):
 
     def constant_value(self) -> Scalar:
         return Scalar(self.field, self.terms.get(self._unit, 0))
-
-    def coefficient(self, key) -> Scalar:
-        return Scalar(self.field, self.terms.get(key, 0))
 
     def degree(self):
         """The largest degree of a key, read off ``_order``; ``NEG_INF`` for 0."""

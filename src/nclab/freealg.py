@@ -13,9 +13,10 @@ owns the expression grammar shared with the CLI:
 
 Juxtaposition and "*" both mean the noncommutative product; "^" binds tighter
 than products, products tighter than sums.  NAT digits are ASCII, at most
-4300 of them (int's default limit, whatever the process's own), and whitespace
-is what ``str.isspace`` accepts.  One compiled token pattern scans the text;
-``_Parser`` reads the tokens and builds each atom as a ``FreePoly``.
+4300 of them (int's default limit, whatever the process's own) unless the
+caller lifts the bound, and whitespace is what ``str.isspace`` accepts.  One
+compiled token pattern scans the text; ``_Parser`` reads the tokens and builds
+each atom as a ``FreePoly``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import (
     ShapeMismatch,
     UnknownGenerator,
 )
-from .fields import Field, Scalar, SparseSum
+from .fields import Field, Scalar, SparseSum, int_digits
 
 Word = tuple  # tuple[int, ...]
 
@@ -144,14 +145,15 @@ _TOKEN = re.compile(r"x(?P<gen>[0-9]+)|(?P<nat>[0-9]+)|(?P<op>[-+*^()/])|(?P<spa
                     re.DOTALL)
 
 
-def _tokens(text: str) -> list:
-    """The (kind, value, position) tokens of ``text``, closed by ("end", None, len(text))."""
-    tokens, limit = [], sys.int_info.default_max_str_digits
+def _tokens(text: str, digits) -> list:
+    """The (kind, value, position) tokens of ``text``, closed by ("end", None, len(text));
+    a NAT of more than ``digits`` digits (None: no bound) is refused."""
+    tokens = []
     for m in _TOKEN.finditer(text):
         kind, lexeme, pos = m.lastgroup, m[m.lastgroup], m.start()
         if kind == "gen" or kind == "nat":
-            if len(lexeme) > limit:
-                raise ParseError(f"number longer than {limit} digits", m.start(kind))
+            if digits is not None and len(lexeme) > digits:
+                raise ParseError(f"number longer than {digits} digits", m.start(kind))
             tokens.append((kind, int(lexeme), pos))
         elif kind == "op":
             tokens.append((lexeme, None, pos))
@@ -205,8 +207,8 @@ def _check_power(base: FreePoly, n: int, pos: int) -> None:
 
 
 class _Parser:
-    def __init__(self, text: str, s: int, field: Field):
-        self.tokens = _tokens(text)
+    def __init__(self, text: str, s: int, field: Field, digits):
+        self.tokens = _tokens(text, digits)
         self.cursor = 0
         self.s = s
         self.field = field
@@ -304,6 +306,12 @@ class _Parser:
         raise ParseError(f"expected a generator, number or '('", pos)
 
 
-def parse_free(text: str, s: int, field: Field) -> FreePoly:
-    """Parse an expression string into a canonical FreePoly."""
-    return _Parser(text, s, field).parse()
+def parse_free(text: str, s: int, field: Field,
+               digits=sys.int_info.default_max_str_digits) -> FreePoly:
+    """Parse an expression string into a canonical FreePoly.
+
+    A NAT has at most ``digits`` digits, whatever the process's own bound; None,
+    for reading back a FreePoly's own text, is no bound.
+    """
+    with int_digits():
+        return _Parser(text, s, field, digits).parse()

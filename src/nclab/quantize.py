@@ -31,6 +31,7 @@ lift a + 0 h + ..., is for a matrix pair with no free preimage.
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from math import factorial
 
@@ -41,7 +42,7 @@ from .errors import (
     ShapeMismatch,
     UnknownVariable,
 )
-from .fields import Field, add_products
+from .fields import Field, add_products, int_digits
 from .genmat import FormalSeries, GenericMatrix, make_generic
 from .records import Frozen, Record
 from .rings import CommPoly, Variable, mono_mul, mono_partials, parse_variable_name
@@ -101,14 +102,16 @@ class PoissonTensor(Frozen):
 
     @staticmethod
     def load(path, field: Field) -> PoissonTensor:
+        """The tensor of a JSON file, each of whose integers has at most 4300 digits, as a NAT."""
         import json  # only a tensor file needs the parser
 
-        with open(path, "r", encoding="utf-8") as fh:
+        digits = sys.int_info.default_max_str_digits
+        with open(path, "r", encoding="utf-8") as fh, int_digits(digits):
             try:
                 obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise BadTensorFile(f"not valid JSON: {exc}") from exc
-        return PoissonTensor.from_dict(obj, field)
+            except ValueError as exc:  # not JSON, or an integer past the bound
+                raise BadTensorFile(f"unreadable JSON: {exc}") from exc
+            return PoissonTensor.from_dict(obj, field)
 
 
 def pairing_tensor(first_vars, second_vars, field: Field) -> PoissonTensor:

@@ -157,10 +157,6 @@ class CommPoly(SparseSum):
         return CommPoly(field, {EMPTY_MONO: 1})
 
     @staticmethod
-    def constant(c: Scalar) -> CommPoly:
-        return CommPoly(c.field, {EMPTY_MONO: c})
-
-    @staticmethod
     def variable(v: Variable, field: Field) -> CommPoly:
         return CommPoly(field, {((v, 1),): 1})
 

@@ -24,7 +24,7 @@ from _json import encode_basestring_ascii as _quote  # json.encoder's, without l
 
 from . import __version__, diagonalize, freealg, genmat, rings
 from .errors import BadReport, UnsupportedDenominator
-from .fields import Field
+from .fields import Field, int_digits
 from .records import Record
 
 
@@ -157,7 +157,7 @@ _FORMAT = (
     _row("ratfun", "rings.RationalFunction",
          lambda r: {"num": encode(r.num), "den": encode(r.den)}, _ratfun_from),
     _row("freepoly", "freealg.FreePoly", lambda p: {"s": p.s, "expr": str(p)},
-         lambda o, field: freealg.parse_free(o["expr"], o["s"], field)),
+         lambda o, field: freealg.parse_free(o["expr"], o["s"], field, None)),
     _row("bivariate", "genmat.BivariatePoly",
          lambda p: {"terms": [[a, b, str(c)] for (a, b), c in p.sorted_terms()]},
          lambda o, field: genmat.BivariatePoly(
@@ -181,7 +181,7 @@ _FORMAT = (
             images_commute=lambda r: True),
     _record("pipeline", "centralizer.PipelineReport", renamed=_TEXTS, derived=("commute",),
             trdeg_verdict=_trdeg_verdict),
-    _record("bergman", "centralizer.BergmanReport", derived=("passed",)),
+    _record("bergman", "centralizer.BergmanReport", derived=("d", "passed")),
     _record("diagonal", "diagonalize.DiagonalReport", derived=("achieved_order",),
             eigenvalues=lambda r: r.diagonal.coeffs[0].diagonal_entries(),
             second_eigenvalues=lambda r: None),
@@ -299,12 +299,14 @@ def _render(obj, newline: str, out: list) -> None:
 
 
 def loads(text: str):
-    """Parse an emitted document; returns (metadata, report object), or raises BadReport."""
+    """Parse an emitted document, whose numbers may have any number of digits; returns
+    (metadata, report object), or raises BadReport."""
     import json  # only decoding needs the parser
 
     try:
-        doc = json.loads(text)
-        field = Field.from_dict(doc["field"])
-        return doc, decode(doc["report"], field)
+        with int_digits():
+            doc = json.loads(text)
+            field = Field.from_dict(doc["field"])
+            return doc, decode(doc["report"], field)
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise BadReport(f"malformed report document: {type(exc).__name__}: {exc}") from exc

@@ -58,7 +58,7 @@ def random_int_matrix(
         [
             [
                 zero if zero_diagonal and i == j
-                else rings.CommPoly.constant(field.scalar(rng.randint(lo, hi)))
+                else rings.CommPoly(field, {(): rng.randint(lo, hi)})
                 for j in range(n)
             ]
             for i in range(n)

@@ -173,7 +173,7 @@ def test_criterion_6_sylvester_recursion():
         rng = random.Random(1729)
         m = GenericMatrix([
             [
-                RationalFunction.from_poly(CommPoly.constant(QQ.scalar(rng.randint(-5, 5))))
+                RationalFunction.from_poly(CommPoly(QQ, {(): rng.randint(-5, 5)}))
                 if i != j
                 else zero
                 for j in range(3)

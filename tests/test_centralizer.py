@@ -444,7 +444,7 @@ def _conjugated_pair(n, field, rng):
     """P diag(x) P^-1 and P diag(y) P^-1 for a random unitriangular integer P."""
     f, g, tensor = diagonal_generic_pair(n, field)
     zero = CommPoly.zero(field)
-    nil = GenericMatrix([[CommPoly.constant(field.scalar(rng.randint(-3, 3))) if j > i else zero
+    nil = GenericMatrix([[CommPoly(field, {(): rng.randint(-3, 3)}) if j > i else zero
                           for j in range(n)] for i in range(n)])
     e = f.identity_like()
     inverse, term = e, e
@@ -464,7 +464,7 @@ class TestStarTrace:
         c1, tau = _traces(quantize_lift(f, ctx), quantize_lift(g, ctx))
         assert c1 == GenericMatrix.identity(2, QQ)
         assert tau == _power_sums(f.diagonal_entries()) == _oracle_traces(c1, f)
-        assert tau[0] == CommPoly.constant(QQ.scalar(2))
+        assert tau[0] == CommPoly(QQ, {(): 2})
 
     def test_dependent_pair_vanishes(self):
         f, _, tensor = diagonal_generic_pair(2, QQ)

@@ -30,7 +30,7 @@ from nclab.cli import (
     parse,
 )
 from nclab import centralizer, genmat, rings, serialize
-from nclab.fields import GF, QQ
+from nclab.fields import GF, QQ, int_digits
 from nclab.freealg import MAX_NESTING, parse_free
 
 SUBCOMMANDS = [
@@ -53,7 +53,7 @@ USAGE = (
     "usage: nclab [-h] "
     "{eval,commute,pi,al,annihilator,star,poisson,diag,centralizer,bergman-pipeline,probe} ..."
 )
-EVAL_USAGE = "usage: nclab eval [-h] --f F [--s S] [--field FIELD] [--seed SEED] [--json] [--out OUT]"
+EVAL_USAGE = "usage: nclab eval [-h] --f F [--s S] [--field FIELD] [--json] [--out OUT]"
 
 
 FUZZ_EXPRESSIONS = st.lists(
@@ -209,11 +209,10 @@ class TestHelp:
             (["eval", "--s", "3"], EVAL_USAGE, "the following arguments are required: --f"),
             (["star", "--a", "x1", "--b", "x2", "--o", "3"],
              "usage: nclab star [-h] --a A --b B [--s S] [--order ORDER] [--poisson POISSON]"
-             " [--field FIELD] [--seed SEED] [--json] [--out OUT]",
+             " [--field FIELD] [--json] [--out OUT]",
              "ambiguous option: --o could match --order, --out"),
             (["commute", "--s", "1"],
-             "usage: nclab commute [-h] --f F --g G [--s S] [--field FIELD] [--seed SEED]"
-             " [--json] [--out OUT]",
+             "usage: nclab commute [-h] --f F --g G [--s S] [--field FIELD] [--json] [--out OUT]",
              "the following arguments are required: --f, --g"),
         ],
         ids=["double-dash", "dash-value", "missing-value", "bad-int", "switch-value",
@@ -227,11 +226,10 @@ class TestHelp:
     @pytest.mark.parametrize(
         "argv, lines",
         [
-            (["eval", "--f", "x1", "--se", "-5"], ["canonical: x1", "seed: -5"]),
-            (["eval", "--f=-x1", "--seed", "-5"], ["canonical: -x1", "seed: -5"]),
-            (["eval", "--f", "x1", "--f", "x2", "--s=3"], ["canonical: x2", "seed: 1729"]),
-            (["centralizer", "--f", "x1", "--d", "1", "--fi", "q"],
-             ["generator: x1", "seed: 1729"]),
+            (["diag", "--n", "2", "--order", "1", "--se", "-5"], ["seed: -5"]),
+            (["eval", "--f=-x1"], ["canonical: -x1"]),
+            (["eval", "--f", "x1", "--f", "x2", "--s=3"], ["canonical: x2"]),
+            (["centralizer", "--f", "x1", "--d", "1", "--fi", "q"], ["generator: x1"]),
         ],
         ids=["prefix-and-negative", "equals-dash", "last-wins", "prefix-field"],
     )
@@ -735,7 +733,9 @@ class TestJson:
 
     def test_the_envelope_bounds_are_the_int_flags_of_every_command(self):
         for command, (_, flags, _) in COMMANDS.items():
-            ints = {name for name, kind, *_ in flags if kind is int}
+            # diag's --seed declares no range, so it is no bound
+            ints = {name for name, kind, _, _, least, most in flags
+                    if kind is int and (least, most) != (None, None)}
             recorded = [set(b) for a, b in ENVELOPE_BOUNDS if a[0] == command]
             assert recorded, command
             # only the probe's diagonal pair, which has no generators, leaves out --s
@@ -761,6 +761,24 @@ class TestJson:
         code, out, _ = run(["diag", "--n", "2", "--seed", "7", "--json"], capsys)
         assert code == 0
         assert json.loads(out)["seed"] == 7
+
+    @pytest.mark.parametrize("argv", [a for a, _ in ENVELOPE_BOUNDS], ids=" ".join)
+    def test_only_diag_reads_a_seed(self, argv, capsys):
+        # every other command draws nothing: its envelope keeps the default seed,
+        # its text prints none, and --seed is a usage error
+        code, out, err = run(argv + ["--seed", "5"], capsys)
+        if argv[0] == "diag":
+            assert (code, err) == (0, "")
+            assert out.splitlines()[-1] == "seed: 5"
+            return
+        assert (code, out) == (1, "")
+        usage, message = err.splitlines()
+        assert usage.startswith(f"usage: nclab {argv[0]} [-h] ") and "--seed" not in usage
+        assert message == "error: usage error: unrecognized arguments: --seed 5"
+        code, out, _ = run(argv, capsys)
+        assert not any(line.startswith("seed") for line in out.splitlines())
+        code, out, _ = run(argv + ["--json"], capsys)
+        assert json.loads(out)["seed"] == 1729
 
     def test_tensor_file_flag(self, tmp_path, capsys):
         tensor = {"variables": ["x1[1,1]", "x2[1,1]"], "entries": [[0, 1, "3"]]}
@@ -821,6 +839,91 @@ class TestJson:
         )
         doc, rep = serialize.loads(out)
         assert rep.passed
+
+
+#: c = (2^1000)^9 has 2,710 digits; c^2, which each of these results holds, has 5,419,
+#: more than int's default bound of 4,300 on a conversion to text.  commute's pair
+#: does not commute, so it exits 2.
+_C = "(2^1000)^9"
+LARGE_RESULTS = [
+    (["commute", "--f", f"{_C}*x1", "--g", f"{_C}*x2"], 2),
+    (["annihilator", "--f", f"{_C}*x1", "--g", "x1^2", "--nmax", "1", "--dmax", "2"], 0),
+    (["star", "--a", f"{_C}*x1", "--b", f"{_C}*x2", "--order", "1"], 0),
+    (["eval", "--f", f"{_C}*{_C}"], 0),
+]
+
+
+class TestNumbersOfAnySize:
+    """nclab renders and reads back its own numbers under no bound on their digits,
+    whatever Python's bound in the process, and bounds the integers of its input at
+    int's default 4,300 digits."""
+
+    @staticmethod
+    def _digits(n):
+        with int_digits():
+            return str(n)
+
+    def _check(self, argv, code, result, out, text_out):
+        c_squared = self._digits(2**18000)
+        assert (code, c_squared in text_out) == (result, True), argv
+        doc, rep = serialize.loads(out)
+        with int_digits():
+            assert serialize.encode(rep) == doc["report"]
+            assert c_squared in serialize.dumps(doc)
+
+    @pytest.mark.parametrize("argv, result", LARGE_RESULTS, ids=[a[0] for a, _ in LARGE_RESULTS])
+    def test_large_results_print_every_digit(self, argv, result, capsys):
+        code, text_out, err = run(argv, capsys)
+        assert err == ""
+        code_json, out, err = run(argv + ["--json"], capsys)
+        assert (code_json, err) == (code, "")
+        self._check(argv, code, result, out, text_out)
+
+    @pytest.mark.parametrize("argv, result", LARGE_RESULTS, ids=[a[0] for a, _ in LARGE_RESULTS])
+    def test_python_s_own_bound_changes_no_result(self, argv, result):
+        env = {**_ENV, "PYTHONINTMAXSTRDIGITS": "640"}
+        runs = [subprocess.run([sys.executable, "-m", "nclab", *argv, *json_flag], env=env,
+                               capture_output=True, text=True, timeout=60)
+                for json_flag in ([], ["--json"])]
+        assert [p.stderr for p in runs] == ["", ""]
+        assert runs[0].returncode == runs[1].returncode
+        self._check(argv, runs[0].returncode, result, runs[1].stdout, runs[0].stdout)
+
+    def test_a_thousand_digit_number_is_read_under_a_lower_bound_of_python_s(self):
+        env = {**_ENV, "PYTHONINTMAXSTRDIGITS": "640"}
+        proc = subprocess.run([sys.executable, "-m", "nclab", "eval", "--f", "1" * 1000],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[0] == "canonical: " + "1" * 1000
+
+    @pytest.mark.parametrize("argv", [["eval", "--f", "x1"], ["eval", "--f", f"{_C}*{_C}"],
+                                      ["eval", "--f", "x1 +"], ["star", "--a", "x1"]],
+                             ids=["pass", "large", "syntax-error", "usage-error"])
+    def test_main_restores_python_s_bound(self, argv, capsys):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(1000)
+        try:
+            main(argv)
+            after = sys.get_int_max_str_digits()
+        finally:
+            sys.set_int_max_str_digits(before)
+        capsys.readouterr()
+        assert after == 1000
+
+    def test_a_nat_of_4301_digits_is_a_syntax_error(self, capsys):
+        code, out, err = run(["eval", "--f", "1" * 4301], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error [syntax-error]: number longer than 4300 digits (at position 0)\n"
+
+    @pytest.mark.parametrize("entry", [
+        '[0, 1, "%s"]' % ("9" * 5000), "[0, 1, %s]" % ("9" * 5000), '[0, %s, "1"]' % ("9" * 5000),
+    ], ids=["value-text", "value-number", "index"])
+    def test_a_tensor_file_integer_of_5000_digits_is_refused(self, entry, tmp_path, capsys):
+        path = tmp_path / "tensor.json"
+        path.write_text('{"variables": ["x1[1,1]", "x2[1,1]"], "entries": [%s]}' % entry)
+        code, out, err = run(["poisson", "--a", "x1", "--b", "x2", "--poisson", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error [bad-tensor-file]: ") and len(err.splitlines()) == 1
 
 
 class TestDeterminism:

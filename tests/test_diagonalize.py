@@ -33,7 +33,7 @@ def lam(i):
 
 
 def rf_const(v):
-    return RationalFunction.from_poly(CommPoly.constant(QQ.scalar(v)))
+    return RationalFunction.from_poly(CommPoly(QQ, {(): v}))
 
 
 def diag_matrix(entries):

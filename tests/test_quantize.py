@@ -149,7 +149,7 @@ class TestStarProduct:
         sx, sy = FormalSeries.from_poly(x, 2), FormalSeries.from_poly(y, 2)
         prod = star_mul(sx, sy, ctx)
         assert prod.coefficient(0) == x * y
-        assert prod.coefficient(1) == CommPoly.constant(QQ.scalar(Fraction(1, 2)))
+        assert prod.coefficient(1) == CommPoly(QQ, {(): Fraction(1, 2)})
         assert prod.coefficient(2).is_zero
 
     def test_y_star_x(self):
@@ -157,7 +157,7 @@ class TestStarProduct:
         x, y = poly(VX[0]), poly(VY[0])
         prod = star_mul(FormalSeries.from_poly(y, 2), FormalSeries.from_poly(x, 2), ctx)
         assert prod.coefficient(0) == x * y
-        assert prod.coefficient(1) == CommPoly.constant(QQ.scalar(Fraction(-1, 2)))
+        assert prod.coefficient(1) == CommPoly(QQ, {(): Fraction(-1, 2)})
 
     def test_one_is_neutral(self):
         ctx = self._ctx()
@@ -230,7 +230,7 @@ class TestStarProduct:
     def test_bilinear_maps_end_at_the_last_nonzero_term(self):
         ctx = self._ctx(order=3)
         x, y = poly(VX[0]), poly(VY[0])
-        xy, const = x * y, lambda c: CommPoly.constant(QQ.scalar(c))
+        xy, const = x * y, lambda c: CommPoly(QQ, {(): c})
         # W_2 of x (x) y is empty, so the terms stop at B_1 = 1/2
         assert ctx.bilinear_map(0, x, y) == xy
         assert moyal_terms(ctx, x, y, 3) == [const(Fraction(1, 2))]

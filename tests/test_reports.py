@@ -126,7 +126,7 @@ def test_ratfun_decoding_divides_out_the_factors():
     lam = [CommPoly.variable(Variable.aux("lam", i), QQ) for i in (1, 2, 3)]
     den = ((lam[0] - lam[1]) * (lam[1] - lam[2])).scale(QQ.scalar(2))
     r = serialize.decode(_ratfun_doc(serialize.encode(den)["terms"]), QQ)
-    assert r.num == CommPoly.constant(QQ.scalar("1/2"))
+    assert r.num == CommPoly(QQ, {(): "1/2"})
     assert r.den == (lam[0] - lam[1]) * (lam[1] - lam[2])
     with pytest.raises(DivisionByZero):
         serialize.decode(_ratfun_doc([]), QQ)
@@ -258,9 +258,10 @@ def test_every_format_row_is_held_by_a_golden_report():
     ("star-q-o2.json", ["product", "order"], 3),
     ("diag-n3-o2-q.json", ["conjugator", "n"], 2),
     ("diag-n3-o2-q.json", ["conjugator", "order"], 1),
+    ("centralizer-1-fp32003-d5.json", ["d"], 9),
 ], ids=["stability-identical", "diag-achieved-order", "annihilator-found", "commpoly-text",
         "bivariate-text", "matrix-n", "series-order", "series-field-matrix-n",
-        "series-field-matrix-order"])
+        "series-field-matrix-order", "bergman-d"])
 def test_decoding_refuses_a_derived_key_that_disagrees_with_the_fields(name, path, value):
     # each key is a function of its record's fields or its value's stored keys, so
     # a document that flips it holds two contradictory facts
