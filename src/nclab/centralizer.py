@@ -90,7 +90,11 @@ class BergmanReport(Record):
     __slots__ = ("f", "generator", "dims", "witness")
 
     d = property(lambda self: len(self.dims) - 1)  # dims runs over the degrees 0..d
-    passed = property(lambda self: self.witness is None)
+
+    @property
+    def passed(self):  # no witness, and dim K_m = m // deg h + 1 at every m (1 with no h)
+        step = self.d + 1 if self.generator is None else self.generator.degree()
+        return self.witness is None and self.dims == [m // step + 1 for m in range(self.d + 1)]
 
 
 def bergman_check(f: freealg.FreePoly, d: int) -> BergmanReport:

@@ -21,10 +21,6 @@ class DivisionByZero(EngineError):
     code = "division-by-zero"
 
 
-class UnassignedVariable(EngineError):
-    code = "unassigned-variable"
-
-
 class UnknownVariable(EngineError):
     code = "unknown-variable"
 

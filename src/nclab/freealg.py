@@ -13,10 +13,10 @@ owns the expression grammar shared with the CLI:
 
 Juxtaposition and "*" both mean the noncommutative product; "^" binds tighter
 than products, products tighter than sums.  NAT digits are ASCII, at most
-4300 of them (int's default limit, whatever the process's own) unless the
-caller lifts the bound, and whitespace is what ``str.isspace`` accepts.  One
-compiled token pattern scans the text; ``_Parser`` reads the tokens and builds
-each atom as a ``FreePoly``.
+4300 of them (int's default limit, whatever the process's own), and whitespace
+is what ``str.isspace`` accepts.  ``_Parser`` reads the tokens of one compiled
+pattern.  These bounds are for outside input: ``read_text`` reads ``str`` of an
+element back whatever its powers and digits, to ``MAX_CENTRALIZER_LETTERS`` letters.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def word_key(w: Word):
 class FreePoly(SparseSum):
     """Element of the free algebra: a sum of words in s generators, canonical.
 
-    ``parse_free`` reads its ``str``, the grammar's text, back to an equal element.
+    Its ``str`` is text of the grammar; ``read_text`` reads it back to an equal element.
     """
 
     __slots__ = ("s",)
@@ -128,6 +128,39 @@ class FreePoly(SparseSum):
         return out
 
 
+#: ``centralizer`` makes one column of every word of length <= d in s letters,
+#: at about 11 us a column, and holds all of the words at once, at about 0.34 us
+#: a letter.  A run has at most the 2^19 - 1 words of s = 2, d = 18 (8.9 s) and
+#: at most their total length, this.  Letters bound s = 1, where d + 1 words
+#: have d(d + 1)/2 letters (--d 4000 took 2.7 s); words bound d = 2, where
+#: --s 1000 has 2,001,000 letters and took 13.6 s (whole process, 2-core VM).
+#: ``read_text`` reads no text of more letters, since it holds them before any check.
+MAX_CENTRALIZER_LETTERS = 17 * 2**19 + 2
+
+
+def read_text(text: str, s: int, field: Field) -> FreePoly:
+    """The element whose ``str`` is ``text``: terms split on " + " and " - ", factors on
+    "*", and a run ``x<g>^<e>`` is e copies of g, so no power is formed.  Other text reads
+    as an element whose ``str`` differs, or raises ``UnknownGenerator``, ``ZeroDivisionError``
+    or ``ValueError`` (also past the letter bound).  Numbers convert under the caller's bound."""
+    parts = re.split(r" ([-+]) ", text)
+    terms, letters = {}, 0
+    for sign, chunk in zip(["+", *parts[1::2]], parts[::2]):
+        if chunk.startswith("-"):
+            sign, chunk = "-", chunk[1:]
+        factors = chunk.split("*")
+        c = field.raw("1" if factors[0].startswith("x") else factors.pop(0))
+        word = []
+        for g, _, e in (factor[1:].partition("^") for factor in factors):
+            e = int(e or 1)
+            letters += max(e, 0)
+            if letters > MAX_CENTRALIZER_LETTERS:
+                raise ValueError(f"free text of more than {MAX_CENTRALIZER_LETTERS} letters")
+            word += [int(g)] * e
+        terms[tuple(word)] = -c if sign == "-" else c
+    return FreePoly(s, field, terms)
+
+
 def commutator(a: FreePoly, b: FreePoly) -> FreePoly:
     """a*b - b*a."""
     return a * b - b * a
@@ -145,14 +178,15 @@ _TOKEN = re.compile(r"x(?P<gen>[0-9]+)|(?P<nat>[0-9]+)|(?P<op>[-+*^()/])|(?P<spa
                     re.DOTALL)
 
 
-def _tokens(text: str, digits) -> list:
+def _tokens(text: str) -> list:
     """The (kind, value, position) tokens of ``text``, closed by ("end", None, len(text));
-    a NAT of more than ``digits`` digits (None: no bound) is refused."""
+    a NAT of more than int's default 4300 digits is refused."""
+    digits = sys.int_info.default_max_str_digits
     tokens = []
     for m in _TOKEN.finditer(text):
         kind, lexeme, pos = m.lastgroup, m[m.lastgroup], m.start()
         if kind == "gen" or kind == "nat":
-            if digits is not None and len(lexeme) > digits:
+            if len(lexeme) > digits:
                 raise ParseError(f"number longer than {digits} digits", m.start(kind))
             tokens.append((kind, int(lexeme), pos))
         elif kind == "op":
@@ -207,8 +241,8 @@ def _check_power(base: FreePoly, n: int, pos: int) -> None:
 
 
 class _Parser:
-    def __init__(self, text: str, s: int, field: Field, digits):
-        self.tokens = _tokens(text, digits)
+    def __init__(self, text: str, s: int, field: Field):
+        self.tokens = _tokens(text)
         self.cursor = 0
         self.s = s
         self.field = field
@@ -306,12 +340,10 @@ class _Parser:
         raise ParseError(f"expected a generator, number or '('", pos)
 
 
-def parse_free(text: str, s: int, field: Field,
-               digits=sys.int_info.default_max_str_digits) -> FreePoly:
+def parse_free(text: str, s: int, field: Field) -> FreePoly:
     """Parse an expression string into a canonical FreePoly.
 
-    A NAT has at most ``digits`` digits, whatever the process's own bound; None,
-    for reading back a FreePoly's own text, is no bound.
+    A NAT has at most 4300 digits, whatever the process's own bound.
     """
     with int_digits():
-        return _Parser(text, s, field, digits).parse()
+        return _Parser(text, s, field).parse()

@@ -9,13 +9,13 @@ A record's fields are the public names in its ``__slots__`` (a slot whose
 name starts with ``_`` is private storage, not a field).  Records are built
 once, positionally or by keyword, with every field given, and cannot be
 changed afterwards.  A fact that the fields determine is derived, not
-stored: a property, or a key that the report codec computes, and decoding
-refuses a document whose derived key disagrees with its fields.  Values
+stored: a property, or a key that the report codec writes and never reads;
+``serialize.loads`` refuses a document that is not the re-encoding of what it
+decodes to, a derived key that disagrees with its fields included.  Values
 follow the same rule: a series stores only its coefficients (its order is
-their count less one), and the codec derives and checks a polynomial's
-text and a matrix's size.  Nothing
-is compiled when a record class is created, so importing a module of
-records costs no more than importing its functions.
+their count less one), and the codec derives a polynomial's text and a
+matrix's size.  Nothing is compiled when a record class is created, so
+importing a module of records costs no more than importing its functions.
 """
 
 from operator import attrgetter

@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from . import linalg
-from .errors import DivisionByZero, FieldMismatch, UnassignedVariable, UnsupportedDenominator
+from .errors import DivisionByZero, FieldMismatch, UnsupportedDenominator
 from .fields import Field, Scalar, SparseSum
 from .records import Frozen
 
@@ -176,7 +176,7 @@ class CommPoly(SparseSum):
         m = min(self.terms, key=self._order)
         return m, Scalar(self.field, self.terms[m])
 
-    # -- calculus / evaluation -------------------------------------------------
+    # -- calculus ------------------------------------------------------------
 
     def diff(self, v: Variable) -> CommPoly:
         """Formal partial derivative with respect to ``v``."""
@@ -188,18 +188,6 @@ class CommPoly(SparseSum):
                 s = terms.get(nm)
                 terms[nm] = c * e if s is None else s + c * e
         return self._like(terms)  # drops exponents divisible by the characteristic
-
-    def evaluate(self, point: dict) -> Scalar:
-        """Evaluate at a full assignment Variable -> Scalar."""
-        raw = self.field.raw
-        total = 0
-        for m, c in self.terms.items():
-            for v, e in m:
-                if v not in point:
-                    raise UnassignedVariable(f"no value for {v}")
-                c = c * raw(point[v]) ** e
-            total += c
-        return Scalar(self.field, self.field.reduce(total))
 
 
 # ---------------------------------------------------------------------------

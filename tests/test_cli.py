@@ -17,7 +17,6 @@ from nclab.cli import (
     _COMMON,
     _REQUIRED,
     COMMANDS,
-    MAX_CENTRALIZER_LETTERS,
     MAX_DIAG_N,
     MAX_DIAG_ORDER_AT_N,
     MAX_MATRIX_ENTRIES,
@@ -31,7 +30,7 @@ from nclab.cli import (
 )
 from nclab import centralizer, genmat, rings, serialize
 from nclab.fields import GF, QQ, int_digits
-from nclab.freealg import MAX_NESTING, parse_free
+from nclab.freealg import MAX_CENTRALIZER_LETTERS, MAX_NESTING, parse_free
 
 SUBCOMMANDS = [
     "eval",
@@ -853,6 +852,15 @@ LARGE_RESULTS = [
 ]
 
 
+#: Results whose free text has a letter repeated past the grammar's bound of degree
+#: 1000 on a power; the last also has a coefficient of 5,419 digits.
+LONG_WORDS = [
+    ["eval", "--f", "x1^1000*x1"],
+    ["centralizer", "--f", "x1^1000*x1", "--s", "1", "--d", "1001"],
+    ["eval", "--f", f"{_C}*{_C}*x1^1000*x1 - 3"],
+]
+
+
 class TestNumbersOfAnySize:
     """nclab renders and reads back its own numbers under no bound on their digits,
     whatever Python's bound in the process, and bounds the integers of its input at
@@ -888,6 +896,24 @@ class TestNumbersOfAnySize:
         assert [p.stderr for p in runs] == ["", ""]
         assert runs[0].returncode == runs[1].returncode
         self._check(argv, runs[0].returncode, result, runs[1].stdout, runs[0].stdout)
+
+    @pytest.mark.parametrize("argv", LONG_WORDS, ids=["eval", "centralizer", "eval-large"])
+    def test_a_report_of_long_words_reads_back_to_its_bytes(self, argv, capsys):
+        code, out, err = run(argv + ["--json"], capsys)
+        assert (code, err) == (0, "")
+        doc, _ = serialize.loads(out)
+        assert serialize.dumps(doc) == out
+        env = {**_ENV, "PYTHONINTMAXSTRDIGITS": "640"}
+        proc = subprocess.run([sys.executable, "-m", "nclab", *argv, "--json"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", out)
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            doc, _ = serialize.loads(out)
+        finally:
+            sys.set_int_max_str_digits(before)
+        assert serialize.dumps(doc) == out
 
     def test_a_thousand_digit_number_is_read_under_a_lower_bound_of_python_s(self):
         env = {**_ENV, "PYTHONINTMAXSTRDIGITS": "640"}

@@ -94,20 +94,6 @@ def test_ring_operations_match_sympy(field):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
-def test_evaluate_matches_sympy(field):
-    @settings(max_examples=30, deadline=None)
-    @given(polys(field), st.lists(coefficients(field), min_size=len(VARS), max_size=len(VARS)))
-    def check(a, values):
-        value = a.evaluate({v: field.scalar(x) for v, x in zip(VARS, values)})
-        subs = {s: sympy.Rational(x.numerator, x.denominator) for s, x in zip(SYMS, values)}
-        expected = to_sympy(a).subs(subs)
-        assert value == field.scalar(Fraction(int(expected.p), int(expected.q)))
-        assert not isinstance(value.value, Scalar)
-
-    check()
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_generic_matrix_products_match_sympy(field):
     @settings(max_examples=25, deadline=None)
     @given(st.lists(polys(field, max_terms=3), min_size=8, max_size=8))

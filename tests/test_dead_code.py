@@ -32,7 +32,6 @@ ALLOWED = {
                                          " (ROADMAP direction 12, Half B)",
     "rings.poly_gcd": "a view of linalg.Echelon that perfbench/tracing.py wraps by name"
                       " (ROADMAP direction 12, Half B)",
-    "rings.CommPoly.evaluate": "annihilator ranks by evaluation need it (ROADMAP direction 2)",
     "fields.GF": "the public GF(p) spelling of Field(p)",
     "serialize.loads": "the documented decoder of emitted reports",
 }

@@ -5,9 +5,12 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import free_commutator, free_mul
 from samples import random_freepoly, random_int_matrix
+from nclab import freealg
 from nclab.errors import (
     DivisionByZero,
     EngineError,
@@ -17,7 +20,7 @@ from nclab.errors import (
     ShapeMismatch,
     UnknownGenerator,
 )
-from nclab.fields import GF, QQ, NEG_INF
+from nclab.fields import GF, QQ, NEG_INF, int_digits
 from nclab.freealg import (
     MAX_NESTING,
     MAX_POWER_BITS,
@@ -26,6 +29,7 @@ from nclab.freealg import (
     FreePoly,
     commutator,
     parse_free,
+    read_text,
 )
 from nclab.genmat import GenericMatrix
 from nclab.rings import CommPoly, RationalFunction, Variable
@@ -242,6 +246,60 @@ class TestText:
         for _ in range(300):
             a = random_freepoly(rng, rng.randint(1, 3), QQ, max_degree=3, max_terms=5)
             assert parse_free(str(a), a.s, a.field) == a
+
+    @given(st.data())
+    def test_read_text_inverts_str_at_any_size(self, data):
+        # runs past the grammar's degree bound of 1000 and, over Q, numerators and
+        # denominators past int's default 4300 digits, which parse_free refuses; the
+        # draws stay small, so that a failing example prints
+        field = data.draw(st.sampled_from([QQ, GF(2), GF(7)]))
+        s = data.draw(st.integers(1, 3))
+        runs = st.lists(st.tuples(st.integers(1, s), st.integers(1, 3000)), max_size=3)
+        words = runs.map(lambda rs: tuple(g for g, e in rs for _ in range(e)))
+        # (numerator, denominator, whether each is times 10^4400 + 1); F_p takes integers
+        dens = st.integers(1, 9) if field is QQ else st.just(1)
+        coeffs = st.tuples(st.integers(-50, 50), dens, st.booleans(),
+                           st.booleans() if field is QQ else st.just(False))
+        big = 10**4400 + 1
+        drawn = data.draw(st.dictionaries(words, coeffs, max_size=4))
+        p = FreePoly(s, field, {w: Fraction(n * big**bn, d * big**bd)
+                                for w, (n, d, bn, bd) in drawn.items()})
+        with int_digits():
+            assert read_text(str(p), s, field) == p
+
+    @pytest.mark.parametrize("text, canonical", [
+        ("2*x1 - x2^2", "-x2^2 + 2*x1"),  # terms out of order
+        ("x1*x1", "x1^2"),
+        ("x1^1*x2", "x1*x2"),
+        ("1*x1", "x1"),
+        ("x1 + x1", "x1"),  # the later term is kept
+        ("x01", "x1"),
+        ("0*x1 + 3", "3"),
+        ("x1^0", "1"),
+        ("x1^", "x1"),
+        ("2/4", "1/2"),
+    ])
+    def test_text_that_is_not_canonical_reads_as_an_element_whose_text_differs(
+            self, text, canonical):
+        assert str(read_text(text, 2, QQ)) == canonical
+
+    @pytest.mark.parametrize("text, error", [
+        ("", ValueError), ("x1 +", ValueError), ("x", ValueError),
+        ("x1^2^3", ValueError), ("(x1)", ValueError), ("x3", UnknownGenerator),
+        ("1/0", ZeroDivisionError),
+    ])
+    def test_text_that_reads_as_no_element_raises(self, text, error):
+        with pytest.raises(error):
+            read_text(text, 2, QQ)
+
+    def test_read_text_refuses_a_text_past_the_letter_bound_before_holding_it(
+            self, monkeypatch):
+        monkeypatch.setattr(freealg, "MAX_CENTRALIZER_LETTERS", 10)
+        assert read_text("x1^4*x2^6", 2, QQ).degree() == 10
+        # the bound counts the letters of every term, and a negative exponent gives none back
+        for text in ("x1^11", "x1^6 + x2^5", "x1^6*x1^-6*x1^5", "x1^10000000000"):
+            with pytest.raises(ValueError, match="more than 10 letters"):
+                read_text(text, 2, QQ)
 
     def test_text_parse_idempotent_on_conformant_text(self):
         texts = ["x1*x2-x2*x1", "(x1+1)^3", "2 x1 x1 x2", "-x1 - 1/2", "x2^2*x1"]

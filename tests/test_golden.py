@@ -9,6 +9,8 @@ from nclab import genmat, quantize, serialize
 from nclab.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+WORKLOADS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench", "workloads.py")
 with open(os.path.join(GOLDEN, "manifest.json"), encoding="utf-8") as _fh:
     MANIFEST = json.load(_fh)
 
@@ -31,6 +33,27 @@ def test_every_golden_decodes_and_re_renders_to_its_own_bytes(name):
         text = fh.read()
     doc, rep = serialize.loads(text)
     assert serialize.dumps({**doc, "report": serialize.encode(rep)}) == text
+
+
+def _benchmark_jobs(workload):
+    """The seed-1 pass of a benchmark workload, built by its file run from source, so
+    that nothing is written beside it."""
+    with open(WORKLOADS, encoding="utf-8") as fh:
+        namespace = {"__name__": "perfbench_workloads"}
+        exec(compile(fh.read(), WORKLOADS, "exec"), namespace)
+    return namespace["build"](workload, 1)
+
+
+@pytest.mark.parametrize("workload, count", [("centralizer", 6), ("pipeline", 9), ("diag", 8)])
+def test_every_benchmark_report_decodes_and_re_renders_to_its_own_bytes(workload, count, capsys):
+    # the benchmark's own traffic holds to the rule that gates the goldens
+    jobs = _benchmark_jobs(workload)
+    for job in jobs:
+        main(job["argv"] + ["--json"])
+        text = capsys.readouterr().out
+        doc, rep = serialize.loads(text)
+        assert serialize.dumps({**doc, "report": serialize.encode(rep)}) == text, job["argv"]
+    assert len(jobs) == count
 
 
 def test_pipeline_goldens_have_zero_tau_and_probe_goldens_nonzero():

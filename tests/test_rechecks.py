@@ -256,6 +256,23 @@ def test_diag_verdict_survives_python_O():
     _expect("Traceback" not in proc.stderr, proc.stderr)
 
 
+# the dimension of K_d raised by one in the report: no witness is found, but the
+# dims are no longer m // deg h + 1, so the single-generator test fails
+SHIFTED_DIM = (
+    "centralizer.py",
+    "    dims = cb.dims",
+    "    dims = cb.dims[:-1] + [cb.dims[-1] + 1]",
+)
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+def test_centralizer_shifted_dim_fails(optimize, tmp_path):
+    proc = run_mutant(tmp_path, *SHIFTED_DIM, CENTRALIZER_ARGV, optimize=optimize)
+    _expect(proc.returncode == 2, f"exit {proc.returncode}: {proc.stderr}")
+    _expect("single-generator test: FAIL" in proc.stdout, proc.stdout)
+    _expect("Traceback" not in proc.stderr, proc.stderr)
+
+
 # the recurrence C_r = sum u_k A_(r-k) - sum C_(r-k) u_k without its second sum.
 # diag's perturbation has a zero diagonal, so C_1 = 0 and the first term the
 # mutant drops is C_2 u_1, at order 3: the run must go to h^3 to see it.

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from samples import lifted_commutator, random_commpoly
 from nclab import serialize
 from nclab.cli import _perturbation
-from nclab.errors import BadReport, DivisionByZero, EngineError
-from nclab.fields import GF, QQ, Field
+from nclab.errors import BadReport, DivisionByZero, UnsupportedDenominator
+from nclab.fields import GF, QQ
 from nclab.freealg import parse_free
 from nclab.genmat import FormalSeries, GenericMatrix, annihilator_stability, pi_reduce
 from nclab.quantize import StarContext, entry_pairing_tensor, quantize_lift, verify_correspondence
@@ -106,6 +106,14 @@ def _ratfun_doc(den_terms, field=QQ):
     return {"type": "ratfun", "num": one, "den": den}
 
 
+def _loads_report(obj, field=QQ):
+    """``loads`` of a document whose report is ``obj``."""
+    return serialize.loads(json.dumps({"field": field.to_dict(), "report": obj}))
+
+
+_REFUSED = "the report is not the one nclab writes for the value it decodes to"
+
+
 @pytest.mark.parametrize(
     "den_terms",
     [
@@ -115,56 +123,39 @@ def _ratfun_doc(den_terms, field=QQ):
     ],
 )
 def test_ratfun_outside_the_ring_is_a_bad_report(den_terms):
-    with pytest.raises(BadReport) as exc:
-        serialize.decode(_ratfun_doc(den_terms), QQ)
-    assert isinstance(exc.value, EngineError) and exc.value.code == "bad-report"
-    assert str(exc.value).startswith("ratfun: ")
+    # the engine's refusal is kept as the cause
+    with pytest.raises(BadReport, match="^malformed report document: UnsupportedDenominator") as e:
+        _loads_report(_ratfun_doc(den_terms))
+    assert e.value.code == "bad-report"
+    assert type(e.value.__cause__) is UnsupportedDenominator
 
 
 def test_ratfun_decoding_divides_out_the_factors():
     # the denominator 2 (lam1 - lam2)(lam2 - lam3) decodes to 1/2 over the monic product
     lam = [CommPoly.variable(Variable.aux("lam", i), QQ) for i in (1, 2, 3)]
     den = ((lam[0] - lam[1]) * (lam[1] - lam[2])).scale(QQ.scalar(2))
-    r = serialize.decode(_ratfun_doc(serialize.encode(den)["terms"]), QQ)
+    doc = _ratfun_doc(serialize.encode(den)["terms"])
+    r = serialize.decode(doc, QQ)
     assert r.num == CommPoly(QQ, {(): "1/2"})
     assert r.den == (lam[0] - lam[1]) * (lam[1] - lam[2])
+    # nclab writes the fraction in lowest terms, so this document is not one it writes
+    with pytest.raises(BadReport, match=_REFUSED):
+        _loads_report(doc)
+    _loads_report(serialize.encode(r))
     with pytest.raises(DivisionByZero):
         serialize.decode(_ratfun_doc([]), QQ)
 
 
-def _commpoly_terms(obj):
-    """The terms of every commpoly in an encoded document."""
+def _commpolys(obj, edit):
+    """A copy of an encoded document with ``edit`` applied to the terms of every commpoly."""
     if isinstance(obj, list):
-        return [t for x in obj for t in _commpoly_terms(x)]
-    if not isinstance(obj, dict):
-        return []
-    own = obj["terms"] if obj.get("type") == "commpoly" else []
-    return own + [t for v in obj.values() for t in _commpoly_terms(v)]
-
-
-def _reverse_monomials(obj):
-    """A copy of an encoded document with the pairs of every commpoly monomial reversed."""
-    if isinstance(obj, list):
-        return [_reverse_monomials(x) for x in obj]
+        return [_commpolys(x, edit) for x in obj]
     if not isinstance(obj, dict):
         return obj
-    out = {k: _reverse_monomials(v) for k, v in obj.items()}
+    out = {k: _commpolys(v, edit) for k, v in obj.items()}
     if obj.get("type") == "commpoly":
-        out["terms"] = [[mono[::-1], c] for mono, c in obj["terms"]]
+        out["terms"] = edit(obj["terms"])
     return out
-
-
-@pytest.mark.parametrize(
-    "name, multi",
-    [("star-fp7-o4.json", 32), ("pi-commutator-n2-q.json", 12)],
-)
-def test_a_monomial_decodes_whatever_the_order_of_its_variables(name, multi):
-    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
-        doc, rep = serialize.loads(fh.read())
-    # the monomials of more than one variable, whose order reversal changes
-    assert sum(len(mono) > 1 for mono, _ in _commpoly_terms(doc["report"])) == multi
-    field = Field.from_dict(doc["field"])
-    assert serialize.decode(_reverse_monomials(doc["report"]), field) == rep
 
 
 @pytest.mark.parametrize(
@@ -172,15 +163,29 @@ def test_a_monomial_decodes_whatever_the_order_of_its_variables(name, multi):
     [
         [[[["x1[1,1]", 1], ["x1[1,1]", 2]], "1"]],  # a repeated variable
         [[[["x1[1,1]", 1], ["x1[1,2]", 1], ["x1[1,1]", 1]], "1"]],
-        [[[["x1[1,1]", 0]], "1"]],  # a zero exponent
-        [[[["lam1", -1]], "1"]],
         [[[["lam1", 1], ["lam2", 1]], "1"], [[["lam2", 1], ["lam1", 1]], "2"]],  # a monomial twice
     ],
-    ids=["repeated", "repeated-apart", "zero-exponent", "negative-exponent", "twice"],
+    ids=["repeated", "repeated-apart", "twice"],
 )
 def test_a_malformed_monomial_is_a_bad_report(terms):
-    with pytest.raises(BadReport):
-        serialize.decode({"type": "commpoly", "text": "", "terms": terms}, QQ)
+    # decoding collapses the repeats, so the value re-encodes to other terms
+    value = serialize.decode({"type": "commpoly", "text": "", "terms": terms}, QQ)
+    with pytest.raises(BadReport, match=_REFUSED):
+        _loads_report({"type": "commpoly", "text": str(value), "terms": terms})
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [[[[["x1[1,1]", 0]], "1"]], [[[["lam1", -1]], "1"]]],
+    ids=["zero-exponent", "negative-exponent"],
+)
+def test_decoding_refuses_an_exponent_below_one(terms):
+    # a negative exponent would survive a round trip, so decoding refuses it itself
+    obj = {"type": "commpoly", "text": "", "terms": terms}
+    with pytest.raises(ValueError, match="exponent < 1"):
+        serialize.decode(obj, QQ)
+    with pytest.raises(BadReport, match="^malformed report document: ValueError: commpoly: "):
+        _loads_report(obj)
 
 
 def test_tau_round_trip():
@@ -273,8 +278,101 @@ def test_decoding_refuses_a_derived_key_that_disagrees_with_the_fields(name, pat
         obj = obj[key]
     assert obj[path[-1]] != value
     obj[path[-1]] = value
-    with pytest.raises(BadReport, match=f": {path[-1]} disagrees with the fields"):
+    with pytest.raises(BadReport, match=_REFUSED):
         serialize.loads(json.dumps(doc))
+
+
+def _golden_doc(name):
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _set(path, value):
+    """An edit of a report that sets the key at ``path`` to ``value``."""
+    def edit(report):
+        obj = report
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+        return report
+    return edit
+
+
+def _double_a_fraction(report):
+    """A diag report with the numerator and denominator of one entry of U_1 doubled."""
+    entry = report["conjugator"]["coeffs"][1][0][1]
+    for key in ("num", "den"):
+        entry[key] = serialize.encode(serialize.decode(entry[key], QQ).scale(2))
+    return report
+
+
+#: Documents that nclab does not write, each a golden with one edit.  Every one of
+#: them decoded before ``loads`` compared the report with its re-encoding, or failed
+#: with an error other than BadReport.
+REFUSALS = [
+    ("pi-commutator-n2-q.json",
+     lambda r: _commpolys(r, lambda terms: [[mono[::-1], c] for mono, c in terms])),
+    ("pi-commutator-n2-q.json", lambda r: _commpolys(r, lambda terms: terms[::-1])),
+    ("annihilator-x1-x1cube.json", _set(["results", 0, "note"], "")),
+    ("eval-2x1-x2sq-q.json", _set(["poly", "expr"], "2*x1 - x2^2")),
+    ("diag-n3-o2-q.json", _double_a_fraction),
+    ("centralizer-1-fp32003-d5.json", _set(["dims"], [1, 1, 1, 2, 2, 7])),
+    ("centralizer-1-fp32003-d5.json", _set(["f", "expr"], "x9")),
+    ("centralizer-1-fp32003-d5.json", _set(["f", "expr"], "x1^10000000000")),
+    ("annihilator-x1-x1cube.json", lambda r: _set(["sizes"], [])(_set(["results"], [])(r))),
+]
+
+
+@pytest.mark.parametrize("name, edit", REFUSALS, ids=[
+    "monomial-pairs-reversed", "terms-reversed", "extra-key", "free-text-out-of-order",
+    "fraction-not-in-lowest-terms", "bergman-dims-not-its-generator-s", "unknown-generator",
+    "run-past-the-letter-bound", "stability-of-no-size"])
+def test_loads_refuses_a_document_that_nclab_does_not_write(name, edit):
+    doc = _golden_doc(name)
+    serialize.loads(json.dumps(doc))
+    edited = edit(json.loads(json.dumps(doc["report"])))
+    assert edited != doc["report"]
+    with pytest.raises(BadReport):
+        serialize.loads(json.dumps({**doc, "report": edited}))
+
+
+def _free_texts(obj, path=()):
+    """The paths of the ``expr`` of every freepoly in an encoded document."""
+    if isinstance(obj, list):
+        return [p for i, x in enumerate(obj) for p in _free_texts(x, path + (i,))]
+    if not isinstance(obj, dict):
+        return []
+    own = [path + ("expr",)] if obj.get("type") == "freepoly" else []
+    return own + [p for k, v in obj.items() for p in _free_texts(v, path + (k,))]
+
+
+def test_a_free_text_changed_in_one_character_is_refused_or_read_as_written():
+    # every character of every free text of every golden, changed to each of a few
+    # others: loads either refuses the document or reads a value that nclab writes
+    # as this very document, and raises nothing but BadReport
+    alphabet = "x0129+-*^/ ("
+    outcomes = {"refused": 0, "read": 0}
+    for name in sorted(os.listdir(GOLDEN)):
+        if name == "manifest.json":
+            continue
+        doc = _golden_doc(name)
+        for path in _free_texts(doc["report"]):
+            holder = doc["report"]
+            for key in path[:-1]:
+                holder = holder[key]
+            text = holder["expr"]
+            for i, new in ((i, c) for i in range(len(text)) for c in alphabet if c != text[i]):
+                holder["expr"] = text[:i] + new + text[i + 1:]
+                try:
+                    got, rep = serialize.loads(json.dumps(doc))
+                except BadReport:
+                    outcomes["refused"] += 1
+                    continue
+                assert serialize.dumps({**got, "report": serialize.encode(rep)}) == \
+                    serialize.dumps(doc), (name, holder["expr"])
+                outcomes["read"] += 1
+            holder["expr"] = text
+    assert outcomes["refused"] and outcomes["read"]
 
 
 _DELETED = object()

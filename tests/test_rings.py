@@ -1,4 +1,4 @@
-"""Commutative polynomials, derivatives, evaluation, gcd and fractions over the lam_i - lam_j."""
+"""Commutative polynomials, derivatives, gcd and fractions over the lam_i - lam_j."""
 
 import random
 from functools import cmp_to_key
@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from oracles import graded_lex_cmp
 from samples import random_commpoly, random_scalar
-from nclab.errors import DivisionByZero, FieldMismatch, UnassignedVariable, UnsupportedDenominator
+from nclab.errors import DivisionByZero, FieldMismatch, UnsupportedDenominator
 from nclab.fields import GF, QQ, NEG_INF
 from nclab.rings import (
     CommPoly,
@@ -139,34 +139,6 @@ class TestDerivative:
             b = random_commpoly(rng, vars3, QQ)
             v = rng.choice(vars3)
             assert (a * b).diff(v) == a.diff(v) * b + b.diff(v) * a
-
-
-class TestEvaluate:
-    def test_simple_point(self):
-        x, y = _x(), _y()
-        assert (x * x + y).evaluate({X: QQ.scalar(2), Y: QQ.scalar(3)}) == QQ.scalar(7)
-
-    def test_zero_poly(self):
-        assert CommPoly.zero(QQ).evaluate({}) == QQ.scalar(0)
-
-    def test_fractional_point(self):
-        x, y = _x(), _y()
-        pt = {X: QQ.scalar("1/2"), Y: QQ.scalar("2/3")}
-        assert (x * y).evaluate(pt) == QQ.scalar("1/3")
-
-    def test_unassigned_variable(self):
-        with pytest.raises(UnassignedVariable):
-            _x().evaluate({Y: QQ.scalar(1)})
-
-    def test_evaluation_is_ring_homomorphism(self):
-        rng = random.Random(77)
-        vars3 = [Variable.aux("t", i) for i in range(1, 4)]
-        for _ in range(50):
-            a = random_commpoly(rng, vars3, QQ)
-            b = random_commpoly(rng, vars3, QQ)
-            pt = {v: random_scalar(rng, QQ) for v in vars3}
-            assert (a * b).evaluate(pt) == a.evaluate(pt) * b.evaluate(pt)
-            assert (a + b).evaluate(pt) == a.evaluate(pt) + b.evaluate(pt)
 
 
 def _random_mono(rng, pool, max_vars=4, max_exp=3):
