@@ -131,8 +131,9 @@ class SizeOutcome(Record):
     """Per-matrix-size record inside a pipeline report.
 
     A report exists only for images that commute: ``find_annihilator`` raises
-    ``NotCommuting`` otherwise.  The ``star_*`` fields and ``tau`` are read off
-    the star commutator of the lifts: of free elements, their images at the
+    ``NotCommuting`` otherwise, and ``_size_outcome`` raises unless the star
+    commutator of their lifts is 0 at h^0.  ``star_linear_part`` and ``tau``
+    are read off that star commutator: of free elements, their images at the
     star-generic matrices (``quantize.star_generic``), and of a matrix pair,
     the canonical lifts.  ``tau`` holds tau_k = tr(c1 f^k), k < n, for
     c1 = ``star_linear_part``, the h-coefficient.  Another lift f + hX, g + hY
@@ -142,7 +143,7 @@ class SizeOutcome(Record):
     Vandermonde matrix: tau = 0 exactly when every {l_i, m_i} is.
     """
 
-    __slots__ = ("annihilator", "star_c0_zero", "star_linear_part", "tau")
+    __slots__ = ("annihilator", "star_linear_part", "tau")
 
     n = property(lambda self: self.annihilator.n)
     star_c1_zero = property(lambda self: self.star_linear_part.is_zero)
@@ -157,17 +158,33 @@ class PipelineReport(Record):
 
     ``commute`` is whether ``free_commutator``, [f, g] in the free algebra, is
     0; a probe pair given as matrices has no free commutator and commutes.
+    ``stability`` is the StabilityReport of the outcomes' annihilators, and
+    None for a probe and for free inputs that do not commute.
     """
 
-    __slots__ = ("f_text", "g_text", "free_commutator", "outcomes", "stability", "conclusion")
+    __slots__ = ("f_text", "g_text", "free_commutator", "outcomes", "stability")
 
     commute = property(lambda self: self.free_commutator is None or self.free_commutator.is_zero)
 
     @property
-    def failure(self):
-        """Why the run FAILs, as its conclusion states it, or None."""
-        prefix = "FAIL: "
-        return self.conclusion[len(prefix):] if self.conclusion.startswith(prefix) else None
+    def conclusion(self) -> str:
+        """The verdict of the outcomes.  The contradiction scenario is not a failure."""
+        if not self.outcomes:  # only free inputs that do not commute have none
+            return "inputs do not commute in the free algebra"
+        if self.stability is not None and self.stability.unstable:
+            return "FAIL: annihilators found at every size are not identical"
+        tau_zero = all(o.tau_zero for o in self.outcomes)
+        if all(o.annihilator.found for o in self.outcomes):
+            text = "annihilator found at every size: consistent with transcendence degree 1" + (
+                "" if tau_zero else "; warning: the first-order star trace tau is nonzero")
+        elif tau_zero:
+            text = "no annihilator up to the bound but the first-order star trace tau vanishes"
+        else:
+            text = ("no annihilator up to the bound and nonzero first-order star trace tau: "
+                    "the contradiction mechanism is visible")
+        if self.free_commutator is not None and self.free_commutator.is_zero:
+            text += "; the quantized images commute through the truncation order"
+        return text
 
 
 def _star_traces(c1: genmat.GenericMatrix, f: genmat.GenericMatrix) -> list:
@@ -190,9 +207,10 @@ def _star_traces(c1: genmat.GenericMatrix, f: genmat.GenericMatrix) -> list:
     return taus
 
 
-def _size_outcome(fhat, ghat, dmax: int):
-    """The outcome of two lifts whose h^0 coefficients commute, and the least r at
-    which their star commutator is nonzero (None if it is 0 through the order)."""
+def _size_outcome(fhat, ghat, dmax: int, free: bool) -> SizeOutcome:
+    """The outcome of two lifts whose h^0 coefficients commute; ``free`` says that they
+    lift inputs that commute in the free algebra.  Raises ``ArithmeticError`` where
+    their star commutator is not 0 at h^0, or, for such inputs, at any order."""
     # the tensor variables, then h^0 commutation, before the star commutator walks every order
     fhat.ctx.tensor.check_variables([e for c in fhat.coeffs + ghat.coeffs
                                      for e in c.entries.values()])
@@ -201,44 +219,14 @@ def _size_outcome(fhat, ghat, dmax: int):
     # own, so a nonzero c0 here is an engine fault (exit 2), not non-commuting input (exit 1)
     ann = genmat.find_annihilator(f, g, dmax)
     comm = fhat * ghat - ghat * fhat
-    c0, c1 = comm.coefficient(0), comm.coefficient(1)
-    least = next((r for r, c in enumerate(comm.coeffs) if not c.is_zero), None)
-    return SizeOutcome(ann, c0.is_zero, c1, _star_traces(c1, f)), least
-
-
-def _conclusion(outcomes, stability, free_commutator, leasts):
-    """The conclusion of commuting images' outcomes.
-
-    ``leasts`` holds, per outcome, the least order at which its lifts' star
-    commutator is nonzero, or None.  The contradiction scenario is not a failure.
-    """
-    free = free_commutator is not None and free_commutator.is_zero
-    nonzero = [r for r in leasts if r is not None]
-    tau_zero = all(o.tau_zero for o in outcomes)
-    if not all(o.star_c0_zero for o in outcomes):
-        # commuting lifts commute at h^0, so this is a fault, not a trdeg-2 sign
-        return "FAIL: the star commutator of commuting inputs is nonzero at h^0"
-    if free and nonzero:
-        # matrix_star is associative, so the lift at the star-generic matrices is a
-        # homomorphism, and it carries [f, g] = 0 to [f^, g^]_* = 0 at every order
-        return ("FAIL: the star commutator of the quantized images of commuting "
-                f"free inputs is nonzero at h^{min(nonzero)}")
-    if stability is not None and stability.unstable:
-        return "FAIL: annihilators found at every size are not identical"
-    if all(o.annihilator.found for o in outcomes):
-        conclusion = "annihilator found at every size: consistent with transcendence degree 1"
-        if not tau_zero:
-            conclusion += "; warning: the first-order star trace tau is nonzero"
-    elif not tau_zero:
-        conclusion = (
-            "no annihilator up to the bound and nonzero first-order star trace tau: "
-            "the contradiction mechanism is visible"
-        )
-    else:
-        conclusion = "no annihilator up to the bound but the first-order star trace tau vanishes"
-    if free:
-        conclusion += "; the quantized images commute through the truncation order"
-    return conclusion
+    r = next((r for r, c in enumerate(comm.coeffs) if not c.is_zero), None)
+    # matrix_star is associative, so the lift at the star-generic matrices is a
+    # homomorphism, and it carries [f, g] = 0 to [f^, g^]_* = 0 at every order
+    if r == 0 or free and r is not None:
+        images = "commuting images" if r == 0 else "the quantized images of commuting free inputs"
+        raise ArithmeticError(f"the star commutator of {images} is nonzero at h^{r} (n={f.n})")
+    c1 = comm.coefficient(1)
+    return SizeOutcome(ann, c1, _star_traces(c1, f))
 
 
 def bergman_pipeline(
@@ -248,18 +236,14 @@ def bergman_pipeline(
     c = freealg.commutator(f, g)
     f_text, g_text = str(f), str(g)
     if not c.is_zero:
-        return PipelineReport(f_text, g_text, c, [], None,
-                              "inputs do not commute in the free algebra")
-    outcomes, leasts = [], []
+        return PipelineReport(f_text, g_text, c, [], None)
+    outcomes = []
     for n in range(1, nmax + 1):
         xs = quantize.star_generic(f.s, n, ctx)
-        outcome, least = _size_outcome(f.evaluate_in_matrices(xs), g.evaluate_in_matrices(xs),
-                                       dmax)
-        outcomes.append(outcome)
-        leasts.append(least)
+        outcomes.append(_size_outcome(f.evaluate_in_matrices(xs), g.evaluate_in_matrices(xs),
+                                      dmax, True))
     stability = genmat.StabilityReport(f_text, g_text, [o.annihilator for o in outcomes])
-    return PipelineReport(f_text, g_text, c, outcomes, stability,
-                          _conclusion(outcomes, stability, c, leasts))
+    return PipelineReport(f_text, g_text, c, outcomes, stability)
 
 
 def commuting_matrix_probe(f, g, dmax: int,
@@ -271,14 +255,15 @@ def commuting_matrix_probe(f, g, dmax: int,
     lifts ``quantize.quantize_lift`` of commuting matrices.  Lifts of free
     elements at ``quantize.star_generic`` come with ``free_commutator``, their
     [f, g] in the free algebra; where it is 0, a nonzero lifted star
-    commutator FAILs as in the pipeline.
+    commutator raises as in the pipeline.
     """
+    free = free_commutator is not None and free_commutator.is_zero
     try:
-        outcome, least = _size_outcome(f, g, dmax)
+        outcome = _size_outcome(f, g, dmax, free)
     except NotCommuting:
         raise NotCommuting("probe inputs must commute") from None
     return PipelineReport(str(f.coefficient(0)), str(g.coefficient(0)), free_commutator,
-                          [outcome], None, _conclusion([outcome], None, free_commutator, [least]))
+                          [outcome], None)
 
 
 def diagonal_generic_pair(n: int, field: Field):

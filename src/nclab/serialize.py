@@ -41,9 +41,10 @@ class EvalReport(Record):
 
 
 class CommuteReport(Record):
-    __slots__ = ("f", "g", "commutator_value")
+    __slots__ = ("f", "g")
 
-    commute = property(lambda self: self.commutator_value.is_zero)
+    commutator = property(lambda self: freealg.commutator(self.f, self.g))
+    commute = property(lambda self: self.commutator.is_zero)
 
 
 class PiReport(Record):
@@ -106,14 +107,19 @@ def _row(tag, path, stored, from_stored, **derived):
     return tag, path, body, from_stored
 
 
-def _record(tag, path, renamed=None, derived=(), **computed):
+def _record(tag, path, renamed=None, derived=(), read=None, **computed):
     """Row of a record class, stored by its fields.  ``renamed`` maps a field or property
-    to its JSON key, and a derived key is a property named in ``derived`` or ``computed``."""
-    renamed = renamed or {}
+    to its JSON key, and a derived key is a property named in ``derived`` or ``computed``.
+    A field that the others determine maps in ``read`` to its builder from them, the data
+    under its key and the field, so that it is written but never decoded."""
+    renamed, read = renamed or {}, read or {}
 
     def from_stored(obj, field):
         cls = _class(path)
-        return cls(**{name: decode(obj[renamed.get(name, name)], field) for name in cls._fields})
+        data = {name: obj[renamed.get(name, name)] for name in cls._fields}
+        values = {name: decode(data[name], field) for name in cls._fields if name not in read}
+        values.update({name: build(values, data[name], field) for name, build in read.items()})
+        return cls(**values)
 
     return _row(tag, path,
                 lambda r: {renamed.get(name, name): encode(getattr(r, name)) for name in r._fields},
@@ -159,11 +165,15 @@ _FORMAT = (
     _record("stability", "genmat.StabilityReport", renamed=_TEXTS,
             derived=("all_found", "identical"), sizes=lambda r: [a.n for a in r.results],
             dmax=lambda r: r.results[0].searched_bound),
-    # a SizeOutcome exists only for commuting images
+    # a SizeOutcome exists only for commuting images whose lifts commute at h^0
     _record("size-outcome", "centralizer.SizeOutcome", derived=("n", "star_c1_zero"),
-            images_commute=lambda r: True),
-    _record("pipeline", "centralizer.PipelineReport", renamed=_TEXTS, derived=("commute",),
-            trdeg_verdict=_trdeg_verdict),
+            images_commute=lambda r: True, star_c0_zero=lambda r: True),
+    _record("pipeline", "centralizer.PipelineReport", renamed=_TEXTS,
+            derived=("commute", "conclusion"), trdeg_verdict=_trdeg_verdict,
+            # the stability of the outcomes, or null, as a probe's is
+            read={"stability": lambda rep, data, field: None if data is None else
+                  genmat.StabilityReport(rep["f_text"], rep["g_text"],
+                                         [o.annihilator for o in rep["outcomes"]])}),
     _record("bergman", "centralizer.BergmanReport", derived=("d", "passed")),
     _record("diagonal", "diagonalize.DiagonalReport", derived=("achieved_order",),
             eigenvalues=lambda r: r.diagonal.coeffs[0].diagonal_entries(),
@@ -171,11 +181,14 @@ _FORMAT = (
     _record("correspondence", "quantize.CorrespondenceReport", derived=("holds",)),
     _record("eval", "serialize.EvalReport", derived=("degree_text", "term_count"),
             renamed={"degree_text": "degree", "term_count": "terms"}),
-    _record("commute", "serialize.CommuteReport", renamed={"commutator_value": "commutator"},
-            derived=("commute",)),
+    _record("commute", "serialize.CommuteReport", derived=("commutator", "commute")),
     _record("pi", "serialize.PiReport", n=lambda r: r.image.n),
     _record("al", "serialize.ALReport", arity=lambda r: 2 * r.n, sharpness_checked=lambda r: True),
-    _record("star", "serialize.StarReport", renamed={"commutator_series": "commutator"}),
+    # a correspondence's star_linear_part is the commutator's h^1 coefficient, or it is null
+    _record("star", "serialize.StarReport", renamed={"commutator_series": "commutator"},
+            read={"correspondence": lambda rep, data, field: None if data is None else
+                  _class("quantize.CorrespondenceReport")(
+                      rep["commutator_series"].coefficient(1), decode(data["bracket"], field))}),
     _record("poisson", "serialize.PoissonReport"),
 )
 # keyed by the class's module and name, so that no row's module is loaded to encode

@@ -18,7 +18,7 @@ from nclab import centralizer, linalg, quantize, serialize
 from nclab.errors import NotCommuting, ScalarInput
 from nclab.fields import GF, QQ
 from nclab.freealg import FreePoly, commutator, parse_free, word_key
-from nclab.genmat import BivariatePoly, GenericMatrix, pi_reduce
+from nclab.genmat import AnnihilatorResult, BivariatePoly, GenericMatrix, pi_reduce
 from nclab.quantize import (
     StarContext,
     StarSeries,
@@ -298,7 +298,7 @@ class TestPipeline:
             fn, gn = pi_reduce(f, o.n), pi_reduce(g, o.n)
             assert fn * gn == gn * fn
             assert o.annihilator.found and o.annihilator.poly == expected
-            assert o.star_c0_zero and o.star_c1_zero
+            assert o.star_c1_zero
         assert rep.stability.identical
         assert serialize.encode(rep)["trdeg_verdict"] == "1"
 
@@ -346,8 +346,44 @@ class TestPipeline:
             for o in rep.outcomes:
                 fn, gn = pi_reduce(f, o.n), pi_reduce(g, o.n)
                 assert fn * gn == gn * fn
-                assert o.star_c0_zero and o.star_c1_zero
+                assert o.star_c1_zero
                 assert o.annihilator.found
+
+
+_FREE = "; the quantized images commute through the truncation order"
+_FOUND = "annihilator found at every size: consistent with transcendence degree 1"
+_CONTRADICTION = ("no annihilator up to the bound and nonzero first-order star trace tau: "
+                  "the contradiction mechanism is visible")
+# an annihilator beside a nonzero tau, which no command yields, read off a record alone
+_FOUND_AND_TAU = centralizer.PipelineReport("f", "g", None, [centralizer.SizeOutcome(
+    AnnihilatorResult(BivariatePoly(QQ, {(1, 0): 1}), 1, 1), GenericMatrix.identity(1, QQ),
+    [CommPoly.one(QQ)])], None)
+#: a command line or a record, and the conclusion derived from the report
+CONCLUSIONS = [
+    ("bergman-pipeline --f x1 --g x2", "inputs do not commute in the free algebra"),
+    ("bergman-pipeline --f x1*x2-x2*x1 --g (x1*x2-x2*x1)^2 --nmax 2 --dmax 2",
+     "FAIL: annihilators found at every size are not identical"),
+    ("bergman-pipeline --f x1 --g x1^2 --nmax 2 --dmax 2", _FOUND + _FREE),
+    (_FOUND_AND_TAU, _FOUND + "; warning: the first-order star trace tau is nonzero"),
+    ("probe --n 2 --dmax 3", _CONTRADICTION),
+    # free inputs that do not commute, with images that do: no suffix
+    ("probe --n 1 --f x1 --g x2", _CONTRADICTION),
+    ("bergman-pipeline --f x1 --g x1^3 --nmax 2 --dmax 2",
+     "no annihilator up to the bound but the first-order star trace tau vanishes" + _FREE),
+]
+
+
+@pytest.mark.parametrize("source, conclusion", CONCLUSIONS, ids=[
+    "not-commuting", "unstable", "found", "found-with-tau", "contradiction",
+    "free-inputs-not-commuting", "tau-vanishes"])
+def test_the_conclusion_is_read_off_the_report(source, conclusion, capsys):
+    # a command's verdict, and that of the report loads reads back from its JSON
+    if isinstance(source, str):
+        code = main(source.split() + ["--json"])
+        _, source = serialize.loads(capsys.readouterr().out)
+        assert code == (2 if conclusion.startswith("FAIL: ") else 0)
+    assert source.conclusion == conclusion
+    assert serialize.encode(source)["conclusion"] == conclusion
 
 
 def _probe(f, g, dmax, ctx):
@@ -362,7 +398,6 @@ class TestProbe:
         rep = _probe(f, g, 3, ctx)
         (o,) = rep.outcomes
         assert not o.annihilator.found
-        assert o.star_c0_zero
         assert not o.star_c1_zero
         assert o.star_linear_part == GenericMatrix.identity(2, QQ)
         assert ">=2" in serialize.encode(rep)["trdeg_verdict"]
@@ -375,7 +410,7 @@ class TestProbe:
         rep = _probe(f, g, 3, ctx)
         (o,) = rep.outcomes
         assert o.annihilator.poly == BivariatePoly(QQ, {(2, 0): 1, (0, 1): -1})
-        assert o.star_c0_zero and o.star_c1_zero
+        assert o.star_c1_zero
         assert serialize.encode(rep)["trdeg_verdict"] == "1"
 
     def test_equal_matrices(self):

@@ -199,7 +199,7 @@ def test_an_affine_change_of_f_carries_through_the_pipeline(h_terms, p, q, a, b,
         assert _leading_one(_substituted(mine.annihilator.poly, a, b)) == \
             _leading_one(other.annihilator.poly)
         assert other.star_linear_part == mine.star_linear_part.scale(a)
-        assert (other.star_c0_zero, other.star_c1_zero) == (mine.star_c0_zero, mine.star_c1_zero)
+        assert other.star_c1_zero == mine.star_c1_zero
 
 
 @settings(max_examples=10)

@@ -145,7 +145,7 @@ def _frozen_instances():
         (SeriesFieldMatrix.from_poly(matrix, 1), "coeffs"),
         (RationalFunction.one(QQ), "num"),
         (CorrespondenceReport(None, None), "bracket"),
-        (PipelineReport("f", "g", None, [], None, "c"), "outcomes"),
+        (PipelineReport("f", "g", None, [], None), "outcomes"),
         (bergman_check(FreePoly(2, QQ, {(1,): 1}), 0), "dims"),
         (DiagonalReport(matrix, matrix), "diagonal"),
     ]

@@ -14,8 +14,22 @@ from nclab.cli import _perturbation
 from nclab.errors import BadReport, DivisionByZero, UnsupportedDenominator
 from nclab.fields import GF, QQ
 from nclab.freealg import parse_free
-from nclab.genmat import FormalSeries, GenericMatrix, annihilator_stability, pi_reduce
-from nclab.quantize import StarContext, entry_pairing_tensor, quantize_lift, verify_correspondence
+from nclab.genmat import (
+    AnnihilatorResult,
+    BivariatePoly,
+    FormalSeries,
+    GenericMatrix,
+    StabilityReport,
+    annihilator_stability,
+    pi_reduce,
+)
+from nclab.quantize import (
+    CorrespondenceReport,
+    StarContext,
+    entry_pairing_tensor,
+    quantize_lift,
+    verify_correspondence,
+)
 from nclab.rings import CommPoly, RationalFunction, Variable, mono_from_dict, parse_variable_name
 from nclab.centralizer import (
     bergman_check,
@@ -219,8 +233,8 @@ def test_composite_cli_reports_round_trip():
     g = parse_free("x1", 2, QQ)
     from nclab.freealg import commutator
 
-    c = commutator(f, g)
-    round_trip(serialize.CommuteReport(f, g, c))
+    rep = round_trip(serialize.CommuteReport(f, g))
+    assert rep.commutator == commutator(f, g) and not rep.commute
     round_trip(serialize.PiReport(g, pi_reduce(g, 2)))
     round_trip(serialize.ALReport(2, True, True))
     round_trip(serialize.PoissonReport(CommPoly.one(QQ)))
@@ -298,6 +312,21 @@ def _set(path, value):
     return edit
 
 
+def _recoded(path, change):
+    """An edit of a report that decodes the value at ``path``, changes it and writes the
+    change's encoding there."""
+    def edit(report):
+        obj = report
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = serialize.encode(change(serialize.decode(obj[path[-1]], QQ)))
+        return report
+    return edit
+
+
+_U = BivariatePoly(QQ, {(1, 0): 1})
+
+
 def _double_a_fraction(report):
     """A diag report with the numerator and denominator of one entry of U_1 doubled."""
     entry = report["conjugator"]["coeffs"][1][0][1]
@@ -320,13 +349,25 @@ REFUSALS = [
     ("centralizer-1-fp32003-d5.json", _set(["f", "expr"], "x9")),
     ("centralizer-1-fp32003-d5.json", _set(["f", "expr"], "x1^10000000000")),
     ("annihilator-x1-x1cube.json", lambda r: _set(["sizes"], [])(_set(["results"], [])(r))),
+    # a fact stored beside the data that determines it
+    ("bergman-pipeline-seed1.json", _recoded(["stability"], lambda s: StabilityReport(
+        s.f_text, s.g_text, [AnnihilatorResult(_U, 1, 3), *s.results[1:]]))),
+    ("bergman-pipeline-seed1.json", _recoded(["outcomes", 0, "annihilator"],
+                                             lambda a: AnnihilatorResult(_U, a.n, a.searched_bound))),
+    ("bergman-pipeline-seed1.json", _set(["outcomes", 0, "star_c0_zero"], False)),
+    ("star-q-o2.json", _recoded(["correspondence"], lambda c: CorrespondenceReport(
+        CommPoly.one(QQ).scale(5), c.bracket))),
+    ("commute-x1-x1cube-q.json", lambda r: _set(["commute"], False)(
+        _recoded(["commutator"], lambda c: parse_free("x1*x2", c.s, QQ))(r))),
 ]
 
 
 @pytest.mark.parametrize("name, edit", REFUSALS, ids=[
     "monomial-pairs-reversed", "terms-reversed", "extra-key", "free-text-out-of-order",
     "fraction-not-in-lowest-terms", "bergman-dims-not-its-generator-s", "unknown-generator",
-    "run-past-the-letter-bound", "stability-of-no-size"])
+    "run-past-the-letter-bound", "stability-of-no-size", "stability-not-its-outcomes",
+    "outcome-not-its-stability", "star-c0-nonzero", "star-linear-part-not-h1",
+    "commutator-not-f-g"])
 def test_loads_refuses_a_document_that_nclab_does_not_write(name, edit):
     doc = _golden_doc(name)
     serialize.loads(json.dumps(doc))
