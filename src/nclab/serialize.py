@@ -7,13 +7,13 @@ that a command loads only the modules of the values it emits).  Every row is
 made by ``_row``: a value type's row names the encoder of the keys it is
 stored by, its builder from them and its derived keys; a report record's row
 is stored by its fields and names only the JSON keys that differ from its
-field names and its derived keys.  A derived key (a polynomial's ``text``, a
-matrix's ``n``, a series' ``order``, a record's verdicts) is written on
-encode and never read.  Lists and tuples encode as JSON lists.  ``loads``
-accepts a report exactly when re-encoding what it decodes to renders to the
-document's own report, so it accepts what nclab writes and nothing else.
-Rendering a report always uses ``dumps`` so that identical inputs give
-byte-identical JSON documents.
+field names, its derived keys and the fields it builds from the others.  A
+derived key (a polynomial's ``text``, a matrix's ``n``, a series' ``order``,
+a record's verdicts) is written on encode and never read.  Lists and tuples
+encode as JSON lists.  ``loads`` accepts a report exactly when re-encoding
+what it decodes to renders to the document's own report, so it accepts what
+nclab writes and nothing else.  Rendering a report always uses ``dumps`` so
+that identical inputs give byte-identical JSON documents.
 """
 
 from __future__ import annotations

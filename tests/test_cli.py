@@ -117,6 +117,13 @@ def startup_s():
     return min(run_process(["eval", "--f", "x1", "--json"])[3] for _ in range(2))
 
 
+def _balanced_product(factor, depth):
+    """The product of 2^depth copies of ``factor``, each pair in parentheses."""
+    for _ in range(depth):
+        factor = f"({factor})*({factor})"
+    return factor
+
+
 def assert_refused_up_front(argv, limit, prefix, startup_s):
     """``nclab argv --json`` exits 1 with one error line within ``limit`` seconds of work.
 
@@ -316,6 +323,25 @@ class TestExitStatuses:
         # unbounded, ^9*^9 formed 2^18 words in about 9 s and ^13*^13 did not end
         err = assert_refused_up_front(["eval", *argv], 1.0, "error [power-too-large]: ", startup_s)
         assert "exceeds 10000 terms" in err
+
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            ("(" + " + ".join(f"x1^{250 - k}*x2^{k}" for k in range(10)) + ")^4",
+             "a power of up to 10000000 letters exceeds 8912898 letters"),
+            (_balanced_product("x1^1000", 11), "a product of degree 2000 and 2000 exceeds degree 2000"),
+            ("*".join(["x1^1000"] * 2000), "a product of degree 2000 and 1000 exceeds degree 2000"),
+        ],
+        ids=["power", "balanced-product", "chain"],
+    )
+    def test_an_element_past_the_letters_read_text_reads_is_refused_up_front(
+        self, expr, message, startup_s
+    ):
+        # unbounded, the power wrote a report that loads refuses, the 2,048 balanced
+        # factors took 21 s and the chain of 2,000 took 48 s
+        err = assert_refused_up_front(["eval", "--f", expr], 1.0, "error [power-too-large]: ",
+                                      startup_s)
+        assert message in err
 
     @settings(max_examples=400)
     @given(FUZZ_EXPRESSIONS)

@@ -26,6 +26,7 @@ from nclab.freealg import (
     MAX_POWER_BITS,
     MAX_POWER_DEGREE,
     MAX_POWER_TERMS,
+    MAX_PRODUCT_DEGREE,
     FreePoly,
     commutator,
     parse_free,
@@ -33,6 +34,10 @@ from nclab.freealg import (
 )
 from nclab.genmat import GenericMatrix
 from nclab.rings import CommPoly, RationalFunction, Variable
+
+#: the sum of the ten words x1^(250 - k) x2^k to the 4th: within every other limit of a
+#: power, it has 10,000 terms of 1,000 letters
+TEN_WORDS_TO_THE_4TH = "(" + " + ".join(f"x1^{250 - k}*x2^{k}" for k in range(10)) + ")^4"
 
 
 def fp(terms, s=2, field=QQ):
@@ -127,6 +132,11 @@ class TestParse:
             # a product: the operands' term counts multiplied, with * or juxtaposition
             ("(x1 + x2)^12*(x1 + x2)", "(x1 + x2)^13*(x1 + x2)", QQ),
             ("(x1 + x2)^13*2", "(x1 + x2)^13 (x1 + x2)", GF(7)),
+            # a product's degree: the sum of its operands'
+            (f"x1^{MAX_POWER_DEGREE}*x1^{MAX_POWER_DEGREE}",
+             f"x1^{MAX_POWER_DEGREE}*x1^{MAX_POWER_DEGREE}*x1", QQ),
+            (f"x1^{MAX_PRODUCT_DEGREE // 2}(2 x2)^{MAX_PRODUCT_DEGREE // 2}",
+             f"x1^{MAX_PRODUCT_DEGREE // 2}(2 x2)^{MAX_PRODUCT_DEGREE // 2}x1", GF(7)),
         ],
     )
     def test_power_limits(self, accepted, refused, field):
@@ -176,6 +186,16 @@ class TestParse:
          "a product of 8192 and 8192 terms exceeds 10000 terms", 10),
         ("(x1+x2)^13 (x1+x2)^13", GF(7), PowerTooLarge,
          "a product of 8192 and 8192 terms exceeds 10000 terms", 11),
+        ("x1^1000*x1^1000*x1", QQ, PowerTooLarge,
+         "a product of degree 2000 and 1 exceeds degree 2000", 15),
+        # 10,000 terms of 1,000 letters
+        (TEN_WORDS_TO_THE_4TH, QQ, PowerTooLarge,
+         "a power of up to 10000000 letters exceeds 8912898 letters", len(TEN_WORDS_TO_THE_4TH) - 1),
+        # 8,192 terms of 1,012 letters, times x1^100 or less another such
+        ("(x1+x2)^13*x1^999*x1^100", QQ, PowerTooLarge,
+         "a product of up to 9109504 letters exceeds 8912898 letters", 17),
+        ("(x1+x2)^13*x1^999 - (x1+x2)^13*x2^999", QQ, PowerTooLarge,
+         "a sum of up to 16580608 letters exceeds 8912898 letters", 18),
         ("x3", QQ, UnknownGenerator, "x3 (only 2 generators declared)", None),
         ("x0", QQ, UnknownGenerator, "x0 (only 2 generators declared)", None),
         ("x1 + x12", GF(7), UnknownGenerator, "x12 (only 2 generators declared)", None),

@@ -2,6 +2,8 @@
 
 import json
 import os
+import sys
+import types
 
 import pytest
 
@@ -9,8 +11,7 @@ from nclab import genmat, quantize, serialize
 from nclab.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
-WORKLOADS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "perfbench", "workloads.py")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 with open(os.path.join(GOLDEN, "manifest.json"), encoding="utf-8") as _fh:
     MANIFEST = json.load(_fh)
 
@@ -35,13 +36,19 @@ def test_every_golden_decodes_and_re_renders_to_its_own_bytes(name):
     assert serialize.dumps({**doc, "report": serialize.encode(rep)}) == text
 
 
+def _perfbench_module(name):
+    """The benchmark's module ``name``, run from its source, so that nothing is written
+    beside it."""
+    path = os.path.join(PERFBENCH, f"{name}.py")
+    module = types.ModuleType(name)
+    with open(path, encoding="utf-8") as fh:
+        exec(compile(fh.read(), path, "exec"), module.__dict__)
+    return module
+
+
 def _benchmark_jobs(workload):
-    """The seed-1 pass of a benchmark workload, built by its file run from source, so
-    that nothing is written beside it."""
-    with open(WORKLOADS, encoding="utf-8") as fh:
-        namespace = {"__name__": "perfbench_workloads"}
-        exec(compile(fh.read(), WORKLOADS, "exec"), namespace)
-    return namespace["build"](workload, 1)
+    """The seed-1 pass of a benchmark workload."""
+    return _perfbench_module("workloads").build(workload, 1)
 
 
 @pytest.mark.parametrize("workload, count", [("centralizer", 6), ("pipeline", 9), ("diag", 8)])
@@ -54,6 +61,18 @@ def test_every_benchmark_report_decodes_and_re_renders_to_its_own_bytes(workload
         doc, rep = serialize.loads(text)
         assert serialize.dumps({**doc, "report": serialize.encode(rep)}) == text, job["argv"]
     assert len(jobs) == count
+
+
+@pytest.mark.parametrize("workload", ["centralizer", "pipeline", "diag"])
+def test_every_benchmark_report_passes_the_benchmark_s_own_checks(workload, monkeypatch, capsys):
+    # checks.py reads keys that nclab writes and never reads, such as images_commute
+    # and star_c0_zero; its ``from workloads import ...`` is served from the source
+    monkeypatch.setitem(sys.modules, "workloads", _perfbench_module("workloads"))
+    check = _perfbench_module("checks").check
+    for job in _benchmark_jobs(workload):
+        code = main(job["argv"] + ["--json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert (code, check(job, doc)) == (0, None), job["argv"]
 
 
 def test_pipeline_goldens_have_zero_tau_and_probe_goldens_nonzero():
