@@ -33,6 +33,14 @@ def _words_up_to(s: int, d: int):
     return out
 
 
+def _span_sizes(s: int, d: int):
+    """(count, letters in all) of ``_words_up_to(s, k)`` for k = 0..d, one k at a time."""
+    words = letters = 0
+    for k in range(d + 1):
+        words, letters = words + s**k, letters + k * s**k
+        yield words, letters
+
+
 class CentralizerBasis(Record):
     """The reduced echelon basis of K_d = {g of degree <= d : [f, g] = 0}.
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import sys
 import types
-from math import comb
 
 from . import centralizer, diagonalize, freealg, genmat, quantize, rings, serialize
 from .errors import EngineError, InvalidField, InvalidSize
@@ -57,7 +56,7 @@ MAX_DIAG_ORDER_AT_N = (100, 100, 16, 7, 4, 3, 3, 2, 2, 2, 2)
 
 #: Nothing but an annihilator ends probe's search of the images before --dmax,
 #: and the diagonal pair and most pairs with [f, g] != 0 in the free algebra
-#: have none, so ``_probe_search_terms`` bounds up front the terms of its
+#: have none, so ``genmat._probe_search_terms`` bounds up front the terms of its
 #: columns f^a g^b and of the products f g and g f that test commutation
 #: (where [f, g] = 0 the search ends by layer max(deg f, deg g)).  With
 #: --order 1, the largest searches let through took, on the diagonal pair,
@@ -99,10 +98,7 @@ def _check_sizes(args, bounds: dict) -> None:
             raise InvalidSize(f"{command}{flags}: {count} generic {n}x{n} matrices "
                               f"have over {MAX_MATRIX_ENTRIES} entries")
     if command == "centralizer":
-        words, letters, layer = 1, 0, 1
-        for k in range(1, args.d + 1):
-            layer *= args.s
-            words, letters = words + layer, letters + k * layer
+        for words, letters in centralizer._span_sizes(args.s, args.d):
             if words > 2**19 - 1 or letters > freealg.MAX_CENTRALIZER_LETTERS:
                 raise InvalidSize(f"centralizer --s {args.s} --d {args.d}: the words of length "
                                   f"<= d are more than {2**19 - 1} or have more than "
@@ -114,46 +110,6 @@ def _check_sizes(args, bounds: dict) -> None:
                               f"at --n {args.n} the --order is at most {limit}")
     if command == "probe" and (args.f is None) != (args.g is None):
         raise EngineError("probe takes both --f and --g, or neither")
-
-
-def _entry_sizes(m):
-    """T, the most terms of an entry of m, S, its distinct monomials over all entries,
-    and R, the most nonzero entries in a row of m.
-
-    S is at least 1, so that C(S + a - 1, a) is defined; a zero matrix has T = R = 0.
-    """
-    terms, per_row = [e.terms for e in m.entries.values()], {}
-    for i, _ in m.entries:
-        per_row[i] = per_row.get(i, 0) + 1
-    return (max(map(len, terms), default=0), max(len(set().union(*terms)), 1),
-            max(per_row.values(), default=0))
-
-
-def _probe_search_terms(f, g, dmax: int) -> int:
-    """A bound on the terms of f g, g f and the columns f^a g^b of the search over images f, g.
-
-    Let R be the most nonzero entries in a row of f or g.  A product of k of
-    them then has at most min(n^2, n R^k) nonzero entries, each a sum over at
-    most R^(k-1) index paths: at most R^(k-1) T_f^a T_g^b terms for a factors
-    f and b factors g.  Each of its monomials is a product of a monomials of
-    f's entries and b of g's, so there are at most C(S_f + a - 1, a)
-    C(S_g + b - 1, b) of them.  ``find_annihilator`` first forms f g and g f
-    to test commutation, then the columns f^a g^b, a + b <= dmax.  The sum
-    stops once it passes MAX_PROBE_SEARCH_TERMS.  A layer with a zero column
-    (bound 0) is the search's last: that column is a kernel vector.
-    """
-    (tf, sf, rf), (tg, sg, rg) = _entry_sizes(f), _entry_sizes(g)
-    n, r = f.n, max(rf, rg)
-    total = n + 2 * min(n * n, n * r * r) * min(r * tf * tg, sf * sg)  # the identity, f g, g f
-    for d in range(1, dmax + 1):
-        cells = min(n * n, n * r**d)
-        layer = [cells * min(r ** (d - 1) * tf**a * tg ** (d - a),
-                             comb(sf + a - 1, a) * comb(sg + d - a - 1, d - a))
-                 for a in range(d + 1)]
-        total += sum(layer)
-        if total > MAX_PROBE_SEARCH_TERMS or 0 in layer:
-            break
-    return total
 
 
 def _fail(message: str) -> int:
@@ -365,7 +321,8 @@ def _cmd_probe(args, field):
         ctx = quantize.StarContext(tensor, args.order)
         f, g = quantize.quantize_lift(f, ctx), quantize.quantize_lift(g, ctx)
         free_commutator, inputs = None, "the diagonal pair"
-    if _probe_search_terms(f.coefficient(0), g.coefficient(0), layers) > MAX_PROBE_SEARCH_TERMS:
+    if genmat._probe_search_terms(f.coefficient(0), g.coefficient(0), layers,
+                                  MAX_PROBE_SEARCH_TERMS) > MAX_PROBE_SEARCH_TERMS:
         raise InvalidSize(f"probe --n {args.n} --dmax {args.dmax}: the annihilator search "
                           f"of {inputs} can build over {MAX_PROBE_SEARCH_TERMS} terms")
     rep = centralizer.commuting_matrix_probe(f, g, args.dmax, free_commutator)

@@ -10,6 +10,7 @@ the one truncated series in h, with polynomial or matrix coefficients.
 from __future__ import annotations
 
 from functools import cache
+from math import comb
 
 from . import freealg, linalg
 from .errors import FieldMismatch, InvalidSize, NotCommuting, ShapeMismatch
@@ -371,6 +372,16 @@ def _monomial_layers(dmax: int):
     return ([(a, t - a) for a in range(t + 1)] for t in range(dmax + 1))
 
 
+def _power_layers(f: GenericMatrix, g: GenericMatrix, fg: GenericMatrix, dmax: int):
+    """The columns f^a g^b of the search, a dict (a, b) -> matrix per ``_monomial_layers``
+    layer; f and g commute, so each is f or g times one of the layer before (fg is f g)."""
+    first, prev = {(0, 0): f.identity_like(), (1, 0): f, (0, 1): g, (1, 1): fg}, {}
+    for layer in _monomial_layers(dmax):
+        prev = {(a, b): first[a, b] if (a, b) in first
+                else f * prev[a - 1, b] if a else g * prev[0, b - 1] for a, b in layer}
+        yield prev
+
+
 def find_annihilator(f: GenericMatrix, g: GenericMatrix, dmax: int) -> AnnihilatorResult:
     """Minimal-total-degree P with P(f, g) = 0, by exact kernel search.
 
@@ -385,22 +396,11 @@ def find_annihilator(f: GenericMatrix, g: GenericMatrix, dmax: int) -> Annihilat
     if fg != g * f:
         raise NotCommuting("inputs do not commute; the monomials f^a g^b are ambiguous")
     field = f.field
-    first = {(0, 0): f.identity_like(), (1, 0): f, (0, 1): g, (1, 1): fg}
     echelon = linalg.Echelon(field)
     monomials = []  # ascending graded order: column index -> (a, b)
-    prev = {}
-    for layer in _monomial_layers(dmax):
+    for layer in _power_layers(f, g, fg, dmax):
         kernel = []
-        cur = {}
-        for a, b in layer:
-            # f and g commute, so f^a g^b is one product away from the previous layer
-            if (a, b) in first:
-                mat = first[(a, b)]
-            elif a:
-                mat = f * prev[(a - 1, b)]
-            else:
-                mat = g * prev[(0, b - 1)]
-            cur[(a, b)] = mat
+        for (a, b), mat in layer.items():
             col = {(i, j, mono): c for (i, j), entry in mat.entries.items()
                    for mono, c in entry.terms.items()}
             monomials.append((a, b))
@@ -416,8 +416,43 @@ def find_annihilator(f: GenericMatrix, g: GenericMatrix, dmax: int) -> Annihilat
             if not result.verify(f, g):
                 raise ArithmeticError("annihilator failed re-evaluation")
             return result
-        prev = cur
     return AnnihilatorResult(None, f.n, dmax)
+
+
+def _entry_sizes(m: GenericMatrix):
+    """(T, S, R): the most terms of an entry of m, its distinct monomials over all entries
+    (at least 1, so that C(S + a - 1, a) is defined) and the most nonzero entries in a row."""
+    terms, per_row = [e.terms for e in m.entries.values()], {}
+    for i, _ in m.entries:
+        per_row[i] = per_row.get(i, 0) + 1
+    return (max(map(len, terms), default=0), max(len(set().union(*terms)), 1),
+            max(per_row.values(), default=0))
+
+
+def _probe_search_terms(f: GenericMatrix, g: GenericMatrix, dmax: int, most=None) -> int:
+    """A bound on the terms of f g, g f and the columns of ``find_annihilator(f, g, dmax)``.
+
+    Let R be the most nonzero entries in a row of f or g.  A product of k of
+    them then has at most min(n^2, n R^k) nonzero entries, each a sum over at
+    most R^(k-1) index paths: at most R^(k-1) T_f^a T_g^b terms for a factors
+    f and b factors g.  Each of its monomials is a product of a monomials of
+    f's entries and b of g's, so there are at most C(S_f + a - 1, a)
+    C(S_g + b - 1, b) of them.  The sum follows the search: f g and g f, which
+    test commutation, then each layer of ``_monomial_layers``.  It stops at the
+    first layer that takes it past ``most``, or that has a zero column (bound
+    0), the search's last: that column is a kernel vector.
+    """
+    (tf, sf, rf), (tg, sg, rg) = _entry_sizes(f), _entry_sizes(g)
+    n, r = f.n, max(rf, rg)
+    total = 2 * min(n * n, n * r * r) * min(r * tf * tg, sf * sg)  # f g and g f
+    for d, layer in enumerate(_monomial_layers(dmax)):
+        cells = min(n * n, n * r**d)
+        bounds = [cells * min(r ** max(d - 1, 0) * tf**a * tg**b,
+                              comb(sf + a - 1, a) * comb(sg + b - 1, b)) for a, b in layer]
+        total += sum(bounds)
+        if 0 in bounds or most is not None and total > most:
+            break
+    return total
 
 
 class StabilityReport(Record):

@@ -29,6 +29,7 @@ from nclab.quantize import (
 from nclab.rings import CommPoly
 from nclab.centralizer import (
     CentralizerBasis,
+    _span_sizes,
     _words_up_to,
     bergman_check,
     bergman_pipeline,
@@ -204,6 +205,16 @@ def test_words_come_in_absorb_order(s):
     # ascending length, descending lex within a length: reversed graded-lex
     for d in range(6):
         assert _words_up_to(s, d) == sorted(_all_words(s, d), key=word_key)[::-1], d
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_the_span_sizes_count_the_words_and_their_letters(s):
+    # the bounds of a centralizer run are read off these sums, not off the words
+    spans = list(_span_sizes(s, 6))
+    assert len(spans) == 7
+    for d, (words, letters) in enumerate(spans):
+        listed = _words_up_to(s, d)
+        assert (words, letters) == (len(listed), sum(map(len, listed))), d
 
 
 class TestBergmanCheck:

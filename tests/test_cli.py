@@ -24,11 +24,11 @@ from nclab.cli import (
     MAX_PROBE_SEARCH_TERMS,
     MAX_STAR_ORDER,
     _check_sizes,
-    _probe_search_terms,
     main,
     parse,
 )
 from nclab import centralizer, genmat, rings, serialize
+from nclab.genmat import _probe_search_terms
 from nclab.fields import GF, QQ, int_digits
 from nclab.freealg import MAX_CENTRALIZER_LETTERS, MAX_NESTING, parse_free
 
@@ -561,15 +561,10 @@ class TestExitStatuses:
             assert len(a.entries) == 2 * n - 1
         else:
             a, b = (genmat.pi_reduce(parse_free(e, 2, field), n) for e in (f, g))
-        # the identity's n terms, and f g and g f, which test commutation first
-        built = n + sum(len(e.terms) for m in (a * b, b * a) for e in m.entries.values())
-        # every column f^a g^b with a + b <= dmax, built as the search builds it
-        prev = {(0, 0): a.identity_like()}
-        for d in range(1, dmax + 1):
-            cur = {(i, d - i): a * prev[i - 1, d - i] if i else b * prev[0, d - 1]
-                   for i in range(d + 1)}
-            built += sum(len(e.terms) for m in cur.values() for e in m.entries.values())
-            prev = cur
+        # f g and g f, which test commutation first, then every column f^a g^b with
+        # a + b <= dmax that the search yields, the identity's n terms included
+        columns = [m for layer in genmat._power_layers(a, b, a * b, dmax) for m in layer.values()]
+        built = sum(len(e.terms) for m in [a * b, b * a, *columns] for e in m.entries.values())
         bound = _probe_search_terms(a, b, dmax)
         assert built <= bound <= MAX_PROBE_SEARCH_TERMS
         if f == "diagonal":
