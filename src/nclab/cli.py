@@ -69,6 +69,20 @@ MAX_DIAG_ORDER_AT_N = (100, 100, 16, 7, 4, 3, 3, 2, 2, 2, 2)
 #: (2-core 2.1 GHz VM).
 MAX_PROBE_SEARCH_TERMS = 30_000
 
+#: ``commute`` forms |f| |g| word products each way.  The 524,288 of
+#: --f "(x1+x2)^9" --g "(x1+x2)^10" took 1.5-1.8 s with --json, and 1,048,576
+#: 3.4-3.9 s; unbounded, --f "(x1+x2)^11" --g "(x1+x2)^11" took 16.7 s (whole
+#: process, 2-core VM).
+MAX_COMMUTE_PAIRS = 2**19
+
+#: ``centralizer`` forms a column [f, w] of up to 2 |f| words for each word w of
+#: length <= d.  At |f| = 1 this is the bound on the words, so it refuses only
+#: what a larger f adds: --f "(x1+x2)^12" --d 6 (520,192) took 3.1 s; unbounded,
+#: --f "(x1+x2)^13" --d 6 (1,040,384) took 5.4 s.  The largest goldens, benchmark
+#: jobs and test rows have far fewer: x1^1000*x1 --s 1 --d 1001 (1,002) took
+#: 0.3 s, three terms at --d 7 (765) 0.07 s (whole process, 2-core VM).
+MAX_CENTRALIZER_PAIRS = 2**19
+
 #: ``al`` expands S_2n into monomials of the n x n generic entries.  Past n = 3
 #: that is out of reach: on 4 x 4 generic matrices S_6 alone has 1,290,240 terms
 #: and took 34 s and 566 MB (Python 3.11, 2-core VM), and S_8 has far more.
@@ -151,6 +165,9 @@ def _cmd_eval(args, field):
 def _cmd_commute(args, field):
     f = freealg.parse_free(args.f, args.s, field)
     g = freealg.parse_free(args.g, args.s, field)
+    if len(f.terms) * len(g.terms) > MAX_COMMUTE_PAIRS:
+        raise InvalidSize(f"commute: f and g have {len(f.terms)} and {len(g.terms)} terms, "
+                          f"so [f, g] pairs over {MAX_COMMUTE_PAIRS} of their words")
     rep = CommuteReport(f, g)
     c = rep.commutator
     verdict = "PASS: [f,g] = 0" if c.is_zero else f"FAIL: [f,g] = {c}"
@@ -264,6 +281,10 @@ def _cmd_diag(args, field):
 
 def _cmd_centralizer(args, field):
     f = freealg.parse_free(args.f, args.s, field)
+    *_, (words, _) = centralizer._span_sizes(args.s, args.d)
+    if len(f.terms) * words > MAX_CENTRALIZER_PAIRS:
+        raise InvalidSize(f"centralizer --s {args.s} --d {args.d}: f's {len(f.terms)} terms times "
+                          f"the {words} words of length <= d are over {MAX_CENTRALIZER_PAIRS}")
     rep = centralizer.bergman_check(f, args.d)
     lines = [f"dims by degree: {rep.dims}"]
     if rep.generator is not None:

@@ -361,9 +361,14 @@ class SparseSum(Frozen):
             raise TypeError(f"{type(self).__name__} has no product")
         if n < 0:
             raise ValueError("negative power")
-        out = self._like({self._unit: 1})
-        for _ in range(n):
-            out = out * self
+        # by repeated squaring: the powers of one element commute, so any grouping is exact
+        out, square = self._like({self._unit: 1}), self
+        while n:
+            if n & 1:
+                out = out * square
+            n >>= 1
+            if n:
+                square = square * square
         return out
 
     def __hash__(self):  # the terms are a dict

@@ -205,13 +205,13 @@ MAX_NESTING = 100
 
 #: Limits on one ``^``, ``*``, ``+`` or ``-`` in an expression, checked before any
 #: product or sum is formed.  A power's degree is estimated as the base's degree
-#: times the exponent (a constant counts as degree 1, since the power still costs
-#: one product per unit of exponent), its term count as the base's term count to
-#: the power, and, over Q, its coefficient size as the exponent times the bits
-#: of the base's largest numerator or denominator.  A product's term count is
-#: estimated as the product of its operands' term counts, so a chain of
-#: accepted factors cannot grow past ``MAX_POWER_TERMS`` either, and its degree
-#: as the sum of theirs.
+#: times the exponent (a constant counts as degree 1), its term count as the base's
+#: term count to the power, and, over Q, its coefficient size as the exponent
+#: times the bits of the base's largest numerator or denominator.  A power is
+#: formed by repeated squaring, so no factor on the way is larger than the power,
+#: and a sum in one dict.  A product's term count is estimated as the product of
+#: its operands' term counts, so a chain of accepted factors cannot grow past
+#: ``MAX_POWER_TERMS`` either, and its degree as the sum of theirs.
 MAX_POWER_DEGREE = 1000
 MAX_POWER_TERMS = 10_000
 MAX_POWER_BITS = 10_000
@@ -285,17 +285,21 @@ class _Parser:
         return value
 
     def _expr(self) -> FreePoly:
+        """A sum, formed once in one dict of exact sums, reduced at the end."""
         value = self._term()
-        letters = _letters(value)
-        while True:
-            kind, _, pos = self._peek()
-            if kind not in ("+", "-"):
-                return value
+        kind, _, pos = self._peek()
+        if kind not in ("+", "-"):
+            return value
+        acc, letters = dict(value.terms), _letters(value)
+        while kind in ("+", "-"):
             self._next()
             term = self._term()
             letters += _letters(term)
             _check_letters(letters, "a sum", pos)
-            value = value + term if kind == "+" else value - term
+            for w, c in term.terms.items():
+                acc[w] = acc.get(w, 0) + (c if kind == "+" else -c)
+            kind, _, pos = self._peek()
+        return value._like(acc)
 
     def _term(self) -> FreePoly:
         value = self._signed()

@@ -41,9 +41,15 @@ class EvalReport(Record):
 
 
 class CommuteReport(Record):
-    __slots__ = ("f", "g")
+    """[f, g] is derived from f and g, formed once when the report is built."""
 
-    commutator = property(lambda self: freealg.commutator(self.f, self.g))
+    __slots__ = ("f", "g", "_commutator")
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        object.__setattr__(self, "_commutator", freealg.commutator(self.f, self.g))
+
+    commutator = property(attrgetter("_commutator"))
     commute = property(lambda self: self.commutator.is_zero)
 
 

@@ -17,6 +17,8 @@ from nclab.cli import (
     _COMMON,
     _REQUIRED,
     COMMANDS,
+    MAX_CENTRALIZER_PAIRS,
+    MAX_COMMUTE_PAIRS,
     MAX_DIAG_N,
     MAX_DIAG_ORDER_AT_N,
     MAX_MATRIX_ENTRIES,
@@ -27,7 +29,7 @@ from nclab.cli import (
     main,
     parse,
 )
-from nclab import centralizer, genmat, rings, serialize
+from nclab import centralizer, freealg, genmat, rings, serialize
 from nclab.genmat import _probe_search_terms
 from nclab.fields import GF, QQ, int_digits
 from nclab.freealg import MAX_CENTRALIZER_LETTERS, MAX_NESTING, parse_free
@@ -342,6 +344,47 @@ class TestExitStatuses:
         err = assert_refused_up_front(["eval", "--f", expr], 1.0, "error [power-too-large]: ",
                                       startup_s)
         assert message in err
+
+    def test_a_sum_of_a_thousand_long_terms_is_formed_at_once(self, startup_s):
+        # each step is within the grammar's bounds, but x1^999 took 999 products and
+        # each + copied the sum so far: unbounded, this took 18.7 s
+        expr = " + ".join(f"x1^999*x2^{k}" for k in range(1, 1001))
+        code, out, err, wall = run_process(["eval", "--f", expr], timeout=startup_s + 2.0)
+        assert wall - startup_s < 2.0
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == ["degree: 1999", "terms: 1000"]
+
+    def test_a_commutator_past_the_pair_bound_is_refused_up_front(self, startup_s):
+        # 2,048^2 word pairs each way: unbounded, this took 16.7 s
+        assert_refused_up_front(["commute", "--f", "(x1+x2)^11", "--g", "(x1+x2)^11"], 1.0,
+                                "error [invalid-size]: commute: f and g have 2048 and 2048 "
+                                f"terms, so [f, g] pairs over {MAX_COMMUTE_PAIRS} of their words",
+                                startup_s)
+
+    def test_a_commutator_within_the_pair_bound_runs(self, startup_s):
+        # 512 x 513 word pairs, formed once although the report reads [f, g] three times
+        argv = ["commute", "--f", "(x1+x2)^9", "--g", "(x1+x2)^9+x1", "--json"]
+        code, out, err, _ = run_process(argv, timeout=startup_s + 5.0)
+        assert (code, err) == (2, "")
+        assert json.loads(out)["report"]["commute"] is False
+
+    def test_commute_forms_the_commutator_once(self, monkeypatch, capsys):
+        calls = []
+        commutator = freealg.commutator
+        monkeypatch.setattr(freealg, "commutator", lambda a, b: calls.append(1) or commutator(a, b))
+        code, out, err = run(["commute", "--f", "x1", "--g", "x2", "--json"], capsys)
+        assert (code, err, len(calls)) == (2, "", 1)
+        assert json.loads(out)["report"]["commutator"]["expr"] == "x1*x2 - x2*x1"
+
+    @pytest.mark.parametrize("d", [6, 9])
+    def test_a_centralizer_of_f_times_its_words_past_the_bound_is_refused(self, d, startup_s):
+        # unbounded, --d 6 built 127 columns [f, w] of 16,384 terms in 5.4 s; at |f| = 1
+        # the bound is the words', so x1 still runs at --d 18
+        assert 2**19 - 1 <= MAX_CENTRALIZER_PAIRS
+        assert_refused_up_front(["centralizer", "--f", "(x1+x2)^13", "--d", str(d)], 1.0,
+                                f"error [invalid-size]: centralizer --s 2 --d {d}: f's 8192 "
+                                f"terms times the {2 ** (d + 1) - 1} words of length <= d are "
+                                f"over {MAX_CENTRALIZER_PAIRS}", startup_s)
 
     @settings(max_examples=400)
     @given(FUZZ_EXPRESSIONS)

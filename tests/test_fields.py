@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nclab.errors import DivisionByZero, FieldMismatch, InvalidField
 from nclab.fields import GF, PRIMALITY_BOUND, QQ, is_prime
@@ -311,3 +311,20 @@ class TestSparseSum:
 
         monkeypatch.setattr(SparseSum, "__neg__", refuse)
         assert [a - b for a, b in pairs] == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([QQ, GF(2), GF(7), GF(32003)]), st.booleans(), st.integers(0, 8),
+           st.randoms(use_true_random=False))
+    def test_a_power_by_squaring_is_the_repeated_product(self, field, free, n, rng):
+        from nclab.freealg import FreePoly
+        from nclab.rings import CommPoly, Variable
+        from samples import random_commpoly, random_freepoly
+
+        if free:
+            base, product = random_freepoly(rng, 2, field, 2, 3), FreePoly.one(2, field)
+        else:
+            xs = [Variable.aux("t", i) for i in (1, 2)]
+            base, product = random_commpoly(rng, xs, field, 2, 3), CommPoly.one(field)
+        for _ in range(n):
+            product = product * base
+        assert base**n == product
