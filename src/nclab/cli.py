@@ -10,7 +10,9 @@ The table ``COMMANDS`` is the one definition of the command line: each flag's
 type, default, help and accepted range.  ``parse`` reads every command line
 from it, ``_help`` prints the help and ``main`` the envelope's bounds from it,
 and ``_check_sizes`` refuses a size outside its range, or beyond a bound over
-several flags, before any work.
+several flags, before any work.  The bounds that read a parsed input (probe's
+search, commute's word pairs, centralizer's terms of f times its words) are
+checked by the handler before it forms anything of that size.
 """
 
 from __future__ import annotations
