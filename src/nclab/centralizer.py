@@ -173,13 +173,18 @@ class PipelineReport(Record):
     __slots__ = ("f_text", "g_text", "free_commutator", "outcomes", "stability")
 
     commute = property(lambda self: self.free_commutator is None or self.free_commutator.is_zero)
+    passed = property(lambda self: self.stability is None or not self.stability.unstable)
+    # "not applicable" to inputs that do not commute, "1" where every size has an annihilator
+    trdeg_verdict = property(lambda self: "not applicable" if not self.outcomes
+                             else "1" if all(o.annihilator.found for o in self.outcomes)
+                             else f">=2 up to degree {self.outcomes[0].annihilator.searched_bound}")
 
     @property
     def conclusion(self) -> str:
-        """The verdict of the outcomes.  The contradiction scenario is not a failure."""
+        """The text of the verdict ``passed``.  The contradiction scenario is not a failure."""
         if not self.outcomes:  # only free inputs that do not commute have none
             return "inputs do not commute in the free algebra"
-        if self.stability is not None and self.stability.unstable:
+        if not self.passed:
             return "FAIL: annihilators found at every size are not identical"
         tau_zero = all(o.tau_zero for o in self.outcomes)
         if all(o.annihilator.found for o in self.outcomes):

@@ -171,9 +171,8 @@ def _cmd_commute(args, field):
         raise InvalidSize(f"commute: f and g have {len(f.terms)} and {len(g.terms)} terms, "
                           f"so [f, g] pairs over {MAX_COMMUTE_PAIRS} of their words")
     rep = CommuteReport(f, g)
-    c = rep.commutator
-    verdict = "PASS: [f,g] = 0" if c.is_zero else f"FAIL: [f,g] = {c}"
-    return rep, 0 if c.is_zero else 2, [verdict]
+    verdict = "PASS: [f,g] = 0" if rep.commute else f"FAIL: [f,g] = {rep.commutator}"
+    return rep, 0 if rep.commute else 2, [verdict]
 
 
 def _cmd_pi(args, field):
@@ -322,7 +321,7 @@ def _cmd_bergman_pipeline(args, field):
     tensor = _tensor(args, field, args.s, args.nmax)
     ctx = quantize.StarContext(tensor, args.order)
     rep = centralizer.bergman_pipeline(f, g, args.nmax, args.dmax, ctx)
-    return rep, 2 if rep.conclusion.startswith("FAIL: ") else 0, _pipeline_lines(rep)
+    return rep, 0 if rep.passed else 2, _pipeline_lines(rep)
 
 
 def _cmd_probe(args, field):
@@ -349,7 +348,7 @@ def _cmd_probe(args, field):
         raise InvalidSize(f"probe --n {args.n} --dmax {args.dmax}: the annihilator search "
                           f"of {inputs} can build over {MAX_PROBE_SEARCH_TERMS} terms")
     rep = centralizer.commuting_matrix_probe(f, g, args.dmax, free_commutator)
-    return rep, 0, _pipeline_lines(rep)
+    return rep, 0 if rep.passed else 2, _pipeline_lines(rep)
 
 
 #: A flag is (name, type, default, help, least, most).  The type ``bool`` is a

@@ -136,14 +136,6 @@ def _record(tag, path, renamed=None, derived=(), read=None, **computed):
 _TEXTS = {"f_text": "f", "g_text": "g"}
 
 
-def _trdeg_verdict(r) -> str:
-    """The transcendence-degree verdict of a pipeline or probe report."""
-    anns = [o.annihilator for o in r.outcomes]
-    if not anns:  # the inputs do not commute
-        return "not applicable"
-    return "1" if all(a.found for a in anns) else f">=2 up to degree {anns[0].searched_bound}"
-
-
 # One row per tag, each made by ``_row``: tag, "module.Class", body of an instance
 # (with its tag), instance from (body, field).
 _FORMAT = (
@@ -175,7 +167,7 @@ _FORMAT = (
     _record("size-outcome", "centralizer.SizeOutcome", derived=("n", "star_c1_zero"),
             images_commute=lambda r: True, star_c0_zero=lambda r: True),
     _record("pipeline", "centralizer.PipelineReport", renamed=_TEXTS,
-            derived=("commute", "conclusion"), trdeg_verdict=_trdeg_verdict,
+            derived=("commute", "conclusion", "trdeg_verdict"),
             # the stability of the outcomes, or null, as a probe's is
             read={"stability": lambda rep, data, field: None if data is None else
                   genmat.StabilityReport(rep["f_text"], rep["g_text"],

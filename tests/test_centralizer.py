@@ -395,6 +395,18 @@ def test_the_conclusion_is_read_off_the_report(source, conclusion, capsys):
         assert code == (2 if conclusion.startswith("FAIL: ") else 0)
     assert source.conclusion == conclusion
     assert serialize.encode(source)["conclusion"] == conclusion
+    if isinstance(source, centralizer.PipelineReport):
+        assert source.passed is not conclusion.startswith("FAIL: ")
+
+
+@pytest.mark.parametrize("text", ["annihilators differ", "FAIL: a conclusion"])
+def test_the_exit_status_is_the_verdict_not_the_conclusion_s_text(text, monkeypatch, capsys):
+    # only an unstable pipeline exits 2, whatever text its conclusion prints; a probe
+    # has no stability and exits 0
+    monkeypatch.setattr(centralizer.PipelineReport, "conclusion", property(lambda self: text))
+    for argv, code in [(CONCLUSIONS[1][0], 2), (CONCLUSIONS[2][0], 0), ("probe --n 2", 0)]:
+        assert main(argv.split()) == code
+        assert capsys.readouterr().out.splitlines()[-1] == f"verdict: {text}"
 
 
 def _probe(f, g, dmax, ctx):
