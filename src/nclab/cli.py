@@ -60,15 +60,18 @@ MAX_DIAG_ORDER_AT_N = (100, 100, 16, 7, 4, 3, 3, 2, 2, 2, 2)
 #: and the diagonal pair and most pairs with [f, g] != 0 in the free algebra
 #: have none, so ``genmat._probe_search_terms`` bounds up front the terms of its
 #: columns f^a g^b and of the products f g and g f that test commutation
-#: (where [f, g] = 0 the search ends by layer max(deg f, deg g)).  With
-#: --order 1, the largest searches let through took, on the diagonal pair,
-#: --n 1 --dmax 243 0.5-0.9 s, --n 2 --dmax 171 0.4 s and --n 150 --dmax 18
-#: 0.7-0.9 s (whole process); --n 1 --f x1 --g x2^2 --dmax 243 0.4-0.7 s,
-#: --n 1 --f x1+x2 --g x1*x2 --dmax 54 0.14 s and --n 2 --f "(x1*x2-x2*x1)^2"
-#: --g x1 --dmax 3 0.03 s after start-up.  Unbounded, that --n 2 row took 6.4 s
-#: at --dmax 8, the --n 1 row at --dmax 100000 ran past 10 s, the diagonal pair
-#: at --n 2 --dmax 400 3.0 s, and --n 5 --f x1*x2 --g x1*x2*x1*x2 --dmax 2 13-15 s
-#: (2-core 2.1 GHz VM).
+#: (where [f, g] = 0 the search ends by layer max(deg f, deg g)).  Of --f and
+#: --g it reads the images ``genmat.pi_reduce`` forms, each refused first if its
+#: ``genmat.image_terms`` estimate is past this bound: unbounded, --n 60 --f
+#: x1*x2 --g x2*x1 --dmax 1 --order 3 (216,000 each) lifted both before its
+#: refusal, 2.07 s.  With --order 1, the largest searches let through took, on
+#: the diagonal pair, --n 1 --dmax 243 0.5-0.9 s, --n 2 --dmax 171 0.4 s and
+#: --n 150 --dmax 18 0.7-0.9 s (whole process); --n 1 --f x1 --g x2^2 --dmax 243
+#: 0.4-0.7 s, --n 1 --f x1+x2 --g x1*x2 --dmax 54 0.14 s and --n 2 --f
+#: "(x1*x2-x2*x1)^2" --g x1 --dmax 3 0.03 s after start-up.  Unbounded, that --n 2
+#: row took 6.4 s at --dmax 8, the --n 1 row at --dmax 100000 ran past 10 s, the
+#: diagonal pair at --n 2 --dmax 400 3.0 s, and --n 5 --f x1*x2 --g x1*x2*x1*x2
+#: --dmax 2 13-15 s (2-core 2.1 GHz VM).
 MAX_PROBE_SEARCH_TERMS = 30_000
 
 #: ``commute`` forms |f| |g| word products each way.  The 524,288 of
@@ -84,6 +87,21 @@ MAX_COMMUTE_PAIRS = 2**19
 #: jobs and test rows have far fewer: x1^1000*x1 --s 1 --d 1001 (1,002) took
 #: 0.3 s, three terms at --d 7 (765) 0.07 s (whole process, 2-core VM).
 MAX_CENTRALIZER_PAIRS = 2**19
+
+#: ``centralizer``'s elimination fills in: reducing a column [f, w] by earlier
+#: pivots adds terms to it, and over Q grows fractions, unless f has one term,
+#: whose columns and pivots keep two.  So each term of f divides the words of
+#: length <= d by 8, up to 5 terms, and over Q coefficients of unequal size count
+#: as one term more: the entry at t - 1 is the most words for t such terms, at
+#: s = 2 those of --d 18, 15, 12, 9 and 6.  Measured, f of 2, 3 and 4 terms passed
+#: 1 s of elimination at --d 15-16, 12-14 and 10-11.  The slowest taken: x1+x2
+#: --d 15 2.0 s over Q and F_32003, 2*x1+3*x2 --d 12 1.3 s, (x1+x2)^12 --d 6 3.1 s,
+#: nearly all of it forming columns, and six terms with coefficients 2 to 13 at
+#: --d 6 0.16 s.  Refused: x1+x2 --d 16 (4.4 s) and --d 17 (12.5 s), 2*x1+3*x2
+#: --d 15 (15.7 s), x1+x2+x1*x2+x2*x1 --d 12 (7.3 s) and that six-term f at --d 9
+#: (5.7 s); but also x1*x2+x2 --d 16 (1.8 s) and x1+x2 --d 12 (0.2 s) (in
+#: process, 2-core VM).
+MAX_CENTRALIZER_WORDS = tuple(2 ** (19 - 3 * t) - 1 for t in range(5))
 
 #: ``al`` expands S_2n into monomials of the n x n generic entries.  Past n = 3
 #: that is out of reach: on 4 x 4 generic matrices S_6 alone has 1,290,240 terms
@@ -114,10 +132,11 @@ def _check_sizes(args, bounds: dict) -> None:
             raise InvalidSize(f"{command}{flags}: {count} generic {n}x{n} matrices "
                               f"have over {MAX_MATRIX_ENTRIES} entries")
     if command == "centralizer":
+        most = MAX_CENTRALIZER_WORDS[0]  # f of one term, the most of any f
         for words, letters in centralizer._span_sizes(args.s, args.d):
-            if words > 2**19 - 1 or letters > freealg.MAX_CENTRALIZER_LETTERS:
+            if words > most or letters > freealg.MAX_CENTRALIZER_LETTERS:
                 raise InvalidSize(f"centralizer --s {args.s} --d {args.d}: the words of length "
-                                  f"<= d are more than {2**19 - 1} or have more than "
+                                  f"<= d are more than {most} or have more than "
                                   f"{freealg.MAX_CENTRALIZER_LETTERS} letters in all (--s 2 --d 18)")
     if command == "diag":
         limit = MAX_DIAG_ORDER_AT_N[args.n - 1] if args.n <= len(MAX_DIAG_ORDER_AT_N) else 1
@@ -286,6 +305,13 @@ def _cmd_centralizer(args, field):
     if len(f.terms) * words > MAX_CENTRALIZER_PAIRS:
         raise InvalidSize(f"centralizer --s {args.s} --d {args.d}: f's {len(f.terms)} terms times "
                           f"the {words} words of length <= d are over {MAX_CENTRALIZER_PAIRS}")
+    unequal = field.p == 0 and len({abs(c) for c in f.terms.values()}) > 1
+    most = MAX_CENTRALIZER_WORDS[min(len(f.terms) + unequal, 5) - 1]
+    if words > most:
+        sizes = ", with coefficients of unequal size," if unequal else ""
+        raise InvalidSize(f"centralizer --s {args.s} --d {args.d}: the elimination of f's "
+                          f"{len(f.terms)} terms{sizes} fills in, so the words of length <= d "
+                          f"are at most {most}, not {words}")
     rep = centralizer.bergman_check(f, args.d)
     lines = [f"dims by degree: {rep.dims}"]
     if rep.generator is not None:
@@ -325,28 +351,34 @@ def _cmd_bergman_pipeline(args, field):
 
 
 def _cmd_probe(args, field):
-    layers = args.dmax
+    layers, terms, most = args.dmax, 0, MAX_PROBE_SEARCH_TERMS
     if args.f is not None:
-        free_f, free_g = (freealg.parse_free(text, args.s, field) for text in (args.f, args.g))
-        ctx = quantize.StarContext(_tensor(args, field, args.s, args.n), args.order)
-        xs = quantize.star_generic(args.s, args.n, ctx)
-        f, g = free_f.evaluate_in_matrices(xs), free_g.evaluate_in_matrices(xs)
-        free_commutator, inputs = freealg.commutator(free_f, free_g), "--f and --g"
+        free = [freealg.parse_free(text, args.s, field) for text in (args.f, args.g)]
+        free_commutator, inputs = freealg.commutator(*free), "--f and --g"
         if free_commutator.is_zero:
             # f and g lie in one k[h] (Bergman), so the images have an annihilator
             # of total degree at most max(deg f, deg g), 1 for two scalars
-            layers = min(layers, max(free_f.degree(), free_g.degree(), 1))
+            layers = min(layers, max(free[0].degree(), free[1].degree(), 1))
+        tensor = _tensor(args, field, args.s, args.n)
+        # the search forms f g and g f, so an image estimated past the bound is refused
+        # before it is formed; the lifts' h^0 are the images pi_reduce forms
+        terms = max(genmat.image_terms(h, args.n, most) for h in free)
+        if terms <= most:
+            f, g = (genmat.pi_reduce(h, args.n) for h in free)
     else:
         f, g, tensor = centralizer.diagonal_generic_pair(args.n, field)
         if args.poisson != "pairing":
             tensor = quantize.PoissonTensor.load(args.poisson, field)
-        ctx = quantize.StarContext(tensor, args.order)
-        f, g = quantize.quantize_lift(f, ctx), quantize.quantize_lift(g, ctx)
         free_commutator, inputs = None, "the diagonal pair"
-    if genmat._probe_search_terms(f.coefficient(0), g.coefficient(0), layers,
-                                  MAX_PROBE_SEARCH_TERMS) > MAX_PROBE_SEARCH_TERMS:
+    ctx = quantize.StarContext(tensor, args.order)
+    if terms > most or genmat._probe_search_terms(f, g, layers, most) > most:
         raise InvalidSize(f"probe --n {args.n} --dmax {args.dmax}: the annihilator search "
-                          f"of {inputs} can build over {MAX_PROBE_SEARCH_TERMS} terms")
+                          f"of {inputs} can build over {most} terms")
+    if args.f is None:
+        f, g = quantize.quantize_lift(f, ctx), quantize.quantize_lift(g, ctx)
+    else:
+        xs = quantize.star_generic(args.s, args.n, ctx)
+        f, g = (h.evaluate_in_matrices(xs) for h in free)
     rep = centralizer.commuting_matrix_probe(f, g, args.dmax, free_commutator)
     return rep, 0 if rep.passed else 2, _pipeline_lines(rep)
 

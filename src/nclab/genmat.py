@@ -299,8 +299,41 @@ def make_generic(s: int, n: int, field: Field):
     return out
 
 
+#: ``pi_reduce`` refuses an image whose ``image_terms`` estimate is past this.
+#: It renders about 40 us a term with --json: pi --f x1^4 --n 8 (32,768, 30,976
+#: built) took 0.56 s, 1.5 s with --json, and pi --f x1 --n 150 (22,500) 0.73 s.
+#: The estimate is loose where index paths share monomials, so it refuses some
+#: runs of under 1 s: pi --f x1^43 --s 1 --n 2 (60,720; 0.22 s), --f x1^9 --s 1
+#: --n 3 (59,049; 0.32 s) and --f x1^5 --n 6 (46,656; 0.48 s, 1.9 s with --json).
+#: Unbounded, --f x1^5 --n 8 took 3.4 s (18 s with --json), --n 10 23 s and --f
+#: x1^16 --s 1 --n 3 2.6 s (whole process, 2-core VM).
+MAX_IMAGE_TERMS = 2**15
+
+
+def image_terms(f: freealg.FreePoly, n: int, most: int) -> int:
+    """A bound on the terms of ``pi_reduce(f, n)`` from the words of f, summed until past
+    ``most``.
+
+    An entry of the image of a word of k >= 1 letters, l of them distinct, is a
+    sum over n^(k - 1) index paths of monomials of degree k in the l n^2 entries
+    of those letters, so it has at most min(n^(k - 1), C(l n^2 + k - 1, k))
+    terms; the empty word has one.
+    """
+    total = 0
+    for w in f.terms:
+        k = len(w)
+        total += n * n * (min(n ** (k - 1), comb(len(set(w)) * n * n + k - 1, k)) if k else 1)
+        if total > most:
+            break
+    return total
+
+
 def pi_reduce(f: freealg.FreePoly, n: int) -> GenericMatrix:
-    """Evaluation homomorphism onto the generic matrices of size n."""
+    """Evaluation homomorphism onto the generic matrices of size n, refused past
+    ``MAX_IMAGE_TERMS`` before any product is formed."""
+    if image_terms(f, n, MAX_IMAGE_TERMS) > MAX_IMAGE_TERMS:
+        raise InvalidSize(f"pi_{n} of a free element of degree {f.degree()} can have over "
+                          f"{MAX_IMAGE_TERMS} terms")
     return f.evaluate_in_matrices(make_generic(f.s, n, f.field))
 
 
@@ -479,6 +512,7 @@ def annihilator_stability(
     """Run the annihilator search on the size-n images for each n from 1 to nmax."""
     if not freealg.commutator(f, g).is_zero:
         raise NotCommuting("inputs do not commute in the free algebra")
-    results = [find_annihilator(pi_reduce(f, n), pi_reduce(g, n), dmax)
-               for n in range(1, nmax + 1)]
+    # the largest images first, so that ``pi_reduce`` refuses one too large before any search
+    images = [(pi_reduce(f, n), pi_reduce(g, n)) for n in range(nmax, 0, -1)]
+    results = [find_annihilator(a, b, dmax) for a, b in reversed(images)]
     return StabilityReport(str(f), str(g), results)

@@ -18,6 +18,7 @@ from nclab.cli import (
     _REQUIRED,
     COMMANDS,
     MAX_CENTRALIZER_PAIRS,
+    MAX_CENTRALIZER_WORDS,
     MAX_COMMUTE_PAIRS,
     MAX_DIAG_N,
     MAX_DIAG_ORDER_AT_N,
@@ -30,7 +31,7 @@ from nclab.cli import (
     parse,
 )
 from nclab import centralizer, freealg, genmat, rings, serialize
-from nclab.genmat import _probe_search_terms
+from nclab.genmat import MAX_IMAGE_TERMS, _probe_search_terms, image_terms
 from nclab.fields import GF, QQ, int_digits
 from nclab.freealg import MAX_CENTRALIZER_LETTERS, MAX_NESTING, parse_free
 
@@ -386,6 +387,79 @@ class TestExitStatuses:
                                 f"terms times the {2 ** (d + 1) - 1} words of length <= d are "
                                 f"over {MAX_CENTRALIZER_PAIRS}", startup_s)
 
+    @pytest.mark.parametrize("f, d, terms, most", [
+        ("x1+x2", 17, "2 terms", 2**16 - 1), ("x1+x2+x1*x2", 13, "3 terms", 2**13 - 1),
+        ("2*x1+3*x2", 13, "2 terms, with coefficients of unequal size,", 2**13 - 1)])
+    def test_a_centralizer_whose_elimination_fills_in_is_refused_up_front(self, f, d, terms,
+                                                                         most, startup_s):
+        # within the pairs bound, but the elimination fills in: unbounded, x1+x2 --d 17
+        # took 12.5 s, x1+x2+x1*x2 --d 13 0.8 s and 2*x1+3*x2 --d 15 15.7 s
+        words = 2 ** (d + 1) - 1
+        assert len(parse_free(f, 2, QQ).terms) * words <= MAX_CENTRALIZER_PAIRS
+        assert_refused_up_front(["centralizer", "--f", f, "--d", str(d)], 1.0,
+                                f"error [invalid-size]: centralizer --s 2 --d {d}: the "
+                                f"elimination of f's {terms} fills in, so the words of length "
+                                f"<= d are at most {most}, not {words}", startup_s)
+
+    def test_a_centralizer_just_inside_the_elimination_bound_runs(self, startup_s):
+        # three terms at --d 12: 8,191 words, the most that f of three terms takes
+        argv = ["centralizer", "--f", "x1+x2+x1*x2", "--d", "12", "--json"]
+        code, out, err, wall = run_process(argv, timeout=startup_s + 3.0)
+        assert (code, err) == (0, "")
+        assert MAX_CENTRALIZER_WORDS[2] == 2**13 - 1
+        assert json.loads(out)["report"]["passed"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ["--f", "x2*x1*x2", "--d", "18"],  # the words bound: one term does not fill in
+        ["--f", "(x1+x2)^12", "--d", "6"],  # the pairs bound: 520,192 pairs
+        ["--f", "2*x1", "--d", "18"],  # one term of any coefficient
+        ["--f", "2*x1+2*x2", "--d", "15", "--field", "q"],  # coefficients of one size
+        ["--f", "2*x1+3*x2", "--d", "15", "--field", "fp:7"],  # no fractions over F_p
+    ])
+    def test_a_centralizer_within_every_bound_reaches_its_search(self, argv, monkeypatch,
+                                                                  capsys):
+        def searched(f, d):
+            raise ValueError("searched")
+
+        monkeypatch.setattr(centralizer, "bergman_check", searched)
+        code, out, err = run(["centralizer", *argv], capsys)
+        assert (code, out, err) == (1, "", "error: searched\n")
+
+    @pytest.mark.parametrize("argv, n, degree", [
+        (["pi", "--f", "(x1)^5", "--n", "8"], 8, 5),
+        (["pi", "--f", "(x1)^5", "--n", "10"], 10, 5),
+        (["pi", "--f", "x1^16", "--n", "3", "--s", "1"], 3, 16),
+        (["pi", "--f", "x1^35", "--n", "2", "--s", "1"], 2, 35),
+        # annihilator reduces its largest size first, before any search
+        (["annihilator", "--f", "x1", "--g", "(x1)^5", "--nmax", "8", "--dmax", "1"], 8, 5),
+    ], ids=["x1^5-n8", "x1^5-n10", "x1^16-n3", "x1^35-n2", "annihilator"])
+    def test_an_image_past_the_estimate_is_refused_up_front(self, argv, n, degree, startup_s):
+        # unbounded, pi --f (x1)^5 --n 8 took 3.4 s (18 s with --json), --n 10 23 s and
+        # x1^16 at n = 3 2.6 s
+        assert_refused_up_front(argv, 1.0, f"error [invalid-size]: pi_{n} of a free element of "
+                                f"degree {degree} can have over {MAX_IMAGE_TERMS} terms",
+                                startup_s)
+
+    @pytest.mark.parametrize("argv", [["--f", "x1^34", "--n", "2", "--s", "1"],
+                                      ["--f", "x1^4", "--n", "8"], ["--f", "x1", "--n", "150"]])
+    def test_an_image_within_the_estimate_is_formed(self, argv, startup_s):
+        # x1^34 at n = 2 is just inside (31,080 of 32,768), x1^4 at n = 8 at the bound
+        f = parse_free(argv[1], int(dict(zip(argv[::2], argv[1::2])).get("--s", 2)), QQ)
+        assert image_terms(f, int(argv[3]), MAX_IMAGE_TERMS) <= MAX_IMAGE_TERMS
+        code, out, err, wall = run_process(["pi", *argv], timeout=startup_s + 3.0)
+        assert (code, err) == (0, "")
+        assert wall - startup_s < 3.0
+
+    def test_the_image_estimate_bounds_the_terms_formed(self):
+        for expr, s in [("x1^5", 1), ("x1*x2 - 2*x2*x1 + 3", 2), ("(x1+x2)^3 + x1^2", 2)]:
+            f = parse_free(expr, s, QQ)
+            for n in range(1, 5):
+                image = genmat.pi_reduce(f, n)
+                built = sum(len(e.terms) for e in image.entries.values())
+                assert built <= image_terms(f, n, MAX_IMAGE_TERMS)
+        # the sum stops once it is past the bound it is given
+        assert image_terms(parse_free("x1^9 + x1^8", 1, QQ), 3, 100) == 9 * 3**8
+
     @settings(max_examples=400)
     @given(FUZZ_EXPRESSIONS)
     def test_eval_fuzz_exits_cleanly(self, expr):
@@ -561,12 +635,17 @@ class TestExitStatuses:
                                 f"error [invalid-size]: probe --n {n} --dmax {dmax}: the "
                                 "annihilator search of --f and --g can build over", startup_s)
 
-    def test_a_probe_whose_commutation_test_is_too_large_is_refused_up_front(self, startup_s):
+    @pytest.mark.parametrize("n", [20, 60])
+    def test_a_probe_whose_commutation_test_is_too_large_is_refused_up_front(self, n,
+                                                                             startup_s):
         # find_annihilator forms f g and g f before any layer of the search: unbounded,
-        # this ran 16 s (2-core VM) and then exited 1 with not-commuting
-        argv = ["probe", "--n", "20", "--f", "x1*x2", "--g", "x2*x1", "--dmax", "1", "--order", "3"]
-        assert_refused_up_front(argv, 10.0, "error [invalid-size]: probe --n 20 --dmax 1: the "
-                                "annihilator search of --f and --g can build over", startup_s)
+        # --n 20 ran 16 s (2-core VM) and then exited 1 with not-commuting.  At --n 60
+        # the images' estimate alone refuses it; it used to lift both first (2.07 s)
+        argv = ["probe", "--n", str(n), "--f", "x1*x2", "--g", "x2*x1", "--dmax", "1",
+                "--order", "3"]
+        assert_refused_up_front(argv, 1.0, f"error [invalid-size]: probe --n {n} --dmax 1: the "
+                                "annihilator search of --f and --g can build over "
+                                f"{MAX_PROBE_SEARCH_TERMS} terms", startup_s)
 
     @pytest.mark.parametrize(
         "argv, searched",
