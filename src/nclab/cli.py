@@ -101,7 +101,7 @@ MAX_CENTRALIZER_PAIRS = 2**19
 #: --d 15 (15.7 s), x1+x2+x1*x2+x2*x1 --d 12 (7.3 s) and that six-term f at --d 9
 #: (5.7 s); but also x1*x2+x2 --d 16 (1.8 s) and x1+x2 --d 12 (0.2 s) (in
 #: process, 2-core VM).
-MAX_CENTRALIZER_WORDS = tuple(2 ** (19 - 3 * t) - 1 for t in range(5))
+MAX_CENTRALIZER_WORDS = (2**19 - 1, 2**16 - 1, 2**13 - 1, 2**10 - 1, 2**7 - 1)
 
 #: ``al`` expands S_2n into monomials of the n x n generic entries.  Past n = 3
 #: that is out of reach: on 4 x 4 generic matrices S_6 alone has 1,290,240 terms

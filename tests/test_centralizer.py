@@ -395,8 +395,7 @@ def test_the_conclusion_is_read_off_the_report(source, conclusion, capsys):
         assert code == (2 if conclusion.startswith("FAIL: ") else 0)
     assert source.conclusion == conclusion
     assert serialize.encode(source)["conclusion"] == conclusion
-    if isinstance(source, centralizer.PipelineReport):
-        assert source.passed is not conclusion.startswith("FAIL: ")
+    assert source.passed is not conclusion.startswith("FAIL: ")
 
 
 @pytest.mark.parametrize("text", ["annihilators differ", "FAIL: a conclusion"])

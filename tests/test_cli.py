@@ -389,7 +389,8 @@ class TestExitStatuses:
 
     @pytest.mark.parametrize("f, d, terms, most", [
         ("x1+x2", 17, "2 terms", 2**16 - 1), ("x1+x2+x1*x2", 13, "3 terms", 2**13 - 1),
-        ("2*x1+3*x2", 13, "2 terms, with coefficients of unequal size,", 2**13 - 1)])
+        ("2*x1+3*x2", 13, "2 terms, with coefficients of unequal size,", 2**13 - 1)],
+        ids=["two-terms-d17", "three-terms-d13", "unequal-sizes-d13"])
     def test_a_centralizer_whose_elimination_fills_in_is_refused_up_front(self, f, d, terms,
                                                                          most, startup_s):
         # within the pairs bound, but the elimination fills in: unbounded, x1+x2 --d 17
@@ -406,6 +407,7 @@ class TestExitStatuses:
         argv = ["centralizer", "--f", "x1+x2+x1*x2", "--d", "12", "--json"]
         code, out, err, wall = run_process(argv, timeout=startup_s + 3.0)
         assert (code, err) == (0, "")
+        assert wall - startup_s < 3.0
         assert MAX_CENTRALIZER_WORDS[2] == 2**13 - 1
         assert json.loads(out)["report"]["passed"] is True
 
@@ -415,7 +417,7 @@ class TestExitStatuses:
         ["--f", "2*x1", "--d", "18"],  # one term of any coefficient
         ["--f", "2*x1+2*x2", "--d", "15", "--field", "q"],  # coefficients of one size
         ["--f", "2*x1+3*x2", "--d", "15", "--field", "fp:7"],  # no fractions over F_p
-    ])
+    ], ids=["one-term-d18", "pairs-d6", "one-scaled-term-d18", "equal-sizes-d15", "fp7-d15"])
     def test_a_centralizer_within_every_bound_reaches_its_search(self, argv, monkeypatch,
                                                                   capsys):
         def searched(f, d):
@@ -440,13 +442,13 @@ class TestExitStatuses:
                                 f"degree {degree} can have over {MAX_IMAGE_TERMS} terms",
                                 startup_s)
 
-    @pytest.mark.parametrize("argv", [["--f", "x1^34", "--n", "2", "--s", "1"],
-                                      ["--f", "x1^4", "--n", "8"], ["--f", "x1", "--n", "150"]])
-    def test_an_image_within_the_estimate_is_formed(self, argv, startup_s):
+    @pytest.mark.parametrize("expr, s, n", [("x1^34", 1, 2), ("x1^4", 2, 8), ("x1", 2, 150)],
+                             ids=["x1^34-n2", "x1^4-n8", "x1-n150"])
+    def test_an_image_within_the_estimate_is_formed(self, expr, s, n, startup_s):
         # x1^34 at n = 2 is just inside (31,080 of 32,768), x1^4 at n = 8 at the bound
-        f = parse_free(argv[1], int(dict(zip(argv[::2], argv[1::2])).get("--s", 2)), QQ)
-        assert image_terms(f, int(argv[3]), MAX_IMAGE_TERMS) <= MAX_IMAGE_TERMS
-        code, out, err, wall = run_process(["pi", *argv], timeout=startup_s + 3.0)
+        assert image_terms(parse_free(expr, s, QQ), n, MAX_IMAGE_TERMS) <= MAX_IMAGE_TERMS
+        argv = ["pi", "--f", expr, "--s", str(s), "--n", str(n)]
+        code, out, err, wall = run_process(argv, timeout=startup_s + 3.0)
         assert (code, err) == (0, "")
         assert wall - startup_s < 3.0
 
